@@ -266,7 +266,7 @@ def ingest(
     is inferred as the first AS of the first path announced on the session
     (the BGP neighbor), falling back to 0 for sessions that only withdraw.
     """
-    index = relays if isinstance(relays, RelayIndex) else RelayIndex(relays)
+    index = RelayIndex.of(relays)
     ribs: dict[str, SessionRib] = {}
     pending: dict[str, list[BgpUpdate]] = {}
     inferred: dict[str, int] = dict(local_as or {})

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .bgp import SessionRib
-from .core import RelayDescriptor, RelayRole
+from .core import RelayDescriptor, RelayRole, merge_intervals
 
 
 class EmptyInputError(Exception):
@@ -61,16 +61,6 @@ class CompromiseSummary:
     @property
     def compromisable_pairs(self) -> int:
         return sum(1 for circuits in self.pair_circuits.values() if circuits)
-
-
-def _merge_intervals(spans: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted(spans):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
 
 
 def _intersection_length(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> float:
@@ -137,7 +127,7 @@ def segment_observations(
     for (asn, sid, address, role), raw in sorted(
         spans.items(), key=lambda item: (item[0][0], item[0][1], item[0][2], item[0][3].value)
     ):
-        for start, end in _merge_intervals(raw):
+        for start, end in merge_intervals(raw):
             observations.append(SegmentObservation(asn, sid, address, role, start, end))
     return observations
 
@@ -166,8 +156,8 @@ def compromised_circuits(
         )
     records = []
     for asn in sorted(by_as):
-        guards = {key: _merge_intervals(v) for key, v in by_as[asn][RelayRole.GUARD].items()}
-        exits = {key: _merge_intervals(v) for key, v in by_as[asn][RelayRole.EXIT].items()}
+        guards = {key: merge_intervals(v) for key, v in by_as[asn][RelayRole.GUARD].items()}
+        exits = {key: merge_intervals(v) for key, v in by_as[asn][RelayRole.EXIT].items()}
         for (src, guard), g_spans in sorted(guards.items()):
             for (dst, exit_), e_spans in sorted(exits.items()):
                 if src == dst or guard == exit_:
@@ -256,20 +246,23 @@ def churn_summary(
     min_overlap: float = 30.0,
     require_distinct_as: bool = True,
     baseline: CompromiseSummary | None = None,
+    records: list[CircuitCompromiseRecord] | None = None,
 ) -> CompromiseSummary:
     """Compromise summary over the full window, unioned with the baseline.
 
     The duration rule applies to circuits churn adds; circuits already
     compromised in the initial state stay compromised, which makes the
     with-updates summary monotone in the update stream by construction.
+    records, when given, are the window's compromised_circuits output for
+    these arguments, so a caller that needs them too sweeps only once.
     """
-    observations = segment_observations(ribs, relays, window)
-    records = compromised_circuits(
-        observations,
-        min_overlap=min_overlap,
-        require_distinct_as=require_distinct_as,
-        local_as={sid: rib.session.local_as for sid, rib in ribs.items()},
-    )
+    if records is None:
+        records = compromised_circuits(
+            segment_observations(ribs, relays, window),
+            min_overlap=min_overlap,
+            require_distinct_as=require_distinct_as,
+            local_as={sid: rib.session.local_as for sid, rib in ribs.items()},
+        )
     summary = summarize(records, session_pairs(ribs, require_distinct_as), relays)
     if baseline is not None:
         merged = {

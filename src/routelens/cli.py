@@ -17,7 +17,9 @@ from pathlib import Path
 
 from . import __version__, artifacts, churn, detect, evaluation, paths, simulate
 from .bgp import filter_session_resets, ingest, parse_updates, write_updates
-from .core import RelayIndex, int_to_ip, load_prefix_origins, load_relays, write_relays
+from .core import (
+    InputError, RelayIndex, int_to_ip, load_prefix_origins, load_relays, write_relays
+)
 from .correlation import (
     SignalKind,
     clopper_pearson,
@@ -37,10 +39,6 @@ DEFAULTS = {
     "quiet_gap": 3600.0,
     "burst_window": 600.0,
 }
-
-
-class InputError(Exception):
-    pass
 
 
 def _fail(message: str) -> int:
@@ -196,7 +194,7 @@ def cmd_correlate(args) -> int:
 # --- churn ---------------------------------------------------------------------
 
 
-def _ingest_updates(args, config) -> tuple[dict, list, tuple[float, float]]:
+def _ingest_updates(args, config) -> tuple[list, list, tuple[float, float]]:
     relays = load_relays(_require(args.relays, "relay list"))
     updates, issues = parse_updates(_require(args.updates, "update file"))
     if issues:
@@ -217,7 +215,7 @@ def _ingest_updates(args, config) -> tuple[dict, list, tuple[float, float]]:
         float(config["window_start"]) if config.get("window_start") is not None else (min(stamps) if stamps else 0.0),
         float(config["window_end"]) if config.get("window_end") is not None else (max(stamps) + 1.0 if stamps else 1.0),
     )
-    return {"relays": relays, "updates": updates}, updates, window
+    return relays, updates, window
 
 
 def _load_sessions(path_text) -> dict[str, int] | None:
@@ -235,8 +233,7 @@ def cmd_churn(args) -> int:
     config = _effective_config(args, ["seed", "min_overlap", "quiet_gap", "burst_window"])
     config["window_start"] = args.window_start
     config["window_end"] = args.window_end
-    loaded, updates, window = _ingest_updates(args, config)
-    relays = loaded["relays"]
+    relays, updates, window = _ingest_updates(args, config)
     config["window_start"], config["window_end"] = window
     local_as = _load_sessions(args.sessions)
 
@@ -283,17 +280,19 @@ def cmd_churn(args) -> int:
         return 0
 
     full_ribs = ingest(updates, relays, local_as=local_as)
+    # one sweep of the window feeds both the summary and the AS coverage
+    records = churn.compromised_circuits(
+        churn.segment_observations(full_ribs, relays, window),
+        min_overlap=float(config["min_overlap"]),
+        local_as={sid: rib.session.local_as for sid, rib in full_ribs.items()},
+    )
     updated = churn.churn_summary(
         full_ribs,
         relays,
         window,
         min_overlap=float(config["min_overlap"]),
         baseline=baseline,
-    )
-    records = churn.compromised_circuits(
-        churn.segment_observations(full_ribs, relays, window),
-        min_overlap=float(config["min_overlap"]),
-        local_as={sid: rib.session.local_as for sid, rib in full_ribs.items()},
+        records=records,
     )
     ratios, newly = churn.churn_ratio(baseline, updated)
     artifacts.write_csv(
@@ -355,6 +354,8 @@ def cmd_paths(args) -> int:
     rows = paths.vulnerability_timeseries(
         dataset, exclude_endpoint_ases=bool(args.exclude_endpoint_ases)
     )
+    if not rows:
+        raise InputError(f"{args.traceroutes}: no complete P1-P4 quad of traceroutes")
     out = _out(args)
     artifacts.write_csv(
         out / "vulnerability_timeseries.csv",
@@ -397,9 +398,8 @@ def cmd_detect(args) -> int:
     config["window_start"] = args.window_start
     config["window_end"] = args.window_end
     config["freq_denominator"] = args.freq_denominator
-    loaded, updates, window = _ingest_updates(args, config)
+    relays, updates, window = _ingest_updates(args, config)
     config["window_start"], config["window_end"] = window
-    relays = loaded["relays"]
     index = RelayIndex([r for r in relays if r.is_guard or r.is_exit])
     alerts = detect.frequency_heuristic(
         updates,

@@ -15,6 +15,10 @@ from enum import Enum
 from typing import Any, Iterable, Iterator
 
 
+class InputError(ValueError):
+    """An input file is unusable; the message names the file (and line)."""
+
+
 class RelayRole(Enum):
     GUARD = "guard"
     EXIT = "exit"
@@ -81,11 +85,6 @@ class IpPrefix:
         return f"{int_to_ip(self.base)}/{self.length}"
 
 
-def prefix_covers(prefix: IpPrefix, address: int) -> bool:
-    """True iff the top prefix.length bits of address match the prefix."""
-    return prefix.covers(address)
-
-
 def is_more_specific_of(candidate: IpPrefix, incumbent: IpPrefix) -> bool:
     """True iff candidate lies inside incumbent and is strictly longer."""
     return incumbent.covers(candidate.base) and candidate.length > incumbent.length
@@ -116,16 +115,20 @@ def load_relays(path) -> list[RelayDescriptor]:
     """Read a relay list CSV with header address,is_guard,is_exit,bandwidth,nickname."""
     relays = []
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            relays.append(
-                RelayDescriptor(
-                    address=ip_to_int(row["address"]),
-                    is_guard=_parse_bool(row["is_guard"]),
-                    is_exit=_parse_bool(row["is_exit"]),
-                    bandwidth=float(row["bandwidth"]),
-                    nickname=row.get("nickname", "") or "",
+        reader = csv.DictReader(handle)
+        for row in reader:
+            try:
+                relays.append(
+                    RelayDescriptor(
+                        address=ip_to_int(row["address"]),
+                        is_guard=_parse_bool(row["is_guard"]),
+                        is_exit=_parse_bool(row["is_exit"]),
+                        bandwidth=float(row["bandwidth"]),
+                        nickname=row.get("nickname", "") or "",
+                    )
                 )
-            )
+            except (ValueError, KeyError, AttributeError) as exc:
+                raise InputError(f"{path}:{reader.line_num}: bad relay row: {exc}") from None
     return relays
 
 
@@ -201,6 +204,19 @@ class VantageSession:
 
     session_id: str
     local_as: int
+
+
+def merge_intervals(
+    spans: Iterable[tuple[float, float]], gap: float = 0.0
+) -> list[tuple[float, float]]:
+    """Sorted union of closed spans; spans at most gap apart fuse too."""
+    merged: list[tuple[float, float]] = []
+    for start, end in sorted(spans):
+        if merged and start <= merged[-1][1] + gap:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
 
 
 OPEN = None  # t_end sentinel for still-active route entries
@@ -291,11 +307,6 @@ class PrefixTable:
         return None if found is None else found[1]
 
 
-def most_specific_match(table: PrefixTable, address: int) -> Any | None:
-    """Payload of the longest prefix covering address, or None."""
-    return table.lookup(address)
-
-
 def load_prefix_origins(path) -> PrefixTable:
     """Read a prefix,asn CSV into a PrefixTable keyed by origin AS number."""
     table = PrefixTable()
@@ -318,6 +329,11 @@ class RelayIndex:
     def __init__(self, relays: Iterable[RelayDescriptor]) -> None:
         self.relays = sorted(relays, key=lambda r: r.address)
         self._addresses = [relay.address for relay in self.relays]
+
+    @classmethod
+    def of(cls, relays: "Iterable[RelayDescriptor] | RelayIndex") -> "RelayIndex":
+        """The index itself, or a new index over a relay list."""
+        return relays if isinstance(relays, RelayIndex) else cls(relays)
 
     def __len__(self) -> int:
         return len(self.relays)

@@ -1,5 +1,11 @@
 """Asymmetric traffic correlation from TCP headers.
 
+A trace is arrays: one PacketTable of header columns (timestamp,
+direction code, sequence and acknowledgment numbers, payload length, flag
+bits) per vantage, produced by the simulator or read from JSONL in bulk
+and consumed with masks and vector operations; there is no per-packet
+object.
+
 The attack signal is cumulative byte progress, recoverable from either
 direction of a flow: sequence numbers plus payload sizes on the data
 direction, or cumulative acknowledgment numbers on the reverse direction.
@@ -13,10 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
+
+from .core import InputError
 
 WRAP = 2**32
 
@@ -49,17 +57,52 @@ class SignalKind(Enum):
     ACK = "ack"
 
 
-@dataclass(slots=True)
-class PacketObservation:
-    """One TCP header sighting. flags may contain SYN/FIN/RST/ACK_FLAG;
-    SYN and FIN carry payload_len 0 so progress counts application bytes."""
+DIRECTIONS = tuple(Direction)  # a direction code indexes this tuple
+_FLAG_NAMES = ("SYN", "FIN", "RST", "ACK_FLAG")  # flag bit i is 1 << i
+_SYN_FIN = 0b11
+_COLUMN_DTYPES = (np.float64, np.int8, np.int64, np.int64, np.int64, np.uint8)
 
-    ts: float
-    direction: Direction
-    seq: int
-    ack: int
-    payload_len: int
-    flags: frozenset[str] = field(default_factory=frozenset)
+
+@dataclass(eq=False)
+class PacketTable:
+    """Struct-of-arrays TCP header sightings, one row per packet.
+
+    ts float64 seconds; direction int8 index into DIRECTIONS; seq, ack and
+    payload_len int64; flags uint8 bitmask over _FLAG_NAMES. SYN and FIN
+    carry no application bytes, so progress ignores their payload_len.
+    """
+
+    ts: np.ndarray
+    direction: np.ndarray
+    seq: np.ndarray
+    ack: np.ndarray
+    payload_len: np.ndarray
+    flags: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column, dtype in zip(fields(self), _COLUMN_DTYPES):
+            setattr(self, column.name, np.asarray(getattr(self, column.name), dtype=dtype))
+        if len({len(getattr(self, column.name)) for column in fields(self)}) != 1:
+            raise ValueError("packet table columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, rows) -> "PacketTable":
+        """The rows picked by a mask or an index array, as a new table."""
+        return PacketTable(*(getattr(self, column.name)[rows] for column in fields(self)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PacketTable) and all(
+            np.array_equal(getattr(self, column.name), getattr(other, column.name))
+            for column in fields(self)
+        )
+
+
+def _first_decrease(ts: np.ndarray) -> int | None:
+    """Index of the first timestamp below its predecessor, if any."""
+    down = np.flatnonzero(np.diff(ts) < 0)
+    return int(down[0]) + 1 if len(down) else None
 
 
 @dataclass
@@ -68,17 +111,15 @@ class EndpointTrace:
 
     vantage_id: str
     flow_key: tuple[str, str]
-    observations: list[PacketObservation]
+    observations: PacketTable
 
     def validate(self) -> None:
-        last = -math.inf
-        for obs in self.observations:
-            if obs.ts < last:
-                raise ValueError(f"timestamps decrease in trace {self.vantage_id}")
-            last = obs.ts
+        row = _first_decrease(self.observations.ts)
+        if row is not None:
+            raise ValueError(f"timestamps decrease at row {row} of trace {self.vantage_id}")
 
     def directions(self) -> set[Direction]:
-        return {obs.direction for obs in self.observations}
+        return {DIRECTIONS[code] for code in np.unique(self.observations.direction)}
 
 
 @dataclass
@@ -127,35 +168,19 @@ class AccuracyReport:
         return self.false_positives / self.n_clients if self.n_clients else 0.0
 
 
-def unwrap_cumulative(values) -> list[int]:
+def unwrap_cumulative(values) -> np.ndarray:
     """Undo 32-bit wraparound of a cumulative counter sequence.
 
     Successive differences are interpreted mod 2**32, choosing the signed
-    representative in (-2**31, 2**31]; output is anchored at the first
-    input value.
+    representative in (-2**31, 2**31]; output is an int64 array anchored
+    at the first input value.
     """
-    if len(values) == 0:
-        raise ValueError("empty input")
     arr = np.asarray(values, dtype=np.int64)
+    if len(arr) == 0:
+        raise ValueError("empty input")
     steps = np.mod(np.diff(arr), WRAP)
     steps[steps > WRAP // 2] -= WRAP
-    out = np.empty(len(arr), dtype=np.int64)
-    out[0] = arr[0]
-    if len(arr) > 1:
-        out[1:] = arr[0] + np.cumsum(steps)
-    return out.tolist()
-
-
-def _unwrap_array(arr: np.ndarray) -> np.ndarray:
-    arr = arr.astype(np.int64)
-    if len(arr) == 1:
-        return arr
-    steps = np.mod(np.diff(arr), WRAP)
-    steps[steps > WRAP // 2] -= WRAP
-    out = np.empty(len(arr), dtype=np.int64)
-    out[0] = arr[0]
-    out[1:] = arr[0] + np.cumsum(steps)
-    return out
+    return arr[0] + np.concatenate(([0], np.cumsum(steps)))
 
 
 def pick_direction(trace: EndpointTrace, kind: SignalKind) -> Direction:
@@ -165,23 +190,19 @@ def pick_direction(trace: EndpointTrace, kind: SignalKind) -> Direction:
     one whose acknowledgment counter advances the furthest. Ties break on
     Direction declaration order so the choice is deterministic.
     """
-    best: tuple[float, int] | None = None
-    best_dir: Direction | None = None
-    order = {d: i for i, d in enumerate(Direction)}
-    for direction in trace.directions():
-        obs = [o for o in trace.observations if o.direction is direction]
-        if kind is SignalKind.DATA:
-            score = float(sum(o.payload_len for o in obs))
-        else:
-            acks = _unwrap_array(np.array([o.ack for o in obs], dtype=np.int64))
-            score = float(acks.max() - acks[0])
-        key = (-score, order[direction])
-        if best is None or key < best:
-            best = key
-            best_dir = direction
-    if best_dir is None:
+    obs = trace.observations
+    if not len(obs):
         raise EmptyDirectionError(f"trace {trace.vantage_id} is empty")
-    return best_dir
+    scores = []
+    for code in np.unique(obs.direction):
+        mask = obs.direction == code
+        if kind is SignalKind.DATA:
+            score = float(obs.payload_len[mask].sum())
+        else:
+            acks = unwrap_cumulative(obs.ack[mask])
+            score = float(acks.max() - acks[0])
+        scores.append((-score, int(code)))
+    return DIRECTIONS[min(scores)[1]]
 
 
 def extract_progress(
@@ -205,23 +226,19 @@ def extract_progress(
         raise ValueError("bin_width must be positive")
     if direction is None:
         direction = pick_direction(trace, kind)
-    obs = [o for o in trace.observations if o.direction is direction]
-    if not obs:
+    obs = trace.observations[trace.observations.direction == DIRECTIONS.index(direction)]
+    if not len(obs):
         raise EmptyDirectionError(
             f"no {direction.value} packets in trace {trace.vantage_id}"
         )
-    ts = np.array([o.ts for o in obs], dtype=np.float64)
+    ts = obs.ts
     if kind is SignalKind.DATA:
-        seqs = _unwrap_array(np.array([o.seq for o in obs], dtype=np.int64))
+        seqs = unwrap_cumulative(obs.seq)
         # SYN/FIN consume a sequence number but carry no application bytes
-        payloads = np.array(
-            [0 if o.flags & {"SYN", "FIN"} else o.payload_len for o in obs],
-            dtype=np.int64,
-        )
-        metric = seqs + payloads
+        metric = seqs + np.where(obs.flags & _SYN_FIN, 0, obs.payload_len)
         initial = seqs[0]
     else:
-        metric = _unwrap_array(np.array([o.ack for o in obs], dtype=np.int64))
+        metric = unwrap_cumulative(obs.ack)
         initial = metric[0]
     progress = np.maximum.accumulate(metric) - initial
 
@@ -425,51 +442,90 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tu
 
 
 # --- flow-record serialization ---------------------------------------------
+#
+# One JSON object per packet, keys sorted: {"ack", "dir", "flags"?, "len",
+# "seq", "ts"}, ts rounded to 6 decimals, flags (only when set) a sorted
+# list of _FLAG_NAMES. Both directions work on whole columns.
 
-_FLAG_NAMES = ("SYN", "FIN", "RST", "ACK_FLAG")
-
-
-def observation_to_record(obs: PacketObservation) -> dict:
-    record = {
-        "ts": round(obs.ts, 6),
-        "dir": obs.direction.value,
-        "seq": obs.seq,
-        "ack": obs.ack,
-        "len": obs.payload_len,
-    }
-    if obs.flags:
-        record["flags"] = sorted(obs.flags)
-    return record
-
-
-def observation_from_record(record: dict) -> PacketObservation:
-    return PacketObservation(
-        ts=float(record["ts"]),
-        direction=Direction(record["dir"]),
-        seq=int(record["seq"]),
-        ack=int(record["ack"]),
-        payload_len=int(record["len"]),
-        flags=frozenset(record.get("flags", ())),
-    )
+_DIR_JSON = [json.dumps(d.value) for d in DIRECTIONS]
+_FLAGS_JSON = [
+    f'"flags": {json.dumps(sorted(n for i, n in enumerate(_FLAG_NAMES) if bits >> i & 1))}, '
+    if bits else ""
+    for bits in range(1 << len(_FLAG_NAMES))
+]
+_DIR_CODE = {d.value: code for code, d in enumerate(DIRECTIONS)}
+_FLAG_BIT = {name: 1 << i for i, name in enumerate(_FLAG_NAMES)}
 
 
 def write_trace_jsonl(path, trace: EndpointTrace) -> None:
+    obs = trace.observations
+    # json spells each rounded timestamp exactly as it spells a record field
+    ts_json = json.dumps([round(t, 6) for t in obs.ts.tolist()])[1:-1].split(", ")
     with open(path, "w") as handle:
-        for obs in trace.observations:
-            handle.write(json.dumps(observation_to_record(obs), sort_keys=True) + "\n")
+        handle.writelines(
+            f'{{"ack": {ack}, "dir": {_DIR_JSON[code]}, {_FLAGS_JSON[bits]}'
+            f'"len": {length}, "seq": {seq}, "ts": {ts}}}\n'
+            for ack, code, bits, length, seq, ts in zip(
+                obs.ack.tolist(),
+                obs.direction.tolist(),
+                obs.flags.tolist(),
+                obs.payload_len.tolist(),
+                obs.seq.tolist(),
+                ts_json,
+            )
+        )
+
+
+def _packet_table(records: list) -> PacketTable:
+    """Columns of decoded records; raises on an unusable record."""
+    records = [r for r in records if "_meta" not in r]  # artifact metadata header
+    return PacketTable(
+        ts=[float(r["ts"]) for r in records],
+        direction=[_DIR_CODE[r["dir"]] for r in records],
+        seq=[int(r["seq"]) for r in records],
+        ack=[int(r["ack"]) for r in records],
+        payload_len=[int(r["len"]) for r in records],
+        flags=[sum(_FLAG_BIT[n] for n in set(r["flags"])) if "flags" in r else 0 for r in records],
+    )
+
+
+_RECORD_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
+
+
+def _first_bad_line(path, lines: list[str]) -> str:
+    for line_no, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                _packet_table([json.loads(line)])
+            except KeyError as exc:
+                return f"{path}:{line_no}: missing key or unknown name {exc} in trace record"
+            except _RECORD_ERRORS as exc:
+                return f"{path}:{line_no}: bad trace record: {exc}"
+    return f"{path}: unreadable trace file"
 
 
 def read_trace_jsonl(path, vantage_id: str, flow_key=("", "")) -> EndpointTrace:
-    observations = []
+    """Read a whole trace file at once.
+
+    Unusable input raises InputError naming the file and line: a line that
+    is not a JSON object, a missing key, an unknown direction or flag
+    name, or a timestamp below the previous one.
+    """
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "_meta" in record:
-                continue  # artifact metadata header
-            observations.append(observation_from_record(record))
-    trace = EndpointTrace(vantage_id, tuple(flow_key), observations)
-    trace.validate()
-    return trace
+        lines = handle.read().splitlines()
+    body = [line for line in lines if line.strip()]
+    try:
+        records = json.loads("[" + ",".join(body) + "]")
+        if len(records) != len(body):
+            raise ValueError("a line holds more than one record")
+        table = _packet_table(records)
+    except _RECORD_ERRORS:
+        raise InputError(_first_bad_line(path, lines)) from None
+    row = _first_decrease(table.ts)
+    if row is not None:
+        data_lines = [
+            no for no, line in enumerate(lines, 1)
+            if line.strip() and "_meta" not in json.loads(line)
+        ]
+        raise InputError(f"{path}:{data_lines[row]}: timestamp decreases")
+    return EndpointTrace(vantage_id, tuple(flow_key), table)

@@ -10,7 +10,6 @@ with an interval list instead of spam.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,7 +21,9 @@ from .core import (
     RelayDescriptor,
     RelayIndex,
     int_to_ip,
+    ip_to_int,
     is_more_specific_of,
+    merge_intervals,
 )
 
 
@@ -63,8 +64,6 @@ def alert_to_record(alert: HijackAlert) -> dict:
 
 
 def alert_from_record(record: dict) -> HijackAlert:
-    from .core import ip_to_int
-
     return HijackAlert(
         prefix=IpPrefix.parse(record["prefix"]),
         origin_as=int(record["origin_as"]),
@@ -81,18 +80,6 @@ def _affected(index: RelayIndex, prefix: IpPrefix) -> tuple[tuple[int, ...], tup
     guards = tuple(r.address for r in covered if r.is_guard)
     exits = tuple(r.address for r in covered if r.is_exit)
     return guards, exits
-
-
-def _merge_windows(
-    spans: list[tuple[float, float]], gap: float = 3600.0
-) -> tuple[tuple[float, float], ...]:
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted(spans):
-        if merged and start <= merged[-1][1] + gap:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return tuple(merged)
 
 
 # --- concentration ------------------------------------------------------------
@@ -242,7 +229,7 @@ def frequency_heuristic(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    index = relays if isinstance(relays, RelayIndex) else RelayIndex(relays)
+    index = RelayIndex.of(relays)
     totals: dict[IpPrefix, int] = {}
     per_origin: dict[tuple[IpPrefix, int], list[float]] = {}
     n_announcements = 0
@@ -272,7 +259,7 @@ def frequency_heuristic(
                     origin_as=origin,
                     heuristic=Heuristic.FREQUENCY,
                     score=freq,
-                    windows=_merge_windows([(t, t) for t in stamps]),
+                    windows=tuple(merge_intervals([(t, t) for t in stamps], gap=3600.0)),
                     guards=guards,
                     exits=exits,
                 )
@@ -316,16 +303,7 @@ def _route_lifetimes(
         start = max(since, t_lo)
         if start < t_hi:
             spans.setdefault((prefix, path), []).append((start, t_hi))
-    merged: dict[tuple[IpPrefix, AsPath], list[tuple[float, float]]] = {}
-    for key, raw in spans.items():
-        out: list[tuple[float, float]] = []
-        for start, end in sorted(raw):
-            if out and start <= out[-1][1]:
-                out[-1] = (out[-1][0], max(out[-1][1], end))
-            else:
-                out.append((start, end))
-        merged[key] = out
-    return merged
+    return {key: merge_intervals(raw) for key, raw in spans.items()}
 
 
 def time_heuristic(
@@ -343,7 +321,7 @@ def time_heuristic(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    index = relays if isinstance(relays, RelayIndex) else RelayIndex(relays)
+    index = RelayIndex.of(relays)
     if window is None:
         stamps = [u.timestamp for u in updates]
         if not stamps:
@@ -387,7 +365,7 @@ def more_specific_monitor(
     origin differs; a same-origin more-specific is ordinary traffic
     engineering. Alert windows run until the attacker's withdrawal.
     """
-    index = relays if isinstance(relays, RelayIndex) else RelayIndex(relays)
+    index = RelayIndex.of(relays)
     live: dict[tuple[str, IpPrefix], AsPath] = {}
     hits: dict[tuple[IpPrefix, int], list[tuple[float, float]]] = {}
     open_hits: dict[tuple[str, IpPrefix, int], float] = {}
@@ -425,7 +403,7 @@ def more_specific_monitor(
                 origin_as=origin,
                 heuristic=Heuristic.MORE_SPECIFIC,
                 score=float(len(spans)),
-                windows=_merge_windows(spans, gap=0.0),
+                windows=tuple(merge_intervals(spans)),
                 guards=guards,
                 exits=exits,
             )
@@ -524,18 +502,3 @@ def as_aware_select(
     admissible.sort()
     return [guard for _, guard in admissible]
 
-
-def write_alerts_jsonl(path, alerts: list[HijackAlert]) -> None:
-    with open(path, "w") as handle:
-        for alert in alerts:
-            handle.write(json.dumps(alert_to_record(alert), sort_keys=True) + "\n")
-
-
-def read_alerts_jsonl(path) -> list[HijackAlert]:
-    alerts = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                alerts.append(alert_from_record(json.loads(line)))
-    return alerts

@@ -55,7 +55,7 @@ def interception_scenario(seed: int, n_pairs: int = 50) -> TrafficScenario:
 
 def dataset_epoch(traces: list[EndpointTrace]) -> float:
     """Shared binning epoch: the earliest timestamp in the dataset."""
-    return min(t.observations[0].ts for t in traces if t.observations)
+    return min(float(t.observations.ts[0]) for t in traces if len(t.observations))
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bgp import BgpUpdate, UpdateKind
 from .core import AsPath, IpPrefix, RelayDescriptor, int_to_ip, ip_to_int
-from .correlation import Direction, EndpointTrace, PacketObservation
+from .correlation import DIRECTIONS, WRAP, Direction, EndpointTrace, PacketTable
 
 TICK = 0.01  # packet emission granularity; analyses bin at >= 1 s
 
@@ -190,25 +190,52 @@ def _byte_allocation(scenario: TrafficScenario, rng: np.random.Generator) -> np.
     return per_tick
 
 
-@dataclass
-class _FlowRender:
-    """One pair's observations at both vantages (upload direction)."""
+def _vantage_table(
+    times: np.ndarray,
+    offsets: np.ndarray,
+    payloads: np.ndarray,
+    isn: int,
+    handshake_ts: float,
+    ack_delay: float,
+    data_dir: Direction,
+    ack_dir: Direction,
+) -> PacketTable:
+    """Data packets plus the delayed cumulative acks seen at one vantage.
 
-    client_obs: list[PacketObservation]
-    server_obs: list[PacketObservation]
-    total_bytes: int
+    Every second data packet and the last one are acknowledged, after an
+    ack of the bare isn at handshake_ts. Rows are stably sorted on time:
+    at equal stamps data comes before the handshake ack before the acks.
+    """
+    n = len(times)
+    acked = np.maximum.accumulate(offsets + payloads)
+    ack_idx = np.arange(1, n, 2)
+    if n % 2:
+        ack_idx = np.append(ack_idx, n - 1)
+    n_acks = len(ack_idx) + 1
+    table = PacketTable(
+        ts=np.concatenate([times, [handshake_ts], times[ack_idx] + ack_delay]),
+        direction=np.repeat(
+            [DIRECTIONS.index(data_dir), DIRECTIONS.index(ack_dir)], [n, n_acks]
+        ),
+        seq=np.concatenate([(isn + offsets) % WRAP, np.zeros(n_acks, dtype=np.int64)]),
+        ack=np.concatenate([np.zeros(n, dtype=np.int64), [isn], (isn + acked[ack_idx]) % WRAP]),
+        payload_len=np.concatenate([payloads, np.zeros(n_acks, dtype=np.int64)]),
+        flags=np.zeros(n + n_acks, dtype=np.uint8),
+    )
+    return table[np.argsort(table.ts, kind="stable")]
 
 
 def _render_flow(
     allocation: np.ndarray, scenario: TrafficScenario, rng: np.random.Generator
-) -> _FlowRender:
+) -> tuple[PacketTable, PacketTable]:
+    """One pair's upload as seen at the client and at the server vantage."""
     mss = scenario.mss
     cum = np.cumsum(allocation)
     total = int(cum[-1])
     n_chunks = total // mss
     remainder = total - n_chunks * mss
-    isn_client = int(rng.integers(0, 2**32))
-    isn_server = int(rng.integers(0, 2**32))
+    isn_client = int(rng.integers(0, WRAP))
+    isn_server = int(rng.integers(0, WRAP))
 
     targets = mss * np.arange(1, n_chunks + 1, dtype=np.float64)
     ticks = np.searchsorted(cum, targets, side="left")
@@ -228,74 +255,21 @@ def _render_flow(
         order = np.argsort(times, kind="mergesort")
         times, offsets, payloads = times[order], offsets[order], payloads[order]
 
-    client_obs = [
-        PacketObservation(
-            ts=float(t),
-            direction=Direction.TO_RELAY,
-            seq=int((isn_client + off) % 2**32),
-            ack=0,
-            payload_len=int(pl),
-        )
-        for t, off, pl in zip(times, offsets, payloads)
-    ]
-
-    # cumulative acks of the client's bytes, observed back at the client
-    acked = np.maximum.accumulate(offsets + payloads)
-    ack_idx = list(range(1, len(times), 2))
-    if len(times) and (not ack_idx or ack_idx[-1] != len(times) - 1):
-        ack_idx.append(len(times) - 1)
-    client_obs.append(
-        PacketObservation(0.0, Direction.FROM_RELAY, 0, isn_client % 2**32, 0)
+    client = _vantage_table(
+        times, offsets, payloads, isn_client, 0.0, scenario.ack_delay,
+        Direction.TO_RELAY, Direction.FROM_RELAY,
     )
-    for i in ack_idx:
-        client_obs.append(
-            PacketObservation(
-                ts=float(times[i] + scenario.ack_delay),
-                direction=Direction.FROM_RELAY,
-                seq=0,
-                ack=int((isn_client + acked[i]) % 2**32),
-                payload_len=0,
-            )
-        )
-    client_obs.sort(key=lambda o: o.ts)
-
     # the same bytes arrive at the server vantage after the tunnel
     arrivals = times + scenario.tunnel_delay + rng.uniform(
         0, scenario.tunnel_jitter, size=len(times)
     )
     order = np.argsort(arrivals, kind="mergesort")
-    arrivals, s_offsets, s_payloads = arrivals[order], offsets[order], payloads[order]
-    server_obs = [
-        PacketObservation(
-            ts=float(t),
-            direction=Direction.TO_SERVER,
-            seq=int((isn_server + off) % 2**32),
-            ack=0,
-            payload_len=int(pl),
-        )
-        for t, off, pl in zip(arrivals, s_offsets, s_payloads)
-    ]
-    s_acked = np.maximum.accumulate(s_offsets + s_payloads)
-    s_idx = list(range(1, len(arrivals), 2))
-    if len(arrivals) and (not s_idx or s_idx[-1] != len(arrivals) - 1):
-        s_idx.append(len(arrivals) - 1)
-    server_obs.append(
-        PacketObservation(
-            float(scenario.tunnel_delay), Direction.FROM_SERVER, 0, isn_server % 2**32, 0
-        )
+    server = _vantage_table(
+        arrivals[order], offsets[order], payloads[order], isn_server,
+        scenario.tunnel_delay, scenario.ack_delay,
+        Direction.TO_SERVER, Direction.FROM_SERVER,
     )
-    for i in s_idx:
-        server_obs.append(
-            PacketObservation(
-                ts=float(arrivals[i] + scenario.ack_delay),
-                direction=Direction.FROM_SERVER,
-                seq=0,
-                ack=int((isn_server + s_acked[i]) % 2**32),
-                payload_len=0,
-            )
-        )
-    server_obs.sort(key=lambda o: o.ts)
-    return _FlowRender(client_obs, server_obs, total)
+    return client, server
 
 
 def gen_traffic(
@@ -315,15 +289,15 @@ def gen_traffic(
     servers: list[EndpointTrace | None] = [None] * scenario.n_pairs
     pairing: dict[str, str] = {}
     for i in range(scenario.n_pairs):
-        render = _render_flow(allocation[i], scenario, rng)
+        client_obs, server_obs = _render_flow(allocation[i], scenario, rng)
         client_id = f"client-{i:02d}"
         server_id = f"server-{perm[i]:02d}"
         pairing[client_id] = server_id
         clients.append(
-            EndpointTrace(client_id, (f"10.50.{i}.2:443", "10.99.0.1:9001"), render.client_obs)
+            EndpointTrace(client_id, (f"10.50.{i}.2:443", "10.99.0.1:9001"), client_obs)
         )
         servers[perm[i]] = EndpointTrace(
-            server_id, ("10.99.0.2:35000", f"10.60.{perm[i]}.2:80"), render.server_obs
+            server_id, ("10.99.0.2:35000", f"10.60.{perm[i]}.2:80"), server_obs
         )
     return clients, [s for s in servers if s is not None], GroundTruth(pairing)
 
@@ -878,29 +852,25 @@ def gen_interception_timeline(
     good = np.zeros(n_secs, dtype=np.int64)
     captured = np.zeros(n_secs, dtype=np.int64)
     for i in range(scenario.n_pairs):
-        render = _render_flow(allocation[i], scenario, rng)
+        client_obs, server_obs = _render_flow(allocation[i], scenario, rng)
         client_id = f"client-{i:02d}"
         server_id = f"server-{perm[i]:02d}"
         pairing[client_id] = server_id
         # download direction: the server-side render is reused as-is, and
         # the client's acks toward the guard are the FROM_RELAY stream of
         # the upload render reinterpreted (same cumulative process).
-        acks = [o for o in render.client_obs if o.direction is Direction.FROM_RELAY]
-        kept = []
-        for obs in acks:
-            second = min(int(obs.ts), n_secs - 1)
-            if switch_on <= obs.ts < switch_off:
-                captured[second] += 1
-                kept.append(
-                    PacketObservation(obs.ts, Direction.TO_RELAY, obs.seq, obs.ack, 0)
-                )
-            else:
-                good[second] += 1
+        acks = client_obs[client_obs.direction == DIRECTIONS.index(Direction.FROM_RELAY)]
+        inside = (switch_on <= acks.ts) & (acks.ts < switch_off)
+        seconds = np.minimum(acks.ts.astype(np.int64), n_secs - 1)
+        captured += np.bincount(seconds[inside], minlength=n_secs)
+        good += np.bincount(seconds[~inside], minlength=n_secs)
+        kept = acks[inside]
+        kept.direction[:] = DIRECTIONS.index(Direction.TO_RELAY)
         attacker_traces.append(
             EndpointTrace(client_id, (f"10.50.{i}.2:443", "10.99.0.1:9001"), kept)
         )
         server_traces[perm[i]] = EndpointTrace(
-            server_id, ("10.99.0.2:35000", f"10.60.{perm[i]}.2:80"), render.server_obs
+            server_id, ("10.99.0.2:35000", f"10.60.{perm[i]}.2:80"), server_obs
         )
     return InterceptionRun(
         attacker_traces=attacker_traces,

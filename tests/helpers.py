@@ -1,10 +1,13 @@
 """Shared fixture builders and brute-force oracles for the test suite."""
 
+import json
+import math
 import random
 
 from routelens.bgp import BgpUpdate, UpdateKind, ingest
 from routelens.churn import CircuitCompromiseRecord
 from routelens.core import AsPath, IpPrefix, RelayDescriptor, ip_to_int
+from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
 
 
 def announce(ts, session, prefix, path):
@@ -114,3 +117,114 @@ def brute_force_records(ribs, relays, window, min_overlap, require_distinct_as=T
                 CircuitCompromiseRecord(src, dst, guard, exit_, asn, float(seconds))
             )
     return records
+
+
+# --- per-record trace format oracle ----------------------------------------------
+
+
+def packet_table(rows):
+    """PacketTable from (ts, Direction, seq, ack, payload_len[, flag names]) rows."""
+    rows = [tuple(row) + ((),) * (6 - len(row)) for row in rows]
+    return PacketTable(
+        ts=[row[0] for row in rows],
+        direction=[DIRECTIONS.index(row[1]) for row in rows],
+        seq=[row[2] for row in rows],
+        ack=[row[3] for row in rows],
+        payload_len=[row[4] for row in rows],
+        flags=[
+            sum(1 << _FLAG_NAMES.index(name) for name in set(row[5])) for row in rows
+        ],
+    )
+
+
+def observation_to_record(table, i):
+    """One row as the per-record writer built it, before columns."""
+    record = {
+        "ts": round(float(table.ts[i]), 6),
+        "dir": DIRECTIONS[table.direction[i]].value,
+        "seq": int(table.seq[i]),
+        "ack": int(table.ack[i]),
+        "len": int(table.payload_len[i]),
+    }
+    flags = {name for bit, name in enumerate(_FLAG_NAMES) if int(table.flags[i]) >> bit & 1}
+    if flags:
+        record["flags"] = sorted(flags)
+    return record
+
+
+def oracle_trace_text(table) -> str:
+    """Trace JSONL written record by record with json.dumps."""
+    return "".join(
+        json.dumps(observation_to_record(table, i), sort_keys=True) + "\n"
+        for i in range(len(table))
+    )
+
+
+def oracle_read_columns(path) -> dict:
+    """Trace JSONL read line by line with json.loads, as column lists."""
+    columns = {"ts": [], "direction": [], "seq": [], "ack": [], "payload_len": [], "flags": []}
+    with open(path) as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            record = json.loads(line)
+            if "_meta" in record:
+                continue
+            columns["ts"].append(float(record["ts"]))
+            columns["direction"].append(DIRECTIONS.index(Direction(record["dir"])))
+            columns["seq"].append(int(record["seq"]))
+            columns["ack"].append(int(record["ack"]))
+            columns["payload_len"].append(int(record["len"]))
+            columns["flags"].append(
+                sum(1 << _FLAG_NAMES.index(name) for name in set(record.get("flags", ())))
+            )
+    return columns
+
+
+def _unwrap_loop(values):
+    out = [values[0]]
+    for prev, cur in zip(values, values[1:]):
+        step = (cur - prev) % 2**32
+        out.append(out[-1] + (step - 2**32 if step > 2**31 else step))
+    return out
+
+
+def brute_pick_direction(table, data: bool):
+    """Packet-by-packet direction choice: most payload bytes (data) or the
+    furthest-advancing ack counter, ties to declaration order."""
+    best = None
+    for code, direction in enumerate(DIRECTIONS):
+        rows = [i for i in range(len(table)) if table.direction[i] == code]
+        if not rows:
+            continue
+        if data:
+            score = sum(int(table.payload_len[i]) for i in rows)
+        else:
+            acks = _unwrap_loop([int(table.ack[i]) for i in rows])
+            score = max(acks) - acks[0]
+        if best is None or score > best[0]:
+            best = (score, direction)
+    return best[1]
+
+
+def brute_progress_deltas(table, data: bool, direction, bin_width, window, t0):
+    """Per-bin deltas of running-max byte progress, one packet at a time."""
+    code = DIRECTIONS.index(direction)
+    rows = [i for i in range(len(table)) if table.direction[i] == code]
+    counters = _unwrap_loop([int((table.seq if data else table.ack)[i]) for i in rows])
+    progress, best = [], None
+    for counter, i in zip(counters, rows):
+        bytes_ = int(table.payload_len[i]) if data and not int(table.flags[i]) & 0b11 else 0
+        best = counter + bytes_ if best is None else max(best, counter + bytes_)
+        progress.append((float(table.ts[i]), best - counters[0]))
+    deltas, previous = [], 0
+    for b in range(1, max(1, math.ceil(round(window / bin_width, 9))) + 1):
+        edge = t0 + bin_width * b
+        at_edge = 0
+        for ts, value in progress:
+            if ts <= edge:
+                at_edge = value
+        deltas.append(float(at_edge - previous))
+        previous = at_edge
+    return deltas

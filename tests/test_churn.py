@@ -353,6 +353,22 @@ def test_churn_summary_monotone_over_baseline():
             assert updated.compromised(pair) >= baseline.compromised(pair)
 
 
+def test_churn_summary_from_given_records_equals_own_sweep():
+    rng = random.Random(78)
+    for _ in range(10):
+        updates, relays, sessions, window = random_churn_fixture(rng)
+        baseline = static_baseline(
+            build_ribs([u for u in updates if u.timestamp == 0], relays, sessions), relays, t0=0.0
+        )
+        ribs = build_ribs(updates, relays, sessions)
+        span = (0.0, float(window[1]))
+        records = compromised_circuits(
+            segment_observations(ribs, relays, span), min_overlap=5, local_as=sessions
+        )
+        given = churn_summary(ribs, relays, span, min_overlap=5, baseline=baseline, records=records)
+        assert given == churn_summary(ribs, relays, span, min_overlap=5, baseline=baseline)
+
+
 # --- per-AS coverage ----------------------------------------------------------
 
 

@@ -351,3 +351,69 @@ def test_rerun_artifacts_byte_identical(traffic_dataset, tmp_path):
         outs.append(out)
     for artifact in ("correlation_matrix.csv", "matches.jsonl", "accuracy_report.json"):
         assert artifacts_equal(outs[0] / artifact, outs[1] / artifact)
+
+
+def _record(ts, direction="to_relay", **fields):
+    record = {"ack": 0, "dir": direction, "len": 10, "seq": int(ts * 100), "ts": ts}
+    record.update(fields)
+    return json.dumps(record, sort_keys=True)
+
+
+def _trace_manifest(tmp_path, client_lines):
+    (tmp_path / "client.jsonl").write_text("\n".join(client_lines) + "\n")
+    (tmp_path / "server.jsonl").write_text(
+        "\n".join(_record(t, "from_server") for t in (1.0, 2.0, 3.0)) + "\n"
+    )
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "file,vantage_id,role\nclient.jsonl,c0,client\nserver.jsonl,s0,server\n"
+    )
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        _record(0.5),  # below the 2.0 before it
+        _record(3.0, "sideways"),
+        _record(3.0, flags=["PSH"]),
+        json.dumps({"ack": 0, "dir": "to_relay", "len": 10, "ts": 3.0}),  # no seq
+        "not json {",
+    ],
+    ids=["decreasing-ts", "unknown-dir", "unknown-flag", "missing-key", "not-json"],
+)
+def test_correlate_bad_trace_line_exits_2(tmp_path, capsys, bad_line):
+    manifest = _trace_manifest(tmp_path, [_record(1.0), "", _record(2.0), bad_line])
+    assert run("--output-dir", tmp_path / "o", "correlate", "--manifest", manifest) == 2
+    err = capsys.readouterr().err
+    assert "client.jsonl:4: " in err
+    assert "Traceback" not in err
+
+
+def test_relay_octet_out_of_range_exits_2(tmp_path, capsys):
+    relays = tmp_path / "relays.csv"
+    relays.write_text(
+        "address,is_guard,is_exit,bandwidth,nickname\n10.0.0.5,1,0,5.0,g\n10.0.0.300,1,0,5.0,h\n"
+    )
+    origins = tmp_path / "origins.csv"
+    origins.write_text("prefix,asn\n10.0.0.0/24,64500\n")
+    code = run("--output-dir", tmp_path / "o", "concentrate", "--relays", relays, "--origins", origins)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "relays.csv:3: " in err
+    assert "Traceback" not in err
+
+
+def test_paths_without_complete_quad_exits_2(tmp_path, capsys):
+    mapping = tmp_path / "map.csv"
+    mapping.write_text("prefix,asn\n203.0.0.0/16,100\n")
+    traces = tmp_path / "traceroutes.jsonl"
+    traces.write_text(
+        json.dumps({"probe": "c0", "target": "g0", "role": "P1", "day": "2015-01-01", "hops": ["203.0.0.1"]})
+        + "\n"
+    )
+    code = run("--output-dir", tmp_path / "o", "paths", "--traceroutes", traces, "--mapping", mapping)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "traceroutes.jsonl" in err
+    assert "Traceback" not in err

@@ -17,8 +17,7 @@ from routelens.core import (
     ip_to_int,
     is_more_specific_of,
     load_relays,
-    most_specific_match,
-    prefix_covers,
+    merge_intervals,
     write_relays,
 )
 
@@ -46,11 +45,11 @@ def test_ip_roundtrip():
 
 
 def test_prefix_covers_examples():
-    assert prefix_covers(IpPrefix.parse("10.0.0.0/8"), ip_to_int("10.1.2.3"))
-    assert not prefix_covers(IpPrefix.parse("10.0.0.0/8"), ip_to_int("11.0.0.1"))
+    assert IpPrefix.parse("10.0.0.0/8").covers(ip_to_int("10.1.2.3"))
+    assert not IpPrefix.parse("10.0.0.0/8").covers(ip_to_int("11.0.0.1"))
     default = IpPrefix.parse("0.0.0.0/0")
     for addr in (0, 1, ip_to_int("192.0.2.1"), 0xFFFFFFFF):
-        assert prefix_covers(default, addr)
+        assert default.covers(addr)
 
 
 @given(addresses, lengths)
@@ -90,9 +89,9 @@ def test_most_specific_match_prefers_longer():
     table = PrefixTable()
     table.insert(IpPrefix.parse("10.0.0.0/8"), "A")
     table.insert(IpPrefix.parse("10.1.0.0/16"), "B")
-    assert most_specific_match(table, ip_to_int("10.1.2.3")) == "B"
-    assert most_specific_match(table, ip_to_int("10.2.2.3")) == "A"
-    assert most_specific_match(table, ip_to_int("192.0.2.1")) is None
+    assert table.lookup(ip_to_int("10.1.2.3")) == "B"
+    assert table.lookup(ip_to_int("10.2.2.3")) == "A"
+    assert table.lookup(ip_to_int("192.0.2.1")) is None
 
 
 def test_most_specific_match_against_linear_scan_oracle():
@@ -189,3 +188,50 @@ def test_relay_index_coverage():
     assert index.role_of_prefix(IpPrefix.parse("172.16.0.0/12")) is None
     assert index.covers_any(IpPrefix.parse("192.0.2.0/24"))
     assert not index.covers_any(IpPrefix.parse("203.0.113.0/24"))
+
+
+def _chained_spans_oracle(spans, gap):
+    """Components of the overlap graph of [start, end + gap], by union-find."""
+    parent = list(range(len(spans)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, (s1, e1) in enumerate(spans):
+        for j, (s2, e2) in enumerate(spans):
+            if s1 <= e2 + gap and s2 <= e1 + gap:
+                parent[root(i)] = root(j)
+    groups = {}
+    for i, span in enumerate(spans):
+        groups.setdefault(root(i), []).append(span)
+    return sorted(
+        (min(s for s, _ in group), max(e for _, e in group)) for group in groups.values()
+    )
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 60), st.integers(0, 8)), max_size=25),
+    st.sampled_from([0.0, 1.0, 3.5]),
+)
+def test_merge_intervals_against_component_oracle(raw, gap):
+    spans = [(float(start), float(start + width)) for start, width in raw]
+    merged = merge_intervals(spans, gap=gap)
+    assert merged == _chained_spans_oracle(spans, gap)
+    for (_, end), (start, _) in zip(merged, merged[1:]):
+        assert start > end + gap
+
+
+def test_relay_index_of_reuses_an_index():
+    relays = [RelayDescriptor(ip_to_int("10.0.1.5"), True, False, 1.0, "g")]
+    index = RelayIndex(relays)
+    assert RelayIndex.of(index) is index
+    assert RelayIndex.of(relays).relays == index.relays
+
+
+def test_load_relays_names_file_and_line(tmp_path):
+    path = tmp_path / "relays.csv"
+    path.write_text("address,is_guard,is_exit,bandwidth,nickname\n10.0.0.300,1,0,5.0,g\n")
+    with pytest.raises(ValueError, match=r"relays\.csv:2: "):
+        load_relays(path)

@@ -17,17 +17,24 @@ from routelens.correlation import (
     EndpointTrace,
     LengthMismatchError,
     MatchResult,
-    PacketObservation,
+    PacketTable,
     SignalKind,
     clopper_pearson,
     correlate_all,
     evaluate,
     extract_progress,
     match,
-    observation_from_record,
-    observation_to_record,
+    read_trace_jsonl,
     spearman,
     unwrap_cumulative,
+    write_trace_jsonl,
+)
+from helpers import (
+    brute_pick_direction,
+    brute_progress_deltas,
+    oracle_read_columns,
+    oracle_trace_text,
+    packet_table,
 )
 
 WRAP = 2**32
@@ -60,11 +67,14 @@ def brute_spearman(x, y):
 
 
 def test_unwrap_no_wrap():
-    assert unwrap_cumulative([100, 200, 300]) == [100, 200, 300]
+    assert unwrap_cumulative([100, 200, 300]).tolist() == [100, 200, 300]
 
 
 def test_unwrap_forced_wraparound():
-    assert unwrap_cumulative([WRAP - 10, 5]) == [WRAP - 10, WRAP + 5]
+    assert unwrap_cumulative([WRAP - 10, 5]).tolist() == [WRAP - 10, WRAP + 5]
+    # a step of exactly half the space counts forward, one more counts back
+    assert unwrap_cumulative([0, WRAP // 2]).tolist() == [0, WRAP // 2]
+    assert unwrap_cumulative([0, WRAP // 2 + 1]).tolist() == [0, 1 - WRAP // 2]
 
 
 def test_unwrap_recovers_random_walk():
@@ -73,7 +83,7 @@ def test_unwrap_recovers_random_walk():
     for _ in range(5000):
         walk.append(walk[-1] + rng.randrange(0, 2**20))
     reduced = [v % WRAP for v in walk]
-    recovered = unwrap_cumulative(reduced)
+    recovered = unwrap_cumulative(reduced).tolist()
     # anchored at the first reduced value, so shift by whole wraps of walk[0]
     shift = walk[0] - reduced[0]
     assert [v + shift for v in recovered] == walk
@@ -87,15 +97,15 @@ def test_unwrap_empty_rejected():
 # --- extract_progress --------------------------------------------------------
 
 
-def _trace(obs, vantage="v0"):
-    return EndpointTrace(vantage, ("a:1", "b:2"), obs)
+def _trace(rows, vantage="v0"):
+    return EndpointTrace(vantage, ("a:1", "b:2"), packet_table(rows))
 
 
 def test_extract_data_progress_single_bin():
     trace = _trace(
         [
-            PacketObservation(0.1, Direction.TO_RELAY, 1000, 0, 500),
-            PacketObservation(0.4, Direction.TO_RELAY, 1500, 0, 500),
+            (0.1, Direction.TO_RELAY, 1000, 0, 500),
+            (0.4, Direction.TO_RELAY, 1500, 0, 500),
         ]
     )
     series = extract_progress(trace, SignalKind.DATA, Direction.TO_RELAY, bin_width=1.0)
@@ -105,8 +115,8 @@ def test_extract_data_progress_single_bin():
 def test_extract_ack_progress_with_leading_zero_bin():
     trace = _trace(
         [
-            PacketObservation(0.2, Direction.FROM_RELAY, 0, 1000, 0),
-            PacketObservation(1.5, Direction.FROM_RELAY, 0, 3000, 0),
+            (0.2, Direction.FROM_RELAY, 0, 1000, 0),
+            (1.5, Direction.FROM_RELAY, 0, 3000, 0),
         ]
     )
     series = extract_progress(
@@ -118,9 +128,9 @@ def test_extract_ack_progress_with_leading_zero_bin():
 def test_extract_counts_retransmission_once():
     trace = _trace(
         [
-            PacketObservation(0.1, Direction.TO_RELAY, 1000, 0, 500),
-            PacketObservation(0.3, Direction.TO_RELAY, 1000, 0, 500),
-            PacketObservation(0.5, Direction.TO_RELAY, 1500, 0, 500),
+            (0.1, Direction.TO_RELAY, 1000, 0, 500),
+            (0.3, Direction.TO_RELAY, 1000, 0, 500),
+            (0.5, Direction.TO_RELAY, 1500, 0, 500),
         ]
     )
     series = extract_progress(trace, SignalKind.DATA, Direction.TO_RELAY, bin_width=1.0)
@@ -130,10 +140,10 @@ def test_extract_counts_retransmission_once():
 def test_extract_ignores_syn_fin_payload():
     trace = _trace(
         [
-            PacketObservation(0.0, Direction.TO_RELAY, 999, 0, 1, frozenset({"SYN"})),
-            PacketObservation(0.1, Direction.TO_RELAY, 1000, 0, 500),
-            PacketObservation(0.4, Direction.TO_RELAY, 1500, 0, 500),
-            PacketObservation(0.6, Direction.TO_RELAY, 2000, 0, 1, frozenset({"FIN"})),
+            (0.0, Direction.TO_RELAY, 999, 0, 1, {"SYN"}),
+            (0.1, Direction.TO_RELAY, 1000, 0, 500),
+            (0.4, Direction.TO_RELAY, 1500, 0, 500),
+            (0.6, Direction.TO_RELAY, 2000, 0, 1, {"FIN"}),
         ]
     )
     series = extract_progress(trace, SignalKind.DATA, Direction.TO_RELAY, bin_width=1.0)
@@ -141,7 +151,7 @@ def test_extract_ignores_syn_fin_payload():
 
 
 def test_extract_empty_direction_errors():
-    trace = _trace([PacketObservation(0.1, Direction.TO_RELAY, 1, 0, 10)])
+    trace = _trace([(0.1, Direction.TO_RELAY, 1, 0, 10)])
     with pytest.raises(EmptyDirectionError):
         extract_progress(trace, SignalKind.ACK, Direction.FROM_RELAY)
 
@@ -149,10 +159,10 @@ def test_extract_empty_direction_errors():
 def test_extract_auto_direction_picks_payload_side():
     trace = _trace(
         [
-            PacketObservation(0.1, Direction.TO_RELAY, 100, 7, 500),
-            PacketObservation(0.2, Direction.FROM_RELAY, 7, 600, 0),
-            PacketObservation(0.6, Direction.TO_RELAY, 600, 7, 500),
-            PacketObservation(0.7, Direction.FROM_RELAY, 7, 1100, 0),
+            (0.1, Direction.TO_RELAY, 100, 7, 500),
+            (0.2, Direction.FROM_RELAY, 7, 600, 0),
+            (0.6, Direction.TO_RELAY, 600, 7, 500),
+            (0.7, Direction.FROM_RELAY, 7, 1100, 0),
         ]
     )
     data = extract_progress(trace, SignalKind.DATA, bin_width=1.0, t0=0.0)
@@ -174,7 +184,7 @@ def test_extract_totals_independent_of_bin_width(raw, other_width):
     seq = 1234
     obs = []
     for t, payload in zip(times, payloads):
-        obs.append(PacketObservation(t, Direction.TO_RELAY, seq, 0, payload))
+        obs.append((t, Direction.TO_RELAY, seq, 0, payload))
         seq = (seq + payload) % WRAP
     trace = _trace(obs)
     base = extract_progress(
@@ -185,6 +195,38 @@ def test_extract_totals_independent_of_bin_width(raw, other_width):
     )
     assert np.all(base.deltas >= 0)
     assert base.total_bytes == other.total_bytes == sum(payloads)
+
+
+_packet = st.tuples(
+    st.sampled_from([0.0, 0.0, 0.3, 0.9, 2.5]),  # ts steps, ties included
+    st.sampled_from(list(Direction)),
+    st.integers(-2000, 2**20),  # counter steps: retransmissions go backwards
+    st.integers(-2000, 2**20),
+    st.integers(0, 1460),
+    st.frozensets(st.sampled_from(["SYN", "FIN", "RST", "ACK_FLAG"])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(_packet, min_size=1, max_size=40),
+    st.sampled_from([SignalKind.DATA, SignalKind.ACK]),
+    st.sampled_from([(0.5, 20.0, 0.0), (1.0, 30.0, 0.0), (3.0, 7.0, 1.2)]),
+)
+def test_extract_progress_matches_per_packet_oracle(isn, steps, kind, binning):
+    ts, seq, ack, rows = 0.0, isn, isn, []
+    for dt, direction, dseq, dack, length, flags in steps:
+        ts, seq, ack = ts + dt, seq + dseq, ack + dack
+        rows.append((ts, direction, seq % WRAP, ack % WRAP, length, flags))
+    trace = _trace(rows)
+    bin_width, window, t0 = binning
+    data = kind is SignalKind.DATA
+    direction = brute_pick_direction(trace.observations, data)
+    series = extract_progress(trace, kind, bin_width=bin_width, window=window, t0=t0)
+    assert series.deltas.tolist() == brute_progress_deltas(
+        trace.observations, data, direction, bin_width, window, t0
+    )
 
 
 # --- spearman ----------------------------------------------------------------
@@ -391,6 +433,56 @@ def test_clopper_pearson_contains_point_estimate(a, b, confidence):
 # --- serialization -----------------------------------------------------------
 
 
-def test_observation_record_roundtrip():
-    obs = PacketObservation(1.25, Direction.FROM_SERVER, 42, 99, 1460, frozenset({"SYN"}))
-    assert observation_from_record(observation_to_record(obs)) == obs
+def test_observation_record_roundtrip(tmp_path):
+    table = packet_table([(1.25, Direction.FROM_SERVER, 42, 99, 1460, {"SYN"})])
+    path = tmp_path / "one.jsonl"
+    write_trace_jsonl(path, EndpointTrace("v", ("", ""), table))
+    assert read_trace_jsonl(path, "v").observations == table
+
+
+def test_packet_table_columns_and_rows():
+    table = packet_table(
+        [
+            (0.5, Direction.TO_RELAY, 10, 0, 5),
+            (0.7, Direction.FROM_RELAY, 0, 15, 0, {"FIN", "ACK_FLAG"}),
+        ]
+    )
+    assert len(table) == 2
+    assert (table.ts.dtype, table.direction.dtype, table.flags.dtype) == (
+        np.float64, np.int8, np.uint8,
+    )
+    assert table.flags.tolist() == [0, 0b1010]
+    assert table[table.direction == 1].ack.tolist() == [15]
+    with pytest.raises(ValueError):
+        PacketTable([0.0], [0], [1], [2], [3], [])
+
+
+_row = st.tuples(
+    st.sampled_from([0.0, 0.0, 0.01, 1e-7, 0.123456789, 3.5]),  # ts steps: ties too
+    st.sampled_from(list(Direction)),
+    st.integers(0, 2**20),  # counter steps, reduced mod 2**32 below
+    st.integers(0, 2**20),
+    st.integers(0, 1460),
+    st.frozensets(st.sampled_from(["SYN", "FIN", "RST", "ACK_FLAG"])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0, 1e6, allow_nan=False),
+    st.integers(WRAP - 2**21, WRAP - 1),
+    st.lists(_row, max_size=40),
+)
+def test_trace_jsonl_matches_per_record_oracle(tmp_path_factory, start, isn, steps):
+    ts, seq, ack, rows = start, isn, isn, []
+    for dt, direction, dseq, dack, length, flags in steps:
+        ts, seq, ack = ts + dt, seq + dseq, ack + dack
+        rows.append((ts, direction, seq % WRAP, ack % WRAP, length, flags))
+    table = packet_table(rows)
+    path = tmp_path_factory.mktemp("trace") / "t.jsonl"
+    write_trace_jsonl(path, EndpointTrace("v", ("", ""), table))
+    assert path.read_text() == oracle_trace_text(table)
+    got = read_trace_jsonl(path, "v").observations
+    expected = oracle_read_columns(path)
+    for name, column in expected.items():
+        assert getattr(got, name).tolist() == column

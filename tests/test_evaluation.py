@@ -135,7 +135,7 @@ def test_dataset_epoch_is_earliest_timestamp():
     clients, servers, _ = small_traffic(seed=7)
     epoch = dataset_epoch(clients + servers)
     assert epoch == min(
-        t.observations[0].ts for t in clients + servers if t.observations
+        t.observations.ts[0] for t in clients + servers if len(t.observations)
     )
 
 

@@ -1,16 +1,18 @@
 """Tests for the traffic, routing, and interception generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from routelens.bgp import UpdateKind, ingest
 from routelens.churn import compromised_circuits, segment_observations
 from routelens.correlation import (
+    DIRECTIONS,
     Direction,
     SignalKind,
     correlate_all,
     extract_progress,
-    observation_to_record,
     spearman,
 )
 from routelens.core import IpPrefix, RelayDescriptor, ip_to_int
@@ -32,6 +34,8 @@ from routelens.simulate import (
     random_routing_scenario,
     shared_guard_variant,
 )
+
+from helpers import oracle_trace_text
 
 DAY = 86400.0
 
@@ -95,14 +99,32 @@ def test_identical_seed_byte_identical_output():
     first = gen_traffic(scenario)
     second = gen_traffic(scenario)
     for a, b in zip(first[0] + first[1], second[0] + second[1]):
-        assert [observation_to_record(o) for o in a.observations] == [
-            observation_to_record(o) for o in b.observations
-        ]
+        assert oracle_trace_text(a.observations) == oracle_trace_text(b.observations)
     assert first[2].pairing == second[2].pairing
     different = gen_traffic(TrafficScenario(seed=12, n_pairs=3, duration=20.0))
     assert different[2].pairing != first[2].pairing or any(
         a.observations != b.observations for a, b in zip(first[0], different[0])
     )
+
+
+def _text_digest(traces):
+    text = "".join(oracle_trace_text(t.observations) for t in traces)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_simulated_trace_bytes_pinned():
+    # the simulator's JSONL bytes are fixed for a seed: tie order at equal
+    # stamps, counters and rounding, written record by record with json.dumps
+    clients, servers, _ = gen_traffic(
+        TrafficScenario(seed=21, n_pairs=3, duration=20.0, retransmit_rate=0.1)
+    )
+    assert _text_digest(clients + servers) == "e2d696ddd407fbcf"
+    run = gen_interception_timeline(
+        TrafficScenario(seed=6, n_pairs=2, duration=120.0),
+        announce_at=10.0, propagation=5.0, withdraw_at=80.0,
+    )
+    assert _text_digest(run.attacker_traces + run.server_traces) == "62820e54936e929f"
+    assert (run.good_acks.sum(), run.attacker_acks.sum()) == (441, 1183)
 
 
 def test_bottleneck_feasibility():
@@ -155,8 +177,8 @@ def test_retransmissions_duplicate_packets_but_not_progress():
     lossy = constant_rate_scenario(retransmit_rate=0.2)
     clients_p, _, _ = gen_traffic(plain)
     clients_l, servers_l, _ = gen_traffic(lossy)
-    data_dir = [o for o in clients_l[0].observations if o.direction is Direction.TO_RELAY]
-    raw_payload = sum(o.payload_len for o in data_dir)
+    obs = clients_l[0].observations
+    raw_payload = obs.payload_len[obs.direction == DIRECTIONS.index(Direction.TO_RELAY)].sum()
     progress = extract_progress(clients_l[0], SignalKind.DATA, t0=0.0, window=12.0)
     assert raw_payload > progress.total_bytes  # duplicates inflate raw bytes only
     ack = extract_progress(servers_l[0], SignalKind.ACK, t0=0.0, window=12.0)
@@ -319,9 +341,9 @@ def test_interception_capture_interval_defaults():
     run = gen_interception_timeline(scenario)
     assert run.capture == (55.0, 322.0)
     for trace in run.attacker_traces:
-        for obs in trace.observations:
-            assert 55.0 <= obs.ts < 322.0
-            assert obs.payload_len == 0  # acknowledgment traffic only
+        obs = trace.observations
+        assert np.all((55.0 <= obs.ts) & (obs.ts < 322.0))
+        assert np.all(obs.payload_len == 0)  # acknowledgment traffic only
     inside = slice(56, 321)
     assert run.good_acks[inside].sum() == 0
     assert run.attacker_acks[: 55].sum() == 0 and run.attacker_acks[323:].sum() == 0
