@@ -9,6 +9,7 @@ and a minimum overlap keeps blink-and-miss coincidences out.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -289,10 +290,10 @@ def ccdf(summary: CompromiseSummary) -> list[tuple[float, float]]:
     fractions = sorted(summary.fraction(p) * 100.0 for p in summary.pair_circuits)
     n = len(fractions)
     points: list[tuple[float, float]] = [(0.0, 100.0)]
-    for value, group in groupby(fractions):
+    for value, _ in groupby(fractions):
         if value == 0.0:
             continue
-        at_least = sum(1 for f in fractions if f >= value)
+        at_least = n - bisect_left(fractions, value)
         points.append((value, 100.0 * at_least / n))
     return points
 

@@ -247,13 +247,15 @@ class PrefixTable:
     """Longest-prefix-match table with opaque payloads.
 
     Mutable while building; freeze() makes it immutable so it can be
-    shared across concurrent readers. Lookup scans lengths from /32 down,
-    so cost is bounded by 33 dict probes.
+    shared across concurrent readers. Lookup probes only the prefix
+    lengths present, longest first, so cost is one dict probe per
+    distinct length (at most 33).
     """
 
     def __init__(self) -> None:
         self._entries: dict[IpPrefix, Any] = {}
         self._buckets: dict[int, dict[int, IpPrefix]] = {}
+        self._lengths: list[int] = []  # keys of _buckets, descending
         self._frozen = False
 
     def __len__(self) -> int:
@@ -277,7 +279,10 @@ class PrefixTable:
     def insert(self, prefix: IpPrefix, payload: Any) -> None:
         self._check_mutable()
         self._entries[prefix] = payload
-        self._buckets.setdefault(prefix.length, {})[prefix.base] = prefix
+        if prefix.length not in self._buckets:
+            self._buckets[prefix.length] = {}
+            self._lengths = sorted(self._buckets, reverse=True)
+        self._buckets[prefix.length][prefix.base] = prefix
 
     def remove(self, prefix: IpPrefix) -> None:
         self._check_mutable()
@@ -286,18 +291,15 @@ class PrefixTable:
         del bucket[prefix.base]
         if not bucket:
             del self._buckets[prefix.length]
+            self._lengths.remove(prefix.length)
 
     def get(self, prefix: IpPrefix, default: Any = None) -> Any:
         return self._entries.get(prefix, default)
 
     def lookup_entry(self, address: int) -> tuple[IpPrefix, Any] | None:
         """Most-specific entry covering address, or None."""
-        for length in range(32, -1, -1):
-            bucket = self._buckets.get(length)
-            if bucket is None:
-                continue
-            masked = address & _mask(length)
-            prefix = bucket.get(masked)
+        for length in self._lengths:
+            prefix = self._buckets[length].get(address & _mask(length))
             if prefix is not None:
                 return prefix, self._entries[prefix]
         return None
@@ -308,18 +310,23 @@ class PrefixTable:
 
 
 def load_prefix_origins(path) -> PrefixTable:
-    """Read a prefix,asn CSV into a PrefixTable keyed by origin AS number."""
+    """Read a prefix,asn CSV into a PrefixTable keyed by origin AS number.
+
+    A bad prefix, AS number or missing column raises InputError naming
+    the file and line.
+    """
     table = PrefixTable()
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header and header[0].strip().lower() != "prefix":
-            # headerless file: first line was data
-            table.insert(IpPrefix.parse(header[0]), int(header[1]))
         for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            table.insert(IpPrefix.parse(row[0]), int(row[1]))
+            if reader.line_num == 1 and row[0].strip().lower() == "prefix":
+                continue  # header; a headerless file starts with data
+            try:
+                table.insert(IpPrefix.parse(row[0]), int(row[1]))
+            except (ValueError, IndexError) as exc:
+                raise InputError(f"{path}:{reader.line_num}: bad prefix row: {exc}") from None
     return table.freeze()
 
 

@@ -29,7 +29,6 @@ from .simulate import (
     InjectedEvent,
     InterceptionRun,
     TrafficScenario,
-    gen_interception_timeline,
     gen_traffic,
     shared_guard_variant,
 )
@@ -268,33 +267,6 @@ def benchmark_matching(
             "max_accuracy": float(max(accuracies)),
             "false_positives_total": false_positives,
             "false_negatives_total": false_negatives,
-        },
-        runtime_seconds=time.perf_counter() - started,
-    )
-
-
-def benchmark_interception(
-    seeds: list[int],
-    scenario_fn=interception_scenario,
-    threshold: float = 0.6,
-) -> ExperimentReport:
-    started = time.perf_counter()
-    accuracies = []
-    false_positives = 0
-    for seed in seeds:
-        run = gen_interception_timeline(scenario_fn(seed))
-        result = interception_accuracy(run, threshold=threshold)
-        accuracies.append(result.report.accuracy)
-        false_positives += result.report.false_positives
-    return ExperimentReport(
-        name="interception-benchmark",
-        scenario=scenario_fn(seeds[0]).to_dict(),
-        seeds=list(seeds),
-        metrics={
-            "mean_accuracy": float(np.mean(accuracies)),
-            "min_accuracy": float(min(accuracies)),
-            "max_accuracy": float(max(accuracies)),
-            "false_positives_total": false_positives,
         },
         runtime_seconds=time.perf_counter() - started,
     )

@@ -5,6 +5,13 @@ client (P2), exit to destination (P3), destination to exit (P4). A quad
 is symmetric-vulnerable when P1 and P3 share an AS, and asymmetric-
 vulnerable when any of the four forward/reverse combinations does, which
 is what routing asymmetry buys the adversary.
+
+Both tests factor over the quad's (client, guard) and (exit, dest)
+units: the four pairings share an AS iff (P1 ∪ P2) ∩ (P3 ∪ P4) ≠ ∅, and
+exclusions split per side, (A ∩ B) ∖ (X ∪ E_cg ∪ E_ed) =
+(A ∖ X ∖ E_cg) ∩ (B ∖ X ∖ E_ed), with X the global exclusion set and
+E_cg, E_ed each side's endpoint ASes. So one day of all quads is one
+boolean matrix product of unit rows over an AS column index.
 """
 
 from __future__ import annotations
@@ -12,9 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 
-from .core import IpPrefix, PrefixTable, ip_to_int
+import numpy as np
+
+from .core import InputError, IpPrefix, PrefixTable, ip_to_int
 
 
 class PathError(Exception):
@@ -53,10 +61,10 @@ _PAIRINGS = {
     ),
 }
 
-_PRIVATE_BLOCKS = tuple(
-    IpPrefix.parse(text)
-    for text in ("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16", "127.0.0.0/8", "169.254.0.0/16")
-)
+_PRIVATE_BLOCKS = PrefixTable()
+for _block in ("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16", "127.0.0.0/8", "169.254.0.0/16"):
+    _PRIVATE_BLOCKS.insert(IpPrefix.parse(_block), True)
+_PRIVATE_BLOCKS.freeze()
 
 
 @dataclass(frozen=True)
@@ -71,14 +79,6 @@ class AsLevelPath:
     @property
     def as_set(self) -> frozenset[int]:
         return frozenset(self.ases)
-
-
-@dataclass(frozen=True)
-class CircuitQuad:
-    client: str
-    guard: str
-    exit: str
-    dest: str
 
 
 def resolve_traceroute(hops: list[str], mapping: PrefixTable) -> tuple[tuple[int, ...], bool]:
@@ -97,7 +97,7 @@ def resolve_traceroute(hops: list[str], mapping: PrefixTable) -> tuple[tuple[int
             gap = True
             continue
         address = ip_to_int(hop)
-        if any(block.covers(address) for block in _PRIVATE_BLOCKS):
+        if _PRIVATE_BLOCKS.lookup(address):
             continue
         asn = mapping.lookup(address)
         if asn is None:
@@ -109,25 +109,32 @@ def resolve_traceroute(hops: list[str], mapping: PrefixTable) -> tuple[tuple[int
 
 
 def load_traceroutes(path, mapping: PrefixTable) -> list[AsLevelPath]:
-    """Read traceroute JSONL records {probe, target, role, day, hops}."""
+    """Read traceroute JSONL records {probe, target, role, day, hops}.
+
+    An unusable record (not a JSON object, a missing key, an unknown role,
+    a bad or empty hop list) raises InputError naming the file and line.
+    """
     paths = []
     with open(path) as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            ases, gap = resolve_traceroute(record["hops"], mapping)
-            paths.append(
-                AsLevelPath(
-                    probe=str(record["probe"]),
-                    target=str(record["target"]),
-                    role=PathRole(record["role"].upper()),
-                    day=str(record["day"]),
-                    ases=ases,
-                    gap=gap,
+            try:
+                record = json.loads(line)
+                ases, gap = resolve_traceroute(record["hops"], mapping)
+                paths.append(
+                    AsLevelPath(
+                        probe=str(record["probe"]),
+                        target=str(record["target"]),
+                        role=PathRole(record["role"].upper()),
+                        day=str(record["day"]),
+                        ases=ases,
+                        gap=gap,
+                    )
                 )
-            )
+            except (ValueError, KeyError, TypeError, AttributeError, PathError) as exc:
+                raise InputError(f"{path}:{line_no}: bad traceroute record: {exc!r}") from None
     return paths
 
 
@@ -161,9 +168,8 @@ class DayVulnerability:
 
 
 class PathDataset:
-    """Daily path measurements indexed for quad evaluation, with
-    persistence: a (role, probe, target) missing on a day inherits the
-    most recent earlier measurement."""
+    """Daily path measurements indexed by day and (role, probe, target),
+    plus the four endpoint sets whose product is the quad set."""
 
     def __init__(self, paths: list[AsLevelPath]) -> None:
         self.days = sorted({p.day for p in paths})
@@ -186,39 +192,7 @@ class PathDataset:
             {p.target for p in paths if p.role is PathRole.P3_EXIT_TO_DEST}
             | {p.probe for p in paths if p.role is PathRole.P4_DEST_TO_EXIT}
         )
-
-    def quads(self) -> list[CircuitQuad]:
-        return [
-            CircuitQuad(c, g, e, d)
-            for c, g, e, d in product(self.clients, self.guards, self.exits, self.dests)
-        ]
-
-    def paths_for(
-        self, quad: CircuitQuad, day: str
-    ) -> tuple[dict[PathRole, AsLevelPath], int]:
-        """Quad's four paths on a day, inheriting earlier days when needed.
-
-        Returns the role map plus how many paths were inherited. Roles
-        never measured up to that day are simply absent.
-        """
-        wanted = {
-            PathRole.P1_CLIENT_TO_GUARD: (quad.client, quad.guard),
-            PathRole.P2_GUARD_TO_CLIENT: (quad.guard, quad.client),
-            PathRole.P3_EXIT_TO_DEST: (quad.exit, quad.dest),
-            PathRole.P4_DEST_TO_EXIT: (quad.dest, quad.exit),
-        }
-        found: dict[PathRole, AsLevelPath] = {}
-        inherited = 0
-        day_index = self.days.index(day)
-        for role, (probe, target) in wanted.items():
-            for back in range(day_index, -1, -1):
-                candidate = self._by_day.get(self.days[back], {}).get((role, probe, target))
-                if candidate is not None:
-                    found[role] = candidate
-                    if back != day_index:
-                        inherited += 1
-                    break
-        return found, inherited
+        self.ases = sorted({asn for path in paths for asn in path.ases})
 
 
 def vulnerability_timeseries(
@@ -240,41 +214,73 @@ def vulnerability_timeseries(
     day (n_quads reports how many were actually evaluable). The fixed
     denominator is what makes the cumulative series both monotone and
     pointwise at or above the per-day series.
+
+    Persistence: a (role, probe, target) missing on a day inherits its
+    most recent earlier measurement. Each day, with A the (client, guard)
+    rows of P1 ∪ P2 ∖ X ∖ E_cg and B the (exit, dest) rows of
+    P3 ∪ P4 ∖ X ∖ E_ed, quad (cg, ed) is asymmetric-vulnerable iff
+    (A @ B.T)[cg, ed] > 0 and both units have both paths; the day-1
+    symmetric count is the same product over P1 and P3 rows, and the
+    cumulative series ORs the daily verdicts. A quad's inherited paths
+    are its two units', so counts follow from per-unit sums.
     """
-    quads = dataset.quads()
-    if not quads:
+    cg_units = [(c, g) for c in dataset.clients for g in dataset.guards]
+    ed_units = [(e, d) for e in dataset.exits for d in dataset.dests]
+    n_total = len(cg_units) * len(ed_units)
+    if not n_total:
         return []
-    ever_vulnerable: set[CircuitQuad] = set()
+    column = {asn: i for i, asn in enumerate(dataset.ases)}
+    latest: dict[tuple[PathRole, str, str], tuple[int, AsLevelPath]] = {}
+
+    def unit_rows(units, forward, reverse, day_index):
+        """0/1 AS rows of the forward paths and of forward ∪ reverse, which
+        units have both paths, and how many of those are inherited."""
+        forward_rows = np.zeros((len(units), len(column)), dtype=np.float32)
+        union_rows = np.zeros_like(forward_rows)
+        complete = np.zeros(len(units), dtype=bool)
+        inherited = np.zeros(len(units), dtype=np.int64)
+        for row, (a, b) in enumerate(units):
+            there, back = latest.get((forward, a, b)), latest.get((reverse, b, a))
+            if there is None or back is None:
+                continue
+            complete[row] = True
+            inherited[row] = (there[0] != day_index) + (back[0] != day_index)
+            excluded = exclusions
+            if exclude_endpoint_ases:
+                excluded = exclusions | endpoint_ases({forward: there[1], reverse: back[1]})
+            forward_columns = [column[asn] for asn in there[1].as_set - excluded]
+            reverse_columns = [column[asn] for asn in back[1].as_set - excluded]
+            forward_rows[row, forward_columns] = 1.0
+            union_rows[row, forward_columns + reverse_columns] = 1.0
+        return forward_rows, union_rows, complete, inherited
+
+    ever_vulnerable = np.zeros((len(cg_units), len(ed_units)), dtype=bool)
     rows: list[DayVulnerability] = []
     sym_day1 = 0.0
     for day_index, day in enumerate(dataset.days):
-        n_sym = n_asym = n_eval = inherited_total = 0
-        for quad in quads:
-            paths, inherited = dataset.paths_for(quad, day)
-            if len(paths) < 4:
-                continue
-            n_eval += 1
-            inherited_total += inherited
-            quad_exclusions = exclusions
-            if exclude_endpoint_ases:
-                quad_exclusions = exclusions | endpoint_ases(paths)
-            asym, _ = vulnerable(paths, VulnerabilityMode.ASYMMETRIC, quad_exclusions)
-            if asym:
-                n_asym += 1
-                ever_vulnerable.add(quad)
-            if day_index == 0:
-                sym, _ = vulnerable(paths, VulnerabilityMode.SYMMETRIC, quad_exclusions)
-                n_sym += sym
+        for key, path in dataset._by_day[day].items():
+            latest[key] = (day_index, path)
+        cg_forward, cg_union, cg_complete, cg_inherited = unit_rows(
+            cg_units, PathRole.P1_CLIENT_TO_GUARD, PathRole.P2_GUARD_TO_CLIENT, day_index
+        )
+        ed_forward, ed_union, ed_complete, ed_inherited = unit_rows(
+            ed_units, PathRole.P3_EXIT_TO_DEST, PathRole.P4_DEST_TO_EXIT, day_index
+        )
+        evaluable = np.outer(cg_complete, ed_complete)
+        asymmetric = (cg_union @ ed_union.T > 0) & evaluable
+        ever_vulnerable |= asymmetric
         if day_index == 0:
-            sym_day1 = 100.0 * n_sym / len(quads)
+            symmetric = (cg_forward @ ed_forward.T > 0) & evaluable
+            sym_day1 = 100.0 * int(symmetric.sum()) / n_total
+        n_cg, n_ed = int(cg_complete.sum()), int(ed_complete.sum())
         rows.append(
             DayVulnerability(
                 day=day,
                 pct_symmetric_day1=sym_day1,
-                pct_asymmetric=100.0 * n_asym / len(quads),
-                pct_asymmetric_cumulative=100.0 * len(ever_vulnerable) / len(quads),
-                n_quads=n_eval,
-                n_inherited_paths=inherited_total,
+                pct_asymmetric=100.0 * int(asymmetric.sum()) / n_total,
+                pct_asymmetric_cumulative=100.0 * int(ever_vulnerable.sum()) / n_total,
+                n_quads=n_cg * n_ed,
+                n_inherited_paths=int(cg_inherited.sum()) * n_ed + int(ed_inherited.sum()) * n_cg,
             )
         )
     return rows

@@ -5,9 +5,16 @@ import math
 import random
 
 from routelens.bgp import BgpUpdate, UpdateKind, ingest
-from routelens.churn import CircuitCompromiseRecord
+from routelens.churn import CircuitCompromiseRecord, EmptyInputError
 from routelens.core import AsPath, IpPrefix, RelayDescriptor, ip_to_int
 from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
+from routelens.paths import (
+    DayVulnerability,
+    PathRole,
+    VulnerabilityMode,
+    endpoint_ases,
+    vulnerable,
+)
 
 
 def announce(ts, session, prefix, path):
@@ -119,6 +126,21 @@ def brute_force_records(ribs, relays, window, min_overlap, require_distinct_as=T
     return records
 
 
+def oracle_ccdf(summary):
+    """The churn CCDF points, counting the pairs at or above each level
+    with a full scan per level."""
+    if not summary.pair_circuits:
+        raise EmptyInputError("no (src, dst) pairs to summarize")
+    fractions = sorted(summary.fraction(p) * 100.0 for p in summary.pair_circuits)
+    points = [(0.0, 100.0)]
+    for value in sorted(set(fractions)):
+        if value == 0.0:
+            continue
+        at_least = sum(1 for f in fractions if f >= value)
+        points.append((value, 100.0 * at_least / len(fractions)))
+    return points
+
+
 # --- per-record trace format oracle ----------------------------------------------
 
 
@@ -228,3 +250,76 @@ def brute_progress_deltas(table, data: bool, direction, bin_width, window, t0):
         deltas.append(float(at_edge - previous))
         previous = at_edge
     return deltas
+
+
+# --- per-quad path vulnerability oracle ------------------------------------------
+
+
+def oracle_vulnerability_timeseries(
+    paths, exclusions=frozenset(), exclude_endpoint_ases=False
+):
+    """vulnerability_timeseries quad by quad and day by day: each of a
+    quad's four paths is looked up backwards from the day (persistence),
+    and `vulnerable` judges the quad."""
+    P1, P2, P3, P4 = PathRole
+    days = sorted({p.day for p in paths})
+    by_day = {}
+    for path in paths:
+        by_day.setdefault(path.day, {})[(path.role, path.probe, path.target)] = path
+
+    def ends(forward, reverse, forward_end, reverse_end):
+        return sorted(
+            {getattr(p, forward_end) for p in paths if p.role is forward}
+            | {getattr(p, reverse_end) for p in paths if p.role is reverse}
+        )
+
+    quads = [
+        (c, g, e, d)
+        for c in ends(P1, P2, "probe", "target")
+        for g in ends(P1, P2, "target", "probe")
+        for e in ends(P3, P4, "probe", "target")
+        for d in ends(P3, P4, "target", "probe")
+    ]
+    if not quads:
+        return []
+    ever_vulnerable = set()
+    rows = []
+    sym_day1 = 0.0
+    for day_index, day in enumerate(days):
+        n_sym = n_asym = n_eval = inherited_total = 0
+        for quad in quads:
+            c, g, e, d = quad
+            wanted = {P1: (c, g), P2: (g, c), P3: (e, d), P4: (d, e)}
+            found, inherited = {}, 0
+            for role, (probe, target) in wanted.items():
+                for back in range(day_index, -1, -1):
+                    candidate = by_day.get(days[back], {}).get((role, probe, target))
+                    if candidate is not None:
+                        found[role] = candidate
+                        inherited += back != day_index
+                        break
+            if len(found) < 4:
+                continue
+            n_eval += 1
+            inherited_total += inherited
+            quad_exclusions = exclusions
+            if exclude_endpoint_ases:
+                quad_exclusions = exclusions | endpoint_ases(found)
+            if vulnerable(found, VulnerabilityMode.ASYMMETRIC, quad_exclusions)[0]:
+                n_asym += 1
+                ever_vulnerable.add(quad)
+            if day_index == 0:
+                n_sym += vulnerable(found, VulnerabilityMode.SYMMETRIC, quad_exclusions)[0]
+        if day_index == 0:
+            sym_day1 = 100.0 * n_sym / len(quads)
+        rows.append(
+            DayVulnerability(
+                day=day,
+                pct_symmetric_day1=sym_day1,
+                pct_asymmetric=100.0 * n_asym / len(quads),
+                pct_asymmetric_cumulative=100.0 * len(ever_vulnerable) / len(quads),
+                n_quads=n_eval,
+                n_inherited_paths=inherited_total,
+            )
+        )
+    return rows

@@ -3,10 +3,18 @@
 import random
 
 import pytest
-from helpers import announce, brute_force_records, build_ribs, random_churn_fixture, withdraw
+from helpers import (
+    announce,
+    brute_force_records,
+    build_ribs,
+    oracle_ccdf,
+    random_churn_fixture,
+    withdraw,
+)
 
 from routelens.churn import (
     CircuitCompromiseRecord,
+    CompromiseSummary,
     EmptyInputError,
     SegmentObservation,
     as_circuit_coverage,
@@ -310,6 +318,20 @@ def test_ccdf_monotone_and_bounded_on_random_summaries():
         assert xs == sorted(xs)
         assert ys == sorted(ys, reverse=True)
         assert all(0.0 <= x <= 100.0 and 0.0 <= y <= 100.0 for x, y in points)
+
+
+def test_ccdf_matches_full_scan_oracle_on_random_summaries():
+    rng = random.Random(37)
+    for _ in range(200):
+        total = rng.randint(0, 30)
+        circuits = [(g, e) for g in range(6) for e in range(6)][:total]
+        pairs = {
+            (f"s{i}", f"s{j}"): frozenset(rng.sample(circuits, rng.randint(0, total)))
+            for i in range(rng.randint(1, 6))
+            for j in range(rng.randint(1, 6))
+        }
+        summary = CompromiseSummary(pairs, total, {})
+        assert ccdf(summary) == oracle_ccdf(summary)
 
 
 def test_churn_ratio_arithmetic_and_newly():

@@ -417,3 +417,44 @@ def test_paths_without_complete_quad_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "traceroutes.jsonl" in err
     assert "Traceback" not in err
+
+
+_HOP_RECORD = {"probe": "c0", "target": "g0", "role": "P1", "day": "2015-01-01", "hops": ["203.0.0.1"]}
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        json.dumps({k: v for k, v in _HOP_RECORD.items() if k != "hops"}),
+        "not json {",
+        json.dumps({**_HOP_RECORD, "role": "P5"}),
+        json.dumps({**_HOP_RECORD, "hops": ["203.0.0.300"]}),
+        json.dumps({**_HOP_RECORD, "hops": []}),
+    ],
+    ids=["no-hops", "not-json", "unknown-role", "octet-300", "empty-hops"],
+)
+def test_paths_bad_traceroute_line_exits_2(tmp_path, capsys, bad_line):
+    mapping = tmp_path / "map.csv"
+    mapping.write_text("prefix,asn\n203.0.0.0/16,100\n")
+    traces = tmp_path / "traceroutes.jsonl"
+    traces.write_text(json.dumps(_HOP_RECORD) + "\n" + bad_line + "\n")
+    code = run("--output-dir", tmp_path / "o", "paths", "--traceroutes", traces, "--mapping", mapping)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "traceroutes.jsonl:2: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "bad_row", ["10.0.0.0/33,64500", "10.0.0.0/8,AS64500"], ids=["length-33", "asn-not-integer"]
+)
+def test_paths_bad_prefix_map_row_exits_2(tmp_path, capsys, bad_row):
+    mapping = tmp_path / "map.csv"
+    mapping.write_text(f"prefix,asn\n{bad_row}\n")
+    traces = tmp_path / "traceroutes.jsonl"
+    traces.write_text(json.dumps(_HOP_RECORD) + "\n")
+    code = run("--output-dir", tmp_path / "o", "paths", "--traceroutes", traces, "--mapping", mapping)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "map.csv:2: " in err
+    assert "Traceback" not in err

@@ -140,6 +140,37 @@ def test_insert_remove_roundtrip(items, extra_base, extra_len, probe):
     assert [table.lookup(a) for a in probes] == before
 
 
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(st.booleans(), addresses, st.sampled_from([0, 1, 8, 12, 16, 23, 24, 31, 32])),
+        min_size=1,
+        max_size=30,
+    ),
+    st.lists(addresses, max_size=5),
+)
+def test_interleaved_insert_remove_matches_linear_scan(operations, extra_probes):
+    """Mixed lengths come and go; lookups keep agreeing with the oracle."""
+    table = PrefixTable()
+    entries = {}
+    for index, (remove, base, length) in enumerate(operations):
+        prefix = IpPrefix(base, length)
+        if remove and prefix in entries:
+            table.remove(prefix)
+            del entries[prefix]
+        elif remove and entries:
+            victim = sorted(entries)[base % len(entries)]
+            table.remove(victim)
+            del entries[victim]
+        else:
+            table.insert(prefix, index)
+            entries[prefix] = index
+        probes = extra_probes + [base] + [p.base for p in entries] + [p.last_address for p in entries]
+        for address in probes:
+            assert table.lookup(address) == linear_scan_match(entries.items(), address)
+    assert len(table) == len(entries)
+
+
 def test_freeze_blocks_mutation():
     table = PrefixTable()
     table.insert(IpPrefix.parse("10.0.0.0/8"), 1)

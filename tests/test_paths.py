@@ -4,11 +4,13 @@ import json
 import random
 
 import pytest
+from helpers import oracle_vulnerability_timeseries
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routelens.core import IpPrefix, PrefixTable
 from routelens.paths import (
     AsLevelPath,
-    CircuitQuad,
     EmptyPathError,
     MissingPathError,
     PathDataset,
@@ -265,3 +267,39 @@ def test_cumulative_monotone_and_persistence():
         assert row.pct_asymmetric_cumulative >= row.pct_asymmetric - 1e-9
         assert row.n_quads == 4
     assert sum(r.n_inherited_paths for r in rows) > 0
+
+
+@st.composite
+def random_meshes(draw):
+    """Small meshes whose measurements go missing at random, so some paths
+    persist from earlier days, some units are never complete and some
+    endpoints appear in one direction only; AS paths may be empty."""
+    n_days = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(1, 3)) for _ in range(4)]
+    clients, guards, exits, dests = (
+        [f"{kind}{i}" for i in range(n)] for kind, n in zip("cged", sizes)
+    )
+    keys = [(P1, c, g) for c in clients for g in guards]
+    keys += [(P2, g, c) for c in clients for g in guards]
+    keys += [(P3, e, d) for e in exits for d in dests]
+    keys += [(P4, d, e) for e in exits for d in dests]
+    paths = []
+    for day in range(n_days):
+        for role, probe, target in keys:
+            if draw(st.booleans()):
+                ases = draw(st.lists(st.integers(1, 8), max_size=3))
+                paths.append(AsLevelPath(probe, target, role, f"d{day}", tuple(ases), False))
+    return paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    random_meshes(),
+    st.frozensets(st.integers(1, 8), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_factored_sweep_matches_per_quad_oracle(paths, exclusions, exclude_endpoints):
+    for excluded in (frozenset(), exclusions):
+        assert vulnerability_timeseries(
+            PathDataset(paths), excluded, exclude_endpoint_ases=exclude_endpoints
+        ) == oracle_vulnerability_timeseries(paths, excluded, exclude_endpoints)
