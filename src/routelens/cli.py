@@ -97,23 +97,30 @@ def _parse_scenario(text: str) -> tuple[SignalKind, SignalKind]:
         ) from None
 
 
+def _csv_records(path: Path):
+    """(file line number, row dict) per data row of a CSV, # lines skipped."""
+    with open(path, newline="") as handle:
+        numbered = [(no, line) for no, line in enumerate(handle, 1) if not line.startswith("#")]
+    reader = csv.DictReader(line for _, line in numbered)
+    for row in reader:
+        yield numbered[reader.line_num - 1][0], row
+
+
 def _load_manifest(manifest_path: Path):
     clients, servers = [], []
     base = manifest_path.parent
-    with open(manifest_path, newline="") as handle:
-        data_lines = (line for line in handle if not line.startswith("#"))
-        for row in csv.DictReader(data_lines):
-            file_path = Path(row["file"])
-            if not file_path.is_absolute():
-                file_path = base / file_path
-            trace = read_trace_jsonl(_require(file_path, "trace file"), row["vantage_id"])
-            role = row["role"].strip().lower()
-            if role == "client":
-                clients.append(trace)
-            elif role == "server":
-                servers.append(trace)
-            else:
-                raise InputError(f"unknown role {row['role']!r} in manifest")
+    for line_no, row in _csv_records(manifest_path):
+        try:
+            file_path, role = Path(row["file"]), row["role"].strip().lower()
+            vantage_id = row["vantage_id"]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InputError(f"{manifest_path}:{line_no}: bad manifest row: {exc}") from None
+        if role not in ("client", "server"):
+            raise InputError(f"{manifest_path}:{line_no}: unknown role {row['role']!r}")
+        if not file_path.is_absolute():
+            file_path = base / file_path
+        trace = read_trace_jsonl(_require(file_path, "trace file"), vantage_id)
+        (clients if role == "client" else servers).append(trace)
     if not clients or not servers:
         raise InputError("manifest needs at least one client and one server trace")
     return clients, servers
@@ -219,13 +226,16 @@ def _ingest_updates(args, config) -> tuple[list, list, tuple[float, float]]:
 
 
 def _load_sessions(path_text) -> dict[str, int] | None:
+    """session_id,local_as CSV; a bad row raises InputError naming file and line."""
     if not path_text:
         return None
+    path = _require(path_text, "sessions file")
     sessions = {}
-    with open(_require(path_text, "sessions file"), newline="") as handle:
-        data_lines = (line for line in handle if not line.startswith("#"))
-        for row in csv.DictReader(data_lines):
+    for line_no, row in _csv_records(path):
+        try:
             sessions[row["session_id"].strip()] = int(row["local_as"])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise InputError(f"{path}:{line_no}: bad session row: {exc}") from None
     return sessions
 
 
@@ -399,6 +409,8 @@ def cmd_detect(args) -> int:
     config["window_end"] = args.window_end
     config["freq_denominator"] = args.freq_denominator
     relays, updates, window = _ingest_updates(args, config)
+    if window[1] <= window[0]:
+        raise InputError(f"empty detection window {window[0]:g}..{window[1]:g}")
     config["window_start"], config["window_end"] = window
     index = RelayIndex([r for r in relays if r.is_guard or r.is_exit])
     alerts = detect.frequency_heuristic(
@@ -411,7 +423,7 @@ def cmd_detect(args) -> int:
     alerts += detect.time_heuristic(
         updates, index, threshold=float(config["time_threshold"]), window=window
     )
-    alerts += detect.more_specific_monitor(updates, index, window_end=window[1])
+    alerts += detect.more_specific_monitor(updates, index, window=window)
     out = _out(args)
     artifacts.write_jsonl(
         out / "alerts.jsonl", config, (detect.alert_to_record(a) for a in alerts)

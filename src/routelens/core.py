@@ -44,8 +44,8 @@ def int_to_ip(value: int) -> str:
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-def _mask(length: int) -> int:
-    return 0 if length == 0 else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+# network mask of each prefix length 0..32
+_MASKS = (0,) + tuple((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF for length in range(1, 33))
 
 
 @dataclass(frozen=True, order=True)
@@ -61,7 +61,7 @@ class IpPrefix:
             raise ValueError(f"prefix length out of range: {self.length}")
         if not 0 <= self.base <= 0xFFFFFFFF:
             raise ValueError(f"base address out of range: {self.base}")
-        object.__setattr__(self, "base", self.base & _mask(self.length))
+        object.__setattr__(self, "base", self.base & _MASKS[self.length])
 
     @classmethod
     def parse(cls, text: str) -> "IpPrefix":
@@ -79,15 +79,10 @@ class IpPrefix:
         return self.base | (0xFFFFFFFF >> self.length)
 
     def covers(self, address: int) -> bool:
-        return (address & _mask(self.length)) == self.base
+        return (address & _MASKS[self.length]) == self.base
 
     def __str__(self) -> str:
         return f"{int_to_ip(self.base)}/{self.length}"
-
-
-def is_more_specific_of(candidate: IpPrefix, incumbent: IpPrefix) -> bool:
-    """True iff candidate lies inside incumbent and is strictly longer."""
-    return incumbent.covers(candidate.base) and candidate.length > incumbent.length
 
 
 @dataclass(frozen=True)
@@ -247,26 +242,26 @@ class PrefixTable:
     """Longest-prefix-match table with opaque payloads.
 
     Mutable while building; freeze() makes it immutable so it can be
-    shared across concurrent readers. Lookup probes only the prefix
-    lengths present, longest first, so cost is one dict probe per
+    shared across concurrent readers. Each length present has one bucket
+    mapping a base address to its (prefix, payload) entry; a lookup probes
+    only the lengths present, longest first, so cost is one dict probe per
     distinct length (at most 33).
     """
 
     def __init__(self) -> None:
-        self._entries: dict[IpPrefix, Any] = {}
-        self._buckets: dict[int, dict[int, IpPrefix]] = {}
+        self._buckets: dict[int, dict[int, tuple[IpPrefix, Any]]] = {}
         self._lengths: list[int] = []  # keys of _buckets, descending
         self._frozen = False
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(bucket) for bucket in self._buckets.values())
 
     def __iter__(self) -> Iterator[tuple[IpPrefix, Any]]:
-        for prefix in sorted(self._entries):
-            yield prefix, self._entries[prefix]
+        entries = [entry for bucket in self._buckets.values() for entry in bucket.values()]
+        return iter(sorted(entries, key=lambda entry: entry[0]))
 
     def __contains__(self, prefix: IpPrefix) -> bool:
-        return prefix in self._entries
+        return prefix.base in self._buckets.get(prefix.length, ())
 
     def freeze(self) -> "PrefixTable":
         self._frozen = True
@@ -278,15 +273,13 @@ class PrefixTable:
 
     def insert(self, prefix: IpPrefix, payload: Any) -> None:
         self._check_mutable()
-        self._entries[prefix] = payload
         if prefix.length not in self._buckets:
             self._buckets[prefix.length] = {}
             self._lengths = sorted(self._buckets, reverse=True)
-        self._buckets[prefix.length][prefix.base] = prefix
+        self._buckets[prefix.length][prefix.base] = (prefix, payload)
 
     def remove(self, prefix: IpPrefix) -> None:
         self._check_mutable()
-        del self._entries[prefix]
         bucket = self._buckets[prefix.length]
         del bucket[prefix.base]
         if not bucket:
@@ -294,19 +287,28 @@ class PrefixTable:
             self._lengths.remove(prefix.length)
 
     def get(self, prefix: IpPrefix, default: Any = None) -> Any:
-        return self._entries.get(prefix, default)
+        entry = self._buckets.get(prefix.length, {}).get(prefix.base)
+        return default if entry is None else entry[1]
 
     def lookup_entry(self, address: int) -> tuple[IpPrefix, Any] | None:
         """Most-specific entry covering address, or None."""
         for length in self._lengths:
-            prefix = self._buckets[length].get(address & _mask(length))
-            if prefix is not None:
-                return prefix, self._entries[prefix]
+            entry = self._buckets[length].get(address & _MASKS[length])
+            if entry is not None:
+                return entry
         return None
 
     def lookup(self, address: int) -> Any | None:
         found = self.lookup_entry(address)
         return None if found is None else found[1]
+
+    def covering(self, address: int, shorter_than: int) -> Iterator[tuple[IpPrefix, Any]]:
+        """Every entry covering address with length < shorter_than, longest first."""
+        for length in self._lengths:
+            if length < shorter_than:
+                entry = self._buckets[length].get(address & _MASKS[length])
+                if entry is not None:
+                    yield entry
 
 
 def load_prefix_origins(path) -> PrefixTable:

@@ -16,13 +16,13 @@ from enum import Enum
 from .bgp import BgpUpdate, UpdateKind
 from .core import (
     AsPath,
+    InputError,
     IpPrefix,
     PrefixTable,
     RelayDescriptor,
     RelayIndex,
     int_to_ip,
     ip_to_int,
-    is_more_specific_of,
     merge_intervals,
 )
 
@@ -159,17 +159,23 @@ class HijackEvent:
 
 
 def load_hijack_events(path) -> list[HijackEvent]:
+    """Read a prefix,t_start,t_end,label CSV; a bad row raises InputError
+    naming the file and line."""
     events = []
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            events.append(
-                HijackEvent(
-                    prefix=IpPrefix.parse(row["prefix"]),
-                    t_start=float(row["t_start"]),
-                    t_end=float(row["t_end"]),
-                    label=row.get("label", "") or "",
+        reader = csv.DictReader(handle)
+        for row in reader:
+            try:
+                events.append(
+                    HijackEvent(
+                        prefix=IpPrefix.parse(row["prefix"]),
+                        t_start=float(row["t_start"]),
+                        t_end=float(row["t_end"]),
+                        label=row.get("label", "") or "",
+                    )
                 )
-            )
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise InputError(f"{path}:{reader.line_num}: bad event row: {exc}") from None
     return events
 
 
@@ -356,54 +362,64 @@ def time_heuristic(
 def more_specific_monitor(
     updates: list[BgpUpdate],
     relays: list[RelayDescriptor] | RelayIndex,
-    window_end: float | None = None,
+    window: tuple[float, float] | None = None,
 ) -> list[HijackAlert]:
     """Flag foreign-origin announcements nested inside a live relay prefix.
 
     The announced prefix must itself cover a relay (those are the affected
-    relays) and must be strictly more specific than a live prefix whose
-    origin differs; a same-origin more-specific is ordinary traffic
-    engineering. Alert windows run until the attacker's withdrawal.
+    relays) and must be strictly more specific than some live prefix of
+    the same session whose origin differs; a same-origin more-specific is
+    ordinary traffic engineering. A hit opens at the first such
+    announcement of its (session, prefix, origin) and stays open until the
+    prefix is withdrawn on that session, or until the window's end. Spans
+    are clipped to the window (default: up to the last update) and a span
+    left empty is dropped; the score is the number of spans.
     """
     index = RelayIndex.of(relays)
-    live: dict[tuple[str, IpPrefix], AsPath] = {}
-    hits: dict[tuple[IpPrefix, int], list[tuple[float, float]]] = {}
-    open_hits: dict[tuple[str, IpPrefix, int], float] = {}
-    horizon = window_end
+    live: dict[str, PrefixTable] = {}  # per session: prefix -> origin
+    open_hits: dict[tuple[str, IpPrefix], dict[int, float]] = {}  # -> origin: since
+    spans: dict[tuple[IpPrefix, int], list[tuple[float, float]]] = {}
     for update in updates:
-        horizon = update.timestamp if horizon is None else max(horizon, update.timestamp)
-    for update in updates:
-        key = (update.session, update.prefix)
-        if not index.covers_any(update.prefix):
+        prefix = update.prefix
+        if not index.covers_any(prefix):
             continue
+        key = (update.session, prefix)
+        table = live.get(update.session)
+        if table is None:
+            table = live[update.session] = PrefixTable()
         if update.kind is UpdateKind.WITHDRAW:
-            live.pop(key, None)
-            for (session, prefix, origin), since in list(open_hits.items()):
-                if session == update.session and prefix == update.prefix:
-                    hits.setdefault((prefix, origin), []).append((since, update.timestamp))
-                    del open_hits[(session, prefix, origin)]
+            if prefix in table:
+                table.remove(prefix)
+            for origin, since in open_hits.pop(key, {}).items():
+                spans.setdefault((prefix, origin), []).append((since, update.timestamp))
             continue
         origin = update.path.origin
-        for (session, incumbent), path in live.items():
-            if session != update.session:
-                continue
-            if is_more_specific_of(update.prefix, incumbent) and path.origin != origin:
-                open_key = (update.session, update.prefix, origin)
-                open_hits.setdefault(open_key, update.timestamp)
-                break
-        live[key] = update.path
-    for (session, prefix, origin), since in open_hits.items():
-        hits.setdefault((prefix, origin), []).append((since, horizon if horizon is not None else since))
+        if any(other != origin for _, other in table.covering(prefix.base, prefix.length)):
+            open_hits.setdefault(key, {}).setdefault(origin, update.timestamp)
+        table.insert(prefix, origin)
+    if window is None:
+        if not updates:
+            return []
+        stamps = [u.timestamp for u in updates]
+        window = (min(stamps), max(stamps))
+    t_lo, t_hi = window
+    for (_, prefix), origins in open_hits.items():
+        for origin, since in origins.items():
+            spans.setdefault((prefix, origin), []).append((since, t_hi))
     alerts = []
-    for (prefix, origin), spans in sorted(hits.items(), key=lambda i: (i[0][0], i[0][1])):
+    for (prefix, origin), raw in sorted(spans.items(), key=lambda i: (i[0][0], i[0][1])):
+        clipped = [(max(start, t_lo), min(end, t_hi)) for start, end in raw]
+        clipped = [(start, end) for start, end in clipped if start <= end]
+        if not clipped:
+            continue
         guards, exits = _affected(index, prefix)
         alerts.append(
             HijackAlert(
                 prefix=prefix,
                 origin_as=origin,
                 heuristic=Heuristic.MORE_SPECIFIC,
-                score=float(len(spans)),
-                windows=tuple(merge_intervals(spans)),
+                score=float(len(clipped)),
+                windows=tuple(merge_intervals(clipped)),
                 guards=guards,
                 exits=exits,
             )
@@ -422,9 +438,7 @@ def run_all_heuristics(
     index = RelayIndex([r for r in relays if r.is_guard or r.is_exit])
     alerts = frequency_heuristic(updates, index, frequency_threshold, window)
     alerts += time_heuristic(updates, index, time_threshold, window)
-    alerts += more_specific_monitor(
-        updates, index, window_end=None if window is None else window[1]
-    )
+    alerts += more_specific_monitor(updates, index, window)
     return alerts
 
 

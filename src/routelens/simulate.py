@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bgp import BgpUpdate, UpdateKind
-from .core import AsPath, IpPrefix, RelayDescriptor, int_to_ip, ip_to_int
+from .core import AsPath, InputError, IpPrefix, RelayDescriptor, int_to_ip, ip_to_int
 from .correlation import DIRECTIONS, WRAP, Direction, EndpointTrace, PacketTable
 
 TICK = 0.01  # packet emission granularity; analyses bin at >= 1 s
@@ -372,16 +372,17 @@ class RoutingScenario:
         times = [c.time for c in self.churn]
         if times != sorted(times):
             raise InvalidScenarioError("churn schedule must be time-ordered")
+        churn_times: dict[str, list[float]] = {}
+        for change in self.churn:
+            churn_times.setdefault(change.prefix, []).append(change.time)
         for event in self.events:
             if not (t0 <= event.start and event.start + event.duration <= t1):
                 raise InvalidScenarioError("event outside the window")
-            for change in self.churn:
-                if change.prefix == event.prefix and (
-                    event.start <= change.time <= event.start + event.duration
-                ):
-                    raise InvalidScenarioError(
-                        "churn on an attacked prefix during its event window"
-                    )
+            if any(
+                event.start <= t <= event.start + event.duration
+                for t in churn_times.get(event.prefix, ())
+            ):
+                raise InvalidScenarioError("churn on an attacked prefix during its event window")
         spans: dict[str, list[tuple[float, float]]] = {}
         for event in self.events:
             for other in spans.get(event.prefix, ()):
@@ -821,6 +822,11 @@ class InterceptionRun:
     attacker_acks: np.ndarray
 
 
+def _check_settles(announce_at: float, propagation: float, withdraw_at: float) -> None:
+    if announce_at + propagation >= withdraw_at:
+        raise InvalidScenarioError("interception must settle before the withdrawal")
+
+
 def gen_interception_timeline(
     scenario: TrafficScenario,
     announce_at: float = 20.0,
@@ -836,8 +842,7 @@ def gen_interception_timeline(
     after the withdrawal. The attacker capture is ACK-only by construction:
     that is all that flows toward a guard during a download.
     """
-    if announce_at + propagation >= withdraw_at:
-        raise InvalidScenarioError("interception must settle before the withdrawal")
+    _check_settles(announce_at, propagation, withdraw_at)
     scenario.validate()
     rng = np.random.default_rng(scenario.seed)
     allocation = _byte_allocation(scenario, rng)
@@ -887,25 +892,44 @@ def gen_interception_timeline(
 
 
 def load_scenario(path):
-    """Read a scenario JSON document; the kind field picks the type."""
-    with open(path) as handle:
-        data = json.load(handle)
+    """Read and validate a scenario JSON document; the kind field picks the type.
+
+    Text that is not JSON, a missing or mistyped field and a scenario that
+    fails validation raise InputError naming the file (and line).
+    """
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except ValueError as exc:
+        raise InputError(f"{path}:{getattr(exc, 'lineno', 1)}: not JSON: {exc}") from None
+    try:
+        return _scenario_from_dict(data)
+    except (InvalidScenarioError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"{path}: invalid scenario: {exc}") from None
+
+
+def _scenario_from_dict(data: dict):
     kind = data.get("kind", "traffic")
     if kind == "traffic":
-        return TrafficScenario.from_dict(data)
+        traffic = TrafficScenario.from_dict(data)
+        traffic.validate()
+        return traffic
     if kind == "routing":
-        return RoutingScenario.from_dict(data)
+        routing = RoutingScenario.from_dict(data)
+        routing.validate()
+        return routing
     if kind == "interception":
-        timing = data.get("timing", {})
-        return (
-            TrafficScenario.from_dict({**data, "kind": "traffic"}),
-            {
-                "announce_at": float(timing.get("announce_at", 20.0)),
-                "propagation": float(timing.get("propagation", 35.0)),
-                "withdraw_at": float(timing.get("withdraw_at", 300.0)),
-                "reconvergence": float(timing.get("reconvergence", 22.0)),
-            },
-        )
+        traffic = TrafficScenario.from_dict({**data, "kind": "traffic"})
+        traffic.validate()
+        raw = data.get("timing", {})
+        timing = {
+            "announce_at": float(raw.get("announce_at", 20.0)),
+            "propagation": float(raw.get("propagation", 35.0)),
+            "withdraw_at": float(raw.get("withdraw_at", 300.0)),
+            "reconvergence": float(raw.get("reconvergence", 22.0)),
+        }
+        _check_settles(timing["announce_at"], timing["propagation"], timing["withdraw_at"])
+        return traffic, timing
     raise InvalidScenarioError(f"unknown scenario kind {kind!r}")
 
 

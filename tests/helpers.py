@@ -6,8 +6,11 @@ import random
 
 from routelens.bgp import BgpUpdate, UpdateKind, ingest
 from routelens.churn import CircuitCompromiseRecord, EmptyInputError
-from routelens.core import AsPath, IpPrefix, RelayDescriptor, ip_to_int
+from routelens.core import (
+    AsPath, IpPrefix, RelayDescriptor, RelayIndex, ip_to_int, merge_intervals
+)
 from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
+from routelens.detect import HijackAlert, Heuristic, _affected
 from routelens.paths import (
     DayVulnerability,
     PathRole,
@@ -323,3 +326,65 @@ def oracle_vulnerability_timeseries(
             )
         )
     return rows
+
+
+def is_more_specific_of(candidate: IpPrefix, incumbent: IpPrefix) -> bool:
+    """True iff candidate lies inside incumbent and is strictly longer."""
+    return incumbent.covers(candidate.base) and candidate.length > incumbent.length
+
+
+def oracle_more_specific_monitor(updates, relays, window=None):
+    """Linear-scan more-specific monitor: every announcement is compared
+    with every live (session, prefix) route, and every withdrawal scans
+    every open hit. Spans are clipped to the window (default: up to the
+    last update); a span left empty is dropped."""
+    index = RelayIndex.of(relays)
+    live = {}
+    hits = {}
+    open_hits = {}
+    horizon = window[1] if window is not None else max((u.timestamp for u in updates), default=None)
+    for update in updates:
+        key = (update.session, update.prefix)
+        if not index.covers_any(update.prefix):
+            continue
+        if update.kind is UpdateKind.WITHDRAW:
+            live.pop(key, None)
+            for (session, prefix, origin), since in list(open_hits.items()):
+                if session == update.session and prefix == update.prefix:
+                    hits.setdefault((prefix, origin), []).append((since, update.timestamp))
+                    del open_hits[(session, prefix, origin)]
+            continue
+        origin = update.path.origin
+        for (session, incumbent), path in live.items():
+            if session != update.session:
+                continue
+            if is_more_specific_of(update.prefix, incumbent) and path.origin != origin:
+                open_hits.setdefault((update.session, update.prefix, origin), update.timestamp)
+                break
+        live[key] = update.path
+    for (session, prefix, origin), since in open_hits.items():
+        hits.setdefault((prefix, origin), []).append((since, horizon))
+    alerts = []
+    for (prefix, origin), spans in sorted(hits.items(), key=lambda i: (i[0][0], i[0][1])):
+        if window is not None:
+            spans = [
+                (max(start, window[0]), min(end, window[1]))
+                for start, end in spans
+                if not (end < window[0] or start > window[1])
+            ]
+        if not spans:
+            continue
+        guards, exits = _affected(index, prefix)
+        alerts.append(
+            HijackAlert(
+                prefix=prefix,
+                origin_as=origin,
+                heuristic=Heuristic.MORE_SPECIFIC,
+                score=float(len(spans)),
+                windows=tuple(merge_intervals(spans)),
+                guards=guards,
+                exits=exits,
+            )
+        )
+    return alerts
+

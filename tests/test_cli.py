@@ -458,3 +458,89 @@ def test_paths_bad_prefix_map_row_exits_2(tmp_path, capsys, bad_row):
     err = capsys.readouterr().err
     assert "map.csv:2: " in err
     assert "Traceback" not in err
+
+
+_RELAY_CSV = "address,is_guard,is_exit,bandwidth,nickname\n198.245.63.228,1,0,5.0,montreal\n"
+_UPDATE_CSV = 'timestamp,session,kind,prefix,path\n0,s1,A,198.245.63.0/24,"3356 16276"\n'
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    ["198.245.63.0/24,soon,200,btc", "198.245.63.0/24,100,later,btc", "198.245.63.0/33,100,200,btc"],
+    ids=["t-start-not-numeric", "t-end-not-numeric", "bad-prefix"],
+)
+def test_detect_bad_event_row_exits_2(tmp_path, capsys, bad_row):
+    (tmp_path / "relays.csv").write_text(_RELAY_CSV)
+    (tmp_path / "updates.csv").write_text(_UPDATE_CSV)
+    events = tmp_path / "events.csv"
+    events.write_text(f"prefix,t_start,t_end,label\n198.245.63.0/24,100,200,ok\n{bad_row}\n")
+    code = run(
+        "--output-dir", tmp_path / "o",
+        "detect",
+        "--updates", tmp_path / "updates.csv",
+        "--relays", tmp_path / "relays.csv",
+        "--events", events,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "events.csv:3: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "sessions_text, where",
+    [
+        ("# written by hand\nsession_id,local_as\ns1,64500\ns2,AS64501\n", "sessions.csv:4: "),
+        ("# written by hand\nsession_id\ns1\n", "sessions.csv:3: "),
+    ],
+    ids=["local-as-not-integer", "missing-column"],
+)
+def test_churn_bad_sessions_row_exits_2(tmp_path, capsys, sessions_text, where):
+    (tmp_path / "relays.csv").write_text(_RELAY_CSV)
+    (tmp_path / "updates.csv").write_text(_UPDATE_CSV)
+    sessions = tmp_path / "sessions.csv"
+    sessions.write_text(sessions_text)
+    code = run(
+        "--output-dir", tmp_path / "o",
+        "churn",
+        "--updates", tmp_path / "updates.csv",
+        "--relays", tmp_path / "relays.csv",
+        "--sessions", sessions,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert where in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"kind": "traffic",\n "n_pairs": 2,,}', "scenario.json:2: "),
+        (json.dumps({**TrafficScenario().to_dict(), "n_pairs": 0}), "scenario.json: "),
+    ],
+    ids=["not-json", "invalid-scenario"],
+)
+def test_simulate_bad_scenario_exits_2(tmp_path, capsys, text, where):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    assert run("--output-dir", tmp_path / "o", "simulate", "--scenario", scenario) == 2
+    err = capsys.readouterr().err
+    assert where in err
+    assert "Traceback" not in err
+
+
+def test_detect_empty_window_exits_2(tmp_path, capsys):
+    (tmp_path / "relays.csv").write_text(_RELAY_CSV)
+    (tmp_path / "updates.csv").write_text(_UPDATE_CSV)
+    code = run(
+        "--output-dir", tmp_path / "o",
+        "detect",
+        "--updates", tmp_path / "updates.csv",
+        "--relays", tmp_path / "relays.csv",
+        "--window-start", 10, "--window-end", 5,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "empty detection window 10..5" in err
+    assert "Traceback" not in err

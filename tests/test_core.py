@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_more_specific_of
 from routelens.core import (
     AsPath,
     IpPrefix,
@@ -15,7 +16,6 @@ from routelens.core import (
     RelayRole,
     int_to_ip,
     ip_to_int,
-    is_more_specific_of,
     load_relays,
     merge_intervals,
     write_relays,
@@ -169,6 +169,40 @@ def test_interleaved_insert_remove_matches_linear_scan(operations, extra_probes)
         for address in probes:
             assert table.lookup(address) == linear_scan_match(entries.items(), address)
     assert len(table) == len(entries)
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(
+        st.tuples(st.booleans(), addresses, st.sampled_from([0, 1, 8, 12, 16, 23, 24, 31, 32])),
+        min_size=1,
+        max_size=30,
+    ),
+    st.lists(addresses, max_size=5),
+    lengths,
+)
+def test_covering_matches_linear_scan_under_insert_remove(operations, extra_probes, shorter_than):
+    """covering yields every live cover shorter than the bound, longest first."""
+    table = PrefixTable()
+    entries = {}
+    for index, (remove, base, length) in enumerate(operations):
+        prefix = IpPrefix(base, length)
+        if remove and entries:
+            victim = prefix if prefix in entries else sorted(entries)[base % len(entries)]
+            table.remove(victim)
+            del entries[victim]
+        elif not remove:
+            table.insert(prefix, index)
+            entries[prefix] = index
+        probes = extra_probes + [base] + [p.base for p in entries] + [p.last_address for p in entries]
+        for address in probes:
+            for bound in (shorter_than, 33):
+                expected = sorted(
+                    ((p, v) for p, v in entries.items() if p.covers(address) and p.length < bound),
+                    key=lambda entry: -entry[0].length,
+                )
+                assert list(table.covering(address, bound)) == expected
+    assert sorted(table) == sorted(entries.items())
 
 
 def test_freeze_blocks_mutation():

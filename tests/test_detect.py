@@ -3,7 +3,9 @@
 import random
 
 import pytest
-from helpers import announce, withdraw
+from helpers import announce, oracle_more_specific_monitor, withdraw
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from routelens.core import AsPath, IpPrefix, PrefixTable, RelayDescriptor, ip_to_int
 from routelens.detect import (
@@ -318,6 +320,112 @@ def test_more_specific_outside_relay_space_ignored():
         announce(20.0, "s1", "203.0.112.0/24", [100, 222]),
     ]
     assert more_specific_monitor(updates, relays) == []
+
+
+def test_more_specific_any_covering_route_counts():
+    # the /24's most specific cover (/20) has its own origin, the /16 does not
+    relays = [relay("184.164.0.17", guard=True)]
+    updates = [
+        announce(0.0, "s1", "184.164.0.0/16", [100, 2637]),
+        announce(10.0, "s1", "184.164.0.0/20", [100, 226]),
+        announce(20.0, "s1", "184.164.0.0/24", [100, 226]),
+    ]
+    alerts = more_specific_monitor(updates, relays)
+    assert [(str(a.prefix), a.origin_as, a.windows) for a in alerts] == [
+        ("184.164.0.0/20", 226, ((10.0, 20.0),)),
+        ("184.164.0.0/24", 226, ((20.0, 20.0),)),
+    ]
+
+
+def _interception(t_announce, t_withdraw):
+    return [
+        announce(0.0, "s1", "184.164.0.0/23", [100, 2637]),
+        announce(t_announce, "s1", "184.164.0.0/24", [100, 226]),
+        withdraw(t_withdraw, "s1", "184.164.0.0/24"),
+    ]
+
+
+def test_more_specific_hit_before_window_has_no_alert():
+    relays = [relay("184.164.0.17", guard=True)]
+    updates = _interception(20.0, 320.0)
+    assert more_specific_monitor(updates, relays, window=(1000.0, 2000.0)) == []
+
+
+def test_more_specific_hit_straddling_window_start_is_clipped():
+    relays = [relay("184.164.0.17", guard=True)]
+    updates = _interception(20.0, 320.0)
+    (alert,) = more_specific_monitor(updates, relays, window=(100.0, 2000.0))
+    assert alert.windows == ((100.0, 320.0),)
+    assert alert.score == 1.0
+
+
+def test_more_specific_open_hit_closes_at_window_end():
+    relays = [relay("184.164.0.17", guard=True)]
+    updates = _interception(20.0, 900.0)
+    (alert,) = more_specific_monitor(updates, relays, window=(0.0, 500.0))
+    assert alert.windows == ((20.0, 500.0),)
+    (alert,) = more_specific_monitor(updates[:2], relays)
+    assert alert.windows == ((20.0, 20.0),)  # default window ends at the last update
+
+
+# relays in 10.1.0.0/16 and 10.3.0.0/16; prefixes nest around them and
+# around addresses outside relay space (10.2.x and 192.0.2.x)
+_MONITOR_RELAYS = [
+    relay("10.1.2.3", guard=True),
+    relay("10.1.200.5", exit_=True),
+    relay("10.3.0.9", guard=True, exit_=True),
+]
+_MONITOR_PREFIXES = sorted(
+    {
+        str(IpPrefix(ip_to_int(address), length))
+        for address in ("10.1.2.3", "10.1.200.5", "10.3.0.9", "10.2.7.7", "192.0.2.77")
+        for length in (8, 12, 15, 16, 20, 23, 24, 28, 32)
+    }
+)
+_stream = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 1.0, 5.0]),  # gap to the previous update
+        st.integers(0, 2),  # session
+        st.sampled_from([False, False, True]),  # withdraw
+        st.sampled_from(_MONITOR_PREFIXES),
+        st.integers(1, 3),  # origin
+    ),
+    min_size=5,
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(  # the /24's most specific cover shares its origin, the /8 does not
+    [
+        (0.0, 0, False, "10.0.0.0/8", 1),
+        (1.0, 0, False, "10.1.0.0/16", 2),
+        (1.0, 0, False, "10.1.2.0/24", 2),
+        (0.0, 0, True, "10.1.0.0/16", 2),
+        (5.0, 0, True, "10.1.2.0/24", 2),
+    ],
+    1,
+    None,
+)
+@given(
+    _stream,
+    st.integers(1, 3),
+    st.none() | st.tuples(st.floats(-5.0, 60.0), st.floats(0.0, 80.0)),
+)
+def test_more_specific_monitor_matches_linear_scan_oracle(stream, n_sessions, window):
+    t = 0.0
+    updates = []
+    for gap, session, is_withdraw, prefix, origin in stream:
+        t += gap
+        session = f"s{session % n_sessions}"
+        if is_withdraw:
+            updates.append(withdraw(t, session, prefix))
+        else:
+            updates.append(announce(t, session, prefix, [64500 + origin, origin]))
+    if window is not None:
+        window = (min(window), max(window))
+    expected = oracle_more_specific_monitor(updates, _MONITOR_RELAYS, window)
+    assert more_specific_monitor(updates, _MONITOR_RELAYS, window) == expected
 
 
 def test_alert_jsonl_roundtrip():
