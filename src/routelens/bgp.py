@@ -17,9 +17,9 @@ from typing import Iterable
 from .core import (
     AsPath,
     IpPrefix,
+    PrefixTable,
     RelayDescriptor,
     RelayIndex,
-    RelayRole,
     RouteEntry,
     VantageSession,
 )
@@ -166,7 +166,9 @@ class SessionRib:
 
     Announcements with an unchanged path are no-ops, so the interval
     history records path changes only; that is exactly what the
-    simultaneous-observation metric consumes.
+    simultaneous-observation metric consumes. Every prefix that ever held
+    an entry is indexed in a PrefixTable, so the entries covering an
+    address come from one probe per prefix length present.
     """
 
     def __init__(
@@ -181,12 +183,7 @@ class SessionRib:
         self.live: dict[IpPrefix, RouteEntry] = {}
         self.history: dict[IpPrefix, list[RouteEntry]] = {}
         self.last_timestamp = float("-inf")
-        self._role_cache: dict[IpPrefix, RelayRole | None] = {}
-
-    def _role(self, prefix: IpPrefix) -> RelayRole | None:
-        if prefix not in self._role_cache:
-            self._role_cache[prefix] = self._relays.role_of_prefix(prefix)
-        return self._role_cache[prefix]
+        self._prefixes = PrefixTable()  # prefix -> prefix, for every prefix with an entry
 
     def apply(self, update: BgpUpdate) -> None:
         if update.timestamp < self.last_timestamp:
@@ -195,11 +192,8 @@ class SessionRib:
                 f"on session {self.session.session_id}"
             )
         self.last_timestamp = update.timestamp
-        role = self._role(update.prefix)
-        if self._tor_filter and role is None:
+        if self._tor_filter and not self._relays.covers_any(update.prefix):
             return  # prefix hosts no relay: not tracked
-        if role is None:
-            role = RelayRole.BOTH
         current = self.live.get(update.prefix)
         if update.kind is UpdateKind.WITHDRAW:
             if current is not None:
@@ -216,42 +210,37 @@ class SessionRib:
             t_start=update.timestamp,
             t_end=None,
             prefix=update.prefix,
-            relay_role=role,
             path=update.path,
         )
+        self._prefixes.insert(update.prefix, update.prefix)
+
+    def _entries_of(self, prefix: IpPrefix) -> list[RouteEntry]:
+        """Closed history entries, then the open live entry, of one prefix."""
+        live = self.live.get(prefix)
+        return self.history.get(prefix, []) + ([live] if live is not None else [])
 
     def entries(self) -> Iterable[tuple[IpPrefix, RouteEntry]]:
         """Closed history entries plus open live entries, per prefix."""
-        prefixes = set(self.history) | set(self.live)
-        for prefix in sorted(prefixes):
-            for entry in self.history.get(prefix, ()):
+        for prefix, _ in self._prefixes:
+            for entry in self._entries_of(prefix):
                 yield prefix, entry
-            if prefix in self.live:
-                yield prefix, self.live[prefix]
 
     def entries_for_address(self, address: int) -> list[RouteEntry]:
-        found = []
-        for prefix in set(self.history) | set(self.live):
-            if prefix.covers(address):
-                found.extend(self.history.get(prefix, ()))
-                if prefix in self.live:
-                    found.append(self.live[prefix])
-        return found
+        """Every entry whose prefix covers address, longest prefix first."""
+        return [
+            entry
+            for prefix, _ in self._prefixes.covering(address, 33)
+            for entry in self._entries_of(prefix)
+        ]
 
     def route_for_relay(self, relay: RelayDescriptor, t: float) -> RouteEntry | None:
         """Most-specific tracked entry live at t whose prefix covers the relay."""
-        best: RouteEntry | None = None
-        for entry in self.entries_for_address(relay.address):
-            if entry.live_at(t) and (best is None or entry.prefix.length > best.prefix.length):
-                best = entry
-        return best
+        return next(
+            (e for e in self.entries_for_address(relay.address) if e.live_at(t)), None
+        )
 
     def live_at(self, t: float) -> list[RouteEntry]:
-        out = []
-        for _, entry in self.entries():
-            if entry.live_at(t):
-                out.append(entry)
-        return out
+        return [entry for _, entry in self.entries() if entry.live_at(t)]
 
 
 def ingest(

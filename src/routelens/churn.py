@@ -43,7 +43,8 @@ class CircuitCompromiseRecord:
 
 @dataclass
 class CompromiseSummary:
-    """Distinct compromised (guard, exit) circuits per (src, dst) pair."""
+    """Distinct compromised (guard, exit) circuits per (src, dst) pair and
+    per AS; per-AS coverage reads per_as_circuits."""
 
     pair_circuits: dict[tuple[str, str], frozenset[tuple[int, int]]]
     total_circuits: int
@@ -110,10 +111,10 @@ def segment_observations(
                 cuts.update((start, end))
             edges = sorted(cuts)
             for seg_start, seg_end in zip(edges, edges[1:]):
-                live = [e for e in entries if e.live_at(seg_start) and e.t_start < seg_end]
-                if not live:
+                # entries come longest prefix first: the first live one forwards
+                forwarding = next((e for e in entries if e.live_at(seg_start)), None)
+                if forwarding is None:
                     continue
-                forwarding = max(live, key=lambda e: e.prefix.length)
                 roles = []
                 if relay.is_guard:
                     roles.append(RelayRole.GUARD)
@@ -247,34 +248,27 @@ def churn_summary(
     min_overlap: float = 30.0,
     require_distinct_as: bool = True,
     baseline: CompromiseSummary | None = None,
-    records: list[CircuitCompromiseRecord] | None = None,
 ) -> CompromiseSummary:
-    """Compromise summary over the full window, unioned with the baseline.
+    """Compromise summary over the full window, pairs unioned with the baseline.
 
     The duration rule applies to circuits churn adds; circuits already
     compromised in the initial state stay compromised, which makes the
-    with-updates summary monotone in the update stream by construction.
-    records, when given, are the window's compromised_circuits output for
-    these arguments, so a caller that needs them too sweeps only once.
+    with-updates pair counts monotone in the update stream by construction.
+    per_as_circuits holds only the circuits compromised during the window.
     """
-    if records is None:
-        records = compromised_circuits(
-            segment_observations(ribs, relays, window),
-            min_overlap=min_overlap,
-            require_distinct_as=require_distinct_as,
-            local_as={sid: rib.session.local_as for sid, rib in ribs.items()},
-        )
+    records = compromised_circuits(
+        segment_observations(ribs, relays, window),
+        min_overlap=min_overlap,
+        require_distinct_as=require_distinct_as,
+        local_as={sid: rib.session.local_as for sid, rib in ribs.items()},
+    )
     summary = summarize(records, session_pairs(ribs, require_distinct_as), relays)
     if baseline is not None:
-        merged = {
+        summary.pair_circuits = {
             pair: summary.pair_circuits.get(pair, frozenset())
             | baseline.pair_circuits.get(pair, frozenset())
             for pair in set(summary.pair_circuits) | set(baseline.pair_circuits)
         }
-        per_as = dict(summary.per_as_circuits)
-        for asn, circuits in baseline.per_as_circuits.items():
-            per_as[asn] = per_as.get(asn, frozenset()) | circuits
-        summary = CompromiseSummary(merged, summary.total_circuits, per_as)
     return summary
 
 
@@ -335,19 +329,14 @@ def churn_ratio(
     return ratios, newly
 
 
-def as_circuit_coverage(
-    records: list[CircuitCompromiseRecord], relays: list[RelayDescriptor]
-) -> list[tuple[int, float, int]]:
+def as_circuit_coverage(summary: CompromiseSummary) -> list[tuple[int, float, int]]:
     """Per AS: percent of all valid (guard, exit) circuits it saw both
-    sides of, for at least one session pair. ASes with no qualifying
-    record are omitted (coverage zero). Sorted by percent descending."""
-    total = circuit_universe(relays)
-    seen: dict[int, set[tuple[int, int]]] = {}
-    for record in records:
-        seen.setdefault(record.as_number, set()).add((record.guard, record.exit))
+    sides of, for at least one session pair. ASes with no compromised
+    circuit are omitted (coverage zero). Sorted by percent descending."""
+    total = summary.total_circuits
     rows = [
         (asn, 100.0 * len(circuits) / total if total else 0.0, len(circuits))
-        for asn, circuits in seen.items()
+        for asn, circuits in summary.per_as_circuits.items()
     ]
     rows.sort(key=lambda row: (-row[1], row[0]))
     return rows

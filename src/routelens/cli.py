@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, artifacts, churn, detect, evaluation, paths, simulate
@@ -57,7 +58,13 @@ def _effective_config(args, keys: list[str]) -> dict:
     """Defaults, overlaid by --config file values, overlaid by flags."""
     config = {key: DEFAULTS[key] for key in keys if key in DEFAULTS}
     if args.config:
-        loaded = json.loads(_require(args.config, "config file").read_text())
+        path = _require(args.config, "config file")
+        try:
+            loaded = json.loads(path.read_text())
+        except ValueError as exc:
+            raise InputError(f"{path}:{getattr(exc, 'lineno', 1)}: not JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise InputError(f"{path}: config must be a JSON object")
         for key in keys:
             if key in loaded:
                 config[key] = loaded[key]
@@ -203,16 +210,19 @@ def cmd_correlate(args) -> int:
 
 def _ingest_updates(args, config) -> tuple[list, list, tuple[float, float]]:
     relays = load_relays(_require(args.relays, "relay list"))
-    updates, issues = parse_updates(_require(args.updates, "update file"))
-    if issues:
+    # the initial state goes first, so it precedes updates at equal timestamps
+    sources = [(args.initial, "initial state")] if getattr(args, "initial", None) else []
+    updates, malformed = [], 0
+    for path_text, what in sources + [(args.updates, "update file")]:
+        path = _require(path_text, what)
+        parsed, issues = parse_updates(path)
         for issue in issues:
-            print(f"line {issue.line_no}: {issue.message}: {issue.raw}", file=sys.stderr)
-        raise InputError(f"{len(issues)} malformed update lines")
-    if getattr(args, "initial", None):
-        initial, init_issues = parse_updates(_require(args.initial, "initial state"))
-        if init_issues:
-            raise InputError(f"{len(init_issues)} malformed initial-state lines")
-        updates = sorted(initial + updates, key=lambda u: u.timestamp)
+            print(f"{path}: line {issue.line_no}: {issue.message}: {issue.raw}", file=sys.stderr)
+        updates += parsed
+        malformed += len(issues)
+    if malformed:
+        raise InputError(f"{malformed} malformed update lines")
+    updates.sort(key=lambda u: u.timestamp)
     if getattr(args, "filter_resets", False):
         updates = filter_session_resets(
             updates, float(config["quiet_gap"]), float(config["burst_window"])
@@ -290,19 +300,12 @@ def cmd_churn(args) -> int:
         return 0
 
     full_ribs = ingest(updates, relays, local_as=local_as)
-    # one sweep of the window feeds both the summary and the AS coverage
-    records = churn.compromised_circuits(
-        churn.segment_observations(full_ribs, relays, window),
-        min_overlap=float(config["min_overlap"]),
-        local_as={sid: rib.session.local_as for sid, rib in full_ribs.items()},
-    )
     updated = churn.churn_summary(
         full_ribs,
         relays,
         window,
         min_overlap=float(config["min_overlap"]),
         baseline=baseline,
-        records=records,
     )
     ratios, newly = churn.churn_ratio(baseline, updated)
     artifacts.write_csv(
@@ -336,7 +339,7 @@ def cmd_churn(args) -> int:
         ["src_session", "dst_session", "circuits"],
         ([src, dst, count] for src, dst, count in newly),
     )
-    coverage = churn.as_circuit_coverage(records, relays)
+    coverage = churn.as_circuit_coverage(updated)
     artifacts.write_csv(
         out / "as_coverage.csv",
         config,
@@ -512,9 +515,7 @@ def cmd_simulate(args) -> int:
     out = _out(args)
     if isinstance(scenario, simulate.TrafficScenario):
         if args.seed is not None:
-            scenario = simulate.TrafficScenario.from_dict(
-                {**scenario.to_dict(), "seed": args.seed}
-            )
+            scenario = replace(scenario, seed=args.seed)
         config.update(scenario.to_dict())
         clients, servers, truth = simulate.gen_traffic(scenario)
         _write_traffic_dataset(out, config, clients, servers, truth)
@@ -530,7 +531,7 @@ def cmd_simulate(args) -> int:
         return 0
     traffic, timing = scenario
     if args.seed is not None:
-        traffic = simulate.TrafficScenario.from_dict({**traffic.to_dict(), "seed": args.seed})
+        traffic = replace(traffic, seed=args.seed)
     config.update({**traffic.to_dict(), "kind": "interception", **timing})
     run = simulate.gen_interception_timeline(traffic, **timing)
     _write_traffic_dataset(out, config, run.attacker_traces, run.server_traces, run.truth)

@@ -22,7 +22,6 @@ class InputError(ValueError):
 class RelayRole(Enum):
     GUARD = "guard"
     EXIT = "exit"
-    BOTH = "both"
 
 
 def ip_to_int(text: str) -> int:
@@ -98,12 +97,6 @@ class RelayDescriptor:
     is_exit: bool
     bandwidth: float
     nickname: str = ""
-
-    @property
-    def role(self) -> RelayRole:
-        if self.is_guard and self.is_exit:
-            return RelayRole.BOTH
-        return RelayRole.GUARD if self.is_guard else RelayRole.EXIT
 
 
 def load_relays(path) -> list[RelayDescriptor]:
@@ -225,7 +218,6 @@ class RouteEntry:
     t_start: float
     t_end: float | None
     prefix: IpPrefix
-    relay_role: RelayRole
     path: AsPath
 
     def live_at(self, t: float) -> bool:
@@ -355,17 +347,3 @@ class RelayIndex:
     def covers_any(self, prefix: IpPrefix) -> bool:
         lo = bisect_left(self._addresses, prefix.base)
         return lo < len(self._addresses) and self._addresses[lo] <= prefix.last_address
-
-    def role_of_prefix(self, prefix: IpPrefix) -> RelayRole | None:
-        """Combined role of the relays inside prefix, None if it covers none."""
-        any_guard = any_exit = False
-        for relay in self.covered_by(prefix):
-            any_guard = any_guard or relay.is_guard
-            any_exit = any_exit or relay.is_exit
-        if any_guard and any_exit:
-            return RelayRole.BOTH
-        if any_guard:
-            return RelayRole.GUARD
-        if any_exit:
-            return RelayRole.EXIT
-        return None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -36,6 +36,9 @@ class InvalidScenarioError(Exception):
 class Bottleneck:
     flows: tuple[int, ...]
     capacity: float  # bytes/s shared by the member flows
+
+
+_GROUP_FIELDS = ("guard_groups", "exit_groups")  # bottlenecks, as [[flows], capacity]
 
 
 @dataclass(frozen=True)
@@ -81,52 +84,23 @@ class TrafficScenario:
                     seen.add(flow)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "traffic",
-            "seed": self.seed,
-            "n_pairs": self.n_pairs,
-            "duration": self.duration,
-            "base_rate": self.base_rate,
-            "rate_spread": self.rate_spread,
-            "jitter_low": self.jitter_low,
-            "jitter_high": self.jitter_high,
-            "ack_delay": self.ack_delay,
-            "mss": self.mss,
-            "tunnel_delay": self.tunnel_delay,
-            "tunnel_jitter": self.tunnel_jitter,
-            "retransmit_rate": self.retransmit_rate,
-            "guard_groups": [[list(g.flows), g.capacity] for g in self.guard_groups],
-            "exit_groups": [[list(g.flows), g.capacity] for g in self.exit_groups],
-        }
+        data: dict = {"kind": "traffic"}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name in _GROUP_FIELDS:
+                value = [[list(g.flows), g.capacity] for g in value]
+            data[field.name] = value
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrafficScenario":
-        groups = {
-            side: tuple(
+        kwargs = {field.name: data[field.name] for field in fields(cls) if field.name in data}
+        for side in _GROUP_FIELDS:
+            kwargs[side] = tuple(
                 Bottleneck(tuple(int(f) for f in flows), float(capacity))
-                for flows, capacity in data.get(side, ())
+                for flows, capacity in kwargs.get(side, ())
             )
-            for side in ("guard_groups", "exit_groups")
-        }
-        kwargs = {
-            key: data[key]
-            for key in (
-                "seed",
-                "n_pairs",
-                "duration",
-                "base_rate",
-                "rate_spread",
-                "jitter_low",
-                "jitter_high",
-                "ack_delay",
-                "mss",
-                "tunnel_delay",
-                "tunnel_jitter",
-                "retransmit_rate",
-            )
-            if key in data
-        }
-        return cls(**kwargs, **groups)
+        return cls(**kwargs)
 
 
 @dataclass
@@ -843,44 +817,30 @@ def gen_interception_timeline(
     that is all that flows toward a guard during a download.
     """
     _check_settles(announce_at, propagation, withdraw_at)
-    scenario.validate()
-    rng = np.random.default_rng(scenario.seed)
-    allocation = _byte_allocation(scenario, rng)
-    perm = rng.permutation(scenario.n_pairs)
+    clients, server_traces, truth = gen_traffic(scenario)
     switch_on = announce_at + propagation
     switch_off = min(withdraw_at + reconvergence, scenario.duration)
-
     attacker_traces: list[EndpointTrace] = []
-    server_traces: list[EndpointTrace | None] = [None] * scenario.n_pairs
-    pairing: dict[str, str] = {}
     n_secs = math.ceil(scenario.duration)
     good = np.zeros(n_secs, dtype=np.int64)
     captured = np.zeros(n_secs, dtype=np.int64)
-    for i in range(scenario.n_pairs):
-        client_obs, server_obs = _render_flow(allocation[i], scenario, rng)
-        client_id = f"client-{i:02d}"
-        server_id = f"server-{perm[i]:02d}"
-        pairing[client_id] = server_id
+    for client in clients:
         # download direction: the server-side render is reused as-is, and
         # the client's acks toward the guard are the FROM_RELAY stream of
         # the upload render reinterpreted (same cumulative process).
-        acks = client_obs[client_obs.direction == DIRECTIONS.index(Direction.FROM_RELAY)]
+        obs = client.observations
+        acks = obs[obs.direction == DIRECTIONS.index(Direction.FROM_RELAY)]
         inside = (switch_on <= acks.ts) & (acks.ts < switch_off)
         seconds = np.minimum(acks.ts.astype(np.int64), n_secs - 1)
         captured += np.bincount(seconds[inside], minlength=n_secs)
         good += np.bincount(seconds[~inside], minlength=n_secs)
         kept = acks[inside]
         kept.direction[:] = DIRECTIONS.index(Direction.TO_RELAY)
-        attacker_traces.append(
-            EndpointTrace(client_id, (f"10.50.{i}.2:443", "10.99.0.1:9001"), kept)
-        )
-        server_traces[perm[i]] = EndpointTrace(
-            server_id, ("10.99.0.2:35000", f"10.60.{perm[i]}.2:80"), server_obs
-        )
+        attacker_traces.append(replace(client, observations=kept))
     return InterceptionRun(
         attacker_traces=attacker_traces,
-        server_traces=[s for s in server_traces if s is not None],
-        truth=GroundTruth(pairing),
+        server_traces=server_traces,
+        truth=truth,
         capture=(switch_on, switch_off),
         seconds=np.arange(n_secs, dtype=np.float64),
         good_acks=good,

@@ -375,7 +375,9 @@ def test_churn_summary_monotone_over_baseline():
             assert updated.compromised(pair) >= baseline.compromised(pair)
 
 
-def test_churn_summary_from_given_records_equals_own_sweep():
+def test_churn_summary_per_as_circuits_match_brute_force_window_records():
+    # per-AS coverage counts the window's circuits only: circuits that only
+    # the baseline compromised never enter per_as_circuits
     rng = random.Random(78)
     for _ in range(10):
         updates, relays, sessions, window = random_churn_fixture(rng)
@@ -384,11 +386,11 @@ def test_churn_summary_from_given_records_equals_own_sweep():
         )
         ribs = build_ribs(updates, relays, sessions)
         span = (0.0, float(window[1]))
-        records = compromised_circuits(
-            segment_observations(ribs, relays, span), min_overlap=5, local_as=sessions
-        )
-        given = churn_summary(ribs, relays, span, min_overlap=5, baseline=baseline, records=records)
-        assert given == churn_summary(ribs, relays, span, min_overlap=5, baseline=baseline)
+        summary = churn_summary(ribs, relays, span, min_overlap=5, baseline=baseline)
+        expected: dict[int, set[tuple[int, int]]] = {}
+        for record in brute_force_records(ribs, relays, span, min_overlap=5):
+            expected.setdefault(record.as_number, set()).add((record.guard, record.exit))
+        assert summary.per_as_circuits == expected
 
 
 # --- per-AS coverage ----------------------------------------------------------
@@ -406,7 +408,7 @@ def test_as_coverage_extremes_and_hub_ranking():
     hub_records = [
         CircuitCompromiseRecord("s1", "s2", g, e, 99, 60.0) for g in guards for e in exits
     ] + [CircuitCompromiseRecord("s1", "s2", guards[0], exits[0], 50, 60.0)]
-    rows = as_circuit_coverage(hub_records, relays)
+    rows = as_circuit_coverage(summarize(hub_records, [("s1", "s2")], relays))
     assert rows[0] == (99, 100.0, 4)  # the hub transit AS ranks first
     assert rows[1] == (50, 25.0, 1)
     coverage = {asn: pct for asn, pct, _ in rows}

@@ -291,6 +291,27 @@ def test_churn_rejects_malformed_updates(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_churn_rejects_malformed_initial_state(tmp_path, capsys):
+    (tmp_path / "relays.csv").write_text(_RELAY_CSV)
+    (tmp_path / "updates.csv").write_text(_UPDATE_CSV)
+    initial = tmp_path / "initial.csv"
+    initial.write_text(
+        'timestamp,session,kind,prefix,path\n0,s1,A,198.245.63.0/24,"3356 16276"\n'
+        'zero,s2,A,198.245.63.0/24,"174 16276"\n'
+    )
+    code = run(
+        "--output-dir", tmp_path / "o",
+        "churn",
+        "--updates", tmp_path / "updates.csv",
+        "--relays", tmp_path / "relays.csv",
+        "--initial", initial,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "initial.csv: line 3: " in err
+    assert "Traceback" not in err
+
+
 def test_paths_subcommand(tmp_path):
     mapping = tmp_path / "map.csv"
     mapping.write_text(
@@ -543,4 +564,27 @@ def test_detect_empty_window_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "empty detection window 10..5" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [("nope", "c.json:1: "), ('{"min_overlap": 5,\n ]', "c.json:2: "), ("7", "c.json: ")],
+    ids=["not-json", "bad-second-line", "not-an-object"],
+)
+def test_bad_config_file_exits_2(tmp_path, capsys, text, where):
+    (tmp_path / "relays.csv").write_text(_RELAY_CSV)
+    (tmp_path / "updates.csv").write_text(_UPDATE_CSV)
+    config = tmp_path / "c.json"
+    config.write_text(text)
+    code = run(
+        "--output-dir", tmp_path / "o",
+        "--config", config,
+        "detect",
+        "--updates", tmp_path / "updates.csv",
+        "--relays", tmp_path / "relays.csv",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert where in err
     assert "Traceback" not in err

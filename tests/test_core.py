@@ -13,7 +13,6 @@ from routelens.core import (
     PrefixTable,
     RelayDescriptor,
     RelayIndex,
-    RelayRole,
     int_to_ip,
     ip_to_int,
     load_relays,
@@ -232,8 +231,6 @@ def test_relay_roles_and_csv_roundtrip(tmp_path):
         RelayDescriptor(ip_to_int("5.9.0.1"), False, True, 80.0, "ex"),
         RelayDescriptor(ip_to_int("5.9.0.2"), True, True, 10.0, "dual"),
     ]
-    assert relays[0].role == RelayRole.GUARD
-    assert relays[2].role == RelayRole.BOTH
     path = tmp_path / "relays.csv"
     write_relays(path, relays)
     assert load_relays(path) == relays
@@ -248,9 +245,6 @@ def test_relay_index_coverage():
     index = RelayIndex(relays)
     both = index.covered_by(IpPrefix.parse("10.0.0.0/16"))
     assert [r.nickname for r in both] == ["g", "e"]
-    assert index.role_of_prefix(IpPrefix.parse("10.0.0.0/16")) == RelayRole.BOTH
-    assert index.role_of_prefix(IpPrefix.parse("10.0.1.0/24")) == RelayRole.GUARD
-    assert index.role_of_prefix(IpPrefix.parse("172.16.0.0/12")) is None
     assert index.covers_any(IpPrefix.parse("192.0.2.0/24"))
     assert not index.covers_any(IpPrefix.parse("203.0.113.0/24"))
 
