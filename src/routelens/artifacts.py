@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,10 +45,24 @@ def _meta(config: dict, extra: dict | None = None) -> dict:
     return meta
 
 
-def write_csv(path, config: dict, header: list[str], rows, extra_meta: dict | None = None) -> None:
+@contextmanager
+def _replacing(path, newline: str | None = None):
+    """Text handle onto a temp file beside path that replaces path on
+    success; on any error the temp file is removed and path is untouched."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", newline=newline) as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, config: dict, header: list[str], rows, extra_meta: dict | None = None) -> None:
+    with _replacing(path, newline="") as handle:
         for key, value in _meta(config, extra_meta).items():
             handle.write(f"# {key}={value}\n")
         handle.write(",".join(header) + "\n")
@@ -55,19 +71,15 @@ def write_csv(path, config: dict, header: list[str], rows, extra_meta: dict | No
 
 
 def write_jsonl(path, config: dict, records, extra_meta: dict | None = None) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as handle:
+    with _replacing(path) as handle:
         handle.write(json.dumps({"_meta": _meta(config, extra_meta)}, sort_keys=True) + "\n")
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def write_json(path, config: dict, payload: dict, extra_meta: dict | None = None) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     document = {"_meta": _meta(config, extra_meta), **payload}
-    with open(path, "w") as handle:
+    with _replacing(path) as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
 

@@ -3,8 +3,17 @@
 An AS compromises a circuit for a (source session, destination session)
 pair when it simultaneously sits on the forwarding path toward the guard
 on one session and toward the exit on the other. Forwarding follows the
-most-specific live entry, intervals come straight from the RIB history,
-and a minimum overlap keeps blink-and-miss coincidences out.
+most-specific live entry, and intervals come straight from the RIB history.
+
+The metric is one product per AS over elementary segments. The window is
+cut at every endpoint of the AS's spans; each (source, guard) key is a 0/1
+row over those segments, and so is each (destination, exit) key. Weighting
+the guard rows by segment length, their product with the exit rows gives
+every key pair's overlap: the measure of the intersection of their span
+sets. A pair counts when that measure is strictly positive and at least
+min_overlap, which keeps blink-and-miss coincidences out. The kept cells,
+ORed over ASes, give each session pair's guard x exit circuits; ORed over
+session pairs, each AS's coverage.
 """
 
 from __future__ import annotations
@@ -12,6 +21,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
+
+import numpy as np
 
 from .bgp import SessionRib
 from .core import RelayDescriptor, RelayRole, merge_intervals
@@ -32,23 +43,42 @@ class SegmentObservation:
 
 
 @dataclass(frozen=True)
-class CircuitCompromiseRecord:
-    src_session: str
-    dst_session: str
-    guard: int
-    exit: int
-    as_number: int
-    overlap_seconds: float
+class CircuitHits:
+    """Compromised circuits, one row per (AS, src, guard, dst, exit).
+
+    Parallel columns: as_index indexes ases, src and dst index sessions,
+    guard and exit are relay addresses, and overlap_seconds is the measure
+    of the intersection (decided exactly at the min_overlap threshold,
+    elsewhere to rounding).
+    """
+
+    sessions: tuple[str, ...]
+    ases: np.ndarray
+    as_index: np.ndarray
+    src: np.ndarray
+    guard: np.ndarray
+    dst: np.ndarray
+    exit: np.ndarray
+    overlap_seconds: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.as_index)
 
 
 @dataclass
 class CompromiseSummary:
-    """Distinct compromised (guard, exit) circuits per (src, dst) pair and
-    per AS; per-AS coverage reads per_as_circuits."""
+    """Distinct compromised circuits per (src, dst) pair and per AS.
 
-    pair_circuits: dict[tuple[str, str], frozenset[tuple[int, int]]]
+    Each value is a sorted array of circuit ids g * len(exits) + e, where g
+    and e index the sorted guard and exit address axes, so its len() is the
+    circuit count. per_as_circuits holds only the window's circuits.
+    """
+
+    pair_circuits: dict[tuple[str, str], np.ndarray]
     total_circuits: int
-    per_as_circuits: dict[int, frozenset[tuple[int, int]]]
+    per_as_circuits: dict[int, np.ndarray]
+    guards: np.ndarray
+    exits: np.ndarray
 
     def compromised(self, pair: tuple[str, str]) -> int:
         return len(self.pair_circuits.get(pair, ()))
@@ -62,7 +92,7 @@ class CompromiseSummary:
 
     @property
     def compromisable_pairs(self) -> int:
-        return sum(1 for circuits in self.pair_circuits.values() if circuits)
+        return sum(1 for circuits in self.pair_circuits.values() if len(circuits))
 
 
 def _intersection_length(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> float:
@@ -134,51 +164,113 @@ def segment_observations(
     return observations
 
 
+def _distinct_rows(spans_by_key: dict[tuple[int, int], list[tuple[float, float]]]):
+    """Sessions and relays of the sorted keys, each key's row among the
+    distinct merged span sets, and those span sets."""
+    keys = sorted(spans_by_key)
+    distinct: dict[tuple[tuple[float, float], ...], int] = {}
+    rows = [
+        distinct.setdefault(tuple(merge_intervals(spans_by_key[key])), len(distinct))
+        for key in keys
+    ]
+    session, relay = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    return session, relay, np.array(rows, dtype=np.int64), list(distinct)
+
+
+def _indicator(span_sets: list, edges: np.ndarray) -> np.ndarray:
+    """0/1 matrix: row r covers segment k = [edges[k], edges[k + 1])."""
+    rows = [r for r, spans in enumerate(span_sets) for _ in spans]
+    bounds = np.array([span for spans in span_sets for span in spans]).reshape(-1, 2)
+    steps = np.zeros((len(span_sets), len(edges)))
+    np.add.at(steps, (rows, np.searchsorted(edges, bounds[:, 0])), 1.0)
+    np.add.at(steps, (rows, np.searchsorted(edges, bounds[:, 1])), -1.0)
+    return np.cumsum(steps, axis=1)[:, :-1]
+
+
+def _as_hits(guard_spans, exit_spans, admitted: np.ndarray, min_overlap: float):
+    """(src, guard, dst, exit, overlap) columns of one AS's kept key pairs.
+
+    Keys with identical span sets share one row of the product: relays
+    behind the same covering routes on a session see the same spans.
+    """
+    src, guard, guard_rows, guard_sets = _distinct_rows(guard_spans)
+    dst, exit_, exit_rows, exit_sets = _distinct_rows(exit_spans)
+    edges = np.unique([t for spans in guard_sets + exit_sets for span in spans for t in span])
+    weighted = _indicator(guard_sets, edges) * np.diff(edges)
+    # einsum without optimize stays off BLAS, whose threads only slow
+    # products this small
+    overlap = np.einsum("ik,jk->ij", weighted, _indicator(exit_sets, edges), optimize=False)
+    keep = overlap > 0
+    # The segment sum and a direct sweep of the intersection each lie within
+    # (segments + 1) * eps * span of the exact overlap, so only cells this
+    # near the threshold can fall on the wrong side; those are swept directly.
+    near = 4 * (len(edges) + 1) * np.finfo(float).eps * (edges[-1] - edges[0])
+    for i, j in zip(*np.nonzero(keep & (np.abs(overlap - min_overlap) <= near))):
+        overlap[i, j] = _intersection_length(guard_sets[i], exit_sets[j])
+    keep &= overlap >= min_overlap
+    # back from distinct span sets to keys, then the admission rules
+    hit = (
+        keep[np.ix_(guard_rows, exit_rows)]
+        & admitted[np.ix_(src, dst)]
+        & (guard[:, np.newaxis] != exit_[np.newaxis, :])
+    )
+    g, e = np.nonzero(hit)
+    return src[g], guard[g], dst[e], exit_[e], overlap[guard_rows[g], exit_rows[e]]
+
+
 def compromised_circuits(
     observations: list[SegmentObservation],
     min_overlap: float = 30.0,
     require_distinct_as: bool = True,
     local_as: dict[str, int] | None = None,
-) -> list[CircuitCompromiseRecord]:
+) -> CircuitHits:
     """All (AS, (src, guard), (dst, exit)) co-occurrences of sufficient length.
 
     Overlap is the measure of the interval-set intersection, summed across
-    every co-occurring interval of the same five-way key; zero-length
-    contact never counts, even at min_overlap 0. Pairs on the same session,
-    or on sessions in the same AS when require_distinct_as is set, are
-    skipped. Circuits using one relay as both guard and exit are not valid
-    and are skipped too.
+    every co-occurring interval of the same five-way key; it must be
+    strictly positive, so zero-length contact never counts, even at
+    min_overlap 0. Pairs on the same session, or on sessions in the same AS
+    when require_distinct_as is set, are skipped. Circuits using one relay
+    as both guard and exit are not valid and are skipped too.
     """
     local_as = local_as or {}
-    by_as: dict[int, dict[RelayRole, dict[tuple[str, int], list[tuple[float, float]]]]] = {}
+    sessions = tuple(sorted({obs.session for obs in observations}))
+    index = {sid: i for i, sid in enumerate(sessions)}
+
+    def admits(src: str, dst: str) -> bool:
+        same_as = require_distinct_as and src in local_as and local_as[src] == local_as.get(dst)
+        return src != dst and not same_as
+
+    admitted = np.array(
+        [[admits(src, dst) for dst in sessions] for src in sessions], dtype=bool
+    ).reshape(len(sessions), len(sessions))
+    by_as: dict[int, tuple[dict, dict]] = {}
     for obs in observations:
-        slot = by_as.setdefault(obs.as_number, {RelayRole.GUARD: {}, RelayRole.EXIT: {}})
-        slot[obs.role].setdefault((obs.session, obs.relay), []).append(
-            (obs.t_start, obs.t_end)
-        )
-    records = []
-    for asn in sorted(by_as):
-        guards = {key: merge_intervals(v) for key, v in by_as[asn][RelayRole.GUARD].items()}
-        exits = {key: merge_intervals(v) for key, v in by_as[asn][RelayRole.EXIT].items()}
-        for (src, guard), g_spans in sorted(guards.items()):
-            for (dst, exit_), e_spans in sorted(exits.items()):
-                if src == dst or guard == exit_:
-                    continue
-                if require_distinct_as and local_as.get(src) == local_as.get(dst) and src in local_as:
-                    continue
-                overlap = _intersection_length(g_spans, e_spans)
-                if overlap > 0 and overlap >= min_overlap:
-                    records.append(
-                        CircuitCompromiseRecord(src, dst, guard, exit_, asn, overlap)
-                    )
-    return records
+        keys = by_as.setdefault(obs.as_number, ({}, {}))[obs.role is RelayRole.EXIT]
+        keys.setdefault((index[obs.session], obs.relay), []).append((obs.t_start, obs.t_end))
+    # only an AS on both a guard's and an exit's path can compromise a circuit
+    ases = [asn for asn in sorted(by_as) if all(by_as[asn])]
+    columns = [_as_hits(*by_as[asn], admitted, min_overlap) for asn in ases]
+    empty = (np.empty(0, dtype=np.int64),) * 4 + (np.empty(0),)
+    return CircuitHits(
+        sessions,
+        np.array(ases, dtype=np.int64),
+        np.repeat(np.arange(len(ases)), [len(hits[0]) for hits in columns]),
+        *(np.concatenate(column) for column in zip(empty, *columns)),
+    )
+
+
+def circuit_axes(relays: list[RelayDescriptor]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted guard and exit addresses: the axes circuit ids index."""
+    guards = sorted({r.address for r in relays if r.is_guard})
+    exits = sorted({r.address for r in relays if r.is_exit})
+    return np.array(guards, dtype=np.int64), np.array(exits, dtype=np.int64)
 
 
 def circuit_universe(relays: list[RelayDescriptor]) -> int:
     """Number of valid (guard, exit) combinations, distinct relays only."""
-    guards = {r.address for r in relays if r.is_guard}
-    exits = {r.address for r in relays if r.is_exit}
-    return len(guards) * len(exits) - len(guards & exits)
+    guards, exits = circuit_axes(relays)
+    return len(guards) * len(exits) - len(np.intersect1d(guards, exits))
 
 
 def session_pairs(
@@ -200,22 +292,40 @@ def session_pairs(
     return pairs
 
 
+def _or_rows(owner: np.ndarray, circuit: np.ndarray, n_owners: int, n_circuits: int):
+    """Per owner, the sorted distinct circuit ids: the OR of its hits as one
+    boolean owner x circuit matrix."""
+    bits = np.zeros((n_owners, n_circuits), dtype=bool)
+    bits[owner, circuit] = True
+    return [np.flatnonzero(row) for row in bits]
+
+
 def summarize(
-    records: list[CircuitCompromiseRecord],
+    hits: CircuitHits,
     pairs: list[tuple[str, str]],
     relays: list[RelayDescriptor],
 ) -> CompromiseSummary:
-    pair_sets: dict[tuple[str, str], set[tuple[int, int]]] = {p: set() for p in pairs}
-    per_as: dict[int, set[tuple[int, int]]] = {}
-    for record in records:
-        key = (record.src_session, record.dst_session)
-        if key in pair_sets:
-            pair_sets[key].add((record.guard, record.exit))
-        per_as.setdefault(record.as_number, set()).add((record.guard, record.exit))
+    """OR the hits into each listed pair's and each AS's circuit ids."""
+    guards, exits = circuit_axes(relays)
+    n_circuits = len(guards) * len(exits)
+    circuit = np.searchsorted(guards, hits.guard) * len(exits) + np.searchsorted(exits, hits.exit)
+    # hits of pairs not listed land in the extra last row
+    index = {pair: k for k, pair in enumerate(pairs)}
+    n = len(hits.sessions)
+    pair_of = np.array(
+        [index.get((src, dst), len(pairs)) for src in hits.sessions for dst in hits.sessions],
+        dtype=np.int64,
+    )
+    by_pair = _or_rows(pair_of[hits.src * n + hits.dst], circuit, len(pairs) + 1, n_circuits)
+    by_as = _or_rows(hits.as_index, circuit, len(hits.ases), n_circuits)
     return CompromiseSummary(
-        pair_circuits={p: frozenset(s) for p, s in pair_sets.items()},
+        pair_circuits=dict(zip(pairs, by_pair)),
         total_circuits=circuit_universe(relays),
-        per_as_circuits={a: frozenset(s) for a, s in per_as.items()},
+        per_as_circuits={
+            asn: ids for asn, ids in zip(hits.ases.tolist(), by_as) if len(ids)
+        },
+        guards=guards,
+        exits=exits,
     )
 
 
@@ -232,13 +342,13 @@ def static_baseline(
     """
     observations = segment_observations(ribs, relays, (t0, t0 + 1.0))
     snapshot = [o for o in observations if o.t_start <= t0 < o.t_end]
-    records = compromised_circuits(
+    hits = compromised_circuits(
         snapshot,
         min_overlap=0.0,
         require_distinct_as=require_distinct_as,
         local_as={sid: rib.session.local_as for sid, rib in ribs.items()},
     )
-    return summarize(records, session_pairs(ribs, require_distinct_as), relays)
+    return summarize(hits, session_pairs(ribs, require_distinct_as), relays)
 
 
 def churn_summary(
@@ -256,19 +366,29 @@ def churn_summary(
     with-updates pair counts monotone in the update stream by construction.
     per_as_circuits holds only the circuits compromised during the window.
     """
-    records = compromised_circuits(
+    hits = compromised_circuits(
         segment_observations(ribs, relays, window),
         min_overlap=min_overlap,
         require_distinct_as=require_distinct_as,
         local_as={sid: rib.session.local_as for sid, rib in ribs.items()},
     )
-    summary = summarize(records, session_pairs(ribs, require_distinct_as), relays)
+    summary = summarize(hits, session_pairs(ribs, require_distinct_as), relays)
     if baseline is not None:
-        summary.pair_circuits = {
-            pair: summary.pair_circuits.get(pair, frozenset())
-            | baseline.pair_circuits.get(pair, frozenset())
-            for pair in set(summary.pair_circuits) | set(baseline.pair_circuits)
-        }
+        if not (
+            np.array_equal(baseline.guards, summary.guards)
+            and np.array_equal(baseline.exits, summary.exits)
+        ):
+            raise ValueError("baseline counts circuits over a different relay list")
+        pairs = sorted(set(summary.pair_circuits) | set(baseline.pair_circuits))
+        none = np.empty(0, dtype=np.int64)
+        both = [
+            side.pair_circuits.get(pair, none) for side in (summary, baseline) for pair in pairs
+        ]
+        owner = np.repeat(np.tile(np.arange(len(pairs)), 2), [len(ids) for ids in both])
+        n_circuits = len(summary.guards) * len(summary.exits)
+        summary.pair_circuits = dict(
+            zip(pairs, _or_rows(owner, np.concatenate([none, *both]), len(pairs), n_circuits))
+        )
     return summary
 
 

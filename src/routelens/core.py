@@ -104,8 +104,14 @@ def load_relays(path) -> list[RelayDescriptor]:
     relays = []
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
+        required = {"address", "is_guard", "is_exit", "bandwidth"}
+        missing = sorted(required - set(reader.fieldnames or required))
+        if missing:
+            raise InputError(f"{path}:1: relay list header lacks {', '.join(missing)}")
         for row in reader:
             try:
+                if None in row.values():
+                    raise ValueError("too few fields")
                 relays.append(
                     RelayDescriptor(
                         address=ip_to_int(row["address"]),

@@ -3,11 +3,20 @@
 import json
 import math
 import random
+from dataclasses import dataclass
+
+import numpy as np
 
 from routelens.bgp import BgpUpdate, UpdateKind, ingest
-from routelens.churn import CircuitCompromiseRecord, EmptyInputError
+from routelens.churn import (
+    CompromiseSummary,
+    EmptyInputError,
+    _intersection_length,
+    circuit_axes,
+    circuit_universe,
+)
 from routelens.core import (
-    AsPath, IpPrefix, RelayDescriptor, RelayIndex, ip_to_int, merge_intervals
+    AsPath, IpPrefix, RelayDescriptor, RelayIndex, RelayRole, ip_to_int, merge_intervals
 )
 from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
 from routelens.detect import HijackAlert, Heuristic, _affected
@@ -127,6 +136,88 @@ def brute_force_records(ribs, relays, window, min_overlap, require_distinct_as=T
                 CircuitCompromiseRecord(src, dst, guard, exit_, asn, float(seconds))
             )
     return records
+
+
+# --- per-record compromise oracle ------------------------------------------------
+
+
+@dataclass(frozen=True, order=True)
+class CircuitCompromiseRecord:
+    src_session: str
+    dst_session: str
+    guard: int
+    exit: int
+    as_number: int
+    overlap_seconds: float
+
+
+def oracle_records(observations, min_overlap=30.0, require_distinct_as=True, local_as=None):
+    """Every (AS, (src, guard), (dst, exit)) co-occurrence, one record per
+    five-way key, from a sweep over each pair of merged span lists."""
+    local_as = local_as or {}
+    by_as = {}
+    for obs in observations:
+        slot = by_as.setdefault(obs.as_number, {RelayRole.GUARD: {}, RelayRole.EXIT: {}})
+        slot[obs.role].setdefault((obs.session, obs.relay), []).append(
+            (obs.t_start, obs.t_end)
+        )
+    records = []
+    for asn in sorted(by_as):
+        guards = {key: merge_intervals(v) for key, v in by_as[asn][RelayRole.GUARD].items()}
+        exits = {key: merge_intervals(v) for key, v in by_as[asn][RelayRole.EXIT].items()}
+        for (src, guard), g_spans in sorted(guards.items()):
+            for (dst, exit_), e_spans in sorted(exits.items()):
+                if src == dst or guard == exit_:
+                    continue
+                if require_distinct_as and local_as.get(src) == local_as.get(dst) and src in local_as:
+                    continue
+                overlap = _intersection_length(g_spans, e_spans)
+                if overlap > 0 and overlap >= min_overlap:
+                    records.append(
+                        CircuitCompromiseRecord(src, dst, guard, exit_, asn, overlap)
+                    )
+    return records
+
+
+def hit_records(hits) -> set:
+    """The product's per-AS hits as records."""
+    return {
+        CircuitCompromiseRecord(
+            hits.sessions[src], hits.sessions[dst], guard, exit_, int(hits.ases[k]), seconds
+        )
+        for k, src, guard, dst, exit_, seconds in zip(
+            hits.as_index.tolist(), hits.src.tolist(), hits.guard.tolist(),
+            hits.dst.tolist(), hits.exit.tolist(), hits.overlap_seconds.tolist(),
+        )
+    }
+
+
+def summarize_records(records, pairs, relays) -> CompromiseSummary:
+    """CompromiseSummary folded record by record through Python sets."""
+    guards, exits = circuit_axes(relays)
+    g_index = {address: i for i, address in enumerate(guards.tolist())}
+    e_index = {address: i for i, address in enumerate(exits.tolist())}
+    pair_sets = {pair: set() for pair in pairs}
+    per_as = {}
+    for record in records:
+        circuit = g_index[record.guard] * len(exits) + e_index[record.exit]
+        key = (record.src_session, record.dst_session)
+        if key in pair_sets:
+            pair_sets[key].add(circuit)
+        per_as.setdefault(record.as_number, set()).add(circuit)
+    return CompromiseSummary(
+        pair_circuits={p: np.array(sorted(s), dtype=np.int64) for p, s in pair_sets.items()},
+        total_circuits=circuit_universe(relays),
+        per_as_circuits={a: np.array(sorted(s), dtype=np.int64) for a, s in per_as.items()},
+        guards=guards,
+        exits=exits,
+    )
+
+
+def circuit_pairs(summary, ids) -> set:
+    """Circuit ids of a summary as (guard, exit) address pairs."""
+    n_exits = len(summary.exits)
+    return {(int(summary.guards[i // n_exits]), int(summary.exits[i % n_exits])) for i in ids}
 
 
 def oracle_ccdf(summary):

@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     brute_force_records,
     build_ribs,
+    hit_records,
     random_churn_fixture,
 )
 from test_correlation import beta_quantile_oracle, brute_spearman
@@ -155,7 +156,7 @@ def test_criterion_05_compromise_metric_equals_brute_force():
         ribs = build_ribs(updates, relays, sessions)
         min_overlap = rng.choice([0, 1, 5, 10, 30])
         observations = segment_observations(ribs, relays, window)
-        got = set(
+        got = hit_records(
             compromised_circuits(
                 observations,
                 min_overlap=min_overlap,

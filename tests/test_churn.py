@@ -1,19 +1,27 @@
 """Tests for the simultaneous-observation compromise metric."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 from helpers import (
+    CircuitCompromiseRecord,
     announce,
     brute_force_records,
     build_ribs,
+    circuit_pairs,
+    hit_records,
     oracle_ccdf,
+    oracle_records,
     random_churn_fixture,
+    summarize_records,
     withdraw,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from routelens.churn import (
-    CircuitCompromiseRecord,
     CompromiseSummary,
     EmptyInputError,
     SegmentObservation,
@@ -25,8 +33,8 @@ from routelens.churn import (
     circuit_universe,
     compromised_circuits,
     segment_observations,
+    session_pairs,
     static_baseline,
-    summarize,
 )
 from routelens.core import RelayDescriptor, RelayRole, ip_to_int
 
@@ -89,12 +97,17 @@ def seg(asn, session, addr, role, start, end):
     return SegmentObservation(asn, session, ip_to_int(addr), role, start, end)
 
 
+def circuits(observations, **kwargs):
+    """The product's per-AS hits as sorted records."""
+    return sorted(hit_records(compromised_circuits(observations, **kwargs)))
+
+
 def test_overlap_threshold():
     obs = [
         seg(7, "s1", "10.0.0.5", RelayRole.GUARD, 0, 100),
         seg(7, "s2", "10.1.0.5", RelayRole.EXIT, 50, 200),
     ]
-    records = compromised_circuits(obs, min_overlap=30)
+    records = circuits(obs, min_overlap=30)
     assert len(records) == 1
     assert records[0].overlap_seconds == 50.0
 
@@ -102,7 +115,7 @@ def test_overlap_threshold():
         seg(7, "s1", "10.0.0.5", RelayRole.GUARD, 0, 70),
         seg(7, "s2", "10.1.0.5", RelayRole.EXIT, 50, 200),
     ]
-    assert compromised_circuits(short, min_overlap=30) == []
+    assert circuits(short, min_overlap=30) == []
 
 
 def test_overlap_sums_across_cooccurring_intervals():
@@ -111,7 +124,7 @@ def test_overlap_sums_across_cooccurring_intervals():
         seg(7, "s1", "10.0.0.5", RelayRole.GUARD, 20, 30),
         seg(7, "s2", "10.1.0.5", RelayRole.EXIT, 5, 25),
     ]
-    records = compromised_circuits(obs, min_overlap=0)
+    records = circuits(obs, min_overlap=0)
     assert records[0].overlap_seconds == 10.0  # 5 + 5
 
 
@@ -120,7 +133,7 @@ def test_zero_length_contact_never_counts():
         seg(7, "s1", "10.0.0.5", RelayRole.GUARD, 0, 50),
         seg(7, "s2", "10.1.0.5", RelayRole.EXIT, 50, 100),
     ]
-    assert compromised_circuits(obs, min_overlap=0) == []
+    assert circuits(obs, min_overlap=0) == []
 
 
 def test_same_session_and_same_local_as_excluded():
@@ -128,14 +141,14 @@ def test_same_session_and_same_local_as_excluded():
         seg(7, "s1", "10.0.0.5", RelayRole.GUARD, 0, 100),
         seg(7, "s1", "10.1.0.5", RelayRole.EXIT, 0, 100),
     ]
-    assert compromised_circuits(same_session) == []
+    assert circuits(same_session) == []
     cross = same_session + [seg(7, "s2", "10.1.0.5", RelayRole.EXIT, 0, 100)]
-    assert compromised_circuits(cross, local_as={"s1": 64500, "s2": 64500}) == []
-    assert len(compromised_circuits(cross, local_as={"s1": 64500, "s2": 64501})) == 1
+    assert circuits(cross, local_as={"s1": 64500, "s2": 64500}) == []
+    assert len(circuits(cross, local_as={"s1": 64500, "s2": 64501})) == 1
     # without the distinct-AS rule, the same-AS pair is admitted again
     assert (
         len(
-            compromised_circuits(
+            circuits(
                 cross, require_distinct_as=False, local_as={"s1": 64500, "s2": 64500}
             )
         )
@@ -155,7 +168,7 @@ def test_compromising_as_for_the_expected_pair_only():
     ]
     ribs = build_ribs(updates, [g1, e2], {"s1": 64500, "s2": 64501})
     obs = segment_observations(ribs, [g1, e2], (0, 120))
-    records = [r for r in compromised_circuits(obs, min_overlap=30) if r.as_number == 7]
+    records = [r for r in circuits(obs, min_overlap=30) if r.as_number == 7]
     assert [(r.src_session, r.guard, r.dst_session, r.exit) for r in records] == [
         ("s1", g1.address, "s2", e2.address)
     ]
@@ -205,7 +218,7 @@ def test_matches_brute_force_on_random_fixtures():
         min_overlap = rng.choice([0, 1, 5, 10, 30])
         obs = segment_observations(ribs, relays, window)
         got = set(
-            compromised_circuits(
+            circuits(
                 obs,
                 min_overlap=min_overlap,
                 local_as={sid: rib.session.local_as for sid, rib in ribs.items()},
@@ -225,8 +238,8 @@ def test_relabeling_ases_permutes_outputs():
         SegmentObservation(relabel[o.as_number], o.session, o.relay, o.role, o.t_start, o.t_end)
         for o in obs
     ]
-    base = compromised_circuits(obs, min_overlap=5)
-    moved = compromised_circuits(relabeled, min_overlap=5)
+    base = circuits(obs, min_overlap=5)
+    moved = circuits(relabeled, min_overlap=5)
     assert len(base) == len(moved)
     assert {
         (relabel[r.as_number], r.src_session, r.guard, r.dst_session, r.exit, r.overlap_seconds)
@@ -235,6 +248,108 @@ def test_relabeling_ases_permutes_outputs():
         (r.as_number, r.src_session, r.guard, r.dst_session, r.exit, r.overlap_seconds)
         for r in moved
     }
+
+
+TICK = st.integers(0, 30).map(lambda k: k / 10)
+
+
+@st.composite
+def rib_histories(draw):
+    """Relays under nested /8, /16 and /24 prefixes, some both guard and
+    exit; two to four sessions over two local ASes; updates on a 0.1 s grid
+    in (0, 3), so spans have non-integer endpoints and often touch."""
+    relays, prefixes = [], ["10.0.0.0/8"]
+    for i in range(draw(st.integers(2, 6))):
+        role, third = draw(st.sampled_from("geb")), draw(st.integers(0, 1))
+        relays.append(relay(f"10.{i}.{third}.{i + 1}", guard=role in "gb", exit_=role in "eb"))
+        prefixes += [f"10.{i}.0.0/16", f"10.{i}.{third}.0/24"]
+    sessions = {f"s{k}": 64500 + draw(st.integers(0, 1)) for k in range(draw(st.integers(2, 4)))}
+    paths = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+    updates = [
+        announce(0.0, sid, prefix, draw(paths))
+        for sid in sessions
+        for prefix in draw(st.lists(st.sampled_from(prefixes), min_size=1, max_size=4, unique=True))
+    ]
+    changes = st.tuples(TICK, st.sampled_from(sorted(sessions)), st.sampled_from(prefixes),
+                        st.none() | paths)
+    for ts, sid, prefix, path in draw(st.lists(changes, max_size=25)):
+        updates.append(
+            withdraw(ts, sid, prefix) if path is None else announce(ts, sid, prefix, path)
+        )
+    updates.sort(key=lambda u: u.timestamp)
+    return relays, sessions, updates
+
+
+def cut_history(cut):
+    """AS 7 carries s1's guard and s2's exit over [0, 0.9), and a second s1
+    guard until cut, which splits their shared span into two segments."""
+    relays = [
+        relay("10.0.0.1", guard=True), relay("10.2.0.3", guard=True), relay("10.1.0.2", exit_=True)
+    ]
+    updates = [
+        announce(0.0, "s1", "10.0.0.0/16", [7]),
+        announce(0.0, "s1", "10.2.0.0/16", [7]),
+        announce(0.0, "s2", "10.1.0.0/16", [7]),
+        withdraw(cut, "s1", "10.2.0.0/16"),
+        withdraw(0.9, "s1", "10.0.0.0/16"),
+        withdraw(0.9, "s2", "10.1.0.0/16"),
+    ]
+    return relays, {"s1": 64500, "s2": 64501}, sorted(updates, key=lambda u: u.timestamp)
+
+
+@settings(max_examples=150, deadline=None)
+# the segment sums 0.2 + 0.7 and 0.3 + 0.6 round below and above 0.9 - 0.0
+@example(history=cut_history(0.2), min_overlap=0.9, distinct=True)
+@example(history=cut_history(0.3), min_overlap=0.3 + 0.6, distinct=True)
+@given(
+    history=rib_histories(),
+    # 0, or a difference of two grid instants: exactly some span's length
+    min_overlap=st.just(0.0) | st.tuples(TICK, TICK).map(lambda ab: abs(ab[1] - ab[0])),
+    distinct=st.booleans(),
+)
+def test_product_matches_record_oracle_on_random_histories(history, min_overlap, distinct):
+    relays, sessions, updates = history
+    window = (0.0, 3.0)
+    ribs = build_ribs(updates, relays, sessions)
+    local = {sid: rib.session.local_as for sid, rib in ribs.items()}
+    observations = segment_observations(ribs, relays, window)
+    hits = compromised_circuits(observations, min_overlap, distinct, local)
+    records = oracle_records(observations, min_overlap, distinct, local)
+
+    def key(r):
+        return (r.as_number, r.src_session, r.guard, r.dst_session, r.exit)
+
+    got = {key(r): r.overlap_seconds for r in hit_records(hits)}
+    assert len(got) == len(hits)  # one row per five-way key
+    assert set(got) == {key(r) for r in records}
+    # summing segment lengths may round differently from the oracle's sweep
+    assert all(math.isclose(got[key(r)], r.overlap_seconds, rel_tol=1e-12) for r in records)
+
+    base_ribs = build_ribs([u for u in updates if u.timestamp == 0.0], relays, sessions)
+    baseline = static_baseline(base_ribs, relays, t0=0.0, require_distinct_as=distinct)
+    snapshot = [
+        o for o in segment_observations(base_ribs, relays, (0.0, 1.0)) if o.t_start <= 0.0 < o.t_end
+    ]
+    expected_baseline = summarize_records(
+        oracle_records(snapshot, 0.0, distinct, local), session_pairs(base_ribs, distinct), relays
+    )
+    summary = churn_summary(ribs, relays, window, min_overlap, distinct, baseline=baseline)
+    expected = summarize_records(records, session_pairs(ribs, distinct), relays)
+
+    def as_lists(circuits):
+        return {k: ids.tolist() for k, ids in circuits.items()}
+
+    assert as_lists(baseline.pair_circuits) == as_lists(expected_baseline.pair_circuits)
+    assert as_lists(baseline.per_as_circuits) == as_lists(expected_baseline.per_as_circuits)
+    none = np.empty(0, dtype=np.int64)
+    assert as_lists(summary.pair_circuits) == {
+        pair: np.union1d(
+            expected.pair_circuits.get(pair, none), expected_baseline.pair_circuits.get(pair, none)
+        ).tolist()
+        for pair in set(expected.pair_circuits) | set(expected_baseline.pair_circuits)
+    }
+    assert as_lists(summary.per_as_circuits) == as_lists(expected.per_as_circuits)
+    assert as_circuit_coverage(summary) == as_circuit_coverage(expected)
 
 
 # --- summaries, ccdf, ratios -------------------------------------------------
@@ -258,7 +373,7 @@ def test_ccdf_step_function():
     circuits = frozenset(
         (relays[0].address, relays[10 + k].address) for k in range(10)
     )
-    summary = summarize(
+    summary = summarize_records(
         [
             CircuitCompromiseRecord(src, dst, g, e, 1, 60.0)
             for (src, dst) in pairs
@@ -291,7 +406,7 @@ def test_ccdf_median_point():
                     src, dst, relays[0].address, relays[20 + k].address, 1, 60.0
                 )
             )
-    summary = summarize(records, pairs, relays)
+    summary = summarize_records(records, pairs, relays)
     points = ccdf(summary)
     assert ccdf_value(points, 0.75) == 50.0
     assert (0.75, 50.0) in points
@@ -299,7 +414,7 @@ def test_ccdf_median_point():
 
 def test_ccdf_empty_errors():
     with pytest.raises(EmptyInputError):
-        ccdf(summarize([], [], []))
+        ccdf(summarize_records([], [], []))
 
 
 def test_ccdf_monotone_and_bounded_on_random_summaries():
@@ -324,13 +439,13 @@ def test_ccdf_matches_full_scan_oracle_on_random_summaries():
     rng = random.Random(37)
     for _ in range(200):
         total = rng.randint(0, 30)
-        circuits = [(g, e) for g in range(6) for e in range(6)][:total]
+        ids = range(total)  # circuit ids g * 6 + e over 6 guards x 6 exits
         pairs = {
-            (f"s{i}", f"s{j}"): frozenset(rng.sample(circuits, rng.randint(0, total)))
+            (f"s{i}", f"s{j}"): np.array(sorted(rng.sample(ids, rng.randint(0, total))))
             for i in range(rng.randint(1, 6))
             for j in range(rng.randint(1, 6))
         }
-        summary = CompromiseSummary(pairs, total, {})
+        summary = CompromiseSummary(pairs, total, {}, np.arange(6), np.arange(6))
         assert ccdf(summary) == oracle_ccdf(summary)
 
 
@@ -346,8 +461,8 @@ def test_churn_ratio_arithmetic_and_newly():
         CircuitCompromiseRecord("s1", "s2", g, relays[3].address, 2, 60.0),
         CircuitCompromiseRecord("s2", "s1", g, relays[1].address, 2, 60.0),
     ]
-    baseline = summarize(base_records, pairs, relays)
-    updated = summarize(churn_records, pairs, relays)
+    baseline = summarize_records(base_records, pairs, relays)
+    updated = summarize_records(churn_records, pairs, relays)
     ratios, newly = churn_ratio(baseline, updated)
     assert [(r.src_session, r.dst_session, r.ratio) for r in ratios] == [("s1", "s2", 1.5)]
     assert newly == [("s2", "s1", 1)]
@@ -390,7 +505,9 @@ def test_churn_summary_per_as_circuits_match_brute_force_window_records():
         expected: dict[int, set[tuple[int, int]]] = {}
         for record in brute_force_records(ribs, relays, span, min_overlap=5):
             expected.setdefault(record.as_number, set()).add((record.guard, record.exit))
-        assert summary.per_as_circuits == expected
+        assert {
+            asn: circuit_pairs(summary, ids) for asn, ids in summary.per_as_circuits.items()
+        } == expected
 
 
 # --- per-AS coverage ----------------------------------------------------------
@@ -408,7 +525,7 @@ def test_as_coverage_extremes_and_hub_ranking():
     hub_records = [
         CircuitCompromiseRecord("s1", "s2", g, e, 99, 60.0) for g in guards for e in exits
     ] + [CircuitCompromiseRecord("s1", "s2", guards[0], exits[0], 50, 60.0)]
-    rows = as_circuit_coverage(summarize(hub_records, [("s1", "s2")], relays))
+    rows = as_circuit_coverage(summarize_records(hub_records, [("s1", "s2")], relays))
     assert rows[0] == (99, 100.0, 4)  # the hub transit AS ranks first
     assert rows[1] == (50, 25.0, 1)
     coverage = {asn: pct for asn, pct, _ in rows}

@@ -1,9 +1,16 @@
 """End-to-end subcommand tests on small generated fixtures."""
 
 import csv
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from routelens.artifacts import artifacts_equal, read_jsonl_records
 from routelens.cli import main
@@ -14,6 +21,7 @@ from routelens.simulate import (
     RoutingScenario,
     SessionSpec,
     TrafficScenario,
+    random_routing_scenario,
 )
 from routelens.core import RelayDescriptor, ip_to_int
 
@@ -588,3 +596,109 @@ def test_bad_config_file_exits_2(tmp_path, capsys, text, where):
     err = capsys.readouterr().err
     assert where in err
     assert "Traceback" not in err
+
+
+# --- CLI contract under mutated churn inputs --------------------------------------
+
+
+@pytest.fixture(scope="module")
+def churn_inputs(tmp_path_factory):
+    """Valid churn inputs: an initial state, the updates after it, relays,
+    sessions and a config, from a small simulated routing scenario."""
+    root = tmp_path_factory.mktemp("churn-inputs")
+    scenario = root / "scenario.json"
+    scenario.write_text(json.dumps(
+        random_routing_scenario(3, n_sessions=3, n_relays=5, n_ases=4, n_churn=8).to_dict()
+    ))
+    assert run("--output-dir", root / "sim", "simulate", "--scenario", scenario) == 0
+    header, *lines = (root / "sim" / "updates.csv").read_text().splitlines(keepends=True)
+    initial = [line for line in lines if line.startswith("0,")]
+    later = [line for line in lines if not line.startswith("0,")]
+    return {
+        "initial": header + "".join(initial),
+        "updates": header + "".join(later),
+        "relays": (root / "sim" / "relays.csv").read_text(),
+        "sessions": "session_id,local_as\ns0,64500\ns1,64501\ns2,64502\n",
+        "config": json.dumps({"min_overlap": 5.0}),
+    }
+
+
+def _mutate(text, mutation, at):
+    lines = text.splitlines(keepends=True)
+    k = at % len(lines)
+    if mutation == "truncate":
+        lines[k] = lines[k][: len(lines[k]) // 2] + "\n"
+    elif mutation == "octet 300":
+        lines[k] = re.sub(r"\b(\d+)\.(\d+)\.", r"300.\2.", lines[k], count=1)
+    elif mutation == "reverse":
+        lines = lines[:1] + lines[:0:-1]
+    elif mutation == "empty":
+        lines = []
+    elif mutation == "not json":
+        lines = ["nope{\n"]
+    return "".join(lines)
+
+
+def _complete_artifact(path):
+    """A CSV artifact written whole: metadata, header, full-width rows."""
+    text = path.read_text()
+    if not text.endswith("\n") or "# written_at=" not in text:
+        return False
+    header, *rows = [line for line in text.splitlines() if not line.startswith("# ")]
+    return all(line.count(",") == header.count(",") for line in rows)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    target=st.sampled_from(["initial", "updates", "relays", "sessions", "config"]),
+    mutation=st.sampled_from(["truncate", "octet 300", "reverse", "empty", "not json"]),
+    at=st.integers(0, 40),
+)
+def test_churn_mutated_inputs_keep_the_cli_contract(churn_inputs, target, mutation, at):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        files = dict(churn_inputs, **{target: _mutate(churn_inputs[target], mutation, at)})
+        for name, text in files.items():
+            (root / name).write_text(text)
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            # an exception escaping main is the traceback the contract rules out
+            code = run(
+                "--output-dir", root / "out",
+                "--config", root / "config",
+                "churn",
+                "--updates", root / "updates",
+                "--initial", root / "initial",
+                "--relays", root / "relays",
+                "--sessions", root / "sessions",
+                "--filter-resets",
+            )
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ") or ": line " in err.getvalue()
+        written = sorted((root / "out").iterdir()) if (root / "out").exists() else []
+        assert all(_complete_artifact(path) for path in written), [p.name for p in written]
+
+
+@pytest.mark.parametrize(
+    "relays_text, message",
+    [
+        ("nope{\n", "relay list header lacks address, bandwidth, is_exit, is_guard"),
+        (
+            "address,is_guard,is_exit,bandwidth,nickname\n10.0.0.5,1\n",
+            "relays.csv:2: bad relay row: too few fields",
+        ),
+    ],
+)
+def test_churn_unreadable_relay_list_exits_2(tmp_path, capsys, relays_text, message):
+    (tmp_path / "relays.csv").write_text(relays_text)
+    (tmp_path / "updates.csv").write_text(_UPDATE_CSV)
+    code = run(
+        "--output-dir", tmp_path / "o",
+        "churn", "--updates", tmp_path / "updates.csv", "--relays", tmp_path / "relays.csv",
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err

@@ -35,7 +35,7 @@ from routelens.simulate import (
     shared_guard_variant,
 )
 
-from helpers import oracle_trace_text
+from helpers import hit_records, oracle_trace_text
 
 DAY = 86400.0
 
@@ -324,12 +324,15 @@ def test_pipeline_reproduces_planted_compromised_set():
             local_as={s.session_id: s.local_as for s in scenario.sessions},
         )
         observations = segment_observations(ribs, list(scenario.relays), scenario.window)
-        records = compromised_circuits(
+        hits = compromised_circuits(
             observations,
             min_overlap=10.0,
             local_as={s.session_id: s.local_as for s in scenario.sessions},
         )
-        got = {(r.as_number, r.src_session, r.guard, r.dst_session, r.exit) for r in records}
+        got = {
+            (r.as_number, r.src_session, r.guard, r.dst_session, r.exit)
+            for r in hit_records(hits)
+        }
         assert got == planted_compromised(scenario, min_overlap=10.0)
 
 
