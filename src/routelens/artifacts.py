@@ -46,7 +46,7 @@ def _meta(config: dict, extra: dict | None = None) -> dict:
 
 
 @contextmanager
-def _replacing(path, newline: str | None = None):
+def replacing(path, newline: str | None = None):
     """Text handle onto a temp file beside path that replaces path on
     success; on any error the temp file is removed and path is untouched."""
     path = Path(path)
@@ -62,7 +62,7 @@ def _replacing(path, newline: str | None = None):
 
 
 def write_csv(path, config: dict, header: list[str], rows, extra_meta: dict | None = None) -> None:
-    with _replacing(path, newline="") as handle:
+    with replacing(path, newline="") as handle:
         for key, value in _meta(config, extra_meta).items():
             handle.write(f"# {key}={value}\n")
         handle.write(",".join(header) + "\n")
@@ -71,7 +71,7 @@ def write_csv(path, config: dict, header: list[str], rows, extra_meta: dict | No
 
 
 def write_jsonl(path, config: dict, records, extra_meta: dict | None = None) -> None:
-    with _replacing(path) as handle:
+    with replacing(path) as handle:
         handle.write(json.dumps({"_meta": _meta(config, extra_meta)}, sort_keys=True) + "\n")
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
@@ -79,7 +79,7 @@ def write_jsonl(path, config: dict, records, extra_meta: dict | None = None) -> 
 
 def write_json(path, config: dict, payload: dict, extra_meta: dict | None = None) -> None:
     document = {"_meta": _meta(config, extra_meta), **payload}
-    with _replacing(path) as handle:
+    with replacing(path) as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
 

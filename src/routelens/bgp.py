@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from .artifacts import replacing
 from .core import (
     AsPath,
     IpPrefix,
@@ -101,7 +102,7 @@ def parse_updates(source) -> tuple[list[BgpUpdate], list[ParseIssue]]:
 
 
 def write_updates(path, updates: Iterable[BgpUpdate]) -> None:
-    with open(path, "w", newline="") as handle:
+    with replacing(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["timestamp", "session", "kind", "prefix", "path"])
         for update in updates:

@@ -18,9 +18,7 @@ from pathlib import Path
 
 from . import __version__, artifacts, churn, detect, evaluation, paths, simulate
 from .bgp import filter_session_resets, ingest, parse_updates, write_updates
-from .core import (
-    InputError, RelayIndex, int_to_ip, load_prefix_origins, load_relays, write_relays
-)
+from .core import InputError, int_to_ip, load_prefix_origins, load_relays, write_relays
 from .correlation import (
     SignalKind,
     clopper_pearson,
@@ -249,6 +247,29 @@ def _load_sessions(path_text) -> dict[str, int] | None:
     return sessions
 
 
+def _write_summary(out: Path, config, name: str, summary: churn.CompromiseSummary) -> None:
+    """Write <name>_pairs.csv and ccdf_<name>.csv; with no admissible session
+    pair the CCDF has a header and no rows."""
+    artifacts.write_csv(
+        out / f"{name}_pairs.csv",
+        config,
+        ["src_session", "dst_session", "compromised_circuits", "total_circuits", "percent"],
+        (
+            [src, dst, summary.compromised((src, dst)), summary.total_circuits,
+             f"{100.0 * summary.fraction((src, dst)):.4f}"]
+            for src, dst in summary.pairs
+        ),
+    )
+    artifacts.write_csv(
+        out / f"ccdf_{name}.csv",
+        config,
+        ["x_percent", "y_percent"],
+        ([f"{x:.4f}", f"{y:.4f}"] for x, y in churn.ccdf(summary))
+        if summary.pair_circuits
+        else [],
+    )
+
+
 def cmd_churn(args) -> int:
     config = _effective_config(args, ["seed", "min_overlap", "quiet_gap", "burst_window"])
     config["window_start"] = args.window_start
@@ -258,72 +279,30 @@ def cmd_churn(args) -> int:
     local_as = _load_sessions(args.sessions)
 
     baseline_updates = [u for u in updates if u.timestamp <= window[0]]
-    churn_updates = [u for u in updates if u.timestamp > window[0]]
     base_ribs = ingest(baseline_updates, relays, local_as=local_as)
     baseline = churn.static_baseline(base_ribs, relays, t0=window[0])
     out = _out(args)
+    _write_summary(out, config, "baseline", baseline)
 
-    artifacts.write_csv(
-        out / "baseline_pairs.csv",
-        config,
-        ["src_session", "dst_session", "compromised_circuits", "total_circuits", "percent"],
-        (
-            [src, dst, baseline.compromised((src, dst)), baseline.total_circuits,
-             f"{100.0 * baseline.fraction((src, dst)):.4f}"]
-            for src, dst in baseline.pairs
-        ),
-    )
-    artifacts.write_csv(
-        out / "ccdf_baseline.csv",
-        config,
-        ["x_percent", "y_percent"],
-        ([f"{x:.4f}", f"{y:.4f}"] for x, y in churn.ccdf(baseline))
-        if baseline.pair_circuits
-        else [],
-    )
-
-    if not churn_updates:
-        # nothing to measure churn against: baseline artifacts only
-        artifacts.write_csv(
-            out / "ratios.csv",
-            config,
-            ["src_session", "dst_session", "baseline", "with_updates", "ratio"],
-            [],
+    ratios, newly = [], []
+    if any(u.timestamp > window[0] for u in updates):
+        full_ribs = ingest(updates, relays, local_as=local_as)
+        updated = churn.churn_summary(
+            full_ribs,
+            relays,
+            window,
+            min_overlap=float(config["min_overlap"]),
+            baseline=baseline,
         )
+        _write_summary(out, config, "churn", updated)
+        ratios, newly = churn.churn_ratio(baseline, updated)
+        coverage = churn.as_circuit_coverage(updated)
         artifacts.write_csv(
-            out / "newly_compromisable.csv",
+            out / "as_coverage.csv",
             config,
-            ["src_session", "dst_session", "circuits"],
-            [],
+            ["asn", "percent_circuits_seen", "circuits"],
+            ([asn, f"{pct:.4f}", count] for asn, pct, count in coverage),
         )
-        print(f"baseline only: {len(baseline.pairs)} session pairs, no updates in window")
-        return 0
-
-    full_ribs = ingest(updates, relays, local_as=local_as)
-    updated = churn.churn_summary(
-        full_ribs,
-        relays,
-        window,
-        min_overlap=float(config["min_overlap"]),
-        baseline=baseline,
-    )
-    ratios, newly = churn.churn_ratio(baseline, updated)
-    artifacts.write_csv(
-        out / "churn_pairs.csv",
-        config,
-        ["src_session", "dst_session", "compromised_circuits", "total_circuits", "percent"],
-        (
-            [src, dst, updated.compromised((src, dst)), updated.total_circuits,
-             f"{100.0 * updated.fraction((src, dst)):.4f}"]
-            for src, dst in updated.pairs
-        ),
-    )
-    artifacts.write_csv(
-        out / "ccdf_churn.csv",
-        config,
-        ["x_percent", "y_percent"],
-        ([f"{x:.4f}", f"{y:.4f}"] for x, y in churn.ccdf(updated)),
-    )
     artifacts.write_csv(
         out / "ratios.csv",
         config,
@@ -338,13 +317,6 @@ def cmd_churn(args) -> int:
         config,
         ["src_session", "dst_session", "circuits"],
         ([src, dst, count] for src, dst, count in newly),
-    )
-    coverage = churn.as_circuit_coverage(updated)
-    artifacts.write_csv(
-        out / "as_coverage.csv",
-        config,
-        ["asn", "percent_circuits_seen", "circuits"],
-        ([asn, f"{pct:.4f}", count] for asn, pct, count in coverage),
     )
     print(
         f"{len(baseline.pairs)} session pairs, {len(ratios)} with ratios, "
@@ -415,18 +387,14 @@ def cmd_detect(args) -> int:
     if window[1] <= window[0]:
         raise InputError(f"empty detection window {window[0]:g}..{window[1]:g}")
     config["window_start"], config["window_end"] = window
-    index = RelayIndex([r for r in relays if r.is_guard or r.is_exit])
-    alerts = detect.frequency_heuristic(
+    alerts = detect.run_all_heuristics(
         updates,
-        index,
-        threshold=float(config["frequency_threshold"]),
+        relays,
+        frequency_threshold=float(config["frequency_threshold"]),
+        time_threshold=float(config["time_threshold"]),
         window=window,
         per_prefix_denominator=args.freq_denominator == "per-prefix",
     )
-    alerts += detect.time_heuristic(
-        updates, index, threshold=float(config["time_threshold"]), window=window
-    )
-    alerts += detect.more_specific_monitor(updates, index, window=window)
     out = _out(args)
     artifacts.write_jsonl(
         out / "alerts.jsonl", config, (detect.alert_to_record(a) for a in alerts)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Iterator
 
+from .artifacts import replacing
+
 
 class InputError(ValueError):
     """An input file is unusable; the message names the file (and line)."""
@@ -127,7 +129,7 @@ def load_relays(path) -> list[RelayDescriptor]:
 
 
 def write_relays(path, relays: Iterable[RelayDescriptor]) -> None:
-    with open(path, "w", newline="") as handle:
+    with replacing(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["address", "is_guard", "is_exit", "bandwidth", "nickname"])
         for relay in relays:

@@ -24,6 +24,7 @@ from enum import Enum
 
 import numpy as np
 
+from .artifacts import replacing
 from .core import InputError
 
 WRAP = 2**32
@@ -112,14 +113,6 @@ class EndpointTrace:
     vantage_id: str
     flow_key: tuple[str, str]
     observations: PacketTable
-
-    def validate(self) -> None:
-        row = _first_decrease(self.observations.ts)
-        if row is not None:
-            raise ValueError(f"timestamps decrease at row {row} of trace {self.vantage_id}")
-
-    def directions(self) -> set[Direction]:
-        return {DIRECTIONS[code] for code in np.unique(self.observations.direction)}
 
 
 @dataclass
@@ -461,7 +454,7 @@ def write_trace_jsonl(path, trace: EndpointTrace) -> None:
     obs = trace.observations
     # json spells each rounded timestamp exactly as it spells a record field
     ts_json = json.dumps([round(t, 6) for t in obs.ts.tolist()])[1:-1].split(", ")
-    with open(path, "w") as handle:
+    with replacing(path) as handle:
         handle.writelines(
             f'{{"ack": {ack}, "dir": {_DIR_JSON[code]}, {_FLAGS_JSON[bits]}'
             f'"len": {length}, "seq": {seq}, "ts": {ts}}}\n'

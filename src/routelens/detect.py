@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 
-from .bgp import BgpUpdate, UpdateKind
+from .bgp import BgpUpdate, UpdateKind, ingest
 from .core import (
     AsPath,
     InputError,
@@ -273,45 +273,6 @@ def frequency_heuristic(
     return alerts
 
 
-def _route_lifetimes(
-    updates: list[BgpUpdate],
-    index: RelayIndex,
-    window: tuple[float, float],
-) -> dict[tuple[IpPrefix, AsPath], list[tuple[float, float]]]:
-    """Announced intervals per (prefix, path), unioned across sessions."""
-    t_lo, t_hi = window
-    open_routes: dict[tuple[str, IpPrefix], tuple[AsPath, float]] = {}
-    spans: dict[tuple[IpPrefix, AsPath], list[tuple[float, float]]] = {}
-
-    def close(session: str, prefix: IpPrefix, at: float) -> None:
-        current = open_routes.pop((session, prefix), None)
-        if current is None:
-            return
-        path, since = current
-        start, end = max(since, t_lo), min(at, t_hi)
-        if start < end:
-            spans.setdefault((prefix, path), []).append((start, end))
-
-    for update in updates:
-        if update.timestamp >= t_hi:
-            break
-        if not index.covers_any(update.prefix):
-            continue
-        if update.kind is UpdateKind.WITHDRAW:
-            close(update.session, update.prefix, update.timestamp)
-            continue
-        current = open_routes.get((update.session, update.prefix))
-        if current is not None and current[0] == update.path:
-            continue
-        close(update.session, update.prefix, update.timestamp)
-        open_routes[(update.session, update.prefix)] = (update.path, update.timestamp)
-    for (session, prefix), (path, since) in list(open_routes.items()):
-        start = max(since, t_lo)
-        if start < t_hi:
-            spans.setdefault((prefix, path), []).append((start, t_hi))
-    return {key: merge_intervals(raw) for key, raw in spans.items()}
-
-
 def time_heuristic(
     updates: list[BgpUpdate],
     relays: list[RelayDescriptor] | RelayIndex,
@@ -320,10 +281,12 @@ def time_heuristic(
 ) -> list[HijackAlert]:
     """Flag relay-hosting routes announced for a tiny slice of the window.
 
-    A route is one (prefix, path); its lifetime is the union of announced
-    intervals across sessions, and the score is lifetime divided by window
-    length (dimensionless, like the frequency score). Alerts fire strictly
-    below the threshold.
+    A route is one (prefix, path); its lifetime is the union, across
+    sessions, of the per-session RIB entries (bgp.ingest) clipped to the
+    window, and the score is lifetime divided by window length
+    (dimensionless, like the frequency score). Alerts fire strictly below
+    the threshold. Raises bgp.OutOfOrderError when one session's
+    timestamps decrease.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
@@ -336,11 +299,17 @@ def time_heuristic(
     length = window[1] - window[0]
     if length <= 0:
         raise ValueError("empty window")
+    lifetimes: dict[tuple[IpPrefix, AsPath], list[tuple[float, float]]] = {}
+    for rib in ingest(updates, index).values():
+        for prefix, entry in rib.entries():
+            span = entry.clipped(*window)
+            if span is not None:
+                lifetimes.setdefault((prefix, entry.path), []).append(span)
     alerts = []
-    lifetimes = _route_lifetimes(updates, index, window)
-    for (prefix, path), spans in sorted(
+    for (prefix, path), raw in sorted(
         lifetimes.items(), key=lambda item: (item[0][0], item[0][1].ases)
     ):
+        spans = merge_intervals(raw)
         alive = sum(end - start for start, end in spans)
         fraction = alive / length
         if 0.0 < fraction < threshold:
@@ -433,10 +402,13 @@ def run_all_heuristics(
     frequency_threshold: float = 0.00001,
     time_threshold: float = 0.01,
     window: tuple[float, float] | None = None,
+    per_prefix_denominator: bool = True,
 ) -> list[HijackAlert]:
     """Union of the three detectors over guard/exit-relevant prefixes."""
     index = RelayIndex([r for r in relays if r.is_guard or r.is_exit])
-    alerts = frequency_heuristic(updates, index, frequency_threshold, window)
+    alerts = frequency_heuristic(
+        updates, index, frequency_threshold, window, per_prefix_denominator
+    )
     alerts += time_heuristic(updates, index, time_threshold, window)
     alerts += more_specific_monitor(updates, index, window)
     return alerts

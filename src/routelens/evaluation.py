@@ -24,7 +24,7 @@ from .correlation import (
     match,
 )
 from .core import IpPrefix
-from .detect import HijackAlert, HijackEvent
+from .detect import HijackAlert
 from .simulate import (
     InjectedEvent,
     InterceptionRun,
@@ -141,8 +141,6 @@ class RecallReport:
 def _event_key(event) -> tuple[IpPrefix, float, float]:
     if isinstance(event, InjectedEvent):
         return IpPrefix.parse(event.prefix), event.start, event.start + event.duration
-    if isinstance(event, HijackEvent):
-        return event.prefix, event.t_start, event.t_end
     prefix, t_start, t_end = event
     if not isinstance(prefix, IpPrefix):
         prefix = IpPrefix.parse(prefix)

@@ -479,3 +479,64 @@ def oracle_more_specific_monitor(updates, relays, window=None):
         )
     return alerts
 
+
+
+def oracle_time_heuristic(updates, relays, threshold, window=None):
+    """Replay loop for the lifetime heuristic: one open route per (session,
+    prefix), closed by a withdrawal or a path change, clipped to the window
+    (default: first update to one second past the last) and unioned per
+    (prefix, path). Updates must be sorted by timestamp."""
+    index = RelayIndex.of(relays)
+    if window is None:
+        if not updates:
+            return []
+        stamps = [u.timestamp for u in updates]
+        window = (min(stamps), max(stamps) + 1.0)
+    t_lo, t_hi = window
+    open_routes = {}
+    spans = {}
+
+    def close(session, prefix, at):
+        current = open_routes.pop((session, prefix), None)
+        if current is None:
+            return
+        path, since = current
+        start, end = max(since, t_lo), min(at, t_hi)
+        if start < end:
+            spans.setdefault((prefix, path), []).append((start, end))
+
+    for update in updates:
+        if update.timestamp >= t_hi:
+            break
+        if not index.covers_any(update.prefix):
+            continue
+        if update.kind is UpdateKind.WITHDRAW:
+            close(update.session, update.prefix, update.timestamp)
+            continue
+        current = open_routes.get((update.session, update.prefix))
+        if current is not None and current[0] == update.path:
+            continue
+        close(update.session, update.prefix, update.timestamp)
+        open_routes[(update.session, update.prefix)] = (update.path, update.timestamp)
+    for (session, prefix), (path, since) in list(open_routes.items()):
+        start = max(since, t_lo)
+        if start < t_hi:
+            spans.setdefault((prefix, path), []).append((start, t_hi))
+    alerts = []
+    for (prefix, path), raw in sorted(spans.items(), key=lambda i: (i[0][0], i[0][1].ases)):
+        merged = merge_intervals(raw)
+        fraction = sum(end - start for start, end in merged) / (t_hi - t_lo)
+        if 0.0 < fraction < threshold:
+            guards, exits = _affected(index, prefix)
+            alerts.append(
+                HijackAlert(
+                    prefix=prefix,
+                    origin_as=path.origin,
+                    heuristic=Heuristic.TIME,
+                    score=fraction,
+                    windows=tuple(merged),
+                    guards=guards,
+                    exits=exits,
+                )
+            )
+    return alerts

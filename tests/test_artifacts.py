@@ -1,8 +1,12 @@
 """Artifacts are written whole or not at all."""
 
 import pytest
+from helpers import announce
 
 from routelens import artifacts
+from routelens.bgp import write_updates
+from routelens.core import RelayDescriptor, write_relays
+from routelens.correlation import EndpointTrace, PacketTable, write_trace_jsonl
 
 
 def rows_failing_midway():
@@ -18,7 +22,27 @@ WRITERS = {
     ),
     # json.dump streams its chunks, so the object it cannot encode comes mid-file
     "json": lambda path: artifacts.write_json(path, {}, {"a": list(range(1000)), "z": object()}),
+    # the inputs simulate writes beside its artifacts
+    "updates": lambda path: write_updates(
+        path, (announce(n, name, "10.0.0.0/8", [1, 2]) for name, n in rows_failing_midway())
+    ),
+    "relays": lambda path: write_relays(
+        path,
+        (RelayDescriptor(n, True, False, 1.0, name) for name, n in rows_failing_midway()),
+    ),
+    "trace": lambda path: write_trace_jsonl(path, EndpointTrace("v", ("", ""), FailingTable())),
 }
+
+
+class FailingTable(PacketTable):
+    """Two packets whose ack column fails while the trace is being written."""
+
+    def __init__(self):
+        super().__init__(*([0, 0] for _ in range(6)))
+        self.ack = self
+
+    def tolist(self):
+        return (n for _, n in rows_failing_midway())
 
 
 @pytest.mark.parametrize("kind", sorted(WRITERS))

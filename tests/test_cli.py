@@ -176,6 +176,7 @@ def test_churn_end_to_end_and_empty_updates(tmp_path):
         "--window-start", 0, "--window-end", 86400,
     )
     assert code == 0
+    assert sorted(p.name for p in churn_out.iterdir()) == CHURN_ARTIFACTS
     meta, _, baseline_rows = read_artifact_csv(churn_out / "baseline_pairs.csv")
     assert meta["min_overlap"] == "30.0"
     assert len(baseline_rows) == 2  # (s1, s2) and (s2, s1)
@@ -222,9 +223,65 @@ def test_churn_end_to_end_and_empty_updates(tmp_path):
         "--relays", sim_out / "relays.csv",
     )
     assert code == 0
+    # no update after the window start: baseline artifacts and empty comparisons
+    assert sorted(p.name for p in empty_out.iterdir()) == [
+        "baseline_pairs.csv", "ccdf_baseline.csv", "newly_compromisable.csv", "ratios.csv"
+    ]
     _, header, rows = read_artifact_csv(empty_out / "ratios.csv")
     assert header == ["src_session", "dst_session", "baseline", "with_updates", "ratio"]
     assert rows == []
+
+
+CHURN_ARTIFACTS = [
+    "as_coverage.csv",
+    "baseline_pairs.csv",
+    "ccdf_baseline.csv",
+    "ccdf_churn.csv",
+    "churn_pairs.csv",
+    "newly_compromisable.csv",
+    "ratios.csv",
+]
+
+
+@pytest.mark.parametrize(
+    "sessions",
+    [
+        "session_id,local_as\ns1,64500\n",
+        "session_id,local_as\ns1,64500\ns2,64500\n",
+    ],
+    ids=["one-session", "one-local-as"],
+)
+def test_churn_without_admissible_pair_writes_every_artifact(tmp_path, capsys, sessions):
+    relays = tmp_path / "relays.csv"
+    relays.write_text(
+        "address,is_guard,is_exit,bandwidth,nickname\n10.0.0.5,1,0,5.0,g\n10.1.0.5,0,1,5.0,e\n"
+    )
+    sessions_csv = tmp_path / "sessions.csv"
+    sessions_csv.write_text(sessions)
+    updates = tmp_path / "updates.csv"
+    updates.write_text(
+        "timestamp,session,kind,prefix,path\n"
+        + "".join(
+            f'0,{sid},A,10.0.0.0/16,"101 7 102"\n0,{sid},A,10.1.0.0/16,"104 7 103"\n'
+            f'500,{sid},A,10.0.0.0/16,"101 9 102"\n'
+            for sid in re.findall(r"^(s\d),", sessions, re.M)
+        )
+    )
+    out = tmp_path / "churn-out"
+    code = run(
+        "--output-dir", out,
+        "churn",
+        "--updates", updates,
+        "--relays", relays,
+        "--sessions", sessions_csv,
+        "--window-start", 0, "--window-end", 1000,
+    )
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == CHURN_ARTIFACTS
+    for name in ("baseline", "churn"):
+        _, header, rows = read_artifact_csv(out / f"ccdf_{name}.csv")
+        assert (header, rows) == (["x_percent", "y_percent"], [])
 
 
 def test_churn_initial_state_and_sessions_files(tmp_path):

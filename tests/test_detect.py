@@ -3,10 +3,11 @@
 import random
 
 import pytest
-from helpers import announce, oracle_more_specific_monitor, withdraw
+from helpers import announce, oracle_more_specific_monitor, oracle_time_heuristic, withdraw
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from routelens.bgp import OutOfOrderError
 from routelens.core import AsPath, IpPrefix, PrefixTable, RelayDescriptor, ip_to_int
 from routelens.detect import (
     Heuristic,
@@ -426,6 +427,72 @@ def test_more_specific_monitor_matches_linear_scan_oracle(stream, n_sessions, wi
         window = (min(window), max(window))
     expected = oracle_more_specific_monitor(updates, _MONITOR_RELAYS, window)
     assert more_specific_monitor(updates, _MONITOR_RELAYS, window) == expected
+
+
+# few enough prefixes that sessions and re-announcements meet on one route
+_LIFETIME_PREFIXES = sorted(
+    {
+        str(IpPrefix(ip_to_int(address), length))
+        for address in ("10.1.2.3", "10.3.0.9", "10.2.7.7")
+        for length in (8, 16, 24)
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(  # two sessions overlap on one route; a withdrawal and re-announcement touch
+    [
+        (0.0, 0, False, "10.1.0.0/16", 1, 1),
+        (1.0, 1, False, "10.1.0.0/16", 1, 1),
+        (1.0, 0, True, "10.1.0.0/16", 1, 1),
+        (0.0, 0, False, "10.1.0.0/16", 1, 1),
+        (5.0, 1, False, "10.1.0.0/16", 2, 1),
+        (5.0, 0, True, "10.1.0.0/16", 1, 1),
+    ],
+    2,
+    (-2.0, 200.0),
+    0.5,
+)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 1.0, 5.0]),  # gap to the previous update
+            st.integers(0, 2),  # session
+            st.sampled_from([False, False, True]),  # withdraw
+            st.sampled_from(_LIFETIME_PREFIXES),
+            st.integers(1, 2),  # first AS: a path change can keep its origin
+            st.integers(1, 3),  # origin
+        ),
+        max_size=40,
+    ),
+    st.integers(1, 3),
+    st.none() | st.tuples(st.floats(-20.0, 250.0), st.floats(0.5, 120.0)),
+    st.sampled_from([0.05, 0.5, 0.999999]),
+)
+def test_time_heuristic_matches_replay_oracle(stream, n_sessions, window, threshold):
+    t = 0.0
+    updates = []
+    for gap, session, is_withdraw, prefix, first, origin in stream:
+        t += gap
+        session = f"s{session % n_sessions}"
+        if is_withdraw:
+            updates.append(withdraw(t, session, prefix))
+        else:
+            updates.append(announce(t, session, prefix, [64500 + first, origin]))
+    if window is not None:
+        window = (window[0], window[0] + window[1])  # before, across or after the updates
+    expected = oracle_time_heuristic(updates, _MONITOR_RELAYS, threshold, window)
+    assert time_heuristic(updates, _MONITOR_RELAYS, threshold, window) == expected
+
+
+def test_time_heuristic_rejects_decreasing_session_timestamps():
+    relays = [relay("20.0.0.5", guard=True)]
+    updates = [
+        announce(100.0, "s1", "20.0.0.0/24", [100, 200]),
+        announce(50.0, "s1", "20.0.0.0/24", [300, 666]),
+    ]
+    with pytest.raises(OutOfOrderError):
+        time_heuristic(updates, relays, threshold=0.5, window=(0.0, DAY))
 
 
 def test_alert_jsonl_roundtrip():
