@@ -20,6 +20,7 @@ from . import __version__, artifacts, churn, detect, evaluation, paths, simulate
 from .bgp import filter_session_resets, ingest, parse_updates, write_updates
 from .core import InputError, int_to_ip, load_prefix_origins, load_relays, write_relays
 from .correlation import (
+    CorrelationError,
     SignalKind,
     clopper_pearson,
     read_trace_jsonl,
@@ -131,6 +132,25 @@ def _load_manifest(manifest_path: Path):
     return clients, servers
 
 
+def accuracy_payload(report, n_servers: int) -> dict:
+    """The accuracy_report.json fields, each rate with its 95% interval.
+
+    False negatives are counted over the n clients. False positives are
+    counted over the n * (m - 1) (client, wrong server) pairs, and never
+    over fewer trials than one or than there are false positives (a client
+    whose partner is absent can still match a lone server).
+    """
+    fp_trials = max(report.n_clients * (n_servers - 1), report.false_positives, 1)
+    return {
+        "n_clients": report.n_clients,
+        "accuracy": report.accuracy,
+        "false_negative_rate": report.false_negative_rate,
+        "false_positive_rate": report.false_positives / fp_trials,
+        "fn_confidence_95": list(clopper_pearson(report.false_negatives, report.n_clients)),
+        "fp_confidence_95": list(clopper_pearson(report.false_positives, fp_trials)),
+    }
+
+
 def cmd_correlate(args) -> int:
     config = _effective_config(
         args, ["seed", "threshold", "bin_width", "window", "max_lag"]
@@ -143,18 +163,21 @@ def cmd_correlate(args) -> int:
     if args.truth:
         truth_doc = json.loads(_require(args.truth, "truth file").read_text())
         truth = truth_doc.get("pairing", truth_doc)
-    result = evaluation.run_match_pipeline(
-        clients,
-        servers,
-        truth,
-        client_kind=client_kind,
-        server_kind=server_kind,
-        bin_width=float(config["bin_width"]),
-        window=float(config["window"]),
-        threshold=float(config["threshold"]),
-        max_lag_bins=int(config["max_lag"]),
-        cumulative=bool(args.cumulative),
-    )
+    try:
+        result = evaluation.run_match_pipeline(
+            clients,
+            servers,
+            truth,
+            client_kind=client_kind,
+            server_kind=server_kind,
+            bin_width=float(config["bin_width"]),
+            window=float(config["window"]),
+            threshold=float(config["threshold"]),
+            max_lag_bins=int(config["max_lag"]),
+            cumulative=bool(args.cumulative),
+        )
+    except CorrelationError as exc:  # e.g. an empty trace, or no packet in the signal's direction
+        raise InputError(f"{args.manifest}: cannot correlate: {exc}") from None
     out = _out(args)
     artifacts.write_csv(
         out / "correlation_matrix.csv",
@@ -180,25 +203,11 @@ def cmd_correlate(args) -> int:
         ),
     )
     if result.report is not None:
-        report = result.report
-        fn_low, fn_high = clopper_pearson(report.false_negatives, report.n_clients)
-        fp_pairs = report.n_clients * (len(result.server_ids) - 1)
-        fp_low, fp_high = clopper_pearson(report.false_positives, max(fp_pairs, 1))
-        artifacts.write_json(
-            out / "accuracy_report.json",
-            config,
-            {
-                "n_clients": report.n_clients,
-                "accuracy": report.accuracy,
-                "false_negative_rate": report.false_negative_rate,
-                "false_positive_rate": report.false_positive_rate,
-                "fn_confidence_95": [fn_low, fn_high],
-                "fp_confidence_95": [fp_low, fp_high],
-            },
-        )
+        payload = accuracy_payload(result.report, len(result.server_ids))
+        artifacts.write_json(out / "accuracy_report.json", config, payload)
         print(
-            f"accuracy {report.accuracy:.3f}  fn {report.false_negative_rate:.3f}  "
-            f"fp {report.false_positive_rate:.3f}  ({report.n_clients} clients)"
+            f"accuracy {payload['accuracy']:.3f}  fn {payload['false_negative_rate']:.3f}  "
+            f"fp {payload['false_positive_rate']:.3f}  ({payload['n_clients']} clients)"
         )
     return 0
 

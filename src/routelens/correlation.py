@@ -439,34 +439,151 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tu
 # One JSON object per packet, keys sorted: {"ack", "dir", "flags"?, "len",
 # "seq", "ts"}, ts rounded to 6 decimals, flags (only when set) a sorted
 # list of _FLAG_NAMES. Both directions work on whole columns.
+#
+# The writer is a column kernel. It renders up to _BLOCK_ROWS rows at a
+# time as a character matrix, one row per record, and writes the non-NUL
+# bytes chars[chars != 0]. Each key's field is a (rows, n) array of uint32
+# words of four NUL-padded characters: a literal is one constant row, the
+# "dir"/"flags" middle a row of a 64-entry table indexed by
+# direction * 16 + flags, and an integer a sign word (in blocks with a
+# negative value) and its base-10**4 digits looked up in a word table,
+# leading zeros as NUL.
+#
+# Timestamps follow one exact-rounding rule. round(t, 6) is the double
+# nearest k / 10**6, k being t * 10**6 rounded half-even, and
+# k = rint(t * 10**6) in floating point unless the product lands exactly
+# on a half: rounding is monotone and every half below 2**52 is a double,
+# so a product off the halves lies on the same side of each as the exact
+# value. Below 1e9, where doubles are closer than 10**-6, json spells
+# k / 10**6 as k // 10**6, a point, and the six fraction digits without
+# trailing zeros (one kept). Every other timestamp (product on a half,
+# below 1e-4 where json switches to an exponent, from 1e9 on, negative,
+# -0.0, NaN, infinite) takes json.dumps of round(t, 6) instead.
 
-_DIR_JSON = [json.dumps(d.value) for d in DIRECTIONS]
-_FLAGS_JSON = [
-    f'"flags": {json.dumps(sorted(n for i, n in enumerate(_FLAG_NAMES) if bits >> i & 1))}, '
-    if bits else ""
-    for bits in range(1 << len(_FLAG_NAMES))
-]
+_BLOCK_ROWS = 1 << 13  # rows rendered at once; bounds the matrix memory
 _DIR_CODE = {d.value: code for code, d in enumerate(DIRECTIONS)}
 _FLAG_BIT = {name: 1 << i for i, name in enumerate(_FLAG_NAMES)}
+_N_FLAG_SETS = 1 << len(_FLAG_NAMES)
+
+
+def _words(texts: list[str]) -> np.ndarray:
+    """ASCII texts NUL-padded to whole 4-byte words, one uint32 row each."""
+    raw = np.array([text.encode() for text in texts], dtype=bytes)
+    n_words = -(-raw.itemsize // 4)
+    return raw.astype(f"S{4 * n_words}").view(np.uint32).reshape(len(texts), n_words)
+
+
+def _as_words(chars: np.ndarray) -> np.ndarray:
+    """Rows of four characters as one uint32 word each."""
+    return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32).ravel()
+
+
+_QUAD = 10**4
+_DIGITS = (  # row q: the four digits of q, zero padded
+    np.arange(_QUAD, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
+    + ord("0")
+).astype(np.uint8)
+_NONZERO = _DIGITS != ord("0")
+# q alone (leading zeros NUL, the last digit kept), then q in full
+_LOW_QUADS = np.concatenate([
+    _as_words(np.where(np.logical_or.accumulate(_NONZERO, axis=1) | (np.arange(4) == 3),
+                       _DIGITS, 0)),
+    _as_words(_DIGITS),
+])
+_HIGH_QUADS = _LOW_QUADS.copy()
+_HIGH_QUADS[0] = 0  # a zero quad above the number's top digit is not spelled
+# a point and the first two fraction digits: in full before nonzero later
+# ones, else without trailing zeros but with one digit; then the last four
+# fraction digits without trailing zeros
+_HUNDREDTHS = _words([f".{h:02d}" for h in range(100)]
+                     + [f".{h:02d}".rstrip("0").ljust(2, "0") for h in range(100)]).ravel()
+_FRACTION_TAIL = _as_words(
+    np.where(np.logical_or.accumulate(_NONZERO[:, ::-1], axis=1)[:, ::-1], _DIGITS, 0)
+)
+_SIGN = _words(["", "-"]).ravel()
+_MIDDLE = _words([
+    f', "dir": {json.dumps(d.value)}, '
+    + (f'"flags": {json.dumps(sorted(n for i, n in enumerate(_FLAG_NAMES) if bits >> i & 1))}, '
+       if bits else "")
+    + '"len": '
+    for d in DIRECTIONS
+    for bits in range(_N_FLAG_SETS)
+])
+_ACK_KEY, _SEQ_KEY, _TS_KEY, _END = (
+    _words([text]) for text in ('{"ack": ', ', "seq": ', ', "ts": ', "}\n")
+)
+
+
+def _digits(magnitude: np.ndarray) -> np.ndarray:
+    """Decimal uint64 values right-aligned in words, leading zeros NUL."""
+    n_words = -(-len(str(int(magnitude.max()))) // 4)
+    words = np.empty((len(magnitude), n_words), dtype=np.uint32)
+    for column in range(n_words - 1, -1, -1):
+        higher = magnitude // _QUAD
+        index = magnitude - higher * _QUAD
+        index[higher != 0] += _QUAD
+        words[:, column] = (_LOW_QUADS if column == n_words - 1 else _HIGH_QUADS)[index]
+        magnitude = higher
+    return words
+
+
+def _integer(values: np.ndarray) -> np.ndarray:
+    """Decimal int64 values, after a sign word when any is negative."""
+    words = _digits(np.abs(values).view(np.uint64))  # abs wraps int64 min onto itself: 2**63
+    negative = values < 0
+    if negative.any():
+        words = np.column_stack([_SIGN[negative.view(np.uint8)], words])
+    return words
+
+
+def _timestamp(ts: np.ndarray) -> np.ndarray:
+    """json spellings of round(t, 6)."""
+    with np.errstate(all="ignore"):
+        scaled = ts * 1e6
+        k = np.rint(scaled)
+        at_half = scaled - np.floor(scaled) == 0.5
+        plain = ~np.signbit(ts) & ~at_half & (((k >= 100) & (k < 1e15)) | (k == 0))
+    whole, fraction = np.divmod(np.where(plain, k, 0).astype(np.uint64), np.uint64(10**6))
+    hundredths, tail = np.divmod(fraction, np.uint64(_QUAD))
+    hundredths[tail == 0] += 100
+    words = np.column_stack([_digits(whole), _HUNDREDTHS[hundredths], _FRACTION_TAIL[tail]])
+    other = np.flatnonzero(~plain)
+    if len(other):
+        spelled = _words(json.dumps([round(t, 6) for t in ts[other].tolist()])[1:-1].split(", "))
+        words = np.pad(words, ((0, 0), (0, max(0, spelled.shape[1] - words.shape[1]))))
+        words[other] = 0
+        words[other, :spelled.shape[1]] = spelled
+    return words
+
+
+def _render_rows(rows: PacketTable) -> np.ndarray:
+    """The JSONL text of a block of rows, as a uint8 array."""
+    if ((rows.direction < 0) | (rows.direction >= len(DIRECTIONS))
+            | (rows.flags >= _N_FLAG_SETS)).any():
+        raise ValueError("direction or flag code out of range")
+    fields = [
+        _ACK_KEY,
+        _integer(rows.ack),
+        _MIDDLE[rows.direction.astype(np.intp) * _N_FLAG_SETS + rows.flags],
+        _integer(rows.payload_len),
+        _SEQ_KEY,
+        _integer(rows.seq),
+        _TS_KEY,
+        _timestamp(rows.ts),
+        _END,
+    ]
+    words = np.concatenate(
+        [np.broadcast_to(field, (len(rows), field.shape[1])) for field in fields], axis=1
+    )
+    chars = words.view(np.uint8)
+    return chars[chars != 0]
 
 
 def write_trace_jsonl(path, trace: EndpointTrace) -> None:
     obs = trace.observations
-    # json spells each rounded timestamp exactly as it spells a record field
-    ts_json = json.dumps([round(t, 6) for t in obs.ts.tolist()])[1:-1].split(", ")
     with replacing(path) as handle:
-        handle.writelines(
-            f'{{"ack": {ack}, "dir": {_DIR_JSON[code]}, {_FLAGS_JSON[bits]}'
-            f'"len": {length}, "seq": {seq}, "ts": {ts}}}\n'
-            for ack, code, bits, length, seq, ts in zip(
-                obs.ack.tolist(),
-                obs.direction.tolist(),
-                obs.flags.tolist(),
-                obs.payload_len.tolist(),
-                obs.seq.tolist(),
-                ts_json,
-            )
-        )
+        for start in range(0, len(obs), _BLOCK_ROWS):
+            handle.buffer.write(_render_rows(obs[start:start + _BLOCK_ROWS]))
 
 
 def _packet_table(records: list) -> PacketTable:

@@ -306,8 +306,9 @@ def time_heuristic(
             if span is not None:
                 lifetimes.setdefault((prefix, entry.path), []).append(span)
     alerts = []
+    # plain tuples sort like (IpPrefix, ases) without dataclass comparisons
     for (prefix, path), raw in sorted(
-        lifetimes.items(), key=lambda item: (item[0][0], item[0][1].ases)
+        lifetimes.items(), key=lambda item: (item[0][0].base, item[0][0].length, item[0][1].ases)
     ):
         spans = merge_intervals(raw)
         alive = sum(end - start for start, end in spans)

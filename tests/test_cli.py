@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -13,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from routelens.artifacts import artifacts_equal, read_jsonl_records
-from routelens.cli import main
+from routelens.cli import accuracy_payload, main
+from routelens.correlation import AccuracyReport
 from routelens.simulate import (
     ChurnEvent,
     InjectedEvent,
@@ -133,6 +135,27 @@ def test_correlate_scenario_flag_selects_signals(traffic_dataset, tmp_path):
     assert all(m["scenario"] == "client-ack:server-ack" for m in matches)
     report = json.loads((out / "accuracy_report.json").read_text())
     assert report["accuracy"] >= 0.75
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 80), st.integers(0, 80), st.data())
+def test_accuracy_intervals_bracket_their_rates(n_clients, n_servers, data):
+    correct = data.draw(st.integers(0, n_clients))
+    fn = data.draw(st.integers(0, n_clients - correct))
+    fp = data.draw(st.integers(0, n_clients - correct - fn))
+    payload = accuracy_payload(AccuracyReport(n_clients, correct, fn, fp), n_servers)
+    for rate, interval in (
+        ("false_negative_rate", "fn_confidence_95"),
+        ("false_positive_rate", "fp_confidence_95"),
+    ):
+        low, high = payload[interval]
+        assert 0.0 <= low <= payload[rate] <= high <= 1.0, (rate, payload)
+
+
+def test_false_positive_rate_counts_wrong_server_pairs():
+    payload = accuracy_payload(AccuracyReport(50, 49, 0, 1), 50)
+    assert payload["false_positive_rate"] == 1 / (50 * 49)
+    assert payload["false_negative_rate"] == 0.0
 
 
 def test_correlate_missing_manifest_exits_2(tmp_path, capsys):
@@ -476,6 +499,15 @@ def test_correlate_bad_trace_line_exits_2(tmp_path, capsys, bad_line):
     assert "Traceback" not in err
 
 
+def test_correlate_empty_trace_exits_2(tmp_path, capsys):
+    manifest = _trace_manifest(tmp_path, [])
+    assert run("--output-dir", tmp_path / "o", "correlate", "--manifest", manifest) == 2
+    err = capsys.readouterr().err
+    assert "cannot correlate: trace c0 is empty" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_relay_octet_out_of_range_exits_2(tmp_path, capsys):
     relays = tmp_path / "relays.csv"
     relays.write_text(
@@ -759,3 +791,95 @@ def test_churn_unreadable_relay_list_exits_2(tmp_path, capsys, relays_text, mess
     )
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+# --- CLI contract under mutated correlate inputs -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def correlate_inputs(tmp_path_factory):
+    """A valid small traffic set: manifest, truth and one trace per vantage."""
+    root = tmp_path_factory.mktemp("correlate-inputs")
+    scenario = root / "scenario.json"
+    scenario.write_text(json.dumps(TrafficScenario(seed=3, n_pairs=3, duration=30.0).to_dict()))
+    assert run("--output-dir", root / "sim", "simulate", "--scenario", scenario) == 0
+    return root / "sim"
+
+
+def _mutate_trace(text, mutation, at):
+    lines = text.splitlines(keepends=True)
+    k = at % len(lines)
+    record = json.loads(lines[k])
+    if mutation == "truncate":
+        lines[k] = lines[k][: len(lines[k]) // 2] + "\n"
+    elif mutation == "missing key":
+        del record[sorted(record)[at % len(record)]]
+    elif mutation == "unknown dir":
+        record["dir"] = "sideways"
+    elif mutation == "unknown flag":
+        record["flags"] = ["PSH"]
+    elif mutation == "reverse":
+        lines = lines[::-1]
+    elif mutation == "empty":
+        lines = []
+    elif mutation == "not json":
+        lines[k] = "nope{\n"
+    if mutation in ("missing key", "unknown dir", "unknown flag"):
+        lines[k] = json.dumps(record, sort_keys=True) + "\n"
+    return "".join(lines)
+
+
+def _complete_json_artifact(path):
+    """A JSON or JSONL artifact written whole: every document parses, metadata first."""
+    text = path.read_text()
+    if not text.endswith("\n"):
+        return False
+    try:
+        documents = [json.loads(text)] if path.suffix == ".json" else [
+            json.loads(line) for line in text.splitlines()
+        ]
+    except ValueError:
+        return False
+    return "_meta" in documents[0]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    which=st.integers(0, 5),
+    mutation=st.sampled_from([
+        "truncate", "missing key", "unknown dir", "unknown flag", "reverse", "empty",
+        "not json", "missing file",
+    ]),
+    at=st.integers(0, 400),
+)
+def test_correlate_mutated_inputs_keep_the_cli_contract(correlate_inputs, which, mutation, at):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch) / "in"
+        shutil.copytree(correlate_inputs, root)
+        target = sorted((root / "traces").iterdir())[which]
+        if mutation == "missing file":
+            target.unlink()
+        else:
+            target.write_text(_mutate_trace(target.read_text(), mutation, at))
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            # an exception escaping main is the traceback the contract rules out
+            code = run(
+                "--output-dir", Path(scratch) / "out",
+                "correlate",
+                "--manifest", root / "manifest.csv",
+                "--truth", root / "truth.json",
+                "--window", 30,
+            )
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: "), err.getvalue()
+        out = Path(scratch) / "out"
+        written = sorted(out.iterdir()) if out.exists() else []
+        assert all(
+            _complete_artifact(path) if path.suffix == ".csv" else _complete_json_artifact(path)
+            for path in written
+        ), [p.name for p in written]

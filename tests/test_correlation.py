@@ -2,12 +2,14 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from routelens import correlation
 from routelens.correlation import (
     AccuracyReport,
     ByteProgressSeries,
@@ -486,3 +488,117 @@ def test_trace_jsonl_matches_per_record_oracle(tmp_path_factory, start, isn, ste
     expected = oracle_read_columns(path)
     for name, column in expected.items():
         assert getattr(got, name).tolist() == column
+
+
+# --- the column-kernel writer against the per-record oracle ------------------
+
+
+def _written(tmp_path, table):
+    path = tmp_path / "t.jsonl"
+    write_trace_jsonl(path, EndpointTrace("v", ("", ""), table))
+    return path.read_bytes()
+
+
+def _table(ts, seq=0, ack=0, length=0, direction=0, flags=0):
+    n = len(ts)
+    return PacketTable(
+        ts, *(np.broadcast_to(np.asarray(value), n) for value in (direction, seq, ack, length, flags))
+    )
+
+
+def _half_micros():
+    """Exact dyadic halves and decimal halves of a microsecond, with neighbours."""
+    values = [k / 128 for k in range(0, 4000)] + [(j + 0.5) / 1e6 for j in range(0, 3000)]
+    values += [(j + 0.5) / 1e6 for j in (99, 100, 12345, 999999, 10**8, 10**9 - 1, 10**14)]
+    return values + [math.nextafter(v, math.inf) for v in values] + [
+        math.nextafter(v, -math.inf) for v in values
+    ]
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [
+        pytest.param([1e-9, 5e-5, 9.9e-5, 9.99949e-5, 9.9996e-5, 1e-5, 5e-324, 1e-300], id="below-1e-4"),
+        pytest.param([0.0, 1e-4, 0.0001004, 0.1, 0.30000000000000004, 1.25, 299.999999], id="plain"),
+        pytest.param(_half_micros(), id="half-micros"),
+        pytest.param(
+            [999999999.999999, 1e9 - 1e-7, 1e9, 1e9 + 0.5, 123456789.123456,
+             41639466286.387596, 96702724870.69044],  # shorter than six fraction digits
+            id="1e9",
+        ),
+        pytest.param([1e15, 1e16, 1.5e16, 1e300, sys.float_info.max], id="large"),
+        pytest.param([-0.0, -1e-9, -1.5, -1e-7, -1e16, math.nan, math.inf, -math.inf], id="signed"),
+    ],
+)
+def test_writer_spells_timestamps_like_json(tmp_path, ts):
+    table = _table(ts, seq=7, ack=8, length=9)
+    assert _written(tmp_path, table) == oracle_trace_text(table).encode()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0, 1, 9, 10, 9999, 10000, 99999999, 10**8, 2**31, 2**32, 10**18, 2**63 - 1],
+        [0, -1, -9, -10, -9999, -10000, -(10**8), 2**63 - 1, -(2**63) + 1, -(2**63)],
+        [-(2**63)] * 3,
+    ],
+)
+def test_writer_spells_integers_like_json(tmp_path, values):
+    n = len(values)
+    table = _table([0.5] * n, seq=values, ack=values[::-1], length=np.roll(values, 1))
+    assert _written(tmp_path, table) == oracle_trace_text(table).encode()
+
+
+def test_writer_spells_every_direction_and_flag_set(tmp_path):
+    codes = np.arange(len(Direction) * 16)
+    table = _table(codes * 0.25, seq=codes, direction=codes // 16, flags=codes % 16)
+    assert _written(tmp_path, table) == oracle_trace_text(table).encode()
+
+
+def test_writer_rejects_unknown_direction_and_flag_codes(tmp_path):
+    for direction, flags in ((len(Direction), 0), (-1, 0), (0, 16)):
+        with pytest.raises(ValueError):
+            _written(tmp_path, _table([0.5], direction=direction, flags=flags))
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_empty_table_writes_empty_file(tmp_path):
+    assert _written(tmp_path, _table([])) == b""
+
+
+def _mixed_rows(n, seed):
+    rng = np.random.default_rng(seed)
+    ts = rng.choice([0.0, 1e-7, 5e-5, 0.5, 1.0000005, 2.5e-6, 1e9, -1.0, math.nan], n)
+    ts = np.where(rng.random(n) < 0.5, rng.uniform(0, 1e4, n), ts)
+    integers = rng.integers(-(2**63), 2**63 - 1, (3, n), endpoint=True)
+    integers[:, rng.random(n) < 0.7] //= 2 ** rng.integers(0, 63, (3, 1))
+    return PacketTable(ts, rng.integers(0, 4, n), *integers, rng.integers(0, 16, n))
+
+
+def test_writer_blocks_join_seamlessly(tmp_path, monkeypatch):
+    table = _mixed_rows(correlation._BLOCK_ROWS + 5, seed=5)
+    expected = oracle_trace_text(table).encode()
+    assert _written(tmp_path, table) == expected
+    monkeypatch.setattr(correlation, "_BLOCK_ROWS", 7)  # blocks of differing field widths
+    assert _written(tmp_path, table) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(width=64) | st.integers(0, 10**12).map(lambda j: (j + 0.5) / 1e6),
+            st.integers(0, 3),
+            st.integers(-(2**63), 2**63 - 1),
+            st.integers(-(2**63), 2**63 - 1),
+            st.integers(-(2**63), 2**63 - 1),
+            st.integers(0, 15),
+        ),
+        max_size=30,
+    )
+)
+def test_writer_matches_oracle_on_any_columns(tmp_path_factory, rows):
+    table = PacketTable(*(zip(*rows) if rows else ([],) * 6))
+    path = tmp_path_factory.mktemp("trace") / "t.jsonl"
+    write_trace_jsonl(path, EndpointTrace("v", ("", ""), table))
+    assert path.read_bytes() == oracle_trace_text(table).encode()

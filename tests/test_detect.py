@@ -485,6 +485,23 @@ def test_time_heuristic_matches_replay_oracle(stream, n_sessions, window, thresh
     assert time_heuristic(updates, _MONITOR_RELAYS, threshold, window) == expected
 
 
+def test_time_heuristic_orders_alerts_by_prefix_then_path():
+    # base order and length order disagree: 10.1.2.0/24 sorts before 10.3.0.0/16
+    updates = [
+        announce(0.0, "s1", "10.3.0.0/16", [64501, 2]),
+        announce(0.0, "s1", "10.1.2.0/24", [64502, 3]),
+        announce(5.0, "s2", "10.1.2.0/24", [64501, 1]),
+        withdraw(10.0, "s1", "10.3.0.0/16"),
+        withdraw(10.0, "s1", "10.1.2.0/24"),
+        withdraw(10.0, "s2", "10.1.2.0/24"),
+    ]
+    alerts = time_heuristic(updates, _MONITOR_RELAYS, threshold=0.5, window=(0.0, 1000.0))
+    assert [(str(a.prefix), a.origin_as) for a in alerts] == [
+        ("10.1.2.0/24", 1), ("10.1.2.0/24", 3), ("10.3.0.0/16", 2),
+    ]
+    assert alerts == oracle_time_heuristic(updates, _MONITOR_RELAYS, 0.5, (0.0, 1000.0))
+
+
 def test_time_heuristic_rejects_decreasing_session_timestamps():
     relays = [relay("20.0.0.5", guard=True)]
     updates = [
