@@ -287,17 +287,19 @@ def cmd_churn(args) -> int:
     config["window_start"], config["window_end"] = window
     local_as = _load_sessions(args.sessions)
 
-    baseline_updates = [u for u in updates if u.timestamp <= window[0]]
-    base_ribs = ingest(baseline_updates, relays, local_as=local_as)
-    baseline = churn.static_baseline(base_ribs, relays, t0=window[0])
+    ribs = ingest(updates, relays, local_as=local_as)
+    # the routing state at the window start, over the sessions heard by then
+    heard = {u.session for u in updates if u.timestamp <= window[0]}
+    baseline = churn.static_baseline(
+        {sid: rib for sid, rib in ribs.items() if sid in heard}, relays, t0=window[0]
+    )
     out = _out(args)
     _write_summary(out, config, "baseline", baseline)
 
     ratios, newly = [], []
     if any(u.timestamp > window[0] for u in updates):
-        full_ribs = ingest(updates, relays, local_as=local_as)
         updated = churn.churn_summary(
-            full_ribs,
+            ribs,
             relays,
             window,
             min_overlap=float(config["min_overlap"]),

@@ -102,7 +102,7 @@ class PacketTable:
 
 def _first_decrease(ts: np.ndarray) -> int | None:
     """Index of the first timestamp below its predecessor, if any."""
-    down = np.flatnonzero(np.diff(ts) < 0)
+    down = np.flatnonzero(ts[1:] < ts[:-1])
     return int(down[0]) + 1 if len(down) else None
 
 
@@ -460,9 +460,7 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tu
 # below 1e-4 where json switches to an exponent, from 1e9 on, negative,
 # -0.0, NaN, infinite) takes json.dumps of round(t, 6) instead.
 
-_BLOCK_ROWS = 1 << 13  # rows rendered at once; bounds the matrix memory
-_DIR_CODE = {d.value: code for code, d in enumerate(DIRECTIONS)}
-_FLAG_BIT = {name: 1 << i for i, name in enumerate(_FLAG_NAMES)}
+_BLOCK_ROWS = 1 << 13  # rows rendered or lines decoded at once; bounds the matrix memory
 _N_FLAG_SETS = 1 << len(_FLAG_NAMES)
 
 
@@ -586,56 +584,222 @@ def write_trace_jsonl(path, trace: EndpointTrace) -> None:
             handle.buffer.write(_render_rows(obs[start:start + _BLOCK_ROWS]))
 
 
-def _packet_table(records: list) -> PacketTable:
-    """Columns of decoded records; raises on an unusable record."""
-    records = [r for r in records if "_meta" not in r]  # artifact metadata header
-    return PacketTable(
-        ts=[float(r["ts"]) for r in records],
-        direction=[_DIR_CODE[r["dir"]] for r in records],
-        seq=[int(r["seq"]) for r in records],
-        ack=[int(r["ack"]) for r in records],
-        payload_len=[int(r["len"]) for r in records],
-        flags=[sum(_FLAG_BIT[n] for n in set(r["flags"])) if "flags" in r else 0 for r in records],
+# --- reading: the writer's grammar, decoded by columns ----------------------
+#
+# read_trace_jsonl accepts what write_trace_jsonl can write and nothing
+# else, parsed from the file's bytes with the writer's own literals:
+#
+#   _ACK_KEY INT _MIDDLE[direction * 16 + flags] INT _SEQ_KEY INT _TS_KEY TS _END
+#
+# A block of lines is decoded field by field: one uint8 window per line,
+# gathered at the field's start, holds a literal and the token after it.
+# INT is -?(0|[1-9][0-9]*) within int64, valued digit column by digit
+# column. The 64 middles are prefix-free (each ends at its only
+# '"len": '), so the spans [text, text padded with 0xff] are disjoint and
+# ordered: one searchsorted over their bounds finds the text a line's
+# middle starts with, which decodes and checks direction, flags and the
+# "len" key together. TS is plain W.F below 1e9 with one to six fraction
+# digits, no trailing zero but a lone one, and k = W * 10**6 +
+# F * 10**(6 - len(F)) zero or at least 100: k / 1e6 is then exactly
+# float(TS), as k < 2**53. Any other TS must be what json.dumps writes
+# for a value round(., 6) keeps (the writer's other branch), and is
+# decoded by float().
+
+_INT_WINDOW = 20  # a run of up to 19 digits (int64) and the byte after it
+_TS_WINDOW = 17  # a plain timestamp (up to 9 + 1 + 6 bytes) and the byte after it
+_FLOAT_SPELLING = 24  # the longest json.dumps of a float, "-2.2250738585072014e-308"
+_PAD = 256  # zero bytes after the file; the windows of a bad line stay inside
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b" \t\r\x0b\x0c")] = True  # what bytes.strip() strips, \n aside
+_ACK_TEXT, _SEQ_TEXT, _TS_TEXT = (
+    key.tobytes().rstrip(b"\0") for key in (_ACK_KEY, _SEQ_KEY, _TS_KEY)
+)
+_CLOSE, _NEWLINE = _END.tobytes().rstrip(b"\0")  # the byte values of "}" and "\n"
+_MIDDLE_TEXTS = [row.tobytes().rstrip(b"\0") for row in _MIDDLE]
+_MIDDLE_LEN = np.array([len(text) for text in _MIDDLE_TEXTS])
+_MIDDLE_WINDOW = int(_MIDDLE_LEN.max()) + 1  # a text, then the INT after it
+_MIDDLE_ORDER = np.argsort(np.array(_MIDDLE_TEXTS, dtype=f"S{_MIDDLE_WINDOW}"))
+_MIDDLE_BOUNDS = np.array(
+    [bound for code in _MIDDLE_ORDER
+     for bound in (_MIDDLE_TEXTS[code], _MIDDLE_TEXTS[code].ljust(_MIDDLE_WINDOW, b"\xff"))],
+    dtype=f"S{_MIDDLE_WINDOW}",
+)
+
+
+def _starts_with(window: np.ndarray, text: bytes) -> np.ndarray:
+    """Rows of a uint8 window that begin with text, compared 8 bytes at a time."""
+    whole = len(text) // 8 * 8
+    ok = (window[:, :whole].view(np.uint64) == np.frombuffer(text[:whole], np.uint64)).all(axis=1)
+    for column in range(whole, len(text)):
+        ok &= window[:, column] == text[column]
+    return ok
+
+
+def _digit_values(digits: np.ndarray, offset: int, n: np.ndarray) -> np.ndarray:
+    """uint64 values of the runs of n[i] (1..19) digits from column offset,
+    in a window of byte values minus ord("0") with non-digits zeroed. The
+    bytes past a run are at most 9 each, so they add less than one unit of
+    its last digit and floor division drops them."""
+    width = int(n.max(initial=1))
+    value = digits[:, offset].astype(np.uint64)
+    for column in range(offset + 1, offset + width):
+        value *= np.uint64(10)
+        value += digits[:, column]
+    return value // _POW10[width - n]
+
+
+def _read_int(window: np.ndarray, offset: int):
+    """The INT at column offset of each row of a uint8 window with
+    _INT_WINDOW + 1 columns from there on: int64 values, token lengths,
+    and the rows where no canonical int64 starts. The digits of negative
+    rows are shifted onto the sign in place."""
+    negative = window[:, offset] == ord("-")
+    if negative.any():
+        window[negative, offset:-1] = window[negative, offset + 1:]
+    digits = window - np.uint8(ord("0"))
+    is_digit = digits < 10
+    n = np.argmin(is_digit[:, offset:offset + _INT_WINDOW], axis=1)  # 20 digits read as 0
+    bad = (n == 0) | ((digits[:, offset] == 0) & (n > 1))
+    n = np.maximum(n, 1)
+    magnitude = _digit_values(digits * is_digit, offset, n)
+    bad |= magnitude - negative > np.uint64(2**63 - 1)  # -0 wraps above it too
+    values = magnitude.view(np.int64)
+    if negative.any():
+        values = np.where(negative, -values, values)  # -(2**63) wraps onto itself
+    return values, n + negative, bad
+
+
+def _plain_timestamps(window: np.ndarray, offset: int, length: np.ndarray):
+    """k / 1e6 for the rows of a uint8 window with a plain W.F timestamp of
+    the given length at column offset, and those rows."""
+    digits = window - np.uint8(ord("0"))
+    is_digit = digits < 10
+    values = digits * is_digit  # the point reads as a 0 digit
+    whole = np.argmin(is_digit[:, offset:], axis=1)
+    fraction = length - whole - 1
+    point = np.arange(offset, digits.size, digits.shape[1]) + whole  # flat index
+    plain = (
+        (digits.ravel()[point] == (ord(".") - ord("0")) % 256)
+        & (whole >= 1) & (whole <= 9) & (fraction >= 1) & (fraction <= 6)
+        & ((digits[:, offset] != 0) | (whole == 1))
     )
+    is_digit.ravel()[point] = True
+    plain &= np.argmin(is_digit[:, offset:], axis=1) == length  # digits to the end
+    fraction = np.where(plain, fraction, 1)
+    last = np.where(plain, point + fraction, point)
+    plain &= (digits.ravel()[last] != 0) | (fraction == 1)
+    scaled = _digit_values(values, offset, np.where(plain, length, 3))
+    upper, lower = np.divmod(scaled, _POW10[fraction + 1])
+    k = upper * np.uint64(10**6) + lower * _POW10[6 - fraction]
+    plain &= (k == 0) | (k >= 100)
+    return k / 1e6, plain
 
 
-_RECORD_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
+def _spelled_timestamp(token: bytes) -> float | None:
+    """float(token) if the writer's json.dumps branch writes exactly token."""
+    if len(token) > _FLOAT_SPELLING:
+        return None
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    if json.dumps(value).encode() != token or (value == value and round(value, 6) != value):
+        return None
+    return value
 
 
-def _first_bad_line(path, lines: list[str]) -> str:
-    for line_no, line in enumerate(lines, 1):
-        if line.strip():
-            try:
-                _packet_table([json.loads(line)])
-            except KeyError as exc:
-                return f"{path}:{line_no}: missing key or unknown name {exc} in trace record"
-            except _RECORD_ERRORS as exc:
-                return f"{path}:{line_no}: bad trace record: {exc}"
-    return f"{path}: unreadable trace file"
+def _decode_lines(raw: bytes, data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Columns of the lines [starts, ends) of data, and in the order of the
+    fields a list of (rows failing, reason)."""
+
+    def windows(pos, width):
+        return np.lib.stride_tricks.sliding_window_view(data, width)[pos]
+
+    head = windows(starts, len(_ACK_TEXT) + _INT_WINDOW + 1)
+    checks = [(~_starts_with(head, _ACK_TEXT), "expected '{\"ack\": '")]
+    ack, n, bad = _read_int(head, len(_ACK_TEXT))
+    checks.append((bad, '"ack" is not a canonical int64'))
+    pos = starts + len(_ACK_TEXT) + n
+    middle = windows(pos, _MIDDLE_WINDOW).view(f"S{_MIDDLE_WINDOW}").ravel()
+    bound = np.searchsorted(_MIDDLE_BOUNDS, middle, side="right")
+    checks.append((bound % 2 == 0, '"dir", "flags" and "len" not as the writer spells them'))
+    code = _MIDDLE_ORDER[np.minimum(bound // 2, len(_MIDDLE_ORDER) - 1)]
+    pos = pos + _MIDDLE_LEN[code]
+    payload_len, n, bad = _read_int(windows(pos, _INT_WINDOW + 1), 0)
+    checks.append((bad, '"len" is not a canonical int64'))
+    pos = pos + n
+    sequence = windows(pos, len(_SEQ_TEXT) + _INT_WINDOW + 1)
+    checks.append((~_starts_with(sequence, _SEQ_TEXT), "expected ', \"seq\": '"))
+    seq, n, bad = _read_int(sequence, len(_SEQ_TEXT))
+    checks.append((bad, '"seq" is not a canonical int64'))
+    pos = pos + len(_SEQ_TEXT) + n
+    tail = windows(pos, len(_TS_TEXT) + _TS_WINDOW)
+    pos = pos + len(_TS_TEXT)
+    close = ends - 1
+    checks += [
+        (~_starts_with(tail, _TS_TEXT), "expected ', \"ts\": '"),
+        ((data[close] != _CLOSE) | (close <= pos), "expected a timestamp and '}' to end the line"),
+    ]
+    ts, plain = _plain_timestamps(tail, len(_TS_TEXT), close - pos)
+    spelled = np.ones(len(ts), dtype=bool)
+    for row in np.flatnonzero(~plain & ~np.logical_or.reduce([fail for fail, _ in checks])):
+        value = _spelled_timestamp(raw[pos[row]:close[row]])
+        spelled[row] = value is not None
+        ts[row] = value if value is not None else 0.0
+    checks.append((~spelled, '"ts" is not spelled as the writer spells a timestamp'))
+    direction, flags = np.divmod(code, _N_FLAG_SETS)
+    return (ts, direction, seq, ack, payload_len, flags), checks
+
+
+def _data_lines(path, raw: bytes, data: np.ndarray, size: int):
+    """Start, end and 1-based number of every line of raw[:size] that holds
+    a record: blank lines and a leading {"_meta": ...} line are skipped."""
+    ends = np.flatnonzero(data[:size] == _NEWLINE)
+    if size == 0 or raw[size - 1] != _NEWLINE:
+        ends = np.append(ends, size)  # a last line without its newline
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    numbers = np.arange(1, len(starts) + 1)
+    blank = ends == starts
+    for line in np.flatnonzero(~blank & _SPACE[data[starts]]):
+        blank[line] = not raw[starts[line]:ends[line]].strip()
+    if blank.any():
+        starts, ends, numbers = starts[~blank], ends[~blank], numbers[~blank]
+    if len(starts) and raw.startswith(b'{"_meta":', starts[0]):
+        try:
+            json.loads(raw[starts[0]:ends[0]])
+        except ValueError:
+            raise InputError(f"{path}:{numbers[0]}: metadata line is not one JSON object") from None
+        starts, ends, numbers = starts[1:], ends[1:], numbers[1:]
+    return starts, ends, numbers
 
 
 def read_trace_jsonl(path, vantage_id: str, flow_key=("", "")) -> EndpointTrace:
     """Read a whole trace file at once.
 
-    Unusable input raises InputError naming the file and line: a line that
-    is not a JSON object, a missing key, an unknown direction or flag
-    name, or a timestamp below the previous one.
+    The file must hold what write_trace_jsonl writes (see above). Any
+    other line, or a timestamp below the previous one, raises InputError
+    naming the file and line.
     """
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    body = [line for line in lines if line.strip()]
-    try:
-        records = json.loads("[" + ",".join(body) + "]")
-        if len(records) != len(body):
-            raise ValueError("a line holds more than one record")
-        table = _packet_table(records)
-    except _RECORD_ERRORS:
-        raise InputError(_first_bad_line(path, lines)) from None
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    size = len(raw)
+    raw += bytes(_PAD)
+    data = np.frombuffer(raw, dtype=np.uint8)
+    starts, ends, numbers = _data_lines(path, raw, data, size)
+    blocks = []
+    for first in range(0, max(len(starts), 1), _BLOCK_ROWS):  # one block when empty
+        rows = slice(first, first + _BLOCK_ROWS)
+        columns, checks = _decode_lines(raw, data, starts[rows], ends[rows])
+        failing = np.logical_or.reduce([fail for fail, _ in checks])
+        if failing.any():
+            row = int(np.argmax(failing))
+            reason = next(reason for fail, reason in checks if fail[row])
+            line = raw[starts[rows][row]:ends[rows][row]]
+            raise InputError(f"{path}:{numbers[rows][row]}: {reason}: {line[:120]!r}")
+        blocks.append(columns)
+    table = PacketTable(*map(np.concatenate, zip(*blocks)))
     row = _first_decrease(table.ts)
     if row is not None:
-        data_lines = [
-            no for no, line in enumerate(lines, 1)
-            if line.strip() and "_meta" not in json.loads(line)
-        ]
-        raise InputError(f"{path}:{data_lines[row]}: timestamp decreases")
+        raise InputError(f"{path}:{numbers[row]}: timestamp decreases")
     return EndpointTrace(vantage_id, tuple(flow_key), table)

@@ -3,10 +3,10 @@
 import pytest
 from helpers import announce
 
-from routelens import artifacts
+from routelens import artifacts, correlation
 from routelens.bgp import write_updates
 from routelens.core import RelayDescriptor, write_relays
-from routelens.correlation import EndpointTrace, PacketTable, write_trace_jsonl
+from routelens.correlation import DIRECTIONS, EndpointTrace, PacketTable, write_trace_jsonl
 
 
 def rows_failing_midway():
@@ -30,31 +30,26 @@ WRITERS = {
         path,
         (RelayDescriptor(n, True, False, 1.0, name) for name, n in rows_failing_midway()),
     ),
-    "trace": lambda path: write_trace_jsonl(path, EndpointTrace("v", ("", ""), FailingTable())),
+    # with one-row blocks the first packet is written before the second's
+    # direction code, out of range, raises
+    "trace": lambda path: write_trace_jsonl(
+        path,
+        EndpointTrace("v", ("", ""), PacketTable([0.0, 1.0], [0, len(DIRECTIONS)], *[[0, 0]] * 4)),
+    ),
 }
 
 
-class FailingTable(PacketTable):
-    """Two packets whose ack column fails while the trace is being written."""
-
-    def __init__(self):
-        super().__init__(*([0, 0] for _ in range(6)))
-        self.ack = self
-
-    def tolist(self):
-        return (n for _, n in rows_failing_midway())
-
-
 @pytest.mark.parametrize("kind", sorted(WRITERS))
-def test_failed_write_leaves_no_partial_and_no_temp_file(tmp_path, kind):
+def test_failed_write_leaves_no_partial_and_no_temp_file(tmp_path, monkeypatch, kind):
+    monkeypatch.setattr(correlation, "_BLOCK_ROWS", 1)
     fresh = tmp_path / "new" / f"artifact.{kind}"
-    with pytest.raises((RuntimeError, TypeError)):
+    with pytest.raises((RuntimeError, TypeError, ValueError)):
         WRITERS[kind](fresh)
     assert list(fresh.parent.iterdir()) == []
 
     kept = tmp_path / f"artifact.{kind}"
     kept.write_text("previous run\n")
-    with pytest.raises((RuntimeError, TypeError)):
+    with pytest.raises((RuntimeError, TypeError, ValueError)):
         WRITERS[kind](kept)
     assert kept.read_text() == "previous run\n"
     assert [p.name for p in tmp_path.iterdir() if p.is_file()] == [kept.name]

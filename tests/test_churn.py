@@ -352,6 +352,24 @@ def test_product_matches_record_oracle_on_random_histories(history, min_overlap,
     assert as_circuit_coverage(summary) == as_circuit_coverage(expected)
 
 
+@settings(max_examples=150, deadline=None)
+@given(history=rib_histories(), t0=TICK, distinct=st.booleans())
+def test_static_baseline_reads_the_full_rib_at_t0(history, t0, distinct):
+    # the churn subcommand ingests the updates once: the baseline reads the
+    # RIB of the whole stream at t0, over the sessions heard by then
+    relays, sessions, updates = history
+    base_ribs = build_ribs([u for u in updates if u.timestamp <= t0], relays, sessions)
+    full_ribs = build_ribs(updates, relays, sessions)
+    replayed = static_baseline(base_ribs, relays, t0, distinct)
+    read = static_baseline({sid: full_ribs[sid] for sid in base_ribs}, relays, t0, distinct)
+    assert read.total_circuits == replayed.total_circuits
+    assert read.guards.tolist() == replayed.guards.tolist()
+    assert read.exits.tolist() == replayed.exits.tolist()
+    for field in ("pair_circuits", "per_as_circuits"):
+        got, want = getattr(read, field), getattr(replayed, field)
+        assert {k: v.tolist() for k, v in got.items()} == {k: v.tolist() for k, v in want.items()}
+
+
 # --- summaries, ccdf, ratios -------------------------------------------------
 
 

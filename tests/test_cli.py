@@ -19,10 +19,12 @@ from routelens.correlation import AccuracyReport
 from routelens.simulate import (
     ChurnEvent,
     InjectedEvent,
+    PathScenario,
     RouteSpec,
     RoutingScenario,
     SessionSpec,
     TrafficScenario,
+    gen_traceroute_paths,
     random_routing_scenario,
 )
 from routelens.core import RelayDescriptor, ip_to_int
@@ -488,8 +490,18 @@ def _trace_manifest(tmp_path, client_lines):
         _record(3.0, flags=["PSH"]),
         json.dumps({"ack": 0, "dir": "to_relay", "len": 10, "ts": 3.0}),  # no seq
         "not json {",
+        # valid JSON, but not what the writer writes
+        json.dumps({"ts": 3.0, "ack": 0, "dir": "to_relay", "len": 10, "seq": 300}),
+        _record(3.0).replace('"len": ', '"len":  '),
+        _record(3.0, flags=[]),
+        _record(3.0, flags=["SYN", "FIN"]),
+        _record(3.0, seq=7.0),
+        _record(3.0) + "\r",
     ],
-    ids=["decreasing-ts", "unknown-dir", "unknown-flag", "missing-key", "not-json"],
+    ids=[
+        "decreasing-ts", "unknown-dir", "unknown-flag", "missing-key", "not-json",
+        "key-order", "doubled-space", "empty-flags", "unsorted-flags", "float-seq", "crlf",
+    ],
 )
 def test_correlate_bad_trace_line_exits_2(tmp_path, capsys, bad_line):
     manifest = _trace_manifest(tmp_path, [_record(1.0), "", _record(2.0), bad_line])
@@ -725,6 +737,14 @@ def _mutate(text, mutation, at):
         lines = []
     elif mutation == "not json":
         lines = ["nope{\n"]
+    elif mutation == "missing field":
+        try:
+            record = json.loads(lines[k])
+        except ValueError:  # a CSV row loses its last column
+            lines[k] = lines[k].rstrip("\n").rpartition(",")[0] + "\n"
+        else:
+            record.pop(sorted(record)[at % len(record)], None)
+            lines[k] = json.dumps(record, sort_keys=True) + "\n"
     return "".join(lines)
 
 
@@ -824,9 +844,26 @@ def _mutate_trace(text, mutation, at):
         lines = []
     elif mutation == "not json":
         lines[k] = "nope{\n"
-    if mutation in ("missing key", "unknown dir", "unknown flag"):
+    elif mutation == "key order":
+        lines[k] = json.dumps(dict(reversed(record.items()))) + "\n"
+    elif mutation == "doubled space":
+        lines[k] = lines[k].replace(": ", ":  ", 1)
+    elif mutation == "empty flags":
+        record["flags"] = []
+    elif mutation == "unsorted flags":
+        record["flags"] = ["SYN", "FIN"]
+    elif mutation == "float seq":
+        record["seq"] = float(record["seq"])
+    elif mutation == "crlf":
+        lines[k] = lines[k].replace("\n", "\r\n")
+    if mutation in ("missing key", "unknown dir", "unknown flag", "empty flags", "unsorted flags",
+                    "float seq"):
         lines[k] = json.dumps(record, sort_keys=True) + "\n"
     return "".join(lines)
+
+
+# each of these makes line at % len(lines) + 1 unreadable
+_NOT_WRITTEN = ["key order", "doubled space", "empty flags", "unsorted flags", "float seq", "crlf"]
 
 
 def _complete_json_artifact(path):
@@ -850,7 +887,7 @@ def _complete_json_artifact(path):
     which=st.integers(0, 5),
     mutation=st.sampled_from([
         "truncate", "missing key", "unknown dir", "unknown flag", "reverse", "empty",
-        "not json", "missing file",
+        "not json", "missing file", *_NOT_WRITTEN,
     ]),
     at=st.integers(0, 400),
 )
@@ -862,7 +899,8 @@ def test_correlate_mutated_inputs_keep_the_cli_contract(correlate_inputs, which,
         if mutation == "missing file":
             target.unlink()
         else:
-            target.write_text(_mutate_trace(target.read_text(), mutation, at))
+            text = target.read_text()
+            target.write_text(_mutate_trace(text, mutation, at))
         err = io.StringIO()
         with redirect_stderr(err), redirect_stdout(io.StringIO()):
             # an exception escaping main is the traceback the contract rules out
@@ -877,9 +915,94 @@ def test_correlate_mutated_inputs_keep_the_cli_contract(correlate_inputs, which,
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert err.getvalue().startswith("error: "), err.getvalue()
+        if mutation in _NOT_WRITTEN:
+            line = at % len(text.splitlines()) + 1
+            assert code == 2 and f"{target.name}:{line}: " in err.getvalue(), err.getvalue()
         out = Path(scratch) / "out"
         written = sorted(out.iterdir()) if out.exists() else []
         assert all(
             _complete_artifact(path) if path.suffix == ".csv" else _complete_json_artifact(path)
             for path in written
         ), [p.name for p in written]
+
+
+# --- CLI contract under mutated paths and concentrate inputs ------------------------
+
+
+@pytest.fixture(scope="module")
+def paths_inputs():
+    """A valid small mesh: one hop per AS, each AS announcing its own /16."""
+    ases = set()
+    records = []
+    for path in gen_traceroute_paths(
+        PathScenario(seed=4, days=2, n_clients=2, n_guards=2, n_exits=2, n_dests=2)
+    ):
+        ases.update(path.ases)
+        records.append({
+            "probe": path.probe, "target": path.target, "role": path.role.value, "day": path.day,
+            "hops": [f"{30 + asn // 256}.{asn % 256}.0.1" for asn in path.ases],
+        })
+    return {
+        "traceroutes": "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+        "mapping": "prefix,asn\n"
+        + "".join(f"{30 + asn // 256}.{asn % 256}.0.0/16,{asn}\n" for asn in sorted(ases)),
+    }
+
+
+@pytest.fixture(scope="module")
+def concentrate_inputs(churn_inputs):
+    """The simulated relay list and an origin map over its /16s and /24s."""
+    relays = churn_inputs["relays"]
+    nets = sorted({
+        tuple(line.split(",")[0].split(".")[:3]) for line in relays.splitlines()[1:]
+    })
+    origins = "prefix,asn\n" + "".join(
+        f"{a}.{b}.0.0/16,{64600 + i}\n{a}.{b}.{c}.0/24,{64700 + i}\n"
+        for i, (a, b, c) in enumerate(nets)
+    )
+    return {"relays": relays, "origins": origins}
+
+
+_INPUT_MUTATIONS = st.sampled_from(["truncate", "missing field", "octet 300", "empty", "not json"])
+
+
+def _check_contract(inputs, target, mutation, at, subcommand, flags):
+    """Run subcommand over the inputs with one of them mutated, each flag
+    naming its input: exit 0 or 2, no traceback, no partial artifact."""
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        for name, text in dict(inputs, **{target: _mutate(inputs[target], mutation, at)}).items():
+            (root / name).write_text(text)
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            # an exception escaping main is the traceback the contract rules out
+            code = run(
+                "--output-dir", root / "out", subcommand,
+                *(arg for flag, name in flags.items() for arg in (flag, root / name)),
+            )
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: "), err.getvalue()
+        written = sorted((root / "out").iterdir()) if (root / "out").exists() else []
+        assert all(_complete_artifact(path) for path in written), [p.name for p in written]
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(target=st.sampled_from(["traceroutes", "mapping"]), mutation=_INPUT_MUTATIONS,
+       at=st.integers(0, 200))
+def test_paths_mutated_inputs_keep_the_cli_contract(paths_inputs, target, mutation, at):
+    _check_contract(paths_inputs, target, mutation, at, "paths",
+                    {"--traceroutes": "traceroutes", "--mapping": "mapping"})
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(target=st.sampled_from(["relays", "origins"]), mutation=_INPUT_MUTATIONS,
+       at=st.integers(0, 40))
+def test_concentrate_mutated_inputs_keep_the_cli_contract(concentrate_inputs, target, mutation, at):
+    _check_contract(concentrate_inputs, target, mutation, at, "concentrate",
+                    {"--relays": "relays", "--origins": "origins"})

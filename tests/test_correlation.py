@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routelens import correlation
+from routelens.core import InputError
 from routelens.correlation import (
     AccuracyReport,
     ByteProgressSeries,
@@ -583,22 +585,180 @@ def test_writer_blocks_join_seamlessly(tmp_path, monkeypatch):
     assert _written(tmp_path, table) == expected
 
 
+# any float64 (NaN, infinities, -0.0, exact halves of a microsecond), any
+# int64 and every direction and flag code
+_any_tables = st.lists(
+    st.tuples(
+        st.floats(width=64) | st.integers(0, 10**12).map(lambda j: (j + 0.5) / 1e6),
+        st.integers(0, 3),
+        st.integers(-(2**63), 2**63 - 1),
+        st.integers(-(2**63), 2**63 - 1),
+        st.integers(-(2**63), 2**63 - 1),
+        st.integers(0, 15),
+    ),
+    max_size=30,
+).map(lambda rows: PacketTable(*(zip(*rows) if rows else ([],) * 6)))
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(width=64) | st.integers(0, 10**12).map(lambda j: (j + 0.5) / 1e6),
-            st.integers(0, 3),
-            st.integers(-(2**63), 2**63 - 1),
-            st.integers(-(2**63), 2**63 - 1),
-            st.integers(-(2**63), 2**63 - 1),
-            st.integers(0, 15),
-        ),
-        max_size=30,
-    )
-)
-def test_writer_matches_oracle_on_any_columns(tmp_path_factory, rows):
-    table = PacketTable(*(zip(*rows) if rows else ([],) * 6))
+@given(_any_tables)
+def test_writer_matches_oracle_on_any_columns(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("trace") / "t.jsonl"
     write_trace_jsonl(path, EndpointTrace("v", ("", ""), table))
     assert path.read_bytes() == oracle_trace_text(table).encode()
+
+
+# --- the column-kernel reader against the per-record oracle ------------------
+
+
+def _assert_oracle_columns(got, path):
+    """got holds the oracle's columns bit for bit (NaN payloads, -0.0)."""
+    for name, column in oracle_read_columns(path).items():
+        want = np.array(column, dtype=getattr(got, name).dtype)
+        assert getattr(got, name).tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_tables)
+def test_reader_matches_oracle_on_any_columns(tmp_path_factory, table):
+    table = table[np.argsort(table.ts, kind="stable")]  # NaN last: never a decrease
+    path = tmp_path_factory.mktemp("trace") / "t.jsonl"
+    write_trace_jsonl(path, EndpointTrace("v", ("", ""), table))
+    got = read_trace_jsonl(path, "v").observations
+    _assert_oracle_columns(got, path)
+    rounded = np.array([round(t, 6) for t in table.ts.tolist()])
+    assert np.array_equal(got.ts, rounded, equal_nan=True)
+    signed = ~np.isnan(rounded)
+    assert np.array_equal(np.signbit(got.ts[signed]), np.signbit(rounded[signed]))
+    for name in ("direction", "seq", "ack", "payload_len", "flags"):
+        assert np.array_equal(getattr(got, name), getattr(table, name)), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _any_tables.filter(len),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0), st.sampled_from(b'09.-+e,:" []{}\n\rN_')),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_reader_accepts_only_what_the_writer_writes(tmp_path_factory, table, edits):
+    # a few byte edits of a written file: the reader rejects the result, or
+    # what it reads is spelled back byte for byte, blank lines aside
+    text = bytearray(oracle_trace_text(table[np.argsort(table.ts, kind="stable")]).encode())
+    for kind, at, byte in edits:
+        at %= len(text)
+        if kind == 0:
+            text[at] = byte
+        elif kind == 1:
+            del text[at]
+        else:
+            text.insert(at, byte)
+    path = tmp_path_factory.mktemp("trace") / "t.jsonl"
+    path.write_bytes(text)
+    try:
+        got = read_trace_jsonl(path, "v").observations
+    except InputError:
+        return
+    lines = [line + b"\n" for line in bytes(text).split(b"\n") if line.strip()]
+    assert oracle_trace_text(got).encode() == b"".join(lines)
+
+
+@pytest.mark.parametrize("scale", [1, 10**3, 10**6, 10**9, 10**12, 10**15])
+def test_reader_decodes_plain_timestamps_like_float(tmp_path, monkeypatch, scale):
+    # k / 1e6 for k below 1e15: every plain spelling the writer produces,
+    # with whole parts up to nine digits; blocks of 1000 lines
+    monkeypatch.setattr(correlation, "_BLOCK_ROWS", 1000)
+    rng = np.random.default_rng(scale)
+    k = np.sort(rng.integers(0, scale, 4000, endpoint=True))
+    k = np.unique(np.concatenate([k, k[k < 10**15 - 1] + 1, [0, 100, 101, 10**6]]))
+    k = k[(k < 10**15) & ((k >= 100) | (k == 0))]
+    path = tmp_path / "t.jsonl"
+    write_trace_jsonl(path, EndpointTrace("v", ("", ""), _table(k / 1e6)))
+    got = read_trace_jsonl(path, "v").observations
+    assert got.ts.tobytes() == (k / 1e6).tobytes()
+    _assert_oracle_columns(got, path)
+
+
+def _line(ts="2.0", ack="5", middle='"dir": "to_relay", ', length="10", seq="7"):
+    return f'{{"ack": {ack}, {middle}"len": {length}, "seq": {seq}, "ts": {ts}}}'
+
+
+# line 1 metadata, line 2 blank, line 4 spaces and a tab: the sixth is bad
+_BEFORE_BAD = ['{"_meta": {"tool": "routelens"}}', "", _line("1.0"), " \t", _line("1.5")]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '{"dir": "to_relay", "ack": 5, "len": 10, "seq": 7, "ts": 2.0}',  # key order
+        _line().replace('"ack": ', '"ack":  '),  # doubled space
+        _line().replace('"seq": ', '"seq":'),
+        " " + _line(),
+        _line() + " ",
+        _line() + "\r",  # CRLF
+        _line(middle='"dir": "to_relay", "flags": [], '),
+        _line(middle='"dir": "to_relay", "flags": ["SYN", "FIN"], '),  # unsorted
+        _line(middle='"dir": "to_relay", "flags": ["FIN", "FIN"], '),
+        _line(middle='"dir": "to_relay", "flags": ["PSH"], '),
+        _line(middle='"dir": "sideways", '),
+        _line(middle='"dir": "to_relay", "extra": 1, '),
+        _line(middle=""),
+        _line(seq="07"),
+        _line(seq="+7"),
+        _line(seq="1_000"),
+        _line(seq="-0"),
+        _line(seq="7.0"),
+        _line(seq="7e0"),
+        _line(seq='"7"'),
+        _line(ack="9223372036854775808"),
+        _line(ack="-9223372036854775809"),
+        _line(length="18446744073709551616"),
+        _line(length="99999999999999999999"),
+        _line(length="-"),
+        _line(ts="2.50"),
+        _line(ts="02.5"),
+        _line(ts="2.0000001"),  # more than round(., 6) keeps
+        _line(ts="2.5e0"),
+        _line(ts="0.00005"),  # the writer spells 5e-05
+        _line(ts="1.0e-05"),
+        _line(ts="2"),
+        _line(ts="2."),
+        _line(ts=".5"),
+        _line(ts="1E+16"),
+        _line(ts="nan"),
+        _line(ts="Infinity "),
+        _line(ts='"2.0"'),
+        _line(ts="1_0.5"),
+        _line(ts=""),
+        _line()[:30],
+        _line() + _line(),
+        '{"_meta": {"tool": "routelens"}}',  # metadata only leads
+        "not json {",
+        _line(ts="1.25"),  # below the 1.5 before it
+    ],
+)
+def test_reader_rejects_what_the_writer_cannot_write(tmp_path, bad):
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(_BEFORE_BAD + [bad, _line("3.0")]) + "\n")
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}:6: "):
+        read_trace_jsonl(path, "v")
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 8192])
+def test_reader_skips_blank_and_metadata_lines_across_blocks(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(correlation, "_BLOCK_ROWS", block_rows)
+    spellings = ["2.0", "1000000000.25", "1e+16", "Infinity"]
+    good = [_line(ts, seq=str(i)) for i, ts in enumerate(spellings)]
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(_BEFORE_BAD + good[1:2] + ["", "  "] + good[2:]))  # no final newline
+    got = read_trace_jsonl(path, "v").observations
+    assert got.ts.tolist() == [1.0, 1.5, 1000000000.25, 1e16, math.inf]
+    _assert_oracle_columns(got, path)
+    path.write_text("\n".join(_BEFORE_BAD + good + [_line("0.5")]))
+    with pytest.raises(InputError, match=r":10: timestamp decreases"):
+        read_trace_jsonl(path, "v")
+    path.write_text("\n".join(_BEFORE_BAD + good + [_line(seq="01")]))
+    with pytest.raises(InputError, match=r":10: "):
+        read_trace_jsonl(path, "v")
