@@ -28,7 +28,7 @@ def main() -> None:
     parser.add_argument("--tunnel-csv", type=Path, default=Path("tunnel_series.csv"))
     args = parser.parse_args()
 
-    accuracies, fns, fps = [], 0, 0
+    accuracies, fns, misattributed = [], 0, 0
     first_run = None
     for seed in range(args.seeds):
         run = gen_interception_timeline(
@@ -43,7 +43,7 @@ def main() -> None:
         result = interception_accuracy(run)
         accuracies.append(result.report.accuracy)
         fns += result.report.false_negatives
-        fps += result.report.false_positives
+        misattributed += result.report.false_positives
 
     capture = first_run.capture
     print(f"capture interval [{capture[0]:.0f}, {capture[1]:.0f}) s")
@@ -52,7 +52,7 @@ def main() -> None:
         f"min {min(accuracies):.3f} max {max(accuracies):.3f}"
     )
     total = args.seeds * args.pairs
-    print(f"false negatives {fns}/{total}, false positives {fps}/{total}")
+    print(f"false negatives {fns}/{total}, misattributions {misattributed}/{total}")
 
     with open(args.tunnel_csv, "w") as handle:
         handle.write("second_raw,second_adjusted,good_acks,attacker_acks\n")

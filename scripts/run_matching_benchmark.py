@@ -54,9 +54,7 @@ def main() -> None:
         m = report.metrics
         n_trials = args.pairs * len(seeds)
         fn_lo, fn_hi = clopper_pearson(m["false_negatives_total"], n_trials)
-        fp_lo, fp_hi = clopper_pearson(
-            m["false_positives_total"], args.pairs * (args.pairs - 1) * len(seeds)
-        )
+        fp_lo, fp_hi = clopper_pearson(m["false_positives_total"], m["false_positive_trials"])
         print(
             f"{label:<26} accuracy {m['mean_accuracy']:.3f} "
             f"(min {m['min_accuracy']:.3f})  "

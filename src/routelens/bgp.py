@@ -23,6 +23,7 @@ from .core import (
     RelayIndex,
     RouteEntry,
     VantageSession,
+    reading,
 )
 
 
@@ -58,7 +59,7 @@ class ParseIssue:
 
 
 def parse_updates(source) -> tuple[list[BgpUpdate], list[ParseIssue]]:
-    """Parse the update CSV schema timestamp,session,kind,prefix,path.
+    """Parse the update CSV file source, schema timestamp,session,kind,prefix,path.
 
     kind is A or W; path is a space-separated AS list (quoted when written
     by csv). Malformed lines become ParseIssue diagnostics instead of being
@@ -67,9 +68,7 @@ def parse_updates(source) -> tuple[list[BgpUpdate], list[ParseIssue]]:
     """
     updates: list[BgpUpdate] = []
     issues: list[ParseIssue] = []
-    own_handle = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    handle = open(source, newline="") if own_handle else source
-    try:
+    with reading(source, "update file") as handle:
         for line_no, row in enumerate(csv.reader(handle), start=1):
             if not row or (row[0].startswith("#")):
                 continue
@@ -94,9 +93,6 @@ def parse_updates(source) -> tuple[list[BgpUpdate], list[ParseIssue]]:
                 updates.append(BgpUpdate(timestamp, session, kind, prefix, path))
             except (ValueError, KeyError) as exc:
                 issues.append(ParseIssue(line_no, str(exc), ",".join(row)))
-    finally:
-        if own_handle:
-            handle.close()
     updates.sort(key=lambda u: u.timestamp)
     return updates, issues
 

@@ -10,15 +10,14 @@ on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, artifacts, churn, detect, evaluation, paths, simulate
 from .bgp import filter_session_resets, ingest, parse_updates, write_updates
-from .core import InputError, int_to_ip, load_prefix_origins, load_relays, write_relays
+from .core import InputError, csv_records, int_to_ip, read_json, write_relays
+from .core import load_prefix_origins, load_relays
 from .correlation import (
     CorrelationError,
     SignalKind,
@@ -41,39 +40,26 @@ DEFAULTS = {
 }
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _require(path_text: str, what: str) -> Path:
-    path = Path(path_text)
-    if not path.exists():
-        raise InputError(f"{what} not found: {path}")
-    return path
-
-
 def _effective_config(args, keys: list[str]) -> dict:
-    """Defaults, overlaid by --config file values, overlaid by flags."""
+    """Defaults, overlaid by --config file numbers (integers where the
+    default is one), overlaid by flags."""
     config = {key: DEFAULTS[key] for key in keys if key in DEFAULTS}
     if args.config:
-        path = _require(args.config, "config file")
-        try:
-            loaded = json.loads(path.read_text())
-        except ValueError as exc:
-            raise InputError(f"{path}:{getattr(exc, 'lineno', 1)}: not JSON: {exc}") from None
+        loaded = read_json(args.config, "config file")
         if not isinstance(loaded, dict):
-            raise InputError(f"{path}: config must be a JSON object")
+            raise InputError(f"{args.config}: config must be a JSON object")
         for key in keys:
             if key in loaded:
-                config[key] = loaded[key]
+                value, integral = loaded[key], isinstance(DEFAULTS[key], int)
+                number = int if integral else (int, float)
+                if isinstance(value, bool) or not isinstance(value, number):
+                    kind = "an integer" if integral else "a number"
+                    raise InputError(f"{args.config}: config key {key!r} must be {kind}, not {value!r}")
+                config[key] = value
     for key in keys:
         flag = getattr(args, key, None)
         if flag is not None:
             config[key] = flag
-    config["seed"] = config.get("seed", DEFAULTS["seed"])
-    if args.seed is not None:
-        config["seed"] = args.seed
     config["output_dir"] = args.output_dir
     return config
 
@@ -88,66 +74,54 @@ def _out(args) -> Path:
 
 
 def _parse_scenario(text: str) -> tuple[SignalKind, SignalKind]:
-    try:
-        client_part, server_part = text.lower().split(":")
-        kinds = {
-            "client-data": SignalKind.DATA,
-            "client-ack": SignalKind.ACK,
-            "server-data": SignalKind.DATA,
-            "server-ack": SignalKind.ACK,
-        }
-        return kinds[client_part], kinds[server_part]
-    except (ValueError, KeyError):
-        raise InputError(
-            f"bad scenario {text!r}; expected e.g. client-data:server-ack"
-        ) from None
+    pairs = {f"client-{c.value}:server-{s.value}": (c, s) for c in SignalKind for s in SignalKind}
+    if text.lower() not in pairs:
+        raise InputError(f"bad scenario {text!r}; expected e.g. client-data:server-ack")
+    return pairs[text.lower()]
 
 
-def _csv_records(path: Path):
-    """(file line number, row dict) per data row of a CSV, # lines skipped."""
-    with open(path, newline="") as handle:
-        numbered = [(no, line) for no, line in enumerate(handle, 1) if not line.startswith("#")]
-    reader = csv.DictReader(line for _, line in numbered)
-    for row in reader:
-        yield numbered[reader.line_num - 1][0], row
+def _manifest_row(row: dict) -> tuple[Path, str, str]:
+    role = row["role"].strip().lower()
+    if role not in ("client", "server"):
+        raise ValueError(f"unknown role {row['role']!r}")
+    return Path(row["file"]), row["vantage_id"], role
 
 
-def _load_manifest(manifest_path: Path):
+def _load_manifest(manifest_path: str):
     clients, servers = [], []
-    base = manifest_path.parent
-    for line_no, row in _csv_records(manifest_path):
-        try:
-            file_path, role = Path(row["file"]), row["role"].strip().lower()
-            vantage_id = row["vantage_id"]
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise InputError(f"{manifest_path}:{line_no}: bad manifest row: {exc}") from None
-        if role not in ("client", "server"):
-            raise InputError(f"{manifest_path}:{line_no}: unknown role {row['role']!r}")
-        if not file_path.is_absolute():
-            file_path = base / file_path
-        trace = read_trace_jsonl(_require(file_path, "trace file"), vantage_id)
+    base = Path(manifest_path).parent
+    rows = csv_records(manifest_path, "manifest", ("file", "vantage_id", "role"), _manifest_row)
+    for file_path, vantage_id, role in rows:
+        trace = read_trace_jsonl(base / file_path, vantage_id)
         (clients if role == "client" else servers).append(trace)
     if not clients or not servers:
         raise InputError("manifest needs at least one client and one server trace")
     return clients, servers
 
 
-def accuracy_payload(report, n_servers: int) -> dict:
-    """The accuracy_report.json fields, each rate with its 95% interval.
+def _load_truth(path_text: str) -> dict[str, str]:
+    """The client -> server id pairing of a truth file: its "pairing" object, or the document."""
+    document = read_json(path_text, "truth file")
+    name = "pairing" if isinstance(document, dict) and "pairing" in document else "truth"
+    pairing = document["pairing"] if name == "pairing" else document
+    if not isinstance(pairing, dict) or not all(isinstance(s, str) for s in pairing.values()):
+        raise InputError(f"{path_text}: {name} must map client ids to server id strings")
+    return pairing
 
-    False negatives are counted over the n clients. False positives are
-    counted over the n * (m - 1) (client, wrong server) pairs, and never
-    over fewer trials than one or than there are false positives (a client
-    whose partner is absent can still match a lone server).
-    """
-    fp_trials = max(report.n_clients * (n_servers - 1), report.false_positives, 1)
+
+def accuracy_payload(report) -> dict:
+    """The accuracy_report.json fields, each rate with its 95% interval:
+    false negatives over the n clients, false positives over the report's
+    false-positive trials."""
     return {
         "n_clients": report.n_clients,
         "accuracy": report.accuracy,
         "false_negative_rate": report.false_negative_rate,
-        "false_positive_rate": report.false_positives / fp_trials,
+        "false_positive_rate": report.false_positive_rate,
         "fn_confidence_95": list(clopper_pearson(report.false_negatives, report.n_clients)),
-        "fp_confidence_95": list(clopper_pearson(report.false_positives, fp_trials)),
+        "fp_confidence_95": list(
+            clopper_pearson(report.false_positives, report.false_positive_trials)
+        ),
     }
 
 
@@ -158,11 +132,8 @@ def cmd_correlate(args) -> int:
     client_kind, server_kind = _parse_scenario(args.scenario)
     config["scenario"] = args.scenario
     config["cumulative"] = bool(args.cumulative)
-    clients, servers = _load_manifest(_require(args.manifest, "manifest"))
-    truth = None
-    if args.truth:
-        truth_doc = json.loads(_require(args.truth, "truth file").read_text())
-        truth = truth_doc.get("pairing", truth_doc)
+    clients, servers = _load_manifest(args.manifest)
+    truth = _load_truth(args.truth) if args.truth else None
     try:
         result = evaluation.run_match_pipeline(
             clients,
@@ -203,7 +174,7 @@ def cmd_correlate(args) -> int:
         ),
     )
     if result.report is not None:
-        payload = accuracy_payload(result.report, len(result.server_ids))
+        payload = accuracy_payload(result.report)
         artifacts.write_json(out / "accuracy_report.json", config, payload)
         print(
             f"accuracy {payload['accuracy']:.3f}  fn {payload['false_negative_rate']:.3f}  "
@@ -216,12 +187,11 @@ def cmd_correlate(args) -> int:
 
 
 def _ingest_updates(args, config) -> tuple[list, list, tuple[float, float]]:
-    relays = load_relays(_require(args.relays, "relay list"))
+    relays = load_relays(args.relays)
     # the initial state goes first, so it precedes updates at equal timestamps
-    sources = [(args.initial, "initial state")] if getattr(args, "initial", None) else []
+    sources = [args.initial] if getattr(args, "initial", None) else []
     updates, malformed = [], 0
-    for path_text, what in sources + [(args.updates, "update file")]:
-        path = _require(path_text, what)
+    for path in sources + [args.updates]:
         parsed, issues = parse_updates(path)
         for issue in issues:
             print(f"{path}: line {issue.line_no}: {issue.message}: {issue.raw}", file=sys.stderr)
@@ -246,14 +216,10 @@ def _load_sessions(path_text) -> dict[str, int] | None:
     """session_id,local_as CSV; a bad row raises InputError naming file and line."""
     if not path_text:
         return None
-    path = _require(path_text, "sessions file")
-    sessions = {}
-    for line_no, row in _csv_records(path):
-        try:
-            sessions[row["session_id"].strip()] = int(row["local_as"])
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise InputError(f"{path}:{line_no}: bad session row: {exc}") from None
-    return sessions
+    return dict(csv_records(
+        path_text, "session list", ("session_id", "local_as"),
+        lambda row: (row["session_id"].strip(), int(row["local_as"])),
+    ))
 
 
 def _write_summary(out: Path, config, name: str, summary: churn.CompromiseSummary) -> None:
@@ -342,10 +308,10 @@ def cmd_churn(args) -> int:
 def cmd_paths(args) -> int:
     config = _effective_config(args, ["seed"])
     config["exclude_endpoint_ases"] = bool(args.exclude_endpoint_ases)
-    mapping = load_prefix_origins(_require(args.mapping, "prefix-to-AS mapping"))
-    traced = paths.load_traceroutes(_require(args.traceroutes, "traceroute file"), mapping)
+    mapping = load_prefix_origins(args.mapping)
+    traced = paths.load_traceroutes(args.traceroutes, mapping)
     if not traced:
-        return _fail("traceroute file holds no records")
+        raise InputError(f"{args.traceroutes}: traceroute file holds no records")
     dataset = paths.PathDataset(traced)
     rows = paths.vulnerability_timeseries(
         dataset, exclude_endpoint_ases=bool(args.exclude_endpoint_ases)
@@ -411,7 +377,7 @@ def cmd_detect(args) -> int:
         out / "alerts.jsonl", config, (detect.alert_to_record(a) for a in alerts)
     )
     if args.events:
-        events = detect.load_hijack_events(_require(args.events, "event file"))
+        events = detect.load_hijack_events(args.events)
         impacts = detect.cross_reference(events, relays)
         artifacts.write_csv(
             out / "event_impacts.csv",
@@ -425,8 +391,8 @@ def cmd_detect(args) -> int:
 
 def cmd_concentrate(args) -> int:
     config = _effective_config(args, ["seed"])
-    relays = load_relays(_require(args.relays, "relay list"))
-    origin_map = load_prefix_origins(_require(args.origins, "origin map"))
+    relays = load_relays(args.relays)
+    origin_map = load_prefix_origins(args.origins)
     report = detect.concentration(relays, origin_map)
     out = _out(args)
     artifacts.write_csv(
@@ -454,8 +420,8 @@ def cmd_concentrate(args) -> int:
 
 def cmd_prefixlen(args) -> int:
     config = _effective_config(args, ["seed"])
-    relays = load_relays(_require(args.relays, "relay list"))
-    origin_map = load_prefix_origins(_require(args.origins, "origin map"))
+    relays = load_relays(args.relays)
+    origin_map = load_prefix_origins(args.origins)
     report = detect.prefix_length_vulnerability(relays, origin_map)
     out = _out(args)
     artifacts.write_csv(
@@ -490,7 +456,7 @@ def _write_traffic_dataset(out: Path, config, clients, servers, truth) -> None:
 
 def cmd_simulate(args) -> int:
     config = _effective_config(args, ["seed"])
-    scenario = simulate.load_scenario(_require(args.scenario, "scenario file"))
+    scenario = simulate.load_scenario(args.scenario)
     out = _out(args)
     if isinstance(scenario, simulate.TrafficScenario):
         if args.seed is not None:
@@ -623,9 +589,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except InputError as exc:
-        return _fail(str(exc))
-    except FileNotFoundError as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,16 +9,76 @@ PrefixTable is mutable, and only until it is frozen.
 from __future__ import annotations
 
 import csv
+import json
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .artifacts import replacing
 
 
 class InputError(ValueError):
     """An input file is unusable; the message names the file (and line)."""
+
+
+@contextmanager
+def reading(path, what: str, mode: str = "r"):
+    """Handle onto the input file path, the read side of artifacts.replacing:
+    a missing, unreadable or non-UTF-8 file, a directory and a csv.Error
+    become InputError naming the file, e.g. "relay list not found: <path>"."""
+    text = "b" not in mode
+    try:
+        handle = open(path, mode, encoding="utf-8" if text else None, newline="" if text else None)
+    except FileNotFoundError:
+        raise InputError(f"{what} not found: {path}") from None
+    except IsADirectoryError:
+        raise InputError(f"{what} is a directory: {path}") from None
+    except OSError as exc:
+        raise InputError(f"{what} unreadable: {path}: {exc.strerror}") from None
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: {what} is not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise InputError(f"{path}: {what} is not CSV: {exc}") from None
+
+
+def read_json(path, what: str):
+    """The JSON document in path; a syntax error is reported at file:line."""
+    with reading(path, what) as handle:
+        text = handle.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}:{getattr(exc, 'lineno', 1)}: not JSON: {exc}") from None
+
+
+def csv_records(path, what: str, columns: Iterable[str], convert: Callable[[dict], Any]) -> list:
+    """convert(row) for each data row of a headed CSV, # lines skipped; no
+    header, no records. A header lacking one of columns is reported at its
+    line; a row shorter than the header or whose convert raises ValueError,
+    KeyError or TypeError as "<file>:<line>: bad <first word of what> row"."""
+    records = []
+    with reading(path, what) as handle:
+        numbered = [(no, line) for no, line in enumerate(handle, 1) if not line.startswith("#")]
+        reader = csv.DictReader(line for _, line in numbered)
+        if reader.fieldnames is None:
+            return records
+        missing = sorted(set(columns) - set(reader.fieldnames))
+        if missing:
+            raise InputError(f"{path}:{numbered[0][0]}: {what} header lacks {', '.join(missing)}")
+        for row in reader:
+            try:
+                if None in row.values():
+                    raise ValueError("too few fields")
+                records.append(convert(row))
+            except (ValueError, KeyError, TypeError) as exc:
+                line_no = numbered[reader.line_num - 1][0]
+                raise InputError(f"{path}:{line_no}: bad {what.split()[0]} row: {exc}") from None
+    return records
 
 
 class RelayRole(Enum):
@@ -71,10 +131,6 @@ class IpPrefix:
             raise ValueError(f"missing /length in {text!r}")
         return cls(ip_to_int(addr), int(length))
 
-    @classmethod
-    def host(cls, address: int) -> "IpPrefix":
-        return cls(address, 32)
-
     @property
     def last_address(self) -> int:
         return self.base | (0xFFFFFFFF >> self.length)
@@ -103,29 +159,13 @@ class RelayDescriptor:
 
 def load_relays(path) -> list[RelayDescriptor]:
     """Read a relay list CSV with header address,is_guard,is_exit,bandwidth,nickname."""
-    relays = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"address", "is_guard", "is_exit", "bandwidth"}
-        missing = sorted(required - set(reader.fieldnames or required))
-        if missing:
-            raise InputError(f"{path}:1: relay list header lacks {', '.join(missing)}")
-        for row in reader:
-            try:
-                if None in row.values():
-                    raise ValueError("too few fields")
-                relays.append(
-                    RelayDescriptor(
-                        address=ip_to_int(row["address"]),
-                        is_guard=_parse_bool(row["is_guard"]),
-                        is_exit=_parse_bool(row["is_exit"]),
-                        bandwidth=float(row["bandwidth"]),
-                        nickname=row.get("nickname", "") or "",
-                    )
-                )
-            except (ValueError, KeyError, AttributeError) as exc:
-                raise InputError(f"{path}:{reader.line_num}: bad relay row: {exc}") from None
-    return relays
+    return csv_records(
+        path, "relay list", ("address", "is_guard", "is_exit", "bandwidth"),
+        lambda row: RelayDescriptor(
+            ip_to_int(row["address"]), _parse_bool(row["is_guard"]), _parse_bool(row["is_exit"]),
+            float(row["bandwidth"]), row.get("nickname") or "",
+        ),
+    )
 
 
 def write_relays(path, relays: Iterable[RelayDescriptor]) -> None:
@@ -215,13 +255,10 @@ def merge_intervals(
     return merged
 
 
-OPEN = None  # t_end sentinel for still-active route entries
-
-
 @dataclass
 class RouteEntry:
     """Interval during which a session forwarded a relay-hosting prefix
-    via a given AS path. t_end is OPEN (None) while the entry is active."""
+    via a given AS path. t_end is None while the entry is active."""
 
     t_start: float
     t_end: float | None
@@ -318,7 +355,7 @@ def load_prefix_origins(path) -> PrefixTable:
     the file and line.
     """
     table = PrefixTable()
-    with open(path, newline="") as handle:
+    with reading(path, "prefix-to-AS mapping") as handle:
         reader = csv.reader(handle)
         for row in reader:
             if not row or row[0].startswith("#"):

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .artifacts import replacing
-from .core import InputError
+from .core import InputError, reading
 
 WRAP = 2**32
 
@@ -143,10 +143,17 @@ class MatchResult:
 
 @dataclass
 class AccuracyReport:
+    """Matches of n clients among m servers. accuracy, false_negative_rate and
+    misattribution_rate are shares of the n clients; false_positive_rate is
+    a share of the n * (m - 1) (client, wrong server) trials, counted as at
+    least 1 and at least the false positives (a client whose partner is
+    absent can still match a lone server)."""
+
     n_clients: int
     correct: int
     false_negatives: int
     false_positives: int
+    n_servers: int
 
     @property
     def accuracy(self) -> float:
@@ -157,8 +164,16 @@ class AccuracyReport:
         return self.false_negatives / self.n_clients if self.n_clients else 0.0
 
     @property
-    def false_positive_rate(self) -> float:
+    def misattribution_rate(self) -> float:
         return self.false_positives / self.n_clients if self.n_clients else 0.0
+
+    @property
+    def false_positive_trials(self) -> int:
+        return max(self.n_clients * (self.n_servers - 1), self.false_positives, 1)
+
+    @property
+    def false_positive_rate(self) -> float:
+        return self.false_positives / self.false_positive_trials
 
 
 def unwrap_cumulative(values) -> np.ndarray:
@@ -355,13 +370,14 @@ def match(
     return results
 
 
-def evaluate(matches: list[MatchResult], truth: dict[str, str]) -> AccuracyReport:
-    """Score matches against the true pairing.
+def evaluate(matches: list[MatchResult], truth: dict[str, str], n_servers: int) -> AccuracyReport:
+    """Score matches against the true pairing, among n_servers servers.
 
     accuracy counts clients matched to their true partner, false negatives
     clients with a partner that got no match, false positives clients
-    matched to a wrong server. Denominator is always the number of clients
-    evaluated, so the three rates sum to 1 when every client has a partner.
+    matched to a wrong server. accuracy, false_negative_rate and
+    misattribution_rate share the number of clients evaluated as their
+    denominator, so they sum to 1 when every client has a partner.
     """
     correct = fn = fp = 0
     for result in matches:
@@ -373,7 +389,7 @@ def evaluate(matches: list[MatchResult], truth: dict[str, str]) -> AccuracyRepor
             correct += 1
         else:
             fp += 1
-    return AccuracyReport(len(matches), correct, fn, fp)
+    return AccuracyReport(len(matches), correct, fn, fp, n_servers)
 
 
 def _log_binom(n: int, k: int) -> float:
@@ -781,7 +797,7 @@ def read_trace_jsonl(path, vantage_id: str, flow_key=("", "")) -> EndpointTrace:
     other line, or a timestamp below the previous one, raises InputError
     naming the file and line.
     """
-    with open(path, "rb") as handle:
+    with reading(path, "trace file", "rb") as handle:
         raw = handle.read()
     size = len(raw)
     raw += bytes(_PAD)

@@ -9,18 +9,17 @@ with an interval list instead of spam.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
 from .bgp import BgpUpdate, UpdateKind, ingest
 from .core import (
     AsPath,
-    InputError,
     IpPrefix,
     PrefixTable,
     RelayDescriptor,
     RelayIndex,
+    csv_records,
     int_to_ip,
     ip_to_int,
     merge_intervals,
@@ -161,22 +160,13 @@ class HijackEvent:
 def load_hijack_events(path) -> list[HijackEvent]:
     """Read a prefix,t_start,t_end,label CSV; a bad row raises InputError
     naming the file and line."""
-    events = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            try:
-                events.append(
-                    HijackEvent(
-                        prefix=IpPrefix.parse(row["prefix"]),
-                        t_start=float(row["t_start"]),
-                        t_end=float(row["t_end"]),
-                        label=row.get("label", "") or "",
-                    )
-                )
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise InputError(f"{path}:{reader.line_num}: bad event row: {exc}") from None
-    return events
+    return csv_records(
+        path, "event file", ("prefix", "t_start", "t_end"),
+        lambda row: HijackEvent(
+            IpPrefix.parse(row["prefix"]), float(row["t_start"]), float(row["t_end"]),
+            row.get("label") or "",
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -405,8 +395,12 @@ def run_all_heuristics(
     window: tuple[float, float] | None = None,
     per_prefix_denominator: bool = True,
 ) -> list[HijackAlert]:
-    """Union of the three detectors over guard/exit-relevant prefixes."""
+    """Union of the three detectors over guard/exit-relevant prefixes, all over
+    one window (default: the first update to one second past the last)."""
     index = RelayIndex([r for r in relays if r.is_guard or r.is_exit])
+    if window is None and updates:
+        stamps = [u.timestamp for u in updates]
+        window = (min(stamps), max(stamps) + 1.0)
     alerts = frequency_heuristic(
         updates, index, frequency_threshold, window, per_prefix_denominator
     )

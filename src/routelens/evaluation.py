@@ -108,7 +108,7 @@ def run_match_pipeline(
     server_ids = [t.vantage_id for t in servers]
     scenario = f"client-{client_kind.value}:server-{server_kind.value}"
     matches = match(matrix, threshold, client_ids, server_ids, scenario)
-    report = evaluate(matches, truth) if truth is not None else None
+    report = evaluate(matches, truth, len(servers)) if truth is not None else None
     return PipelineResult(matrix, client_ids, server_ids, matches, report)
 
 
@@ -238,7 +238,7 @@ def benchmark_matching(
     """Run the matching attack over several seeds and aggregate."""
     started = time.perf_counter()
     accuracies = []
-    false_positives = 0
+    false_positives = false_positive_trials = 0
     false_negatives = 0
     for seed in seeds:
         scenario = scenario_fn(seed)
@@ -254,6 +254,7 @@ def benchmark_matching(
         )
         accuracies.append(result.report.accuracy)
         false_positives += result.report.false_positives
+        false_positive_trials += result.report.false_positive_trials
         false_negatives += result.report.false_negatives
     return ExperimentReport(
         name="matching-benchmark",
@@ -264,6 +265,7 @@ def benchmark_matching(
             "min_accuracy": float(min(accuracies)),
             "max_accuracy": float(max(accuracies)),
             "false_positives_total": false_positives,
+            "false_positive_trials": false_positive_trials,
             "false_negatives_total": false_negatives,
         },
         runtime_seconds=time.perf_counter() - started,

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import InputError, IpPrefix, PrefixTable, ip_to_int
+from .core import InputError, IpPrefix, PrefixTable, ip_to_int, reading
 
 
 class PathError(Exception):
@@ -115,7 +115,7 @@ def load_traceroutes(path, mapping: PrefixTable) -> list[AsLevelPath]:
     a bad or empty hop list) raises InputError naming the file and line.
     """
     paths = []
-    with open(path) as handle:
+    with reading(path, "traceroute file") as handle:
         for line_no, line in enumerate(handle, 1):
             line = line.strip()
             if not line:

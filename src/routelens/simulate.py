@@ -12,14 +12,13 @@ output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .bgp import BgpUpdate, UpdateKind
-from .core import AsPath, InputError, IpPrefix, RelayDescriptor, int_to_ip, ip_to_int
+from .core import AsPath, InputError, IpPrefix, RelayDescriptor, int_to_ip, ip_to_int, read_json
 from .correlation import DIRECTIONS, WRAP, Direction, EndpointTrace, PacketTable
 
 TICK = 0.01  # packet emission granularity; analyses bin at >= 1 s
@@ -111,10 +110,6 @@ class GroundTruth:
 
     def to_dict(self) -> dict:
         return {"pairing": self.pairing}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GroundTruth":
-        return cls(pairing=dict(data["pairing"]))
 
 
 def _waterfill(desired: np.ndarray, capacity_per_tick: float) -> np.ndarray:
@@ -857,40 +852,30 @@ def load_scenario(path):
     Text that is not JSON, a missing or mistyped field and a scenario that
     fails validation raise InputError naming the file (and line).
     """
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except ValueError as exc:
-        raise InputError(f"{path}:{getattr(exc, 'lineno', 1)}: not JSON: {exc}") from None
+    data = read_json(path, "scenario file")
     try:
         return _scenario_from_dict(data)
     except (InvalidScenarioError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"{path}: invalid scenario: {exc}") from None
 
 
+_TIMING_DEFAULTS = {
+    "announce_at": 20.0, "propagation": 35.0, "withdraw_at": 300.0, "reconvergence": 22.0
+}
+
+
 def _scenario_from_dict(data: dict):
     kind = data.get("kind", "traffic")
-    if kind == "traffic":
-        traffic = TrafficScenario.from_dict(data)
-        traffic.validate()
-        return traffic
-    if kind == "routing":
-        routing = RoutingScenario.from_dict(data)
-        routing.validate()
-        return routing
-    if kind == "interception":
-        traffic = TrafficScenario.from_dict({**data, "kind": "traffic"})
-        traffic.validate()
-        raw = data.get("timing", {})
-        timing = {
-            "announce_at": float(raw.get("announce_at", 20.0)),
-            "propagation": float(raw.get("propagation", 35.0)),
-            "withdraw_at": float(raw.get("withdraw_at", 300.0)),
-            "reconvergence": float(raw.get("reconvergence", 22.0)),
-        }
-        _check_settles(timing["announce_at"], timing["propagation"], timing["withdraw_at"])
-        return traffic, timing
-    raise InvalidScenarioError(f"unknown scenario kind {kind!r}")
+    if kind not in ("traffic", "routing", "interception"):
+        raise InvalidScenarioError(f"unknown scenario kind {kind!r}")
+    scenario = (RoutingScenario if kind == "routing" else TrafficScenario).from_dict(data)
+    scenario.validate()
+    if kind != "interception":
+        return scenario
+    raw = data.get("timing", {})
+    timing = {key: float(raw.get(key, default)) for key, default in _TIMING_DEFAULTS.items()}
+    _check_settles(timing["announce_at"], timing["propagation"], timing["withdraw_at"])
+    return scenario, timing
 
 
 def shared_guard_variant(scenario: TrafficScenario, capacity_fraction: float = 0.35) -> TrafficScenario:

@@ -1,6 +1,5 @@
 """Tests for update parsing, session-reset filtering, and RIB replay."""
 
-import io
 import random
 
 import pytest
@@ -47,13 +46,14 @@ def fresh_rib(tor_filter=True):
 # --- parsing -----------------------------------------------------------------
 
 
-def test_parse_announce_and_withdraw_lines():
-    text = (
+def test_parse_announce_and_withdraw_lines(tmp_path):
+    path = tmp_path / "updates.csv"
+    path.write_text(
         "timestamp,session,kind,prefix,path\n"
         '1420070400,rrc00-s1,A,198.245.63.0/24,"3356 16276"\n'
         "1420070500,rrc00-s1,W,198.245.63.0/24,\n"
     )
-    updates, issues = parse_updates(io.StringIO(text))
+    updates, issues = parse_updates(path)
     assert not issues
     assert len(updates) == 2
     first, second = updates
@@ -64,12 +64,14 @@ def test_parse_announce_and_withdraw_lines():
     assert second.kind is UpdateKind.WITHDRAW and second.path is None
 
 
-def test_parse_reports_bad_lines_with_numbers():
+def test_parse_reports_bad_lines_with_numbers(tmp_path):
     lines = ["timestamp,session,kind,prefix,path"]
     for i in range(100):
         lines.append(f'{1000 + i},s1,A,10.{i}.0.0/16,"65000 65001"')
     lines[50] = "not,a,valid,line"
-    updates, issues = parse_updates(io.StringIO("\n".join(lines) + "\n"))
+    path = tmp_path / "updates.csv"
+    path.write_text("\n".join(lines) + "\n")
+    updates, issues = parse_updates(path)
     assert len(updates) == 99
     assert len(issues) == 1
     assert issues[0].line_no == 51  # header is line 1

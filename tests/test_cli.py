@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from routelens.artifacts import artifacts_equal, read_jsonl_records
 from routelens.cli import accuracy_payload, main
-from routelens.correlation import AccuracyReport
+from routelens.correlation import AccuracyReport, read_trace_jsonl
 from routelens.simulate import (
     ChurnEvent,
     InjectedEvent,
@@ -27,7 +27,7 @@ from routelens.simulate import (
     gen_traceroute_paths,
     random_routing_scenario,
 )
-from routelens.core import RelayDescriptor, ip_to_int
+from routelens.core import InputError, RelayDescriptor, ip_to_int
 
 
 def run(*argv):
@@ -145,7 +145,7 @@ def test_accuracy_intervals_bracket_their_rates(n_clients, n_servers, data):
     correct = data.draw(st.integers(0, n_clients))
     fn = data.draw(st.integers(0, n_clients - correct))
     fp = data.draw(st.integers(0, n_clients - correct - fn))
-    payload = accuracy_payload(AccuracyReport(n_clients, correct, fn, fp), n_servers)
+    payload = accuracy_payload(AccuracyReport(n_clients, correct, fn, fp, n_servers))
     for rate, interval in (
         ("false_negative_rate", "fn_confidence_95"),
         ("false_positive_rate", "fp_confidence_95"),
@@ -155,7 +155,7 @@ def test_accuracy_intervals_bracket_their_rates(n_clients, n_servers, data):
 
 
 def test_false_positive_rate_counts_wrong_server_pairs():
-    payload = accuracy_payload(AccuracyReport(50, 49, 0, 1), 50)
+    payload = accuracy_payload(AccuracyReport(50, 49, 0, 1, 50))
     assert payload["false_positive_rate"] == 1 / (50 * 49)
     assert payload["false_negative_rate"] == 0.0
 
@@ -621,7 +621,7 @@ def test_detect_bad_event_row_exits_2(tmp_path, capsys, bad_row):
     "sessions_text, where",
     [
         ("# written by hand\nsession_id,local_as\ns1,64500\ns2,AS64501\n", "sessions.csv:4: "),
-        ("# written by hand\nsession_id\ns1\n", "sessions.csv:3: "),
+        ("# written by hand\nsession_id\ns1\n", "sessions.csv:2: "),
     ],
     ids=["local-as-not-integer", "missing-column"],
 )
@@ -699,6 +699,99 @@ def test_bad_config_file_exits_2(tmp_path, capsys, text, where):
     assert "Traceback" not in err
 
 
+# --- input faults the core reading boundary turns into exit 2 --------------------
+
+
+_HOP_LINE = json.dumps(_HOP_RECORD) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name, content, where",
+    [
+        ("truth.json", "nope", "truth.json:1: not JSON"),
+        ("truth.json", "[1, 2]", "truth.json: truth must map client ids to server id strings"),
+        ("relays.csv", _RELAY_CSV.encode().replace(b"montreal", b"mon\xfftreal"),
+         "relays.csv: relay list is not UTF-8 text"),
+        ("updates.csv", _UPDATE_CSV.encode().replace(b"3356", b"33\xff56"),
+         "updates.csv: update file is not UTF-8 text"),
+        ("traceroutes.jsonl", _HOP_LINE.encode().replace(b"c0", b"c\xff0"),
+         "traceroutes.jsonl: traceroute file is not UTF-8 text"),
+        ("updates.csv", None, "update file is a directory: "),
+        ("c.json", '{"threshold": "high"}', "c.json: config key 'threshold' must be a number"),
+    ],
+    ids=["truth-not-json", "truth-list", "relays-not-utf8", "updates-not-utf8",
+         "traceroutes-not-utf8", "updates-directory", "config-text-threshold"],
+)
+def test_unusable_input_file_exits_2_naming_it(
+    tmp_path, capsys, correlate_inputs, name, content, where
+):
+    root = tmp_path / "in"
+    shutil.copytree(correlate_inputs, root)
+    (root / "relays.csv").write_text(_RELAY_CSV)
+    (root / "updates.csv").write_text(_UPDATE_CSV)
+    (root / "map.csv").write_text("prefix,asn\n203.0.0.0/16,100\n")
+    (root / "traceroutes.jsonl").write_text(_HOP_LINE)
+    (root / name).unlink(missing_ok=True)
+    _write_input(root / name, _DIRECTORY if content is None else content)
+    correlate = ["correlate", "--manifest", root / "manifest.csv", "--truth", root / "truth.json"]
+    argv = {
+        "c.json": ["--config", root / "c.json", *correlate],
+        "truth.json": correlate,
+        "relays.csv": ["churn", "--updates", root / "updates.csv", "--relays", root / "relays.csv"],
+        "updates.csv": ["churn", "--updates", root / "updates.csv", "--relays", root / "relays.csv"],
+        "traceroutes.jsonl": [
+            "paths", "--traceroutes", root / "traceroutes.jsonl", "--mapping", root / "map.csv"
+        ],
+    }[name]
+    assert run("--output-dir", tmp_path / "o", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"threshold": true}', "c.json: config key 'threshold' must be a number, not True"),
+        ('{"max_lag": 1.5}', "c.json: config key 'max_lag' must be an integer, not 1.5"),
+        ('{"seed": "7"}', "c.json: config key 'seed' must be an integer, not '7'"),
+    ],
+    ids=["bool-threshold", "fractional-max-lag", "text-seed"],
+)
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, correlate_inputs, text, where):
+    config = tmp_path / "c.json"
+    config.write_text(text)
+    code = run(
+        "--output-dir", tmp_path / "o", "--config", config,
+        "correlate", "--manifest", correlate_inputs / "manifest.csv",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err, err
+
+
+@pytest.mark.parametrize(
+    "document, where",
+    [
+        ({"pairing": {"c0": 3}}, "truth.json: pairing must map client ids to server id strings"),
+        ({"pairing": ["c0", "s0"]}, "truth.json: pairing must map"),
+        ({"c0": None}, "truth.json: truth must map"),
+    ],
+    ids=["numeric-server-id", "pairing-list", "null-server-id"],
+)
+def test_truth_that_is_not_a_pairing_exits_2(tmp_path, capsys, correlate_inputs, document, where):
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(document))
+    code = run(
+        "--output-dir", tmp_path / "o",
+        "correlate", "--manifest", correlate_inputs / "manifest.csv", "--truth", truth,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err, err
+
+
 # --- CLI contract under mutated churn inputs --------------------------------------
 
 
@@ -724,9 +817,19 @@ def churn_inputs(tmp_path_factory):
     }
 
 
+_DIRECTORY = object()  # _mutate's "directory": the input path names a directory
+_INPUT_MUTATIONS = st.sampled_from(
+    ["truncate", "missing field", "octet 300", "empty", "not json", "not utf-8", "directory"]
+)
+
+
 def _mutate(text, mutation, at):
     lines = text.splitlines(keepends=True)
     k = at % len(lines)
+    if mutation == "not utf-8":
+        return "".join(lines[:k]).encode() + b"\xff" + "".join(lines[k:]).encode()
+    if mutation == "directory":
+        return _DIRECTORY
     if mutation == "truncate":
         lines[k] = lines[k][: len(lines[k]) // 2] + "\n"
     elif mutation == "octet 300":
@@ -748,13 +851,28 @@ def _mutate(text, mutation, at):
     return "".join(lines)
 
 
-def _complete_artifact(path):
-    """A CSV artifact written whole: metadata, header, full-width rows."""
+def _write_input(path, content):
+    """Put _mutate's result at path: text, bytes or a directory."""
+    if content is _DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+
+
+def _whole_csv(path):
+    """A CSV file written whole: newline-terminated, full-width rows."""
     text = path.read_text()
-    if not text.endswith("\n") or "# written_at=" not in text:
+    if not text.endswith("\n"):
         return False
     header, *rows = [line for line in text.splitlines() if not line.startswith("# ")]
     return all(line.count(",") == header.count(",") for line in rows)
+
+
+def _complete_artifact(path):
+    """A CSV artifact written whole: metadata, header, full-width rows."""
+    return "# written_at=" in path.read_text() and _whole_csv(path)
 
 
 @settings(
@@ -762,15 +880,17 @@ def _complete_artifact(path):
 )
 @given(
     target=st.sampled_from(["initial", "updates", "relays", "sessions", "config"]),
-    mutation=st.sampled_from(["truncate", "octet 300", "reverse", "empty", "not json"]),
+    mutation=st.sampled_from(
+        ["truncate", "octet 300", "reverse", "empty", "not json", "not utf-8", "directory"]
+    ),
     at=st.integers(0, 40),
 )
 def test_churn_mutated_inputs_keep_the_cli_contract(churn_inputs, target, mutation, at):
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
         files = dict(churn_inputs, **{target: _mutate(churn_inputs[target], mutation, at)})
-        for name, text in files.items():
-            (root / name).write_text(text)
+        for name, content in files.items():
+            _write_input(root / name, content)
         err = io.StringIO()
         with redirect_stderr(err), redirect_stdout(io.StringIO()):
             # an exception escaping main is the traceback the contract rules out
@@ -827,6 +947,8 @@ def correlate_inputs(tmp_path_factory):
 
 
 def _mutate_trace(text, mutation, at):
+    if mutation in ("not utf-8", "directory"):
+        return _mutate(text, mutation, at)
     lines = text.splitlines(keepends=True)
     k = at % len(lines)
     record = json.loads(lines[k])
@@ -880,27 +1002,36 @@ def _complete_json_artifact(path):
     return "_meta" in documents[0]
 
 
+def _complete_output(path):
+    """A CSV, JSON or JSONL artifact written whole."""
+    return _complete_artifact(path) if path.suffix == ".csv" else _complete_json_artifact(path)
+
+
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(
-    which=st.integers(0, 5),
-    mutation=st.sampled_from([
-        "truncate", "missing key", "unknown dir", "unknown flag", "reverse", "empty",
-        "not json", "missing file", *_NOT_WRITTEN,
-    ]),
+    # one of the six traces (0..5) or truth.json (6), and how it is mutated
+    target_mutation=st.one_of(
+        st.tuples(st.integers(0, 5), st.sampled_from([
+            "truncate", "missing key", "unknown dir", "unknown flag", "reverse", "empty",
+            "not json", "missing file", "not utf-8", "directory", *_NOT_WRITTEN,
+        ])),
+        st.tuples(st.just(6), _INPUT_MUTATIONS),
+    ),
     at=st.integers(0, 400),
 )
-def test_correlate_mutated_inputs_keep_the_cli_contract(correlate_inputs, which, mutation, at):
+def test_correlate_mutated_inputs_keep_the_cli_contract(correlate_inputs, target_mutation, at):
+    which, mutation = target_mutation
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch) / "in"
         shutil.copytree(correlate_inputs, root)
-        target = sorted((root / "traces").iterdir())[which]
-        if mutation == "missing file":
-            target.unlink()
-        else:
-            text = target.read_text()
-            target.write_text(_mutate_trace(text, mutation, at))
+        target = (sorted((root / "traces").iterdir()) + [root / "truth.json"])[which]
+        text = target.read_text()
+        target.unlink()
+        if mutation != "missing file":
+            mutate = _mutate if target.suffix == ".json" else _mutate_trace
+            _write_input(target, mutate(text, mutation, at))
         err = io.StringIO()
         with redirect_stderr(err), redirect_stdout(io.StringIO()):
             # an exception escaping main is the traceback the contract rules out
@@ -920,10 +1051,7 @@ def test_correlate_mutated_inputs_keep_the_cli_contract(correlate_inputs, which,
             assert code == 2 and f"{target.name}:{line}: " in err.getvalue(), err.getvalue()
         out = Path(scratch) / "out"
         written = sorted(out.iterdir()) if out.exists() else []
-        assert all(
-            _complete_artifact(path) if path.suffix == ".csv" else _complete_json_artifact(path)
-            for path in written
-        ), [p.name for p in written]
+        assert all(_complete_output(path) for path in written), [p.name for p in written]
 
 
 # --- CLI contract under mutated paths and concentrate inputs ------------------------
@@ -963,16 +1091,14 @@ def concentrate_inputs(churn_inputs):
     return {"relays": relays, "origins": origins}
 
 
-_INPUT_MUTATIONS = st.sampled_from(["truncate", "missing field", "octet 300", "empty", "not json"])
-
-
-def _check_contract(inputs, target, mutation, at, subcommand, flags):
+def _check_contract(inputs, target, mutation, at, subcommand, flags, complete=_complete_artifact):
     """Run subcommand over the inputs with one of them mutated, each flag
-    naming its input: exit 0 or 2, no traceback, no partial artifact."""
+    naming its input: exit 0 or 2, no traceback, no partial artifact (each
+    file written passes complete)."""
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
-        for name, text in dict(inputs, **{target: _mutate(inputs[target], mutation, at)}).items():
-            (root / name).write_text(text)
+        for name, content in dict(inputs, **{target: _mutate(inputs[target], mutation, at)}).items():
+            _write_input(root / name, content)
         err = io.StringIO()
         with redirect_stderr(err), redirect_stdout(io.StringIO()):
             # an exception escaping main is the traceback the contract rules out
@@ -983,9 +1109,12 @@ def _check_contract(inputs, target, mutation, at, subcommand, flags):
         assert code in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
         if code == 2:
-            assert err.getvalue().startswith("error: "), err.getvalue()
+            # malformed update lines are listed as "<file>: line <n>: ..." first
+            *issues, last = err.getvalue().splitlines()
+            assert last.startswith("error: "), err.getvalue()
+            assert all(": line " in issue for issue in issues), err.getvalue()
         written = sorted((root / "out").iterdir()) if (root / "out").exists() else []
-        assert all(_complete_artifact(path) for path in written), [p.name for p in written]
+        assert all(complete(path) for path in written), [p.name for p in written]
 
 
 @settings(
@@ -1006,3 +1135,66 @@ def test_paths_mutated_inputs_keep_the_cli_contract(paths_inputs, target, mutati
 def test_concentrate_mutated_inputs_keep_the_cli_contract(concentrate_inputs, target, mutation, at):
     _check_contract(concentrate_inputs, target, mutation, at, "concentrate",
                     {"--relays": "relays", "--origins": "origins"})
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(target=st.sampled_from(["relays", "origins"]), mutation=_INPUT_MUTATIONS,
+       at=st.integers(0, 40))
+def test_prefixlen_mutated_inputs_keep_the_cli_contract(concentrate_inputs, target, mutation, at):
+    _check_contract(concentrate_inputs, target, mutation, at, "prefixlen",
+                    {"--relays": "relays", "--origins": "origins"})
+
+
+@pytest.fixture(scope="module")
+def detect_inputs(churn_inputs):
+    """The churn inputs with a known-event list over each relay's /24."""
+    addresses = [row.split(",")[0] for row in churn_inputs["relays"].splitlines()[1:]]
+    nets = sorted({address.rpartition(".")[0] for address in addresses})
+    events = "prefix,t_start,t_end,label\n" + "".join(
+        f"{net}.0/24,{100 * i},{100 * i + 50},e{i}\n" for i, net in enumerate(nets)
+    )
+    files = ("initial", "updates", "relays")
+    return {**{name: churn_inputs[name] for name in files}, "events": events}
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(target=st.sampled_from(["initial", "updates", "relays", "events"]),
+       mutation=_INPUT_MUTATIONS, at=st.integers(0, 40))
+def test_detect_mutated_inputs_keep_the_cli_contract(detect_inputs, target, mutation, at):
+    _check_contract(detect_inputs, target, mutation, at, "detect",
+                    {"--initial": "initial", "--updates": "updates", "--relays": "relays",
+                     "--events": "events"}, complete=_complete_output)
+
+
+@pytest.fixture(scope="module")
+def simulate_inputs():
+    return {"scenario": json.dumps(
+        random_routing_scenario(5, n_sessions=3, n_relays=4, n_ases=4, n_churn=4).to_dict()
+    )}
+
+
+def _whole_dataset_file(path):
+    """A dataset file or directory simulate wrote whole: traces read back,
+    update and relay lists are full-width CSV, truth.json is an artifact.
+    (A scenario that loses its "kind" is read as a traffic scenario.)"""
+    if path.is_dir():
+        return all(_whole_dataset_file(child) for child in path.iterdir())
+    if path.suffix == ".jsonl":
+        try:
+            return read_trace_jsonl(path, path.stem) is not None
+        except InputError:
+            return False
+    return _whole_csv(path) if path.suffix == ".csv" else _complete_json_artifact(path)
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(mutation=_INPUT_MUTATIONS, at=st.integers(0, 40))
+def test_simulate_mutated_scenario_keeps_the_cli_contract(simulate_inputs, mutation, at):
+    _check_contract(simulate_inputs, "scenario", mutation, at, "simulate",
+                    {"--scenario": "scenario"}, complete=_whole_dataset_file)

@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 from helpers import is_more_specific_of
 from routelens.core import (
     AsPath,
+    InputError,
     IpPrefix,
     PrefixTable,
     RelayDescriptor,
     RelayIndex,
+    csv_records,
     int_to_ip,
     ip_to_int,
     load_relays,
     merge_intervals,
+    read_json,
+    reading,
     write_relays,
 )
 
@@ -294,3 +298,47 @@ def test_load_relays_names_file_and_line(tmp_path):
     path.write_text("address,is_guard,is_exit,bandwidth,nickname\n10.0.0.300,1,0,5.0,g\n")
     with pytest.raises(ValueError, match=r"relays\.csv:2: "):
         load_relays(path)
+
+
+# --- the input boundary ------------------------------------------------------------
+
+
+def test_reading_names_each_unusable_file(tmp_path):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin1.csv").write_bytes(b"caf\xe9\n")
+    for name, message in [
+        ("absent.csv", "relay list not found: "),
+        ("dir", "relay list is a directory: "),
+        ("latin1.csv", "latin1.csv: relay list is not UTF-8 text"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            with reading(tmp_path / name, "relay list") as handle:
+                handle.read()
+
+
+def test_read_json_reports_syntax_errors_at_their_line(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": 1,\n "b": ]}')
+    with pytest.raises(InputError, match=r"doc\.json:2: not JSON"):
+        read_json(path, "document")
+    path.write_text("[" * 100_000)
+    with pytest.raises(InputError, match=r"doc\.json:1: not JSON"):
+        read_json(path, "document")
+
+
+def test_csv_records_reports_file_lines_past_comments(tmp_path):
+    path = tmp_path / "pairs.csv"
+    convert = lambda row: (row["key"], int(row["value"]))  # noqa: E731
+    path.write_text("# comment\nkey,value\n# another\na,1\nb,2\n")
+    assert csv_records(path, "pair list", ("key", "value"), convert) == [("a", 1), ("b", 2)]
+    path.write_text("# comment\nkey\na\n")
+    with pytest.raises(InputError, match=r"pairs\.csv:2: pair list header lacks value"):
+        csv_records(path, "pair list", ("key", "value"), convert)
+    path.write_text("key,value\n# skipped\na,1\nb,two\n")
+    with pytest.raises(InputError, match=r"pairs\.csv:4: bad pair row: invalid literal"):
+        csv_records(path, "pair list", ("key", "value"), convert)
+    path.write_text("key,value\na\n")
+    with pytest.raises(InputError, match=r"pairs\.csv:2: bad pair row: too few fields"):
+        csv_records(path, "pair list", ("key", "value"), convert)
+    path.write_text("# nothing but a comment\n")
+    assert csv_records(path, "pair list", ("key", "value"), convert) == []

@@ -360,8 +360,8 @@ def test_raising_threshold_only_converts_matches_to_none():
 def test_evaluate_paper_style_rates():
     truth = {f"c{i}": f"s{i}" for i in range(50)}
     all_correct = [MatchResult(f"c{i}", f"s{i}", 0.9, "") for i in range(50)]
-    report = evaluate(all_correct, truth)
-    assert (report.accuracy, report.false_negative_rate, report.false_positive_rate) == (
+    report = evaluate(all_correct, truth, 50)
+    assert (report.accuracy, report.false_negative_rate, report.misattribution_rate) == (
         1.0,
         0.0,
         0.0,
@@ -371,17 +371,17 @@ def test_evaluate_paper_style_rates():
         MatchResult(f"c{i}", None if i < 2 else f"s{i}", None if i < 2 else 0.9, "")
         for i in range(50)
     ]
-    report = evaluate(two_unmatched, truth)
+    report = evaluate(two_unmatched, truth, 50)
     assert report.accuracy == pytest.approx(0.96)
     assert report.false_negative_rate == pytest.approx(0.04)
-    assert report.false_positive_rate == 0.0
+    assert report.misattribution_rate == 0.0
 
     one_wrong = [
         MatchResult(f"c{i}", "s49" if i == 0 else f"s{i}", 0.9, "") for i in range(50)
     ]
-    report = evaluate(one_wrong, truth)
-    assert report.false_positive_rate == pytest.approx(0.02)
-    assert report.accuracy + report.false_negative_rate + report.false_positive_rate == pytest.approx(1.0)
+    report = evaluate(one_wrong, truth, 50)
+    assert report.misattribution_rate == pytest.approx(0.02)
+    assert report.accuracy + report.false_negative_rate + report.misattribution_rate == pytest.approx(1.0)
 
 
 # --- clopper_pearson ---------------------------------------------------------

@@ -598,3 +598,18 @@ def test_run_all_heuristics_unions_alert_kinds():
     kinds = {a.heuristic for a in alerts}
     assert Heuristic.MORE_SPECIFIC in kinds
     assert Heuristic.TIME in kinds  # the /24 lived 300 s out of a day
+
+
+def test_run_all_heuristics_default_window_is_one_window_for_all_three():
+    # the foreign-origin /17 is still live at the last update
+    relays = [relay("184.164.0.17", guard=True)]
+    updates = [
+        announce(0.0, "s1", "184.164.0.0/16", [100, 2637]),
+        announce(50.0, "s1", "184.164.0.0/17", [100, 226]),
+        announce(100.0, "s2", "184.164.0.0/16", [200, 2637]),
+    ]
+    alerts = run_all_heuristics(updates, relays, time_threshold=0.9)
+    assert alerts == run_all_heuristics(updates, relays, time_threshold=0.9, window=(0.0, 101.0))
+    windows = {(a.heuristic, str(a.prefix)): a.windows for a in alerts}
+    assert windows[Heuristic.TIME, "184.164.0.0/17"] == ((50.0, 101.0),)
+    assert windows[Heuristic.MORE_SPECIFIC, "184.164.0.0/17"] == ((50.0, 101.0),)
