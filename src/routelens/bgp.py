@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .artifacts import replacing
 from .core import (
@@ -241,7 +241,7 @@ class SessionRib:
 
 
 def ingest(
-    updates: Iterable[BgpUpdate],
+    updates: Sequence[BgpUpdate],
     relays: list[RelayDescriptor] | RelayIndex,
     local_as: dict[str, int] | None = None,
     tor_filter: bool = True,
@@ -253,26 +253,15 @@ def ingest(
     (the BGP neighbor), falling back to 0 for sessions that only withdraw.
     """
     index = RelayIndex.of(relays)
+    inferred: dict[str, int] = {}
+    for update in updates:
+        if update.path is not None and update.session not in inferred:
+            inferred[update.session] = update.path.ases[0]
+    inferred.update(local_as or {})
     ribs: dict[str, SessionRib] = {}
-    pending: dict[str, list[BgpUpdate]] = {}
-    inferred: dict[str, int] = dict(local_as or {})
     for update in updates:
         sid = update.session
-        if sid not in inferred and update.path is not None:
-            inferred[sid] = update.path.ases[0]
-        if sid in ribs:
-            ribs[sid].apply(update)
-        elif sid in inferred:
-            rib = SessionRib(VantageSession(sid, inferred[sid]), index, tor_filter)
-            for queued in pending.pop(sid, ()):
-                rib.apply(queued)
-            rib.apply(update)
-            ribs[sid] = rib
-        else:
-            pending.setdefault(sid, []).append(update)
-    for sid, queued in pending.items():
-        rib = SessionRib(VantageSession(sid, inferred.get(sid, 0)), index, tor_filter)
-        for update in queued:
-            rib.apply(update)
-        ribs[sid] = rib
+        if sid not in ribs:
+            ribs[sid] = SessionRib(VantageSession(sid, inferred.get(sid, 0)), index, tor_filter)
+        ribs[sid].apply(update)
     return ribs

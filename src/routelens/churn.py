@@ -25,7 +25,7 @@ from itertools import groupby
 import numpy as np
 
 from .bgp import SessionRib
-from .core import RelayDescriptor, RelayRole, merge_intervals
+from .core import RelayDescriptor, merge_intervals
 
 
 class EmptyInputError(Exception):
@@ -33,13 +33,19 @@ class EmptyInputError(Exception):
 
 
 @dataclass(frozen=True)
-class SegmentObservation:
-    as_number: int
-    session: str
-    relay: int  # relay address
-    role: RelayRole  # GUARD or EXIT
-    t_start: float
-    t_end: float
+class Sightings:
+    """Which AS saw traffic toward which relay, on which session, and when.
+
+    sessions are the sorted RIB ids. spans maps each AS, in ascending order,
+    to its (guard side, exit side); a side maps (session index, relay
+    address) to that key's sorted, merged spans. len() counts the spans.
+    """
+
+    sessions: tuple[str, ...]
+    spans: dict[int, tuple[dict, dict]]
+
+    def __len__(self) -> int:
+        return sum(len(s) for sides in self.spans.values() for side in sides for s in side.values())
 
 
 @dataclass(frozen=True)
@@ -114,18 +120,19 @@ def segment_observations(
     ribs: dict[str, SessionRib],
     relays: list[RelayDescriptor],
     window: tuple[float, float],
-) -> list[SegmentObservation]:
+) -> Sightings:
     """Which AS saw traffic toward which relay, on which session, and when.
 
     Traffic to a relay follows the most-specific covering entry at each
     instant, so nested prefixes hand the relay over to the longer one while
-    it is live. Intervals per (AS, session, relay, role) are merged; relays
-    flagged both guard and exit emit under each role.
+    it is live. Spans per (AS, session, relay) are merged on each side; a
+    relay flagged both guard and exit is on both sides.
     """
     t_lo, t_hi = window
     admitted = [r for r in relays if r.is_guard or r.is_exit]
-    spans: dict[tuple[int, str, int, RelayRole], list[tuple[float, float]]] = {}
-    for sid in sorted(ribs):
+    sessions = tuple(sorted(ribs))
+    raw: dict[int, tuple[dict, dict]] = {}
+    for s, sid in enumerate(sessions):
         rib = ribs[sid]
         for relay in admitted:
             entries = [
@@ -140,39 +147,31 @@ def segment_observations(
                 start, end = entry.clipped(t_lo, t_hi)
                 cuts.update((start, end))
             edges = sorted(cuts)
+            key = (s, relay.address)
+            sides = [side for side, flag in enumerate((relay.is_guard, relay.is_exit)) if flag]
             for seg_start, seg_end in zip(edges, edges[1:]):
                 # entries come longest prefix first: the first live one forwards
                 forwarding = next((e for e in entries if e.live_at(seg_start)), None)
                 if forwarding is None:
                     continue
-                roles = []
-                if relay.is_guard:
-                    roles.append(RelayRole.GUARD)
-                if relay.is_exit:
-                    roles.append(RelayRole.EXIT)
                 for asn in forwarding.path:
-                    for role in roles:
-                        spans.setdefault((asn, sid, relay.address, role), []).append(
-                            (seg_start, seg_end)
-                        )
-    observations = []
-    for (asn, sid, address, role), raw in sorted(
-        spans.items(), key=lambda item: (item[0][0], item[0][1], item[0][2], item[0][3].value)
-    ):
-        for start, end in merge_intervals(raw):
-            observations.append(SegmentObservation(asn, sid, address, role, start, end))
-    return observations
+                    by_side = raw.setdefault(asn, ({}, {}))
+                    for side in sides:
+                        by_side[side].setdefault(key, []).append((seg_start, seg_end))
+    return Sightings(sessions, {
+        asn: tuple(
+            {key: tuple(merge_intervals(spans)) for key, spans in side.items()} for side in raw[asn]
+        )
+        for asn in sorted(raw)
+    })
 
 
-def _distinct_rows(spans_by_key: dict[tuple[int, int], list[tuple[float, float]]]):
+def _distinct_rows(side: dict):
     """Sessions and relays of the sorted keys, each key's row among the
-    distinct merged span sets, and those span sets."""
-    keys = sorted(spans_by_key)
+    distinct span sets, and those span sets."""
+    keys = sorted(side)
     distinct: dict[tuple[tuple[float, float], ...], int] = {}
-    rows = [
-        distinct.setdefault(tuple(merge_intervals(spans_by_key[key])), len(distinct))
-        for key in keys
-    ]
+    rows = [distinct.setdefault(side[key], len(distinct)) for key in keys]
     session, relay = np.array(keys, dtype=np.int64).reshape(-1, 2).T
     return session, relay, np.array(rows, dtype=np.int64), list(distinct)
 
@@ -219,7 +218,7 @@ def _as_hits(guard_spans, exit_spans, admitted: np.ndarray, min_overlap: float):
 
 
 def compromised_circuits(
-    observations: list[SegmentObservation],
+    sightings: Sightings,
     min_overlap: float = 30.0,
     require_distinct_as: bool = True,
     local_as: dict[str, int] | None = None,
@@ -234,8 +233,7 @@ def compromised_circuits(
     as both guard and exit are not valid and are skipped too.
     """
     local_as = local_as or {}
-    sessions = tuple(sorted({obs.session for obs in observations}))
-    index = {sid: i for i, sid in enumerate(sessions)}
+    sessions = sightings.sessions
 
     def admits(src: str, dst: str) -> bool:
         same_as = require_distinct_as and src in local_as and local_as[src] == local_as.get(dst)
@@ -244,13 +242,9 @@ def compromised_circuits(
     admitted = np.array(
         [[admits(src, dst) for dst in sessions] for src in sessions], dtype=bool
     ).reshape(len(sessions), len(sessions))
-    by_as: dict[int, tuple[dict, dict]] = {}
-    for obs in observations:
-        keys = by_as.setdefault(obs.as_number, ({}, {}))[obs.role is RelayRole.EXIT]
-        keys.setdefault((index[obs.session], obs.relay), []).append((obs.t_start, obs.t_end))
     # only an AS on both a guard's and an exit's path can compromise a circuit
-    ases = [asn for asn in sorted(by_as) if all(by_as[asn])]
-    columns = [_as_hits(*by_as[asn], admitted, min_overlap) for asn in ases]
+    ases = [asn for asn, sides in sightings.spans.items() if all(sides)]
+    columns = [_as_hits(*sightings.spans[asn], admitted, min_overlap) for asn in ases]
     empty = (np.empty(0, dtype=np.int64),) * 4 + (np.empty(0),)
     return CircuitHits(
         sessions,
@@ -340,8 +334,15 @@ def static_baseline(
     Every entry live at t0 shares the snapshot instant, so the overlap
     constraint is vacuous here (min_overlap 0 over a unit snapshot window).
     """
-    observations = segment_observations(ribs, relays, (t0, t0 + 1.0))
-    snapshot = [o for o in observations if o.t_start <= t0 < o.t_end]
+    seen = segment_observations(ribs, relays, (t0, t0 + 1.0))
+    # spans are clipped to [t0, t0 + 1): a key is live at t0 when its first
+    # span starts there
+    snapshot = Sightings(seen.sessions, {
+        asn: tuple(
+            {key: spans[:1] for key, spans in side.items() if spans[0][0] <= t0} for side in sides
+        )
+        for asn, sides in seen.spans.items()
+    })
     hits = compromised_circuits(
         snapshot,
         min_overlap=0.0,
@@ -379,16 +380,13 @@ def churn_summary(
             and np.array_equal(baseline.exits, summary.exits)
         ):
             raise ValueError("baseline counts circuits over a different relay list")
-        pairs = sorted(set(summary.pair_circuits) | set(baseline.pair_circuits))
         none = np.empty(0, dtype=np.int64)
-        both = [
-            side.pair_circuits.get(pair, none) for side in (summary, baseline) for pair in pairs
-        ]
-        owner = np.repeat(np.tile(np.arange(len(pairs)), 2), [len(ids) for ids in both])
-        n_circuits = len(summary.guards) * len(summary.exits)
-        summary.pair_circuits = dict(
-            zip(pairs, _or_rows(owner, np.concatenate([none, *both]), len(pairs), n_circuits))
-        )
+        summary.pair_circuits = {
+            pair: np.union1d(
+                summary.pair_circuits.get(pair, none), baseline.pair_circuits.get(pair, none)
+            )
+            for pair in sorted(set(summary.pair_circuits) | set(baseline.pair_circuits))
+        }
     return summary
 
 

@@ -48,6 +48,10 @@ def _effective_config(args, keys: list[str]) -> dict:
         loaded = read_json(args.config, "config file")
         if not isinstance(loaded, dict):
             raise InputError(f"{args.config}: config must be a JSON object")
+        # keys mirror flags across subcommands, so only a key none of them has is an error
+        unknown = sorted(set(loaded) - set(DEFAULTS))
+        if unknown:
+            raise InputError(f"{args.config}: unknown config key {unknown[0]!r}")
         for key in keys:
             if key in loaded:
                 value, integral = loaded[key], isinstance(DEFAULTS[key], int)

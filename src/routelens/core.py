@@ -13,7 +13,6 @@ import json
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Callable, Iterable, Iterator
 
 from .artifacts import replacing
@@ -79,11 +78,6 @@ def csv_records(path, what: str, columns: Iterable[str], convert: Callable[[dict
                 line_no = numbered[reader.line_num - 1][0]
                 raise InputError(f"{path}:{line_no}: bad {what.split()[0]} row: {exc}") from None
     return records
-
-
-class RelayRole(Enum):
-    GUARD = "guard"
-    EXIT = "exit"
 
 
 def ip_to_int(text: str) -> int:

@@ -111,7 +111,6 @@ class EndpointTrace:
     """Time-ordered observations of one flow at one vantage."""
 
     vantage_id: str
-    flow_key: tuple[str, str]
     observations: PacketTable
 
 
@@ -790,7 +789,7 @@ def _data_lines(path, raw: bytes, data: np.ndarray, size: int):
     return starts, ends, numbers
 
 
-def read_trace_jsonl(path, vantage_id: str, flow_key=("", "")) -> EndpointTrace:
+def read_trace_jsonl(path, vantage_id: str) -> EndpointTrace:
     """Read a whole trace file at once.
 
     The file must hold what write_trace_jsonl writes (see above). Any
@@ -818,4 +817,4 @@ def read_trace_jsonl(path, vantage_id: str, flow_key=("", "")) -> EndpointTrace:
     row = _first_decrease(table.ts)
     if row is not None:
         raise InputError(f"{path}:{numbers[row]}: timestamp decreases")
-    return EndpointTrace(vantage_id, tuple(flow_key), table)
+    return EndpointTrace(vantage_id, table)

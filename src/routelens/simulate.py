@@ -262,12 +262,8 @@ def gen_traffic(
         client_id = f"client-{i:02d}"
         server_id = f"server-{perm[i]:02d}"
         pairing[client_id] = server_id
-        clients.append(
-            EndpointTrace(client_id, (f"10.50.{i}.2:443", "10.99.0.1:9001"), client_obs)
-        )
-        servers[perm[i]] = EndpointTrace(
-            server_id, ("10.99.0.2:35000", f"10.60.{perm[i]}.2:80"), server_obs
-        )
+        clients.append(EndpointTrace(client_id, client_obs))
+        servers[perm[i]] = EndpointTrace(server_id, server_obs)
     return clients, [s for s in servers if s is not None], GroundTruth(pairing)
 
 
@@ -865,7 +861,7 @@ _TIMING_DEFAULTS = {
 
 
 def _scenario_from_dict(data: dict):
-    kind = data.get("kind", "traffic")
+    kind = data["kind"]
     if kind not in ("traffic", "routing", "interception"):
         raise InvalidScenarioError(f"unknown scenario kind {kind!r}")
     scenario = (RoutingScenario if kind == "routing" else TrafficScenario).from_dict(data)

@@ -16,7 +16,7 @@ from routelens.churn import (
     circuit_universe,
 )
 from routelens.core import (
-    AsPath, IpPrefix, RelayDescriptor, RelayIndex, RelayRole, ip_to_int, merge_intervals
+    AsPath, IpPrefix, RelayDescriptor, RelayIndex, ip_to_int, merge_intervals
 )
 from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
 from routelens.detect import HijackAlert, Heuristic, _affected
@@ -151,20 +151,16 @@ class CircuitCompromiseRecord:
     overlap_seconds: float
 
 
-def oracle_records(observations, min_overlap=30.0, require_distinct_as=True, local_as=None):
+def oracle_records(sightings, min_overlap=30.0, require_distinct_as=True, local_as=None):
     """Every (AS, (src, guard), (dst, exit)) co-occurrence, one record per
-    five-way key, from a sweep over each pair of merged span lists."""
+    five-way key, from a sweep over each pair of span lists."""
     local_as = local_as or {}
-    by_as = {}
-    for obs in observations:
-        slot = by_as.setdefault(obs.as_number, {RelayRole.GUARD: {}, RelayRole.EXIT: {}})
-        slot[obs.role].setdefault((obs.session, obs.relay), []).append(
-            (obs.t_start, obs.t_end)
-        )
     records = []
-    for asn in sorted(by_as):
-        guards = {key: merge_intervals(v) for key, v in by_as[asn][RelayRole.GUARD].items()}
-        exits = {key: merge_intervals(v) for key, v in by_as[asn][RelayRole.EXIT].items()}
+    for asn in sorted(sightings.spans):
+        guards, exits = (
+            {(sightings.sessions[s], relay): spans for (s, relay), spans in side.items()}
+            for side in sightings.spans[asn]
+        )
         for (src, guard), g_spans in sorted(guards.items()):
             for (dst, exit_), e_spans in sorted(exits.items()):
                 if src == dst or guard == exit_:

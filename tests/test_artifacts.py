@@ -34,7 +34,7 @@ WRITERS = {
     # direction code, out of range, raises
     "trace": lambda path: write_trace_jsonl(
         path,
-        EndpointTrace("v", ("", ""), PacketTable([0.0, 1.0], [0, len(DIRECTIONS)], *[[0, 0]] * 4)),
+        EndpointTrace("v", PacketTable([0.0, 1.0], [0, len(DIRECTIONS)], *[[0, 0]] * 4)),
     ),
 }
 

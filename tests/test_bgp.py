@@ -306,3 +306,27 @@ def test_ingest_infers_local_as_and_accepts_override():
     assert ribs["s2"].session.local_as == 1299
     ribs = ingest(stream, RELAYS, local_as={"s1": 65001})
     assert ribs["s1"].session.local_as == 65001
+
+    # s3 withdraws before it announces; s4 only withdraws
+    stream = [
+        withdraw(0.5, "s3", "10.1.0.0/16"),
+        withdraw(1.0, "s4", "10.1.0.0/16"),
+        announce(2.0, "s3", "10.1.0.0/16", [174, 3356]),
+        withdraw(3.0, "s4", "10.1.0.0/16"),
+        withdraw(4.0, "s3", "10.1.0.0/16"),
+    ]
+    ribs = ingest(stream, RELAYS)
+    assert set(ribs) == {"s3", "s4"}
+    assert ribs["s3"].session.local_as == 174
+    assert ribs["s4"].session.local_as == 0
+    prefix = IpPrefix.parse("10.1.0.0/16")
+    assert [(p, e.t_start, e.t_end, e.path.ases) for p, e in ribs["s3"].entries()] == [
+        (prefix, 2.0, 4.0, (174, 3356))
+    ]
+    assert list(ribs["s4"].entries()) == []
+    # the entries do not depend on whether the local AS was inferred or given
+    given = ingest(stream, RELAYS, local_as={"s3": 65003, "s4": 65004})
+    assert given["s3"].session.local_as == 65003
+    assert given["s4"].session.local_as == 65004
+    for sid in ribs:
+        assert list(given[sid].entries()) == list(ribs[sid].entries())

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from routelens.churn import (
     CompromiseSummary,
     EmptyInputError,
-    SegmentObservation,
+    Sightings,
     as_circuit_coverage,
     ccdf,
     ccdf_value,
@@ -36,7 +36,7 @@ from routelens.churn import (
     session_pairs,
     static_baseline,
 )
-from routelens.core import RelayDescriptor, RelayRole, ip_to_int
+from routelens.core import RelayDescriptor, ip_to_int
 
 
 def relay(addr, guard=False, exit_=False, bw=1.0, name=""):
@@ -50,24 +50,23 @@ def test_single_entry_two_path_ases():
     guard = relay("10.0.0.5", guard=True)
     ribs = build_ribs([announce(0, "s1", "10.0.0.0/16", [1, 2])], [guard], {"s1": 64500})
     obs = segment_observations(ribs, [guard], (0, 100))
-    assert {(o.as_number, o.session, o.relay, o.role) for o in obs} == {
-        (1, "s1", guard.address, RelayRole.GUARD),
-        (2, "s1", guard.address, RelayRole.GUARD),
-    }
-    assert all((o.t_start, o.t_end) == (0.0, 100.0) for o in obs)
+    assert obs.sessions == ("s1",)
+    assert obs.spans == {asn: ({(0, guard.address): ((0.0, 100.0),)}, {}) for asn in (1, 2)}
+    assert len(obs) == 2
 
 
 def test_dual_flag_relay_emits_both_roles():
     dual = relay("10.0.0.5", guard=True, exit_=True)
     ribs = build_ribs([announce(0, "s1", "10.0.0.0/16", [1])], [dual], {"s1": 64500})
-    obs = segment_observations(ribs, [dual], (0, 50))
-    assert {o.role for o in obs} == {RelayRole.GUARD, RelayRole.EXIT}
+    guards, exits = segment_observations(ribs, [dual], (0, 50)).spans[1]
+    assert guards == exits == {(0, dual.address): ((0.0, 50.0),)}
 
 
 def test_empty_rib_no_observations():
     guard = relay("10.0.0.5", guard=True)
     ribs = build_ribs([], [guard], {})
-    assert segment_observations(ribs, [guard], (0, 100)) == []
+    obs = segment_observations(ribs, [guard], (0, 100))
+    assert obs.spans == {} and len(obs) == 0
 
 
 def test_most_specific_entry_carries_the_traffic():
@@ -79,22 +78,32 @@ def test_most_specific_entry_carries_the_traffic():
     ]
     ribs = build_ribs(updates, [guard], {"s1": 64500})
     obs = segment_observations(ribs, [guard], (0, 100))
-    spans = {
-        asn: [(o.t_start, o.t_end) for o in obs if o.as_number == asn]
-        for asn in {o.as_number for o in obs}
-    }
+    assert all(not exits for _, exits in obs.spans.values())
+    spans = {asn: guards[(0, guard.address)] for asn, (guards, _) in obs.spans.items()}
     # AS 1 only while the /16 forwards: before and after the /24 interlude
-    assert spans[1] == [(0.0, 20.0), (60.0, 100.0)]
-    assert spans[2] == [(20.0, 60.0)]
+    assert spans[1] == ((0.0, 20.0), (60.0, 100.0))
+    assert spans[2] == ((20.0, 60.0),)
     # AS 9 is on both paths, so its coverage is seamless
-    assert spans[9] == [(0.0, 100.0)]
+    assert spans[9] == ((0.0, 100.0),)
 
 
 # --- compromised circuits ----------------------------------------------------
 
 
 def seg(asn, session, addr, role, start, end):
-    return SegmentObservation(asn, session, ip_to_int(addr), role, start, end)
+    """One span of a sighting; role is "guard" or "exit"."""
+    return asn, session, ip_to_int(addr), role, start, end
+
+
+def sightings(*segs):
+    """Sightings holding the given spans, which are disjoint per key."""
+    sessions = tuple(sorted({session for _, session, *_ in segs}))
+    spans = {}
+    for asn, session, address, role, start, end in sorted(segs):
+        side = spans.setdefault(asn, ({}, {}))[role == "exit"]
+        key = (sessions.index(session), address)
+        side[key] = side.get(key, ()) + ((start, end),)
+    return Sightings(sessions, dict(sorted(spans.items())))
 
 
 def circuits(observations, **kwargs):
@@ -103,46 +112,46 @@ def circuits(observations, **kwargs):
 
 
 def test_overlap_threshold():
-    obs = [
-        seg(7, "s1", "10.0.0.5", RelayRole.GUARD, 0, 100),
-        seg(7, "s2", "10.1.0.5", RelayRole.EXIT, 50, 200),
-    ]
+    obs = sightings(
+        seg(7, "s1", "10.0.0.5", "guard", 0, 100),
+        seg(7, "s2", "10.1.0.5", "exit", 50, 200),
+    )
     records = circuits(obs, min_overlap=30)
     assert len(records) == 1
     assert records[0].overlap_seconds == 50.0
 
-    short = [
-        seg(7, "s1", "10.0.0.5", RelayRole.GUARD, 0, 70),
-        seg(7, "s2", "10.1.0.5", RelayRole.EXIT, 50, 200),
-    ]
+    short = sightings(
+        seg(7, "s1", "10.0.0.5", "guard", 0, 70),
+        seg(7, "s2", "10.1.0.5", "exit", 50, 200),
+    )
     assert circuits(short, min_overlap=30) == []
 
 
 def test_overlap_sums_across_cooccurring_intervals():
-    obs = [
-        seg(7, "s1", "10.0.0.5", RelayRole.GUARD, 0, 10),
-        seg(7, "s1", "10.0.0.5", RelayRole.GUARD, 20, 30),
-        seg(7, "s2", "10.1.0.5", RelayRole.EXIT, 5, 25),
-    ]
+    obs = sightings(
+        seg(7, "s1", "10.0.0.5", "guard", 0, 10),
+        seg(7, "s1", "10.0.0.5", "guard", 20, 30),
+        seg(7, "s2", "10.1.0.5", "exit", 5, 25),
+    )
     records = circuits(obs, min_overlap=0)
     assert records[0].overlap_seconds == 10.0  # 5 + 5
 
 
 def test_zero_length_contact_never_counts():
-    obs = [
-        seg(7, "s1", "10.0.0.5", RelayRole.GUARD, 0, 50),
-        seg(7, "s2", "10.1.0.5", RelayRole.EXIT, 50, 100),
-    ]
+    obs = sightings(
+        seg(7, "s1", "10.0.0.5", "guard", 0, 50),
+        seg(7, "s2", "10.1.0.5", "exit", 50, 100),
+    )
     assert circuits(obs, min_overlap=0) == []
 
 
 def test_same_session_and_same_local_as_excluded():
     same_session = [
-        seg(7, "s1", "10.0.0.5", RelayRole.GUARD, 0, 100),
-        seg(7, "s1", "10.1.0.5", RelayRole.EXIT, 0, 100),
+        seg(7, "s1", "10.0.0.5", "guard", 0, 100),
+        seg(7, "s1", "10.1.0.5", "exit", 0, 100),
     ]
-    assert circuits(same_session) == []
-    cross = same_session + [seg(7, "s2", "10.1.0.5", RelayRole.EXIT, 0, 100)]
+    assert circuits(sightings(*same_session)) == []
+    cross = sightings(*same_session, seg(7, "s2", "10.1.0.5", "exit", 0, 100))
     assert circuits(cross, local_as={"s1": 64500, "s2": 64500}) == []
     assert len(circuits(cross, local_as={"s1": 64500, "s2": 64501})) == 1
     # without the distinct-AS rule, the same-AS pair is admitted again
@@ -233,11 +242,8 @@ def test_relabeling_ases_permutes_outputs():
     updates, relays, sessions, window = random_churn_fixture(rng)
     ribs = build_ribs(updates, relays, sessions)
     obs = segment_observations(ribs, relays, window)
-    relabel = {asn: asn + 1000 for asn in {o.as_number for o in obs}}
-    relabeled = [
-        SegmentObservation(relabel[o.as_number], o.session, o.relay, o.role, o.t_start, o.t_end)
-        for o in obs
-    ]
+    relabel = {asn: asn + 1000 for asn in obs.spans}
+    relabeled = Sightings(obs.sessions, {relabel[asn]: sides for asn, sides in obs.spans.items()})
     base = circuits(obs, min_overlap=5)
     moved = circuits(relabeled, min_overlap=5)
     assert len(base) == len(moved)
@@ -327,9 +333,14 @@ def test_product_matches_record_oracle_on_random_histories(history, min_overlap,
 
     base_ribs = build_ribs([u for u in updates if u.timestamp == 0.0], relays, sessions)
     baseline = static_baseline(base_ribs, relays, t0=0.0, require_distinct_as=distinct)
-    snapshot = [
-        o for o in segment_observations(base_ribs, relays, (0.0, 1.0)) if o.t_start <= 0.0 < o.t_end
-    ]
+    seen = segment_observations(base_ribs, relays, (0.0, 1.0))
+    snapshot = Sightings(seen.sessions, {
+        asn: tuple(
+            {key: tuple(s for s in spans if s[0] <= 0.0 < s[1]) for key, spans in side.items()}
+            for side in sides
+        )
+        for asn, sides in seen.spans.items()
+    })
     expected_baseline = summarize_records(
         oracle_records(snapshot, 0.0, distinct, local), session_pairs(base_ribs, distinct), relays
     )

@@ -648,8 +648,10 @@ def test_churn_bad_sessions_row_exits_2(tmp_path, capsys, sessions_text, where):
     [
         ('{"kind": "traffic",\n "n_pairs": 2,,}', "scenario.json:2: "),
         (json.dumps({**TrafficScenario().to_dict(), "n_pairs": 0}), "scenario.json: "),
+        (json.dumps({k: v for k, v in TrafficScenario().to_dict().items() if k != "kind"}),
+         "scenario.json: invalid scenario: 'kind'"),
     ],
-    ids=["not-json", "invalid-scenario"],
+    ids=["not-json", "invalid-scenario", "no-kind"],
 )
 def test_simulate_bad_scenario_exits_2(tmp_path, capsys, text, where):
     scenario = tmp_path / "scenario.json"
@@ -756,8 +758,9 @@ def test_unusable_input_file_exits_2_naming_it(
         ('{"threshold": true}', "c.json: config key 'threshold' must be a number, not True"),
         ('{"max_lag": 1.5}', "c.json: config key 'max_lag' must be an integer, not 1.5"),
         ('{"seed": "7"}', "c.json: config key 'seed' must be an integer, not '7'"),
+        ('{"min_overlapp": 5}', "c.json: unknown config key 'min_overlapp'"),
     ],
-    ids=["bool-threshold", "fractional-max-lag", "text-seed"],
+    ids=["bool-threshold", "fractional-max-lag", "text-seed", "unknown-key"],
 )
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, correlate_inputs, text, where):
     config = tmp_path / "c.json"
@@ -769,6 +772,16 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, correlate_inpu
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and where in err, err
+
+
+def test_config_key_of_another_subcommand_is_allowed(tmp_path, correlate_inputs):
+    config = tmp_path / "c.json"
+    config.write_text('{"min_overlap": 5}')
+    code = run(
+        "--output-dir", tmp_path / "o", "--config", config,
+        "correlate", "--manifest", correlate_inputs / "manifest.csv",
+    )
+    assert code == 0
 
 
 @pytest.mark.parametrize(
@@ -1180,7 +1193,7 @@ def simulate_inputs():
 def _whole_dataset_file(path):
     """A dataset file or directory simulate wrote whole: traces read back,
     update and relay lists are full-width CSV, truth.json is an artifact.
-    (A scenario that loses its "kind" is read as a traffic scenario.)"""
+    (A scenario that loses its "kind" exits 2 and writes nothing.)"""
     if path.is_dir():
         return all(_whole_dataset_file(child) for child in path.iterdir())
     if path.suffix == ".jsonl":

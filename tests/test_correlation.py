@@ -102,7 +102,7 @@ def test_unwrap_empty_rejected():
 
 
 def _trace(rows, vantage="v0"):
-    return EndpointTrace(vantage, ("a:1", "b:2"), packet_table(rows))
+    return EndpointTrace(vantage, packet_table(rows))
 
 
 def test_extract_data_progress_single_bin():
@@ -440,7 +440,7 @@ def test_clopper_pearson_contains_point_estimate(a, b, confidence):
 def test_observation_record_roundtrip(tmp_path):
     table = packet_table([(1.25, Direction.FROM_SERVER, 42, 99, 1460, {"SYN"})])
     path = tmp_path / "one.jsonl"
-    write_trace_jsonl(path, EndpointTrace("v", ("", ""), table))
+    write_trace_jsonl(path, EndpointTrace("v", table))
     assert read_trace_jsonl(path, "v").observations == table
 
 
@@ -484,7 +484,7 @@ def test_trace_jsonl_matches_per_record_oracle(tmp_path_factory, start, isn, ste
         rows.append((ts, direction, seq % WRAP, ack % WRAP, length, flags))
     table = packet_table(rows)
     path = tmp_path_factory.mktemp("trace") / "t.jsonl"
-    write_trace_jsonl(path, EndpointTrace("v", ("", ""), table))
+    write_trace_jsonl(path, EndpointTrace("v", table))
     assert path.read_text() == oracle_trace_text(table)
     got = read_trace_jsonl(path, "v").observations
     expected = oracle_read_columns(path)
@@ -497,7 +497,7 @@ def test_trace_jsonl_matches_per_record_oracle(tmp_path_factory, start, isn, ste
 
 def _written(tmp_path, table):
     path = tmp_path / "t.jsonl"
-    write_trace_jsonl(path, EndpointTrace("v", ("", ""), table))
+    write_trace_jsonl(path, EndpointTrace("v", table))
     return path.read_bytes()
 
 
@@ -604,7 +604,7 @@ _any_tables = st.lists(
 @given(_any_tables)
 def test_writer_matches_oracle_on_any_columns(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("trace") / "t.jsonl"
-    write_trace_jsonl(path, EndpointTrace("v", ("", ""), table))
+    write_trace_jsonl(path, EndpointTrace("v", table))
     assert path.read_bytes() == oracle_trace_text(table).encode()
 
 
@@ -623,7 +623,7 @@ def _assert_oracle_columns(got, path):
 def test_reader_matches_oracle_on_any_columns(tmp_path_factory, table):
     table = table[np.argsort(table.ts, kind="stable")]  # NaN last: never a decrease
     path = tmp_path_factory.mktemp("trace") / "t.jsonl"
-    write_trace_jsonl(path, EndpointTrace("v", ("", ""), table))
+    write_trace_jsonl(path, EndpointTrace("v", table))
     got = read_trace_jsonl(path, "v").observations
     _assert_oracle_columns(got, path)
     rounded = np.array([round(t, 6) for t in table.ts.tolist()])
@@ -675,7 +675,7 @@ def test_reader_decodes_plain_timestamps_like_float(tmp_path, monkeypatch, scale
     k = np.unique(np.concatenate([k, k[k < 10**15 - 1] + 1, [0, 100, 101, 10**6]]))
     k = k[(k < 10**15) & ((k >= 100) | (k == 0))]
     path = tmp_path / "t.jsonl"
-    write_trace_jsonl(path, EndpointTrace("v", ("", ""), _table(k / 1e6)))
+    write_trace_jsonl(path, EndpointTrace("v", _table(k / 1e6)))
     got = read_trace_jsonl(path, "v").observations
     assert got.ts.tobytes() == (k / 1e6).tobytes()
     _assert_oracle_columns(got, path)
