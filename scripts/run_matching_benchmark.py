@@ -44,14 +44,13 @@ def main() -> None:
     results = {}
     print(f"== matching accuracy, {args.pairs} pairs, seeds {seeds[0]}..{seeds[-1]} ==")
     for label, ck, sk in COMBOS:
-        report = benchmark_matching(
+        m = benchmark_matching(
             seeds,
             scenario_fn=lambda s: standard_scenario(s, args.pairs),
             threshold=args.threshold,
             client_kind=ck,
             server_kind=sk,
         )
-        m = report.metrics
         n_trials = args.pairs * len(seeds)
         fn_lo, fn_hi = clopper_pearson(m["false_negatives_total"], n_trials)
         fp_lo, fp_hi = clopper_pearson(m["false_positives_total"], m["false_positive_trials"])
@@ -82,10 +81,10 @@ def main() -> None:
         seeds, scenario_fn=lambda s: shared_scenario(s, args.pairs), threshold=args.threshold
     )
     print(
-        f"coupled accuracy {degraded.metrics['mean_accuracy']:.3f} vs "
+        f"coupled accuracy {degraded['mean_accuracy']:.3f} vs "
         f"unshared {results['client-data:server-ack']['mean_accuracy']:.3f}"
     )
-    results["shared_bottleneck"] = degraded.metrics
+    results["shared_bottleneck"] = degraded
 
     if args.json_out:
         args.json_out.write_text(json.dumps(results, indent=2, sort_keys=True))

@@ -168,15 +168,9 @@ class SessionRib:
     address come from one probe per prefix length present.
     """
 
-    def __init__(
-        self,
-        session: VantageSession,
-        relay_index: RelayIndex,
-        tor_filter: bool = True,
-    ) -> None:
+    def __init__(self, session: VantageSession, relay_index: RelayIndex) -> None:
         self.session = session
         self._relays = relay_index
-        self._tor_filter = tor_filter
         self.live: dict[IpPrefix, RouteEntry] = {}
         self.history: dict[IpPrefix, list[RouteEntry]] = {}
         self.last_timestamp = float("-inf")
@@ -189,7 +183,7 @@ class SessionRib:
                 f"on session {self.session.session_id}"
             )
         self.last_timestamp = update.timestamp
-        if self._tor_filter and not self._relays.covers_any(update.prefix):
+        if not self._relays.covers_any(update.prefix):
             return  # prefix hosts no relay: not tracked
         current = self.live.get(update.prefix)
         if update.kind is UpdateKind.WITHDRAW:
@@ -236,15 +230,11 @@ class SessionRib:
             (e for e in self.entries_for_address(relay.address) if e.live_at(t)), None
         )
 
-    def live_at(self, t: float) -> list[RouteEntry]:
-        return [entry for _, entry in self.entries() if entry.live_at(t)]
-
 
 def ingest(
     updates: Sequence[BgpUpdate],
     relays: list[RelayDescriptor] | RelayIndex,
     local_as: dict[str, int] | None = None,
-    tor_filter: bool = True,
 ) -> dict[str, SessionRib]:
     """Replay updates into per-session RIBs.
 
@@ -262,6 +252,6 @@ def ingest(
     for update in updates:
         sid = update.session
         if sid not in ribs:
-            ribs[sid] = SessionRib(VantageSession(sid, inferred.get(sid, 0)), index, tor_filter)
+            ribs[sid] = SessionRib(VantageSession(sid, inferred.get(sid, 0)), index)
         ribs[sid].apply(update)
     return ribs

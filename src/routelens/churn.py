@@ -28,10 +28,6 @@ from .bgp import SessionRib
 from .core import RelayDescriptor, merge_intervals
 
 
-class EmptyInputError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class Sightings:
     """Which AS saw traffic toward which relay, on which session, and when.
@@ -395,10 +391,10 @@ def ccdf(summary: CompromiseSummary) -> list[tuple[float, float]]:
 
     The curve is the left-continuous step function G(x) = share of pairs
     whose compromised percentage is >= x, listed at the distinct nonzero
-    levels plus the (0, 100) anchor.
+    levels plus the (0, 100) anchor; a summary with no pairs has no curve.
     """
     if not summary.pair_circuits:
-        raise EmptyInputError("no (src, dst) pairs to summarize")
+        return []
     fractions = sorted(summary.fraction(p) * 100.0 for p in summary.pair_circuits)
     n = len(fractions)
     points: list[tuple[float, float]] = [(0.0, 100.0)]

@@ -10,6 +10,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,10 +40,20 @@ DEFAULTS = {
     "burst_window": 600.0,
 }
 
+# what each numeric setting must satisfy besides being finite
+_RANGES = {
+    "bin_width": "> 0", "window": "> 0",
+    "seed": ">= 0", "max_lag": ">= 0", "min_overlap": ">= 0",
+    "quiet_gap": ">= 0", "burst_window": ">= 0",
+    "frequency_threshold": "in (0, 1)", "time_threshold": "in (0, 1)",
+}
+_IN_RANGE = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "in (0, 1)": lambda v: 0 < v < 1}
+
 
 def _effective_config(args, keys: list[str]) -> dict:
     """Defaults, overlaid by --config file numbers (integers where the
-    default is one), overlaid by flags."""
+    default is one), overlaid by flags; each merged value must be finite
+    and in its _RANGES range."""
     config = {key: DEFAULTS[key] for key in keys if key in DEFAULTS}
     if args.config:
         loaded = read_json(args.config, "config file")
@@ -64,6 +75,10 @@ def _effective_config(args, keys: list[str]) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             config[key] = flag
+    for key, value in config.items():
+        rule = _RANGES.get(key)
+        if not math.isfinite(value) or (rule and not _IN_RANGE[rule](value)):
+            raise InputError(f"{key} must be finite{' and ' + rule if rule else ''}, not {value!r}")
     config["output_dir"] = args.output_dir
     return config
 
@@ -191,6 +206,10 @@ def cmd_correlate(args) -> int:
 
 
 def _ingest_updates(args, config) -> tuple[list, list, tuple[float, float]]:
+    """Relays, time-sorted updates and the analysis window, recorded in
+    config. This is the one place the window's default is decided: the
+    first update to one second past the last, each end overridden by its
+    flag. An empty or non-finite window raises InputError."""
     relays = load_relays(args.relays)
     # the initial state goes first, so it precedes updates at equal timestamps
     sources = [args.initial] if getattr(args, "initial", None) else []
@@ -209,11 +228,12 @@ def _ingest_updates(args, config) -> tuple[list, list, tuple[float, float]]:
             updates, float(config["quiet_gap"]), float(config["burst_window"])
         )
     stamps = [u.timestamp for u in updates]
-    window = (
-        float(config["window_start"]) if config.get("window_start") is not None else (min(stamps) if stamps else 0.0),
-        float(config["window_end"]) if config.get("window_end") is not None else (max(stamps) + 1.0 if stamps else 1.0),
-    )
-    return relays, updates, window
+    lo = args.window_start if args.window_start is not None else (min(stamps) if stamps else 0.0)
+    hi = args.window_end if args.window_end is not None else (max(stamps) + 1.0 if stamps else 1.0)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InputError(f"empty or non-finite window {lo:g}..{hi:g}")
+    config["window_start"], config["window_end"] = lo, hi
+    return relays, updates, (lo, hi)
 
 
 def _load_sessions(path_text) -> dict[str, int] | None:
@@ -243,18 +263,13 @@ def _write_summary(out: Path, config, name: str, summary: churn.CompromiseSummar
         out / f"ccdf_{name}.csv",
         config,
         ["x_percent", "y_percent"],
-        ([f"{x:.4f}", f"{y:.4f}"] for x, y in churn.ccdf(summary))
-        if summary.pair_circuits
-        else [],
+        ([f"{x:.4f}", f"{y:.4f}"] for x, y in churn.ccdf(summary)),
     )
 
 
 def cmd_churn(args) -> int:
     config = _effective_config(args, ["seed", "min_overlap", "quiet_gap", "burst_window"])
-    config["window_start"] = args.window_start
-    config["window_end"] = args.window_end
     relays, updates, window = _ingest_updates(args, config)
-    config["window_start"], config["window_end"] = window
     local_as = _load_sessions(args.sessions)
 
     ribs = ingest(updates, relays, local_as=local_as)
@@ -361,13 +376,8 @@ def cmd_detect(args) -> int:
     config = _effective_config(
         args, ["seed", "frequency_threshold", "time_threshold", "quiet_gap", "burst_window"]
     )
-    config["window_start"] = args.window_start
-    config["window_end"] = args.window_end
     config["freq_denominator"] = args.freq_denominator
     relays, updates, window = _ingest_updates(args, config)
-    if window[1] <= window[0]:
-        raise InputError(f"empty detection window {window[0]:g}..{window[1]:g}")
-    config["window_start"], config["window_end"] = window
     alerts = detect.run_all_heuristics(
         updates,
         relays,

@@ -74,11 +74,14 @@ def alert_from_record(record: dict) -> HijackAlert:
     )
 
 
-def _affected(index: RelayIndex, prefix: IpPrefix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _alert(
+    index: RelayIndex, heuristic: Heuristic, prefix: IpPrefix, origin: int, score: float, windows
+) -> HijackAlert:
+    """An alert on prefix with its windows, naming the guard and exit relays it covers."""
     covered = index.covered_by(prefix)
     guards = tuple(r.address for r in covered if r.is_guard)
     exits = tuple(r.address for r in covered if r.is_exit)
-    return guards, exits
+    return HijackAlert(prefix, origin, heuristic, score, tuple(windows), guards, exits)
 
 
 # --- concentration ------------------------------------------------------------
@@ -213,15 +216,16 @@ def cross_reference(
 def frequency_heuristic(
     updates: list[BgpUpdate],
     relays: list[RelayDescriptor] | RelayIndex,
+    window: tuple[float, float],
     threshold: float = 0.00001,
-    window: tuple[float, float] | None = None,
     per_prefix_denominator: bool = True,
 ) -> list[HijackAlert]:
     """Flag origins that announce a relay-hosting prefix extremely rarely.
 
-    freq(origin, prefix) is the origin's share of the prefix's
-    announcements (or of all announcements when per_prefix_denominator is
-    off); an alert fires on freq strictly below the threshold.
+    Announcements at window[0] <= t < window[1] count. freq(origin,
+    prefix) is the origin's share of the prefix's announcements (or of all
+    announcements when per_prefix_denominator is off); an alert fires on
+    freq strictly below the threshold.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
@@ -232,7 +236,7 @@ def frequency_heuristic(
     for update in updates:
         if update.kind is not UpdateKind.ANNOUNCE:
             continue
-        if window is not None and not window[0] <= update.timestamp < window[1]:
+        if not window[0] <= update.timestamp < window[1]:
             continue
         if not index.covers_any(update.prefix):
             continue
@@ -248,26 +252,16 @@ def frequency_heuristic(
         denominator = totals[prefix] if per_prefix_denominator else n_announcements
         freq = len(stamps) / denominator
         if freq < threshold:
-            guards, exits = _affected(index, prefix)
-            alerts.append(
-                HijackAlert(
-                    prefix=prefix,
-                    origin_as=origin,
-                    heuristic=Heuristic.FREQUENCY,
-                    score=freq,
-                    windows=tuple(merge_intervals([(t, t) for t in stamps], gap=3600.0)),
-                    guards=guards,
-                    exits=exits,
-                )
-            )
+            windows = merge_intervals([(t, t) for t in stamps], gap=3600.0)
+            alerts.append(_alert(index, Heuristic.FREQUENCY, prefix, origin, freq, windows))
     return alerts
 
 
 def time_heuristic(
     updates: list[BgpUpdate],
     relays: list[RelayDescriptor] | RelayIndex,
+    window: tuple[float, float],
     threshold: float = 0.01,
-    window: tuple[float, float] | None = None,
 ) -> list[HijackAlert]:
     """Flag relay-hosting routes announced for a tiny slice of the window.
 
@@ -281,11 +275,6 @@ def time_heuristic(
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     index = RelayIndex.of(relays)
-    if window is None:
-        stamps = [u.timestamp for u in updates]
-        if not stamps:
-            return []
-        window = (min(stamps), max(stamps) + 1.0)
     length = window[1] - window[0]
     if length <= 0:
         raise ValueError("empty window")
@@ -304,25 +293,14 @@ def time_heuristic(
         alive = sum(end - start for start, end in spans)
         fraction = alive / length
         if 0.0 < fraction < threshold:
-            guards, exits = _affected(index, prefix)
-            alerts.append(
-                HijackAlert(
-                    prefix=prefix,
-                    origin_as=path.origin,
-                    heuristic=Heuristic.TIME,
-                    score=fraction,
-                    windows=tuple(spans),
-                    guards=guards,
-                    exits=exits,
-                )
-            )
+            alerts.append(_alert(index, Heuristic.TIME, prefix, path.origin, fraction, spans))
     return alerts
 
 
 def more_specific_monitor(
     updates: list[BgpUpdate],
     relays: list[RelayDescriptor] | RelayIndex,
-    window: tuple[float, float] | None = None,
+    window: tuple[float, float],
 ) -> list[HijackAlert]:
     """Flag foreign-origin announcements nested inside a live relay prefix.
 
@@ -332,8 +310,8 @@ def more_specific_monitor(
     ordinary traffic engineering. A hit opens at the first such
     announcement of its (session, prefix, origin) and stays open until the
     prefix is withdrawn on that session, or until the window's end. Spans
-    are clipped to the window (default: up to the last update) and a span
-    left empty is dropped; the score is the number of spans.
+    are clipped to the window and a span left empty is dropped; the score
+    is the number of spans.
     """
     index = RelayIndex.of(relays)
     live: dict[str, PrefixTable] = {}  # per session: prefix -> origin
@@ -357,11 +335,6 @@ def more_specific_monitor(
         if any(other != origin for _, other in table.covering(prefix.base, prefix.length)):
             open_hits.setdefault(key, {}).setdefault(origin, update.timestamp)
         table.insert(prefix, origin)
-    if window is None:
-        if not updates:
-            return []
-        stamps = [u.timestamp for u in updates]
-        window = (min(stamps), max(stamps))
     t_lo, t_hi = window
     for (_, prefix), origins in open_hits.items():
         for origin, since in origins.items():
@@ -370,41 +343,29 @@ def more_specific_monitor(
     for (prefix, origin), raw in sorted(spans.items(), key=lambda i: (i[0][0], i[0][1])):
         clipped = [(max(start, t_lo), min(end, t_hi)) for start, end in raw]
         clipped = [(start, end) for start, end in clipped if start <= end]
-        if not clipped:
-            continue
-        guards, exits = _affected(index, prefix)
-        alerts.append(
-            HijackAlert(
-                prefix=prefix,
-                origin_as=origin,
-                heuristic=Heuristic.MORE_SPECIFIC,
-                score=float(len(clipped)),
-                windows=tuple(merge_intervals(clipped)),
-                guards=guards,
-                exits=exits,
-            )
-        )
+        if clipped:
+            alerts.append(_alert(
+                index, Heuristic.MORE_SPECIFIC, prefix, origin,
+                float(len(clipped)), merge_intervals(clipped),
+            ))
     return alerts
 
 
 def run_all_heuristics(
     updates: list[BgpUpdate],
     relays: list[RelayDescriptor],
+    window: tuple[float, float],
     frequency_threshold: float = 0.00001,
     time_threshold: float = 0.01,
-    window: tuple[float, float] | None = None,
     per_prefix_denominator: bool = True,
 ) -> list[HijackAlert]:
-    """Union of the three detectors over guard/exit-relevant prefixes, all over
-    one window (default: the first update to one second past the last)."""
+    """Union of the three detectors over guard/exit-relevant prefixes, all
+    over the one given window."""
     index = RelayIndex([r for r in relays if r.is_guard or r.is_exit])
-    if window is None and updates:
-        stamps = [u.timestamp for u in updates]
-        window = (min(stamps), max(stamps) + 1.0)
     alerts = frequency_heuristic(
-        updates, index, frequency_threshold, window, per_prefix_denominator
+        updates, index, window, frequency_threshold, per_prefix_denominator
     )
-    alerts += time_heuristic(updates, index, time_threshold, window)
+    alerts += time_heuristic(updates, index, window, time_threshold)
     alerts += more_specific_monitor(updates, index, window)
     return alerts
 

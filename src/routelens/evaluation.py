@@ -7,8 +7,7 @@ threshold is brittle.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,38 +194,6 @@ def interception_accuracy(
     )
 
 
-@dataclass
-class ExperimentReport:
-    """One reproducible experiment: scenario descriptor, seeds, metrics."""
-
-    name: str
-    scenario: dict
-    seeds: list[int]
-    metrics: dict
-    runtime_seconds: float
-    artifacts: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "scenario": self.scenario,
-            "seeds": self.seeds,
-            "metrics": self.metrics,
-            "runtime_seconds": round(self.runtime_seconds, 3),
-            "artifacts": self.artifacts,
-        }
-
-    def table(self) -> str:
-        lines = [f"experiment: {self.name}", f"seeds: {self.seeds}"]
-        width = max(len(k) for k in self.metrics) if self.metrics else 0
-        for key, value in self.metrics.items():
-            if isinstance(value, float):
-                value = f"{value:.4f}"
-            lines.append(f"  {key:<{width}}  {value}")
-        lines.append(f"runtime: {self.runtime_seconds:.1f} s")
-        return "\n".join(lines)
-
-
 def benchmark_matching(
     seeds: list[int],
     scenario_fn=standard_scenario,
@@ -234,9 +201,8 @@ def benchmark_matching(
     window: float = 300.0,
     client_kind: SignalKind = SignalKind.DATA,
     server_kind: SignalKind = SignalKind.ACK,
-) -> ExperimentReport:
-    """Run the matching attack over several seeds and aggregate."""
-    started = time.perf_counter()
+) -> dict:
+    """Run the matching attack over several seeds; the aggregate metrics."""
     accuracies = []
     false_positives = false_positive_trials = 0
     false_negatives = 0
@@ -256,17 +222,11 @@ def benchmark_matching(
         false_positives += result.report.false_positives
         false_positive_trials += result.report.false_positive_trials
         false_negatives += result.report.false_negatives
-    return ExperimentReport(
-        name="matching-benchmark",
-        scenario=scenario_fn(seeds[0]).to_dict(),
-        seeds=list(seeds),
-        metrics={
-            "mean_accuracy": float(np.mean(accuracies)),
-            "min_accuracy": float(min(accuracies)),
-            "max_accuracy": float(max(accuracies)),
-            "false_positives_total": false_positives,
-            "false_positive_trials": false_positive_trials,
-            "false_negatives_total": false_negatives,
-        },
-        runtime_seconds=time.perf_counter() - started,
-    )
+    return {
+        "mean_accuracy": float(np.mean(accuracies)),
+        "min_accuracy": float(min(accuracies)),
+        "max_accuracy": float(max(accuracies)),
+        "false_positives_total": false_positives,
+        "false_positive_trials": false_positive_trials,
+        "false_negatives_total": false_negatives,
+    }

@@ -861,14 +861,24 @@ _TIMING_DEFAULTS = {
 
 
 def _scenario_from_dict(data: dict):
+    """The scenario of a document holding kind, the fields of that kind and,
+    for interception only, a timing object over the _TIMING_DEFAULTS keys."""
     kind = data["kind"]
     if kind not in ("traffic", "routing", "interception"):
         raise InvalidScenarioError(f"unknown scenario kind {kind!r}")
-    scenario = (RoutingScenario if kind == "routing" else TrafficScenario).from_dict(data)
+    cls = RoutingScenario if kind == "routing" else TrafficScenario
+    known, raw = {"kind", *(field.name for field in fields(cls))}, {}
+    if kind == "interception":
+        known.add("timing")
+        raw = data.get("timing", {})
+    unknown = [key for key in data if key not in known]
+    unknown += [f"timing.{key}" for key in raw if key not in _TIMING_DEFAULTS]
+    if unknown:
+        raise InvalidScenarioError(f"unknown key {unknown[0]!r}")
+    scenario = cls.from_dict(data)
     scenario.validate()
     if kind != "interception":
         return scenario
-    raw = data.get("timing", {})
     timing = {key: float(raw.get(key, default)) for key, default in _TIMING_DEFAULTS.items()}
     _check_settles(timing["announce_at"], timing["propagation"], timing["withdraw_at"])
     return scenario, timing

@@ -10,7 +10,6 @@ import numpy as np
 from routelens.bgp import BgpUpdate, UpdateKind, ingest
 from routelens.churn import (
     CompromiseSummary,
-    EmptyInputError,
     _intersection_length,
     circuit_axes,
     circuit_universe,
@@ -19,7 +18,7 @@ from routelens.core import (
     AsPath, IpPrefix, RelayDescriptor, RelayIndex, ip_to_int, merge_intervals
 )
 from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
-from routelens.detect import HijackAlert, Heuristic, _affected
+from routelens.detect import Heuristic, _alert
 from routelens.paths import (
     DayVulnerability,
     PathRole,
@@ -218,9 +217,9 @@ def circuit_pairs(summary, ids) -> set:
 
 def oracle_ccdf(summary):
     """The churn CCDF points, counting the pairs at or above each level
-    with a full scan per level."""
+    with a full scan per level; no pairs, no points."""
     if not summary.pair_circuits:
-        raise EmptyInputError("no (src, dst) pairs to summarize")
+        return []
     fractions = sorted(summary.fraction(p) * 100.0 for p in summary.pair_circuits)
     points = [(0.0, 100.0)]
     for value in sorted(set(fractions)):
@@ -420,16 +419,15 @@ def is_more_specific_of(candidate: IpPrefix, incumbent: IpPrefix) -> bool:
     return incumbent.covers(candidate.base) and candidate.length > incumbent.length
 
 
-def oracle_more_specific_monitor(updates, relays, window=None):
+def oracle_more_specific_monitor(updates, relays, window):
     """Linear-scan more-specific monitor: every announcement is compared
     with every live (session, prefix) route, and every withdrawal scans
-    every open hit. Spans are clipped to the window (default: up to the
-    last update); a span left empty is dropped."""
+    every open hit. Spans are clipped to the window; a span left empty is
+    dropped."""
     index = RelayIndex.of(relays)
     live = {}
     hits = {}
     open_hits = {}
-    horizon = window[1] if window is not None else max((u.timestamp for u in updates), default=None)
     for update in updates:
         key = (update.session, update.prefix)
         if not index.covers_any(update.prefix):
@@ -450,44 +448,29 @@ def oracle_more_specific_monitor(updates, relays, window=None):
                 break
         live[key] = update.path
     for (session, prefix, origin), since in open_hits.items():
-        hits.setdefault((prefix, origin), []).append((since, horizon))
+        hits.setdefault((prefix, origin), []).append((since, window[1]))
     alerts = []
     for (prefix, origin), spans in sorted(hits.items(), key=lambda i: (i[0][0], i[0][1])):
-        if window is not None:
-            spans = [
-                (max(start, window[0]), min(end, window[1]))
-                for start, end in spans
-                if not (end < window[0] or start > window[1])
-            ]
+        spans = [
+            (max(start, window[0]), min(end, window[1]))
+            for start, end in spans
+            if not (end < window[0] or start > window[1])
+        ]
         if not spans:
             continue
-        guards, exits = _affected(index, prefix)
-        alerts.append(
-            HijackAlert(
-                prefix=prefix,
-                origin_as=origin,
-                heuristic=Heuristic.MORE_SPECIFIC,
-                score=float(len(spans)),
-                windows=tuple(merge_intervals(spans)),
-                guards=guards,
-                exits=exits,
-            )
-        )
+        alerts.append(_alert(
+            index, Heuristic.MORE_SPECIFIC, prefix, origin, float(len(spans)),
+            merge_intervals(spans),
+        ))
     return alerts
 
 
 
-def oracle_time_heuristic(updates, relays, threshold, window=None):
+def oracle_time_heuristic(updates, relays, window, threshold):
     """Replay loop for the lifetime heuristic: one open route per (session,
     prefix), closed by a withdrawal or a path change, clipped to the window
-    (default: first update to one second past the last) and unioned per
-    (prefix, path). Updates must be sorted by timestamp."""
+    and unioned per (prefix, path). Updates must be sorted by timestamp."""
     index = RelayIndex.of(relays)
-    if window is None:
-        if not updates:
-            return []
-        stamps = [u.timestamp for u in updates]
-        window = (min(stamps), max(stamps) + 1.0)
     t_lo, t_hi = window
     open_routes = {}
     spans = {}
@@ -523,16 +506,5 @@ def oracle_time_heuristic(updates, relays, threshold, window=None):
         merged = merge_intervals(raw)
         fraction = sum(end - start for start, end in merged) / (t_hi - t_lo)
         if 0.0 < fraction < threshold:
-            guards, exits = _affected(index, prefix)
-            alerts.append(
-                HijackAlert(
-                    prefix=prefix,
-                    origin_as=path.origin,
-                    heuristic=Heuristic.TIME,
-                    score=fraction,
-                    windows=tuple(merged),
-                    guards=guards,
-                    exits=exits,
-                )
-            )
+            alerts.append(_alert(index, Heuristic.TIME, prefix, path.origin, fraction, merged))
     return alerts

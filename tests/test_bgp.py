@@ -39,8 +39,8 @@ RELAYS = [
 ]
 
 
-def fresh_rib(tor_filter=True):
-    return SessionRib(VantageSession("s1", 64512), RelayIndex(RELAYS), tor_filter)
+def fresh_rib():
+    return SessionRib(VantageSession("s1", 64512), RelayIndex(RELAYS))
 
 
 # --- parsing -----------------------------------------------------------------
@@ -277,23 +277,6 @@ def test_interval_soundness():
                 return out
 
             assert merged(intervals) == merged(announced.get(prefix, []))
-
-
-def test_tor_filter_matches_unfiltered_coverage():
-    rng = random.Random(3)
-    stream = _random_stream(rng)
-    filtered = ingest(stream, RELAYS, tor_filter=True)
-    unfiltered = ingest(stream, RELAYS, tor_filter=False)
-    horizon = max(u.timestamp for u in stream) + 5
-    for sid in unfiltered:
-        for relay in RELAYS:
-            for t in range(0, int(horizon), 7):
-                covered_live = any(
-                    e.prefix.covers(relay.address)
-                    for e in unfiltered[sid].live_at(t)
-                )
-                got = filtered[sid].route_for_relay(relay, t)
-                assert (got is not None) == covered_live
 
 
 def test_ingest_infers_local_as_and_accepts_override():

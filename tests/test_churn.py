@@ -4,7 +4,6 @@ import math
 import random
 
 import numpy as np
-import pytest
 from helpers import (
     CircuitCompromiseRecord,
     announce,
@@ -23,7 +22,6 @@ from hypothesis import strategies as st
 
 from routelens.churn import (
     CompromiseSummary,
-    EmptyInputError,
     Sightings,
     as_circuit_coverage,
     ccdf,
@@ -441,9 +439,8 @@ def test_ccdf_median_point():
     assert (0.75, 50.0) in points
 
 
-def test_ccdf_empty_errors():
-    with pytest.raises(EmptyInputError):
-        ccdf(summarize_records([], [], []))
+def test_ccdf_of_no_pairs_is_empty():
+    assert ccdf(summarize_records([], [], [])) == []
 
 
 def test_ccdf_monotone_and_bounded_on_random_summaries():

@@ -650,8 +650,18 @@ def test_churn_bad_sessions_row_exits_2(tmp_path, capsys, sessions_text, where):
         (json.dumps({**TrafficScenario().to_dict(), "n_pairs": 0}), "scenario.json: "),
         (json.dumps({k: v for k, v in TrafficScenario().to_dict().items() if k != "kind"}),
          "scenario.json: invalid scenario: 'kind'"),
+        ('{"kind": "traffic", "n_pair": 2, "duration": 5}',
+         "scenario.json: invalid scenario: unknown key 'n_pair'"),
+        (json.dumps({**random_routing_scenario(1, 2, 3, 3).to_dict(), "evnts": []}),
+         "scenario.json: invalid scenario: unknown key 'evnts'"),
+        (json.dumps({**TrafficScenario().to_dict(), "timing": {}}),
+         "scenario.json: invalid scenario: unknown key 'timing'"),
+        (json.dumps({**TrafficScenario().to_dict(), "kind": "interception",
+                     "timing": {"announce": 5.0}}),
+         "scenario.json: invalid scenario: unknown key 'timing.announce'"),
     ],
-    ids=["not-json", "invalid-scenario", "no-kind"],
+    ids=["not-json", "invalid-scenario", "no-kind", "traffic-typo", "routing-typo",
+         "traffic-timing", "timing-typo"],
 )
 def test_simulate_bad_scenario_exits_2(tmp_path, capsys, text, where):
     scenario = tmp_path / "scenario.json"
@@ -662,20 +672,80 @@ def test_simulate_bad_scenario_exits_2(tmp_path, capsys, text, where):
     assert "Traceback" not in err
 
 
-def test_detect_empty_window_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["detect", "churn"])
+@pytest.mark.parametrize(
+    "bounds, shown",
+    [
+        (["--window-start", 10, "--window-end", 5], "10..5"),
+        (["--window-start", 1], "1..1"),
+        (["--window-start", "nan"], "nan..1"),
+        (["--window-end", "nan"], "0..nan"),
+        (["--window-end", "inf"], "0..inf"),
+    ],
+    ids=["reversed", "start-at-default-end", "nan-start", "nan-end", "infinite-end"],
+)
+def test_empty_or_non_finite_window_exits_2(tmp_path, capsys, command, bounds, shown):
     (tmp_path / "relays.csv").write_text(_RELAY_CSV)
     (tmp_path / "updates.csv").write_text(_UPDATE_CSV)
     code = run(
         "--output-dir", tmp_path / "o",
-        "detect",
+        command,
         "--updates", tmp_path / "updates.csv",
         "--relays", tmp_path / "relays.csv",
-        "--window-start", 10, "--window-end", 5,
+        *bounds,
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "empty detection window 10..5" in err
+    assert f"error: empty or non-finite window {shown}\n" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "config, argv, where",
+    [
+        (None, ["correlate", "--bin-width", 0], "bin_width must be finite and > 0, not 0.0"),
+        ('{"bin_width": 0}', ["correlate"], "bin_width must be finite and > 0, not 0"),
+        (None, ["correlate", "--window", -30], "window must be finite and > 0, not -30.0"),
+        (None, ["correlate", "--threshold", "nan"], "threshold must be finite, not nan"),
+        ('{"max_lag": -1}', ["correlate"], "max_lag must be finite and >= 0, not -1"),
+        (None, ["--seed", -1, "correlate"], "seed must be finite and >= 0, not -1"),
+        (None, ["churn", "--min-overlap", "nan"], "min_overlap must be finite and >= 0, not nan"),
+        ('{"min_overlap": Infinity}', ["churn"], "min_overlap must be finite and >= 0, not inf"),
+        ('{"quiet_gap": -1.0}', ["churn", "--filter-resets"],
+         "quiet_gap must be finite and >= 0, not -1.0"),
+        ('{"burst_window": NaN}', ["detect"], "burst_window must be finite and >= 0, not nan"),
+        (None, ["detect", "--frequency-threshold", 2],
+         "frequency_threshold must be finite and in (0, 1), not 2.0"),
+        (None, ["detect", "--time-threshold", 0],
+         "time_threshold must be finite and in (0, 1), not 0.0"),
+        ('{"time_threshold": 1}', ["detect"], "time_threshold must be finite and in (0, 1), not 1"),
+    ],
+    ids=["bin-width-flag", "bin-width-config", "window-flag", "threshold-nan", "max-lag-config",
+         "seed-flag", "min-overlap-nan", "min-overlap-config-inf", "quiet-gap-config",
+         "burst-window-config-nan", "frequency-threshold-flag", "time-threshold-flag",
+         "time-threshold-config"],
+)
+def test_numeric_parameter_out_of_range_exits_2(
+    tmp_path, capsys, correlate_inputs, config, argv, where
+):
+    (tmp_path / "relays.csv").write_text(_RELAY_CSV)
+    (tmp_path / "updates.csv").write_text(_UPDATE_CSV)
+    inputs = {
+        "correlate": ["--manifest", correlate_inputs / "manifest.csv"],
+        "churn": ["--updates", tmp_path / "updates.csv", "--relays", tmp_path / "relays.csv"],
+    }
+    inputs["detect"] = inputs["churn"]
+    options = []
+    if config is not None:
+        (tmp_path / "c.json").write_text(config)
+        options = ["--config", tmp_path / "c.json"]
+    command = next(arg for arg in argv if arg in inputs)
+    code = run("--output-dir", tmp_path / "o", *options, *argv, *inputs[command])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {where}\n", err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -192,7 +192,7 @@ def test_frequency_flags_rare_origin_at_reference_threshold():
     relays = [relay("20.0.0.5", guard=True)]
     updates = [announce(float(i), "s1", victim, [100, 200]) for i in range(199_999)]
     updates.append(announce(199_999.0, "s1", victim, [300, 666]))
-    alerts = frequency_heuristic(updates, relays, threshold=0.00001)
+    alerts = frequency_heuristic(updates, relays, (0.0, 200_000.0), threshold=0.00001)
     assert [(a.origin_as, a.heuristic) for a in alerts] == [(666, Heuristic.FREQUENCY)]
     assert alerts[0].score == pytest.approx(1 / 200_000)
     assert alerts[0].guards == (relays[0].address,)
@@ -201,7 +201,7 @@ def test_frequency_flags_rare_origin_at_reference_threshold():
 def test_frequency_sole_origin_never_flagged():
     relays = [relay("20.0.0.5", guard=True)]
     updates = [announce(float(i), "s1", "20.0.0.0/24", [100, 200]) for i in range(50)]
-    assert frequency_heuristic(updates, relays, threshold=0.5) == []
+    assert frequency_heuristic(updates, relays, (0.0, 50.0), threshold=0.5) == []
 
 
 def test_frequency_boundary_is_strict():
@@ -209,8 +209,8 @@ def test_frequency_boundary_is_strict():
     updates = [announce(float(i), "s1", "20.0.0.0/24", [100, 200]) for i in range(99)]
     updates.append(announce(99.0, "s1", "20.0.0.0/24", [300, 666]))
     # origin 666 frequency is exactly 0.01
-    assert frequency_heuristic(updates, relays, threshold=0.01) == []
-    assert len(frequency_heuristic(updates, relays, threshold=0.0101)) == 1
+    assert frequency_heuristic(updates, relays, (0.0, 100.0), threshold=0.01) == []
+    assert len(frequency_heuristic(updates, relays, (0.0, 100.0), threshold=0.0101)) == 1
 
 
 # --- time heuristic --------------------------------------------------------------
@@ -271,15 +271,15 @@ def test_heuristics_deterministic_and_threshold_monotone():
     for _ in range(10):
         updates, relays = _random_update_stream(rng)
         window = (0.0, 6000.0)
-        first = time_heuristic(updates, relays, 0.05, window)
-        again = time_heuristic(updates, relays, 0.05, window)
+        first = time_heuristic(updates, relays, window, 0.05)
+        again = time_heuristic(updates, relays, window, 0.05)
         assert first == again
-        wider = time_heuristic(updates, relays, 0.2, window)
+        wider = time_heuristic(updates, relays, window, 0.2)
         assert {(a.prefix, a.origin_as) for a in first} <= {
             (a.prefix, a.origin_as) for a in wider
         }
-        freq_narrow = frequency_heuristic(updates, relays, 0.01, window)
-        freq_wide = frequency_heuristic(updates, relays, 0.2, window)
+        freq_narrow = frequency_heuristic(updates, relays, window, 0.01)
+        freq_wide = frequency_heuristic(updates, relays, window, 0.2)
         assert {(a.prefix, a.origin_as) for a in freq_narrow} <= {
             (a.prefix, a.origin_as) for a in freq_wide
         }
@@ -295,7 +295,7 @@ def test_more_specific_foreign_origin_alerts():
         announce(20.0, "s1", "184.164.0.0/24", [100, 226]),
         withdraw(320.0, "s1", "184.164.0.0/24"),
     ]
-    alerts = more_specific_monitor(updates, relays)
+    alerts = more_specific_monitor(updates, relays, (0.0, 320.0))
     assert len(alerts) == 1
     alert = alerts[0]
     assert alert.heuristic is Heuristic.MORE_SPECIFIC
@@ -311,7 +311,7 @@ def test_more_specific_same_origin_is_traffic_engineering():
         announce(0.0, "s1", "184.164.0.0/23", [100, 2637]),
         announce(20.0, "s1", "184.164.0.0/24", [100, 2637]),
     ]
-    assert more_specific_monitor(updates, relays) == []
+    assert more_specific_monitor(updates, relays, (0.0, 20.0)) == []
 
 
 def test_more_specific_outside_relay_space_ignored():
@@ -320,7 +320,7 @@ def test_more_specific_outside_relay_space_ignored():
         announce(0.0, "s1", "203.0.112.0/23", [100, 111]),
         announce(20.0, "s1", "203.0.112.0/24", [100, 222]),
     ]
-    assert more_specific_monitor(updates, relays) == []
+    assert more_specific_monitor(updates, relays, (0.0, 20.0)) == []
 
 
 def test_more_specific_any_covering_route_counts():
@@ -331,7 +331,7 @@ def test_more_specific_any_covering_route_counts():
         announce(10.0, "s1", "184.164.0.0/20", [100, 226]),
         announce(20.0, "s1", "184.164.0.0/24", [100, 226]),
     ]
-    alerts = more_specific_monitor(updates, relays)
+    alerts = more_specific_monitor(updates, relays, (0.0, 20.0))
     assert [(str(a.prefix), a.origin_as, a.windows) for a in alerts] == [
         ("184.164.0.0/20", 226, ((10.0, 20.0),)),
         ("184.164.0.0/24", 226, ((20.0, 20.0),)),
@@ -365,8 +365,6 @@ def test_more_specific_open_hit_closes_at_window_end():
     updates = _interception(20.0, 900.0)
     (alert,) = more_specific_monitor(updates, relays, window=(0.0, 500.0))
     assert alert.windows == ((20.0, 500.0),)
-    (alert,) = more_specific_monitor(updates[:2], relays)
-    assert alert.windows == ((20.0, 20.0),)  # default window ends at the last update
 
 
 # relays in 10.1.0.0/16 and 10.3.0.0/16; prefixes nest around them and
@@ -423,7 +421,9 @@ def test_more_specific_monitor_matches_linear_scan_oracle(stream, n_sessions, wi
             updates.append(withdraw(t, session, prefix))
         else:
             updates.append(announce(t, session, prefix, [64500 + origin, origin]))
-    if window is not None:
+    if window is None:  # first update to last
+        window = (updates[0].timestamp, updates[-1].timestamp)
+    else:
         window = (min(window), max(window))
     expected = oracle_more_specific_monitor(updates, _MONITOR_RELAYS, window)
     assert more_specific_monitor(updates, _MONITOR_RELAYS, window) == expected
@@ -479,10 +479,12 @@ def test_time_heuristic_matches_replay_oracle(stream, n_sessions, window, thresh
             updates.append(withdraw(t, session, prefix))
         else:
             updates.append(announce(t, session, prefix, [64500 + first, origin]))
-    if window is not None:
+    if window is None:  # first update to one second past the last
+        window = (updates[0].timestamp, updates[-1].timestamp + 1.0) if updates else (0.0, 1.0)
+    else:
         window = (window[0], window[0] + window[1])  # before, across or after the updates
-    expected = oracle_time_heuristic(updates, _MONITOR_RELAYS, threshold, window)
-    assert time_heuristic(updates, _MONITOR_RELAYS, threshold, window) == expected
+    expected = oracle_time_heuristic(updates, _MONITOR_RELAYS, window, threshold)
+    assert time_heuristic(updates, _MONITOR_RELAYS, window, threshold) == expected
 
 
 def test_time_heuristic_orders_alerts_by_prefix_then_path():
@@ -499,7 +501,7 @@ def test_time_heuristic_orders_alerts_by_prefix_then_path():
     assert [(str(a.prefix), a.origin_as) for a in alerts] == [
         ("10.1.2.0/24", 1), ("10.1.2.0/24", 3), ("10.3.0.0/16", 2),
     ]
-    assert alerts == oracle_time_heuristic(updates, _MONITOR_RELAYS, 0.5, (0.0, 1000.0))
+    assert alerts == oracle_time_heuristic(updates, _MONITOR_RELAYS, (0.0, 1000.0), 0.5)
 
 
 def test_time_heuristic_rejects_decreasing_session_timestamps():
@@ -600,7 +602,7 @@ def test_run_all_heuristics_unions_alert_kinds():
     assert Heuristic.TIME in kinds  # the /24 lived 300 s out of a day
 
 
-def test_run_all_heuristics_default_window_is_one_window_for_all_three():
+def test_run_all_heuristics_is_one_window_for_all_three():
     # the foreign-origin /17 is still live at the last update
     relays = [relay("184.164.0.17", guard=True)]
     updates = [
@@ -608,8 +610,7 @@ def test_run_all_heuristics_default_window_is_one_window_for_all_three():
         announce(50.0, "s1", "184.164.0.0/17", [100, 226]),
         announce(100.0, "s2", "184.164.0.0/16", [200, 2637]),
     ]
-    alerts = run_all_heuristics(updates, relays, time_threshold=0.9)
-    assert alerts == run_all_heuristics(updates, relays, time_threshold=0.9, window=(0.0, 101.0))
+    alerts = run_all_heuristics(updates, relays, time_threshold=0.9, window=(0.0, 101.0))
     windows = {(a.heuristic, str(a.prefix)): a.windows for a in alerts}
     assert windows[Heuristic.TIME, "184.164.0.0/17"] == ((50.0, 101.0),)
     assert windows[Heuristic.MORE_SPECIFIC, "184.164.0.0/17"] == ((50.0, 101.0),)

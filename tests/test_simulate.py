@@ -1,6 +1,7 @@
 """Tests for the traffic, routing, and interception generators."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from routelens.simulate import (
     gen_interception_timeline,
     gen_traffic,
     gen_updates,
+    load_scenario,
     planted_compromised,
     random_routing_scenario,
     shared_guard_variant,
@@ -243,7 +245,7 @@ def test_injected_hijack_is_time_flagged():
     scenario = small_routing_scenario(events=[event], window=(0.0, DAY))
     updates, truth = gen_updates(scenario)
     assert truth.events == [event]
-    alerts = time_heuristic(updates, list(scenario.relays), 0.01, window=(0.0, DAY))
+    alerts = time_heuristic(updates, list(scenario.relays), (0.0, DAY), 0.01)
     flagged = [(str(a.prefix), a.origin_as) for a in alerts]
     assert ("10.0.0.0/16", 666) in flagged
     # the legitimate route is restored after the event and never flagged
@@ -274,6 +276,21 @@ def test_routing_scenario_dict_roundtrip():
         churn=[ChurnEvent(50.0, "s1", "10.0.0.0/16", (7, 8))],
     )
     assert RoutingScenario.from_dict(scenario.to_dict()) == scenario
+
+
+def test_every_scenario_document_loads(tmp_path):
+    traffic = TrafficScenario(seed=17, n_pairs=5, guard_groups=(Bottleneck((0, 1), 5_000.0),))
+    routing = random_routing_scenario(3)
+    timing = {"announce_at": 5.0, "propagation": 5.0, "withdraw_at": 30.0, "reconvergence": 5.0}
+    interception = {**traffic.to_dict(), "kind": "interception", "timing": timing}
+    for document, expected in [
+        (traffic.to_dict(), traffic),
+        (routing.to_dict(), routing),
+        (interception, (traffic, timing)),
+    ]:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+        assert load_scenario(path) == expected
 
 
 def test_burst_of_new_prefixes_recovered_by_cross_reference():
