@@ -10,8 +10,8 @@ bursts that would otherwise look like churn.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .artifacts import replacing
@@ -27,11 +27,6 @@ from .core import (
 )
 
 
-class UpdateKind(Enum):
-    ANNOUNCE = "A"
-    WITHDRAW = "W"
-
-
 class OutOfOrderError(Exception):
     pass
 
@@ -40,15 +35,8 @@ class OutOfOrderError(Exception):
 class BgpUpdate:
     timestamp: float
     session: str
-    kind: UpdateKind
     prefix: IpPrefix
     path: AsPath | None  # None for withdrawals
-
-    def __post_init__(self) -> None:
-        if self.kind is UpdateKind.ANNOUNCE and self.path is None:
-            raise ValueError("announcement without a path")
-        if self.kind is UpdateKind.WITHDRAW and self.path is not None:
-            raise ValueError("withdrawal with a path")
 
 
 @dataclass(frozen=True)
@@ -61,10 +49,11 @@ class ParseIssue:
 def parse_updates(source) -> tuple[list[BgpUpdate], list[ParseIssue]]:
     """Parse the update CSV file source, schema timestamp,session,kind,prefix,path.
 
-    kind is A or W; path is a space-separated AS list (quoted when written
-    by csv). Malformed lines become ParseIssue diagnostics instead of being
-    silently dropped. Output is stably sorted by timestamp, which preserves
-    file order per session at equal timestamps.
+    timestamp is finite; kind is A or W, and only A carries a path, a
+    space-separated AS list (quoted when written by csv). Malformed lines
+    become ParseIssue diagnostics instead of being silently dropped. Output
+    is stably sorted by timestamp, which preserves file order per session at
+    equal timestamps.
     """
     updates: list[BgpUpdate] = []
     issues: list[ParseIssue] = []
@@ -78,20 +67,21 @@ def parse_updates(source) -> tuple[list[BgpUpdate], list[ParseIssue]]:
                 if len(row) != 5:
                     raise ValueError(f"expected 5 fields, got {len(row)}")
                 timestamp = float(row[0])
+                if not math.isfinite(timestamp):
+                    raise ValueError(f"timestamp must be finite, not {row[0]!r}")
                 session = row[1].strip()
                 if not session:
                     raise ValueError("empty session id")
-                kind = UpdateKind(row[2].strip().upper())
+                kind = row[2].strip().upper()
+                if kind not in ("A", "W"):
+                    raise ValueError(f"kind must be A or W, not {row[2]!r}")
                 prefix = IpPrefix.parse(row[3])
                 path_text = row[4].strip()
-                if kind is UpdateKind.ANNOUNCE:
-                    path = AsPath.parse(path_text)
-                else:
-                    if path_text:
-                        raise ValueError("withdrawal carries a path")
-                    path = None
-                updates.append(BgpUpdate(timestamp, session, kind, prefix, path))
-            except (ValueError, KeyError) as exc:
+                if kind == "W" and path_text:
+                    raise ValueError("withdrawal carries a path")
+                path = AsPath.parse(path_text) if kind == "A" else None
+                updates.append(BgpUpdate(timestamp, session, prefix, path))
+            except ValueError as exc:
                 issues.append(ParseIssue(line_no, str(exc), ",".join(row)))
     updates.sort(key=lambda u: u.timestamp)
     return updates, issues
@@ -106,7 +96,7 @@ def write_updates(path, updates: Iterable[BgpUpdate]) -> None:
                 [
                     f"{update.timestamp:g}",
                     update.session,
-                    update.kind.value,
+                    "W" if update.path is None else "A",
                     str(update.prefix),
                     "" if update.path is None else str(update.path),
                 ]
@@ -142,17 +132,17 @@ def filter_session_resets(
 
         drop = False
         if (
-            update.kind is UpdateKind.ANNOUNCE
+            update.path is not None
             and update.timestamp <= burst_until.get(session, -1.0)
             and pre_gap.get(session, {}).get((session, update.prefix)) == update.path
         ):
             drop = True
 
         key = (session, update.prefix)
-        if update.kind is UpdateKind.ANNOUNCE:
-            live[key] = update.path
-        else:
+        if update.path is None:
             live.pop(key, None)
+        else:
+            live[key] = update.path
         if not drop:
             kept.append(update)
     return kept
@@ -186,7 +176,7 @@ class SessionRib:
         if not self._relays.covers_any(update.prefix):
             return  # prefix hosts no relay: not tracked
         current = self.live.get(update.prefix)
-        if update.kind is UpdateKind.WITHDRAW:
+        if update.path is None:
             if current is not None:
                 current.t_end = update.timestamp
                 self.history.setdefault(update.prefix, []).append(current)

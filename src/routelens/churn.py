@@ -51,10 +51,12 @@ class CircuitHits:
     Parallel columns: as_index indexes ases, src and dst index sessions,
     guard and exit are relay addresses, and overlap_seconds is the measure
     of the intersection (decided exactly at the min_overlap threshold,
-    elsewhere to rounding).
+    elsewhere to rounding). admitted is the sessions x sessions matrix of
+    the (src, dst) pairs the metric counts; every hit lies on one.
     """
 
     sessions: tuple[str, ...]
+    admitted: np.ndarray
     ases: np.ndarray
     as_index: np.ndarray
     src: np.ndarray
@@ -91,10 +93,6 @@ class CompromiseSummary:
     @property
     def pairs(self) -> list[tuple[str, str]]:
         return sorted(self.pair_circuits)
-
-    @property
-    def compromisable_pairs(self) -> int:
-        return sum(1 for circuits in self.pair_circuits.values() if len(circuits))
 
 
 def _intersection_length(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> float:
@@ -216,7 +214,6 @@ def _as_hits(guard_spans, exit_spans, admitted: np.ndarray, min_overlap: float):
 def compromised_circuits(
     sightings: Sightings,
     min_overlap: float = 30.0,
-    require_distinct_as: bool = True,
     local_as: dict[str, int] | None = None,
 ) -> CircuitHits:
     """All (AS, (src, guard), (dst, exit)) co-occurrences of sufficient length.
@@ -224,26 +221,27 @@ def compromised_circuits(
     Overlap is the measure of the interval-set intersection, summed across
     every co-occurring interval of the same five-way key; it must be
     strictly positive, so zero-length contact never counts, even at
-    min_overlap 0. Pairs on the same session, or on sessions in the same AS
-    when require_distinct_as is set, are skipped. Circuits using one relay
-    as both guard and exit are not valid and are skipped too.
+    min_overlap 0. A (src, dst) session pair is admitted when the sessions
+    differ and local_as does not place both in one AS. Circuits using one
+    relay as both guard and exit are not valid and are skipped too.
     """
-    local_as = local_as or {}
-    sessions = sightings.sessions
-
-    def admits(src: str, dst: str) -> bool:
-        same_as = require_distinct_as and src in local_as and local_as[src] == local_as.get(dst)
-        return src != dst and not same_as
-
+    local = [(local_as or {}).get(sid) for sid in sightings.sessions]
+    n = len(local)
     admitted = np.array(
-        [[admits(src, dst) for dst in sessions] for src in sessions], dtype=bool
-    ).reshape(len(sessions), len(sessions))
+        [
+            i != j and (local[i] is None or local[i] != local[j])
+            for i in range(n)
+            for j in range(n)
+        ],
+        dtype=bool,
+    ).reshape(n, n)
     # only an AS on both a guard's and an exit's path can compromise a circuit
     ases = [asn for asn, sides in sightings.spans.items() if all(sides)]
     columns = [_as_hits(*sightings.spans[asn], admitted, min_overlap) for asn in ases]
     empty = (np.empty(0, dtype=np.int64),) * 4 + (np.empty(0),)
     return CircuitHits(
-        sessions,
+        sightings.sessions,
+        admitted,
         np.array(ases, dtype=np.int64),
         np.repeat(np.arange(len(ases)), [len(hits[0]) for hits in columns]),
         *(np.concatenate(column) for column in zip(empty, *columns)),
@@ -263,25 +261,6 @@ def circuit_universe(relays: list[RelayDescriptor]) -> int:
     return len(guards) * len(exits) - len(np.intersect1d(guards, exits))
 
 
-def session_pairs(
-    ribs: dict[str, SessionRib], require_distinct_as: bool = True
-) -> list[tuple[str, str]]:
-    """Ordered (src, dst) session pairs admitted by the diversity rule."""
-    sessions = sorted(ribs)
-    pairs = []
-    for src in sessions:
-        for dst in sessions:
-            if src == dst:
-                continue
-            if (
-                require_distinct_as
-                and ribs[src].session.local_as == ribs[dst].session.local_as
-            ):
-                continue
-            pairs.append((src, dst))
-    return pairs
-
-
 def _or_rows(owner: np.ndarray, circuit: np.ndarray, n_owners: int, n_circuits: int):
     """Per owner, the sorted distinct circuit ids: the OR of its hits as one
     boolean owner x circuit matrix."""
@@ -290,23 +269,17 @@ def _or_rows(owner: np.ndarray, circuit: np.ndarray, n_owners: int, n_circuits: 
     return [np.flatnonzero(row) for row in bits]
 
 
-def summarize(
-    hits: CircuitHits,
-    pairs: list[tuple[str, str]],
-    relays: list[RelayDescriptor],
-) -> CompromiseSummary:
-    """OR the hits into each listed pair's and each AS's circuit ids."""
+def summarize(hits: CircuitHits, relays: list[RelayDescriptor]) -> CompromiseSummary:
+    """OR the hits into each admitted pair's and each AS's circuit ids."""
     guards, exits = circuit_axes(relays)
     n_circuits = len(guards) * len(exits)
     circuit = np.searchsorted(guards, hits.guard) * len(exits) + np.searchsorted(exits, hits.exit)
-    # hits of pairs not listed land in the extra last row
-    index = {pair: k for k, pair in enumerate(pairs)}
-    n = len(hits.sessions)
-    pair_of = np.array(
-        [index.get((src, dst), len(pairs)) for src in hits.sessions for dst in hits.sessions],
-        dtype=np.int64,
-    )
-    by_pair = _or_rows(pair_of[hits.src * n + hits.dst], circuit, len(pairs) + 1, n_circuits)
+    # admitted pairs in row-major order; a hit's row is its pair's rank
+    src, dst = np.nonzero(hits.admitted)
+    pairs = [(hits.sessions[i], hits.sessions[j]) for i, j in zip(src.tolist(), dst.tolist())]
+    rank = np.cumsum(hits.admitted) - 1
+    pair_of = rank[hits.src * len(hits.sessions) + hits.dst]
+    by_pair = _or_rows(pair_of, circuit, len(pairs), n_circuits)
     by_as = _or_rows(hits.as_index, circuit, len(hits.ases), n_circuits)
     return CompromiseSummary(
         pair_circuits=dict(zip(pairs, by_pair)),
@@ -323,7 +296,6 @@ def static_baseline(
     ribs: dict[str, SessionRib],
     relays: list[RelayDescriptor],
     t0: float,
-    require_distinct_as: bool = True,
 ) -> CompromiseSummary:
     """Compromise summary from the routing state at t0, ignoring churn.
 
@@ -342,10 +314,9 @@ def static_baseline(
     hits = compromised_circuits(
         snapshot,
         min_overlap=0.0,
-        require_distinct_as=require_distinct_as,
         local_as={sid: rib.session.local_as for sid, rib in ribs.items()},
     )
-    return summarize(hits, session_pairs(ribs, require_distinct_as), relays)
+    return summarize(hits, relays)
 
 
 def churn_summary(
@@ -353,7 +324,6 @@ def churn_summary(
     relays: list[RelayDescriptor],
     window: tuple[float, float],
     min_overlap: float = 30.0,
-    require_distinct_as: bool = True,
     baseline: CompromiseSummary | None = None,
 ) -> CompromiseSummary:
     """Compromise summary over the full window, pairs unioned with the baseline.
@@ -366,10 +336,9 @@ def churn_summary(
     hits = compromised_circuits(
         segment_observations(ribs, relays, window),
         min_overlap=min_overlap,
-        require_distinct_as=require_distinct_as,
         local_as={sid: rib.session.local_as for sid, rib in ribs.items()},
     )
-    summary = summarize(hits, session_pairs(ribs, require_distinct_as), relays)
+    summary = summarize(hits, relays)
     if baseline is not None:
         if not (
             np.array_equal(baseline.guards, summary.guards)

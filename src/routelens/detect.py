@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .bgp import BgpUpdate, UpdateKind, ingest
+from .bgp import BgpUpdate, ingest
 from .core import (
     AsPath,
     IpPrefix,
@@ -234,7 +234,7 @@ def frequency_heuristic(
     per_origin: dict[tuple[IpPrefix, int], list[float]] = {}
     n_announcements = 0
     for update in updates:
-        if update.kind is not UpdateKind.ANNOUNCE:
+        if update.path is None:
             continue
         if not window[0] <= update.timestamp < window[1]:
             continue
@@ -325,7 +325,7 @@ def more_specific_monitor(
         table = live.get(update.session)
         if table is None:
             table = live[update.session] = PrefixTable()
-        if update.kind is UpdateKind.WITHDRAW:
+        if update.path is None:
             if prefix in table:
                 table.remove(prefix)
             for origin, since in open_hits.pop(key, {}).items():

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .bgp import BgpUpdate, UpdateKind
+from .bgp import BgpUpdate
 from .core import AsPath, InputError, IpPrefix, RelayDescriptor, int_to_ip, ip_to_int, read_json
 from .correlation import DIRECTIONS, WRAP, Direction, EndpointTrace, PacketTable
 
@@ -58,6 +58,8 @@ class TrafficScenario:
     exit_groups: tuple[Bottleneck, ...] = ()
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise InvalidScenarioError("seed must be >= 0")
         if self.n_pairs < 1 or self.duration <= 0 or self.base_rate <= 0:
             raise InvalidScenarioError("need n_pairs >= 1, positive duration and rate")
         if self.mss < 1:
@@ -465,16 +467,9 @@ def gen_updates(scenario: RoutingScenario) -> tuple[list[BgpUpdate], RoutingGrou
     updates: list[BgpUpdate] = []
 
     def emit(ts, session, prefix, path):
-        if path is None:
-            updates.append(
-                BgpUpdate(ts, session, UpdateKind.WITHDRAW, IpPrefix.parse(prefix), None)
-            )
-        else:
-            updates.append(
-                BgpUpdate(
-                    ts, session, UpdateKind.ANNOUNCE, IpPrefix.parse(prefix), AsPath(path)
-                )
-            )
+        updates.append(
+            BgpUpdate(ts, session, IpPrefix.parse(prefix), None if path is None else AsPath(path))
+        )
 
     for route in sorted(scenario.base_routes, key=lambda r: (r.session, r.prefix)):
         emit(t0, route.session, route.prefix, route.path)
@@ -513,7 +508,6 @@ def _effective_paths_at(
 def planted_compromised(
     scenario: RoutingScenario,
     min_overlap: float = 30.0,
-    require_distinct_as: bool = True,
 ) -> set[tuple[int, str, int, str, int]]:
     """(AS, src, guard, dst, exit) keys compromised by construction.
 
@@ -543,7 +537,7 @@ def planted_compromised(
                     on_path[(session, relay.address)] = set()
         for src in sessions:
             for dst in sessions:
-                if src == dst or (require_distinct_as and local[src] == local[dst]):
+                if src == dst or local[src] == local[dst]:
                     continue
                 for guard in admitted:
                     if not guard.is_guard:
@@ -787,9 +781,13 @@ class InterceptionRun:
     attacker_acks: np.ndarray
 
 
-def _check_settles(announce_at: float, propagation: float, withdraw_at: float) -> None:
-    if announce_at + propagation >= withdraw_at:
-        raise InvalidScenarioError("interception must settle before the withdrawal")
+def _check_settles(
+    announce_at: float, propagation: float, withdraw_at: float, duration: float
+) -> None:
+    if announce_at + propagation >= min(withdraw_at, duration):
+        raise InvalidScenarioError(
+            "interception must settle before the withdrawal and the end of the run"
+        )
 
 
 def gen_interception_timeline(
@@ -807,7 +805,7 @@ def gen_interception_timeline(
     after the withdrawal. The attacker capture is ACK-only by construction:
     that is all that flows toward a guard during a download.
     """
-    _check_settles(announce_at, propagation, withdraw_at)
+    _check_settles(announce_at, propagation, withdraw_at, scenario.duration)
     clients, server_traces, truth = gen_traffic(scenario)
     switch_on = announce_at + propagation
     switch_off = min(withdraw_at + reconvergence, scenario.duration)
@@ -880,7 +878,9 @@ def _scenario_from_dict(data: dict):
     if kind != "interception":
         return scenario
     timing = {key: float(raw.get(key, default)) for key, default in _TIMING_DEFAULTS.items()}
-    _check_settles(timing["announce_at"], timing["propagation"], timing["withdraw_at"])
+    _check_settles(
+        timing["announce_at"], timing["propagation"], timing["withdraw_at"], scenario.duration
+    )
     return scenario, timing
 
 

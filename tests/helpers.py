@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from routelens.bgp import BgpUpdate, UpdateKind, ingest
+from routelens.bgp import BgpUpdate, ingest
 from routelens.churn import (
     CompromiseSummary,
     _intersection_length,
@@ -29,13 +29,11 @@ from routelens.paths import (
 
 
 def announce(ts, session, prefix, path):
-    return BgpUpdate(
-        ts, session, UpdateKind.ANNOUNCE, IpPrefix.parse(prefix), AsPath(tuple(path))
-    )
+    return BgpUpdate(ts, session, IpPrefix.parse(prefix), AsPath(tuple(path)))
 
 
 def withdraw(ts, session, prefix):
-    return BgpUpdate(ts, session, UpdateKind.WITHDRAW, IpPrefix.parse(prefix), None)
+    return BgpUpdate(ts, session, IpPrefix.parse(prefix), None)
 
 
 def random_churn_fixture(rng: random.Random):
@@ -93,7 +91,7 @@ def build_ribs(updates, relays, sessions):
     return ingest(updates, relays, local_as=sessions)
 
 
-def brute_force_records(ribs, relays, window, min_overlap, require_distinct_as=True):
+def brute_force_records(ribs, relays, window, min_overlap):
     """Second-by-second enumeration over every (AS, src, guard, dst, exit).
 
     Uses route_for_relay pointwise (itself oracle-tested against a linear
@@ -117,9 +115,7 @@ def brute_force_records(ribs, relays, window, min_overlap, require_distinct_as=T
                 if not ases_g:
                     continue
                 for sid_e in ribs:
-                    if sid_e == sid_g:
-                        continue
-                    if require_distinct_as and local[sid_g] == local[sid_e]:
+                    if sid_e == sid_g or local[sid_g] == local[sid_e]:
                         continue
                     for re_ in admitted:
                         if not re_.is_exit or re_.address == rg.address:
@@ -150,7 +146,7 @@ class CircuitCompromiseRecord:
     overlap_seconds: float
 
 
-def oracle_records(sightings, min_overlap=30.0, require_distinct_as=True, local_as=None):
+def oracle_records(sightings, min_overlap=30.0, local_as=None):
     """Every (AS, (src, guard), (dst, exit)) co-occurrence, one record per
     five-way key, from a sweep over each pair of span lists."""
     local_as = local_as or {}
@@ -164,7 +160,7 @@ def oracle_records(sightings, min_overlap=30.0, require_distinct_as=True, local_
             for (dst, exit_), e_spans in sorted(exits.items()):
                 if src == dst or guard == exit_:
                     continue
-                if require_distinct_as and local_as.get(src) == local_as.get(dst) and src in local_as:
+                if src in local_as and local_as[src] == local_as.get(dst):
                     continue
                 overlap = _intersection_length(g_spans, e_spans)
                 if overlap > 0 and overlap >= min_overlap:
@@ -185,6 +181,17 @@ def hit_records(hits) -> set:
             hits.dst.tolist(), hits.exit.tolist(), hits.overlap_seconds.tolist(),
         )
     }
+
+
+def session_pairs(ribs) -> list[tuple[str, str]]:
+    """Ordered (src, dst) pairs of distinct sessions in distinct local ASes."""
+    sessions = sorted(ribs)
+    return [
+        (src, dst)
+        for src in sessions
+        for dst in sessions
+        if src != dst and ribs[src].session.local_as != ribs[dst].session.local_as
+    ]
 
 
 def summarize_records(records, pairs, relays) -> CompromiseSummary:
@@ -432,7 +439,7 @@ def oracle_more_specific_monitor(updates, relays, window):
         key = (update.session, update.prefix)
         if not index.covers_any(update.prefix):
             continue
-        if update.kind is UpdateKind.WITHDRAW:
+        if update.path is None:
             live.pop(key, None)
             for (session, prefix, origin), since in list(open_hits.items()):
                 if session == update.session and prefix == update.prefix:
@@ -489,7 +496,7 @@ def oracle_time_heuristic(updates, relays, window, threshold):
             break
         if not index.covers_any(update.prefix):
             continue
-        if update.kind is UpdateKind.WITHDRAW:
+        if update.path is None:
             close(update.session, update.prefix, update.timestamp)
             continue
         current = open_routes.get((update.session, update.prefix))

@@ -8,7 +8,6 @@ from routelens.bgp import (
     BgpUpdate,
     OutOfOrderError,
     SessionRib,
-    UpdateKind,
     filter_session_resets,
     ingest,
     parse_updates,
@@ -25,11 +24,11 @@ from routelens.core import (
 
 
 def announce(ts, session, prefix, path):
-    return BgpUpdate(ts, session, UpdateKind.ANNOUNCE, IpPrefix.parse(prefix), AsPath(tuple(path)))
+    return BgpUpdate(ts, session, IpPrefix.parse(prefix), AsPath(tuple(path)))
 
 
 def withdraw(ts, session, prefix):
-    return BgpUpdate(ts, session, UpdateKind.WITHDRAW, IpPrefix.parse(prefix), None)
+    return BgpUpdate(ts, session, IpPrefix.parse(prefix), None)
 
 
 RELAYS = [
@@ -57,11 +56,10 @@ def test_parse_announce_and_withdraw_lines(tmp_path):
     assert not issues
     assert len(updates) == 2
     first, second = updates
-    assert first.kind is UpdateKind.ANNOUNCE
     assert first.session == "rrc00-s1"
     assert first.prefix == IpPrefix.parse("198.245.63.0/24")
     assert first.path.ases == (3356, 16276)
-    assert second.kind is UpdateKind.WITHDRAW and second.path is None
+    assert second.path is None
 
 
 def test_parse_reports_bad_lines_with_numbers(tmp_path):
@@ -76,6 +74,24 @@ def test_parse_reports_bad_lines_with_numbers(tmp_path):
     assert len(issues) == 1
     assert issues[0].line_no == 51  # header is line 1
     assert "5 fields" in issues[0].message
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ('nan,s1,A,10.1.0.0/16,"100 200"', "timestamp must be finite, not 'nan'"),
+        ('-inf,s1,A,10.1.0.0/16,"100 200"', "timestamp must be finite, not '-inf'"),
+        ('5,s1,X,10.1.0.0/16,"100 200"', "kind must be A or W, not 'X'"),
+        ('5,s1,W,10.1.0.0/16,"100 200"', "withdrawal carries a path"),
+    ],
+    ids=["nan-timestamp", "infinite-timestamp", "unknown-kind", "withdrawal-with-path"],
+)
+def test_parse_reports_bad_timestamp_and_kind(tmp_path, row, message):
+    path = tmp_path / "updates.csv"
+    path.write_text(f'timestamp,session,kind,prefix,path\n{row}\n5,s1, w ,10.1.0.0/16,\n')
+    updates, issues = parse_updates(path)
+    assert [(issue.line_no, issue.message) for issue in issues] == [(2, message)]
+    assert [(u.timestamp, u.path) for u in updates] == [(5.0, None)]  # kind is stripped, any case
 
 
 def test_parse_write_roundtrip(tmp_path):
@@ -247,7 +263,7 @@ def test_interval_soundness():
             tracked = any(update.prefix.covers(r.address) for r in RELAYS)
             if not tracked:
                 continue
-            if update.kind is UpdateKind.ANNOUNCE:
+            if update.path is not None:
                 state.setdefault(update.prefix, update.timestamp)
             elif update.prefix in state:
                 announced.setdefault(update.prefix, []).append(

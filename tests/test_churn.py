@@ -14,6 +14,7 @@ from helpers import (
     oracle_ccdf,
     oracle_records,
     random_churn_fixture,
+    session_pairs,
     summarize_records,
     withdraw,
 )
@@ -31,7 +32,6 @@ from routelens.churn import (
     circuit_universe,
     compromised_circuits,
     segment_observations,
-    session_pairs,
     static_baseline,
 )
 from routelens.core import RelayDescriptor, ip_to_int
@@ -152,15 +152,16 @@ def test_same_session_and_same_local_as_excluded():
     cross = sightings(*same_session, seg(7, "s2", "10.1.0.5", "exit", 0, 100))
     assert circuits(cross, local_as={"s1": 64500, "s2": 64500}) == []
     assert len(circuits(cross, local_as={"s1": 64500, "s2": 64501})) == 1
-    # without the distinct-AS rule, the same-AS pair is admitted again
-    assert (
-        len(
-            circuits(
-                cross, require_distinct_as=False, local_as={"s1": 64500, "s2": 64500}
-            )
-        )
-        == 1
-    )
+    # one rule: distinct sessions, not both known to sit in one local AS
+    admitted = [
+        compromised_circuits(cross, local_as=local).admitted.tolist()
+        for local in ({"s1": 64500, "s2": 64500}, {"s1": 64500}, None)
+    ]
+    assert admitted == [
+        [[False, False], [False, False]],
+        [[False, True], [True, False]],
+        [[False, True], [True, False]],
+    ]
 
 
 def test_compromising_as_for_the_expected_pair_only():
@@ -200,7 +201,6 @@ def test_static_baseline_zero_when_paths_disjoint():
     ribs, relays = _disjoint_fixture()
     baseline = static_baseline(ribs, relays, t0=0.0)
     assert all(baseline.compromised(p) == 0 for p in baseline.pairs)
-    assert baseline.compromisable_pairs == 0
 
 
 def test_static_baseline_full_when_one_transit_everywhere():
@@ -303,22 +303,21 @@ def cut_history(cut):
 
 @settings(max_examples=150, deadline=None)
 # the segment sums 0.2 + 0.7 and 0.3 + 0.6 round below and above 0.9 - 0.0
-@example(history=cut_history(0.2), min_overlap=0.9, distinct=True)
-@example(history=cut_history(0.3), min_overlap=0.3 + 0.6, distinct=True)
+@example(history=cut_history(0.2), min_overlap=0.9)
+@example(history=cut_history(0.3), min_overlap=0.3 + 0.6)
 @given(
     history=rib_histories(),
     # 0, or a difference of two grid instants: exactly some span's length
     min_overlap=st.just(0.0) | st.tuples(TICK, TICK).map(lambda ab: abs(ab[1] - ab[0])),
-    distinct=st.booleans(),
 )
-def test_product_matches_record_oracle_on_random_histories(history, min_overlap, distinct):
+def test_product_matches_record_oracle_on_random_histories(history, min_overlap):
     relays, sessions, updates = history
     window = (0.0, 3.0)
     ribs = build_ribs(updates, relays, sessions)
     local = {sid: rib.session.local_as for sid, rib in ribs.items()}
     observations = segment_observations(ribs, relays, window)
-    hits = compromised_circuits(observations, min_overlap, distinct, local)
-    records = oracle_records(observations, min_overlap, distinct, local)
+    hits = compromised_circuits(observations, min_overlap, local)
+    records = oracle_records(observations, min_overlap, local)
 
     def key(r):
         return (r.as_number, r.src_session, r.guard, r.dst_session, r.exit)
@@ -330,7 +329,7 @@ def test_product_matches_record_oracle_on_random_histories(history, min_overlap,
     assert all(math.isclose(got[key(r)], r.overlap_seconds, rel_tol=1e-12) for r in records)
 
     base_ribs = build_ribs([u for u in updates if u.timestamp == 0.0], relays, sessions)
-    baseline = static_baseline(base_ribs, relays, t0=0.0, require_distinct_as=distinct)
+    baseline = static_baseline(base_ribs, relays, t0=0.0)
     seen = segment_observations(base_ribs, relays, (0.0, 1.0))
     snapshot = Sightings(seen.sessions, {
         asn: tuple(
@@ -340,14 +339,16 @@ def test_product_matches_record_oracle_on_random_histories(history, min_overlap,
         for asn, sides in seen.spans.items()
     })
     expected_baseline = summarize_records(
-        oracle_records(snapshot, 0.0, distinct, local), session_pairs(base_ribs, distinct), relays
+        oracle_records(snapshot, 0.0, local), session_pairs(base_ribs), relays
     )
-    summary = churn_summary(ribs, relays, window, min_overlap, distinct, baseline=baseline)
-    expected = summarize_records(records, session_pairs(ribs, distinct), relays)
+    summary = churn_summary(ribs, relays, window, min_overlap, baseline=baseline)
+    expected = summarize_records(records, session_pairs(ribs), relays)
 
     def as_lists(circuits):
         return {k: ids.tolist() for k, ids in circuits.items()}
 
+    # the summary lists exactly the admitted pairs, in the oracle's order
+    assert list(baseline.pair_circuits) == session_pairs(base_ribs)
     assert as_lists(baseline.pair_circuits) == as_lists(expected_baseline.pair_circuits)
     assert as_lists(baseline.per_as_circuits) == as_lists(expected_baseline.per_as_circuits)
     none = np.empty(0, dtype=np.int64)
@@ -362,15 +363,15 @@ def test_product_matches_record_oracle_on_random_histories(history, min_overlap,
 
 
 @settings(max_examples=150, deadline=None)
-@given(history=rib_histories(), t0=TICK, distinct=st.booleans())
-def test_static_baseline_reads_the_full_rib_at_t0(history, t0, distinct):
+@given(history=rib_histories(), t0=TICK)
+def test_static_baseline_reads_the_full_rib_at_t0(history, t0):
     # the churn subcommand ingests the updates once: the baseline reads the
     # RIB of the whole stream at t0, over the sessions heard by then
     relays, sessions, updates = history
     base_ribs = build_ribs([u for u in updates if u.timestamp <= t0], relays, sessions)
     full_ribs = build_ribs(updates, relays, sessions)
-    replayed = static_baseline(base_ribs, relays, t0, distinct)
-    read = static_baseline({sid: full_ribs[sid] for sid in base_ribs}, relays, t0, distinct)
+    replayed = static_baseline(base_ribs, relays, t0)
+    read = static_baseline({sid: full_ribs[sid] for sid in base_ribs}, relays, t0)
     assert read.total_circuits == replayed.total_circuits
     assert read.guards.tolist() == replayed.guards.tolist()
     assert read.exits.tolist() == replayed.exits.tolist()

@@ -402,6 +402,29 @@ def test_churn_rejects_malformed_initial_state(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["detect", "churn"])
+@pytest.mark.parametrize("source", ["updates", "initial"])
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+def test_non_finite_update_timestamp_exits_2(tmp_path, capsys, command, source, stamp):
+    (tmp_path / "relays.csv").write_text(_RELAY_CSV)
+    for name in ("updates", "initial"):
+        (tmp_path / f"{name}.csv").write_text(_UPDATE_CSV)
+    with open(tmp_path / f"{source}.csv", "a") as handle:
+        handle.write(f'{stamp},s2,A,198.245.63.0/24,"174 16276"\n6,s1,W,198.245.63.0/24,\n')
+    code = run(
+        "--output-dir", tmp_path / "o",
+        command,
+        "--updates", tmp_path / "updates.csv",
+        "--relays", tmp_path / "relays.csv",
+        "--initial", tmp_path / "initial.csv",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{source}.csv: line 3: timestamp must be finite, not '{stamp}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_paths_subcommand(tmp_path):
     mapping = tmp_path / "map.csv"
     mapping.write_text(
@@ -659,9 +682,17 @@ def test_churn_bad_sessions_row_exits_2(tmp_path, capsys, sessions_text, where):
         (json.dumps({**TrafficScenario().to_dict(), "kind": "interception",
                      "timing": {"announce": 5.0}}),
          "scenario.json: invalid scenario: unknown key 'timing.announce'"),
+        ('{"kind": "interception", "n_pairs": 2, "duration": 50, "timing": {}}',
+         "scenario.json: invalid scenario: interception must settle before the withdrawal"
+         " and the end of the run"),
+        ('{"kind": "traffic", "seed": -3, "n_pairs": 2, "duration": 5}',
+         "scenario.json: invalid scenario: seed must be >= 0"),
+        ('{"kind": "interception", "seed": -1, "n_pairs": 2, "duration": 100}',
+         "scenario.json: invalid scenario: seed must be >= 0"),
     ],
     ids=["not-json", "invalid-scenario", "no-kind", "traffic-typo", "routing-typo",
-         "traffic-timing", "timing-typo"],
+         "traffic-timing", "timing-typo", "settles-after-run", "negative-seed",
+         "interception-negative-seed"],
 )
 def test_simulate_bad_scenario_exits_2(tmp_path, capsys, text, where):
     scenario = tmp_path / "scenario.json"

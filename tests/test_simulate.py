@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from routelens.bgp import UpdateKind, ingest
+from routelens.bgp import ingest
 from routelens.churn import compromised_circuits, segment_observations
 from routelens.correlation import (
     DIRECTIONS,
@@ -236,7 +236,7 @@ def test_empty_schedule_emits_initial_announcements_only():
     scenario = small_routing_scenario()
     updates, truth = gen_updates(scenario)
     assert len(updates) == 4
-    assert all(u.kind is UpdateKind.ANNOUNCE and u.timestamp == 0.0 for u in updates)
+    assert all(u.path is not None and u.timestamp == 0.0 for u in updates)
     assert truth.events == []
 
 
@@ -257,8 +257,8 @@ def test_interception_event_announces_and_withdraws():
     scenario = small_routing_scenario(events=[event])
     updates, _ = gen_updates(scenario)
     attack = [u for u in updates if str(u.prefix) == "10.0.0.0/24"]
-    kinds = [(u.kind, u.session) for u in attack]
-    assert (UpdateKind.ANNOUNCE, "s1") in kinds and (UpdateKind.WITHDRAW, "s1") in kinds
+    kinds = [(u.path is None, u.session) for u in attack]
+    assert (False, "s1") in kinds and (True, "s1") in kinds
     assert len(attack) == 4  # announce + withdraw on both sessions
 
 
@@ -383,3 +383,6 @@ def test_interception_requires_settling_before_withdrawal():
         gen_interception_timeline(
             TrafficScenario(n_pairs=1), announce_at=100.0, propagation=250.0, withdraw_at=300.0
         )
+    # the defaults settle at 55 s, after a 50 s run: the capture would be [55, 50)
+    with pytest.raises(InvalidScenarioError, match="end of the run"):
+        gen_interception_timeline(TrafficScenario(n_pairs=2, duration=50.0))
