@@ -15,6 +15,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
+import numpy as np
+
 from .artifacts import replacing
 
 
@@ -81,16 +83,64 @@ def csv_records(path, what: str, columns: Iterable[str], convert: Callable[[dict
 
 
 def ip_to_int(text: str) -> int:
+    """The address of a dotted quad: four dot-separated octets of ASCII
+    digits (leading zeros allowed), each at most 255, with surrounding
+    whitespace ignored. This is the one address grammar; ip_to_int_many
+    parses the same language."""
     parts = text.strip().split(".")
     if len(parts) != 4:
         raise ValueError(f"not a dotted quad: {text!r}")
     value = 0
     for part in parts:
+        # int() alone would also take a sign, "_" separators and non-ASCII digits
+        if not (part.isascii() and part.isdigit()):
+            raise ValueError(f"not a dotted quad: {text!r}")
         octet = int(part)
-        if not 0 <= octet <= 255:
+        if octet > 255:
             raise ValueError(f"octet out of range in {text!r}")
         value = (value << 8) | octet
     return value
+
+
+def ip_to_int_many(texts: list[str]) -> np.ndarray:
+    """ip_to_int of every text, as int64 in order. The canonical spelling
+    (1-3 ASCII digits per octet, nothing around the quad) is decoded from
+    the uint8 characters of all texts at once; any other text goes through
+    ip_to_int, which either accepts it or raises its ValueError."""
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    # one byte per character: a non-ASCII character becomes "?", which no quad holds
+    chars = np.frombuffer("".join(texts).encode("ascii", "replace"), dtype=np.uint8)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    is_dot = chars == ord(".")
+    digit = chars - np.uint8(ord("0"))  # wraps past 9 for every byte but a digit
+    strays = np.flatnonzero(~is_dot & (digit > 9))
+    dots = np.flatnonzero(is_dot)
+    first_dot = np.searchsorted(dots, starts)
+    canonical = (np.searchsorted(dots, ends) - first_dot == 3) & (
+        np.searchsorted(strays, ends) == np.searchsorted(strays, starts)
+    )
+    rows = np.flatnonzero(canonical)
+    at = first_dot[rows]
+    exact = np.ones(len(rows), dtype=bool)
+    value = np.zeros(len(rows), dtype=np.int64)
+    begin = starts[rows]
+    for end in (dots[at], dots[at + 1], dots[at + 2], ends[rows]):
+        size = end - begin
+        # the tens and hundreds reads may fall before the octet (even wrap
+        # to the buffer's end); the size masks drop them
+        octet = digit[end - 1].astype(np.int16)
+        octet += np.where(size > 1, digit[end - 2], 0) * np.int16(10)
+        octet += np.where(size > 2, digit[end - 3], 0) * np.int16(100)
+        exact &= (size >= 1) & (size <= 3) & (octet <= 255)
+        value = (value << 8) | octet
+        begin = end + 1
+    canonical[rows[~exact]] = False
+    values = np.empty(len(texts), dtype=np.int64)
+    values[rows[exact]] = value[exact]
+    for i in np.flatnonzero(~canonical).tolist():
+        values[i] = ip_to_int(texts[i])
+    return values
 
 
 def int_to_ip(value: int) -> str:
@@ -276,20 +326,29 @@ class PrefixTable:
     shared across concurrent readers. Each length present has one bucket
     mapping a base address to its (prefix, payload) entry; a lookup probes
     only the lengths present, longest first, so cost is one dict probe per
-    distinct length (at most 33).
+    distinct length (at most 33). A frozen table also answers whole
+    address arrays (lookup_many) from a range table built on first use.
     """
 
     def __init__(self) -> None:
         self._buckets: dict[int, dict[int, tuple[IpPrefix, Any]]] = {}
         self._lengths: list[int] = []  # keys of _buckets, descending
         self._frozen = False
+        self._ranges: tuple[tuple, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 
     def __iter__(self) -> Iterator[tuple[IpPrefix, Any]]:
+        return iter(self.entries())
+
+    def entries(self) -> tuple[tuple[IpPrefix, Any], ...]:
+        """Every (prefix, payload) in prefix order; lookup_many indexes this tuple."""
+        return self._flat()[0] if self._frozen else self._sorted_entries()
+
+    def _sorted_entries(self) -> tuple[tuple[IpPrefix, Any], ...]:
         entries = [entry for bucket in self._buckets.values() for entry in bucket.values()]
-        return iter(sorted(entries, key=lambda entry: entry[0]))
+        return tuple(sorted(entries, key=lambda entry: (entry[0].base, entry[0].length)))
 
     def __contains__(self, prefix: IpPrefix) -> bool:
         return prefix.base in self._buckets.get(prefix.length, ())
@@ -328,6 +387,37 @@ class PrefixTable:
             if entry is not None:
                 return entry
         return None
+
+    def lookup_many(self, addresses) -> np.ndarray:
+        """For each address of an integer array (or list), the index into
+        entries() of its most specific covering entry, or -1 where none
+        covers it. Frozen tables only: the prefixes are flattened once into
+        non-overlapping ranges, each owned by its most specific entry, and
+        one searchsorted answers every address."""
+        if not self._frozen:
+            raise RuntimeError("lookup_many needs a frozen PrefixTable")
+        _, starts, owners = self._flat()
+        return owners[np.searchsorted(starts, addresses, side="right") - 1]
+
+    def _flat(self) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """(entries(), range starts from 0 up, the entry owning each range or
+        -1), built on first use by a frozen table. Ranges start at every
+        prefix's base and one past its last address; within a range the
+        most specific cover cannot change, so lookup_entry of its start
+        names the owner."""
+        if self._ranges is None:
+            entries = self._sorted_entries()
+            position = {prefix: i for i, (prefix, _) in enumerate(entries)}
+            bounds = {0}
+            for prefix, _ in entries:
+                bounds.update((prefix.base, prefix.last_address + 1))
+            starts = sorted(bounds - {1 << 32})
+            owners = []
+            for start in starts:
+                found = self.lookup_entry(start)
+                owners.append(-1 if found is None else position[found[0]])
+            self._ranges = (entries, np.array(starts, dtype=np.int64), np.array(owners, dtype=np.int64))
+        return self._ranges
 
     def lookup(self, address: int) -> Any | None:
         found = self.lookup_entry(address)

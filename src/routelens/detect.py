@@ -111,6 +111,16 @@ class ConcentrationReport:
         )
 
 
+def _hosting_entries(
+    relays: list[RelayDescriptor], origin_map: PrefixTable
+) -> list[tuple[IpPrefix, int] | None]:
+    """The most specific (prefix, origin) entry of the frozen origin_map
+    covering each relay, or None, from one batch lookup."""
+    entries = origin_map.entries()
+    found = origin_map.lookup_many([relay.address for relay in relays])
+    return [entries[i] if i >= 0 else None for i in found.tolist()]
+
+
 def concentration(relays: list[RelayDescriptor], origin_map: PrefixTable) -> ConcentrationReport:
     """Group relays by the origin AS of their most-specific covering prefix.
 
@@ -120,8 +130,7 @@ def concentration(relays: list[RelayDescriptor], origin_map: PrefixTable) -> Con
     total_bw = 0.0
     covered: list[tuple[RelayDescriptor, IpPrefix, int]] = []
     uncovered: list[RelayDescriptor] = []
-    for relay in relays:
-        found = origin_map.lookup_entry(relay.address)
+    for relay, found in zip(relays, _hosting_entries(relays, origin_map)):
         if found is None:
             uncovered.append(relay)
         else:
@@ -391,11 +400,7 @@ def prefix_length_vulnerability(
     Prefixes shorter than /24 admit a globally propagated more-specific
     announcement, so their share is the headline number.
     """
-    hosting: set[IpPrefix] = set()
-    for relay in relays:
-        found = origin_map.lookup_entry(relay.address)
-        if found is not None:
-            hosting.add(found[0])
+    hosting = {found[0] for found in _hosting_entries(relays, origin_map) if found is not None}
     histogram: dict[int, int] = {}
     for prefix in hosting:
         histogram[prefix.length] = histogram.get(prefix.length, 0) + 1

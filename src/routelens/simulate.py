@@ -96,12 +96,22 @@ class TrafficScenario:
     @classmethod
     def from_dict(cls, data: dict) -> "TrafficScenario":
         kwargs = {field.name: data[field.name] for field in fields(cls) if field.name in data}
+        for field in fields(cls):
+            if field.type == "int" and field.name in kwargs:
+                _require_int(field.name, kwargs[field.name])
         for side in _GROUP_FIELDS:
             kwargs[side] = tuple(
-                Bottleneck(tuple(int(f) for f in flows), float(capacity))
+                Bottleneck(tuple(_require_int("flow", f) for f in flows), float(capacity))
                 for flows, capacity in kwargs.get(side, ())
             )
         return cls(**kwargs)
+
+
+def _require_int(name: str, value):
+    """value itself when it is a JSON integer: not a float, bool or string."""
+    if type(value) is not int:
+        raise InvalidScenarioError(f"{name} must be an integer, not {value!r}")
+    return value
 
 
 @dataclass

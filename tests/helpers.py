@@ -4,6 +4,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -19,13 +20,7 @@ from routelens.core import (
 )
 from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
 from routelens.detect import Heuristic, _alert
-from routelens.paths import (
-    DayVulnerability,
-    PathRole,
-    VulnerabilityMode,
-    endpoint_ases,
-    vulnerable,
-)
+from routelens.paths import _PRIVATE_BLOCKS, DayVulnerability, EmptyPathError, PathError, PathRole
 
 
 def announce(ts, session, prefix, path):
@@ -348,7 +343,78 @@ def brute_progress_deltas(table, data: bool, direction, bin_width, window, t0):
     return deltas
 
 
+# --- per-hop traceroute resolution oracle -----------------------------------------
+
+
+def oracle_resolve_traceroute(hops, mapping):
+    """resolve_traceroute hop by hop: a timeout or an unmapped hop sets the
+    gap flag, a private hop is skipped, and an AS is kept at its first hop."""
+    if not hops:
+        raise EmptyPathError("traceroute produced no hops")
+    ases = []
+    gap = False
+    for hop in hops:
+        if hop == "*":
+            gap = True
+            continue
+        address = ip_to_int(hop)
+        if _PRIVATE_BLOCKS.lookup(address):
+            continue
+        asn = mapping.lookup(address)
+        if asn is None:
+            gap = True
+            continue
+        if asn not in ases:
+            ases.append(asn)
+    return tuple(ases), gap
+
+
 # --- per-quad path vulnerability oracle ------------------------------------------
+
+
+class MissingPathError(PathError):
+    pass
+
+
+class VulnerabilityMode(Enum):
+    SYMMETRIC = "symmetric"
+    ASYMMETRIC = "asymmetric"
+
+
+_PAIRINGS = {
+    VulnerabilityMode.SYMMETRIC: (
+        (PathRole.P1_CLIENT_TO_GUARD, PathRole.P3_EXIT_TO_DEST),
+    ),
+    VulnerabilityMode.ASYMMETRIC: (
+        (PathRole.P1_CLIENT_TO_GUARD, PathRole.P3_EXIT_TO_DEST),
+        (PathRole.P1_CLIENT_TO_GUARD, PathRole.P4_DEST_TO_EXIT),
+        (PathRole.P2_GUARD_TO_CLIENT, PathRole.P3_EXIT_TO_DEST),
+        (PathRole.P2_GUARD_TO_CLIENT, PathRole.P4_DEST_TO_EXIT),
+    ),
+}
+
+
+def as_set(path) -> frozenset:
+    return frozenset(path.ases)
+
+
+def vulnerable(paths, mode, exclusions=frozenset()):
+    """Does any pairing of the quad's paths (role -> AsLevelPath) share an AS
+    outside exclusions? Returns the verdict together with the witnessing
+    ASes across all qualifying pairings."""
+    witnesses = set()
+    for role_a, role_b in _PAIRINGS[mode]:
+        if role_a not in paths or role_b not in paths:
+            raise MissingPathError(f"missing {role_a.value} or {role_b.value}")
+        witnesses |= (as_set(paths[role_a]) & as_set(paths[role_b])) - exclusions
+    return bool(witnesses), frozenset(witnesses)
+
+
+def endpoint_ases(paths) -> frozenset:
+    """The quad's own endpoint ASes: the first AS of each non-empty path."""
+    return frozenset(path.ases[0] for path in paths.values() if path.ases)
+
+
 
 
 def oracle_vulnerability_timeseries(

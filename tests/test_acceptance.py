@@ -11,10 +11,12 @@ import time
 import numpy as np
 import pytest
 from helpers import (
+    VulnerabilityMode,
     brute_force_records,
     build_ribs,
     hit_records,
     random_churn_fixture,
+    vulnerable,
 )
 from test_correlation import beta_quantile_oracle, brute_spearman
 
@@ -43,14 +45,7 @@ from routelens.evaluation import (
     shared_scenario,
     standard_scenario,
 )
-from routelens.paths import (
-    AsLevelPath,
-    PathDataset,
-    PathRole,
-    VulnerabilityMode,
-    vulnerability_timeseries,
-    vulnerable,
-)
+from routelens.paths import AsLevelPath, PathDataset, PathRole, vulnerability_timeseries
 from routelens.simulate import gen_interception_timeline, gen_traffic, injection_scenario
 from test_detect import indosat_2011_fixture
 

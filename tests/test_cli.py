@@ -599,6 +599,53 @@ def test_paths_bad_traceroute_line_exits_2(tmp_path, capsys, bad_line):
 
 
 @pytest.mark.parametrize(
+    "hops",
+    ["*", {"203.0.0.1": 1}, ["203.0.0.1", 7], ["203.0.0.1", None],
+     ["+203.0.0.1"], ["2_03.0.0.1"], ["\u0662\u0660\u0663.0.0.1"]],
+    ids=["string", "object", "number-hop", "null-hop", "signed-octet", "underscore-octet",
+         "non-ascii-digits"],
+)
+def test_paths_hops_not_a_list_of_addresses_exits_2(tmp_path, capsys, hops):
+    mapping = tmp_path / "map.csv"
+    mapping.write_text("prefix,asn\n203.0.0.0/16,100\n")
+    traces = tmp_path / "traceroutes.jsonl"
+    traces.write_text(json.dumps(_HOP_RECORD) + "\n" + json.dumps({**_HOP_RECORD, "hops": hops}) + "\n")
+    code = run("--output-dir", tmp_path / "o", "paths", "--traceroutes", traces, "--mapping", mapping)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "traceroutes.jsonl:2: " in err
+    assert "Traceback" not in err
+
+
+def test_paths_line_nested_too_deep_for_json_exits_2(tmp_path, capsys):
+    mapping = tmp_path / "map.csv"
+    mapping.write_text("prefix,asn\n203.0.0.0/16,100\n")
+    traces = tmp_path / "traceroutes.jsonl"
+    traces.write_text(json.dumps(_HOP_RECORD) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+    code = run("--output-dir", tmp_path / "o", "paths", "--traceroutes", traces, "--mapping", mapping)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "traceroutes.jsonl:2: " in err
+    assert "Traceback" not in err
+
+
+def test_paths_bad_hop_is_reported_before_a_later_bad_line(tmp_path, capsys):
+    mapping = tmp_path / "map.csv"
+    mapping.write_text("prefix,asn\n203.0.0.0/16,100\n")
+    traces = tmp_path / "traceroutes.jsonl"
+    traces.write_text(
+        json.dumps(_HOP_RECORD) + "\n"
+        + json.dumps({**_HOP_RECORD, "hops": ["203.0.0.300"]}) + "\n"
+        + "not json {\n"
+    )
+    code = run("--output-dir", tmp_path / "o", "paths", "--traceroutes", traces, "--mapping", mapping)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "traceroutes.jsonl:2: " in err and ":3: " not in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "bad_row", ["10.0.0.0/33,64500", "10.0.0.0/8,AS64500"], ids=["length-33", "asn-not-integer"]
 )
 def test_paths_bad_prefix_map_row_exits_2(tmp_path, capsys, bad_row):
@@ -689,10 +736,19 @@ def test_churn_bad_sessions_row_exits_2(tmp_path, capsys, sessions_text, where):
          "scenario.json: invalid scenario: seed must be >= 0"),
         ('{"kind": "interception", "seed": -1, "n_pairs": 2, "duration": 100}',
          "scenario.json: invalid scenario: seed must be >= 0"),
+        ('{"kind": "traffic", "seed": 1.5, "n_pairs": 2, "duration": 5}',
+         "scenario.json: invalid scenario: seed must be an integer, not 1.5"),
+        ('{"kind": "traffic", "n_pairs": 2.5, "duration": 5}',
+         "scenario.json: invalid scenario: n_pairs must be an integer, not 2.5"),
+        ('{"kind": "interception", "n_pairs": true, "duration": 100}',
+         "scenario.json: invalid scenario: n_pairs must be an integer, not True"),
+        ('{"kind": "traffic", "n_pairs": 2, "duration": 5, "guard_groups": [[[0.5], 10.0]]}',
+         "scenario.json: invalid scenario: flow must be an integer, not 0.5"),
     ],
     ids=["not-json", "invalid-scenario", "no-kind", "traffic-typo", "routing-typo",
          "traffic-timing", "timing-typo", "settles-after-run", "negative-seed",
-         "interception-negative-seed"],
+         "interception-negative-seed", "fractional-seed", "fractional-n-pairs",
+         "boolean-n-pairs", "fractional-flow"],
 )
 def test_simulate_bad_scenario_exits_2(tmp_path, capsys, text, where):
     scenario = tmp_path / "scenario.json"

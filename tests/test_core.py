@@ -2,8 +2,9 @@
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import is_more_specific_of
@@ -17,6 +18,7 @@ from routelens.core import (
     csv_records,
     int_to_ip,
     ip_to_int,
+    ip_to_int_many,
     load_relays,
     merge_intervals,
     read_json,
@@ -45,6 +47,59 @@ def test_ip_roundtrip():
         ip_to_int("10.0.0")
     with pytest.raises(ValueError):
         ip_to_int("10.0.0.256")
+
+
+@pytest.mark.parametrize("text", ["+203.0.0.1", "2_03.0.0.1", "\u0662\u0660\u0663.0.0.1", "1 .2.3.4"])
+def test_ip_to_int_rejects_what_int_alone_would_take(text):
+    with pytest.raises(ValueError):
+        ip_to_int(text)
+    with pytest.raises(ValueError):
+        ip_to_int_many(["10.0.0.1", text])
+
+
+def test_ip_to_int_keeps_surrounding_whitespace_and_leading_zeros():
+    for text in (" 203.0.0.1\t", "203.000.0.001", "0203.0.0.0001"):
+        assert ip_to_int(text) == ip_to_int("203.0.0.1")
+    assert ip_to_int_many([" 203.0.0.1\t", "203.000.0.001", "203.0.0.1"]).tolist() == [
+        ip_to_int("203.0.0.1")
+    ] * 3
+
+
+def _scalar_or_error(text):
+    try:
+        return ip_to_int(text)
+    except ValueError:
+        return ValueError
+
+
+_QUAD_ALPHABET = "0123456789. +_*\u0663"
+_OCTETS = st.text("0123456789", max_size=4) | st.sampled_from(["255", "256", "0", "00", "+1", "\u0663"])
+quad_like = (
+    st.text(_QUAD_ALPHABET, max_size=18)
+    | st.lists(_OCTETS, min_size=3, max_size=5).map(".".join)
+    | st.tuples(st.sampled_from(["", " ", "*"]), addresses.map(int_to_ip), st.sampled_from(["", " ", "."]))
+    .map("".join)
+)
+
+
+def _batch_or_error(texts):
+    try:
+        return ip_to_int_many(texts).tolist()
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=300)
+@given(st.lists(quad_like, max_size=8))
+@example(["1234.0.0.1", "0001.0.0.1", "256.0.0.1", "1..2.3", ".1.2.3", "1.2.3.", "1.2.3.4.5"])
+@example(["255.255.255.255", "0.0.0.0", "9.99.199.255", "255.255.255.2555", ""])
+def test_batch_parser_agrees_with_ip_to_int(texts):
+    """ip_to_int_many and ip_to_int accept the same texts with the same
+    values; a batch holding any rejected text is rejected."""
+    expected = [_scalar_or_error(text) for text in texts]
+    for text, value in zip(texts, expected):
+        assert _batch_or_error([text]) == (ValueError if value is ValueError else [value])
+    assert _batch_or_error(texts) == (ValueError if ValueError in expected else expected)
 
 
 def test_prefix_covers_examples():
@@ -206,6 +261,53 @@ def test_covering_matches_linear_scan_under_insert_remove(operations, extra_prob
                 )
                 assert list(table.covering(address, bound)) == expected
     assert sorted(table) == sorted(entries.items())
+
+
+def _nested_prefixes():
+    """Prefixes at lengths 0, 1, 8, 16, 24, 31 and 32, some followed by the
+    adjacent prefix of the same length (the next range up)."""
+    one = st.tuples(addresses, st.sampled_from([0, 1, 8, 16, 24, 31, 32]), st.booleans())
+    return st.lists(one, min_size=1, max_size=20)
+
+
+@settings(max_examples=150)
+@given(_nested_prefixes(), st.lists(addresses, max_size=10))
+def test_lookup_many_matches_linear_scan(items, extra_probes):
+    table = PrefixTable()
+    entries = {}
+    for index, (base, length, with_neighbour) in enumerate(items):
+        prefix = IpPrefix(base, length)
+        added = [prefix]
+        if with_neighbour and prefix.last_address < 0xFFFFFFFF:
+            added.append(IpPrefix(prefix.last_address + 1, length))
+        for each in added:
+            table.insert(each, index)
+            entries[each] = index
+    with pytest.raises(RuntimeError):
+        table.lookup_many([0])
+    table.freeze()
+    probes = extra_probes + [0, 0xFFFFFFFF]
+    for prefix in entries:
+        probes += [prefix.base, prefix.last_address]
+        probes += [a for a in (prefix.base - 1, prefix.last_address + 1) if 0 <= a <= 0xFFFFFFFF]
+    found = table.lookup_many(np.array(probes, dtype=np.int64))
+    assert found.dtype == np.int64
+    listed = table.entries()
+    assert list(listed) == sorted(entries.items())
+    for address, index in zip(probes, found.tolist()):
+        expected = linear_scan_match(entries.items(), address)
+        assert (None if index < 0 else listed[index][1]) == expected
+        assert (None if index < 0 else listed[index]) == table.lookup_entry(address)
+
+
+def test_lookup_many_on_empty_table_and_empty_input():
+    table = PrefixTable().freeze()
+    assert table.lookup_many([0, 0xFFFFFFFF]).tolist() == [-1, -1]
+    table = PrefixTable()
+    table.insert(IpPrefix.parse("0.0.0.0/0"), "all")
+    table.freeze()
+    assert table.lookup_many(np.array([], dtype=np.int64)).tolist() == []
+    assert table.lookup_many([0, 0xFFFFFFFF]).tolist() == [0, 0]
 
 
 def test_freeze_blocks_mutation():

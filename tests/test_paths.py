@@ -4,23 +4,27 @@ import json
 import random
 
 import pytest
-from helpers import oracle_vulnerability_timeseries
+from helpers import (
+    MissingPathError,
+    VulnerabilityMode,
+    endpoint_ases,
+    oracle_resolve_traceroute,
+    oracle_vulnerability_timeseries,
+    vulnerable,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routelens.core import IpPrefix, PrefixTable
+from routelens import paths as paths_module
+from routelens.core import InputError, IpPrefix, PrefixTable, int_to_ip
 from routelens.paths import (
     AsLevelPath,
     EmptyPathError,
-    MissingPathError,
     PathDataset,
     PathRole,
-    VulnerabilityMode,
-    endpoint_ases,
     load_traceroutes,
     resolve_traceroute,
     vulnerability_timeseries,
-    vulnerable,
 )
 
 P1, P2, P3, P4 = (
@@ -101,6 +105,53 @@ def test_load_traceroutes_jsonl(tmp_path):
     loaded = load_traceroutes(file, MAPPING)
     assert loaded[0].role is P1 and loaded[0].ases == (100,)
     assert loaded[1].role is P2 and loaded[1].gap
+
+
+# nested and repeated origins: 203.0.128.0/17 sits inside AS 100's /16 but
+# belongs to AS 200, which also owns 203.1.0.0/16
+NESTED = mapping_table(
+    {"203.0.0.0/16": 100, "203.0.128.0/17": 200, "203.1.0.0/16": 200, "198.51.100.0/24": 400}
+)
+hop_texts = st.one_of(
+    st.sampled_from([
+        "*", "203.0.0.1", "203.0.200.9", "203.1.7.7", "198.51.100.255", "203.000.0.01",
+        " 203.1.0.1", "192.168.1.1", "10.0.0.1", "169.254.3.3", "8.8.8.8", "203.2.0.1",
+    ]),
+    st.integers(0, 0xFFFFFFFF).map(int_to_ip),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(hop_texts, min_size=1, max_size=8), min_size=1, max_size=9),
+       st.sampled_from([1, 2, 4, 2048]))
+def test_loader_matches_per_hop_oracle(tmp_path_factory, hop_lists, block):
+    """Timeouts, private, unmapped, repeated and nested-origin hops resolve
+    as the per-hop loop does, whichever records share a block."""
+    file = tmp_path_factory.mktemp("traces") / "traces.jsonl"
+    file.write_text("".join(
+        json.dumps({"probe": f"c{i}", "target": "g0", "role": "P1", "day": "d01", "hops": hops}) + "\n"
+        for i, hops in enumerate(hop_lists)
+    ))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(paths_module, "_BLOCK_RECORDS", block)
+        loaded = load_traceroutes(file, NESTED)
+    assert [(p.ases, p.gap) for p in loaded] == [
+        oracle_resolve_traceroute(hops, NESTED) for hops in hop_lists
+    ]
+    assert [resolve_traceroute(hops, NESTED) for hops in hop_lists] == [
+        (p.ases, p.gap) for p in loaded
+    ]
+
+
+def test_loader_reports_a_bad_hop_before_a_later_bad_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(paths_module, "_BLOCK_RECORDS", 4)
+    good = {"probe": "c0", "target": "g0", "role": "P1", "day": "d01", "hops": ["203.0.0.1"]}
+    lines = [json.dumps(good)] * 5 + [json.dumps({**good, "hops": ["203.0.0.1", "1.2.3"]}),
+                                      "not json {"]
+    file = tmp_path / "traces.jsonl"
+    file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match=r"traces\.jsonl:6: .*not a dotted quad"):
+        load_traceroutes(file, MAPPING)
 
 
 # --- vulnerable ---------------------------------------------------------------
@@ -303,3 +354,19 @@ def test_factored_sweep_matches_per_quad_oracle(paths, exclusions, exclude_endpo
         assert vulnerability_timeseries(
             PathDataset(paths), excluded, exclude_endpoint_ases=exclude_endpoints
         ) == oracle_vulnerability_timeseries(paths, excluded, exclude_endpoints)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_meshes(), st.data())
+def test_a_key_measured_twice_on_a_day_counts_its_last_path(paths, data):
+    """Re-measure some (role, probe, target) keys on their own day with
+    other ASes: as in the oracle, the later record of a day wins."""
+    again = [
+        AsLevelPath(p.probe, p.target, p.role, p.day,
+                    tuple(data.draw(st.lists(st.integers(1, 8), max_size=3))), False)
+        for p in paths if data.draw(st.booleans())
+    ]
+    mixed = paths + again
+    assert vulnerability_timeseries(PathDataset(mixed), exclude_endpoint_ases=True) == (
+        oracle_vulnerability_timeseries(mixed, frozenset(), True)
+    )
