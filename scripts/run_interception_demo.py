@@ -14,17 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from routelens.evaluation import interception_accuracy, interception_scenario
-from routelens.simulate import gen_interception_timeline
+from routelens.simulate import InterceptionTiming, gen_interception_timeline
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--pairs", type=int, default=50)
-    parser.add_argument("--announce-at", type=float, default=20.0)
-    parser.add_argument("--propagation", type=float, default=35.0)
-    parser.add_argument("--withdraw-at", type=float, default=300.0)
-    parser.add_argument("--reconvergence", type=float, default=22.0)
+    parser.add_argument("--announce-at", type=float, default=InterceptionTiming.announce_at)
+    parser.add_argument("--propagation", type=float, default=InterceptionTiming.propagation)
+    parser.add_argument("--withdraw-at", type=float, default=InterceptionTiming.withdraw_at)
+    parser.add_argument("--reconvergence", type=float, default=InterceptionTiming.reconvergence)
     parser.add_argument("--tunnel-csv", type=Path, default=Path("tunnel_series.csv"))
     args = parser.parse_args()
 

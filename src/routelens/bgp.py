@@ -214,12 +214,6 @@ class SessionRib:
             for entry in self._entries_of(prefix)
         ]
 
-    def route_for_relay(self, relay: RelayDescriptor, t: float) -> RouteEntry | None:
-        """Most-specific tracked entry live at t whose prefix covers the relay."""
-        return next(
-            (e for e in self.entries_for_address(relay.address) if e.live_at(t)), None
-        )
-
 
 def ingest(
     updates: Sequence[BgpUpdate],

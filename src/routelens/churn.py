@@ -375,14 +375,6 @@ def ccdf(summary: CompromiseSummary) -> list[tuple[float, float]]:
     return points
 
 
-def ccdf_value(points: list[tuple[float, float]], x: float) -> float:
-    """Evaluate the curve: the share of pairs at or above level x."""
-    for px, py in points:
-        if px >= x:
-            return py
-    return 0.0
-
-
 @dataclass(frozen=True)
 class PairRatio:
     src_session: str

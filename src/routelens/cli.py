@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import __version__, artifacts, churn, detect, evaluation, paths, simulate
 from .bgp import filter_session_resets, ingest, parse_updates, write_updates
-from .core import InputError, csv_records, int_to_ip, read_json, write_relays
-from .core import load_prefix_origins, load_relays
+from .core import INTEGER, NUMBER, FieldError, InputError, bound, cast, csv_records, int_to_ip
+from .core import load_prefix_origins, load_relays, read_json, write_relays
 from .correlation import (
     CorrelationError,
     SignalKind,
@@ -27,58 +27,44 @@ from .correlation import (
     write_trace_jsonl,
 )
 
-DEFAULTS = {
-    "seed": 0,
-    "threshold": 0.6,
-    "bin_width": 1.0,
-    "window": 300.0,
-    "max_lag": 0,
-    "min_overlap": 30.0,
-    "frequency_threshold": 0.00001,
-    "time_threshold": 0.01,
-    "quiet_gap": 3600.0,
-    "burst_window": 600.0,
+# default, type and range of each setting a --config file or a flag may give
+SETTINGS = {
+    "seed": (0, INTEGER, ">= 0"),
+    "threshold": (0.6, NUMBER, None),
+    "bin_width": (1.0, NUMBER, "> 0"),
+    "window": (300.0, NUMBER, "> 0"),
+    "max_lag": (0, INTEGER, ">= 0"),
+    "min_overlap": (30.0, NUMBER, ">= 0"),
+    "frequency_threshold": (0.00001, NUMBER, "in (0, 1)"),
+    "time_threshold": (0.01, NUMBER, "in (0, 1)"),
+    "quiet_gap": (3600.0, NUMBER, ">= 0"),
+    "burst_window": (600.0, NUMBER, ">= 0"),
 }
-
-# what each numeric setting must satisfy besides being finite
-_RANGES = {
-    "bin_width": "> 0", "window": "> 0",
-    "seed": ">= 0", "max_lag": ">= 0", "min_overlap": ">= 0",
-    "quiet_gap": ">= 0", "burst_window": ">= 0",
-    "frequency_threshold": "in (0, 1)", "time_threshold": "in (0, 1)",
-}
-_IN_RANGE = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "in (0, 1)": lambda v: 0 < v < 1}
 
 
 def _effective_config(args, keys: list[str]) -> dict:
-    """Defaults, overlaid by --config file numbers (integers where the
-    default is one), overlaid by flags; each merged value must be finite
-    and in its _RANGES range."""
-    config = {key: DEFAULTS[key] for key in keys if key in DEFAULTS}
-    if args.config:
-        loaded = read_json(args.config, "config file")
-        if not isinstance(loaded, dict):
-            raise InputError(f"{args.config}: config must be a JSON object")
-        # keys mirror flags across subcommands, so only a key none of them has is an error
-        unknown = sorted(set(loaded) - set(DEFAULTS))
-        if unknown:
-            raise InputError(f"{args.config}: unknown config key {unknown[0]!r}")
+    """Defaults, overlaid by --config file values of each key's type (kept
+    as written, so an integer stays one in the metadata), overlaid by flags;
+    each merged value must lie in its key's range."""
+    loaded = read_json(args.config, "config file") if args.config else {}
+    if not isinstance(loaded, dict):
+        raise InputError(f"{args.config}: config must be a JSON object")
+    # keys mirror flags across subcommands, so only a key none of them has is an error
+    unknown = sorted(set(loaded) - set(SETTINGS))
+    if unknown:
+        raise InputError(f"{args.config}: unknown config key {unknown[0]!r}")
+    config = {}
+    try:
         for key in keys:
+            config[key], kind, limit = SETTINGS[key]
             if key in loaded:
-                value, integral = loaded[key], isinstance(DEFAULTS[key], int)
-                number = int if integral else (int, float)
-                if isinstance(value, bool) or not isinstance(value, number):
-                    kind = "an integer" if integral else "a number"
-                    raise InputError(f"{args.config}: config key {key!r} must be {kind}, not {value!r}")
-                config[key] = value
-    for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            config[key] = flag
-    for key, value in config.items():
-        rule = _RANGES.get(key)
-        if not math.isfinite(value) or (rule and not _IN_RANGE[rule](value)):
-            raise InputError(f"{key} must be finite{' and ' + rule if rule else ''}, not {value!r}")
+                config[key] = loaded[key]
+                cast(config[key], kind, f"{args.config}: config key {key!r}")
+            if getattr(args, key, None) is not None:
+                config[key] = getattr(args, key)
+            bound(config[key], limit, key)
+    except FieldError as exc:
+        raise InputError(str(exc)) from None
     config["output_dir"] = args.output_dir
     return config
 

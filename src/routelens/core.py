@@ -3,17 +3,23 @@
 IPv4 prefixes, relay descriptors, AS paths, interval-annotated route
 entries, and a longest-prefix-match table with a build-then-freeze
 lifecycle. All analysis modules treat these as value objects; only
-PrefixTable is mutable, and only until it is frozen.
+PrefixTable is mutable, and only until it is frozen. Every input file is
+read here too, and every JSON document field is checked by its one rule.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import reprlib
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from contextlib import contextmanager, suppress
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, lru_cache
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -50,11 +56,16 @@ def reading(path, what: str, mode: str = "r"):
 def read_json(path, what: str):
     """The JSON document in path; a syntax error is reported at file:line."""
     with reading(path, what) as handle:
-        text = handle.read()
+        return load_json(handle.read(), path)
+
+
+def load_json(text, path, line: int = 1):
+    """json.loads(text), where text starts at line `line` of path. Text that
+    is not JSON, or nests too deep to parse, raises InputError at its line."""
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise InputError(f"{path}:{getattr(exc, 'lineno', 1)}: not JSON: {exc}") from None
+        raise InputError(f"{path}:{line - 1 + getattr(exc, 'lineno', 1)}: not JSON: {exc}") from None
 
 
 def csv_records(path, what: str, columns: Iterable[str], convert: Callable[[dict], Any]) -> list:
@@ -151,6 +162,9 @@ def int_to_ip(value: int) -> str:
 
 # network mask of each prefix length 0..32
 _MASKS = (0,) + tuple((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF for length in range(1, 33))
+# each spelling of a prefix length: 1-2 ASCII digits, as ip_to_int reads an octet (int() would
+# also take "+16", "1_6" and " 16")
+_LENGTHS = {spelling: n for n in range(33) for spelling in (str(n), f"{n:02d}")}
 
 
 @dataclass(frozen=True, order=True)
@@ -171,9 +185,9 @@ class IpPrefix:
     @classmethod
     def parse(cls, text: str) -> "IpPrefix":
         addr, _, length = text.strip().partition("/")
-        if not length:
-            raise ValueError(f"missing /length in {text!r}")
-        return cls(ip_to_int(addr), int(length))
+        if length not in _LENGTHS:
+            raise ValueError(f"not a prefix length in {text!r}")
+        return cls(ip_to_int(addr), _LENGTHS[length])
 
     @property
     def last_address(self) -> int:
@@ -186,6 +200,207 @@ class IpPrefix:
         return f"{int_to_ip(self.base)}/{self.length}"
 
 
+# --- JSON field rules -----------------------------------------------------------
+#
+# A JSON field's rule is (kind, limit), declared on its dataclass field by
+# rule(). A kind is one of the scalars below, [kind] (a list of any length,
+# read as a tuple), a tuple of kinds (a list of exactly those), OrNull(kind)
+# or a dataclass (the list of its fields in order). Every number must be
+# finite; a RANGES limit bounds it further, and a tuple limit lists the
+# strings allowed.
+INTEGER, NUMBER, STRING = "an integer", "a number", "a string"  # not a bool; read as float
+FLAG, ADDRESS, PREFIX = "0 or 1", "a dotted quad", "an IPv4 prefix"  # bool; ip_to_int; text
+RANGES = {
+    "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+    "in (0, 1)": lambda v: 0 < v < 1, "in [0, 1)": lambda v: 0 <= v < 1,
+}
+
+
+class FieldError(ValueError):
+    """A value against its field rule, or a document failing a cross-field
+    check; the message names the field by its JSON path."""
+
+
+@dataclass(frozen=True)
+class OrNull:
+    kind: Any
+
+
+def rule(kind, limit: str | tuple | None = None, **field_args):
+    return field(metadata={"rule": (kind, limit)}, **field_args)
+
+
+@cache
+def _rules(cls) -> tuple[tuple[str, Any, Any], ...]:
+    """(name, kind, limit) of each field of a dataclass, in order."""
+    return tuple((f.name, *f.metadata["rule"]) for f in fields(cls))
+
+
+def _fail(what: str, value, where: str = "") -> FieldError:
+    return FieldError(f"{where} must be {what}, not {reprlib.repr(value)}")
+
+
+def cast(value, kind: str, where: str = ""):
+    """value read as the scalar kind, before its range."""
+    t = type(value)
+    if (t is str and kind == STRING) or (t is int and kind == INTEGER):
+        return value
+    if kind == NUMBER and (t is float or t is int):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            raise _fail("finite", value, where) from None
+    if kind == FLAG and (t is int or t is bool) and value in (0, 1):
+        return bool(value)
+    if t is str and kind in (ADDRESS, PREFIX):
+        try:
+            return ip_to_int(value) if kind == ADDRESS else _prefix_text(value)
+        except ValueError:
+            pass
+    raise _fail(kind, value, where)
+
+
+@lru_cache(maxsize=1 << 14)  # a routing scenario names each prefix in many routes
+def _prefix_text(text: str) -> str:
+    IpPrefix.parse(text)
+    return text
+
+
+def bound(value, limit: str | tuple | None, where: str = ""):
+    """value when it is one of a tuple limit's strings, or a finite number
+    within the RANGES limit (any finite number when limit is None)."""
+    if type(limit) is tuple:
+        if value in limit:
+            return value
+        raise _fail(" or ".join(map(repr, limit)), value, where)
+    # an int is finite, and math.isfinite cannot take one past the float range
+    if (type(value) is int or math.isfinite(value)) and (limit is None or RANGES[limit](value)):
+        return value
+    raise _fail("finite" + (f" and {limit}" if limit else ""), value, where)
+
+
+def decode(value, kind, limit=None):
+    """value read by the rule (kind, limit). A FieldError names the JSON
+    path below value, e.g. "[3][1] must be 0 or 1, not 'no'"."""
+    if type(kind) is str:
+        value = cast(value, kind)
+        return value if limit is None and kind != NUMBER else bound(value, limit)
+    if type(kind) is OrNull:
+        return None if value is None else decode(value, kind.kind, limit)
+    if type(kind) is list:
+        if type(value) is not list:
+            raise _fail("a list", value)
+        item = kind[0]
+        if item == INTEGER and {*map(type, value)} <= {int}:
+            return tuple(value)  # an AS path, without a call per AS
+        records = isinstance(item, type) and value and {*map(type, value)} <= {list}
+        if records and {*map(len, value)} == {len(_rules(item))}:
+            # records a column at a time, a few calls per field; the loop below names a bad value
+            with suppress(FieldError):
+                return tuple(map(item, *(
+                    _decode_column(column, k, r) for (_, k, r), column in zip(_rules(item), zip(*value))
+                )))
+        rules = [(item, limit)] * len(value)
+    else:
+        rules = [(k, limit) for k in kind] if type(kind) is tuple else [r[1:] for r in _rules(kind)]
+        if type(value) is not list or len(value) != len(rules):
+            raise _fail(f"a list of {len(rules)}", value)
+    items: list = []
+    try:
+        for v, (k, r) in zip(value, rules):
+            items.append(decode(v, k, r))
+    except FieldError as exc:
+        exc.args = (f"[{len(items)}]{exc.args[0]}",)
+        raise
+    return tuple(items) if type(kind) in (list, tuple) else kind(*items)
+
+
+def _decode_column(values: tuple, kind, limit):
+    """decode of each of values, with fewer calls per value where the kind allows."""
+    if type(kind) is str:
+        values = map(cast, values, repeat(kind))
+        return values if limit is None and kind != NUMBER else map(bound, values, repeat(limit))
+    lists = kind == [INTEGER] and {*map(type, values)} <= {list}
+    if lists and {*map(type, chain.from_iterable(values))} <= {int}:
+        return map(tuple, values)  # AS paths, tested in a few passes in C
+    return map(decode, values, repeat(kind), repeat(limit))
+
+
+_WRITE = {FLAG: int, ADDRESS: int_to_ip}  # the scalars that are not their own JSON
+
+
+def encode(value, kind):
+    """The JSON value that decode reads as value by kind."""
+    if value is None or type(kind) is str:
+        return value if value is None or kind not in _WRITE else _WRITE[kind](value)
+    if type(kind) is OrNull:
+        kind = kind.kind
+    if type(kind) is list:
+        if isinstance(kind[0], type):  # records a column at a time, as decode reads them
+            return list(map(list, zip(*(
+                _encode_column(map(attrgetter(name), value), k) for name, k, _ in _rules(kind[0])
+            ))))
+        return list(value) if kind[0] == INTEGER else [encode(v, kind[0]) for v in value]
+    if type(kind) is tuple:
+        return [encode(v, k) for v, k in zip(value, kind)]
+    return [encode(getattr(value, name), k) for name, k, _ in _rules(kind)]
+
+
+def _encode_column(values, kind):
+    if type(kind) is str:
+        return map(_WRITE[kind], values) if kind in _WRITE else values
+    return map(list, values) if kind == [INTEGER] else map(encode, values, repeat(kind))
+
+
+class Document:
+    """A dataclass read from and written to a JSON object of its fields, each
+    by its rule, plus "kind": KIND when KIND is set."""
+
+    KIND: ClassVar[str] = ""
+
+    def to_dict(self) -> dict:
+        fields_ = {name: encode(getattr(self, name), kind) for name, kind, _ in _rules(type(self))}
+        return {"kind": self.KIND, **fields_} if self.KIND else fields_
+
+    @classmethod
+    def from_dict(cls, data, where: str = ""):
+        """The document of a JSON object whose fields left out take their
+        defaults; the "kind" key is the caller's, and where, e.g. "timing",
+        names the object in the JSON path of a bad field."""
+        prefix = f"{where}." if where else ""
+        if type(data) is not dict:
+            raise _fail("a JSON object", data, where or "the document")
+        rules = {name: (kind, limit) for name, kind, limit in _rules(cls)}
+        for key in data:
+            if key not in rules and not (key == "kind" and cls.KIND):
+                raise FieldError(f"unknown key {prefix + key!r}")
+        values = {}
+        for f in fields(cls):
+            if f.name in data:
+                try:
+                    values[f.name] = decode(data[f.name], *rules[f.name])
+                except FieldError as exc:
+                    raise FieldError(prefix + f.name + exc.args[0]) from None
+            elif f.default is MISSING:
+                raise FieldError(f"missing key {prefix + f.name!r}")
+        return cls(**values)
+
+    def validate(self) -> None:
+        """Bound the fields with a range, in records of list fields too, as
+        from_dict does; a document type adds its cross-field checks after."""
+        _check_ranges(self, "")
+
+
+def _check_ranges(record, where: str) -> None:
+    for i, (name, kind, limit) in enumerate(_rules(type(record))):
+        at = f"{where}[{i}]" if where else name
+        if limit is not None:
+            bound(getattr(record, name), limit, at)
+        elif type(kind) is list and isinstance(kind[0], type) and any(r[2] for r in _rules(kind[0])):
+            for j, item in enumerate(getattr(record, name)):
+                _check_ranges(item, f"{at}[{j}]")
+
+
 @dataclass(frozen=True)
 class RelayDescriptor:
     """One relay from a consensus-style listing.
@@ -194,11 +409,11 @@ class RelayDescriptor:
     relays with at least one of the guard/exit flags set.
     """
 
-    address: int
-    is_guard: bool
-    is_exit: bool
-    bandwidth: float
-    nickname: str = ""
+    address: int = rule(ADDRESS)
+    is_guard: bool = rule(FLAG)
+    is_exit: bool = rule(FLAG)
+    bandwidth: float = rule(NUMBER)
+    nickname: str = rule(STRING, default="")
 
 
 def load_relays(path) -> list[RelayDescriptor]:
@@ -213,19 +428,11 @@ def load_relays(path) -> list[RelayDescriptor]:
 
 
 def write_relays(path, relays: Iterable[RelayDescriptor]) -> None:
+    """The relay list CSV, each row a relay's fields as a scenario's relays list spells them."""
     with replacing(path, newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["address", "is_guard", "is_exit", "bandwidth", "nickname"])
-        for relay in relays:
-            writer.writerow(
-                [
-                    int_to_ip(relay.address),
-                    int(relay.is_guard),
-                    int(relay.is_exit),
-                    relay.bandwidth,
-                    relay.nickname,
-                ]
-            )
+        writer.writerow([f.name for f in fields(RelayDescriptor)])
+        writer.writerows(encode(list(relays), [RelayDescriptor]))
 
 
 def _parse_bool(text: str) -> bool:

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .artifacts import replacing
-from .core import InputError, reading
+from .core import InputError, load_json, reading
 
 WRAP = 2**32
 
@@ -781,10 +781,7 @@ def _data_lines(path, raw: bytes, data: np.ndarray, size: int):
     if blank.any():
         starts, ends, numbers = starts[~blank], ends[~blank], numbers[~blank]
     if len(starts) and raw.startswith(b'{"_meta":', starts[0]):
-        try:
-            json.loads(raw[starts[0]:ends[0]])
-        except ValueError:
-            raise InputError(f"{path}:{numbers[0]}: metadata line is not one JSON object") from None
+        load_json(raw[starts[0]:ends[0]], path, int(numbers[0]))
         starts, ends, numbers = starts[1:], ends[1:], numbers[1:]
     return starts, ends, numbers
 

@@ -21,7 +21,6 @@ from .core import (
     RelayIndex,
     csv_records,
     int_to_ip,
-    ip_to_int,
     merge_intervals,
 )
 
@@ -60,18 +59,6 @@ def alert_to_record(alert: HijackAlert) -> dict:
         "guards": [int_to_ip(a) for a in alert.guards],
         "exits": [int_to_ip(a) for a in alert.exits],
     }
-
-
-def alert_from_record(record: dict) -> HijackAlert:
-    return HijackAlert(
-        prefix=IpPrefix.parse(record["prefix"]),
-        origin_as=int(record["origin_as"]),
-        heuristic=Heuristic(record["heuristic"]),
-        score=float(record["score"]),
-        windows=tuple((float(a), float(b)) for a, b in record["windows"]),
-        guards=tuple(ip_to_int(a) for a in record["guards"]),
-        exits=tuple(ip_to_int(a) for a in record["exits"]),
-    )
 
 
 def _alert(

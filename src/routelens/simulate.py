@@ -13,19 +13,22 @@ output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .bgp import BgpUpdate
-from .core import AsPath, InputError, IpPrefix, RelayDescriptor, int_to_ip, ip_to_int, read_json
+from .core import (
+    INTEGER, NUMBER, PREFIX, STRING, AsPath, Document, FieldError, InputError, IpPrefix, OrNull,
+    RelayDescriptor, bound, ip_to_int, read_json, rule,
+)
 from .correlation import DIRECTIONS, WRAP, Direction, EndpointTrace, PacketTable
 
 TICK = 0.01  # packet emission granularity; analyses bin at >= 1 s
 
 
-class InvalidScenarioError(Exception):
-    pass
+# a scenario fault, in one field or across fields, is a field fault
+InvalidScenarioError = FieldError
 
 
 # --- traffic ------------------------------------------------------------------
@@ -33,48 +36,36 @@ class InvalidScenarioError(Exception):
 
 @dataclass(frozen=True)
 class Bottleneck:
-    flows: tuple[int, ...]
-    capacity: float  # bytes/s shared by the member flows
-
-
-_GROUP_FIELDS = ("guard_groups", "exit_groups")  # bottlenecks, as [[flows], capacity]
+    flows: tuple[int, ...] = rule([INTEGER])
+    capacity: float = rule(NUMBER, "> 0")  # bytes/s shared by the member flows
 
 
 @dataclass(frozen=True)
-class TrafficScenario:
-    seed: int = 0
-    n_pairs: int = 50
-    duration: float = 300.0
-    base_rate: float = 20_000.0  # bytes/s before per-flow spread
-    rate_spread: float = 4.0  # per-flow factor log-uniform in [1/spread, spread]
-    jitter_low: float = 0.5  # per-second multiplicative jitter bounds
-    jitter_high: float = 2.0
-    ack_delay: float = 0.05  # data-to-ack delay at the acknowledging side
-    mss: int = 1460
-    tunnel_delay: float = 0.25  # one-way transit through the tunnel
-    tunnel_jitter: float = 0.08  # per-packet uniform extra delay
-    retransmit_rate: float = 0.0  # fraction of data packets duplicated
-    guard_groups: tuple[Bottleneck, ...] = ()
-    exit_groups: tuple[Bottleneck, ...] = ()
+class TrafficScenario(Document):
+    KIND = "traffic"
+
+    seed: int = rule(INTEGER, ">= 0", default=0)
+    n_pairs: int = rule(INTEGER, ">= 1", default=50)
+    duration: float = rule(NUMBER, "> 0", default=300.0)
+    base_rate: float = rule(NUMBER, "> 0", default=20_000.0)  # bytes/s before per-flow spread
+    rate_spread: float = rule(NUMBER, ">= 1", default=4.0)  # per-flow factor in [1/spread, spread]
+    jitter_low: float = rule(NUMBER, "> 0", default=0.5)  # per-second multiplicative jitter bounds
+    jitter_high: float = rule(NUMBER, "> 0", default=2.0)
+    ack_delay: float = rule(NUMBER, ">= 0", default=0.05)  # data-to-ack delay at the acknowledger
+    mss: int = rule(INTEGER, ">= 1", default=1460)
+    tunnel_delay: float = rule(NUMBER, ">= 0", default=0.25)  # one-way transit through the tunnel
+    tunnel_jitter: float = rule(NUMBER, ">= 0", default=0.08)  # per-packet uniform extra delay
+    retransmit_rate: float = rule(NUMBER, "in [0, 1)", default=0.0)  # data packets duplicated
+    guard_groups: tuple[Bottleneck, ...] = rule([Bottleneck], default=())
+    exit_groups: tuple[Bottleneck, ...] = rule([Bottleneck], default=())
 
     def validate(self) -> None:
-        if self.seed < 0:
-            raise InvalidScenarioError("seed must be >= 0")
-        if self.n_pairs < 1 or self.duration <= 0 or self.base_rate <= 0:
-            raise InvalidScenarioError("need n_pairs >= 1, positive duration and rate")
-        if self.mss < 1:
-            raise InvalidScenarioError("mss must be at least 1 byte")
-        if not 0 < self.jitter_low <= self.jitter_high:
-            raise InvalidScenarioError("jitter bounds must satisfy 0 < low <= high")
-        if self.rate_spread < 1.0:
-            raise InvalidScenarioError("rate_spread must be >= 1")
-        if not 0.0 <= self.retransmit_rate < 1.0:
-            raise InvalidScenarioError("retransmit_rate must be in [0, 1)")
+        super().validate()
+        if self.jitter_low > self.jitter_high:
+            raise InvalidScenarioError("jitter bounds must satisfy low <= high")
         for side in (self.guard_groups, self.exit_groups):
             seen: set[int] = set()
             for group in side:
-                if group.capacity <= 0:
-                    raise InvalidScenarioError("bottleneck capacity must be positive")
                 for flow in group.flows:
                     if not 0 <= flow < self.n_pairs:
                         raise InvalidScenarioError(f"flow {flow} out of range")
@@ -83,35 +74,6 @@ class TrafficScenario:
                             f"flow {flow} is in two {('guard', 'exit')[side is self.exit_groups]} groups"
                         )
                     seen.add(flow)
-
-    def to_dict(self) -> dict:
-        data: dict = {"kind": "traffic"}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.name in _GROUP_FIELDS:
-                value = [[list(g.flows), g.capacity] for g in value]
-            data[field.name] = value
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrafficScenario":
-        kwargs = {field.name: data[field.name] for field in fields(cls) if field.name in data}
-        for field in fields(cls):
-            if field.type == "int" and field.name in kwargs:
-                _require_int(field.name, kwargs[field.name])
-        for side in _GROUP_FIELDS:
-            kwargs[side] = tuple(
-                Bottleneck(tuple(_require_int("flow", f) for f in flows), float(capacity))
-                for flows, capacity in kwargs.get(side, ())
-            )
-        return cls(**kwargs)
-
-
-def _require_int(name: str, value):
-    """value itself when it is a JSON integer: not a float, bool or string."""
-    if type(value) is not int:
-        raise InvalidScenarioError(f"{name} must be an integer, not {value!r}")
-    return value
 
 
 @dataclass
@@ -284,36 +246,32 @@ def gen_traffic(
 
 @dataclass(frozen=True)
 class SessionSpec:
-    session_id: str
-    local_as: int
+    session_id: str = rule(STRING)
+    local_as: int = rule(INTEGER)
 
 
 @dataclass(frozen=True)
 class RouteSpec:
-    session: str
-    prefix: str
-    path: tuple[int, ...]
+    session: str = rule(STRING)
+    prefix: str = rule(PREFIX)
+    path: tuple[int, ...] = rule([INTEGER])
 
 
 @dataclass(frozen=True)
 class ChurnEvent:
-    time: float
-    session: str
-    prefix: str
-    path: tuple[int, ...] | None  # None withdraws
+    time: float = rule(NUMBER)
+    session: str = rule(STRING)
+    prefix: str = rule(PREFIX)
+    path: tuple[int, ...] | None = rule(OrNull([INTEGER]))  # None withdraws
 
 
 @dataclass(frozen=True)
 class InjectedEvent:
-    kind: str  # "hijack" or "interception"
-    prefix: str
-    attacker_path: tuple[int, ...]
-    start: float
-    duration: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("hijack", "interception"):
-            raise InvalidScenarioError(f"unknown event kind {self.kind!r}")
+    kind: str = rule(STRING, ("hijack", "interception"))
+    prefix: str = rule(PREFIX)
+    attacker_path: tuple[int, ...] = rule([INTEGER])
+    start: float = rule(NUMBER)
+    duration: float = rule(NUMBER, "> 0")
 
     @property
     def origin(self) -> int:
@@ -325,19 +283,26 @@ class InjectedEvent:
 
 
 @dataclass(frozen=True)
-class RoutingScenario:
-    seed: int
-    window: tuple[float, float]
-    sessions: tuple[SessionSpec, ...]
-    relays: tuple[RelayDescriptor, ...]
-    base_routes: tuple[RouteSpec, ...]
-    churn: tuple[ChurnEvent, ...] = ()
-    events: tuple[InjectedEvent, ...] = ()
+class RoutingScenario(Document):
+    KIND = "routing"
+
+    seed: int = rule(INTEGER, ">= 0")
+    window: tuple[float, float] = rule((NUMBER, NUMBER))
+    sessions: tuple[SessionSpec, ...] = rule([SessionSpec])
+    relays: tuple[RelayDescriptor, ...] = rule([RelayDescriptor])
+    base_routes: tuple[RouteSpec, ...] = rule([RouteSpec])
+    churn: tuple[ChurnEvent, ...] = rule([ChurnEvent], default=())
+    events: tuple[InjectedEvent, ...] = rule([InjectedEvent], default=())
 
     def validate(self) -> None:
+        super().validate()
         t0, t1 = self.window
         if t1 <= t0:
             raise InvalidScenarioError("empty window")
+        if () in [r.path for r in self.base_routes + self.churn] + [
+            e.attacker_path for e in self.events
+        ]:
+            raise InvalidScenarioError("an AS path must not be empty")
         ids = {s.session_id for s in self.sessions}
         if len(ids) != len(self.sessions):
             raise InvalidScenarioError("duplicate session ids")
@@ -366,51 +331,6 @@ class RoutingScenario:
                 if event.start < other[1] and other[0] < event.start + event.duration:
                     raise InvalidScenarioError("overlapping events on one prefix")
             spans.setdefault(event.prefix, []).append(event.window)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "routing",
-            "seed": self.seed,
-            "window": list(self.window),
-            "sessions": [[s.session_id, s.local_as] for s in self.sessions],
-            "relays": [
-                [int_to_ip(r.address), int(r.is_guard), int(r.is_exit), r.bandwidth, r.nickname]
-                for r in self.relays
-            ],
-            "base_routes": [[r.session, r.prefix, list(r.path)] for r in self.base_routes],
-            "churn": [
-                [c.time, c.session, c.prefix, None if c.path is None else list(c.path)]
-                for c in self.churn
-            ],
-            "events": [
-                [e.kind, e.prefix, list(e.attacker_path), e.start, e.duration]
-                for e in self.events
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RoutingScenario":
-        return cls(
-            seed=int(data["seed"]),
-            window=(float(data["window"][0]), float(data["window"][1])),
-            sessions=tuple(SessionSpec(s, int(a)) for s, a in data["sessions"]),
-            relays=tuple(
-                RelayDescriptor(ip_to_int(addr), bool(g), bool(e), float(bw), name)
-                for addr, g, e, bw, name in data["relays"]
-            ),
-            base_routes=tuple(
-                RouteSpec(s, p, tuple(int(a) for a in path))
-                for s, p, path in data["base_routes"]
-            ),
-            churn=tuple(
-                ChurnEvent(float(t), s, p, None if path is None else tuple(int(a) for a in path))
-                for t, s, p, path in data.get("churn", ())
-            ),
-            events=tuple(
-                InjectedEvent(k, p, tuple(int(a) for a in path), float(start), float(dur))
-                for k, p, path, start, dur in data.get("events", ())
-            ),
-        )
 
 
 @dataclass
@@ -791,23 +711,30 @@ class InterceptionRun:
     attacker_acks: np.ndarray
 
 
-def _check_settles(
-    announce_at: float, propagation: float, withdraw_at: float, duration: float
-) -> None:
-    if announce_at + propagation >= min(withdraw_at, duration):
-        raise InvalidScenarioError(
-            "interception must settle before the withdrawal and the end of the run"
-        )
+@dataclass(frozen=True)
+class InterceptionTiming(Document):
+    """Seconds into the run: the attacker announces at announce_at, the
+    announcement takes propagation to settle, it is withdrawn at withdraw_at
+    and routing reconverges reconvergence later."""
+
+    announce_at: float = rule(NUMBER, ">= 0", default=20.0)
+    propagation: float = rule(NUMBER, ">= 0", default=35.0)
+    withdraw_at: float = rule(NUMBER, ">= 0", default=300.0)
+    reconvergence: float = rule(NUMBER, ">= 0", default=22.0)
+
+    def validate_for(self, duration: float) -> None:
+        """validate(), then require the capture to open before the
+        withdrawal and before a run of duration seconds ends."""
+        self.validate()
+        if self.announce_at + self.propagation >= min(self.withdraw_at, duration):
+            raise InvalidScenarioError(
+                "interception must settle before the withdrawal and the end of the run"
+            )
 
 
-def gen_interception_timeline(
-    scenario: TrafficScenario,
-    announce_at: float = 20.0,
-    propagation: float = 35.0,
-    withdraw_at: float = 300.0,
-    reconvergence: float = 22.0,
-) -> InterceptionRun:
-    """More-specific interception against the guard prefix.
+def gen_interception_timeline(scenario: TrafficScenario, **timing: float) -> InterceptionRun:
+    """More-specific interception against the guard prefix, at the
+    InterceptionTiming fields given as keywords (its defaults otherwise).
 
     Traffic flows the whole run (interception keeps connections alive);
     client-to-guard ack packets ride the good tunnel until the attacker's
@@ -815,10 +742,11 @@ def gen_interception_timeline(
     after the withdrawal. The attacker capture is ACK-only by construction:
     that is all that flows toward a guard during a download.
     """
-    _check_settles(announce_at, propagation, withdraw_at, scenario.duration)
+    times = InterceptionTiming(**timing)
+    times.validate_for(scenario.duration)
     clients, server_traces, truth = gen_traffic(scenario)
-    switch_on = announce_at + propagation
-    switch_off = min(withdraw_at + reconvergence, scenario.duration)
+    switch_on = times.announce_at + times.propagation
+    switch_off = min(times.withdraw_at + times.reconvergence, scenario.duration)
     attacker_traces: list[EndpointTrace] = []
     n_secs = math.ceil(scenario.duration)
     good = np.zeros(n_secs, dtype=np.int64)
@@ -850,48 +778,34 @@ def gen_interception_timeline(
 # --- scenario file handling -------------------------------------------------------
 
 
-def load_scenario(path):
-    """Read and validate a scenario JSON document; the kind field picks the type.
+_KINDS = {"traffic": TrafficScenario, "routing": RoutingScenario, "interception": TrafficScenario}
 
-    Text that is not JSON, a missing or mistyped field and a scenario that
-    fails validation raise InputError naming the file (and line).
+
+def load_scenario(path):
+    """The scenario of a JSON document whose kind picks the type: a
+    TrafficScenario or RoutingScenario, or for interception a
+    (TrafficScenario, InterceptionTiming fields) pair read from the
+    document's fields and its "timing" object.
+
+    Text that is not JSON, a field against its rule and a scenario that
+    fails a cross-field check raise InputError naming the file (and line).
     """
     data = read_json(path, "scenario file")
     try:
-        return _scenario_from_dict(data)
-    except (InvalidScenarioError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        if type(data) is not dict:
+            raise InvalidScenarioError("a scenario must be a JSON object")
+        kind = bound(data.get("kind"), tuple(_KINDS), "'kind'")
+        body = dict(data)
+        timing = body.pop("timing", {}) if kind == "interception" else None
+        scenario = _KINDS[kind].from_dict(body)
+        scenario.validate()
+        if timing is None:
+            return scenario
+        timing = InterceptionTiming.from_dict(timing, "timing")
+        timing.validate_for(scenario.duration)
+        return scenario, asdict(timing)
+    except FieldError as exc:
         raise InputError(f"{path}: invalid scenario: {exc}") from None
-
-
-_TIMING_DEFAULTS = {
-    "announce_at": 20.0, "propagation": 35.0, "withdraw_at": 300.0, "reconvergence": 22.0
-}
-
-
-def _scenario_from_dict(data: dict):
-    """The scenario of a document holding kind, the fields of that kind and,
-    for interception only, a timing object over the _TIMING_DEFAULTS keys."""
-    kind = data["kind"]
-    if kind not in ("traffic", "routing", "interception"):
-        raise InvalidScenarioError(f"unknown scenario kind {kind!r}")
-    cls = RoutingScenario if kind == "routing" else TrafficScenario
-    known, raw = {"kind", *(field.name for field in fields(cls))}, {}
-    if kind == "interception":
-        known.add("timing")
-        raw = data.get("timing", {})
-    unknown = [key for key in data if key not in known]
-    unknown += [f"timing.{key}" for key in raw if key not in _TIMING_DEFAULTS]
-    if unknown:
-        raise InvalidScenarioError(f"unknown key {unknown[0]!r}")
-    scenario = cls.from_dict(data)
-    scenario.validate()
-    if kind != "interception":
-        return scenario
-    timing = {key: float(raw.get(key, default)) for key, default in _TIMING_DEFAULTS.items()}
-    _check_settles(
-        timing["announce_at"], timing["propagation"], timing["withdraw_at"], scenario.duration
-    )
-    return scenario, timing
 
 
 def shared_guard_variant(scenario: TrafficScenario, capacity_fraction: float = 0.35) -> TrafficScenario:

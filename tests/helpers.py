@@ -19,7 +19,7 @@ from routelens.core import (
     AsPath, IpPrefix, RelayDescriptor, RelayIndex, ip_to_int, merge_intervals
 )
 from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
-from routelens.detect import Heuristic, _alert
+from routelens.detect import Heuristic, HijackAlert, _alert
 from routelens.paths import _PRIVATE_BLOCKS, DayVulnerability, EmptyPathError, PathError, PathRole
 
 
@@ -82,6 +82,32 @@ def random_churn_fixture(rng: random.Random):
     return updates, relays, sessions, window
 
 
+def route_for_relay(rib, relay, t):
+    """Most-specific tracked entry of a SessionRib live at t whose prefix covers the relay."""
+    return next((e for e in rib.entries_for_address(relay.address) if e.live_at(t)), None)
+
+
+def ccdf_value(points, x):
+    """Evaluate a churn.ccdf curve: the share of pairs at or above level x."""
+    for px, py in points:
+        if px >= x:
+            return py
+    return 0.0
+
+
+def alert_from_record(record: dict) -> HijackAlert:
+    """The alert of one alerts.jsonl record, the inverse of detect.alert_to_record."""
+    return HijackAlert(
+        prefix=IpPrefix.parse(record["prefix"]),
+        origin_as=int(record["origin_as"]),
+        heuristic=Heuristic(record["heuristic"]),
+        score=float(record["score"]),
+        windows=tuple((float(a), float(b)) for a, b in record["windows"]),
+        guards=tuple(ip_to_int(a) for a in record["guards"]),
+        exits=tuple(ip_to_int(a) for a in record["exits"]),
+    )
+
+
 def build_ribs(updates, relays, sessions):
     return ingest(updates, relays, local_as=sessions)
 
@@ -100,7 +126,7 @@ def brute_force_records(ribs, relays, window, min_overlap):
         on_path = {}
         for sid, rib in ribs.items():
             for relay in admitted:
-                entry = rib.route_for_relay(relay, t)
+                entry = route_for_relay(rib, relay, t)
                 on_path[(sid, relay.address)] = set(entry.path) if entry else set()
         for sid_g, _ in ribs.items():
             for rg in admitted:

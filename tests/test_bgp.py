@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from helpers import route_for_relay
 
 from routelens.bgp import (
     BgpUpdate,
@@ -197,12 +198,12 @@ def test_route_for_relay_most_specific_then_none():
     rib.apply(announce(0.0, "s1", "10.0.0.0/8", [100, 200]))
     rib.apply(announce(1.0, "s1", "10.1.0.0/24", [100, 300]))
     relay = RELAYS[1]  # 10.1.0.5
-    best = rib.route_for_relay(relay, 5.0)
+    best = route_for_relay(rib, relay, 5.0)
     assert best is not None and best.prefix.length == 24
     rib.apply(withdraw(10.0, "s1", "10.1.0.0/24"))
-    assert rib.route_for_relay(relay, 11.0).prefix.length == 8
+    assert route_for_relay(rib, relay, 11.0).prefix.length == 8
     rib.apply(withdraw(12.0, "s1", "10.0.0.0/8"))
-    assert rib.route_for_relay(relay, 13.0) is None
+    assert route_for_relay(rib, relay, 13.0) is None
 
 
 def _random_stream(rng, n_updates=60, sessions=("s1", "s2")):
@@ -236,7 +237,7 @@ def test_route_for_relay_agrees_with_entry_scan_oracle():
                         if entry.prefix.covers(relay.address) and entry.live_at(t):
                             if best is None or entry.prefix.length > best.prefix.length:
                                 best = entry
-                    assert rib.route_for_relay(relay, t) == best
+                    assert route_for_relay(rib, relay, t) == best
 
 
 def test_replay_determinism():

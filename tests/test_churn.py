@@ -9,6 +9,7 @@ from helpers import (
     announce,
     brute_force_records,
     build_ribs,
+    ccdf_value,
     circuit_pairs,
     hit_records,
     oracle_ccdf,
@@ -26,7 +27,6 @@ from routelens.churn import (
     Sightings,
     as_circuit_coverage,
     ccdf,
-    ccdf_value,
     churn_ratio,
     churn_summary,
     circuit_universe,

@@ -1,9 +1,11 @@
 """End-to-end subcommand tests on small generated fixtures."""
 
+import copy
 import csv
 import io
 import json
 import re
+import reprlib
 import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,6 +19,7 @@ from routelens.artifacts import artifacts_equal, read_jsonl_records
 from routelens.cli import accuracy_payload, main
 from routelens.correlation import AccuracyReport, read_trace_jsonl
 from routelens.simulate import (
+    Bottleneck,
     ChurnEvent,
     InjectedEvent,
     PathScenario,
@@ -534,6 +537,19 @@ def test_correlate_bad_trace_line_exits_2(tmp_path, capsys, bad_line):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "meta",
+    ['{"_meta": ' + "[" * 100_000 + "]" * 100_000 + "}", '{"_meta": {"seed": 0},}'],
+    ids=["nested-too-deep", "not-json"],
+)
+def test_correlate_bad_trace_metadata_line_exits_2(tmp_path, capsys, meta):
+    manifest = _trace_manifest(tmp_path, [meta, _record(1.0), _record(2.0)])
+    assert run("--output-dir", tmp_path / "o", "correlate", "--manifest", manifest) == 2
+    err = capsys.readouterr().err
+    assert "client.jsonl:1: not JSON" in err
+    assert "Traceback" not in err
+
+
 def test_correlate_empty_trace_exits_2(tmp_path, capsys):
     manifest = _trace_manifest(tmp_path, [])
     assert run("--output-dir", tmp_path / "o", "correlate", "--manifest", manifest) == 2
@@ -713,6 +729,79 @@ def test_churn_bad_sessions_row_exits_2(tmp_path, capsys, sessions_text, where):
     assert "Traceback" not in err
 
 
+_TRAFFIC = TrafficScenario(
+    seed=3, n_pairs=3, duration=20.0, guard_groups=(Bottleneck((0, 1), 5e3),)
+).to_dict()
+_TIMING = {"announce_at": 2.0, "propagation": 3.0, "withdraw_at": 15.0, "reconvergence": 1.0}
+_VALID_SCENARIOS = {
+    "traffic": _TRAFFIC,
+    "routing": random_routing_scenario(2, n_sessions=2, n_relays=3, n_ases=3, n_churn=4).to_dict(),
+    "interception": {**_TRAFFIC, "kind": "interception", "timing": _TIMING},
+}
+
+
+def _leaves(value, path=()):
+    """(path, value) of every number and string in a JSON document but its kind."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if path + (key,) != ("kind",):
+                yield from _leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    elif value is not None:
+        yield path, value
+
+
+def _replaced(document, path, value):
+    """A copy of a JSON document with the value at path replaced."""
+    document = copy.deepcopy(document)
+    target = document
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return document
+
+
+def _json_path(path):
+    """The JSON path that names a field in messages, e.g. relays[0][1] or timing.propagation."""
+    text = ""
+    for step in path:
+        text += f"[{step}]" if isinstance(step, int) else f".{step}" if text else step
+    return text
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(kind=st.sampled_from(sorted(_VALID_SCENARIOS)), data=st.data())
+def test_scenario_field_of_the_wrong_type_or_range_exits_2(tmp_path, capsys, kind, data):
+    path, value = data.draw(st.sampled_from(list(_leaves(_VALID_SCENARIOS[kind]))))
+    wrong = [7 if isinstance(value, str) else "7", {}, [], float("nan"), float("inf")]
+    # every traffic and timing number has a range that excludes -1; a flow is checked across fields
+    if kind != "routing" and isinstance(value, (int, float)) and "guard_groups" not in path:
+        wrong.append(type(value)(-1))
+    document = _replaced(_VALID_SCENARIOS[kind], path, data.draw(st.sampled_from(wrong)))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(document))
+    assert run("--output-dir", tmp_path / "o", "simulate", "--scenario", scenario) == 2
+    err = capsys.readouterr().err
+    assert f"scenario.json: invalid scenario: {_json_path(path)} must be " in err, err
+    assert "Traceback" not in err
+
+
+def _traffic_text(**fields):
+    return json.dumps({"kind": "traffic", "n_pairs": 2, "duration": 5.0, **fields})
+
+
+def _timing_text(**timing):
+    return json.dumps({"kind": "interception", "n_pairs": 2, "duration": 100.0, "timing": timing})
+
+
+def _routing_text(path, value):
+    return json.dumps(_replaced(random_routing_scenario(1, 2, 3, 3).to_dict(), path, value))
+
+
 @pytest.mark.parametrize(
     "text, where",
     [
@@ -733,9 +822,9 @@ def test_churn_bad_sessions_row_exits_2(tmp_path, capsys, sessions_text, where):
          "scenario.json: invalid scenario: interception must settle before the withdrawal"
          " and the end of the run"),
         ('{"kind": "traffic", "seed": -3, "n_pairs": 2, "duration": 5}',
-         "scenario.json: invalid scenario: seed must be >= 0"),
+         "scenario.json: invalid scenario: seed must be finite and >= 0, not -3"),
         ('{"kind": "interception", "seed": -1, "n_pairs": 2, "duration": 100}',
-         "scenario.json: invalid scenario: seed must be >= 0"),
+         "scenario.json: invalid scenario: seed must be finite and >= 0, not -1"),
         ('{"kind": "traffic", "seed": 1.5, "n_pairs": 2, "duration": 5}',
          "scenario.json: invalid scenario: seed must be an integer, not 1.5"),
         ('{"kind": "traffic", "n_pairs": 2.5, "duration": 5}',
@@ -743,12 +832,57 @@ def test_churn_bad_sessions_row_exits_2(tmp_path, capsys, sessions_text, where):
         ('{"kind": "interception", "n_pairs": true, "duration": 100}',
          "scenario.json: invalid scenario: n_pairs must be an integer, not True"),
         ('{"kind": "traffic", "n_pairs": 2, "duration": 5, "guard_groups": [[[0.5], 10.0]]}',
-         "scenario.json: invalid scenario: flow must be an integer, not 0.5"),
+         "scenario.json: invalid scenario: guard_groups[0][0][0] must be an integer, not 0.5"),
+        (_traffic_text(duration=float("nan")), "duration must be finite and > 0, not nan"),
+        (_traffic_text(duration=float("inf")), "duration must be finite and > 0, not inf"),
+        (_traffic_text(base_rate=float("nan")), "base_rate must be finite and > 0, not nan"),
+        (_traffic_text(tunnel_jitter=-0.1), "tunnel_jitter must be finite and >= 0, not -0.1"),
+        (_traffic_text(duration=True), "duration must be a number, not True"),
+        (_traffic_text(n_pairs=-10 ** 400), "n_pairs must be finite and >= 1, not -1000"),
+        (_traffic_text(duration=10 ** 400), "duration must be finite, not 1000"),
+        (_traffic_text(duration="10"), "duration must be a number, not '10'"),
+        (_traffic_text(guard_groups=[[[0, 1], "5e3"]]),
+         "guard_groups[0][1] must be a number, not '5e3'"),
+        (_traffic_text(guard_groups=[[0, 1]]), "guard_groups[0][0] must be a list, not 0"),
+        (_routing_text(["seed"], 1.5), "seed must be an integer, not 1.5"),
+        (_routing_text(["seed"], True), "seed must be an integer, not True"),
+        (_routing_text(["relays", 0, 1], "no"), "relays[0][1] must be 0 or 1, not 'no'"),
+        (_routing_text(["relays", 2, 2], "0"), "relays[2][2] must be 0 or 1, not '0'"),
+        (_routing_text(["sessions", 1, 1], 64500.5),
+         "sessions[1][1] must be an integer, not 64500.5"),
+        (_routing_text(["window"], ["0", "60"]), "window[0] must be a number, not '0'"),
+        (_routing_text(["window"], [0, float("nan")]), "window[1] must be finite, not nan"),
+        (_routing_text(["window"], [0, float("inf")]), "window[1] must be finite, not inf"),
+        (_routing_text(["base_routes", 1, 1], "10.0.0.0/+8"),
+         "base_routes[1][1] must be an IPv4 prefix, not '10.0.0.0/+8'"),
+        (_routing_text(["base_routes", 0, 2], []), "an AS path must not be empty"),
+        (_routing_text(["events"], [["leak", "10.0.0.0/9", [7], 5.0, 1.0]]),
+         "events[0][0] must be 'hijack' or 'interception', not 'leak'"),
+        (_routing_text(["churn", 0], [1.0, "s0"]), "churn[0] must be a list of 4, not [1.0, 's0']"),
+        (_timing_text(announce_at="1"), "timing.announce_at must be a number, not '1'"),
+        (_timing_text(announce_at=True), "timing.announce_at must be a number, not True"),
+        (_timing_text(propagation=-5.0), "timing.propagation must be finite and >= 0, not -5.0"),
+        (_timing_text(reconvergence=float("nan")),
+         "timing.reconvergence must be finite and >= 0, not nan"),
+        (_timing_text(withdraw_at=None), "timing.withdraw_at must be a number, not None"),
+        ('{"kind": "interception", "n_pairs": 2, "duration": 100, "timing": []}',
+         "timing must be a JSON object, not []"),
+        ('[1, 2]', "invalid scenario: a scenario must be a JSON object"),
+        (json.dumps({"kind": "routing", "seed": 0}), "invalid scenario: missing key 'window'"),
     ],
     ids=["not-json", "invalid-scenario", "no-kind", "traffic-typo", "routing-typo",
          "traffic-timing", "timing-typo", "settles-after-run", "negative-seed",
          "interception-negative-seed", "fractional-seed", "fractional-n-pairs",
-         "boolean-n-pairs", "fractional-flow"],
+         "boolean-n-pairs", "fractional-flow", "nan-duration", "infinite-duration",
+         "nan-base-rate", "negative-tunnel-jitter", "boolean-duration",
+         "n-pairs-past-float-range", "duration-past-float-range", "text-duration",
+         "text-capacity", "flat-bottleneck",
+         "fractional-routing-seed", "boolean-routing-seed",
+         "text-guard-flag", "text-zero-exit-flag", "fractional-asn", "text-window",
+         "nan-window", "infinite-window", "signed-prefix-length", "empty-path",
+         "unknown-event-kind", "short-churn-event", "text-announce-at", "boolean-announce-at",
+         "negative-propagation", "nan-reconvergence", "null-withdraw-at", "timing-list",
+         "document-list", "routing-missing-window"],
 )
 def test_simulate_bad_scenario_exits_2(tmp_path, capsys, text, where):
     scenario = tmp_path / "scenario.json"
@@ -807,11 +941,13 @@ def test_empty_or_non_finite_window_exits_2(tmp_path, capsys, command, bounds, s
         (None, ["detect", "--time-threshold", 0],
          "time_threshold must be finite and in (0, 1), not 0.0"),
         ('{"time_threshold": 1}', ["detect"], "time_threshold must be finite and in (0, 1), not 1"),
+        ('{"max_lag": -1%s}' % ("0" * 400), ["correlate"],
+         f"max_lag must be finite and >= 0, not {reprlib.repr(-10 ** 400)}"),
     ],
     ids=["bin-width-flag", "bin-width-config", "window-flag", "threshold-nan", "max-lag-config",
          "seed-flag", "min-overlap-nan", "min-overlap-config-inf", "quiet-gap-config",
          "burst-window-config-nan", "frequency-threshold-flag", "time-threshold-flag",
-         "time-threshold-config"],
+         "time-threshold-config", "max-lag-config-past-float-range"],
 )
 def test_numeric_parameter_out_of_range_exits_2(
     tmp_path, capsys, correlate_inputs, config, argv, where
@@ -914,10 +1050,12 @@ def test_unusable_input_file_exits_2_naming_it(
     [
         ('{"threshold": true}', "c.json: config key 'threshold' must be a number, not True"),
         ('{"max_lag": 1.5}', "c.json: config key 'max_lag' must be an integer, not 1.5"),
+        ('{"window": 1%s}' % ("0" * 400), "c.json: config key 'window' must be finite, not 1000"),
         ('{"seed": "7"}', "c.json: config key 'seed' must be an integer, not '7'"),
         ('{"min_overlapp": 5}', "c.json: unknown config key 'min_overlapp'"),
     ],
-    ids=["bool-threshold", "fractional-max-lag", "text-seed", "unknown-key"],
+    ids=["bool-threshold", "fractional-max-lag", "window-past-float-range", "text-seed",
+         "unknown-key"],
 )
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, correlate_inputs, text, where):
     config = tmp_path / "c.json"

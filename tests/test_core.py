@@ -152,6 +152,23 @@ def test_most_specific_match_prefers_longer():
     assert table.lookup(ip_to_int("192.0.2.1")) is None
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["203.0.0.0/+16", "203.0.0.0/1_6", "203.0.0.0/\u0661\u0666", "203.0.0.0/ 16", "203.0.0.0/016",
+     "203.0.0.0/", "203.0.0.0", "203.0.0.0/33"],
+    ids=["signed", "underscore", "non-ascii-digits", "inner-space", "three-digits", "empty",
+         "no-length", "too-long"],
+)
+def test_prefix_length_is_one_or_two_ascii_digits(text):
+    with pytest.raises(ValueError):
+        IpPrefix.parse(text)
+
+
+def test_prefix_length_grammar_accepts_the_plain_spellings():
+    assert IpPrefix.parse(" 203.0.0.0/16\n") == IpPrefix(ip_to_int("203.0.0.0"), 16)
+    assert IpPrefix.parse("10.0.0.0/08") == IpPrefix.parse("10.0.0.0/8")
+
+
 def test_most_specific_match_against_linear_scan_oracle():
     rng = random.Random(7)
     table = PrefixTable()

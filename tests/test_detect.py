@@ -3,7 +3,9 @@
 import random
 
 import pytest
-from helpers import announce, oracle_more_specific_monitor, oracle_time_heuristic, withdraw
+from helpers import (
+    alert_from_record, announce, oracle_more_specific_monitor, oracle_time_heuristic, withdraw
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,6 @@ from routelens.detect import (
     HijackEvent,
     NoAdmissibleGuardError,
     as_aware_select,
-    alert_from_record,
     alert_to_record,
     concentration,
     cross_reference,

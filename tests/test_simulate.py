@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routelens.bgp import ingest
 from routelens.churn import compromised_circuits, segment_observations
@@ -31,6 +33,7 @@ from routelens.simulate import (
     gen_interception_timeline,
     gen_traffic,
     gen_updates,
+    injection_scenario,
     load_scenario,
     planted_compromised,
     random_routing_scenario,
@@ -201,6 +204,17 @@ def test_invalid_scenarios_rejected():
         TrafficScenario(jitter_low=0.0).validate()
 
 
+def test_validate_bounds_records_built_in_python():
+    capacity = r"^guard_groups\[0\]\[1\] must be finite and > 0, not 0.0$"
+    with pytest.raises(InvalidScenarioError, match=capacity):
+        TrafficScenario(n_pairs=2, guard_groups=(Bottleneck((0,), 0.0),)).validate()
+    leak = InjectedEvent("leak", "10.0.0.0/16", (999, 666), 100.0, 50.0)
+    with pytest.raises(InvalidScenarioError, match=r"^events\[0\]\[0\] must be 'hijack' or"):
+        gen_updates(small_routing_scenario(events=[leak]))
+    with pytest.raises(InvalidScenarioError, match="^propagation must be finite and >= 0, not -1.0$"):
+        gen_interception_timeline(TrafficScenario(n_pairs=1), propagation=-1.0)
+
+
 def test_traffic_scenario_dict_roundtrip():
     scenario = TrafficScenario(
         seed=17, n_pairs=5, guard_groups=(Bottleneck((0, 1), 5_000.0),)
@@ -276,6 +290,30 @@ def test_routing_scenario_dict_roundtrip():
         churn=[ChurnEvent(50.0, "s1", "10.0.0.0/16", (7, 8))],
     )
     assert RoutingScenario.from_dict(scenario.to_dict()) == scenario
+
+
+def _assert_round_trip(scenario):
+    document = json.dumps(scenario.to_dict())
+    again = type(scenario).from_dict(json.loads(document))
+    assert again == scenario
+    assert json.dumps(again.to_dict()) == document
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6), st.integers(1, 5),
+    st.integers(0, 12),
+)
+def test_random_routing_scenario_round_trips_through_its_document(
+    seed, n_sessions, n_relays, n_ases, n_churn
+):
+    _assert_round_trip(random_routing_scenario(seed, n_sessions, n_relays, n_ases, n_churn))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_injection_scenario_round_trips_through_its_document(seed):
+    _assert_round_trip(injection_scenario(seed))
 
 
 def test_every_scenario_document_loads(tmp_path):
