@@ -14,11 +14,9 @@ import json
 import math
 import reprlib
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, lru_cache
-from itertools import chain, repeat
-from operator import attrgetter
 from typing import Any, Callable, ClassVar, Iterable, Iterator
 
 import numpy as np
@@ -205,11 +203,12 @@ class IpPrefix:
 # A JSON field's rule is (kind, limit), declared on its dataclass field by
 # rule(). A kind is one of the scalars below, [kind] (a list of any length,
 # read as a tuple), a tuple of kinds (a list of exactly those), OrNull(kind)
-# or a dataclass (the list of its fields in order). Every number must be
-# finite; a RANGES limit bounds it further, and a tuple limit lists the
-# strings allowed.
+# or a dataclass (the list of its fields in order). decode checks a value's
+# kind, and every number read must be finite; Document.validate applies the
+# limits: a RANGES limit bounds a number, and a tuple limit lists the strings
+# allowed.
 INTEGER, NUMBER, STRING = "an integer", "a number", "a string"  # not a bool; read as float
-FLAG, ADDRESS, PREFIX = "0 or 1", "a dotted quad", "an IPv4 prefix"  # bool; ip_to_int; text
+FLAG, ADDRESS, PREFIX = "0 or 1", "a dotted quad", "an IPv4 prefix"  # bool; ip_to_int; str
 RANGES = {
     "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
     "in (0, 1)": lambda v: 0 < v < 1, "in [0, 1)": lambda v: 0 <= v < 1,
@@ -240,8 +239,13 @@ def _fail(what: str, value, where: str = "") -> FieldError:
     return FieldError(f"{where} must be {what}, not {reprlib.repr(value)}")
 
 
+def _finite(limit: str | None) -> str:
+    return "finite" + (f" and {limit}" if limit else "")
+
+
 def cast(value, kind: str, where: str = ""):
-    """value read as the scalar kind, before its range."""
+    """value read as the scalar kind, before its limit; a prefix is read in
+    its canonical spelling, so one prefix is one string however written."""
     t = type(value)
     if (t is str and kind == STRING) or (t is int and kind == INTEGER):
         return value
@@ -254,16 +258,15 @@ def cast(value, kind: str, where: str = ""):
         return bool(value)
     if t is str and kind in (ADDRESS, PREFIX):
         try:
-            return ip_to_int(value) if kind == ADDRESS else _prefix_text(value)
+            return ip_to_int(value) if kind == ADDRESS else _canonical_prefix(value)
         except ValueError:
             pass
     raise _fail(kind, value, where)
 
 
 @lru_cache(maxsize=1 << 14)  # a routing scenario names each prefix in many routes
-def _prefix_text(text: str) -> str:
-    IpPrefix.parse(text)
-    return text
+def _canonical_prefix(text: str) -> str:
+    return str(IpPrefix.parse(text))
 
 
 def bound(value, limit: str | tuple | None, where: str = ""):
@@ -276,33 +279,26 @@ def bound(value, limit: str | tuple | None, where: str = ""):
     # an int is finite, and math.isfinite cannot take one past the float range
     if (type(value) is int or math.isfinite(value)) and (limit is None or RANGES[limit](value)):
         return value
-    raise _fail("finite" + (f" and {limit}" if limit else ""), value, where)
+    raise _fail(_finite(limit), value, where)
 
 
 def decode(value, kind, limit=None):
-    """value read by the rule (kind, limit). A FieldError names the JSON
-    path below value, e.g. "[3][1] must be 0 or 1, not 'no'"."""
+    """value read by kind, a number only when finite; limit only words that
+    message, as validate() applies it. A FieldError names the JSON path
+    below value, e.g. "[3][1] must be 0 or 1, not 'no'"."""
     if type(kind) is str:
         value = cast(value, kind)
-        return value if limit is None and kind != NUMBER else bound(value, limit)
+        if kind == NUMBER and not math.isfinite(value):
+            raise _fail(_finite(limit), value)
+        return value
     if type(kind) is OrNull:
         return None if value is None else decode(value, kind.kind, limit)
     if type(kind) is list:
         if type(value) is not list:
             raise _fail("a list", value)
-        item = kind[0]
-        if item == INTEGER and {*map(type, value)} <= {int}:
-            return tuple(value)  # an AS path, without a call per AS
-        records = isinstance(item, type) and value and {*map(type, value)} <= {list}
-        if records and {*map(len, value)} == {len(_rules(item))}:
-            # records a column at a time, a few calls per field; the loop below names a bad value
-            with suppress(FieldError):
-                return tuple(map(item, *(
-                    _decode_column(column, k, r) for (_, k, r), column in zip(_rules(item), zip(*value))
-                )))
-        rules = [(item, limit)] * len(value)
+        rules = [(kind[0], None)] * len(value)
     else:
-        rules = [(k, limit) for k in kind] if type(kind) is tuple else [r[1:] for r in _rules(kind)]
+        rules = [(k, None) for k in kind] if type(kind) is tuple else [r[1:] for r in _rules(kind)]
         if type(value) is not list or len(value) != len(rules):
             raise _fail(f"a list of {len(rules)}", value)
     items: list = []
@@ -315,41 +311,20 @@ def decode(value, kind, limit=None):
     return tuple(items) if type(kind) in (list, tuple) else kind(*items)
 
 
-def _decode_column(values: tuple, kind, limit):
-    """decode of each of values, with fewer calls per value where the kind allows."""
-    if type(kind) is str:
-        values = map(cast, values, repeat(kind))
-        return values if limit is None and kind != NUMBER else map(bound, values, repeat(limit))
-    lists = kind == [INTEGER] and {*map(type, values)} <= {list}
-    if lists and {*map(type, chain.from_iterable(values))} <= {int}:
-        return map(tuple, values)  # AS paths, tested in a few passes in C
-    return map(decode, values, repeat(kind), repeat(limit))
-
-
 _WRITE = {FLAG: int, ADDRESS: int_to_ip}  # the scalars that are not their own JSON
 
 
 def encode(value, kind):
     """The JSON value that decode reads as value by kind."""
-    if value is None or type(kind) is str:
-        return value if value is None or kind not in _WRITE else _WRITE[kind](value)
+    if type(kind) is str:
+        return _WRITE[kind](value) if kind in _WRITE else value
     if type(kind) is OrNull:
-        kind = kind.kind
+        return None if value is None else encode(value, kind.kind)
     if type(kind) is list:
-        if isinstance(kind[0], type):  # records a column at a time, as decode reads them
-            return list(map(list, zip(*(
-                _encode_column(map(attrgetter(name), value), k) for name, k, _ in _rules(kind[0])
-            ))))
-        return list(value) if kind[0] == INTEGER else [encode(v, kind[0]) for v in value]
+        return [encode(v, kind[0]) for v in value]
     if type(kind) is tuple:
         return [encode(v, k) for v, k in zip(value, kind)]
     return [encode(getattr(value, name), k) for name, k, _ in _rules(kind)]
-
-
-def _encode_column(values, kind):
-    if type(kind) is str:
-        return map(_WRITE[kind], values) if kind in _WRITE else values
-    return map(list, values) if kind == [INTEGER] else map(encode, values, repeat(kind))
 
 
 class Document:
@@ -365,7 +340,8 @@ class Document:
     @classmethod
     def from_dict(cls, data, where: str = ""):
         """The document of a JSON object whose fields left out take their
-        defaults; the "kind" key is the caller's, and where, e.g. "timing",
+        defaults, each value of its field's kind; validate() applies the
+        limits. The "kind" key is the caller's, and where, e.g. "timing",
         names the object in the JSON path of a bad field."""
         prefix = f"{where}." if where else ""
         if type(data) is not dict:
@@ -385,20 +361,21 @@ class Document:
                 raise FieldError(f"missing key {prefix + f.name!r}")
         return cls(**values)
 
-    def validate(self) -> None:
-        """Bound the fields with a range, in records of list fields too, as
-        from_dict does; a document type adds its cross-field checks after."""
-        _check_ranges(self, "")
+    def validate(self, where: str = "") -> None:
+        """Apply every field's limit, in the records of list fields too, naming
+        a field as from_dict does; a document type adds its cross-field
+        checks after."""
+        for name, kind, limit in _rules(type(self)):
+            _check_limit(getattr(self, name), kind, limit, f"{where}.{name}" if where else name)
 
 
-def _check_ranges(record, where: str) -> None:
-    for i, (name, kind, limit) in enumerate(_rules(type(record))):
-        at = f"{where}[{i}]" if where else name
-        if limit is not None:
-            bound(getattr(record, name), limit, at)
-        elif type(kind) is list and isinstance(kind[0], type) and any(r[2] for r in _rules(kind[0])):
-            for j, item in enumerate(getattr(record, name)):
-                _check_ranges(item, f"{at}[{j}]")
+def _check_limit(value, kind, limit, where: str) -> None:
+    if limit is not None:
+        bound(value, limit, where)
+    elif type(kind) is list and isinstance(kind[0], type) and any(r[2] for r in _rules(kind[0])):
+        for j, record in enumerate(value):
+            for i, (name, k, r) in enumerate(_rules(kind[0])):
+                _check_limit(getattr(record, name), k, r, f"{where}[{j}][{i}]")
 
 
 @dataclass(frozen=True)

@@ -389,9 +389,8 @@ def gen_updates(scenario: RoutingScenario) -> tuple[list[BgpUpdate], RoutingGrou
     every session and restore the legitimate path after the event;
     interceptions announce a more-specific prefix and withdraw it. The
     declared schedule is the ground truth, so detector recall can be
-    scored exactly.
+    scored exactly. The scenario must pass validate(), as load_scenario's do.
     """
-    scenario.validate()
     timeline = _legit_timeline(scenario)
     t0, _ = scenario.window
     updates: list[BgpUpdate] = []
@@ -722,10 +721,10 @@ class InterceptionTiming(Document):
     withdraw_at: float = rule(NUMBER, ">= 0", default=300.0)
     reconvergence: float = rule(NUMBER, ">= 0", default=22.0)
 
-    def validate_for(self, duration: float) -> None:
-        """validate(), then require the capture to open before the
+    def validate_for(self, duration: float, where: str = "") -> None:
+        """validate(where), then require the capture to open before the
         withdrawal and before a run of duration seconds ends."""
-        self.validate()
+        self.validate(where)
         if self.announce_at + self.propagation >= min(self.withdraw_at, duration):
             raise InvalidScenarioError(
                 "interception must settle before the withdrawal and the end of the run"
@@ -802,7 +801,7 @@ def load_scenario(path):
         if timing is None:
             return scenario
         timing = InterceptionTiming.from_dict(timing, "timing")
-        timing.validate_for(scenario.duration)
+        timing.validate_for(scenario.duration, "timing")
         return scenario, asdict(timing)
     except FieldError as exc:
         raise InputError(f"{path}: invalid scenario: {exc}") from None

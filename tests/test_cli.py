@@ -859,6 +859,9 @@ def _routing_text(path, value):
         (_routing_text(["events"], [["leak", "10.0.0.0/9", [7], 5.0, 1.0]]),
          "events[0][0] must be 'hijack' or 'interception', not 'leak'"),
         (_routing_text(["churn", 0], [1.0, "s0"]), "churn[0] must be a list of 4, not [1.0, 's0']"),
+        (_routing_text(["events"], [["hijack", "10.128.0.0/9", [7], 5.0, 10.0],
+                                    ["hijack", "10.128.0.0/09", [8], 10.0, 10.0]]),
+         "invalid scenario: overlapping events on one prefix"),
         (_timing_text(announce_at="1"), "timing.announce_at must be a number, not '1'"),
         (_timing_text(announce_at=True), "timing.announce_at must be a number, not True"),
         (_timing_text(propagation=-5.0), "timing.propagation must be finite and >= 0, not -5.0"),
@@ -880,7 +883,7 @@ def _routing_text(path, value):
          "fractional-routing-seed", "boolean-routing-seed",
          "text-guard-flag", "text-zero-exit-flag", "fractional-asn", "text-window",
          "nan-window", "infinite-window", "signed-prefix-length", "empty-path",
-         "unknown-event-kind", "short-churn-event", "text-announce-at", "boolean-announce-at",
+         "unknown-event-kind", "short-churn-event", "overlap-in-two-spellings", "text-announce-at", "boolean-announce-at",
          "negative-propagation", "nan-reconvergence", "null-withdraw-at", "timing-list",
          "document-list", "routing-missing-window"],
 )

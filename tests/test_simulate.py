@@ -18,7 +18,7 @@ from routelens.correlation import (
     extract_progress,
     spearman,
 )
-from routelens.core import IpPrefix, RelayDescriptor, ip_to_int
+from routelens.core import AsPath, IpPrefix, RelayDescriptor, ip_to_int
 from routelens.detect import HijackEvent, cross_reference, time_heuristic
 from routelens.simulate import (
     _byte_allocation,
@@ -210,7 +210,7 @@ def test_validate_bounds_records_built_in_python():
         TrafficScenario(n_pairs=2, guard_groups=(Bottleneck((0,), 0.0),)).validate()
     leak = InjectedEvent("leak", "10.0.0.0/16", (999, 666), 100.0, 50.0)
     with pytest.raises(InvalidScenarioError, match=r"^events\[0\]\[0\] must be 'hijack' or"):
-        gen_updates(small_routing_scenario(events=[leak]))
+        small_routing_scenario(events=[leak]).validate()
     with pytest.raises(InvalidScenarioError, match="^propagation must be finite and >= 0, not -1.0$"):
         gen_interception_timeline(TrafficScenario(n_pairs=1), propagation=-1.0)
 
@@ -290,6 +290,20 @@ def test_routing_scenario_dict_roundtrip():
         churn=[ChurnEvent(50.0, "s1", "10.0.0.0/16", (7, 8))],
     )
     assert RoutingScenario.from_dict(scenario.to_dict()) == scenario
+
+
+def test_a_document_prefix_is_read_in_its_canonical_spelling():
+    event = InjectedEvent("hijack", "10.0.0.0/16", (999, 666), 100.0, 50.0)
+    document = small_routing_scenario(events=[event]).to_dict()
+    document["events"][0][1] = "10.0.0.7/16"  # host bits set
+    document["base_routes"][0][1] = "010.000.0.0/16"
+    scenario = RoutingScenario.from_dict(document)
+    assert scenario == small_routing_scenario(events=[event])
+    # the hijack ends by restoring the base route, which the event names in another spelling
+    updates, _ = gen_updates(scenario)
+    assert [u.path for u in updates if u.timestamp == 150.0 and u.session == "s1"] == [
+        AsPath((101, 102))
+    ]
 
 
 def _assert_round_trip(scenario):
