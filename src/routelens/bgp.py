@@ -1,10 +1,13 @@
-"""BGP update ingestion and per-session routing state for relay prefixes.
+"""BGP update streams as column tables, and the routes they carry.
 
-Each vantage session maintains its own view: announcements open an
-interval-annotated route entry, withdrawals and path changes close it.
-Only prefixes covering at least one relay are tracked; everything else
-is noise for these analyses. A session-reset filter drops re-announcement
-bursts that would otherwise look like churn.
+An update stream is one UpdateTable: per row a timestamp, a session, a
+prefix and a path, with each distinct session, prefix and path stored
+once and named by id. route_spans derives every session's routes from
+it: an announcement opens a route, and the session's next withdrawal or
+path change of that prefix closes it. Only prefixes covering at least
+one relay are tracked; everything else is noise for these analyses. A
+session-reset filter drops re-announcement bursts that would otherwise
+look like churn.
 """
 
 from __future__ import annotations
@@ -12,7 +15,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .artifacts import replacing
 from .core import (
@@ -23,6 +29,7 @@ from .core import (
     RelayIndex,
     RouteEntry,
     VantageSession,
+    parse_path,
     reading,
 )
 
@@ -46,154 +53,310 @@ class ParseIssue:
     raw: str
 
 
-def parse_updates(source) -> tuple[list[BgpUpdate], list[ParseIssue]]:
+class UpdateTable:
+    """An update stream as columns, one row per update.
+
+    ts is float64; session, prefix and path are int64 ids into the
+    sessions, prefixes and path_ases tuples, where a path id of -1 marks a
+    withdrawal; origin is the path's origin AS, -1 for a withdrawal. Each
+    prefix and each path (its ASes, prepends collapsed) appears once in
+    its tuple; paths holds the same paths as AsPath values, built on first
+    use. parse_updates returns rows stably sorted by ts; of() keeps the
+    order it is given, so route_spans can reject a decreasing session.
+    """
+
+    def __init__(self, ts, session, prefix, path, sessions, prefixes, path_ases) -> None:
+        self.ts = np.asarray(ts, dtype=np.float64)
+        self.session = np.asarray(session, dtype=np.int64)
+        self.prefix = np.asarray(prefix, dtype=np.int64)
+        self.path = np.asarray(path, dtype=np.int64)
+        self.sessions: tuple[str, ...] = tuple(sessions)
+        self.prefixes: tuple[IpPrefix, ...] = tuple(prefixes)
+        self.path_ases: tuple[tuple[int, ...], ...] = tuple(path_ases)
+        # the appended -1 is what path id -1 indexes
+        self.origin = np.array([a[-1] for a in self.path_ases] + [-1], dtype=np.int64)[self.path]
+
+    @cached_property
+    def paths(self) -> tuple[AsPath, ...]:
+        return tuple(map(AsPath, self.path_ases))
+
+    @classmethod
+    def of(cls, updates: "Iterable[BgpUpdate] | UpdateTable") -> "UpdateTable":
+        """The table itself, or a new table of BgpUpdate values in their order."""
+        if isinstance(updates, UpdateTable):
+            return updates
+        ids = UpdateIds()
+        return ids.table([
+            (u.timestamp, ids.session_id(u.session), ids.prefix_id(u.prefix),
+             ids.path_id(None if u.path is None else u.path.ases))
+            for u in updates
+        ])
+
+    @classmethod
+    def merge(cls, tables: Sequence["UpdateTable"]) -> "UpdateTable":
+        """The rows of every table, stably sorted by ts, so rows at equal
+        timestamps keep table order and then row order."""
+        if len(tables) == 1:
+            return tables[0].by_time()
+        ids = UpdateIds()
+        parts = []
+        for table in tables:
+            session = np.array([ids.session_id(s) for s in table.sessions], dtype=np.int64)
+            prefix = np.array([ids.prefix_id(p) for p in table.prefixes], dtype=np.int64)
+            path = np.array([ids.path_id(a) for a in table.path_ases] + [-1], dtype=np.int64)
+            parts.append((table.ts, session[table.session], prefix[table.prefix], path[table.path]))
+        columns = [np.concatenate(column) for column in zip(*parts)]
+        return UpdateTable(*columns, ids.sessions, ids.prefixes, ids.paths).by_time()
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __iter__(self) -> Iterator[BgpUpdate]:
+        """Each row as a BgpUpdate, in row order."""
+        for ts, s, p, a in zip(
+            self.ts.tolist(), self.session.tolist(), self.prefix.tolist(), self.path.tolist()
+        ):
+            path = None if a < 0 else self.paths[a]
+            yield BgpUpdate(ts, self.sessions[s], self.prefixes[p], path)
+
+    def take(self, rows: np.ndarray) -> "UpdateTable":
+        """The given rows, in that order, over the same id tuples."""
+        return UpdateTable(
+            self.ts[rows], self.session[rows], self.prefix[rows], self.path[rows],
+            self.sessions, self.prefixes, self.path_ases,
+        )
+
+    def by_time(self) -> "UpdateTable":
+        """The rows stably sorted by ts (the table itself when they are)."""
+        if not (self.ts[1:] < self.ts[:-1]).any():
+            return self
+        return self.take(np.argsort(self.ts, kind="stable"))
+
+    def tracked(self, index: RelayIndex) -> np.ndarray:
+        """Per prefix id, whether the prefix covers a relay of index."""
+        return np.array([index.covers_any(p) for p in self.prefixes], dtype=bool)
+
+
+class UpdateIds:
+    """The id tuples of an UpdateTable being built: each new session,
+    prefix and path (its ASes, prepends collapsed) gets the next id."""
+
+    def __init__(self) -> None:
+        self.sessions: dict[str, int] = {}
+        self.prefixes: dict[IpPrefix, int] = {}
+        self.paths: dict[tuple[int, ...], int] = {}
+
+    def session_id(self, session: str) -> int:
+        return self.sessions.setdefault(session, len(self.sessions))
+
+    def prefix_id(self, prefix: IpPrefix) -> int:
+        return self.prefixes.setdefault(prefix, len(self.prefixes))
+
+    def path_id(self, ases: tuple[int, ...] | None) -> int:
+        """The id of a path_ases tuple, or -1 for None, a withdrawal."""
+        return -1 if ases is None else self.paths.setdefault(ases, len(self.paths))
+
+    def table(self, rows: list[tuple[float, int, int, int]]) -> UpdateTable:
+        """The table of (ts, session id, prefix id, path id) rows, in order."""
+        columns = zip(*rows) if rows else ((),) * 4
+        return UpdateTable(*columns, self.sessions, self.prefixes, self.paths)
+
+
+def prefix_key(prefix: IpPrefix) -> tuple[int, int]:
+    """IpPrefix order as a plain tuple, which sorts without dataclass comparisons."""
+    return prefix.base, prefix.length
+
+
+def parse_updates(source) -> tuple[UpdateTable, list[ParseIssue]]:
     """Parse the update CSV file source, schema timestamp,session,kind,prefix,path.
 
-    timestamp is finite; kind is A or W, and only A carries a path, a
-    space-separated AS list (quoted when written by csv). Malformed lines
-    become ParseIssue diagnostics instead of being silently dropped. Output
-    is stably sorted by timestamp, which preserves file order per session at
-    equal timestamps.
+    timestamp is finite and an ASCII decimal, every spelling f"{ts:g}"
+    writes (float() alone would also take "_" separators and non-ASCII
+    digits; text it rejects keeps its message); kind is A or W, and only A
+    carries a path, a space-separated AS list (quoted when written by
+    csv). Malformed lines become ParseIssue diagnostics instead of being
+    silently dropped. Each distinct prefix and path text is decoded once.
+    Rows are stably sorted by timestamp, which preserves file order per
+    session at equal timestamps.
     """
-    updates: list[BgpUpdate] = []
+    ids = UpdateIds()
+    # each text as written -> its id, so each distinct text is decoded once
+    session_ids: dict[str, int] = {}
+    prefix_ids: dict[str, int] = {}
+    path_ids: dict[str, int] = {}
+    kept: list[tuple[float, int, int, int]] = []
     issues: list[ParseIssue] = []
     with reading(source, "update file") as handle:
         for line_no, row in enumerate(csv.reader(handle), start=1):
             if not row or (row[0].startswith("#")):
                 continue
-            if [cell.strip().lower() for cell in row[:2]] == ["timestamp", "session"]:
-                continue  # header
             try:
                 if len(row) != 5:
                     raise ValueError(f"expected 5 fields, got {len(row)}")
-                timestamp = float(row[0])
+                stamp, session, kind, prefix, path = row
+                timestamp = float(stamp)
                 if not math.isfinite(timestamp):
-                    raise ValueError(f"timestamp must be finite, not {row[0]!r}")
-                session = row[1].strip()
-                if not session:
-                    raise ValueError("empty session id")
-                kind = row[2].strip().upper()
+                    raise ValueError(f"timestamp must be finite, not {stamp!r}")
+                if "_" in stamp or not stamp.isascii():
+                    raise ValueError(f"timestamp must be an ASCII decimal, not {stamp!r}")
+                session_id = session_ids.get(session)
+                if session_id is None:
+                    if not session.strip():
+                        raise ValueError("empty session id")
+                    session_id = session_ids[session] = ids.session_id(session.strip())
+                kind = kind.strip().upper()
                 if kind not in ("A", "W"):
                     raise ValueError(f"kind must be A or W, not {row[2]!r}")
-                prefix = IpPrefix.parse(row[3])
-                path_text = row[4].strip()
-                if kind == "W" and path_text:
-                    raise ValueError("withdrawal carries a path")
-                path = AsPath.parse(path_text) if kind == "A" else None
-                updates.append(BgpUpdate(timestamp, session, prefix, path))
+                prefix_id = prefix_ids.get(prefix)
+                if prefix_id is None:
+                    prefix_id = prefix_ids[prefix] = ids.prefix_id(IpPrefix.parse(prefix))
+                path = path.strip()
+                if kind == "W":
+                    if path:
+                        raise ValueError("withdrawal carries a path")
+                    path_id = -1
+                else:
+                    path_id = path_ids.get(path)
+                    if path_id is None:
+                        path_id = path_ids[path] = ids.path_id(parse_path(path))
             except ValueError as exc:
-                issues.append(ParseIssue(line_no, str(exc), ",".join(row)))
-    updates.sort(key=lambda u: u.timestamp)
-    return updates, issues
+                # a header line fails on its timestamp (or its field count) and is skipped
+                if [cell.strip().lower() for cell in row[:2]] != ["timestamp", "session"]:
+                    issues.append(ParseIssue(line_no, str(exc), ",".join(row)))
+                continue
+            kept.append((timestamp, session_id, prefix_id, path_id))
+    return ids.table(kept).by_time(), issues
 
 
-def write_updates(path, updates: Iterable[BgpUpdate]) -> None:
+def write_updates(path, updates: "UpdateTable | Iterable[BgpUpdate]") -> None:
     with replacing(path, newline="") as handle:
+        table = UpdateTable.of(updates)  # inside: a failing source leaves no partial file
+        prefixes = [str(prefix) for prefix in table.prefixes]
+        # as str(AsPath) spells them; path id -1 reads ""
+        paths = [" ".join(map(str, ases)) for ases in table.path_ases] + [""]
         writer = csv.writer(handle)
         writer.writerow(["timestamp", "session", "kind", "prefix", "path"])
-        for update in updates:
-            writer.writerow(
-                [
-                    f"{update.timestamp:g}",
-                    update.session,
-                    "W" if update.path is None else "A",
-                    str(update.prefix),
-                    "" if update.path is None else str(update.path),
-                ]
+        writer.writerows(
+            [f"{ts:g}", table.sessions[s], "W" if a < 0 else "A", prefixes[p], paths[a]]
+            for ts, s, p, a in zip(
+                table.ts.tolist(), table.session.tolist(), table.prefix.tolist(),
+                table.path.tolist(),
             )
+        )
 
 
 def filter_session_resets(
-    updates: list[BgpUpdate],
+    updates: "UpdateTable | Iterable[BgpUpdate]",
     quiet_gap: float = 3600.0,
     burst_window: float = 600.0,
-) -> list[BgpUpdate]:
-    """Drop session-reset artifacts.
+) -> UpdateTable:
+    """Drop session-reset artifacts: the kept rows, in order.
 
     After a per-session silence of at least quiet_gap, announcements inside
     the following burst_window that re-announce exactly the (prefix, path)
     that was live before the gap carry no information (the peer is dumping
     its table after a reset) and are removed. Everything else is retained.
     """
-    last_seen: dict[str, float] = {}
-    live: dict[tuple[str, IpPrefix], AsPath] = {}
-    burst_until: dict[str, float] = {}
-    pre_gap: dict[str, dict[tuple[str, IpPrefix], AsPath]] = {}
-    kept: list[BgpUpdate] = []
-    for update in updates:
-        session = update.session
+    table = UpdateTable.of(updates)
+    last_seen: dict[int, float] = {}
+    live: dict[int, dict[int, int]] = {}  # session -> prefix id -> path id
+    burst_until: dict[int, float] = {}
+    pre_gap: dict[int, dict[int, int]] = {}
+    kept: list[int] = []
+    columns = zip(
+        table.ts.tolist(), table.session.tolist(), table.prefix.tolist(), table.path.tolist()
+    )
+    for row, (ts, session, prefix, path) in enumerate(columns):
+        routes = live.setdefault(session, {})
         previous = last_seen.get(session)
-        if previous is not None and update.timestamp - previous >= quiet_gap:
-            burst_until[session] = update.timestamp + burst_window
-            pre_gap[session] = {
-                key: path for key, path in live.items() if key[0] == session
-            }
-        last_seen[session] = update.timestamp
-
-        drop = False
-        if (
-            update.path is not None
-            and update.timestamp <= burst_until.get(session, -1.0)
-            and pre_gap.get(session, {}).get((session, update.prefix)) == update.path
+        if previous is not None and ts - previous >= quiet_gap:
+            burst_until[session] = ts + burst_window
+            pre_gap[session] = dict(routes)
+        last_seen[session] = ts
+        if not (
+            path >= 0
+            and ts <= burst_until.get(session, -1.0)
+            and pre_gap.get(session, {}).get(prefix) == path
         ):
-            drop = True
-
-        key = (session, update.prefix)
-        if update.path is None:
-            live.pop(key, None)
+            kept.append(row)
+        if path < 0:
+            routes.pop(prefix, None)
         else:
-            live[key] = update.path
-        if not drop:
-            kept.append(update)
-    return kept
+            routes[prefix] = path
+    return table.take(np.array(kept, dtype=np.int64))
+
+
+def _check_session_order(table: UpdateTable) -> None:
+    """Raise OutOfOrderError at the first row whose timestamp is before
+    the previous one of its session."""
+    if not (table.ts[1:] < table.ts[:-1]).any():
+        return
+    order = np.argsort(table.session, kind="stable")
+    session, ts = table.session[order], table.ts[order]
+    back = np.flatnonzero((session[1:] == session[:-1]) & (ts[1:] < ts[:-1]))
+    if len(back):
+        k = back[np.argmin(order[back + 1])]
+        raise OutOfOrderError(
+            f"update at {ts[k + 1].item()} before {ts[k].item()} "
+            f"on session {table.sessions[session[k]]}"
+        )
+
+
+def route_spans(table: UpdateTable, index: RelayIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Every route of every session: (rows, ends), ordered by session id,
+    prefix id and start.
+
+    rows[k] is the table row of the announcement that opens route k, and
+    ends[k] the timestamp of the next row of its (session, prefix) that
+    withdraws it or changes its path, or inf while it stays live. An
+    announcement of the live path opens nothing, prefixes that cover no
+    relay of index are not tracked, and a session whose timestamps
+    decrease raises OutOfOrderError.
+    """
+    _check_session_order(table)
+    rows = np.flatnonzero(table.tracked(index)[table.prefix])
+    rows = rows[np.lexsort((table.prefix[rows], table.session[rows]))]  # stable
+    session, prefix, path = table.session[rows], table.prefix[rows], table.path[rows]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (session[1:] != session[:-1]) | (prefix[1:] != prefix[:-1])
+    # after any row the live path is that row's path id (-1 once withdrawn)
+    before = np.empty_like(path)
+    before[1:] = path[:-1]
+    before[first] = -1
+    changes = np.flatnonzero(path != before)
+    # a change closes the route its (session, prefix) held, and an announcement opens one
+    group = np.cumsum(first)
+    ends = np.full(len(changes), np.inf)
+    closed = np.flatnonzero(group[changes[1:]] == group[changes[:-1]])
+    ends[closed] = table.ts[rows[changes[closed + 1]]]
+    opens = path[changes] >= 0
+    return rows[changes[opens]], ends[opens]
 
 
 class SessionRib:
-    """Single-writer routing state for one vantage session.
+    """Routing state of one vantage session, built by ingest.
 
-    Announcements with an unchanged path are no-ops, so the interval
-    history records path changes only; that is exactly what the
-    simultaneous-observation metric consumes. Every prefix that ever held
-    an entry is indexed in a PrefixTable, so the entries covering an
-    address come from one probe per prefix length present.
+    live maps a prefix to its open entry and history to its closed
+    entries, oldest first. An announcement with an unchanged path opens
+    no entry, so the history records path changes only; that is exactly
+    what the simultaneous-observation metric consumes. Every prefix that
+    ever held an entry is indexed in a PrefixTable, so the entries
+    covering an address come from one probe per prefix length present.
     """
 
-    def __init__(self, session: VantageSession, relay_index: RelayIndex) -> None:
+    def __init__(self, session: VantageSession) -> None:
         self.session = session
-        self._relays = relay_index
         self.live: dict[IpPrefix, RouteEntry] = {}
         self.history: dict[IpPrefix, list[RouteEntry]] = {}
-        self.last_timestamp = float("-inf")
         self._prefixes = PrefixTable()  # prefix -> prefix, for every prefix with an entry
 
-    def apply(self, update: BgpUpdate) -> None:
-        if update.timestamp < self.last_timestamp:
-            raise OutOfOrderError(
-                f"update at {update.timestamp} before {self.last_timestamp} "
-                f"on session {self.session.session_id}"
-            )
-        self.last_timestamp = update.timestamp
-        if not self._relays.covers_any(update.prefix):
-            return  # prefix hosts no relay: not tracked
-        current = self.live.get(update.prefix)
-        if update.path is None:
-            if current is not None:
-                current.t_end = update.timestamp
-                self.history.setdefault(update.prefix, []).append(current)
-                del self.live[update.prefix]
-            return
-        if current is not None:
-            if current.path == update.path:
-                return  # duplicate announcement: no information
-            current.t_end = update.timestamp
-            self.history.setdefault(update.prefix, []).append(current)
-        self.live[update.prefix] = RouteEntry(
-            t_start=update.timestamp,
-            t_end=None,
-            prefix=update.prefix,
-            path=update.path,
-        )
-        self._prefixes.insert(update.prefix, update.prefix)
+    def add(self, entry: RouteEntry) -> None:
+        """Record an entry, open or closed; a prefix's entries come oldest first."""
+        if entry.t_end is None:
+            self.live[entry.prefix] = entry
+        else:
+            self.history.setdefault(entry.prefix, []).append(entry)
+        self._prefixes.insert(entry.prefix, entry.prefix)
 
     def _entries_of(self, prefix: IpPrefix) -> list[RouteEntry]:
         """Closed history entries, then the open live entry, of one prefix."""
@@ -216,26 +379,39 @@ class SessionRib:
 
 
 def ingest(
-    updates: Sequence[BgpUpdate],
+    updates: "UpdateTable | Iterable[BgpUpdate]",
     relays: list[RelayDescriptor] | RelayIndex,
     local_as: dict[str, int] | None = None,
 ) -> dict[str, SessionRib]:
-    """Replay updates into per-session RIBs.
+    """Per-session RIBs of the routes in updates (route_spans), one per
+    session in order of its first update.
 
     The session's local AS comes from local_as when provided, otherwise it
     is inferred as the first AS of the first path announced on the session
     (the BGP neighbor), falling back to 0 for sessions that only withdraw.
+    Raises OutOfOrderError when one session's timestamps decrease.
     """
-    index = RelayIndex.of(relays)
-    inferred: dict[str, int] = {}
-    for update in updates:
-        if update.path is not None and update.session not in inferred:
-            inferred[update.session] = update.path.ases[0]
+    table = UpdateTable.of(updates)
+    rows, ends = route_spans(table, RelayIndex.of(relays))
+    announced = np.flatnonzero(table.path >= 0)
+    codes, first = np.unique(table.session[announced], return_index=True)
+    inferred = {
+        table.sessions[code]: table.path_ases[path][0]
+        for code, path in zip(codes.tolist(), table.path[announced[first]].tolist())
+    }
     inferred.update(local_as or {})
-    ribs: dict[str, SessionRib] = {}
-    for update in updates:
-        sid = update.session
-        if sid not in ribs:
-            ribs[sid] = SessionRib(VantageSession(sid, inferred.get(sid, 0)), index)
-        ribs[sid].apply(update)
+    codes, first = np.unique(table.session, return_index=True)
+    ribs = {
+        table.sessions[code]: SessionRib(
+            VantageSession(table.sessions[code], inferred.get(table.sessions[code], 0))
+        )
+        for code in codes[np.argsort(first)].tolist()
+    }
+    for ts, session, prefix, path, end in zip(
+        table.ts[rows].tolist(), table.session[rows].tolist(), table.prefix[rows].tolist(),
+        table.path[rows].tolist(), ends.tolist(),
+    ):
+        ribs[table.sessions[session]].add(RouteEntry(
+            ts, None if end == math.inf else end, table.prefixes[prefix], table.paths[path]
+        ))
     return ribs

@@ -16,9 +16,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, artifacts, churn, detect, evaluation, paths, simulate
-from .bgp import filter_session_resets, ingest, parse_updates, write_updates
+from .bgp import UpdateTable, filter_session_resets, ingest, parse_updates, write_updates
 from .core import INTEGER, NUMBER, FieldError, InputError, bound, cast, csv_records, int_to_ip
-from .core import load_prefix_origins, load_relays, read_json, write_relays
+from .core import load_prefix_origins, load_relays, parse_asn, read_json, write_relays
 from .correlation import (
     CorrelationError,
     SignalKind,
@@ -191,7 +191,7 @@ def cmd_correlate(args) -> int:
 # --- churn ---------------------------------------------------------------------
 
 
-def _ingest_updates(args, config) -> tuple[list, list, tuple[float, float]]:
+def _ingest_updates(args, config) -> tuple[list, UpdateTable, tuple[float, float]]:
     """Relays, time-sorted updates and the analysis window, recorded in
     config. This is the one place the window's default is decided: the
     first update to one second past the last, each end overridden by its
@@ -199,23 +199,25 @@ def _ingest_updates(args, config) -> tuple[list, list, tuple[float, float]]:
     relays = load_relays(args.relays)
     # the initial state goes first, so it precedes updates at equal timestamps
     sources = [args.initial] if getattr(args, "initial", None) else []
-    updates, malformed = [], 0
+    tables, malformed = [], 0
     for path in sources + [args.updates]:
         parsed, issues = parse_updates(path)
         for issue in issues:
             print(f"{path}: line {issue.line_no}: {issue.message}: {issue.raw}", file=sys.stderr)
-        updates += parsed
+        tables.append(parsed)
         malformed += len(issues)
     if malformed:
         raise InputError(f"{malformed} malformed update lines")
-    updates.sort(key=lambda u: u.timestamp)
+    updates = UpdateTable.merge(tables)
     if getattr(args, "filter_resets", False):
         updates = filter_session_resets(
             updates, float(config["quiet_gap"]), float(config["burst_window"])
         )
-    stamps = [u.timestamp for u in updates]
-    lo = args.window_start if args.window_start is not None else (min(stamps) if stamps else 0.0)
-    hi = args.window_end if args.window_end is not None else (max(stamps) + 1.0 if stamps else 1.0)
+    stamps = updates.ts
+    lo = args.window_start if args.window_start is not None else (
+        stamps.min().item() if len(stamps) else 0.0)
+    hi = args.window_end if args.window_end is not None else (
+        stamps.max().item() + 1.0 if len(stamps) else 1.0)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InputError(f"empty or non-finite window {lo:g}..{hi:g}")
     config["window_start"], config["window_end"] = lo, hi
@@ -228,7 +230,7 @@ def _load_sessions(path_text) -> dict[str, int] | None:
         return None
     return dict(csv_records(
         path_text, "session list", ("session_id", "local_as"),
-        lambda row: (row["session_id"].strip(), int(row["local_as"])),
+        lambda row: (row["session_id"].strip(), parse_asn(row["local_as"])),
     ))
 
 
@@ -260,7 +262,7 @@ def cmd_churn(args) -> int:
 
     ribs = ingest(updates, relays, local_as=local_as)
     # the routing state at the window start, over the sessions heard by then
-    heard = {u.session for u in updates if u.timestamp <= window[0]}
+    heard = {updates.sessions[s] for s in updates.session[updates.ts <= window[0]].tolist()}
     baseline = churn.static_baseline(
         {sid: rib for sid, rib in ribs.items() if sid in heard}, relays, t0=window[0]
     )
@@ -268,7 +270,7 @@ def cmd_churn(args) -> int:
     _write_summary(out, config, "baseline", baseline)
 
     ratios, newly = [], []
-    if any(u.timestamp > window[0] for u in updates):
+    if (updates.ts > window[0]).any():
         updated = churn.churn_summary(
             ribs,
             relays,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import reprlib
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
@@ -421,7 +422,47 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-@dataclass(frozen=True)
+MAX_ASN = 2**32 - 1
+
+
+def parse_asn(text: str) -> int:
+    """An AS number: ASCII digits (leading zeros allowed), at most MAX_ASN,
+    with surrounding whitespace ignored, as ip_to_int reads an octet. This
+    is the one AS-number grammar. int() alone would also take a sign, "_"
+    separators and non-ASCII digits; text that int() rejects keeps its
+    message."""
+    digits = text.strip()
+    if digits.isdigit() and digits.isascii():
+        value = int(digits)
+        if value <= MAX_ASN:
+            return value
+    else:
+        int(text)  # raises int()'s own message for text it rejects
+    raise ValueError(f"not an AS number in 0..{MAX_ASN}: {text!r}")
+
+
+def path_ases(ases: Iterable[int]) -> tuple[int, ...]:
+    """ases as an AS path: a non-empty tuple with consecutive repeats
+    (prepend padding) collapsed."""
+    ases = tuple(ases)
+    if not ases:
+        raise ValueError("empty AS path")
+    if any(map(operator.eq, ases, ases[1:])):
+        ases = tuple(asn for i, asn in enumerate(ases) if i == 0 or asn != ases[i - 1])
+    return ases
+
+
+def parse_path(text: str) -> tuple[int, ...]:
+    """The path_ases of whitespace-separated AS numbers (parse_asn)."""
+    tokens = text.split()
+    if text.isascii() and "".join(tokens).isdigit():  # one check for every token
+        ases = tuple(map(int, tokens))
+        if max(ases) <= MAX_ASN:
+            return path_ases(ases)
+    return path_ases(map(parse_asn, tokens))  # names the bad token, or the empty path
+
+
+@dataclass(frozen=True, init=False)
 class AsPath:
     """Ordered AS-level path, origin last.
 
@@ -432,18 +473,12 @@ class AsPath:
 
     ases: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.ases:
-            raise ValueError("empty AS path")
-        collapsed = [self.ases[0]]
-        for asn in self.ases[1:]:
-            if asn != collapsed[-1]:
-                collapsed.append(asn)
-        object.__setattr__(self, "ases", tuple(collapsed))
+    def __init__(self, ases: Iterable[int]) -> None:
+        object.__setattr__(self, "ases", path_ases(ases))
 
     @classmethod
     def parse(cls, text: str) -> "AsPath":
-        return cls(tuple(int(token) for token in text.split()))
+        return cls(parse_path(text))
 
     @property
     def origin(self) -> int:
@@ -481,6 +516,35 @@ def merge_intervals(
         else:
             merged.append((start, end))
     return merged
+
+
+def merge_intervals_grouped(
+    group: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """merge_intervals (gap 0) of each group's spans at once: the (group,
+    start, end) columns of the merged spans, by group, then start.
+
+    Spans sort by (group, start, end); a span opens a merged span unless
+    it starts at or before the running maximum of its group's earlier
+    ends. That maximum is kept as a rank into the sorted times (equal
+    times share the rank of the first), offset per group so that it never
+    carries over from an earlier group, so every comparison and every
+    merged end is exact.
+    """
+    order = np.lexsort((end, start, group))
+    group, start, end = group[order], start[order], end[order]
+    if not len(group):
+        return group, start, end
+    times = np.sort(np.concatenate((start, end)))
+    first = np.ones(len(group), dtype=bool)
+    first[1:] = group[1:] != group[:-1]
+    offset = (np.cumsum(first) - 1) * len(times)
+    reach = np.maximum.accumulate(np.searchsorted(times, end) + offset) - offset
+    opens = first.copy()
+    opens[1:] |= np.searchsorted(times, start[1:]) > reach[:-1]
+    heads = np.flatnonzero(opens)
+    tails = np.append(heads[1:], len(group)) - 1
+    return group[heads], start[heads], times[reach[tails]]
 
 
 @dataclass
@@ -631,7 +695,7 @@ def load_prefix_origins(path) -> PrefixTable:
             if reader.line_num == 1 and row[0].strip().lower() == "prefix":
                 continue  # header; a headerless file starts with data
             try:
-                table.insert(IpPrefix.parse(row[0]), int(row[1]))
+                table.insert(IpPrefix.parse(row[0]), parse_asn(row[1]))
             except (ValueError, IndexError) as exc:
                 raise InputError(f"{path}:{reader.line_num}: bad prefix row: {exc}") from None
     return table.freeze()

@@ -1,4 +1,4 @@
-"""Relay concentration, hijack heuristics, and relay-selection checks.
+"""Relay concentration and hijack heuristics.
 
 Detection is deliberately noisy-tolerant: false positives cost a relay a
 short suspension, false negatives cost anonymity, so every heuristic
@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .bgp import BgpUpdate, ingest
+import numpy as np
+
+from .bgp import BgpUpdate, UpdateTable, prefix_key, route_spans
 from .core import (
-    AsPath,
+    MAX_ASN,
     IpPrefix,
     PrefixTable,
     RelayDescriptor,
@@ -22,6 +24,7 @@ from .core import (
     csv_records,
     int_to_ip,
     merge_intervals,
+    merge_intervals_grouped,
 )
 
 
@@ -29,10 +32,6 @@ class Heuristic(Enum):
     FREQUENCY = "frequency"
     TIME = "time"
     MORE_SPECIFIC = "more_specific"
-
-
-class NoAdmissibleGuardError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -210,7 +209,7 @@ def cross_reference(
 
 
 def frequency_heuristic(
-    updates: list[BgpUpdate],
+    updates: UpdateTable | list[BgpUpdate],
     relays: list[RelayDescriptor] | RelayIndex,
     window: tuple[float, float],
     threshold: float = 0.00001,
@@ -221,40 +220,37 @@ def frequency_heuristic(
     Announcements at window[0] <= t < window[1] count. freq(origin,
     prefix) is the origin's share of the prefix's announcements (or of all
     announcements when per_prefix_denominator is off); an alert fires on
-    freq strictly below the threshold.
+    freq strictly below the threshold. The counts are one grouped count
+    over (prefix, origin), in prefix then origin order.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     index = RelayIndex.of(relays)
-    totals: dict[IpPrefix, int] = {}
-    per_origin: dict[tuple[IpPrefix, int], list[float]] = {}
-    n_announcements = 0
-    for update in updates:
-        if update.path is None:
-            continue
-        if not window[0] <= update.timestamp < window[1]:
-            continue
-        if not index.covers_any(update.prefix):
-            continue
-        n_announcements += 1
-        totals[update.prefix] = totals.get(update.prefix, 0) + 1
-        per_origin.setdefault((update.prefix, update.path.origin), []).append(
-            update.timestamp
-        )
-    alerts = []
-    for (prefix, origin), stamps in sorted(
-        per_origin.items(), key=lambda item: (item[0][0], item[0][1])
-    ):
-        denominator = totals[prefix] if per_prefix_denominator else n_announcements
-        freq = len(stamps) / denominator
-        if freq < threshold:
-            windows = merge_intervals([(t, t) for t in stamps], gap=3600.0)
-            alerts.append(_alert(index, Heuristic.FREQUENCY, prefix, origin, freq, windows))
-    return alerts
+    table = UpdateTable.of(updates)
+    rows = np.flatnonzero(
+        (table.path >= 0) & (window[0] <= table.ts) & (table.ts < window[1])
+        & table.tracked(index)[table.prefix]
+    )
+    keys = table.prefix[rows] * (MAX_ASN + 1) + table.origin[rows]
+    groups, group_of, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    prefix_of = groups // (MAX_ASN + 1)
+    if per_prefix_denominator:
+        freqs = counts / np.bincount(table.prefix[rows], minlength=len(table.prefixes))[prefix_of]
+    else:
+        freqs = counts / len(rows)
+    stamps = table.ts[rows]
+    found = []  # (sort key, alert): by prefix, then origin
+    for g in np.flatnonzero(freqs < threshold).tolist():
+        prefix, origin = table.prefixes[prefix_of[g]], int(groups[g] % (MAX_ASN + 1))
+        windows = merge_intervals([(t, t) for t in stamps[group_of == g].tolist()], gap=3600.0)
+        found.append(((prefix_key(prefix), origin), _alert(
+            index, Heuristic.FREQUENCY, prefix, origin, freqs[g].item(), windows
+        )))
+    return [alert for _, alert in sorted(found, key=lambda item: item[0])]
 
 
 def time_heuristic(
-    updates: list[BgpUpdate],
+    updates: UpdateTable | list[BgpUpdate],
     relays: list[RelayDescriptor] | RelayIndex,
     window: tuple[float, float],
     threshold: float = 0.01,
@@ -262,39 +258,47 @@ def time_heuristic(
     """Flag relay-hosting routes announced for a tiny slice of the window.
 
     A route is one (prefix, path); its lifetime is the union, across
-    sessions, of the per-session RIB entries (bgp.ingest) clipped to the
-    window, and the score is lifetime divided by window length
-    (dimensionless, like the frequency score). Alerts fire strictly below
-    the threshold. Raises bgp.OutOfOrderError when one session's
-    timestamps decrease.
+    sessions, of its route spans (bgp.route_spans) clipped to the window,
+    and the score is lifetime divided by window length (dimensionless,
+    like the frequency score). Alerts fire strictly below the threshold,
+    in prefix then path order. Raises bgp.OutOfOrderError when one
+    session's timestamps decrease.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     index = RelayIndex.of(relays)
-    length = window[1] - window[0]
+    t_lo, t_hi = window
+    length = t_hi - t_lo
     if length <= 0:
         raise ValueError("empty window")
-    lifetimes: dict[tuple[IpPrefix, AsPath], list[tuple[float, float]]] = {}
-    for rib in ingest(updates, index).values():
-        for prefix, entry in rib.entries():
-            span = entry.clipped(*window)
-            if span is not None:
-                lifetimes.setdefault((prefix, entry.path), []).append(span)
-    alerts = []
-    # plain tuples sort like (IpPrefix, ases) without dataclass comparisons
-    for (prefix, path), raw in sorted(
-        lifetimes.items(), key=lambda item: (item[0][0].base, item[0][0].length, item[0][1].ases)
-    ):
-        spans = merge_intervals(raw)
-        alive = sum(end - start for start, end in spans)
-        fraction = alive / length
-        if 0.0 < fraction < threshold:
-            alerts.append(_alert(index, Heuristic.TIME, prefix, path.origin, fraction, spans))
-    return alerts
+    table = UpdateTable.of(updates)
+    rows, ends = route_spans(table, index)
+    start = np.maximum(table.ts[rows], t_lo)
+    end = np.minimum(ends, t_hi)
+    inside = start < end
+    rows, start, end = rows[inside], start[inside], end[inside]
+    n_paths = len(table.path_ases)
+    route, start, end = merge_intervals_grouped(
+        table.prefix[rows] * n_paths + table.path[rows], start, end
+    )
+    new = np.diff(route, prepend=-1) != 0
+    heads = np.flatnonzero(new)
+    tails = np.append(heads[1:], len(route))
+    # bincount adds each route's spans in order, as the sum of a list would
+    fractions = np.bincount(np.cumsum(new) - 1, weights=end - start) / length
+    found = []  # (sort key, alert): by prefix, then path
+    for g in np.flatnonzero((0.0 < fractions) & (fractions < threshold)).tolist():
+        p, a = divmod(int(route[heads[g]]), n_paths)
+        prefix, ases = table.prefixes[p], table.path_ases[a]
+        spans = list(zip(start[heads[g]:tails[g]].tolist(), end[heads[g]:tails[g]].tolist()))
+        found.append(((prefix_key(prefix), ases), _alert(
+            index, Heuristic.TIME, prefix, ases[-1], fractions[g].item(), spans
+        )))
+    return [alert for _, alert in sorted(found, key=lambda item: item[0])]
 
 
 def more_specific_monitor(
-    updates: list[BgpUpdate],
+    updates: UpdateTable | list[BgpUpdate],
     relays: list[RelayDescriptor] | RelayIndex,
     window: tuple[float, float],
 ) -> list[HijackAlert]:
@@ -307,48 +311,54 @@ def more_specific_monitor(
     announcement of its (session, prefix, origin) and stays open until the
     prefix is withdrawn on that session, or until the window's end. Spans
     are clipped to the window and a span left empty is dropped; the score
-    is the number of spans.
+    is the number of spans. The monitor runs online, row by row, over ids.
     """
     index = RelayIndex.of(relays)
-    live: dict[str, PrefixTable] = {}  # per session: prefix -> origin
-    open_hits: dict[tuple[str, IpPrefix], dict[int, float]] = {}  # -> origin: since
-    spans: dict[tuple[IpPrefix, int], list[tuple[float, float]]] = {}
-    for update in updates:
-        prefix = update.prefix
-        if not index.covers_any(prefix):
+    table = UpdateTable.of(updates)
+    prefixes = table.prefixes
+    live: dict[int, PrefixTable] = {}  # per session id: prefix -> origin
+    # (session, prefix id) -> {origin: since}
+    open_hits: dict[tuple[int, int], dict[int, float]] = {}
+    spans: dict[tuple[int, int], list[tuple[float, float]]] = {}  # (prefix id, origin) -> spans
+    rows = np.flatnonzero(table.tracked(index)[table.prefix])
+    for ts, session, p, origin in zip(
+        table.ts[rows].tolist(), table.session[rows].tolist(), table.prefix[rows].tolist(),
+        table.origin[rows].tolist(),
+    ):
+        prefix = prefixes[p]
+        key = (session, p)
+        routes = live.get(session)
+        if routes is None:
+            routes = live[session] = PrefixTable()
+        if origin < 0:  # a withdrawal
+            if prefix in routes:
+                routes.remove(prefix)
+            for hit_origin, since in open_hits.pop(key, {}).items():
+                spans.setdefault((p, hit_origin), []).append((since, ts))
             continue
-        key = (update.session, prefix)
-        table = live.get(update.session)
-        if table is None:
-            table = live[update.session] = PrefixTable()
-        if update.path is None:
-            if prefix in table:
-                table.remove(prefix)
-            for origin, since in open_hits.pop(key, {}).items():
-                spans.setdefault((prefix, origin), []).append((since, update.timestamp))
-            continue
-        origin = update.path.origin
-        if any(other != origin for _, other in table.covering(prefix.base, prefix.length)):
-            open_hits.setdefault(key, {}).setdefault(origin, update.timestamp)
-        table.insert(prefix, origin)
+        if any(other != origin for _, other in routes.covering(prefix.base, prefix.length)):
+            open_hits.setdefault(key, {}).setdefault(origin, ts)
+        routes.insert(prefix, origin)
     t_lo, t_hi = window
-    for (_, prefix), origins in open_hits.items():
+    for (_, p), origins in open_hits.items():
         for origin, since in origins.items():
-            spans.setdefault((prefix, origin), []).append((since, t_hi))
+            spans.setdefault((p, origin), []).append((since, t_hi))
     alerts = []
-    for (prefix, origin), raw in sorted(spans.items(), key=lambda i: (i[0][0], i[0][1])):
+    for (p, origin), raw in sorted(
+        spans.items(), key=lambda item: (prefix_key(prefixes[item[0][0]]), item[0][1])
+    ):
         clipped = [(max(start, t_lo), min(end, t_hi)) for start, end in raw]
         clipped = [(start, end) for start, end in clipped if start <= end]
         if clipped:
             alerts.append(_alert(
-                index, Heuristic.MORE_SPECIFIC, prefix, origin,
+                index, Heuristic.MORE_SPECIFIC, prefixes[p], origin,
                 float(len(clipped)), merge_intervals(clipped),
             ))
     return alerts
 
 
 def run_all_heuristics(
-    updates: list[BgpUpdate],
+    updates: UpdateTable | list[BgpUpdate],
     relays: list[RelayDescriptor],
     window: tuple[float, float],
     frequency_threshold: float = 0.00001,
@@ -358,6 +368,7 @@ def run_all_heuristics(
     """Union of the three detectors over guard/exit-relevant prefixes, all
     over the one given window."""
     index = RelayIndex([r for r in relays if r.is_guard or r.is_exit])
+    updates = UpdateTable.of(updates)
     alerts = frequency_heuristic(
         updates, index, window, frequency_threshold, per_prefix_denominator
     )
@@ -397,42 +408,3 @@ def prefix_length_vulnerability(
         histogram=dict(sorted(histogram.items())),
         percent_hijackable=100.0 * short / total if total else 0.0,
     )
-
-
-# --- relay selection countermeasure ---------------------------------------------
-
-
-def as_aware_select(
-    guard_paths: dict[str, list[AsPath]],
-    exit_paths: list[AsPath],
-    current_path: dict[str, AsPath] | None = None,
-) -> list[str]:
-    """Guards whose historical client-side ASes avoid the exit-side ASes.
-
-    guard_paths maps each candidate to the AS paths seen toward it over
-    the lookback period; exit_paths is the exit-to-destination history. A
-    guard is admissible when the union of its path ASes is disjoint from
-    the union of exit-side ASes. Admissible guards are ordered by the
-    length of the current path (last historical entry unless overridden),
-    shorter first, so callers can prefer nearby guards.
-    """
-    exit_ases: set[int] = set()
-    for path in exit_paths:
-        exit_ases.update(path.ases)
-    admissible = []
-    for guard in sorted(guard_paths):
-        history = guard_paths[guard]
-        if not history:
-            continue
-        seen: set[int] = set()
-        for path in history:
-            seen.update(path.ases)
-        if seen & exit_ases:
-            continue
-        reference = (current_path or {}).get(guard, history[-1])
-        admissible.append((len(reference), guard))
-    if not admissible:
-        raise NoAdmissibleGuardError("every candidate shares an AS with the exit side")
-    admissible.sort()
-    return [guard for _, guard in admissible]
-

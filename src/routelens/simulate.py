@@ -17,14 +17,15 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bgp import BgpUpdate
+from .bgp import UpdateIds, UpdateTable, prefix_key
 from .core import (
-    INTEGER, NUMBER, PREFIX, STRING, AsPath, Document, FieldError, InputError, IpPrefix, OrNull,
-    RelayDescriptor, bound, ip_to_int, read_json, rule,
+    INTEGER, MAX_ASN, NUMBER, PREFIX, STRING, AsPath, Document, FieldError, InputError, IpPrefix,
+    OrNull, RelayDescriptor, bound, ip_to_int, path_ases, read_json, rule,
 )
 from .correlation import DIRECTIONS, WRAP, Direction, EndpointTrace, PacketTable
 
 TICK = 0.01  # packet emission granularity; analyses bin at >= 1 s
+MAX_TICKS = 10**8  # n_pairs x duration / TICK: cells of the per-tick byte matrix of one run
 
 
 # a scenario fault, in one field or across fields, is a field fault
@@ -61,6 +62,12 @@ class TrafficScenario(Document):
 
     def validate(self) -> None:
         super().validate()
+        if self.n_pairs * self.duration / TICK > MAX_TICKS:
+            raise InvalidScenarioError(
+                f"duration must be at most {MAX_TICKS * TICK / self.n_pairs:g} s for "
+                f"{self.n_pairs} pairs (n_pairs x duration / {TICK:g} <= {MAX_TICKS:g} ticks), "
+                f"not {self.duration:g}"
+            )
         if self.jitter_low > self.jitter_high:
             raise InvalidScenarioError("jitter bounds must satisfy low <= high")
         for side in (self.guard_groups, self.exit_groups):
@@ -303,6 +310,15 @@ class RoutingScenario(Document):
             e.attacker_path for e in self.events
         ]:
             raise InvalidScenarioError("an AS path must not be empty")
+        # the update file is read back with core.parse_asn's range
+        paths = [("base_routes", i, 2, r.path) for i, r in enumerate(self.base_routes)]
+        paths += [("churn", i, 3, c.path or ()) for i, c in enumerate(self.churn)]
+        paths += [("events", i, 2, e.attacker_path) for i, e in enumerate(self.events)]
+        for name, i, j, path in paths:
+            if not all(0 <= asn <= MAX_ASN for asn in path):
+                raise InvalidScenarioError(
+                    f"{name}[{i}][{j}] must hold AS numbers in 0..{MAX_ASN}, not {list(path)}"
+                )
         ids = {s.session_id for s in self.sessions}
         if len(ids) != len(self.sessions):
             raise InvalidScenarioError("duplicate session ids")
@@ -382,8 +398,17 @@ def _legit_path_at(
     return current
 
 
-def gen_updates(scenario: RoutingScenario) -> tuple[list[BgpUpdate], RoutingGroundTruth]:
-    """Render the scenario as a per-session update stream.
+def _ranks(values, key) -> np.ndarray:
+    """Each value's position in sorted(values, key=key)."""
+    order = sorted(range(len(values)), key=lambda i: key(values[i]))
+    positions = np.empty(len(values), dtype=np.int64)
+    positions[order] = np.arange(len(values))
+    return positions
+
+
+def gen_updates(scenario: RoutingScenario) -> tuple[UpdateTable, RoutingGroundTruth]:
+    """Render the scenario as a per-session update stream, sorted by
+    (timestamp, session, prefix) with emission order kept on ties.
 
     Hijacks announce the exact victim prefix from the attacker's origin on
     every session and restore the legitimate path after the event;
@@ -393,12 +418,17 @@ def gen_updates(scenario: RoutingScenario) -> tuple[list[BgpUpdate], RoutingGrou
     """
     timeline = _legit_timeline(scenario)
     t0, _ = scenario.window
-    updates: list[BgpUpdate] = []
+    ids = UpdateIds()
+    prefix_ids: dict[str, int] = {}  # each prefix text is parsed once
+    path_ids: dict[tuple[int, ...] | None, int] = {None: -1}
+    rows: list[tuple[float, int, int, int]] = []
 
     def emit(ts, session, prefix, path):
-        updates.append(
-            BgpUpdate(ts, session, IpPrefix.parse(prefix), None if path is None else AsPath(path))
-        )
+        if prefix not in prefix_ids:
+            prefix_ids[prefix] = ids.prefix_id(IpPrefix.parse(prefix))
+        if path not in path_ids:
+            path_ids[path] = ids.path_id(path_ases(path))
+        rows.append((ts, ids.session_id(session), prefix_ids[prefix], path_ids[path]))
 
     for route in sorted(scenario.base_routes, key=lambda r: (r.session, r.prefix)):
         emit(t0, route.session, route.prefix, route.path)
@@ -413,8 +443,13 @@ def gen_updates(scenario: RoutingScenario) -> tuple[list[BgpUpdate], RoutingGrou
                 emit(end, session, event.prefix, _legit_path_at(timeline, session, event.prefix, end))
             else:
                 emit(end, session, event.prefix, None)
-    updates.sort(key=lambda u: (u.timestamp, u.session, u.prefix))
-    return updates, RoutingGroundTruth(list(scenario.events))
+    table = ids.table(rows)
+    order = np.lexsort((
+        _ranks(table.prefixes, prefix_key)[table.prefix],
+        _ranks(table.sessions, str)[table.session],
+        table.ts,
+    ))
+    return table.take(order), RoutingGroundTruth(list(scenario.events))
 
 
 def _effective_paths_at(

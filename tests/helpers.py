@@ -1,14 +1,16 @@
 """Shared fixture builders and brute-force oracles for the test suite."""
 
+import csv
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from routelens.bgp import BgpUpdate, ingest
+from routelens.bgp import BgpUpdate, OutOfOrderError, ParseIssue, SessionRib, ingest
 from routelens.churn import (
     CompromiseSummary,
     _intersection_length,
@@ -16,7 +18,8 @@ from routelens.churn import (
     circuit_universe,
 )
 from routelens.core import (
-    AsPath, IpPrefix, RelayDescriptor, RelayIndex, ip_to_int, merge_intervals
+    AsPath, IpPrefix, RelayDescriptor, RelayIndex, RouteEntry, VantageSession, ip_to_int,
+    merge_intervals,
 )
 from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
 from routelens.detect import Heuristic, HijackAlert, _alert
@@ -80,6 +83,141 @@ def random_churn_fixture(rng: random.Random):
             updates.append(announce(ts, sid, prefix, path))
     updates.sort(key=lambda u: u.timestamp)
     return updates, relays, sessions, window
+
+
+# --- per-update BGP oracles --------------------------------------------------------
+
+
+# around the number, the ASCII characters that float() strips as whitespace
+_DECIMAL = re.compile(
+    r"[\s\x1c-\x1f]*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?[\s\x1c-\x1f]*", re.ASCII
+)
+
+
+def oracle_parse_updates(source):
+    """parse_updates line by line: one BgpUpdate per good line, decoding
+    every prefix and path anew, and one ParseIssue per bad line; the
+    timestamp grammar is a regular expression here."""
+    updates, issues = [], []
+    with open(source, newline="", encoding="utf-8") as handle:
+        for line_no, row in enumerate(csv.reader(handle), start=1):
+            if not row or (row[0].startswith("#")):
+                continue
+            if [cell.strip().lower() for cell in row[:2]] == ["timestamp", "session"]:
+                continue  # header
+            try:
+                if len(row) != 5:
+                    raise ValueError(f"expected 5 fields, got {len(row)}")
+                timestamp = float(row[0])
+                if not math.isfinite(timestamp):
+                    raise ValueError(f"timestamp must be finite, not {row[0]!r}")
+                if not _DECIMAL.fullmatch(row[0]):
+                    raise ValueError(f"timestamp must be an ASCII decimal, not {row[0]!r}")
+                session = row[1].strip()
+                if not session:
+                    raise ValueError("empty session id")
+                kind = row[2].strip().upper()
+                if kind not in ("A", "W"):
+                    raise ValueError(f"kind must be A or W, not {row[2]!r}")
+                prefix = IpPrefix.parse(row[3])
+                path_text = row[4].strip()
+                if kind == "W" and path_text:
+                    raise ValueError("withdrawal carries a path")
+                path = AsPath.parse(path_text) if kind == "A" else None
+                updates.append(BgpUpdate(timestamp, session, prefix, path))
+            except ValueError as exc:
+                issues.append(ParseIssue(line_no, str(exc), ",".join(row)))
+    updates.sort(key=lambda u: u.timestamp)
+    return updates, issues
+
+
+class ReplayRib(SessionRib):
+    """A SessionRib filled update by update, the replay that route_spans
+    replaces: announcements open an entry, withdrawals and path changes
+    close it."""
+
+    def __init__(self, session, relay_index):
+        super().__init__(session)
+        self._relays = relay_index
+        self.last_timestamp = float("-inf")
+
+    def apply(self, update):
+        if update.timestamp < self.last_timestamp:
+            raise OutOfOrderError(
+                f"update at {update.timestamp} before {self.last_timestamp} "
+                f"on session {self.session.session_id}"
+            )
+        self.last_timestamp = update.timestamp
+        if not self._relays.covers_any(update.prefix):
+            return  # prefix hosts no relay: not tracked
+        current = self.live.get(update.prefix)
+        if update.path is None:
+            if current is not None:
+                current.t_end = update.timestamp
+                self.history.setdefault(update.prefix, []).append(current)
+                del self.live[update.prefix]
+            return
+        if current is not None:
+            if current.path == update.path:
+                return  # duplicate announcement: no information
+            current.t_end = update.timestamp
+            self.history.setdefault(update.prefix, []).append(current)
+        self.live[update.prefix] = RouteEntry(
+            t_start=update.timestamp,
+            t_end=None,
+            prefix=update.prefix,
+            path=update.path,
+        )
+        self._prefixes.insert(update.prefix, update.prefix)
+
+
+def oracle_ingest(updates, relays, local_as=None):
+    """ingest by replaying each update into its session's ReplayRib."""
+    index = RelayIndex.of(relays)
+    inferred = {}
+    for update in updates:
+        if update.path is not None and update.session not in inferred:
+            inferred[update.session] = update.path.ases[0]
+    inferred.update(local_as or {})
+    ribs = {}
+    for update in updates:
+        sid = update.session
+        if sid not in ribs:
+            ribs[sid] = ReplayRib(VantageSession(sid, inferred.get(sid, 0)), index)
+        ribs[sid].apply(update)
+    return ribs
+
+
+def oracle_frequency_heuristic(
+    updates, relays, window, threshold=0.00001, per_prefix_denominator=True
+):
+    """The frequency heuristic counted in dicts, announcement by announcement."""
+    index = RelayIndex.of(relays)
+    totals = {}
+    per_origin = {}
+    n_announcements = 0
+    for update in updates:
+        if update.path is None:
+            continue
+        if not window[0] <= update.timestamp < window[1]:
+            continue
+        if not index.covers_any(update.prefix):
+            continue
+        n_announcements += 1
+        totals[update.prefix] = totals.get(update.prefix, 0) + 1
+        per_origin.setdefault((update.prefix, update.path.origin), []).append(
+            update.timestamp
+        )
+    alerts = []
+    for (prefix, origin), stamps in sorted(
+        per_origin.items(), key=lambda item: (item[0][0], item[0][1])
+    ):
+        denominator = totals[prefix] if per_prefix_denominator else n_announcements
+        freq = len(stamps) / denominator
+        if freq < threshold:
+            windows = merge_intervals([(t, t) for t in stamps], gap=3600.0)
+            alerts.append(_alert(index, Heuristic.FREQUENCY, prefix, origin, freq, windows))
+    return alerts
 
 
 def route_for_relay(rib, relay, t):
@@ -607,3 +745,41 @@ def oracle_time_heuristic(updates, relays, window, threshold):
         if 0.0 < fraction < threshold:
             alerts.append(_alert(index, Heuristic.TIME, prefix, path.origin, fraction, merged))
     return alerts
+
+
+# --- AS-aware guard selection ------------------------------------------------------
+
+
+class NoAdmissibleGuardError(Exception):
+    pass
+
+
+def as_aware_select(guard_paths, exit_paths, current_path=None):
+    """Guards whose historical client-side ASes avoid the exit-side ASes.
+
+    guard_paths maps each candidate to the AS paths seen toward it over
+    the lookback period; exit_paths is the exit-to-destination history. A
+    guard is admissible when the union of its path ASes is disjoint from
+    the union of exit-side ASes. Admissible guards are ordered by the
+    length of the current path (last historical entry unless overridden),
+    shorter first, so callers can prefer nearby guards.
+    """
+    exit_ases = set()
+    for path in exit_paths:
+        exit_ases.update(path.ases)
+    admissible = []
+    for guard in sorted(guard_paths):
+        history = guard_paths[guard]
+        if not history:
+            continue
+        seen = set()
+        for path in history:
+            seen.update(path.ases)
+        if seen & exit_ases:
+            continue
+        reference = (current_path or {}).get(guard, history[-1])
+        admissible.append((len(reference), guard))
+    if not admissible:
+        raise NoAdmissibleGuardError("every candidate shares an AS with the exit side")
+    admissible.sort()
+    return [guard for _, guard in admissible]

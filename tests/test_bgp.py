@@ -1,27 +1,25 @@
 """Tests for update parsing, session-reset filtering, and RIB replay."""
 
+import csv
 import random
+import re
 
 import pytest
-from helpers import route_for_relay
+from helpers import oracle_ingest, oracle_parse_updates, route_for_relay
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routelens.bgp import (
     BgpUpdate,
     OutOfOrderError,
-    SessionRib,
+    UpdateTable,
     filter_session_resets,
     ingest,
     parse_updates,
+    route_spans,
     write_updates,
 )
-from routelens.core import (
-    AsPath,
-    IpPrefix,
-    RelayDescriptor,
-    RelayIndex,
-    VantageSession,
-    ip_to_int,
-)
+from routelens.core import AsPath, IpPrefix, RelayDescriptor, RelayIndex, ip_to_int
 
 
 def announce(ts, session, prefix, path):
@@ -39,8 +37,9 @@ RELAYS = [
 ]
 
 
-def fresh_rib():
-    return SessionRib(VantageSession("s1", 64512), RelayIndex(RELAYS))
+def rib_of(*updates):
+    """Session s1's RIB after the updates."""
+    return ingest(list(updates), RELAYS)["s1"]
 
 
 # --- parsing -----------------------------------------------------------------
@@ -105,7 +104,7 @@ def test_parse_write_roundtrip(tmp_path):
     write_updates(path, updates)
     parsed, issues = parse_updates(path)
     assert not issues
-    assert parsed == updates
+    assert list(parsed) == updates
 
 
 # --- session-reset filter ----------------------------------------------------
@@ -144,16 +143,17 @@ def test_reset_filter_identity_without_gaps():
     stream = [
         announce(float(i), "s1", "10.1.0.0/16", [100, 200 + (i % 3)]) for i in range(20)
     ]
-    assert filter_session_resets(stream) == stream
+    assert list(filter_session_resets(stream)) == stream
 
 
 # --- rib replay --------------------------------------------------------------
 
 
 def test_announce_withdraw_yields_one_closed_interval():
-    rib = fresh_rib()
-    rib.apply(announce(10.0, "s1", "10.1.0.0/16", [100, 200]))
-    rib.apply(withdraw(25.0, "s1", "10.1.0.0/16"))
+    rib = rib_of(
+        announce(10.0, "s1", "10.1.0.0/16", [100, 200]),
+        withdraw(25.0, "s1", "10.1.0.0/16"),
+    )
     prefix = IpPrefix.parse("10.1.0.0/16")
     assert prefix not in rib.live
     closed = rib.history[prefix]
@@ -162,9 +162,10 @@ def test_announce_withdraw_yields_one_closed_interval():
 
 
 def test_path_change_closes_and_reopens():
-    rib = fresh_rib()
-    rib.apply(announce(10.0, "s1", "10.1.0.0/16", [100, 200]))
-    rib.apply(announce(40.0, "s1", "10.1.0.0/16", [100, 300]))
+    rib = rib_of(
+        announce(10.0, "s1", "10.1.0.0/16", [100, 200]),
+        announce(40.0, "s1", "10.1.0.0/16", [100, 300]),
+    )
     prefix = IpPrefix.parse("10.1.0.0/16")
     assert rib.history[prefix][0].t_end == 40.0
     assert rib.history[prefix][0].path.ases == (100, 200)
@@ -172,38 +173,43 @@ def test_path_change_closes_and_reopens():
 
 
 def test_duplicate_announcement_is_noop():
-    rib = fresh_rib()
-    rib.apply(announce(10.0, "s1", "10.1.0.0/16", [100, 200]))
-    rib.apply(announce(40.0, "s1", "10.1.0.0/16", [100, 200]))
+    rib = rib_of(
+        announce(10.0, "s1", "10.1.0.0/16", [100, 200]),
+        announce(40.0, "s1", "10.1.0.0/16", [100, 200]),
+    )
     prefix = IpPrefix.parse("10.1.0.0/16")
     assert prefix not in rib.history
     assert rib.live[prefix].t_start == 10.0
 
 
 def test_non_relay_prefix_ignored():
-    rib = fresh_rib()
-    rib.apply(announce(10.0, "s1", "203.0.113.0/24", [100, 200]))
+    rib = rib_of(announce(10.0, "s1", "203.0.113.0/24", [100, 200]))
     assert not rib.live and not rib.history
 
 
 def test_out_of_order_rejected():
-    rib = fresh_rib()
-    rib.apply(announce(10.0, "s1", "10.1.0.0/16", [100, 200]))
-    with pytest.raises(OutOfOrderError):
-        rib.apply(announce(5.0, "s1", "10.1.0.0/16", [100, 300]))
+    with pytest.raises(OutOfOrderError, match="update at 5.0 before 10.0 on session s1"):
+        rib_of(
+            announce(10.0, "s1", "10.1.0.0/16", [100, 200]),
+            announce(5.0, "s1", "10.1.0.0/16", [100, 300]),
+        )
 
 
 def test_route_for_relay_most_specific_then_none():
-    rib = fresh_rib()
-    rib.apply(announce(0.0, "s1", "10.0.0.0/8", [100, 200]))
-    rib.apply(announce(1.0, "s1", "10.1.0.0/24", [100, 300]))
+    stream = [
+        announce(0.0, "s1", "10.0.0.0/8", [100, 200]),
+        announce(1.0, "s1", "10.1.0.0/24", [100, 300]),
+        withdraw(10.0, "s1", "10.1.0.0/24"),
+        withdraw(12.0, "s1", "10.0.0.0/8"),
+    ]
     relay = RELAYS[1]  # 10.1.0.5
+    rib = rib_of(*stream)
     best = route_for_relay(rib, relay, 5.0)
     assert best is not None and best.prefix.length == 24
-    rib.apply(withdraw(10.0, "s1", "10.1.0.0/24"))
     assert route_for_relay(rib, relay, 11.0).prefix.length == 8
-    rib.apply(withdraw(12.0, "s1", "10.0.0.0/8"))
     assert route_for_relay(rib, relay, 13.0) is None
+    # before the withdrawals, the same entries are still live
+    assert route_for_relay(rib_of(*stream[:2]), relay, 13.0).prefix.length == 24
 
 
 def _random_stream(rng, n_updates=60, sessions=("s1", "s2")):
@@ -330,3 +336,177 @@ def test_ingest_infers_local_as_and_accepts_override():
     assert given["s4"].session.local_as == 65004
     for sid in ribs:
         assert list(given[sid].entries()) == list(ribs[sid].entries())
+
+
+# --- update table ------------------------------------------------------------
+
+
+def test_table_interns_equal_prefixes_and_collapsed_paths(tmp_path):
+    path = tmp_path / "updates.csv"
+    path.write_text(
+        "timestamp,session,kind,prefix,path\n"
+        '3,s2,A,10.1.0.0/16,"100 200"\n'
+        '1,s1,A,10.1.0.0/16,"100 100 200"\n'
+        '2,s1,A,10.1.2.3/16,"100 200 200"\n'
+        "4,s1,W,10.1.0.0/16,\n"
+    )
+    table, issues = parse_updates(path)
+    assert not issues
+    assert table.prefixes == (IpPrefix.parse("10.1.0.0/16"),)
+    assert table.paths == (AsPath((100, 200)),)
+    assert table.sessions == ("s2", "s1")
+    assert table.ts.tolist() == [1.0, 2.0, 3.0, 4.0]  # stably sorted by time
+    assert table.session.tolist() == [1, 1, 0, 1]
+    assert table.path.tolist() == [0, 0, 0, -1]
+    assert table.origin.tolist() == [200, 200, 200, -1]
+
+
+def test_merge_sorts_by_time_keeping_table_order_on_ties():
+    first = UpdateTable.of([
+        announce(5.0, "s1", "10.1.0.0/16", [100, 200]),
+        withdraw(7.0, "s1", "10.1.0.0/16"),
+    ])
+    second = UpdateTable.of([
+        announce(1.0, "s2", "10.0.0.0/8", [300]),
+        announce(5.0, "s1", "10.1.0.0/16", [100, 300]),
+    ])
+    merged = UpdateTable.merge([first, second])
+    assert list(merged) == sorted(list(first) + list(second), key=lambda u: u.timestamp)
+    assert len(merged.paths) == 3 and len(merged.prefixes) == 2
+
+
+def test_route_spans_open_at_a_new_path_and_close_at_the_next_change():
+    table = UpdateTable.of([
+        announce(0.0, "s1", "10.1.0.0/16", [100, 200]),
+        announce(1.0, "s2", "10.1.0.0/16", [100, 200]),
+        announce(2.0, "s1", "10.1.0.0/16", [100, 200]),  # duplicate: no new route
+        announce(3.0, "s1", "203.0.113.0/24", [100, 200]),  # covers no relay
+        announce(4.0, "s1", "10.1.0.0/16", [100, 300]),
+        withdraw(6.0, "s1", "10.1.0.0/16"),
+        withdraw(7.0, "s1", "10.1.0.0/16"),  # nothing live: no-op
+    ])
+    rows, ends = route_spans(table, RelayIndex(RELAYS))
+    # by session id (s1 first), then prefix id, then start
+    assert rows.tolist() == [0, 4, 1]
+    assert ends.tolist() == [4.0, 6.0, float("inf")]
+
+
+# --- number grammars ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    ["+64000", "1_0", "٣", "-7", "4294967296", "６５０００"],
+    ids=["plus-sign", "underscore", "arabic-indic-digit", "negative", "past-32-bits",
+         "fullwidth-digits"],
+)
+def test_update_path_as_number_is_ascii_digits_in_32_bits(tmp_path, spelling):
+    path = tmp_path / "updates.csv"
+    path.write_text(f'timestamp,session,kind,prefix,path\n5,s1,A,10.1.0.0/16,"65001 {spelling}"\n')
+    updates, issues = parse_updates(path)
+    assert len(updates) == 0
+    assert [(issue.line_no, issue.message) for issue in issues] == [
+        (2, f"not an AS number in 0..4294967295: {spelling!r}")
+    ]
+
+
+def test_update_path_as_numbers_at_the_ends_of_the_range_load(tmp_path):
+    path = tmp_path / "updates.csv"
+    path.write_text('timestamp,session,kind,prefix,path\n5,s1,A,10.1.0.0/16,"0 007 4294967295"\n')
+    updates, issues = parse_updates(path)
+    assert not issues
+    assert [u.path.ases for u in updates] == [(0, 7, 4294967295)]
+
+
+@pytest.mark.parametrize(
+    "spelling", ["1_0", "١٠", "1 "], ids=["underscore", "arabic-indic", "nbsp"]
+)
+def test_update_timestamp_is_an_ascii_decimal(tmp_path, spelling):
+    path = tmp_path / "updates.csv"
+    path.write_text(f'timestamp,session,kind,prefix,path\n{spelling},s1,W,10.1.0.0/16,\n')
+    updates, issues = parse_updates(path)
+    assert len(updates) == 0
+    assert [(issue.line_no, issue.message) for issue in issues] == [
+        (2, f"timestamp must be an ASCII decimal, not {spelling!r}")
+    ]
+
+
+def test_every_timestamp_the_writer_spells_reads_back(tmp_path):
+    stamps = [0.0, -0.5, 1e-05, 86400.0, 1420070400.0, 1.5e300, -2.25e-300, 123456789.125]
+    path = tmp_path / "updates.csv"
+    write_updates(path, [withdraw(t, "s1", "10.1.0.0/16") for t in stamps])
+    updates, issues = parse_updates(path)
+    assert not issues
+    assert [u.timestamp for u in updates] == sorted(float(f"{t:g}") for t in stamps)
+
+
+# --- per-update oracles ------------------------------------------------------
+
+_CELLS = {
+    "timestamp": [
+        "5", "1.5", "1e3", " 7 ", "-2", "+3.", ".5", "1e-05", "1_0", "٣", "1\xa0", "nan", "inf",
+        "x", "",
+    ],
+    "session": ["s1", " s2 ", "s1 ", ""],
+    "kind": ["A", "W", " a ", "w", "X"],
+    "prefix": [
+        "10.1.0.0/16", "10.1.9.9/16", "10.1.0.0/016", "10.0.0.0/8", "203.0.113.0/24",
+        "10.1.0.0/+16", "x",
+    ],
+    "path": ["100 200", "100  100 200", "300", "", "+7 1", "-7", "4294967296", "1_0 2", "٣"],
+}
+_line = st.one_of(
+    st.tuples(*(st.sampled_from(cells) for cells in _CELLS.values())).map(list),
+    st.lists(st.sampled_from(["5", "s1", "A"]), max_size=6),  # a wrong field count
+    st.sampled_from([["# comment", "x"], ["timestamp", " Session ", "kind"]]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_line, max_size=30))
+def test_parse_updates_matches_the_per_line_oracle(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("parse") / "updates.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(lines)
+    table, issues = parse_updates(path)
+    expected_updates, expected_issues = oracle_parse_updates(path)
+    assert list(table) == expected_updates
+    assert issues == expected_issues
+
+
+_INGEST_PREFIXES = ["10.1.0.0/16", "10.1.0.0/24", "10.0.0.0/8", "203.0.113.0/24"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 1.0, 3.0, -2.0]),  # a negative step goes back in time
+            st.sampled_from(["s1", "s2", "s3"]),
+            st.sampled_from(_INGEST_PREFIXES),
+            st.sampled_from([None, None, (100, 200), (100, 100, 200), (100, 300), (7,)]),
+        ),
+        max_size=30,
+    ),
+    st.sampled_from([None, {"s1": 65001}]),
+)
+def test_ingest_matches_the_per_update_replay(steps, local_as):
+    t, stream = 0.0, []
+    for step, session, prefix, path in steps:
+        t += step
+        stream.append(
+            withdraw(t, session, prefix) if path is None else announce(t, session, prefix, path)
+        )
+    try:
+        expected = oracle_ingest(stream, RELAYS, local_as)
+    except OutOfOrderError as exc:
+        with pytest.raises(OutOfOrderError, match=re.escape(str(exc))):
+            ingest(stream, RELAYS, local_as)
+        return
+    ribs = ingest(stream, RELAYS, local_as)
+    assert list(ribs) == list(expected)
+    for sid, rib in ribs.items():
+        assert rib.session == expected[sid].session
+        assert rib.live == expected[sid].live
+        assert rib.history == expected[sid].history
+        assert list(rib.entries()) == list(expected[sid].entries())

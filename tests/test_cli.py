@@ -573,6 +573,25 @@ def test_relay_octet_out_of_range_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spelling",
+    ["+64500", "64_500", "٦٤٥٠٠", "-7", "4294967296"],
+    ids=["plus-sign", "underscore", "arabic-indic-digits", "negative", "past-32-bits"],
+)
+@pytest.mark.parametrize("command", ["concentrate", "prefixlen"])
+def test_origin_as_number_not_ascii_digits_in_32_bits_exits_2(tmp_path, capsys, command, spelling):
+    relays = tmp_path / "relays.csv"
+    relays.write_text("address,is_guard,is_exit,bandwidth,nickname\n10.0.0.5,1,0,5.0,g\n")
+    origins = tmp_path / "origins.csv"
+    origins.write_text(f"prefix,asn\n10.0.0.0/24,64500\n10.0.1.0/24,{spelling}\n")
+    code = run("--output-dir", tmp_path / "o", command, "--relays", relays, "--origins", origins)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"origins.csv:3: bad prefix row: not an AS number in 0..4294967295: {spelling!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_paths_without_complete_quad_exits_2(tmp_path, capsys):
     mapping = tmp_path / "map.csv"
     mapping.write_text("prefix,asn\n203.0.0.0/16,100\n")
@@ -708,8 +727,9 @@ def test_detect_bad_event_row_exits_2(tmp_path, capsys, bad_row):
     [
         ("# written by hand\nsession_id,local_as\ns1,64500\ns2,AS64501\n", "sessions.csv:4: "),
         ("# written by hand\nsession_id\ns1\n", "sessions.csv:2: "),
+        ("session_id,local_as\ns1,-64500\n", "sessions.csv:2: bad session row: not an AS number"),
     ],
-    ids=["local-as-not-integer", "missing-column"],
+    ids=["local-as-not-integer", "missing-column", "negative-local-as"],
 )
 def test_churn_bad_sessions_row_exits_2(tmp_path, capsys, sessions_text, where):
     (tmp_path / "relays.csv").write_text(_RELAY_CSV)
@@ -841,6 +861,13 @@ def _routing_text(path, value):
         (_traffic_text(n_pairs=-10 ** 400), "n_pairs must be finite and >= 1, not -1000"),
         (_traffic_text(duration=10 ** 400), "duration must be finite, not 1000"),
         (_traffic_text(duration="10"), "duration must be a number, not '10'"),
+        # past the bound, the unchecked code asks numpy for arrays it refuses at once
+        (_traffic_text(duration=1e300),
+         "invalid scenario: duration must be at most 500000 s for 2 pairs"),
+        (_traffic_text(n_pairs=10 ** 15),
+         "invalid scenario: duration must be at most 1e-09 s for 1000000000000000 pairs"),
+        ('{"kind": "interception", "n_pairs": 2, "duration": 1e300}',
+         "invalid scenario: duration must be at most 500000 s for 2 pairs"),
         (_traffic_text(guard_groups=[[[0, 1], "5e3"]]),
          "guard_groups[0][1] must be a number, not '5e3'"),
         (_traffic_text(guard_groups=[[0, 1]]), "guard_groups[0][0] must be a list, not 0"),
@@ -856,6 +883,10 @@ def _routing_text(path, value):
         (_routing_text(["base_routes", 1, 1], "10.0.0.0/+8"),
          "base_routes[1][1] must be an IPv4 prefix, not '10.0.0.0/+8'"),
         (_routing_text(["base_routes", 0, 2], []), "an AS path must not be empty"),
+        (_routing_text(["base_routes", 1, 2], [102, -7]),
+         "base_routes[1][2] must hold AS numbers in 0..4294967295, not [102, -7]"),
+        (_routing_text(["churn", 0, 3], [101, 2 ** 32]),
+         "churn[0][3] must hold AS numbers in 0..4294967295, not [101, 4294967296]"),
         (_routing_text(["events"], [["leak", "10.0.0.0/9", [7], 5.0, 1.0]]),
          "events[0][0] must be 'hijack' or 'interception', not 'leak'"),
         (_routing_text(["churn", 0], [1.0, "s0"]), "churn[0] must be a list of 4, not [1.0, 's0']"),
@@ -879,10 +910,12 @@ def _routing_text(path, value):
          "boolean-n-pairs", "fractional-flow", "nan-duration", "infinite-duration",
          "nan-base-rate", "negative-tunnel-jitter", "boolean-duration",
          "n-pairs-past-float-range", "duration-past-float-range", "text-duration",
+         "traffic-past-tick-bound", "pairs-past-tick-bound", "interception-past-tick-bound",
          "text-capacity", "flat-bottleneck",
          "fractional-routing-seed", "boolean-routing-seed",
          "text-guard-flag", "text-zero-exit-flag", "fractional-asn", "text-window",
          "nan-window", "infinite-window", "signed-prefix-length", "empty-path",
+         "negative-route-asn", "churn-asn-past-32-bits",
          "unknown-event-kind", "short-churn-event", "overlap-in-two-spellings", "text-announce-at", "boolean-announce-at",
          "negative-propagation", "nan-reconvergence", "null-withdraw-at", "timing-list",
          "document-list", "routing-missing-window"],

@@ -21,6 +21,7 @@ from routelens.core import (
     ip_to_int_many,
     load_relays,
     merge_intervals,
+    merge_intervals_grouped,
     read_json,
     reading,
     write_relays,
@@ -403,6 +404,25 @@ def test_merge_intervals_against_component_oracle(raw, gap):
     assert merged == _chained_spans_oracle(spans, gap)
     for (_, end), (start, _) in zip(merged, merged[1:]):
         assert start > end + gap
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(-5, 60), st.sampled_from([0, 0.5, 1, 7.25])),
+        max_size=30,
+    )
+)
+def test_grouped_merge_is_merge_intervals_per_group(raw):
+    group = np.array([g for g, _, _ in raw], dtype=np.int64)
+    start = np.array([float(s) for _, s, _ in raw])
+    end = start + np.array([float(w) for _, _, w in raw])
+    expected = [
+        (g, s, e)
+        for g in sorted(set(group.tolist()))
+        for s, e in merge_intervals(zip(start[group == g].tolist(), end[group == g].tolist()))
+    ]
+    merged = merge_intervals_grouped(group, start, end)
+    assert list(zip(*(column.tolist() for column in merged))) == expected
 
 
 def test_relay_index_of_reuses_an_index():

@@ -4,7 +4,14 @@ import random
 
 import pytest
 from helpers import (
-    alert_from_record, announce, oracle_more_specific_monitor, oracle_time_heuristic, withdraw
+    NoAdmissibleGuardError,
+    alert_from_record,
+    announce,
+    as_aware_select,
+    oracle_frequency_heuristic,
+    oracle_more_specific_monitor,
+    oracle_time_heuristic,
+    withdraw,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,8 +22,6 @@ from routelens.detect import (
     Heuristic,
     HijackAlert,
     HijackEvent,
-    NoAdmissibleGuardError,
-    as_aware_select,
     alert_to_record,
     concentration,
     cross_reference,
@@ -188,6 +193,10 @@ def test_cross_reference_dual_flag_double_counts():
 # --- frequency heuristic ---------------------------------------------------------
 
 
+# prefix order and text order disagree, and 192.0.2.0/24 covers no relay
+_FREQUENCY_PREFIXES = ["20.1.0.0/24", "20.0.0.0/16", "20.0.0.0/24", "192.0.2.0/24"]
+
+
 def test_frequency_flags_rare_origin_at_reference_threshold():
     victim = "20.0.0.0/24"
     relays = [relay("20.0.0.5", guard=True)]
@@ -212,6 +221,37 @@ def test_frequency_boundary_is_strict():
     # origin 666 frequency is exactly 0.01
     assert frequency_heuristic(updates, relays, (0.0, 100.0), threshold=0.01) == []
     assert len(frequency_heuristic(updates, relays, (0.0, 100.0), threshold=0.0101)) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 1.0, 1800.0, 5000.0]),  # gap to the previous update
+            st.integers(0, 2),  # session
+            st.sampled_from([False, False, False, True]),  # withdraw
+            st.sampled_from(_FREQUENCY_PREFIXES),
+            st.integers(1, 4),  # origin
+        ),
+        max_size=40,
+    ),
+    st.tuples(st.floats(-100.0, 20_000.0), st.floats(0.5, 30_000.0)),
+    st.sampled_from([0.1, 0.3, 0.5, 0.999]),
+    st.booleans(),
+)
+def test_frequency_heuristic_matches_dict_oracle(stream, window, threshold, per_prefix):
+    t = 0.0
+    updates = []
+    for gap, session, is_withdraw, prefix, origin in stream:
+        t += gap
+        if is_withdraw:
+            updates.append(withdraw(t, f"s{session}", prefix))
+        else:
+            updates.append(announce(t, f"s{session}", prefix, [64500, 64500 + origin, origin]))
+    window = (window[0], window[0] + window[1])
+    relays = [relay("20.0.0.5", guard=True), relay("20.1.0.9", exit_=True)]
+    expected = oracle_frequency_heuristic(updates, relays, window, threshold, per_prefix)
+    assert frequency_heuristic(updates, relays, window, threshold, per_prefix) == expected
 
 
 # --- time heuristic --------------------------------------------------------------
