@@ -3,10 +3,10 @@
 Submodules:
     core         shared IPv4/AS domain types and longest-prefix matching
     correlation  TCP byte-progress extraction and rank-correlation matching
-    bgp          update-stream parsing and per-session routing state
+    bgp          update tables, route spans and per-session routing state
     churn        simultaneous-observation compromise metric over time
     paths        traceroute-derived forward/reverse path vulnerability
-    detect       relay concentration, hijack heuristics, relay-selection checks
+    detect       relay concentration, hijack heuristics, prefix lengths
     simulate     seeded generators with ground truth for every analysis
     evaluation   harness tying generator ground truth to analysis output
     cli          file-based command line front end

@@ -2,12 +2,13 @@
 
 An update stream is one UpdateTable: per row a timestamp, a session, a
 prefix and a path, with each distinct session, prefix and path stored
-once and named by id. route_spans derives every session's routes from
-it: an announcement opens a route, and the session's next withdrawal or
-path change of that prefix closes it. Only prefixes covering at least
-one relay are tracked; everything else is noise for these analyses. A
-session-reset filter drops re-announcement bursts that would otherwise
-look like churn.
+once and named by id, and rows in time order by construction.
+parse_updates reads one or more update files into one table. route_spans
+derives every session's routes from it: an announcement opens a route,
+and the session's next withdrawal or path change of that prefix closes
+it. Only prefixes covering at least one relay are tracked; everything
+else is noise for these analyses. A session-reset filter drops
+re-announcement bursts that would otherwise look like churn.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -34,42 +35,36 @@ from .core import (
 )
 
 
-class OutOfOrderError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class BgpUpdate:
-    timestamp: float
-    session: str
-    prefix: IpPrefix
-    path: AsPath | None  # None for withdrawals
-
-
 @dataclass(frozen=True)
 class ParseIssue:
+    source: str  # the file, as given to parse_updates
     line_no: int
     message: str
     raw: str
 
+    def __str__(self) -> str:
+        return f"{self.source}: line {self.line_no}: {self.message}: {self.raw}"
+
 
 class UpdateTable:
-    """An update stream as columns, one row per update.
+    """An update stream as columns, one row per update, in time order.
 
     ts is float64; session, prefix and path are int64 ids into the
     sessions, prefixes and path_ases tuples, where a path id of -1 marks a
     withdrawal; origin is the path's origin AS, -1 for a withdrawal. Each
     prefix and each path (its ASes, prepends collapsed) appears once in
     its tuple; paths holds the same paths as AsPath values, built on first
-    use. parse_updates returns rows stably sorted by ts; of() keeps the
-    order it is given, so route_spans can reject a decreasing session.
+    use. Rows given out of time order are stably sorted by ts, so rows at
+    equal timestamps keep the order they were given in.
     """
 
     def __init__(self, ts, session, prefix, path, sessions, prefixes, path_ases) -> None:
-        self.ts = np.asarray(ts, dtype=np.float64)
-        self.session = np.asarray(session, dtype=np.int64)
-        self.prefix = np.asarray(prefix, dtype=np.int64)
-        self.path = np.asarray(path, dtype=np.int64)
+        ts = np.asarray(ts, dtype=np.float64)
+        order = np.argsort(ts, kind="stable") if (ts[1:] < ts[:-1]).any() else slice(None)
+        self.ts = ts[order]
+        self.session = np.asarray(session, dtype=np.int64)[order]
+        self.prefix = np.asarray(prefix, dtype=np.int64)[order]
+        self.path = np.asarray(path, dtype=np.int64)[order]
         self.sessions: tuple[str, ...] = tuple(sessions)
         self.prefixes: tuple[IpPrefix, ...] = tuple(prefixes)
         self.path_ases: tuple[tuple[int, ...], ...] = tuple(path_ases)
@@ -80,61 +75,25 @@ class UpdateTable:
     def paths(self) -> tuple[AsPath, ...]:
         return tuple(map(AsPath, self.path_ases))
 
-    @classmethod
-    def of(cls, updates: "Iterable[BgpUpdate] | UpdateTable") -> "UpdateTable":
-        """The table itself, or a new table of BgpUpdate values in their order."""
-        if isinstance(updates, UpdateTable):
-            return updates
-        ids = UpdateIds()
-        return ids.table([
-            (u.timestamp, ids.session_id(u.session), ids.prefix_id(u.prefix),
-             ids.path_id(None if u.path is None else u.path.ases))
-            for u in updates
-        ])
-
-    @classmethod
-    def merge(cls, tables: Sequence["UpdateTable"]) -> "UpdateTable":
-        """The rows of every table, stably sorted by ts, so rows at equal
-        timestamps keep table order and then row order."""
-        if len(tables) == 1:
-            return tables[0].by_time()
-        ids = UpdateIds()
-        parts = []
-        for table in tables:
-            session = np.array([ids.session_id(s) for s in table.sessions], dtype=np.int64)
-            prefix = np.array([ids.prefix_id(p) for p in table.prefixes], dtype=np.int64)
-            path = np.array([ids.path_id(a) for a in table.path_ases] + [-1], dtype=np.int64)
-            parts.append((table.ts, session[table.session], prefix[table.prefix], path[table.path]))
-        columns = [np.concatenate(column) for column in zip(*parts)]
-        return UpdateTable(*columns, ids.sessions, ids.prefixes, ids.paths).by_time()
-
     def __len__(self) -> int:
         return len(self.ts)
 
-    def __iter__(self) -> Iterator[BgpUpdate]:
-        """Each row as a BgpUpdate, in row order."""
-        for ts, s, p, a in zip(
-            self.ts.tolist(), self.session.tolist(), self.prefix.tolist(), self.path.tolist()
-        ):
-            path = None if a < 0 else self.paths[a]
-            yield BgpUpdate(ts, self.sessions[s], self.prefixes[p], path)
-
     def take(self, rows: np.ndarray) -> "UpdateTable":
-        """The given rows, in that order, over the same id tuples."""
+        """The given rows over the same id tuples."""
         return UpdateTable(
             self.ts[rows], self.session[rows], self.prefix[rows], self.path[rows],
             self.sessions, self.prefixes, self.path_ases,
         )
 
-    def by_time(self) -> "UpdateTable":
-        """The rows stably sorted by ts (the table itself when they are)."""
-        if not (self.ts[1:] < self.ts[:-1]).any():
-            return self
-        return self.take(np.argsort(self.ts, kind="stable"))
-
     def tracked(self, index: RelayIndex) -> np.ndarray:
-        """Per prefix id, whether the prefix covers a relay of index."""
-        return np.array([index.covers_any(p) for p in self.prefixes], dtype=bool)
+        """Per prefix id, whether the prefix covers a relay of index: whether
+        a relay address lies in [base, base + 2**(32 - length))."""
+        addresses = np.array([relay.address for relay in index.relays], dtype=np.int64)
+        n = len(self.prefixes)
+        base = np.fromiter((p.base for p in self.prefixes), np.int64, n)
+        length = np.fromiter((p.length for p in self.prefixes), np.int64, n)
+        first, past = np.searchsorted(addresses, (base, base + (1 << (32 - length))))
+        return past > first
 
 
 class UpdateIds:
@@ -157,7 +116,7 @@ class UpdateIds:
         return -1 if ases is None else self.paths.setdefault(ases, len(self.paths))
 
     def table(self, rows: list[tuple[float, int, int, int]]) -> UpdateTable:
-        """The table of (ts, session id, prefix id, path id) rows, in order."""
+        """The table of (ts, session id, prefix id, path id) rows."""
         columns = zip(*rows) if rows else ((),) * 4
         return UpdateTable(*columns, self.sessions, self.prefixes, self.paths)
 
@@ -167,8 +126,9 @@ def prefix_key(prefix: IpPrefix) -> tuple[int, int]:
     return prefix.base, prefix.length
 
 
-def parse_updates(source) -> tuple[UpdateTable, list[ParseIssue]]:
-    """Parse the update CSV file source, schema timestamp,session,kind,prefix,path.
+def parse_updates(*sources) -> tuple[UpdateTable, list[ParseIssue]]:
+    """Parse the update CSV files, schema timestamp,session,kind,prefix,path,
+    into one table over one set of ids.
 
     timestamp is finite and an ASCII decimal, every spelling f"{ts:g}"
     writes (float() alone would also take "_" separators and non-ASCII
@@ -176,8 +136,8 @@ def parse_updates(source) -> tuple[UpdateTable, list[ParseIssue]]:
     carries a path, a space-separated AS list (quoted when written by
     csv). Malformed lines become ParseIssue diagnostics instead of being
     silently dropped. Each distinct prefix and path text is decoded once.
-    Rows are stably sorted by timestamp, which preserves file order per
-    session at equal timestamps.
+    Rows are stably sorted by timestamp, so at equal timestamps an earlier
+    file's rows come first and each file keeps its line order.
     """
     ids = UpdateIds()
     # each text as written -> its id, so each distinct text is decoded once
@@ -186,54 +146,54 @@ def parse_updates(source) -> tuple[UpdateTable, list[ParseIssue]]:
     path_ids: dict[str, int] = {}
     kept: list[tuple[float, int, int, int]] = []
     issues: list[ParseIssue] = []
-    with reading(source, "update file") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or (row[0].startswith("#")):
-                continue
-            try:
-                if len(row) != 5:
-                    raise ValueError(f"expected 5 fields, got {len(row)}")
-                stamp, session, kind, prefix, path = row
-                timestamp = float(stamp)
-                if not math.isfinite(timestamp):
-                    raise ValueError(f"timestamp must be finite, not {stamp!r}")
-                if "_" in stamp or not stamp.isascii():
-                    raise ValueError(f"timestamp must be an ASCII decimal, not {stamp!r}")
-                session_id = session_ids.get(session)
-                if session_id is None:
-                    if not session.strip():
-                        raise ValueError("empty session id")
-                    session_id = session_ids[session] = ids.session_id(session.strip())
-                kind = kind.strip().upper()
-                if kind not in ("A", "W"):
-                    raise ValueError(f"kind must be A or W, not {row[2]!r}")
-                prefix_id = prefix_ids.get(prefix)
-                if prefix_id is None:
-                    prefix_id = prefix_ids[prefix] = ids.prefix_id(IpPrefix.parse(prefix))
-                path = path.strip()
-                if kind == "W":
-                    if path:
-                        raise ValueError("withdrawal carries a path")
-                    path_id = -1
-                else:
-                    path_id = path_ids.get(path)
-                    if path_id is None:
-                        path_id = path_ids[path] = ids.path_id(parse_path(path))
-            except ValueError as exc:
-                # a header line fails on its timestamp (or its field count) and is skipped
-                if [cell.strip().lower() for cell in row[:2]] != ["timestamp", "session"]:
-                    issues.append(ParseIssue(line_no, str(exc), ",".join(row)))
-                continue
-            kept.append((timestamp, session_id, prefix_id, path_id))
-    return ids.table(kept).by_time(), issues
+    for source in sources:
+        with reading(source, "update file") as handle:
+            for line_no, row in enumerate(csv.reader(handle), start=1):
+                if not row or (row[0].startswith("#")):
+                    continue
+                try:
+                    if len(row) != 5:
+                        raise ValueError(f"expected 5 fields, got {len(row)}")
+                    stamp, session, kind, prefix, path = row
+                    timestamp = float(stamp)
+                    if not math.isfinite(timestamp):
+                        raise ValueError(f"timestamp must be finite, not {stamp!r}")
+                    if "_" in stamp or not stamp.isascii():
+                        raise ValueError(f"timestamp must be an ASCII decimal, not {stamp!r}")
+                    session_id = session_ids.get(session)
+                    if session_id is None:
+                        if not session.strip():
+                            raise ValueError("empty session id")
+                        session_id = session_ids[session] = ids.session_id(session.strip())
+                    kind = kind.strip().upper()
+                    if kind not in ("A", "W"):
+                        raise ValueError(f"kind must be A or W, not {row[2]!r}")
+                    prefix_id = prefix_ids.get(prefix)
+                    if prefix_id is None:
+                        prefix_id = prefix_ids[prefix] = ids.prefix_id(IpPrefix.parse(prefix))
+                    path = path.strip()
+                    if kind == "W":
+                        if path:
+                            raise ValueError("withdrawal carries a path")
+                        path_id = -1
+                    else:
+                        path_id = path_ids.get(path)
+                        if path_id is None:
+                            path_id = path_ids[path] = ids.path_id(parse_path(path))
+                except ValueError as exc:
+                    # a header line fails on its timestamp (or its field count) and is skipped
+                    if [cell.strip().lower() for cell in row[:2]] != ["timestamp", "session"]:
+                        issues.append(ParseIssue(str(source), line_no, str(exc), ",".join(row)))
+                    continue
+                kept.append((timestamp, session_id, prefix_id, path_id))
+    return ids.table(kept), issues
 
 
-def write_updates(path, updates: "UpdateTable | Iterable[BgpUpdate]") -> None:
+def write_updates(path, table: UpdateTable) -> None:
+    prefixes = [str(prefix) for prefix in table.prefixes]
+    # as str(AsPath) spells them; path id -1 reads ""
+    paths = [" ".join(map(str, ases)) for ases in table.path_ases] + [""]
     with replacing(path, newline="") as handle:
-        table = UpdateTable.of(updates)  # inside: a failing source leaves no partial file
-        prefixes = [str(prefix) for prefix in table.prefixes]
-        # as str(AsPath) spells them; path id -1 reads ""
-        paths = [" ".join(map(str, ases)) for ases in table.path_ases] + [""]
         writer = csv.writer(handle)
         writer.writerow(["timestamp", "session", "kind", "prefix", "path"])
         writer.writerows(
@@ -246,7 +206,7 @@ def write_updates(path, updates: "UpdateTable | Iterable[BgpUpdate]") -> None:
 
 
 def filter_session_resets(
-    updates: "UpdateTable | Iterable[BgpUpdate]",
+    table: UpdateTable,
     quiet_gap: float = 3600.0,
     burst_window: float = 600.0,
 ) -> UpdateTable:
@@ -257,7 +217,6 @@ def filter_session_resets(
     that was live before the gap carry no information (the peer is dumping
     its table after a reset) and are removed. Everything else is retained.
     """
-    table = UpdateTable.of(updates)
     last_seen: dict[int, float] = {}
     live: dict[int, dict[int, int]] = {}  # session -> prefix id -> path id
     burst_until: dict[int, float] = {}
@@ -286,22 +245,6 @@ def filter_session_resets(
     return table.take(np.array(kept, dtype=np.int64))
 
 
-def _check_session_order(table: UpdateTable) -> None:
-    """Raise OutOfOrderError at the first row whose timestamp is before
-    the previous one of its session."""
-    if not (table.ts[1:] < table.ts[:-1]).any():
-        return
-    order = np.argsort(table.session, kind="stable")
-    session, ts = table.session[order], table.ts[order]
-    back = np.flatnonzero((session[1:] == session[:-1]) & (ts[1:] < ts[:-1]))
-    if len(back):
-        k = back[np.argmin(order[back + 1])]
-        raise OutOfOrderError(
-            f"update at {ts[k + 1].item()} before {ts[k].item()} "
-            f"on session {table.sessions[session[k]]}"
-        )
-
-
 def route_spans(table: UpdateTable, index: RelayIndex) -> tuple[np.ndarray, np.ndarray]:
     """Every route of every session: (rows, ends), ordered by session id,
     prefix id and start.
@@ -309,11 +252,9 @@ def route_spans(table: UpdateTable, index: RelayIndex) -> tuple[np.ndarray, np.n
     rows[k] is the table row of the announcement that opens route k, and
     ends[k] the timestamp of the next row of its (session, prefix) that
     withdraws it or changes its path, or inf while it stays live. An
-    announcement of the live path opens nothing, prefixes that cover no
-    relay of index are not tracked, and a session whose timestamps
-    decrease raises OutOfOrderError.
+    announcement of the live path opens nothing, and prefixes that cover
+    no relay of index are not tracked.
     """
-    _check_session_order(table)
     rows = np.flatnonzero(table.tracked(index)[table.prefix])
     rows = rows[np.lexsort((table.prefix[rows], table.session[rows]))]  # stable
     session, prefix, path = table.session[rows], table.prefix[rows], table.path[rows]
@@ -379,19 +320,17 @@ class SessionRib:
 
 
 def ingest(
-    updates: "UpdateTable | Iterable[BgpUpdate]",
+    table: UpdateTable,
     relays: list[RelayDescriptor] | RelayIndex,
     local_as: dict[str, int] | None = None,
 ) -> dict[str, SessionRib]:
-    """Per-session RIBs of the routes in updates (route_spans), one per
+    """Per-session RIBs of the routes in table (route_spans), one per
     session in order of its first update.
 
     The session's local AS comes from local_as when provided, otherwise it
     is inferred as the first AS of the first path announced on the session
     (the BGP neighbor), falling back to 0 for sessions that only withdraw.
-    Raises OutOfOrderError when one session's timestamps decrease.
     """
-    table = UpdateTable.of(updates)
     rows, ends = route_spans(table, RelayIndex.of(relays))
     announced = np.flatnonzero(table.path >= 0)
     codes, first = np.unique(table.session[announced], return_index=True)

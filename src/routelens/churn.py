@@ -180,6 +180,13 @@ def _indicator(span_sets: list, edges: np.ndarray) -> np.ndarray:
     return np.cumsum(steps, axis=1)[:, :-1]
 
 
+def _sorted_distinct(values) -> np.ndarray:
+    """Each value once, ascending: np.unique(values), whose plain form
+    imports numpy.ma on first use in numpy 2."""
+    ordered = np.sort(values)
+    return ordered[np.diff(ordered, prepend=-np.inf) > 0]
+
+
 def _as_hits(guard_spans, exit_spans, admitted: np.ndarray, min_overlap: float):
     """(src, guard, dst, exit, overlap) columns of one AS's kept key pairs.
 
@@ -188,7 +195,9 @@ def _as_hits(guard_spans, exit_spans, admitted: np.ndarray, min_overlap: float):
     """
     src, guard, guard_rows, guard_sets = _distinct_rows(guard_spans)
     dst, exit_, exit_rows, exit_sets = _distinct_rows(exit_spans)
-    edges = np.unique([t for spans in guard_sets + exit_sets for span in spans for t in span])
+    edges = _sorted_distinct(
+        [t for spans in guard_sets + exit_sets for span in spans for t in span]
+    )
     weighted = _indicator(guard_sets, edges) * np.diff(edges)
     # einsum without optimize stays off BLAS, whose threads only slow
     # products this small
@@ -258,7 +267,7 @@ def circuit_axes(relays: list[RelayDescriptor]) -> tuple[np.ndarray, np.ndarray]
 def circuit_universe(relays: list[RelayDescriptor]) -> int:
     """Number of valid (guard, exit) combinations, distinct relays only."""
     guards, exits = circuit_axes(relays)
-    return len(guards) * len(exits) - len(np.intersect1d(guards, exits))
+    return len(guards) * len(exits) - len(np.intersect1d(guards, exits, assume_unique=True))
 
 
 def _or_rows(owner: np.ndarray, circuit: np.ndarray, n_owners: int, n_circuits: int):
@@ -347,9 +356,9 @@ def churn_summary(
             raise ValueError("baseline counts circuits over a different relay list")
         none = np.empty(0, dtype=np.int64)
         summary.pair_circuits = {
-            pair: np.union1d(
+            pair: _sorted_distinct(np.concatenate((
                 summary.pair_circuits.get(pair, none), baseline.pair_circuits.get(pair, none)
-            )
+            )))
             for pair in sorted(set(summary.pair_circuits) | set(baseline.pair_circuits))
         }
     return summary

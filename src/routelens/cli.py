@@ -199,16 +199,11 @@ def _ingest_updates(args, config) -> tuple[list, UpdateTable, tuple[float, float
     relays = load_relays(args.relays)
     # the initial state goes first, so it precedes updates at equal timestamps
     sources = [args.initial] if getattr(args, "initial", None) else []
-    tables, malformed = [], 0
-    for path in sources + [args.updates]:
-        parsed, issues = parse_updates(path)
-        for issue in issues:
-            print(f"{path}: line {issue.line_no}: {issue.message}: {issue.raw}", file=sys.stderr)
-        tables.append(parsed)
-        malformed += len(issues)
-    if malformed:
-        raise InputError(f"{malformed} malformed update lines")
-    updates = UpdateTable.merge(tables)
+    updates, issues = parse_updates(*sources, args.updates)
+    for issue in issues:
+        print(issue, file=sys.stderr)
+    if issues:
+        raise InputError(f"{len(issues)} malformed update lines")
     if getattr(args, "filter_resets", False):
         updates = filter_session_resets(
             updates, float(config["quiet_gap"]), float(config["burst_window"])

@@ -201,7 +201,7 @@ def pick_direction(trace: EndpointTrace, kind: SignalKind) -> Direction:
     if not len(obs):
         raise EmptyDirectionError(f"trace {trace.vantage_id} is empty")
     scores = []
-    for code in np.unique(obs.direction):
+    for code in np.flatnonzero(np.bincount(obs.direction)):
         mask = obs.direction == code
         if kind is SignalKind.DATA:
             score = float(obs.payload_len[mask].sum())

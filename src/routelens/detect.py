@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bgp import BgpUpdate, UpdateTable, prefix_key, route_spans
+from .bgp import UpdateTable, prefix_key, route_spans
 from .core import (
     MAX_ASN,
     IpPrefix,
@@ -209,7 +209,7 @@ def cross_reference(
 
 
 def frequency_heuristic(
-    updates: UpdateTable | list[BgpUpdate],
+    table: UpdateTable,
     relays: list[RelayDescriptor] | RelayIndex,
     window: tuple[float, float],
     threshold: float = 0.00001,
@@ -226,7 +226,6 @@ def frequency_heuristic(
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     index = RelayIndex.of(relays)
-    table = UpdateTable.of(updates)
     rows = np.flatnonzero(
         (table.path >= 0) & (window[0] <= table.ts) & (table.ts < window[1])
         & table.tracked(index)[table.prefix]
@@ -250,7 +249,7 @@ def frequency_heuristic(
 
 
 def time_heuristic(
-    updates: UpdateTable | list[BgpUpdate],
+    table: UpdateTable,
     relays: list[RelayDescriptor] | RelayIndex,
     window: tuple[float, float],
     threshold: float = 0.01,
@@ -261,8 +260,7 @@ def time_heuristic(
     sessions, of its route spans (bgp.route_spans) clipped to the window,
     and the score is lifetime divided by window length (dimensionless,
     like the frequency score). Alerts fire strictly below the threshold,
-    in prefix then path order. Raises bgp.OutOfOrderError when one
-    session's timestamps decrease.
+    in prefix then path order.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
@@ -271,7 +269,6 @@ def time_heuristic(
     length = t_hi - t_lo
     if length <= 0:
         raise ValueError("empty window")
-    table = UpdateTable.of(updates)
     rows, ends = route_spans(table, index)
     start = np.maximum(table.ts[rows], t_lo)
     end = np.minimum(ends, t_hi)
@@ -298,7 +295,7 @@ def time_heuristic(
 
 
 def more_specific_monitor(
-    updates: UpdateTable | list[BgpUpdate],
+    table: UpdateTable,
     relays: list[RelayDescriptor] | RelayIndex,
     window: tuple[float, float],
 ) -> list[HijackAlert]:
@@ -314,7 +311,6 @@ def more_specific_monitor(
     is the number of spans. The monitor runs online, row by row, over ids.
     """
     index = RelayIndex.of(relays)
-    table = UpdateTable.of(updates)
     prefixes = table.prefixes
     live: dict[int, PrefixTable] = {}  # per session id: prefix -> origin
     # (session, prefix id) -> {origin: since}
@@ -358,7 +354,7 @@ def more_specific_monitor(
 
 
 def run_all_heuristics(
-    updates: UpdateTable | list[BgpUpdate],
+    table: UpdateTable,
     relays: list[RelayDescriptor],
     window: tuple[float, float],
     frequency_threshold: float = 0.00001,
@@ -368,12 +364,11 @@ def run_all_heuristics(
     """Union of the three detectors over guard/exit-relevant prefixes, all
     over the one given window."""
     index = RelayIndex([r for r in relays if r.is_guard or r.is_exit])
-    updates = UpdateTable.of(updates)
     alerts = frequency_heuristic(
-        updates, index, window, frequency_threshold, per_prefix_denominator
+        table, index, window, frequency_threshold, per_prefix_denominator
     )
-    alerts += time_heuristic(updates, index, window, time_threshold)
-    alerts += more_specific_monitor(updates, index, window)
+    alerts += time_heuristic(table, index, window, time_threshold)
+    alerts += more_specific_monitor(table, index, window)
     return alerts
 
 

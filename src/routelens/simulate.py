@@ -19,7 +19,7 @@ import numpy as np
 
 from .bgp import UpdateIds, UpdateTable, prefix_key
 from .core import (
-    INTEGER, MAX_ASN, NUMBER, PREFIX, STRING, AsPath, Document, FieldError, InputError, IpPrefix,
+    INTEGER, MAX_ASN, NUMBER, PREFIX, STRING, Document, FieldError, InputError, IpPrefix,
     OrNull, RelayDescriptor, bound, ip_to_int, path_ases, read_json, rule,
 )
 from .correlation import DIRECTIONS, WRAP, Direction, EndpointTrace, PacketTable
@@ -450,127 +450,6 @@ def gen_updates(scenario: RoutingScenario) -> tuple[UpdateTable, RoutingGroundTr
         table.ts,
     ))
     return table.take(order), RoutingGroundTruth(list(scenario.events))
-
-
-def _effective_paths_at(
-    scenario: RoutingScenario, timeline, session: str, t: float
-) -> dict[str, tuple[int, ...]]:
-    """Live (prefix -> path) on a session at time t, events included."""
-    live: dict[str, tuple[int, ...]] = {}
-    prefixes = {prefix for (sid, prefix) in timeline if sid == session}
-    for prefix in prefixes:
-        path = _legit_path_at(timeline, session, prefix, t)
-        if path is not None:
-            live[prefix] = path
-    for event in scenario.events:
-        start, end = event.window
-        if start <= t < end:
-            live[event.prefix] = event.attacker_path
-    return live
-
-
-def planted_compromised(
-    scenario: RoutingScenario,
-    min_overlap: float = 30.0,
-) -> set[tuple[int, str, int, str, int]]:
-    """(AS, src, guard, dst, exit) keys compromised by construction.
-
-    Walks the declared timeline second by second without touching the
-    update emission or RIB machinery, so it is an independent check of the
-    whole ingest-plus-analysis pipeline on small scenarios.
-    """
-    timeline = _legit_timeline(scenario)
-    t0, t1 = scenario.window
-    local = {s.session_id: s.local_as for s in scenario.sessions}
-    admitted = [r for r in scenario.relays if r.is_guard or r.is_exit]
-    counts: dict[tuple[int, str, int, str, int], int] = {}
-    sessions = sorted(local)
-    for t in range(int(t0), int(t1)):
-        on_path: dict[tuple[str, int], set[int]] = {}
-        for session in sessions:
-            live = _effective_paths_at(scenario, timeline, session, float(t))
-            parsed = [(IpPrefix.parse(p), path) for p, path in live.items()]
-            for relay in admitted:
-                covering = [
-                    (prefix, path) for prefix, path in parsed if prefix.covers(relay.address)
-                ]
-                if covering:
-                    best = max(covering, key=lambda item: item[0].length)
-                    on_path[(session, relay.address)] = set(AsPath(best[1]).ases)
-                else:
-                    on_path[(session, relay.address)] = set()
-        for src in sessions:
-            for dst in sessions:
-                if src == dst or local[src] == local[dst]:
-                    continue
-                for guard in admitted:
-                    if not guard.is_guard:
-                        continue
-                    g_ases = on_path[(src, guard.address)]
-                    if not g_ases:
-                        continue
-                    for exit_ in admitted:
-                        if not exit_.is_exit or exit_.address == guard.address:
-                            continue
-                        for asn in g_ases & on_path[(dst, exit_.address)]:
-                            key = (asn, src, guard.address, dst, exit_.address)
-                            counts[key] = counts.get(key, 0) + 1
-    return {key for key, seconds in counts.items() if seconds > 0 and seconds >= min_overlap}
-
-
-def random_routing_scenario(
-    seed: int,
-    n_sessions: int = 3,
-    n_relays: int = 6,
-    n_ases: int = 5,
-    n_churn: int = 10,
-    window: tuple[float, float] = (0.0, 60.0),
-) -> RoutingScenario:
-    """Small random scenario for property suites; integer change times."""
-    rng = np.random.default_rng(seed)
-    relays = []
-    for i in range(n_relays):
-        role = rng.integers(0, 3)
-        relays.append(
-            RelayDescriptor(
-                address=ip_to_int(f"10.{i}.0.{int(rng.integers(1, 250))}"),
-                is_guard=role in (0, 2),
-                is_exit=role in (1, 2),
-                bandwidth=float(rng.integers(1, 100)),
-                nickname=f"r{i}",
-            )
-        )
-    prefixes = [f"10.{i}.0.0/16" for i in range(n_relays)] + ["10.0.0.0/8"]
-    sessions = tuple(
-        SessionSpec(f"s{k}", 64500 + int(rng.integers(0, 3))) for k in range(n_sessions)
-    )
-    as_pool = list(range(101, 101 + n_ases))
-
-    def random_path():
-        length = int(rng.integers(1, 4))
-        return tuple(int(rng.choice(as_pool)) for _ in range(length))
-
-    base = []
-    for spec in sessions:
-        for prefix in rng.choice(prefixes, size=min(3, len(prefixes)), replace=False):
-            base.append(RouteSpec(spec.session_id, str(prefix), random_path()))
-    churn = []
-    times = sorted(int(rng.integers(1, int(window[1]) - 1)) for _ in range(n_churn))
-    for t in times:
-        spec = sessions[int(rng.integers(0, n_sessions))]
-        prefix = str(rng.choice(prefixes))
-        if rng.random() < 0.25:
-            churn.append(ChurnEvent(float(t), spec.session_id, prefix, None))
-        else:
-            churn.append(ChurnEvent(float(t), spec.session_id, prefix, random_path()))
-    return RoutingScenario(
-        seed=seed,
-        window=window,
-        sessions=sessions,
-        relays=tuple(relays),
-        base_routes=tuple(base),
-        churn=tuple(churn),
-    )
 
 
 def injection_scenario(

@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from routelens.bgp import BgpUpdate, OutOfOrderError, ParseIssue, SessionRib, ingest
+from routelens.bgp import ParseIssue, SessionRib, UpdateIds, UpdateTable, ingest
 from routelens.churn import (
     CompromiseSummary,
     _intersection_length,
@@ -24,6 +24,42 @@ from routelens.core import (
 from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
 from routelens.detect import Heuristic, HijackAlert, _alert
 from routelens.paths import _PRIVATE_BLOCKS, DayVulnerability, EmptyPathError, PathError, PathRole
+from routelens.simulate import (
+    ChurnEvent, RouteSpec, RoutingScenario, SessionSpec, _legit_path_at, _legit_timeline,
+)
+
+
+# --- updates as rows ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BgpUpdate:
+    """One update as a row, the form the per-update oracles read."""
+
+    timestamp: float
+    session: str
+    prefix: IpPrefix
+    path: AsPath | None  # None for withdrawals
+
+
+def table_of(updates) -> UpdateTable:
+    """The UpdateTable of BgpUpdate rows (stably time-sorted, as every table is)."""
+    ids = UpdateIds()
+    return ids.table([
+        (u.timestamp, ids.session_id(u.session), ids.prefix_id(u.prefix),
+         ids.path_id(None if u.path is None else u.path.ases))
+        for u in updates
+    ])
+
+
+def updates_of(table: UpdateTable) -> list[BgpUpdate]:
+    """Each row of a table as a BgpUpdate, in row order."""
+    return [
+        BgpUpdate(ts, table.sessions[s], table.prefixes[p], None if a < 0 else table.paths[a])
+        for ts, s, p, a in zip(
+            table.ts.tolist(), table.session.tolist(), table.prefix.tolist(), table.path.tolist()
+        )
+    ]
 
 
 def announce(ts, session, prefix, path):
@@ -126,7 +162,7 @@ def oracle_parse_updates(source):
                 path = AsPath.parse(path_text) if kind == "A" else None
                 updates.append(BgpUpdate(timestamp, session, prefix, path))
             except ValueError as exc:
-                issues.append(ParseIssue(line_no, str(exc), ",".join(row)))
+                issues.append(ParseIssue(str(source), line_no, str(exc), ",".join(row)))
     updates.sort(key=lambda u: u.timestamp)
     return updates, issues
 
@@ -139,15 +175,8 @@ class ReplayRib(SessionRib):
     def __init__(self, session, relay_index):
         super().__init__(session)
         self._relays = relay_index
-        self.last_timestamp = float("-inf")
 
     def apply(self, update):
-        if update.timestamp < self.last_timestamp:
-            raise OutOfOrderError(
-                f"update at {update.timestamp} before {self.last_timestamp} "
-                f"on session {self.session.session_id}"
-            )
-        self.last_timestamp = update.timestamp
         if not self._relays.covers_any(update.prefix):
             return  # prefix hosts no relay: not tracked
         current = self.live.get(update.prefix)
@@ -172,7 +201,9 @@ class ReplayRib(SessionRib):
 
 
 def oracle_ingest(updates, relays, local_as=None):
-    """ingest by replaying each update into its session's ReplayRib."""
+    """ingest by replaying each update, in stable time order, into its
+    session's ReplayRib."""
+    updates = sorted(updates, key=lambda u: u.timestamp)
     index = RelayIndex.of(relays)
     inferred = {}
     for update in updates:
@@ -247,7 +278,7 @@ def alert_from_record(record: dict) -> HijackAlert:
 
 
 def build_ribs(updates, relays, sessions):
-    return ingest(updates, relays, local_as=sessions)
+    return ingest(table_of(updates), relays, local_as=sessions)
 
 
 def brute_force_records(ribs, relays, window, min_overlap):
@@ -783,3 +814,127 @@ def as_aware_select(guard_paths, exit_paths, current_path=None):
         raise NoAdmissibleGuardError("every candidate shares an AS with the exit side")
     admissible.sort()
     return [guard for _, guard in admissible]
+
+
+# --- routing scenarios: a fixture and a by-construction oracle ---------------------
+
+
+def _effective_paths_at(
+    scenario: RoutingScenario, timeline, session: str, t: float
+) -> dict[str, tuple[int, ...]]:
+    """Live (prefix -> path) on a session at time t, events included."""
+    live: dict[str, tuple[int, ...]] = {}
+    prefixes = {prefix for (sid, prefix) in timeline if sid == session}
+    for prefix in prefixes:
+        path = _legit_path_at(timeline, session, prefix, t)
+        if path is not None:
+            live[prefix] = path
+    for event in scenario.events:
+        start, end = event.window
+        if start <= t < end:
+            live[event.prefix] = event.attacker_path
+    return live
+
+
+def planted_compromised(
+    scenario: RoutingScenario,
+    min_overlap: float = 30.0,
+) -> set[tuple[int, str, int, str, int]]:
+    """(AS, src, guard, dst, exit) keys compromised by construction.
+
+    Walks the declared timeline second by second without touching the
+    update emission or RIB machinery, so it is an independent check of the
+    whole ingest-plus-analysis pipeline on small scenarios.
+    """
+    timeline = _legit_timeline(scenario)
+    t0, t1 = scenario.window
+    local = {s.session_id: s.local_as for s in scenario.sessions}
+    admitted = [r for r in scenario.relays if r.is_guard or r.is_exit]
+    counts: dict[tuple[int, str, int, str, int], int] = {}
+    sessions = sorted(local)
+    for t in range(int(t0), int(t1)):
+        on_path: dict[tuple[str, int], set[int]] = {}
+        for session in sessions:
+            live = _effective_paths_at(scenario, timeline, session, float(t))
+            parsed = [(IpPrefix.parse(p), path) for p, path in live.items()]
+            for relay in admitted:
+                covering = [
+                    (prefix, path) for prefix, path in parsed if prefix.covers(relay.address)
+                ]
+                if covering:
+                    best = max(covering, key=lambda item: item[0].length)
+                    on_path[(session, relay.address)] = set(AsPath(best[1]).ases)
+                else:
+                    on_path[(session, relay.address)] = set()
+        for src in sessions:
+            for dst in sessions:
+                if src == dst or local[src] == local[dst]:
+                    continue
+                for guard in admitted:
+                    if not guard.is_guard:
+                        continue
+                    g_ases = on_path[(src, guard.address)]
+                    if not g_ases:
+                        continue
+                    for exit_ in admitted:
+                        if not exit_.is_exit or exit_.address == guard.address:
+                            continue
+                        for asn in g_ases & on_path[(dst, exit_.address)]:
+                            key = (asn, src, guard.address, dst, exit_.address)
+                            counts[key] = counts.get(key, 0) + 1
+    return {key for key, seconds in counts.items() if seconds > 0 and seconds >= min_overlap}
+
+
+def random_routing_scenario(
+    seed: int,
+    n_sessions: int = 3,
+    n_relays: int = 6,
+    n_ases: int = 5,
+    n_churn: int = 10,
+    window: tuple[float, float] = (0.0, 60.0),
+) -> RoutingScenario:
+    """Small random scenario for property suites; integer change times."""
+    rng = np.random.default_rng(seed)
+    relays = []
+    for i in range(n_relays):
+        role = rng.integers(0, 3)
+        relays.append(
+            RelayDescriptor(
+                address=ip_to_int(f"10.{i}.0.{int(rng.integers(1, 250))}"),
+                is_guard=role in (0, 2),
+                is_exit=role in (1, 2),
+                bandwidth=float(rng.integers(1, 100)),
+                nickname=f"r{i}",
+            )
+        )
+    prefixes = [f"10.{i}.0.0/16" for i in range(n_relays)] + ["10.0.0.0/8"]
+    sessions = tuple(
+        SessionSpec(f"s{k}", 64500 + int(rng.integers(0, 3))) for k in range(n_sessions)
+    )
+    as_pool = list(range(101, 101 + n_ases))
+
+    def random_path():
+        length = int(rng.integers(1, 4))
+        return tuple(int(rng.choice(as_pool)) for _ in range(length))
+
+    base = []
+    for spec in sessions:
+        for prefix in rng.choice(prefixes, size=min(3, len(prefixes)), replace=False):
+            base.append(RouteSpec(spec.session_id, str(prefix), random_path()))
+    churn = []
+    times = sorted(int(rng.integers(1, int(window[1]) - 1)) for _ in range(n_churn))
+    for t in times:
+        spec = sessions[int(rng.integers(0, n_sessions))]
+        prefix = str(rng.choice(prefixes))
+        if rng.random() < 0.25:
+            churn.append(ChurnEvent(float(t), spec.session_id, prefix, None))
+        else:
+            churn.append(ChurnEvent(float(t), spec.session_id, prefix, random_path()))
+    return RoutingScenario(
+        seed=seed,
+        window=window,
+        sessions=sessions,
+        relays=tuple(relays),
+        base_routes=tuple(base),
+        churn=tuple(churn),
+    )

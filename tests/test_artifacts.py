@@ -1,7 +1,7 @@
 """Artifacts are written whole or not at all."""
 
 import pytest
-from helpers import announce
+from helpers import announce, table_of
 
 from routelens import artifacts, correlation
 from routelens.bgp import write_updates
@@ -15,6 +15,11 @@ def rows_failing_midway():
     raise RuntimeError("source failed mid-write")
 
 
+class Unspellable:
+    def __str__(self):
+        raise RuntimeError("source failed mid-write")
+
+
 WRITERS = {
     "csv": lambda path: artifacts.write_csv(path, {}, ["name", "n"], rows_failing_midway()),
     "jsonl": lambda path: artifacts.write_jsonl(
@@ -23,9 +28,10 @@ WRITERS = {
     # json.dump streams its chunks, so the object it cannot encode comes mid-file
     "json": lambda path: artifacts.write_json(path, {}, {"a": list(range(1000)), "z": object()}),
     # the inputs simulate writes beside its artifacts
-    "updates": lambda path: write_updates(
-        path, (announce(n, name, "10.0.0.0/8", [1, 2]) for name, n in rows_failing_midway())
-    ),
+    # the second row's session cannot be spelled, so the first is written before it fails
+    "updates": lambda path: write_updates(path, table_of([
+        announce(0, "a", "10.0.0.0/8", [1, 2]), announce(1, Unspellable(), "10.0.0.0/8", [1, 2])
+    ])),
     "relays": lambda path: write_relays(
         path,
         (RelayDescriptor(n, True, False, 1.0, name) for name, n in rows_failing_midway()),

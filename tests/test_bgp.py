@@ -2,16 +2,22 @@
 
 import csv
 import random
-import re
 
 import pytest
-from helpers import oracle_ingest, oracle_parse_updates, route_for_relay
+from helpers import (
+    announce,
+    oracle_ingest,
+    oracle_parse_updates,
+    route_for_relay,
+    table_of,
+    updates_of,
+    withdraw,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routelens.bgp import (
-    BgpUpdate,
-    OutOfOrderError,
+    ParseIssue,
     UpdateTable,
     filter_session_resets,
     ingest,
@@ -20,14 +26,6 @@ from routelens.bgp import (
     write_updates,
 )
 from routelens.core import AsPath, IpPrefix, RelayDescriptor, RelayIndex, ip_to_int
-
-
-def announce(ts, session, prefix, path):
-    return BgpUpdate(ts, session, IpPrefix.parse(prefix), AsPath(tuple(path)))
-
-
-def withdraw(ts, session, prefix):
-    return BgpUpdate(ts, session, IpPrefix.parse(prefix), None)
 
 
 RELAYS = [
@@ -39,7 +37,7 @@ RELAYS = [
 
 def rib_of(*updates):
     """Session s1's RIB after the updates."""
-    return ingest(list(updates), RELAYS)["s1"]
+    return ingest(table_of(updates), RELAYS)["s1"]
 
 
 # --- parsing -----------------------------------------------------------------
@@ -55,7 +53,7 @@ def test_parse_announce_and_withdraw_lines(tmp_path):
     updates, issues = parse_updates(path)
     assert not issues
     assert len(updates) == 2
-    first, second = updates
+    first, second = updates_of(updates)
     assert first.session == "rrc00-s1"
     assert first.prefix == IpPrefix.parse("198.245.63.0/24")
     assert first.path.ases == (3356, 16276)
@@ -91,7 +89,7 @@ def test_parse_reports_bad_timestamp_and_kind(tmp_path, row, message):
     path.write_text(f'timestamp,session,kind,prefix,path\n{row}\n5,s1, w ,10.1.0.0/16,\n')
     updates, issues = parse_updates(path)
     assert [(issue.line_no, issue.message) for issue in issues] == [(2, message)]
-    assert [(u.timestamp, u.path) for u in updates] == [(5.0, None)]  # kind is stripped, any case
+    assert [(u.timestamp, u.path) for u in updates_of(updates)] == [(5.0, None)]  # kind is stripped, any case
 
 
 def test_parse_write_roundtrip(tmp_path):
@@ -101,10 +99,10 @@ def test_parse_write_roundtrip(tmp_path):
         announce(30.0, "s2", "198.245.63.0/24", [300, 100]),
     ]
     path = tmp_path / "updates.csv"
-    write_updates(path, updates)
+    write_updates(path, table_of(updates))
     parsed, issues = parse_updates(path)
     assert not issues
-    assert list(parsed) == updates
+    assert updates_of(parsed) == updates
 
 
 # --- session-reset filter ----------------------------------------------------
@@ -124,13 +122,15 @@ def _reset_stream():
 
 
 def test_reset_reannouncements_dropped_changes_kept():
-    filtered = filter_session_resets(_reset_stream(), quiet_gap=3600.0, burst_window=600.0)
-    times = [u.timestamp for u in filtered]
+    filtered = filter_session_resets(
+        table_of(_reset_stream()), quiet_gap=3600.0, burst_window=600.0
+    )
+    times = [u.timestamp for u in updates_of(filtered)]
     assert times == [0.0, 5.0, 4 * 3600.0 + 4.0]
 
 
 def test_reset_filter_preserves_final_state():
-    stream = _reset_stream()
+    stream = table_of(_reset_stream())
     filtered = filter_session_resets(stream)
     full = ingest(stream, RELAYS)["s1"]
     trimmed = ingest(filtered, RELAYS)["s1"]
@@ -143,7 +143,7 @@ def test_reset_filter_identity_without_gaps():
     stream = [
         announce(float(i), "s1", "10.1.0.0/16", [100, 200 + (i % 3)]) for i in range(20)
     ]
-    assert list(filter_session_resets(stream)) == stream
+    assert updates_of(filter_session_resets(table_of(stream))) == stream
 
 
 # --- rib replay --------------------------------------------------------------
@@ -187,12 +187,22 @@ def test_non_relay_prefix_ignored():
     assert not rib.live and not rib.history
 
 
-def test_out_of_order_rejected():
-    with pytest.raises(OutOfOrderError, match="update at 5.0 before 10.0 on session s1"):
-        rib_of(
-            announce(10.0, "s1", "10.1.0.0/16", [100, 200]),
-            announce(5.0, "s1", "10.1.0.0/16", [100, 300]),
-        )
+def test_rows_given_out_of_time_order_come_out_stably_sorted():
+    prefixes = (IpPrefix.parse("10.1.0.0/16"), IpPrefix.parse("10.0.0.0/8"))
+    # (ts, session, prefix, path): three rows at t=5 keep their given order
+    rows = [(10.0, 0, 0, 0), (5.0, 1, 0, -1), (7.0, 0, 1, 1), (5.0, 0, 1, 0), (5.0, 1, 1, 1)]
+    table = UpdateTable(*zip(*rows), ("s1", "s2"), prefixes, ((100, 200), (300,)))
+    expected = sorted(rows, key=lambda row: row[0])
+    assert [row[0] for row in expected] == [5.0, 5.0, 5.0, 7.0, 10.0]
+    assert list(zip(
+        table.ts.tolist(), table.session.tolist(), table.prefix.tolist(), table.path.tolist()
+    )) == expected
+    assert table.origin.tolist() == [-1, 200, 300, 300, 200]
+    # a stream out of order on one session replays in time order
+    assert [(e.t_start, e.t_end, e.path.ases) for _, e in rib_of(
+        announce(10.0, "s1", "10.1.0.0/16", [100, 200]),
+        announce(5.0, "s1", "10.1.0.0/16", [100, 300]),
+    ).entries()] == [(5.0, 10.0, (100, 300)), (10.0, None, (100, 200))]
 
 
 def test_route_for_relay_most_specific_then_none():
@@ -232,7 +242,7 @@ def test_route_for_relay_agrees_with_entry_scan_oracle():
     rng = random.Random(42)
     for trial in range(20):
         stream = _random_stream(rng)
-        ribs = ingest(stream, RELAYS)
+        ribs = ingest(table_of(stream), RELAYS)
         horizon = max(u.timestamp for u in stream) + 5
         for rib in ribs.values():
             entries = list(rib.entries())
@@ -249,8 +259,8 @@ def test_route_for_relay_agrees_with_entry_scan_oracle():
 def test_replay_determinism():
     rng = random.Random(1)
     stream = _random_stream(rng)
-    first = ingest(stream, RELAYS)
-    second = ingest(stream, RELAYS)
+    first = ingest(table_of(stream), RELAYS)
+    second = ingest(table_of(stream), RELAYS)
     for sid in first:
         assert list(first[sid].entries()) == list(second[sid].entries())
 
@@ -258,7 +268,7 @@ def test_replay_determinism():
 def test_interval_soundness():
     rng = random.Random(7)
     stream = _random_stream(rng, n_updates=80)
-    ribs = ingest(stream, RELAYS)
+    ribs = ingest(table_of(stream), RELAYS)
     horizon = max(u.timestamp for u in stream) + 10
     for sid, rib in ribs.items():
         # reconstruct announced-time sets directly from the update stream
@@ -307,10 +317,10 @@ def test_ingest_infers_local_as_and_accepts_override():
         announce(1.0, "s1", "10.1.0.0/16", [7018, 3356]),
         announce(2.0, "s2", "10.1.0.0/16", [1299, 3356]),
     ]
-    ribs = ingest(stream, RELAYS)
+    ribs = ingest(table_of(stream), RELAYS)
     assert ribs["s1"].session.local_as == 7018
     assert ribs["s2"].session.local_as == 1299
-    ribs = ingest(stream, RELAYS, local_as={"s1": 65001})
+    ribs = ingest(table_of(stream), RELAYS, local_as={"s1": 65001})
     assert ribs["s1"].session.local_as == 65001
 
     # s3 withdraws before it announces; s4 only withdraws
@@ -321,7 +331,7 @@ def test_ingest_infers_local_as_and_accepts_override():
         withdraw(3.0, "s4", "10.1.0.0/16"),
         withdraw(4.0, "s3", "10.1.0.0/16"),
     ]
-    ribs = ingest(stream, RELAYS)
+    ribs = ingest(table_of(stream), RELAYS)
     assert set(ribs) == {"s3", "s4"}
     assert ribs["s3"].session.local_as == 174
     assert ribs["s4"].session.local_as == 0
@@ -331,7 +341,7 @@ def test_ingest_infers_local_as_and_accepts_override():
     ]
     assert list(ribs["s4"].entries()) == []
     # the entries do not depend on whether the local AS was inferred or given
-    given = ingest(stream, RELAYS, local_as={"s3": 65003, "s4": 65004})
+    given = ingest(table_of(stream), RELAYS, local_as={"s3": 65003, "s4": 65004})
     assert given["s3"].session.local_as == 65003
     assert given["s4"].session.local_as == 65004
     for sid in ribs:
@@ -361,22 +371,36 @@ def test_table_interns_equal_prefixes_and_collapsed_paths(tmp_path):
     assert table.origin.tolist() == [200, 200, 200, -1]
 
 
-def test_merge_sorts_by_time_keeping_table_order_on_ties():
-    first = UpdateTable.of([
+def test_two_files_parse_into_one_table_first_file_first_on_ties(tmp_path):
+    first = [
         announce(5.0, "s1", "10.1.0.0/16", [100, 200]),
         withdraw(7.0, "s1", "10.1.0.0/16"),
-    ])
-    second = UpdateTable.of([
+    ]
+    second = [
         announce(1.0, "s2", "10.0.0.0/8", [300]),
+        announce(5.0, "s1", "10.1.0.0/16", [100, 200]),
         announce(5.0, "s1", "10.1.0.0/16", [100, 300]),
-    ])
-    merged = UpdateTable.merge([first, second])
-    assert list(merged) == sorted(list(first) + list(second), key=lambda u: u.timestamp)
-    assert len(merged.paths) == 3 and len(merged.prefixes) == 2
+    ]
+    (tmp_path / "first.csv").write_text(
+        "timestamp,session,kind,prefix,path\n5,s1,A,10.1.0.0/16,100 200\n7,s1,W,10.1.0.0/16,\n"
+        "bad line\n"
+    )
+    (tmp_path / "second.csv").write_text(
+        "1,s2,A,10.0.0.0/8,300\n5,s1,A,10.1.0.0/16,100 200\n5,s1,A,10.1.0.0/16,100 300\n"
+    )
+    table, issues = parse_updates(tmp_path / "first.csv", tmp_path / "second.csv")
+    assert updates_of(table) == [second[0], first[0], second[1], second[2], first[1]]
+    # a prefix or path in both files has one id
+    assert table.prefixes == (IpPrefix.parse("10.1.0.0/16"), IpPrefix.parse("10.0.0.0/8"))
+    assert table.path_ases == ((100, 200), (300,), (100, 300))
+    assert issues == [
+        ParseIssue(str(tmp_path / "first.csv"), 4, "expected 5 fields, got 1", "bad line")
+    ]
+    assert str(issues[0]) == f"{tmp_path / 'first.csv'}: line 4: expected 5 fields, got 1: bad line"
 
 
 def test_route_spans_open_at_a_new_path_and_close_at_the_next_change():
-    table = UpdateTable.of([
+    table = table_of([
         announce(0.0, "s1", "10.1.0.0/16", [100, 200]),
         announce(1.0, "s2", "10.1.0.0/16", [100, 200]),
         announce(2.0, "s1", "10.1.0.0/16", [100, 200]),  # duplicate: no new route
@@ -389,6 +413,21 @@ def test_route_spans_open_at_a_new_path_and_close_at_the_next_change():
     # by session id (s1 first), then prefix id, then start
     assert rows.tolist() == [0, 4, 1]
     assert ends.tolist() == [4.0, 6.0, float("inf")]
+
+
+_ADDRESSES = st.sampled_from([0, 1, 0x0A00FFFF, 0x0A010000, 0x0A0100FF, 0x0A010100, 2**32 - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.builds(IpPrefix, _ADDRESSES, st.integers(0, 32)), max_size=8),
+    st.lists(_ADDRESSES, max_size=5),
+)
+def test_tracked_matches_covers_any(prefixes, addresses):
+    relays = [RelayDescriptor(a, True, False, 1.0, f"r{i}") for i, a in enumerate(addresses)]
+    index = RelayIndex(relays)
+    table = table_of([withdraw(0.0, "s1", str(p)) for p in prefixes])
+    assert table.tracked(index).tolist() == [index.covers_any(p) for p in table.prefixes]
 
 
 # --- number grammars ---------------------------------------------------------
@@ -415,7 +454,7 @@ def test_update_path_as_numbers_at_the_ends_of_the_range_load(tmp_path):
     path.write_text('timestamp,session,kind,prefix,path\n5,s1,A,10.1.0.0/16,"0 007 4294967295"\n')
     updates, issues = parse_updates(path)
     assert not issues
-    assert [u.path.ases for u in updates] == [(0, 7, 4294967295)]
+    assert [u.path.ases for u in updates_of(updates)] == [(0, 7, 4294967295)]
 
 
 @pytest.mark.parametrize(
@@ -434,10 +473,10 @@ def test_update_timestamp_is_an_ascii_decimal(tmp_path, spelling):
 def test_every_timestamp_the_writer_spells_reads_back(tmp_path):
     stamps = [0.0, -0.5, 1e-05, 86400.0, 1420070400.0, 1.5e300, -2.25e-300, 123456789.125]
     path = tmp_path / "updates.csv"
-    write_updates(path, [withdraw(t, "s1", "10.1.0.0/16") for t in stamps])
+    write_updates(path, table_of([withdraw(t, "s1", "10.1.0.0/16") for t in stamps]))
     updates, issues = parse_updates(path)
     assert not issues
-    assert [u.timestamp for u in updates] == sorted(float(f"{t:g}") for t in stamps)
+    assert [u.timestamp for u in updates_of(updates)] == sorted(float(f"{t:g}") for t in stamps)
 
 
 # --- per-update oracles ------------------------------------------------------
@@ -470,7 +509,7 @@ def test_parse_updates_matches_the_per_line_oracle(tmp_path_factory, lines):
         csv.writer(handle).writerows(lines)
     table, issues = parse_updates(path)
     expected_updates, expected_issues = oracle_parse_updates(path)
-    assert list(table) == expected_updates
+    assert updates_of(table) == expected_updates
     assert issues == expected_issues
 
 
@@ -497,13 +536,8 @@ def test_ingest_matches_the_per_update_replay(steps, local_as):
         stream.append(
             withdraw(t, session, prefix) if path is None else announce(t, session, prefix, path)
         )
-    try:
-        expected = oracle_ingest(stream, RELAYS, local_as)
-    except OutOfOrderError as exc:
-        with pytest.raises(OutOfOrderError, match=re.escape(str(exc))):
-            ingest(stream, RELAYS, local_as)
-        return
-    ribs = ingest(stream, RELAYS, local_as)
+    expected = oracle_ingest(stream, RELAYS, local_as)
+    ribs = ingest(table_of(stream), RELAYS, local_as)
     assert list(ribs) == list(expected)
     for sid, rib in ribs.items():
         assert rib.session == expected[sid].session

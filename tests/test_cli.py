@@ -4,17 +4,22 @@ import copy
 import csv
 import io
 import json
+import os
 import re
 import reprlib
 import shutil
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from helpers import random_routing_scenario
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import routelens
 from routelens.artifacts import artifacts_equal, read_jsonl_records
 from routelens.cli import accuracy_payload, main
 from routelens.correlation import AccuracyReport, read_trace_jsonl
@@ -28,7 +33,6 @@ from routelens.simulate import (
     SessionSpec,
     TrafficScenario,
     gen_traceroute_paths,
-    random_routing_scenario,
 )
 from routelens.core import InputError, RelayDescriptor, ip_to_int
 
@@ -1542,3 +1546,40 @@ def _whole_dataset_file(path):
 def test_simulate_mutated_scenario_keeps_the_cli_contract(simulate_inputs, mutation, at):
     _check_contract(simulate_inputs, "scenario", mutation, at, "simulate",
                     {"--scenario": "scenario"}, complete=_whole_dataset_file)
+
+
+# --- imports a run pays for ------------------------------------------------------------
+
+
+def test_churn_and_correlate_do_not_import_numpy_ma(tmp_path, churn_inputs, correlate_inputs):
+    """numpy.ma costs 20-35 ms to import in a fresh process, and numpy 2
+    imports it on the first plain np.unique, np.intersect1d or np.union1d;
+    neither analysis needs it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(routelens.__file__).parents[1])}
+
+    def loads_numpy_ma(code):
+        code += "\nimport sys; print('numpy.ma' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1] == "True"
+
+    if loads_numpy_ma("import numpy"):
+        pytest.skip("import numpy alone loads numpy.ma")
+    for name in ("initial", "updates", "relays"):
+        (tmp_path / f"{name}.csv").write_text(churn_inputs[name])
+    churn_argv = [
+        "--output-dir", tmp_path / "churn", "churn", "--updates", tmp_path / "updates.csv",
+        "--relays", tmp_path / "relays.csv", "--initial", tmp_path / "initial.csv",
+    ]
+    correlate_argv = [
+        "--output-dir", tmp_path / "correlate", "correlate",
+        "--manifest", correlate_inputs / "manifest.csv",
+        "--truth", correlate_inputs / "truth.json", "--window", 30,
+    ]
+    assert not loads_numpy_ma(
+        "from routelens.cli import main\n"
+        f"assert main({[str(a) for a in churn_argv]!r}) == 0\n"
+        f"assert main({[str(a) for a in correlate_argv]!r}) == 0"
+    )
+    assert (tmp_path / "churn" / "churn_pairs.csv").exists()
+    assert (tmp_path / "correlate" / "accuracy_report.json").exists()

@@ -35,12 +35,12 @@ from routelens.simulate import (
     gen_updates,
     injection_scenario,
     load_scenario,
-    planted_compromised,
-    random_routing_scenario,
     shared_guard_variant,
 )
 
-from helpers import hit_records, oracle_trace_text
+from helpers import (
+    hit_records, oracle_trace_text, planted_compromised, random_routing_scenario, updates_of,
+)
 
 DAY = 86400.0
 
@@ -250,7 +250,7 @@ def test_empty_schedule_emits_initial_announcements_only():
     scenario = small_routing_scenario()
     updates, truth = gen_updates(scenario)
     assert len(updates) == 4
-    assert all(u.path is not None and u.timestamp == 0.0 for u in updates)
+    assert all(u.path is not None and u.timestamp == 0.0 for u in updates_of(updates))
     assert truth.events == []
 
 
@@ -270,7 +270,7 @@ def test_interception_event_announces_and_withdraws():
     event = InjectedEvent("interception", "10.0.0.0/24", (999, 666), 100.0, 50.0)
     scenario = small_routing_scenario(events=[event])
     updates, _ = gen_updates(scenario)
-    attack = [u for u in updates if str(u.prefix) == "10.0.0.0/24"]
+    attack = [u for u in updates_of(updates) if str(u.prefix) == "10.0.0.0/24"]
     kinds = [(u.path is None, u.session) for u in attack]
     assert (False, "s1") in kinds and (True, "s1") in kinds
     assert len(attack) == 4  # announce + withdraw on both sessions
@@ -301,7 +301,7 @@ def test_a_document_prefix_is_read_in_its_canonical_spelling():
     assert scenario == small_routing_scenario(events=[event])
     # the hijack ends by restoring the base route, which the event names in another spelling
     updates, _ = gen_updates(scenario)
-    assert [u.path for u in updates if u.timestamp == 150.0 and u.session == "s1"] == [
+    assert [u.path for u in updates_of(updates) if u.timestamp == 150.0 and u.session == "s1"] == [
         AsPath((101, 102))
     ]
 
