@@ -17,7 +17,6 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .artifacts import replacing
 from .core import (
     AsPath,
     IpPrefix,
-    PrefixTable,
     RelayDescriptor,
     RelayIndex,
     RouteEntry,
@@ -88,11 +86,10 @@ class UpdateTable:
     def tracked(self, index: RelayIndex) -> np.ndarray:
         """Per prefix id, whether the prefix covers a relay of index: whether
         a relay address lies in [base, base + 2**(32 - length))."""
-        addresses = np.array([relay.address for relay in index.relays], dtype=np.int64)
         n = len(self.prefixes)
         base = np.fromiter((p.base for p in self.prefixes), np.int64, n)
         length = np.fromiter((p.length for p in self.prefixes), np.int64, n)
-        first, past = np.searchsorted(addresses, (base, base + (1 << (32 - length))))
+        first, past = np.searchsorted(index.addresses, (base, base + (1 << (32 - length))))
         return past > first
 
 
@@ -280,43 +277,13 @@ class SessionRib:
     live maps a prefix to its open entry and history to its closed
     entries, oldest first. An announcement with an unchanged path opens
     no entry, so the history records path changes only; that is exactly
-    what the simultaneous-observation metric consumes. Every prefix that
-    ever held an entry is indexed in a PrefixTable, so the entries
-    covering an address come from one probe per prefix length present.
+    what the simultaneous-observation metric consumes.
     """
 
     def __init__(self, session: VantageSession) -> None:
         self.session = session
         self.live: dict[IpPrefix, RouteEntry] = {}
         self.history: dict[IpPrefix, list[RouteEntry]] = {}
-        self._prefixes = PrefixTable()  # prefix -> prefix, for every prefix with an entry
-
-    def add(self, entry: RouteEntry) -> None:
-        """Record an entry, open or closed; a prefix's entries come oldest first."""
-        if entry.t_end is None:
-            self.live[entry.prefix] = entry
-        else:
-            self.history.setdefault(entry.prefix, []).append(entry)
-        self._prefixes.insert(entry.prefix, entry.prefix)
-
-    def _entries_of(self, prefix: IpPrefix) -> list[RouteEntry]:
-        """Closed history entries, then the open live entry, of one prefix."""
-        live = self.live.get(prefix)
-        return self.history.get(prefix, []) + ([live] if live is not None else [])
-
-    def entries(self) -> Iterable[tuple[IpPrefix, RouteEntry]]:
-        """Closed history entries plus open live entries, per prefix."""
-        for prefix, _ in self._prefixes:
-            for entry in self._entries_of(prefix):
-                yield prefix, entry
-
-    def entries_for_address(self, address: int) -> list[RouteEntry]:
-        """Every entry whose prefix covers address, longest prefix first."""
-        return [
-            entry
-            for prefix, _ in self._prefixes.covering(address, 33)
-            for entry in self._entries_of(prefix)
-        ]
 
 
 def ingest(
@@ -346,11 +313,13 @@ def ingest(
         )
         for code in codes[np.argsort(first)].tolist()
     }
-    for ts, session, prefix, path, end in zip(
+    for ts, session, p, path, end in zip(
         table.ts[rows].tolist(), table.session[rows].tolist(), table.prefix[rows].tolist(),
         table.path[rows].tolist(), ends.tolist(),
     ):
-        ribs[table.sessions[session]].add(RouteEntry(
-            ts, None if end == math.inf else end, table.prefixes[prefix], table.paths[path]
-        ))
+        rib, prefix = ribs[table.sessions[session]], table.prefixes[p]
+        if end == math.inf:
+            rib.live[prefix] = RouteEntry(ts, None, prefix, table.paths[path])
+        else:
+            rib.history.setdefault(prefix, []).append(RouteEntry(ts, end, prefix, table.paths[path]))
     return ribs

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 
 import numpy as np
 
 from .bgp import SessionRib
-from .core import RelayDescriptor, merge_intervals
+from .core import PrefixTable, RelayDescriptor, merge_intervals
 
 
 @dataclass(frozen=True)
@@ -119,20 +119,32 @@ def segment_observations(
 
     Traffic to a relay follows the most-specific covering entry at each
     instant, so nested prefixes hand the relay over to the longer one while
-    it is live. Spans per (AS, session, relay) are merged on each side; a
-    relay flagged both guard and exit is on both sides.
+    it is live, and back to the shorter one while the longer is withdrawn.
+    Every prefix of the RIBs covering each relay comes from one PrefixTable
+    query. Spans per (AS, session, relay) are merged on each side; a relay
+    flagged both guard and exit is on both sides.
     """
     t_lo, t_hi = window
     admitted = [r for r in relays if r.is_guard or r.is_exit]
     sessions = tuple(sorted(ribs))
+    routed = PrefixTable()
+    for rib in ribs.values():
+        for prefix in chain(rib.history, rib.live):
+            routed.insert(prefix, None)
+    prefixes = routed.freeze().entries()
+    covers: list[list] = [[] for _ in admitted]  # per relay, longest prefix first
+    at, found = routed.covering_many([relay.address for relay in admitted])
+    for a, entry in zip(at.tolist(), found.tolist()):
+        covers[a].append(prefixes[entry][0])
     raw: dict[int, tuple[dict, dict]] = {}
     for s, sid in enumerate(sessions):
         rib = ribs[sid]
-        for relay in admitted:
+        for relay, covering in zip(admitted, covers):
             entries = [
                 entry
-                for entry in rib.entries_for_address(relay.address)
-                if entry.clipped(t_lo, t_hi) is not None
+                for prefix in covering
+                for entry in rib.history.get(prefix, []) + [rib.live.get(prefix)]
+                if entry is not None and entry.clipped(t_lo, t_hi) is not None
             ]
             if not entries:
                 continue

@@ -14,7 +14,6 @@ import json
 import math
 import operator
 import reprlib
-from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, lru_cache
@@ -570,118 +569,84 @@ class RouteEntry:
 class PrefixTable:
     """Longest-prefix-match table with opaque payloads.
 
-    Mutable while building; freeze() makes it immutable so it can be
-    shared across concurrent readers. Each length present has one bucket
-    mapping a base address to its (prefix, payload) entry; a lookup probes
-    only the lengths present, longest first, so cost is one dict probe per
-    distinct length (at most 33). A frozen table also answers whole
-    address arrays (lookup_many) from a range table built on first use.
+    Filled by insert (a re-inserted prefix keeps its last payload), then
+    frozen: freeze() sorts the entries by prefix and keeps, per length
+    present, the sorted base addresses of that length's entries. Queries
+    read those arrays, one searchsorted per length present (at most 33)
+    for a whole address array; a frozen table is immutable, so it can be
+    shared across concurrent readers.
     """
 
     def __init__(self) -> None:
-        self._buckets: dict[int, dict[int, tuple[IpPrefix, Any]]] = {}
-        self._lengths: list[int] = []  # keys of _buckets, descending
-        self._frozen = False
-        self._ranges: tuple[tuple, np.ndarray, np.ndarray] | None = None
+        self._payloads: dict[IpPrefix, Any] = {}
+        self._entries: tuple[tuple[IpPrefix, Any], ...] | None = None  # set by freeze
+        self._levels: list[tuple[int, np.ndarray, np.ndarray]] = []
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
-
-    def __iter__(self) -> Iterator[tuple[IpPrefix, Any]]:
-        return iter(self.entries())
-
-    def entries(self) -> tuple[tuple[IpPrefix, Any], ...]:
-        """Every (prefix, payload) in prefix order; lookup_many indexes this tuple."""
-        return self._flat()[0] if self._frozen else self._sorted_entries()
-
-    def _sorted_entries(self) -> tuple[tuple[IpPrefix, Any], ...]:
-        entries = [entry for bucket in self._buckets.values() for entry in bucket.values()]
-        return tuple(sorted(entries, key=lambda entry: (entry[0].base, entry[0].length)))
-
-    def __contains__(self, prefix: IpPrefix) -> bool:
-        return prefix.base in self._buckets.get(prefix.length, ())
-
-    def freeze(self) -> "PrefixTable":
-        self._frozen = True
-        return self
-
-    def _check_mutable(self) -> None:
-        if self._frozen:
-            raise RuntimeError("PrefixTable is frozen")
+        return len(self._payloads)
 
     def insert(self, prefix: IpPrefix, payload: Any) -> None:
-        self._check_mutable()
-        if prefix.length not in self._buckets:
-            self._buckets[prefix.length] = {}
-            self._lengths = sorted(self._buckets, reverse=True)
-        self._buckets[prefix.length][prefix.base] = (prefix, payload)
+        if self._entries is not None:
+            raise RuntimeError("PrefixTable is frozen")
+        self._payloads[prefix] = payload
 
-    def remove(self, prefix: IpPrefix) -> None:
-        self._check_mutable()
-        bucket = self._buckets[prefix.length]
-        del bucket[prefix.base]
-        if not bucket:
-            del self._buckets[prefix.length]
-            self._lengths.remove(prefix.length)
+    def freeze(self) -> "PrefixTable":
+        if self._entries is None:
+            entries = sorted(self._payloads.items(), key=lambda e: (e[0].base, e[0].length))
+            self._entries = tuple(entries)
+            pairs = [(prefix.base, prefix.length) for prefix, _ in entries]
+            base, length = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            # (length, bases of that length ascending, their entry indices), longest first
+            for size in sorted(set(length.tolist()), reverse=True):
+                at = np.flatnonzero(length == size)
+                self._levels.append((size, base[at], at))
+        return self
 
-    def get(self, prefix: IpPrefix, default: Any = None) -> Any:
-        entry = self._buckets.get(prefix.length, {}).get(prefix.base)
-        return default if entry is None else entry[1]
+    def entries(self) -> tuple[tuple[IpPrefix, Any], ...]:
+        """Every (prefix, payload) in prefix order; the queries index this tuple."""
+        return self._frozen()._entries
 
-    def lookup_entry(self, address: int) -> tuple[IpPrefix, Any] | None:
-        """Most-specific entry covering address, or None."""
-        for length in self._lengths:
-            entry = self._buckets[length].get(address & _MASKS[length])
-            if entry is not None:
-                return entry
-        return None
+    def _frozen(self) -> "PrefixTable":
+        if self._entries is None:
+            raise RuntimeError("PrefixTable queries need a frozen table")
+        return self
+
+    def _matches(self, addresses) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per length present, longest first: the positions of the addresses
+        some entry of that length covers, and that entry's index."""
+        addresses = np.asarray(addresses, dtype=np.int64)
+        found = []
+        for size, bases, index in self._frozen()._levels:
+            masked = addresses & _MASKS[size]
+            at = np.minimum(np.searchsorted(bases, masked), len(bases) - 1)
+            hit = np.flatnonzero(bases[at] == masked)
+            found.append((hit, index[at[hit]]))
+        return found
 
     def lookup_many(self, addresses) -> np.ndarray:
         """For each address of an integer array (or list), the index into
         entries() of its most specific covering entry, or -1 where none
-        covers it. Frozen tables only: the prefixes are flattened once into
-        non-overlapping ranges, each owned by its most specific entry, and
-        one searchsorted answers every address."""
-        if not self._frozen:
-            raise RuntimeError("lookup_many needs a frozen PrefixTable")
-        _, starts, owners = self._flat()
-        return owners[np.searchsorted(starts, addresses, side="right") - 1]
+        covers it."""
+        found = np.full(len(addresses), -1, dtype=np.int64)
+        for hit, entry in reversed(self._matches(addresses)):  # a longer cover overwrites
+            found[hit] = entry
+        return found
 
-    def _flat(self) -> tuple[tuple, np.ndarray, np.ndarray]:
-        """(entries(), range starts from 0 up, the entry owning each range or
-        -1), built on first use by a frozen table. Ranges start at every
-        prefix's base and one past its last address; within a range the
-        most specific cover cannot change, so lookup_entry of its start
-        names the owner."""
-        if self._ranges is None:
-            entries = self._sorted_entries()
-            position = {prefix: i for i, (prefix, _) in enumerate(entries)}
-            bounds = {0}
-            for prefix, _ in entries:
-                bounds.update((prefix.base, prefix.last_address + 1))
-            starts = sorted(bounds - {1 << 32})
-            owners = []
-            for start in starts:
-                found = self.lookup_entry(start)
-                owners.append(-1 if found is None else position[found[0]])
-            self._ranges = (entries, np.array(starts, dtype=np.int64), np.array(owners, dtype=np.int64))
-        return self._ranges
-
-    def lookup(self, address: int) -> Any | None:
-        found = self.lookup_entry(address)
-        return None if found is None else found[1]
-
-    def covering(self, address: int, shorter_than: int) -> Iterator[tuple[IpPrefix, Any]]:
-        """Every entry covering address with length < shorter_than, longest first."""
-        for length in self._lengths:
-            if length < shorter_than:
-                entry = self._buckets[length].get(address & _MASKS[length])
-                if entry is not None:
-                    yield entry
+    def covering_many(self, addresses) -> tuple[np.ndarray, np.ndarray]:
+        """Every entry covering each address of an integer array (or list):
+        aligned (address position, entry index) arrays, by address position
+        and, for one address, longest prefix first."""
+        matches = self._matches(addresses)
+        position = np.concatenate([hit for hit, _ in matches] + [np.empty(0, np.int64)])
+        entry = np.concatenate([e for _, e in matches] + [np.empty(0, np.int64)])
+        order = np.argsort(position, kind="stable")
+        return position[order], entry[order]
 
 
 def load_prefix_origins(path) -> PrefixTable:
-    """Read a prefix,asn CSV into a PrefixTable keyed by origin AS number.
+    """Read a prefix,asn CSV into a frozen PrefixTable keyed by origin AS
+    number. # lines are skipped, and a first other row whose first cell
+    is "prefix" is the header; a headerless file starts with data.
 
     A bad prefix, AS number or missing column raises InputError naming
     the file and line.
@@ -689,11 +654,10 @@ def load_prefix_origins(path) -> PrefixTable:
     table = PrefixTable()
     with reading(path, "prefix-to-AS mapping") as handle:
         reader = csv.reader(handle)
-        for row in reader:
-            if not row or row[0].startswith("#"):
+        rows = (row for row in reader if row and not row[0].startswith("#"))
+        for i, row in enumerate(rows):
+            if i == 0 and row[0].strip().lower() == "prefix":
                 continue
-            if reader.line_num == 1 and row[0].strip().lower() == "prefix":
-                continue  # header; a headerless file starts with data
             try:
                 table.insert(IpPrefix.parse(row[0]), parse_asn(row[1]))
             except (ValueError, IndexError) as exc:
@@ -702,11 +666,12 @@ def load_prefix_origins(path) -> PrefixTable:
 
 
 class RelayIndex:
-    """Relays sorted by address for fast prefix-coverage queries."""
+    """Relays sorted by address, and their addresses as one sorted int64
+    array for prefix-coverage queries."""
 
     def __init__(self, relays: Iterable[RelayDescriptor]) -> None:
         self.relays = sorted(relays, key=lambda r: r.address)
-        self._addresses = [relay.address for relay in self.relays]
+        self.addresses = np.array([relay.address for relay in self.relays], dtype=np.int64)
 
     @classmethod
     def of(cls, relays: "Iterable[RelayDescriptor] | RelayIndex") -> "RelayIndex":
@@ -717,10 +682,5 @@ class RelayIndex:
         return len(self.relays)
 
     def covered_by(self, prefix: IpPrefix) -> list[RelayDescriptor]:
-        lo = bisect_left(self._addresses, prefix.base)
-        hi = bisect_right(self._addresses, prefix.last_address)
+        lo, hi = np.searchsorted(self.addresses, (prefix.base, prefix.last_address + 1)).tolist()
         return self.relays[lo:hi]
-
-    def covers_any(self, prefix: IpPrefix) -> bool:
-        lo = bisect_left(self._addresses, prefix.base)
-        return lo < len(self._addresses) and self._addresses[lo] <= prefix.last_address

@@ -308,11 +308,23 @@ def more_specific_monitor(
     announcement of its (session, prefix, origin) and stays open until the
     prefix is withdrawn on that session, or until the window's end. Spans
     are clipped to the window and a span left empty is dropped; the score
-    is the number of spans. The monitor runs online, row by row, over ids.
+    is the number of spans. The monitor runs online, row by row, over ids,
+    so rows at equal timestamps count in table order; the strictly shorter
+    covers of each prefix id come from one PrefixTable query up front.
     """
     index = RelayIndex.of(relays)
     prefixes = table.prefixes
-    live: dict[int, PrefixTable] = {}  # per session id: prefix -> origin
+    ids = PrefixTable()
+    for p, prefix in enumerate(prefixes):
+        ids.insert(prefix, p)
+    entry_id = np.array([p for _, p in ids.freeze().entries()], dtype=np.int64)
+    at, found = ids.covering_many([prefix.base for prefix in prefixes])
+    length = [prefix.length for prefix in prefixes]
+    covers: list[list[int]] = [[] for _ in prefixes]  # per prefix id, longest first
+    for p, cover in zip(at.tolist(), entry_id[found].tolist()):
+        if length[cover] < length[p]:  # a longer prefix may share the base
+            covers[p].append(cover)
+    live: dict[int, dict[int, int]] = {}  # per session id: prefix id -> origin
     # (session, prefix id) -> {origin: since}
     open_hits: dict[tuple[int, int], dict[int, float]] = {}
     spans: dict[tuple[int, int], list[tuple[float, float]]] = {}  # (prefix id, origin) -> spans
@@ -321,20 +333,16 @@ def more_specific_monitor(
         table.ts[rows].tolist(), table.session[rows].tolist(), table.prefix[rows].tolist(),
         table.origin[rows].tolist(),
     ):
-        prefix = prefixes[p]
         key = (session, p)
-        routes = live.get(session)
-        if routes is None:
-            routes = live[session] = PrefixTable()
+        routes = live.setdefault(session, {})
         if origin < 0:  # a withdrawal
-            if prefix in routes:
-                routes.remove(prefix)
+            routes.pop(p, None)
             for hit_origin, since in open_hits.pop(key, {}).items():
                 spans.setdefault((p, hit_origin), []).append((since, ts))
             continue
-        if any(other != origin for _, other in routes.covering(prefix.base, prefix.length)):
+        if any(routes.get(cover, origin) != origin for cover in covers[p]):
             open_hits.setdefault(key, {}).setdefault(origin, ts)
-        routes.insert(prefix, origin)
+        routes[p] = origin
     t_lo, t_hi = window
     for (_, p), origins in open_hits.items():
         for origin, since in origins.items():

@@ -29,6 +29,55 @@ from routelens.simulate import (
 )
 
 
+# --- longest-prefix match by dict buckets ------------------------------------------
+
+
+class BucketTable:
+    """Longest-prefix match over one dict bucket per prefix length, base
+    address -> (prefix, payload), probed longest first: the oracle of
+    PrefixTable's array queries. A re-inserted prefix keeps its last payload."""
+
+    def __init__(self, entries=()):
+        self._buckets = {}
+        for prefix, payload in entries:
+            self.insert(prefix, payload)
+
+    def insert(self, prefix, payload):
+        self._buckets.setdefault(prefix.length, {})[prefix.base] = (prefix, payload)
+
+    def covering(self, address):
+        """Every entry covering address, longest first."""
+        for length in sorted(self._buckets, reverse=True):
+            shift = 32 - length
+            entry = self._buckets[length].get(address >> shift << shift)
+            if entry is not None:
+                yield entry
+
+    def lookup(self, address):
+        """The payload of the most specific entry covering address, or None."""
+        return next(self.covering(address), (None, None))[1]
+
+
+def covers_any(index: RelayIndex, prefix: IpPrefix) -> bool:
+    """Whether some relay of index lies inside prefix."""
+    return any(prefix.covers(relay.address) for relay in index.relays)
+
+
+def prefix_entries(rib, prefix):
+    """A SessionRib's closed history entries of prefix, then its open live entry."""
+    live = rib.live.get(prefix)
+    return rib.history.get(prefix, []) + ([] if live is None else [live])
+
+
+def rib_entries(rib):
+    """(prefix, entry) of every entry of a SessionRib, in prefix order."""
+    return [
+        (prefix, entry)
+        for prefix in sorted(set(rib.history) | set(rib.live))
+        for entry in prefix_entries(rib, prefix)
+    ]
+
+
 # --- updates as rows ---------------------------------------------------------------
 
 
@@ -177,7 +226,7 @@ class ReplayRib(SessionRib):
         self._relays = relay_index
 
     def apply(self, update):
-        if not self._relays.covers_any(update.prefix):
+        if not covers_any(self._relays, update.prefix):
             return  # prefix hosts no relay: not tracked
         current = self.live.get(update.prefix)
         if update.path is None:
@@ -197,7 +246,6 @@ class ReplayRib(SessionRib):
             prefix=update.prefix,
             path=update.path,
         )
-        self._prefixes.insert(update.prefix, update.prefix)
 
 
 def oracle_ingest(updates, relays, local_as=None):
@@ -232,7 +280,7 @@ def oracle_frequency_heuristic(
             continue
         if not window[0] <= update.timestamp < window[1]:
             continue
-        if not index.covers_any(update.prefix):
+        if not covers_any(index, update.prefix):
             continue
         n_announcements += 1
         totals[update.prefix] = totals.get(update.prefix, 0) + 1
@@ -251,9 +299,21 @@ def oracle_frequency_heuristic(
     return alerts
 
 
-def route_for_relay(rib, relay, t):
-    """Most-specific tracked entry of a SessionRib live at t whose prefix covers the relay."""
-    return next((e for e in rib.entries_for_address(relay.address) if e.live_at(t)), None)
+def rib_index(rib) -> BucketTable:
+    """The prefixes of a SessionRib's entries, each its own payload."""
+    return BucketTable((prefix, prefix) for prefix in set(rib.history) | set(rib.live))
+
+
+def route_for_relay(rib, relay, t, index=None):
+    """Most-specific tracked entry of a SessionRib live at t whose prefix
+    covers the relay; index is rib_index(rib), built here when not given."""
+    index = rib_index(rib) if index is None else index
+    return next((
+        entry
+        for prefix, _ in index.covering(relay.address)
+        for entry in prefix_entries(rib, prefix)
+        if entry.live_at(t)
+    ), None)
 
 
 def ccdf_value(points, x):
@@ -291,11 +351,12 @@ def brute_force_records(ribs, relays, window, min_overlap):
     local = {sid: rib.session.local_as for sid, rib in ribs.items()}
     counts: dict[tuple, int] = {}
     admitted = [r for r in relays if r.is_guard or r.is_exit]
+    indices = {sid: rib_index(rib) for sid, rib in ribs.items()}
     for t in range(int(t0), int(t1)):
         on_path = {}
         for sid, rib in ribs.items():
             for relay in admitted:
-                entry = route_for_relay(rib, relay, t)
+                entry = route_for_relay(rib, relay, t, indices[sid])
                 on_path[(sid, relay.address)] = set(entry.path) if entry else set()
         for sid_g, _ in ribs.items():
             for rg in admitted:
@@ -541,11 +602,15 @@ def brute_progress_deltas(table, data: bool, direction, bin_width, window, t0):
 # --- per-hop traceroute resolution oracle -----------------------------------------
 
 
+_PRIVATE = BucketTable(_PRIVATE_BLOCKS.entries())
+
+
 def oracle_resolve_traceroute(hops, mapping):
     """resolve_traceroute hop by hop: a timeout or an unmapped hop sets the
     gap flag, a private hop is skipped, and an AS is kept at its first hop."""
     if not hops:
         raise EmptyPathError("traceroute produced no hops")
+    mapped = BucketTable(mapping.entries())
     ases = []
     gap = False
     for hop in hops:
@@ -553,9 +618,9 @@ def oracle_resolve_traceroute(hops, mapping):
             gap = True
             continue
         address = ip_to_int(hop)
-        if _PRIVATE_BLOCKS.lookup(address):
+        if _PRIVATE.lookup(address):
             continue
-        asn = mapping.lookup(address)
+        asn = mapped.lookup(address)
         if asn is None:
             gap = True
             continue
@@ -698,7 +763,7 @@ def oracle_more_specific_monitor(updates, relays, window):
     open_hits = {}
     for update in updates:
         key = (update.session, update.prefix)
-        if not index.covers_any(update.prefix):
+        if not covers_any(index, update.prefix):
             continue
         if update.path is None:
             live.pop(key, None)
@@ -755,7 +820,7 @@ def oracle_time_heuristic(updates, relays, window, threshold):
     for update in updates:
         if update.timestamp >= t_hi:
             break
-        if not index.covers_any(update.prefix):
+        if not covers_any(index, update.prefix):
             continue
         if update.path is None:
             close(update.session, update.prefix, update.timestamp)

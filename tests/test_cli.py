@@ -577,6 +577,16 @@ def test_relay_octet_out_of_range_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_mapping_header_after_a_comment_line_is_the_header(tmp_path, capsys):
+    """A # line may come before the header, in the mapping as in the relay list."""
+    relays = tmp_path / "relays.csv"
+    relays.write_text("# relays\naddress,is_guard,is_exit,bandwidth,nickname\n10.0.0.5,1,0,5.0,g\n")
+    origins = tmp_path / "origins.csv"
+    origins.write_text("# origins\nprefix,asn\n10.0.0.0/24,64500\n")
+    code = run("--output-dir", tmp_path / "o", "concentrate", "--relays", relays, "--origins", origins)
+    assert code == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "spelling",
     ["+64500", "64_500", "٦٤٥٠٠", "-7", "4294967296"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import is_more_specific_of
+from helpers import BucketTable, covers_any, is_more_specific_of
 from routelens.core import (
     AsPath,
     InputError,
@@ -19,6 +19,7 @@ from routelens.core import (
     int_to_ip,
     ip_to_int,
     ip_to_int_many,
+    load_prefix_origins,
     load_relays,
     merge_intervals,
     merge_intervals_grouped,
@@ -148,9 +149,9 @@ def test_most_specific_match_prefers_longer():
     table = PrefixTable()
     table.insert(IpPrefix.parse("10.0.0.0/8"), "A")
     table.insert(IpPrefix.parse("10.1.0.0/16"), "B")
-    assert table.lookup(ip_to_int("10.1.2.3")) == "B"
-    assert table.lookup(ip_to_int("10.2.2.3")) == "A"
-    assert table.lookup(ip_to_int("192.0.2.1")) is None
+    table.freeze()
+    found = table.lookup_many([ip_to_int(a) for a in ("10.1.2.3", "10.2.2.3", "192.0.2.1")])
+    assert [table.entries()[i][1] if i >= 0 else None for i in found.tolist()] == ["B", "A", None]
 
 
 @pytest.mark.parametrize(
@@ -189,96 +190,10 @@ def test_most_specific_match_against_linear_scan_oracle():
         table.insert(prefix, 10_000 + i)
         entries.append((prefix, 10_000 + i))
     table.freeze()
-    for _ in range(10_000):
-        addr = rng.randrange(0, 2**32)
-        assert table.lookup(addr) == linear_scan_match(entries, addr)
-
-
-@settings(max_examples=50)
-@given(st.lists(st.tuples(addresses, lengths), min_size=1, max_size=12), addresses, lengths, addresses)
-def test_insert_remove_roundtrip(items, extra_base, extra_len, probe):
-    table = PrefixTable()
-    entries = []
-    for base, length in items:
-        prefix = IpPrefix(base, length)
-        table.insert(prefix, str(prefix))
-        entries.append((prefix, str(prefix)))
-    probes = [probe] + [p.base for p, _ in entries] + [p.last_address for p, _ in entries]
-    before = [table.lookup(a) for a in probes]
-    extra = IpPrefix(extra_base, extra_len)
-    had = extra in table
-    old_payload = table.get(extra)
-    table.insert(extra, "extra")
-    if had:
-        table.insert(extra, old_payload)
-    else:
-        table.remove(extra)
-    assert [table.lookup(a) for a in probes] == before
-
-
-@settings(max_examples=100)
-@given(
-    st.lists(
-        st.tuples(st.booleans(), addresses, st.sampled_from([0, 1, 8, 12, 16, 23, 24, 31, 32])),
-        min_size=1,
-        max_size=30,
-    ),
-    st.lists(addresses, max_size=5),
-)
-def test_interleaved_insert_remove_matches_linear_scan(operations, extra_probes):
-    """Mixed lengths come and go; lookups keep agreeing with the oracle."""
-    table = PrefixTable()
-    entries = {}
-    for index, (remove, base, length) in enumerate(operations):
-        prefix = IpPrefix(base, length)
-        if remove and prefix in entries:
-            table.remove(prefix)
-            del entries[prefix]
-        elif remove and entries:
-            victim = sorted(entries)[base % len(entries)]
-            table.remove(victim)
-            del entries[victim]
-        else:
-            table.insert(prefix, index)
-            entries[prefix] = index
-        probes = extra_probes + [base] + [p.base for p in entries] + [p.last_address for p in entries]
-        for address in probes:
-            assert table.lookup(address) == linear_scan_match(entries.items(), address)
-    assert len(table) == len(entries)
-
-
-@settings(max_examples=150)
-@given(
-    st.lists(
-        st.tuples(st.booleans(), addresses, st.sampled_from([0, 1, 8, 12, 16, 23, 24, 31, 32])),
-        min_size=1,
-        max_size=30,
-    ),
-    st.lists(addresses, max_size=5),
-    lengths,
-)
-def test_covering_matches_linear_scan_under_insert_remove(operations, extra_probes, shorter_than):
-    """covering yields every live cover shorter than the bound, longest first."""
-    table = PrefixTable()
-    entries = {}
-    for index, (remove, base, length) in enumerate(operations):
-        prefix = IpPrefix(base, length)
-        if remove and entries:
-            victim = prefix if prefix in entries else sorted(entries)[base % len(entries)]
-            table.remove(victim)
-            del entries[victim]
-        elif not remove:
-            table.insert(prefix, index)
-            entries[prefix] = index
-        probes = extra_probes + [base] + [p.base for p in entries] + [p.last_address for p in entries]
-        for address in probes:
-            for bound in (shorter_than, 33):
-                expected = sorted(
-                    ((p, v) for p, v in entries.items() if p.covers(address) and p.length < bound),
-                    key=lambda entry: -entry[0].length,
-                )
-                assert list(table.covering(address, bound)) == expected
-    assert sorted(table) == sorted(entries.items())
+    probes = [rng.randrange(0, 2**32) for _ in range(10_000)]
+    listed = table.entries()
+    for addr, index in zip(probes, table.lookup_many(probes).tolist()):
+        assert (listed[index][1] if index >= 0 else None) == linear_scan_match(entries, addr)
 
 
 def _nested_prefixes():
@@ -312,19 +227,24 @@ def test_lookup_many_matches_linear_scan(items, extra_probes):
     assert found.dtype == np.int64
     listed = table.entries()
     assert list(listed) == sorted(entries.items())
+    oracle = BucketTable(entries.items())
     for address, index in zip(probes, found.tolist()):
         expected = linear_scan_match(entries.items(), address)
         assert (None if index < 0 else listed[index][1]) == expected
-        assert (None if index < 0 else listed[index]) == table.lookup_entry(address)
+        assert (None if index < 0 else listed[index]) == next(oracle.covering(address), None)
 
 
 def test_lookup_many_on_empty_table_and_empty_input():
     table = PrefixTable().freeze()
     assert table.lookup_many([0, 0xFFFFFFFF]).tolist() == [-1, -1]
+    assert [a.tolist() for a in table.covering_many([0, 0xFFFFFFFF])] == [[], []]
     table = PrefixTable()
     table.insert(IpPrefix.parse("0.0.0.0/0"), "all")
+    with pytest.raises(RuntimeError):
+        table.covering_many([0])
     table.freeze()
     assert table.lookup_many(np.array([], dtype=np.int64)).tolist() == []
+    assert [a.tolist() for a in table.covering_many([])] == [[], []]
     assert table.lookup_many([0, 0xFFFFFFFF]).tolist() == [0, 0]
 
 
@@ -334,9 +254,45 @@ def test_freeze_blocks_mutation():
     table.freeze()
     with pytest.raises(RuntimeError):
         table.insert(IpPrefix.parse("11.0.0.0/8"), 2)
-    with pytest.raises(RuntimeError):
-        table.remove(IpPrefix.parse("10.0.0.0/8"))
-    assert table.lookup(ip_to_int("10.5.5.5")) == 1
+    assert table.entries() == ((IpPrefix.parse("10.0.0.0/8"), 1),)
+    assert table.lookup_many([ip_to_int("10.5.5.5"), ip_to_int("11.5.5.5")]).tolist() == [0, -1]
+
+
+def _table_items():
+    """(prefix, payload) inserts: nested prefixes at lengths 0, 1, 8, 16, 24,
+    31 and 32 from a few bases, so prefixes repeat and are re-inserted."""
+    bases = st.sampled_from([0, 0x0A000000, 0x0A010000, 0x0A0100FF, 0x0A010100, 0xFFFFFFFF])
+    one = st.tuples(bases | addresses, st.sampled_from([0, 1, 8, 16, 24, 31, 32]))
+    return st.lists(one, max_size=25)
+
+
+@settings(max_examples=200)
+@given(_table_items(), st.lists(addresses, max_size=5))
+def test_covering_many_and_lookup_many_match_bucket_oracle(items, extra_probes):
+    """Every cover of every probe, longest first, and the most specific one
+    agree with the bucket table; the last payload of a re-inserted prefix wins."""
+    table, oracle = PrefixTable(), BucketTable()
+    for payload, (base, length) in enumerate(items):
+        prefix = IpPrefix(base, length)
+        table.insert(prefix, payload)
+        oracle.insert(prefix, payload)
+    table.freeze()
+    listed = table.entries()
+    assert len(table) == len(listed) == len({IpPrefix(b, n) for b, n in items})
+    probes = extra_probes + [0, 0xFFFFFFFF]
+    for prefix, _ in listed:
+        probes += [prefix.base, prefix.last_address]
+        probes += [a for a in (prefix.base - 1, prefix.last_address + 1) if 0 <= a <= 0xFFFFFFFF]
+    at, found = table.covering_many(np.array(probes, dtype=np.int64))
+    assert at.dtype == found.dtype == np.int64
+    covers = [[] for _ in probes]
+    for position, index in zip(at.tolist(), found.tolist()):
+        covers[position].append(listed[index])
+    assert covers == [list(oracle.covering(address)) for address in probes]
+    most_specific = table.lookup_many(probes).tolist()
+    assert most_specific == [
+        listed.index(covering[0]) if covering else -1 for covering in covers
+    ]
 
 
 def test_as_path_collapses_prepends():
@@ -369,8 +325,8 @@ def test_relay_index_coverage():
     index = RelayIndex(relays)
     both = index.covered_by(IpPrefix.parse("10.0.0.0/16"))
     assert [r.nickname for r in both] == ["g", "e"]
-    assert index.covers_any(IpPrefix.parse("192.0.2.0/24"))
-    assert not index.covers_any(IpPrefix.parse("203.0.113.0/24"))
+    assert covers_any(index, IpPrefix.parse("192.0.2.0/24"))
+    assert not covers_any(index, IpPrefix.parse("203.0.113.0/24"))
 
 
 def _chained_spans_oracle(spans, gap):
@@ -430,6 +386,18 @@ def test_relay_index_of_reuses_an_index():
     index = RelayIndex(relays)
     assert RelayIndex.of(index) is index
     assert RelayIndex.of(relays).relays == index.relays
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["prefix,asn\n10.0.0.0/24,64500\n", "# origins\n\nprefix,asn\n10.0.0.0/24,64500\n",
+     "10.0.0.0/24,64500\n", "# origins\n10.0.0.0/24,64500\n"],
+    ids=["header", "comment-then-header", "headerless", "comment-then-data"],
+)
+def test_prefix_origins_header_is_optional_and_may_follow_comments(tmp_path, text):
+    path = tmp_path / "origins.csv"
+    path.write_text(text)
+    assert load_prefix_origins(path).entries() == ((IpPrefix.parse("10.0.0.0/24"), 64500),)
 
 
 def test_load_relays_names_file_and_line(tmp_path):
