@@ -45,28 +45,47 @@ class Sightings:
 
 
 @dataclass(frozen=True)
-class CircuitHits:
-    """Compromised circuits, one row per (AS, src, guard, dst, exit).
+class AsOverlap:
+    """One AS's overlap kernel: its guard keys' sorted (src, guard) and exit
+    keys' sorted (dst, exit), each key's row among the AS's distinct span
+    sets on that side, and overlap[i, j], the measure of the intersection of
+    guard set i and exit set j (exact at the min_overlap threshold, elsewhere
+    to rounding) where that pair is kept, and 0 elsewhere."""
 
-    Parallel columns: as_index indexes ases, src and dst index sessions,
-    guard and exit are relay addresses, and overlap_seconds is the measure
-    of the intersection (decided exactly at the min_overlap threshold,
-    elsewhere to rounding). admitted is the sessions x sessions matrix of
-    the (src, dst) pairs the metric counts; every hit lies on one.
+    src: np.ndarray
+    guard: np.ndarray
+    guard_rows: np.ndarray
+    dst: np.ndarray
+    exit: np.ndarray
+    exit_rows: np.ndarray
+    overlap: np.ndarray
+
+
+@dataclass(frozen=True)
+class CircuitHits:
+    """Compromised circuits: overlaps[k] is the overlap kernel of AS ases[k].
+
+    admitted is the sessions x sessions matrix of the (src, dst) pairs the
+    metric counts. masks() yields, per AS, its guard keys x exit keys kept
+    cells: a kept overlap on an admitted pair of distinct relays. Each is
+    one (AS, src, guard, dst, exit) hit, and len() counts them.
     """
 
     sessions: tuple[str, ...]
     admitted: np.ndarray
     ases: np.ndarray
-    as_index: np.ndarray
-    src: np.ndarray
-    guard: np.ndarray
-    dst: np.ndarray
-    exit: np.ndarray
-    overlap_seconds: np.ndarray
+    overlaps: tuple[AsOverlap, ...]
+
+    def masks(self):
+        for o in self.overlaps:
+            yield (
+                (o.overlap > 0)[o.guard_rows][:, o.exit_rows]
+                & self.admitted[o.src][:, o.dst]
+                & (o.guard[:, np.newaxis] != o.exit[np.newaxis, :])
+            )
 
     def __len__(self) -> int:
-        return len(self.as_index)
+        return sum(int(np.count_nonzero(mask)) for mask in self.masks())
 
 
 @dataclass
@@ -192,23 +211,16 @@ def _indicator(span_sets: list, edges: np.ndarray) -> np.ndarray:
     return np.cumsum(steps, axis=1)[:, :-1]
 
 
-def _sorted_distinct(values) -> np.ndarray:
-    """Each value once, ascending: np.unique(values), whose plain form
-    imports numpy.ma on first use in numpy 2."""
-    ordered = np.sort(values)
-    return ordered[np.diff(ordered, prepend=-np.inf) > 0]
-
-
-def _as_hits(guard_spans, exit_spans, admitted: np.ndarray, min_overlap: float):
-    """(src, guard, dst, exit, overlap) columns of one AS's kept key pairs.
+def _as_overlap(guard_spans, exit_spans, min_overlap: float) -> AsOverlap:
+    """One AS's kept key pairs as a product over its distinct span sets.
 
     Keys with identical span sets share one row of the product: relays
     behind the same covering routes on a session see the same spans.
     """
     src, guard, guard_rows, guard_sets = _distinct_rows(guard_spans)
     dst, exit_, exit_rows, exit_sets = _distinct_rows(exit_spans)
-    edges = _sorted_distinct(
-        [t for spans in guard_sets + exit_sets for span in spans for t in span]
+    edges = np.array(
+        sorted({t for spans in guard_sets + exit_sets for span in spans for t in span})
     )
     weighted = _indicator(guard_sets, edges) * np.diff(edges)
     # einsum without optimize stays off BLAS, whose threads only slow
@@ -221,15 +233,9 @@ def _as_hits(guard_spans, exit_spans, admitted: np.ndarray, min_overlap: float):
     near = 4 * (len(edges) + 1) * np.finfo(float).eps * (edges[-1] - edges[0])
     for i, j in zip(*np.nonzero(keep & (np.abs(overlap - min_overlap) <= near))):
         overlap[i, j] = _intersection_length(guard_sets[i], exit_sets[j])
-    keep &= overlap >= min_overlap
-    # back from distinct span sets to keys, then the admission rules
-    hit = (
-        keep[np.ix_(guard_rows, exit_rows)]
-        & admitted[np.ix_(src, dst)]
-        & (guard[:, np.newaxis] != exit_[np.newaxis, :])
-    )
-    g, e = np.nonzero(hit)
-    return src[g], guard[g], dst[e], exit_[e], overlap[guard_rows[g], exit_rows[e]]
+    # a positive segment sum means a shared segment, so every kept cell stays > 0
+    overlap[~(keep & (overlap >= min_overlap))] = 0.0
+    return AsOverlap(src, guard, guard_rows, dst, exit_, exit_rows, overlap)
 
 
 def compromised_circuits(
@@ -246,26 +252,17 @@ def compromised_circuits(
     differ and local_as does not place both in one AS. Circuits using one
     relay as both guard and exit are not valid and are skipped too.
     """
-    local = [(local_as or {}).get(sid) for sid in sightings.sessions]
-    n = len(local)
-    admitted = np.array(
-        [
-            i != j and (local[i] is None or local[i] != local[j])
-            for i in range(n)
-            for j in range(n)
-        ],
-        dtype=bool,
-    ).reshape(n, n)
+    # -1: no local AS known, which AS numbers (0..2**32-1) never are
+    local = np.array([(local_as or {}).get(sid, -1) for sid in sightings.sessions], dtype=np.int64)
+    admitted = (local[:, np.newaxis] < 0) | (local[:, np.newaxis] != local[np.newaxis, :])
+    np.fill_diagonal(admitted, False)
     # only an AS on both a guard's and an exit's path can compromise a circuit
     ases = [asn for asn, sides in sightings.spans.items() if all(sides)]
-    columns = [_as_hits(*sightings.spans[asn], admitted, min_overlap) for asn in ases]
-    empty = (np.empty(0, dtype=np.int64),) * 4 + (np.empty(0),)
     return CircuitHits(
         sightings.sessions,
         admitted,
         np.array(ases, dtype=np.int64),
-        np.repeat(np.arange(len(ases)), [len(hits[0]) for hits in columns]),
-        *(np.concatenate(column) for column in zip(empty, *columns)),
+        tuple(_as_overlap(*sightings.spans[asn], min_overlap) for asn in ases),
     )
 
 
@@ -282,31 +279,31 @@ def circuit_universe(relays: list[RelayDescriptor]) -> int:
     return len(guards) * len(exits) - len(np.intersect1d(guards, exits, assume_unique=True))
 
 
-def _or_rows(owner: np.ndarray, circuit: np.ndarray, n_owners: int, n_circuits: int):
-    """Per owner, the sorted distinct circuit ids: the OR of its hits as one
-    boolean owner x circuit matrix."""
-    bits = np.zeros((n_owners, n_circuits), dtype=bool)
-    bits[owner, circuit] = True
-    return [np.flatnonzero(row) for row in bits]
-
-
 def summarize(hits: CircuitHits, relays: list[RelayDescriptor]) -> CompromiseSummary:
-    """OR the hits into each admitted pair's and each AS's circuit ids."""
+    """OR each AS's kept cells, one AS at a time, into each admitted pair's
+    and each AS's circuit ids."""
     guards, exits = circuit_axes(relays)
-    n_circuits = len(guards) * len(exits)
-    circuit = np.searchsorted(guards, hits.guard) * len(exits) + np.searchsorted(exits, hits.exit)
-    # admitted pairs in row-major order; a hit's row is its pair's rank
-    src, dst = np.nonzero(hits.admitted)
-    pairs = [(hits.sessions[i], hits.sessions[j]) for i, j in zip(src.tolist(), dst.tolist())]
-    rank = np.cumsum(hits.admitted) - 1
-    pair_of = rank[hits.src * len(hits.sessions) + hits.dst]
-    by_pair = _or_rows(pair_of, circuit, len(pairs), n_circuits)
-    by_as = _or_rows(hits.as_index, circuit, len(hits.ases), n_circuits)
+    n, n_guards, n_exits = len(hits.sessions), len(guards), len(exits)
+    by_pair = np.zeros((n, n_guards, n, n_exits), dtype=bool)
+    # a view with rows (src, guard) and columns (dst, exit): the keys of one
+    # AS are distinct, so its mask ORs in as one block
+    by_keys = by_pair.reshape(n * n_guards, n * n_exits)
+    by_as = np.zeros((len(hits.ases), n_guards, n_exits), dtype=bool)
+    for o, mask, circuits in zip(hits.overlaps, hits.masks(), by_as):
+        g, e = np.searchsorted(guards, o.guard), np.searchsorted(exits, o.exit)
+        by_keys[np.ix_(o.src * n_guards + g, o.dst * n_exits + e)] |= mask
+        # a relay seen on several sessions repeats its circuits: accumulate
+        np.logical_or.at(circuits, (g[:, np.newaxis], e[np.newaxis, :]), mask)
     return CompromiseSummary(
-        pair_circuits=dict(zip(pairs, by_pair)),
+        pair_circuits={
+            (hits.sessions[i], hits.sessions[j]): np.flatnonzero(by_pair[i, :, j])
+            for i, j in zip(*(side.tolist() for side in np.nonzero(hits.admitted)))
+        },
         total_circuits=circuit_universe(relays),
         per_as_circuits={
-            asn: ids for asn, ids in zip(hits.ases.tolist(), by_as) if len(ids)
+            asn: np.flatnonzero(circuits)
+            for asn, circuits in zip(hits.ases.tolist(), by_as)
+            if circuits.any()
         },
         guards=guards,
         exits=exits,
@@ -366,13 +363,12 @@ def churn_summary(
             and np.array_equal(baseline.exits, summary.exits)
         ):
             raise ValueError("baseline counts circuits over a different relay list")
-        none = np.empty(0, dtype=np.int64)
-        summary.pair_circuits = {
-            pair: _sorted_distinct(np.concatenate((
-                summary.pair_circuits.get(pair, none), baseline.pair_circuits.get(pair, none)
-            )))
-            for pair in sorted(set(summary.pair_circuits) | set(baseline.pair_circuits))
-        }
+        # pair by pair in place, so one pair's union is alive at a time
+        for pair in sorted(set(summary.pair_circuits) | set(baseline.pair_circuits)):
+            bits = np.zeros(len(summary.guards) * len(summary.exits), dtype=bool)
+            for side in (summary, baseline):
+                bits[side.pair_circuits.get(pair, [])] = True
+            summary.pair_circuits[pair] = np.flatnonzero(bits)
     return summary
 
 

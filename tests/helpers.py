@@ -421,6 +421,21 @@ def oracle_records(sightings, min_overlap=30.0, local_as=None):
     return records
 
 
+def hit_columns(hits):
+    """The kept cells of every AS's mask as parallel (as_index, src, guard,
+    dst, exit, overlap_seconds) columns, AS by AS: as_index indexes ases,
+    src and dst index sessions, guard and exit are relay addresses, and
+    overlap_seconds is read from the AS's overlap kernel."""
+    parts = [(np.empty(0, dtype=np.int64),) * 5 + (np.empty(0),)]
+    for k, (o, mask) in enumerate(zip(hits.overlaps, hits.masks())):
+        g, e = np.nonzero(mask)
+        parts.append((
+            np.full(len(g), k), o.src[g], o.guard[g], o.dst[e], o.exit[e],
+            o.overlap[o.guard_rows[g], o.exit_rows[e]],
+        ))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def hit_records(hits) -> set:
     """The product's per-AS hits as records."""
     return {
@@ -428,10 +443,41 @@ def hit_records(hits) -> set:
             hits.sessions[src], hits.sessions[dst], guard, exit_, int(hits.ases[k]), seconds
         )
         for k, src, guard, dst, exit_, seconds in zip(
-            hits.as_index.tolist(), hits.src.tolist(), hits.guard.tolist(),
-            hits.dst.tolist(), hits.exit.tolist(), hits.overlap_seconds.tolist(),
+            *(column.tolist() for column in hit_columns(hits))
         )
     }
+
+
+def _or_rows(owner, circuit, n_owners, n_circuits):
+    """Per owner, the sorted distinct circuit ids: the OR of its hits as one
+    boolean owner x circuit matrix."""
+    bits = np.zeros((n_owners, n_circuits), dtype=bool)
+    bits[owner, circuit] = True
+    return [np.flatnonzero(row) for row in bits]
+
+
+def oracle_summarize(hits, relays) -> CompromiseSummary:
+    """summarize by rows: every AS's hits concatenated into columns, then
+    ORed per admitted pair and per AS."""
+    as_index, src, guard, dst, exit_, _ = hit_columns(hits)
+    guards, exits = circuit_axes(relays)
+    n_circuits = len(guards) * len(exits)
+    circuit = np.searchsorted(guards, guard) * len(exits) + np.searchsorted(exits, exit_)
+    # admitted pairs in row-major order; a hit's row is its pair's rank
+    pairs = [
+        (hits.sessions[i], hits.sessions[j])
+        for i, j in zip(*(side.tolist() for side in np.nonzero(hits.admitted)))
+    ]
+    rank = np.cumsum(hits.admitted) - 1
+    by_pair = _or_rows(rank[src * len(hits.sessions) + dst], circuit, len(pairs), n_circuits)
+    by_as = _or_rows(as_index, circuit, len(hits.ases), n_circuits)
+    return CompromiseSummary(
+        pair_circuits=dict(zip(pairs, by_pair)),
+        total_circuits=circuit_universe(relays),
+        per_as_circuits={asn: ids for asn, ids in zip(hits.ases.tolist(), by_as) if len(ids)},
+        guards=guards,
+        exits=exits,
+    )
 
 
 def session_pairs(ribs) -> list[tuple[str, str]]:

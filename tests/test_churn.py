@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 from helpers import (
@@ -14,6 +16,7 @@ from helpers import (
     hit_records,
     oracle_ccdf,
     oracle_records,
+    oracle_summarize,
     random_churn_fixture,
     session_pairs,
     summarize_records,
@@ -22,6 +25,8 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from routelens import churn
+from routelens.bgp import ingest
 from routelens.churn import (
     CompromiseSummary,
     Sightings,
@@ -33,8 +38,10 @@ from routelens.churn import (
     compromised_circuits,
     segment_observations,
     static_baseline,
+    summarize,
 )
 from routelens.core import RelayDescriptor, ip_to_int
+from routelens.simulate import ChurnEvent, RouteSpec, RoutingScenario, SessionSpec, gen_updates
 
 
 def relay(addr, guard=False, exit_=False, bw=1.0, name=""):
@@ -378,6 +385,86 @@ def test_static_baseline_reads_the_full_rib_at_t0(history, t0):
     for field in ("pair_circuits", "per_as_circuits"):
         got, want = getattr(read, field), getattr(replayed, field)
         assert {k: v.tolist() for k, v in got.items()} == {k: v.tolist() for k, v in want.items()}
+
+
+def assert_same_summary(got, want):
+    assert got.total_circuits == want.total_circuits
+    for field in ("pair_circuits", "per_as_circuits"):
+        assert {k: v.tolist() for k, v in getattr(got, field).items()} == {
+            k: v.tolist() for k, v in getattr(want, field).items()
+        }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    history=rib_histories(),
+    min_overlap=st.just(0.0) | st.tuples(TICK, TICK).map(lambda ab: abs(ab[1] - ab[0])),
+    # per session: no local AS known, or one of two
+    local=st.lists(st.none() | st.sampled_from([64500, 64501]), min_size=4, max_size=4),
+    t0=TICK,
+)
+def test_summary_of_masks_matches_row_oracle(history, min_overlap, local, t0):
+    relays, sessions, updates = history
+    ribs = build_ribs(updates, relays, sessions)
+    local_as = {sid: asn for sid, asn in zip(sorted(sessions), local) if asn is not None}
+    observations = segment_observations(ribs, relays, (0.0, 3.0))
+    hits = compromised_circuits(observations, min_overlap, local_as)
+    assert_same_summary(summarize(hits, relays), oracle_summarize(hits, relays))
+    # the snapshot path, through the hits static_baseline itself builds
+    made = []
+
+    def keep_hits(*args, **kwargs):
+        made.append(compromised_circuits(*args, **kwargs))
+        return made[-1]
+
+    with patch.object(churn, "compromised_circuits", keep_hits):
+        baseline = static_baseline(ribs, relays, t0)
+    assert_same_summary(baseline, oracle_summarize(made[0], relays))
+
+
+def dense_scenario():
+    """Every one of 4 sessions reaches each of 48 relays' /16 through the
+    same 9 transit ASes, so each of them sees every guard and exit key; one
+    session's route to every fourth relay detours around the core for a
+    while, which gives those keys a second span set."""
+    n_relays = 48
+    sessions = tuple(SessionSpec(f"s{k}", 64500 + k) for k in range(4))
+    relays = tuple(
+        RelayDescriptor(ip_to_int(f"10.{i}.0.1"), i % 3 != 1, i % 3 != 0, 1.0, f"r{i}")
+        for i in range(n_relays)
+    )
+    core = tuple(range(1, 10))
+    base = tuple(
+        RouteSpec(s.session_id, f"10.{i}.0.0/16", (100 + k, *core, 1000 + i))
+        for k, s in enumerate(sessions)
+        for i in range(n_relays)
+    )
+    churn_events = tuple(
+        ChurnEvent(t, "s0", f"10.{i}.0.0/16", path)
+        for t, path in ((40.0, (100, 1999)), (70.0, (100, *core, 1999)))
+        for i in range(0, n_relays, 4)
+    )
+    return RoutingScenario(0, (0.0, 100.0), sessions, relays, base, churn_events)
+
+
+def test_churn_summary_memory_stays_below_one_row_per_hit():
+    scenario = dense_scenario()
+    updates, _ = gen_updates(scenario)
+    relays = list(scenario.relays)
+    local = {s.session_id: s.local_as for s in scenario.sessions}
+    ribs = ingest(updates, relays, local_as=local)
+    observations = segment_observations(ribs, relays, scenario.window)
+    hits = compromised_circuits(observations, 30.0, local)
+    # one kept cell per record of the pairwise sweep: no hit is dropped
+    assert len(hits) == len(oracle_records(observations, 30.0, local)) >= 100_000
+    tracemalloc.start()
+    try:
+        churn_summary(ribs, relays, scenario.window, min_overlap=30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one int64/float64 row per hit would take 48 bytes each
+    assert peak < 48 * len(hits)
 
 
 # --- summaries, ccdf, ratios -------------------------------------------------
