@@ -111,42 +111,49 @@ def ip_to_int(text: str) -> int:
     return value
 
 
-def ip_to_int_many(texts: list[str]) -> np.ndarray:
-    """ip_to_int of every text, as int64 in order. The canonical spelling
-    (1-3 ASCII digits per octet, nothing around the quad) is decoded from
-    the uint8 characters of all texts at once; any other text goes through
-    ip_to_int, which either accepts it or raises its ValueError."""
-    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-    # one byte per character: a non-ASCII character becomes "?", which no quad holds
-    chars = np.frombuffer("".join(texts).encode("ascii", "replace"), dtype=np.uint8)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    is_dot = chars == ord(".")
-    digit = chars - np.uint8(ord("0"))  # wraps past 9 for every byte but a digit
-    strays = np.flatnonzero(~is_dot & (digit > 9))
-    dots = np.flatnonzero(is_dot)
+def quads_at(chars: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The addresses of the spans [starts, ends) of a uint8 array that hold
+    a canonical quad (four octets of 1-3 ASCII digits at most 255, three
+    dots, no other byte), as int64, and which spans do; the value of any
+    other span is 0."""
+    dots = np.append(np.flatnonzero(chars == ord(".")), [len(chars)] * 4)  # then none
     first_dot = np.searchsorted(dots, starts)
-    canonical = (np.searchsorted(dots, ends) - first_dot == 3) & (
-        np.searchsorted(strays, ends) == np.searchsorted(strays, starts)
-    )
+    canonical = (dots[first_dot + 2] < ends) & (dots[first_dot + 3] >= ends)
     rows = np.flatnonzero(canonical)
     at = first_dot[rows]
+    digit = chars - np.uint8(ord("0"))  # wraps past 9 for every byte but a digit
     exact = np.ones(len(rows), dtype=bool)
     value = np.zeros(len(rows), dtype=np.int64)
     begin = starts[rows]
     for end in (dots[at], dots[at + 1], dots[at + 2], ends[rows]):
         size = end - begin
         # the tens and hundreds reads may fall before the octet (even wrap
-        # to the buffer's end); the size masks drop them
-        octet = digit[end - 1].astype(np.int16)
-        octet += np.where(size > 1, digit[end - 2], 0) * np.int16(10)
-        octet += np.where(size > 2, digit[end - 3], 0) * np.int16(100)
-        exact &= (size >= 1) & (size <= 3) & (octet <= 255)
+        # to the array's end, as a span holds three dots); the size masks zero them
+        ones = digit[end - 1]
+        tens = digit[end - 2] * (size > 1)
+        hundreds = digit[end - 3] * (size > 2)
+        exact &= (size - 1).view(np.uint64) < 3
+        exact &= np.maximum(np.maximum(ones, tens), hundreds) <= 9
+        octet = ones + tens * np.int16(10) + hundreds * np.int16(100)
+        exact &= octet <= 255
         value = (value << 8) | octet
         begin = end + 1
     canonical[rows[~exact]] = False
-    values = np.empty(len(texts), dtype=np.int64)
+    values = np.zeros(len(starts), dtype=np.int64)
     values[rows[exact]] = value[exact]
+    return values, canonical
+
+
+def ip_to_int_many(texts: list[str]) -> np.ndarray:
+    """ip_to_int of every text, as int64 in order. The canonical spelling
+    is decoded by quads_at from the uint8 characters of all texts at once;
+    any other text goes through ip_to_int, which either accepts it or
+    raises its ValueError."""
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    # one byte per character: a non-ASCII character becomes "?", which no quad holds
+    chars = np.frombuffer("".join(texts).encode("ascii", "replace"), dtype=np.uint8)
+    ends = np.cumsum(lengths)
+    values, canonical = quads_at(chars, ends - lengths, ends)
     for i in np.flatnonzero(~canonical).tolist():
         values[i] = ip_to_int(texts[i])
     return values

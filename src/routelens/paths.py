@@ -24,7 +24,8 @@ from operator import eq
 
 import numpy as np
 
-from .core import InputError, IpPrefix, PrefixTable, ip_to_int_many, reading
+from .core import InputError, IpPrefix, PrefixTable, ip_to_int_many, quads_at, reading
+from .textcols import PAD, starts_with, text_lines, windows
 
 
 class PathError(Exception):
@@ -42,17 +43,13 @@ class PathRole(Enum):
     P4_DEST_TO_EXIT = "P4"
 
 
-_ROLES = {role.value: role for role in PathRole}
+ROLES = tuple(PathRole)  # a role code indexes this tuple
+_ROLE_CODES = {role.value: code for code, role in enumerate(ROLES)}
 
 _PRIVATE_BLOCKS = PrefixTable()
 for _block in ("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16", "127.0.0.0/8", "169.254.0.0/16"):
     _PRIVATE_BLOCKS.insert(IpPrefix.parse(_block), True)
 _PRIVATE_BLOCKS.freeze()
-
-# traceroute records resolved per batch: enough that numpy's per-call
-# overhead vanishes, few enough that a block's hop strings and arrays (about
-# 1.4 KiB a record) stay near a MiB and peak memory near the per-line loop's
-_BLOCK_RECORDS = 1024
 
 
 @dataclass(frozen=True)
@@ -65,42 +62,99 @@ class AsLevelPath:
     gap: bool  # True when some hop had no AS mapping
 
 
-def _as_numbers(mapping: PrefixTable) -> tuple[list, np.ndarray]:
-    """The distinct payloads of mapping.entries() in first-seen order, and
-    the position of each entry's payload in that list."""
-    distinct: dict = {}
-    numbers = [distinct.setdefault(asn, len(distinct)) for _, asn in mapping.entries()]
-    return list(distinct), np.array(numbers, dtype=np.int64)
+@dataclass(eq=False)
+class PathTable:
+    """AS-level paths as columns, one row per traceroute.
+
+    role is a code into ROLES; probe and target index names, day indexes
+    days, both lists sorted and holding only what some row uses. Row i's
+    ASes are ases[offsets[i]:offsets[i + 1]] in hop order, each once, and
+    gap[i] is set when some hop timed out or had no AS mapping.
+    """
+
+    role: np.ndarray
+    probe: np.ndarray
+    target: np.ndarray
+    day: np.ndarray
+    offsets: np.ndarray
+    ases: np.ndarray
+    gap: np.ndarray
+    names: list[str]
+    days: list[str]
+
+    def __len__(self) -> int:
+        return len(self.role)
+
+    @classmethod
+    def of(cls, rows: list[AsLevelPath]) -> PathTable:
+        """The table of a row list, row i being rows[i]."""
+        names = sorted({p.probe for p in rows} | {p.target for p in rows})
+        days = sorted({p.day for p in rows})
+        name_id = {name: i for i, name in enumerate(names)}
+        day_id = {day: i for i, day in enumerate(days)}
+        lengths = np.fromiter((len(p.ases) for p in rows), dtype=np.int64, count=len(rows))
+        return cls(
+            role=np.array([ROLES.index(p.role) for p in rows], dtype=np.int8),
+            probe=np.array([name_id[p.probe] for p in rows], dtype=np.int64),
+            target=np.array([name_id[p.target] for p in rows], dtype=np.int64),
+            day=np.array([day_id[p.day] for p in rows], dtype=np.int64),
+            offsets=np.concatenate(([0], np.cumsum(lengths))),
+            ases=np.array([asn for p in rows for asn in p.ases], dtype=np.int64),
+            gap=np.array([p.gap for p in rows], dtype=bool),
+            names=names,
+            days=days,
+        )
+
+    @classmethod
+    def concat(cls, tables: list[PathTable]) -> PathTable:
+        """The rows of tables, one table after another."""
+        if not tables:
+            return cls.of([])
+        names = sorted(set().union(*(table.names for table in tables)))
+        days = sorted(set().union(*(table.days for table in tables)))
+
+        def ids(column: str, strings: str, merged: list[str]) -> np.ndarray:
+            index = {text: i for i, text in enumerate(merged)}
+            return np.concatenate([
+                np.array([index[text] for text in getattr(table, strings)], dtype=np.int64)[
+                    getattr(table, column)
+                ]
+                for table in tables
+            ])
+
+        lengths = np.concatenate([np.diff(table.offsets) for table in tables])
+        return cls(
+            role=np.concatenate([table.role for table in tables]),
+            probe=ids("probe", "names", names),
+            target=ids("target", "names", names),
+            day=ids("day", "days", days),
+            offsets=np.concatenate(([0], np.cumsum(lengths))),
+            ases=np.concatenate([table.ases for table in tables]),
+            gap=np.concatenate([table.gap for table in tables]),
+            names=names,
+            days=days,
+        )
 
 
 def _resolve(
-    hop_lists: list, mapping: PrefixTable, as_numbers: tuple[list, np.ndarray]
-) -> list[tuple[tuple[int, ...], bool]]:
-    """(ases, gap) of each hop list, every hop of the batch parsed and
-    matched at once; as_numbers is _as_numbers(mapping).
+    record: np.ndarray, timeout: np.ndarray, address: np.ndarray, n_records: int,
+    mapping: PrefixTable,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR offsets, ASes and gap flags of n_records traceroutes, from the
+    record, timeout flag and address of every hop, hops grouped by record
+    in hop order.
 
-    Timeouts ("*") and unmapped hops are omitted and set the gap flag;
-    private-address hops are omitted silently; duplicates are dropped
-    keeping the first occurrence. A hop list that is not a non-empty list
-    of strings, or a hop that is not an address, raises.
+    Timeouts and unmapped hops are omitted and set the gap flag;
+    private-address hops are omitted silently; an AS is kept at its first
+    hop only.
     """
-    distinct, entry_number = as_numbers
-    for hops in hop_lists:
-        if type(hops) is not list:
-            raise TypeError(f"hops must be a list of strings, not {type(hops).__name__}")
-        if not hops:
-            raise EmptyPathError("traceroute produced no hops")
-    record = np.repeat(np.arange(len(hop_lists)), [len(hops) for hops in hop_lists])
-    hops = list(chain.from_iterable(hop_lists))
-    timeout = np.fromiter(map(eq, hops, repeat("*")), dtype=bool, count=len(hops))
-    try:
-        addresses = ip_to_int_many(list(compress(hops, (~timeout).tolist())))
-    except TypeError:
-        raise TypeError("hops must be a list of strings") from None
-    at = record[~timeout]
-    private = _PRIVATE_BLOCKS.lookup_many(addresses) >= 0
-    entry = mapping.lookup_many(addresses)
-    gap = np.zeros(len(hop_lists), dtype=bool)
+    distinct, entry_number = np.unique(
+        np.array([asn for _, asn in mapping.entries()], dtype=np.int64), return_inverse=True
+    )
+    at, address = record[~timeout], address[~timeout]
+    private = _PRIVATE_BLOCKS.lookup_many(address) >= 0
+    entry = mapping.lookup_many(address)
+    gap = np.zeros(n_records, dtype=bool)
     gap[record[timeout]] = True
     gap[at[~private & (entry < 0)]] = True
     mapped = ~private & (entry >= 0)
@@ -108,64 +162,246 @@ def _resolve(
     # the first sighting of each (record, AS) in hop order, records staying in order
     _, first = np.unique(at * len(distinct) + number, return_index=True)
     first.sort()
-    bounds = np.searchsorted(at[first], np.arange(len(hop_lists) + 1)).tolist()
-    ases = [distinct[i] for i in number[first].tolist()]
-    return [(tuple(ases[lo:hi]), flag) for lo, hi, flag in zip(bounds, bounds[1:], gap.tolist())]
+    offsets = np.searchsorted(at[first], np.arange(n_records + 1))
+    return offsets, distinct[number[first]], gap
+
+
+def _check_hops(hops) -> list:
+    """hops, if a non-empty list; else raise."""
+    if type(hops) is not list:
+        raise TypeError(f"hops must be a list of strings, not {type(hops).__name__}")
+    if not hops:
+        raise EmptyPathError("traceroute produced no hops")
+    return hops
+
+
+def _hop_arrays(hop_lists: list[list]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The record, timeout flag ("*") and address (0 at a timeout) of every
+    hop of some checked hop lists. A hop that is not a string raises
+    TypeError, and one that is neither "*" nor an address ValueError."""
+    hops = list(chain.from_iterable(hop_lists))
+    record = np.repeat(np.arange(len(hop_lists)), [len(hops) for hops in hop_lists])
+    timeout = np.fromiter(map(eq, hops, repeat("*")), dtype=bool, count=len(hops))
+    address = np.zeros(len(hops), dtype=np.int64)
+    try:
+        address[~timeout] = ip_to_int_many(list(compress(hops, (~timeout).tolist())))
+    except TypeError:
+        raise TypeError("hops must be a list of strings") from None
+    return record, timeout, address
 
 
 def resolve_traceroute(hops: list[str], mapping: PrefixTable) -> tuple[tuple[int, ...], bool]:
     """Map one traceroute's hop IPs to an AS-level path and its gap flag;
-    the rules are _resolve's."""
-    return _resolve([hops], mapping, _as_numbers(mapping))[0]
+    the rules are _check_hops', _hop_arrays' and _resolve's."""
+    _, ases, gap = _resolve(*_hop_arrays([_check_hops(hops)]), 1, mapping)
+    return tuple(ases.tolist()), bool(gap[0])
 
 
-def load_traceroutes(path, mapping: PrefixTable) -> list[AsLevelPath]:
+# --- reading: one fast byte shape by columns, any other line by json.loads -------
+#
+# The fast shape is what json.dumps(record, sort_keys=True) writes when
+# every string is printable ASCII without a quote or backslash:
+#
+#   {"day": "D", "hops": ["H", "H", ...], "probe": "P", "role": "R", "target": "T"}
+#
+# With no quote inside a string, a line's quotes are its structure: a
+# line with n hops (n >= 1) holds 18 + 2n, and each literal below, matched
+# at the quote it starts with, pins every byte up to the quote opening the
+# next string. Each hop of such a line must be "*" or a quad that
+# quads_at reads, and R one of P1..P4 in either case. Every other line is
+# read by json.loads and checked by _record, which names the first fault.
+
+_DAY_KEY = b'{"day": "'
+_HOPS_KEY = b'", "hops": ["'
+_PROBE_KEY = b'"], "probe": "'
+_ROLE_KEY = b'", "role": "'
+_TARGET_KEY = b'", "target": "'
+_MAX_TEXT = 64  # bytes of the longest day, probe or target read by columns
+
+
+def _texts(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spans [starts, ends) as one fixed-width bytes array, and which
+    spans are at most _MAX_TEXT bytes of what json.dumps writes as itself:
+    printable ASCII but a backslash (a quote ends the span)."""
+    lengths = ends - starts
+    width = int(min(lengths.max(initial=1), _MAX_TEXT))
+    chars = windows(data, starts, width)  # a copy
+    outside = np.arange(width) >= lengths[:, None]
+    escaped = ((chars - np.uint8(0x20)) > 0x7E - 0x20) | (chars == ord("\\"))
+    chars[outside] = 0
+    return chars.view(f"S{width}").ravel(), (lengths <= _MAX_TEXT) & ~(escaped & ~outside).any(axis=1)
+
+
+def _fast_lines(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """The lines [starts, ends) of data in the fast shape (indices into
+    starts) and their columns: role codes; day, probe and target as
+    fixed-width bytes; and the line (an index into the lines returned),
+    timeout flag and address of every hop, in line order."""
+    lo, hi = starts[0], ends[-1]
+    quotes = np.flatnonzero(data[lo:hi] == ord('"')) + lo
+    first = np.searchsorted(quotes, starts)
+    n_quotes = np.searchsorted(quotes, ends) - first
+    line = np.flatnonzero((n_quotes >= 20) & (n_quotes % 2 == 0))
+    line = line[starts_with(windows(data, starts[line], len(_DAY_KEY)), _DAY_KEY)]
+    q, n_hops = first[line], (n_quotes[line] - 18) // 2
+    last = q + 5 + 2 * n_hops  # the quote closing the last hop
+
+    def literal(at, text):
+        return starts_with(windows(data, quotes[at], len(text)), text)
+
+    (day, day_ok), (probe, probe_ok), (target, target_ok) = (
+        _texts(data, quotes[at] + 1, quotes[at + 1]) for at in (q + 2, last + 3, last + 11)
+    )
+    role_at, close = quotes[last + 7] + 1, quotes[last + 12]
+    ok = (
+        day_ok & probe_ok & target_ok
+        & literal(q + 3, _HOPS_KEY) & literal(last, _PROBE_KEY)
+        & literal(last + 4, _ROLE_KEY) & literal(last + 8, _TARGET_KEY)
+        & (data[close + 1] == ord("}")) & (close + 2 == ends[line])
+        & (quotes[last + 8] - role_at == 2) & ((data[role_at] | 0x20) == ord("p"))
+        & (data[role_at + 1] - np.uint8(ord("1")) < len(ROLES))
+    )
+    hop_line = np.repeat(np.arange(len(line)), n_hops)
+    number = np.arange(len(hop_line)) - (np.cumsum(n_hops) - n_hops)[hop_line]
+    opening = q[hop_line] + 6 + 2 * number  # the quote opening the hop
+    hop_start, hop_end = quotes[opening] + 1, quotes[opening + 1]
+    timeout = (hop_end - hop_start == 1) & (data[hop_start] == ord("*"))
+    address, canonical = quads_at(data[lo:hi], hop_start - lo, hop_end - lo)
+    # a hop but the last is followed by ", " and the next hop's quote
+    separated = (
+        (data[hop_end + 1] == ord(",")) & (data[hop_end + 2] == ord(" "))
+        & (quotes[opening + 2] == hop_end + 3)
+    )
+    bad = ~(timeout | canonical) | ((number < n_hops[hop_line] - 1) & ~separated)
+    ok[hop_line[bad]] = False
+    keep = ok[hop_line]
+    return (
+        line[ok], (data[role_at[ok] + 1] - np.uint8(ord("1"))).astype(np.int8),
+        day[ok], probe[ok], target[ok],
+        (np.cumsum(ok) - 1)[hop_line[keep]], timeout[keep], address[keep],
+    )
+
+
+def _record(text: str) -> tuple:
+    """(probe, target, role code, day, hops) of one line's JSON record; the
+    first fault but a bad address raises."""
+    record = json.loads(text)
+    role = _ROLE_CODES.get(record["role"].upper())
+    if role is None:
+        raise ValueError(f"unknown role {record['role']!r}")
+    probe, target, day = record["probe"], record["target"], record["day"]
+    for key, value in (("probe", probe), ("target", target), ("day", day)):
+        if type(value) is not str:
+            raise TypeError(f"{key} must be a string, not {type(value).__name__}")
+    day.encode()  # the series writes the day: a lone surrogate ("\ud800") raises here
+    return probe, target, role, day, _check_hops(record["hops"])
+
+
+def _intern(fast: list[np.ndarray], other: list[list[str]]) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted distinct strings of the columns fast[i] (ASCII bytes) and
+    other[i], and the index of each string of column i among them, those
+    of fast[i] first."""
+    distinct, inverse = np.unique(np.concatenate(fast), return_inverse=True)
+    names = [text.decode() for text in distinct.tolist()]
+    merged = sorted(set(names).union(*other))
+    index = {name: i for i, name in enumerate(merged)}
+    ids = np.array([index[name] for name in names], dtype=np.int64)[inverse]
+    ids = np.split(ids, np.cumsum([len(column) for column in fast])[:-1])
+    return merged, [
+        np.concatenate([fast_ids, np.array([index[name] for name in strings], dtype=np.int64)])
+        for fast_ids, strings in zip(ids, other)
+    ]
+
+
+# lines read at once: enough that numpy's per-call cost vanishes, few enough
+# that a block's position and hop arrays stay near a MiB
+_BLOCK_LINES = 4096
+
+
+def _read_block(
+    path, raw: bytes, data: np.ndarray, starts: np.ndarray, ends: np.ndarray, first: int,
+    mapping: PrefixTable,
+) -> PathTable:
+    """The records of the lines [starts, ends) of raw, the first of them
+    line first + 1 of path."""
+    raw[starts[0]:ends[-1]].decode()  # a block that is not UTF-8 fails as text mode fails
+    line, role, day, probe, target, hop_line, timeout, address = _fast_lines(data, starts, ends)
+    is_fast = np.zeros(len(starts), dtype=bool)
+    is_fast[line] = True
+    slow = []  # (line, probe, target, role code, day, hops) of the other records
+
+    def bad(at, exc):
+        return InputError(f"{path}:{first + at + 1}: bad traceroute record: {exc!r}")
+
+    def slow_hops():
+        try:
+            return _hop_arrays([hops for *_, hops in slow])
+        except (ValueError, TypeError):
+            for at, *_, hops in slow:  # find the first bad record
+                try:
+                    _hop_arrays([hops])
+                except (ValueError, TypeError) as exc:
+                    raise bad(at, exc) from None
+            raise
+
+    slow_at = np.flatnonzero(~is_fast)
+    for at, start, end in zip(slow_at.tolist(), starts[slow_at].tolist(), ends[slow_at].tolist()):
+        text = raw[start:end].decode().strip()
+        if not text:
+            continue
+        try:
+            slow.append((at, *_record(text)))
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError, PathError) as exc:
+            slow_hops()  # a bad hop on an earlier line is reported first
+            raise bad(at, exc) from None
+    slow_record, slow_timeout, slow_address = slow_hops()
+
+    # entries: the fast lines, then the others; rows: the entries in line order
+    lines, s_probe, s_target, s_role, s_day, _ = zip(*slow) if slow else ((),) * 6
+    names, (probe, target) = _intern([probe, target], [list(s_probe), list(s_target)])
+    days, (day,) = _intern([day], [list(s_day)])
+    order = np.argsort(np.concatenate([line, np.array(lines, dtype=np.int64)]), kind="stable")
+    row = np.empty_like(order)
+    row[order] = np.arange(len(order))
+    hop_row = row[np.concatenate([hop_line, len(line) + slow_record])]
+    timeout = np.concatenate([timeout, slow_timeout])
+    address = np.concatenate([address, slow_address])
+    if slow:
+        by_row = np.argsort(hop_row, kind="stable")
+        hop_row, timeout, address = hop_row[by_row], timeout[by_row], address[by_row]
+    offsets, ases, gap = _resolve(hop_row, timeout, address, len(order), mapping)
+    return PathTable(
+        role=np.concatenate([role, np.array(s_role, dtype=np.int8)])[order],
+        probe=probe[order],
+        target=target[order],
+        day=day[order],
+        offsets=offsets,
+        ases=ases,
+        gap=gap,
+        names=names,
+        days=days,
+    )
+
+
+def load_traceroutes(path, mapping: PrefixTable) -> PathTable:
     """Read traceroute JSONL records {probe, target, role, day, hops}.
 
-    Hops are resolved _BLOCK_RECORDS records at a time. An unusable record
-    (not a JSON object, a missing key, an unknown role, hops that are not a
-    non-empty list of addresses and "*") raises InputError naming the file
-    and the first bad line.
+    probe, target and day are JSON strings, role one of P1..P4 in either
+    case, and hops a non-empty list of addresses and "*" timeouts. Lines
+    of the fast shape (above) are decoded from the file's bytes by
+    columns, _BLOCK_LINES lines at a time, any other line by json.loads;
+    blank lines are skipped. An unusable record raises InputError naming
+    the file and the first bad line, counted as text mode counts lines.
     """
-    as_numbers = _as_numbers(mapping)
-    paths: list[AsLevelPath] = []
-    block: list[tuple] = []  # (line number, probe, target, role, day, hops)
-
-    def resolve_block() -> None:
-        try:
-            resolved = _resolve([hops for *_, hops in block], mapping, as_numbers)
-        except (ValueError, TypeError, PathError):
-            for line_no, *_, hops in block:  # find the first bad record
-                try:
-                    _resolve([hops], mapping, as_numbers)
-                except (ValueError, TypeError, PathError) as exc:
-                    raise InputError(f"{path}:{line_no}: bad traceroute record: {exc!r}") from None
-            raise
-        paths.extend(
-            AsLevelPath(probe, target, role, day, ases, gap)
-            for (_, probe, target, role, day, _), (ases, gap) in zip(block, resolved)
-        )
-        block.clear()
-
-    with reading(path, "traceroute file") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                role = _ROLES.get(record["role"].upper())
-                if role is None:
-                    raise ValueError(f"unknown role {record['role']!r}")
-                block.append((line_no, str(record["probe"]), str(record["target"]), role,
-                              str(record["day"]), record["hops"]))
-            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-                resolve_block()  # a bad hop on an earlier line is reported first
-                raise InputError(f"{path}:{line_no}: bad traceroute record: {exc!r}") from None
-            if len(block) == _BLOCK_RECORDS:
-                resolve_block()
-    resolve_block()
-    return paths
+    with reading(path, "traceroute file", "rb") as handle:
+        raw = handle.read() + bytes(PAD)
+        data = np.frombuffer(raw, dtype=np.uint8)
+        starts, ends = text_lines(data, len(raw) - PAD)
+        return PathTable.concat([
+            _read_block(path, raw, data, starts[first:first + _BLOCK_LINES],
+                        ends[first:first + _BLOCK_LINES], first, mapping)
+            for first in range(0, len(starts), _BLOCK_LINES)
+        ])
 
 
 @dataclass
@@ -178,70 +414,70 @@ class DayVulnerability:
     n_inherited_paths: int
 
 
+def _distinct(*arrays: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of the arrays. (A plain np.unique or
+    np.union1d imports numpy.ma, 20-35 ms in a fresh process.)"""
+    return np.unique(np.concatenate(arrays), return_index=True)[0]
+
+
 class PathDataset:
     """Daily path measurements as one path table, plus the four endpoint
     lists whose product is the quad set.
 
-    Row i of the table is paths[i]: key (the id of its (role, probe,
-    target)), day_rank, its AS columns columns[offsets[i]:offsets[i + 1]]
-    (indices into ases) and first, the column of its first AS or -1 for an
-    empty path. order lists the last row of each key on each day, by day;
-    order[day_bounds[d]:day_bounds[d + 1]] are day d's. The
-    (client, guard) unit c * len(guards) + g has key id forward["cg"][unit]
-    for its P1 and reverse["cg"][unit] for its P2 path, and likewise
-    forward["ed"]/reverse["ed"] for (exit, dest) units with P3 and P4; an
-    id of n_keys means no such key.
+    Row i of the table is row i of the PathTable it is built from: key
+    (the id of its (role, probe, target)), day_rank, its AS columns
+    columns[offsets[i]:offsets[i + 1]] (indices into ases) and first, the
+    column of its first AS or -1 for an empty path. order lists the last
+    row of each key on each day, by day; order[day_bounds[d]:day_bounds[d + 1]]
+    are day d's. clients, guards, exits and dests are sorted indices into
+    names. The (client, guard) unit c * len(guards) + g has key id
+    forward["cg"][unit] for its P1 and reverse["cg"][unit] for its P2
+    path, and likewise forward["ed"]/reverse["ed"] for (exit, dest) units
+    with P3 and P4; an id of n_keys means no such key.
     """
 
-    def __init__(self, paths: list[AsLevelPath]) -> None:
-        key_ids: dict[tuple[PathRole, str, str], int] = {}
-        self.key = np.fromiter(
-            (key_ids.setdefault((p.role, p.probe, p.target), len(key_ids)) for p in paths),
-            dtype=np.int64, count=len(paths),
+    def __init__(self, paths: PathTable | list[AsLevelPath]) -> None:
+        table = PathTable.of(paths) if isinstance(paths, list) else paths
+        self.names, self.days, self.day_rank = table.names, table.days, table.day
+        n_names = len(table.names)
+        _, key_row, self.key = np.unique(
+            (table.role.astype(np.int64) * n_names + table.probe) * n_names + table.target,
+            return_index=True, return_inverse=True,
         )
-        self.n_keys = len(key_ids)
-        self.days = sorted({p.day for p in paths})
-        day_rank = {day: rank for rank, day in enumerate(self.days)}
-        self.day_rank = np.fromiter((day_rank[p.day] for p in paths), dtype=np.int64, count=len(paths))
+        self.n_keys = len(key_row)
         # the last measurement of each key on each day, in day order
         _, last = np.unique((self.key * len(self.days) + self.day_rank)[::-1], return_index=True)
-        rows = len(paths) - 1 - last
+        rows = len(table) - 1 - last
         self.order = rows[np.argsort(self.day_rank[rows], kind="stable")]
         self.day_bounds = np.searchsorted(self.day_rank[self.order], np.arange(len(self.days) + 1))
 
-        self.ases = sorted({asn for path in paths for asn in path.ases})
-        column = {asn: i for i, asn in enumerate(self.ases)}
-        self.offsets = np.zeros(len(paths) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter((len(p.ases) for p in paths), dtype=np.int64, count=len(paths)),
-                  out=self.offsets[1:])
-        self.columns = np.fromiter((column[asn] for p in paths for asn in p.ases),
-                                   dtype=np.int64, count=int(self.offsets[-1]))
-        self.first = np.fromiter((column[p.ases[0]] if p.ases else -1 for p in paths),
-                                 dtype=np.int64, count=len(paths))
+        self.ases = _distinct(table.ases)
+        self.offsets = table.offsets
+        self.columns = np.searchsorted(self.ases, table.ases)
+        self.first = np.full(len(table), -1, dtype=np.int64)
+        nonempty = np.flatnonzero(np.diff(self.offsets) > 0)
+        self.first[nonempty] = self.columns[self.offsets[nonempty]]
 
-        def ends(role, field):  # field 1 is the probe, 2 the target
-            return {key[field] for key in key_ids if key[0] is role}
-
-        P1, P2, P3, P4 = PathRole
-        self.clients = sorted(ends(P1, 1) | ends(P2, 2))
-        self.guards = sorted(ends(P1, 2) | ends(P2, 1))
-        self.exits = sorted(ends(P3, 1) | ends(P4, 2))
-        self.dests = sorted(ends(P3, 2) | ends(P4, 1))
+        role, probe, target = table.role[key_row], table.probe[key_row], table.target[key_row]
+        P1, P2, P3, P4 = range(len(ROLES))
+        self.clients = _distinct(probe[role == P1], target[role == P2])
+        self.guards = _distinct(target[role == P1], probe[role == P2])
+        self.exits = _distinct(probe[role == P3], target[role == P4])
+        self.dests = _distinct(target[role == P3], probe[role == P4])
         self.forward: dict[str, np.ndarray] = {}
         self.reverse: dict[str, np.ndarray] = {}
         for side, (forward, reverse, near, far) in {
             "cg": (P1, P2, self.clients, self.guards),
             "ed": (P3, P4, self.exits, self.dests),
         }.items():
-            near_index = {name: i for i, name in enumerate(near)}
-            far_index = {name: i for i, name in enumerate(far)}
-            self.forward[side] = np.full(len(near) * len(far), self.n_keys, dtype=np.int64)
-            self.reverse[side] = np.full(len(near) * len(far), self.n_keys, dtype=np.int64)
-            for (role, probe, target), key_id in key_ids.items():
-                if role is forward:
-                    self.forward[side][near_index[probe] * len(far) + far_index[target]] = key_id
-                elif role is reverse:
-                    self.reverse[side][near_index[target] * len(far) + far_index[probe]] = key_id
+            for keys, role_code, near_end, far_end in (
+                (self.forward, forward, probe, target), (self.reverse, reverse, target, probe)
+            ):
+                ids = np.flatnonzero(role == role_code)
+                unit = (np.searchsorted(near, near_end[ids]) * len(far)
+                        + np.searchsorted(far, far_end[ids]))
+                keys[side] = np.full(len(near) * len(far), self.n_keys, dtype=np.int64)
+                keys[side][unit] = ids
 
 
 def vulnerability_timeseries(
@@ -278,7 +514,7 @@ def vulnerability_timeseries(
     n_total = len(dataset.forward["cg"]) * len(dataset.forward["ed"])
     if not n_total:
         return []
-    kept_column = np.array([asn not in exclusions for asn in dataset.ases], dtype=bool)
+    kept_column = np.array([asn not in exclusions for asn in dataset.ases.tolist()], dtype=bool)
     latest = np.full(dataset.n_keys + 1, -1, dtype=np.int64)  # the last slot: no such key
 
     def unit_rows(side, day_index):

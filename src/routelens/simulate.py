@@ -26,6 +26,7 @@ from .correlation import DIRECTIONS, WRAP, Direction, EndpointTrace, PacketTable
 
 TICK = 0.01  # packet emission granularity; analyses bin at >= 1 s
 MAX_TICKS = 10**8  # n_pairs x duration / TICK: cells of the per-tick byte matrix of one run
+MAX_PACKETS = 10**7  # the most data packets a run's rates can send: rows of its packet tables
 
 
 # a scenario fault, in one field or across fields, is a field fault
@@ -67,6 +68,13 @@ class TrafficScenario(Document):
                 f"duration must be at most {MAX_TICKS * TICK / self.n_pairs:g} s for "
                 f"{self.n_pairs} pairs (n_pairs x duration / {TICK:g} <= {MAX_TICKS:g} ticks), "
                 f"not {self.duration:g}"
+            )
+        packets = (self.n_pairs * self.duration * self.base_rate * self.rate_spread
+                   * self.jitter_high / self.mss)
+        if packets > MAX_PACKETS:
+            raise InvalidScenarioError(
+                f"n_pairs x duration x base_rate x rate_spread x jitter_high / mss must be at "
+                f"most {MAX_PACKETS:g} data packets, not {packets:g}"
             )
         if self.jitter_low > self.jitter_high:
             raise InvalidScenarioError("jitter bounds must satisfy low <= high")

@@ -18,12 +18,14 @@ from routelens.churn import (
     circuit_universe,
 )
 from routelens.core import (
-    AsPath, IpPrefix, RelayDescriptor, RelayIndex, RouteEntry, VantageSession, ip_to_int,
-    merge_intervals,
+    AsPath, InputError, IpPrefix, RelayDescriptor, RelayIndex, RouteEntry, VantageSession,
+    ip_to_int, merge_intervals,
 )
 from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
 from routelens.detect import Heuristic, HijackAlert, _alert
-from routelens.paths import _PRIVATE_BLOCKS, DayVulnerability, EmptyPathError, PathError, PathRole
+from routelens.paths import (
+    _PRIVATE_BLOCKS, ROLES, AsLevelPath, DayVulnerability, EmptyPathError, PathError, PathRole,
+)
 from routelens.simulate import (
     ChurnEvent, RouteSpec, RoutingScenario, SessionSpec, _legit_path_at, _legit_timeline,
 )
@@ -673,6 +675,54 @@ def oracle_resolve_traceroute(hops, mapping):
         if asn not in ases:
             ases.append(asn)
     return tuple(ases), gap
+
+
+def oracle_load_traceroutes(path, mapping):
+    """load_traceroutes line by line, as text mode splits the file: each
+    non-blank line through json.loads and hand checks, its hops resolved
+    by oracle_resolve_traceroute; the first bad line raises InputError."""
+    paths = []
+    roles = {role.value: role for role in PathRole}
+    with open(path, encoding="utf-8", newline="") as handle:
+        for line_no, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                role = roles.get(record["role"].upper())
+                if role is None:
+                    raise ValueError(f"unknown role {record['role']!r}")
+                fields = [record[key] for key in ("probe", "target", "day")]
+                for key, value in zip(("probe", "target", "day"), fields):
+                    if type(value) is not str:
+                        raise TypeError(f"{key} must be a string, not {type(value).__name__}")
+                fields[2].encode()
+                hops = record["hops"]
+                if type(hops) is not list:
+                    raise TypeError(f"hops must be a list of strings, not {type(hops).__name__}")
+                if any(type(hop) is not str for hop in hops):
+                    raise TypeError("hops must be a list of strings")
+                ases, gap = oracle_resolve_traceroute(hops, mapping)
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+                    PathError) as exc:
+                raise InputError(f"{path}:{line_no}: bad traceroute record: {exc!r}") from None
+            probe, target, day = fields
+            paths.append(AsLevelPath(probe, target, role, day, ases, gap))
+    return paths
+
+
+def table_rows(table):
+    """The AsLevelPath of each row of a PathTable."""
+    return [
+        AsLevelPath(table.names[probe], table.names[target], ROLES[role], table.days[day],
+                    tuple(table.ases[lo:hi].tolist()), bool(gap))
+        for probe, target, role, day, lo, hi, gap in zip(
+            table.probe.tolist(), table.target.tolist(), table.role.tolist(),
+            table.day.tolist(), table.offsets[:-1].tolist(), table.offsets[1:].tolist(),
+            table.gap.tolist(),
+        )
+    ]
 
 
 # --- per-quad path vulnerability oracle ------------------------------------------

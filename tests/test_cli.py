@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import routelens
 from routelens.artifacts import artifacts_equal, read_jsonl_records
 from routelens.cli import accuracy_payload, main
-from routelens.correlation import AccuracyReport, read_trace_jsonl
+from routelens.correlation import AccuracyReport
 from routelens.simulate import (
     Bottleneck,
     ChurnEvent,
@@ -35,6 +36,7 @@ from routelens.simulate import (
     gen_traceroute_paths,
 )
 from routelens.core import InputError, RelayDescriptor, ip_to_int
+from routelens.textcols import read_trace_jsonl
 
 
 def run(*argv):
@@ -647,6 +649,44 @@ def test_paths_bad_traceroute_line_exits_2(tmp_path, capsys, bad_line):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [("day", 1), ("probe", None), ("target", 7.5)])
+@pytest.mark.parametrize("sort_keys", [True, False], ids=["fast-shape", "other-order"])
+def test_paths_day_probe_and_target_must_be_strings(tmp_path, capsys, field, value, sort_keys):
+    """A day of 1 would otherwise be the day "1", ordered as text among
+    "10" and "2", and a null probe the probe "None"."""
+    mapping = tmp_path / "map.csv"
+    mapping.write_text("prefix,asn\n203.0.0.0/16,100\n")
+    quad = [
+        {"probe": "c0", "target": "g0", "role": "P1", "day": "d1", "hops": ["203.0.0.1"]},
+        {"probe": "g0", "target": "c0", "role": "P2", "day": "d1", "hops": ["203.0.0.2"]},
+        {"probe": "e0", "target": "d0", "role": "P3", "day": "d1", "hops": ["203.0.0.3"]},
+        {"probe": "d0", "target": "e0", "role": "P4", "day": "d1", "hops": ["203.0.0.4"]},
+    ]
+    quad[2][field] = value
+    traces = tmp_path / "traceroutes.jsonl"
+    traces.write_text("".join(json.dumps(r, sort_keys=sort_keys) + "\n" for r in quad))
+    code = run("--output-dir", tmp_path / "o", "paths", "--traceroutes", traces, "--mapping", mapping)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (f"traceroutes.jsonl:3: bad traceroute record: TypeError('{field} must be a string, "
+            f"not {type(value).__name__}')") in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_paths_day_utf8_cannot_encode_exits_2(tmp_path, capsys):
+    """A lone surrogate escape is a JSON string, but the series cannot write it."""
+    mapping = tmp_path / "map.csv"
+    mapping.write_text("prefix,asn\n203.0.0.0/16,100\n")
+    traces = tmp_path / "traceroutes.jsonl"
+    traces.write_text(json.dumps(_HOP_RECORD) + "\n" + json.dumps({**_HOP_RECORD, "day": "\ud800"}) + "\n")
+    code = run("--output-dir", tmp_path / "o", "paths", "--traceroutes", traces, "--mapping", mapping)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "traceroutes.jsonl:2: bad traceroute record: UnicodeEncodeError(" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "hops",
     ["*", {"203.0.0.1": 1}, ["203.0.0.1", 7], ["203.0.0.1", None],
@@ -882,6 +922,13 @@ def _routing_text(path, value):
          "invalid scenario: duration must be at most 1e-09 s for 1000000000000000 pairs"),
         ('{"kind": "interception", "n_pairs": 2, "duration": 1e300}',
          "invalid scenario: duration must be at most 500000 s for 2 pairs"),
+        # rates whose packets the unchecked code fails on at once: an infinite
+        # byte count, and a chunk array past numpy's size limit
+        (_traffic_text(base_rate=1e308),
+         "invalid scenario: n_pairs x duration x base_rate x rate_spread x jitter_high / mss "
+         "must be at most 1e+07 data packets, not inf"),
+        (_traffic_text(jitter_high=1e300),
+         "must be at most 1e+07 data packets, not 5.47945e+302"),
         (_traffic_text(guard_groups=[[[0, 1], "5e3"]]),
          "guard_groups[0][1] must be a number, not '5e3'"),
         (_traffic_text(guard_groups=[[0, 1]]), "guard_groups[0][0] must be a list, not 0"),
@@ -925,6 +972,7 @@ def _routing_text(path, value):
          "nan-base-rate", "negative-tunnel-jitter", "boolean-duration",
          "n-pairs-past-float-range", "duration-past-float-range", "text-duration",
          "traffic-past-tick-bound", "pairs-past-tick-bound", "interception-past-tick-bound",
+         "base-rate-past-packet-bound", "jitter-past-packet-bound",
          "text-capacity", "flat-bottleneck",
          "fractional-routing-seed", "boolean-routing-seed",
          "text-guard-flag", "text-zero-exit-flag", "fractional-asn", "text-window",
@@ -1176,9 +1224,10 @@ def churn_inputs(tmp_path_factory):
 
 
 _DIRECTORY = object()  # _mutate's "directory": the input path names a directory
-_INPUT_MUTATIONS = st.sampled_from(
-    ["truncate", "missing field", "octet 300", "empty", "not json", "not utf-8", "directory"]
-)
+_INPUT_MUTATION_NAMES = [
+    "truncate", "missing field", "octet 300", "empty", "not json", "not utf-8", "directory"
+]
+_INPUT_MUTATIONS = st.sampled_from(_INPUT_MUTATION_NAMES)
 
 
 def _mutate(text, mutation, at):
@@ -1415,24 +1464,34 @@ def test_correlate_mutated_inputs_keep_the_cli_contract(correlate_inputs, target
 # --- CLI contract under mutated paths and concentrate inputs ------------------------
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_PATHS_FLAGS = {"--traceroutes": "traceroutes", "--mapping": "mapping"}
+
+
 @pytest.fixture(scope="module")
-def paths_inputs():
-    """A valid small mesh: one hop per AS, each AS announcing its own /16."""
-    ases = set()
-    records = []
-    for path in gen_traceroute_paths(
-        PathScenario(seed=4, days=2, n_clients=2, n_guards=2, n_exits=2, n_dests=2)
-    ):
-        ases.update(path.ases)
-        records.append({
-            "probe": path.probe, "target": path.target, "role": path.role.value, "day": path.day,
-            "hops": [f"{30 + asn // 256}.{asn % 256}.0.1" for asn in path.ases],
-        })
-    return {
-        "traceroutes": "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
-        "mapping": "prefix,asn\n"
-        + "".join(f"{30 + asn // 256}.{asn % 256}.0.0/16,{asn}\n" for asn in sorted(ases)),
-    }
+def paths_inputs(tmp_path_factory):
+    """The benchmark's tiny traceroute and prefix-map inputs at seed 0:
+    private first hops, timeouts and several hops per AS."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    root = tmp_path_factory.mktemp("paths-inputs")
+    workloads.make_inputs("paths", 0, root, "tiny")
+    return {"traceroutes": (root / "traceroutes.jsonl").read_text(),
+            "mapping": (root / "prefix2as.csv").read_text()}
+
+
+@pytest.fixture(scope="module")
+def paths_series(paths_inputs, tmp_path_factory):
+    """The series the unmutated paths inputs give."""
+    root = tmp_path_factory.mktemp("paths-series")
+    for name, text in paths_inputs.items():
+        (root / name).write_text(text)
+    argv = [arg for flag, name in _PATHS_FLAGS.items() for arg in (flag, root / name)]
+    assert run("--output-dir", root / "out", "paths", *argv) == 0
+    return _series({"vulnerability_timeseries.csv":
+                    (root / "out" / "vulnerability_timeseries.csv").read_text()})
 
 
 @pytest.fixture(scope="module")
@@ -1449,13 +1508,15 @@ def concentrate_inputs(churn_inputs):
     return {"relays": relays, "origins": origins}
 
 
-def _check_contract(inputs, target, mutation, at, subcommand, flags, complete=_complete_artifact):
+def _check_contract(inputs, target, mutation, at, subcommand, flags, complete=_complete_artifact,
+                    mutate=_mutate):
     """Run subcommand over the inputs with one of them mutated, each flag
     naming its input: exit 0 or 2, no traceback, no partial artifact (each
-    file written passes complete)."""
+    file written passes complete). Returns the exit code and the text of
+    each artifact by name."""
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
-        for name, content in dict(inputs, **{target: _mutate(inputs[target], mutation, at)}).items():
+        for name, content in dict(inputs, **{target: mutate(inputs[target], mutation, at)}).items():
             _write_input(root / name, content)
         err = io.StringIO()
         with redirect_stderr(err), redirect_stdout(io.StringIO()):
@@ -1473,16 +1534,64 @@ def _check_contract(inputs, target, mutation, at, subcommand, flags, complete=_c
             assert all(": line " in issue for issue in issues), err.getvalue()
         written = sorted((root / "out").iterdir()) if (root / "out").exists() else []
         assert all(complete(path) for path in written), [p.name for p in written]
+        return code, {path.name: path.read_text() for path in written if path.is_file()}
+
+
+# spellings of the same records: the byte-column reader and json.loads agree on them
+_SAME_RECORDS = ["cr ends", "crlf ends", "reordered keys", "spaced"]
+_TRACEROUTE_MUTATIONS = ["wrong type", "deep nesting", "escaped name", *_SAME_RECORDS]
+
+
+def _mutate_traceroutes(text, mutation, at):
+    if mutation not in _TRACEROUTE_MUTATIONS:
+        return _mutate(text, mutation, at)
+    if mutation in ("cr ends", "crlf ends"):
+        return text.replace("\n", "\r" if mutation == "cr ends" else "\r\n")
+    lines = text.splitlines(keepends=True)
+    k = at % len(lines)
+    record = json.loads(lines[k])
+    if mutation == "wrong type":
+        record[sorted(record)[at % len(record)]] = [1, None, True, 2.5, {}, [], ["d"]][at % 7]
+    elif mutation == "escaped name":
+        record["probe"] += "\u00e9\"\\"
+    elif mutation == "deep nesting":
+        record["day"] = "DEEP"
+    if mutation == "reordered keys":
+        lines[k] = json.dumps(dict(reversed(record.items()))) + "\n"
+    elif mutation == "spaced":
+        lines[k] = " " + json.dumps(record, sort_keys=True, separators=(",", ":")) + "\t\n"
+    else:
+        lines[k] = json.dumps(record, sort_keys=True).replace(
+            '"DEEP"', "[" * 100_000 + "]" * 100_000
+        ) + "\n"
+    return "".join(lines)
+
+
+def _series(artifacts):
+    return [line for line in artifacts["vulnerability_timeseries.csv"].splitlines()
+            if not line.startswith("# written_at=")]
 
 
 @settings(
-    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=80, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(target=st.sampled_from(["traceroutes", "mapping"]), mutation=_INPUT_MUTATIONS,
-       at=st.integers(0, 200))
-def test_paths_mutated_inputs_keep_the_cli_contract(paths_inputs, target, mutation, at):
-    _check_contract(paths_inputs, target, mutation, at, "paths",
-                    {"--traceroutes": "traceroutes", "--mapping": "mapping"})
+@given(target_mutation=st.one_of(
+    st.tuples(st.just("traceroutes"), st.sampled_from(_TRACEROUTE_MUTATIONS)),
+    st.tuples(st.sampled_from(["traceroutes", "mapping"]), _INPUT_MUTATIONS),
+), at=st.integers(0, 200))
+def test_paths_mutated_inputs_keep_the_cli_contract(
+    paths_inputs, paths_series, target_mutation, at
+):
+    """Byte and field mutations of the benchmark's tiny paths inputs: exit 0
+    or 2, no traceback, the series written whole or not at all; spellings
+    of the same records write the same series."""
+    target, mutation = target_mutation
+    code, written = _check_contract(paths_inputs, target, mutation, at, "paths", _PATHS_FLAGS,
+                                    mutate=_mutate_traceroutes)
+    assert (code == 0) == ("vulnerability_timeseries.csv" in written)
+    if mutation in _SAME_RECORDS:
+        assert code == 0 and _series(written) == paths_series
 
 
 @settings(

@@ -3,13 +3,16 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from helpers import (
     MissingPathError,
     VulnerabilityMode,
     endpoint_ases,
+    oracle_load_traceroutes,
     oracle_resolve_traceroute,
     oracle_vulnerability_timeseries,
+    table_rows,
     vulnerable,
 )
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from routelens.paths import (
     EmptyPathError,
     PathDataset,
     PathRole,
+    PathTable,
     load_traceroutes,
     resolve_traceroute,
     vulnerability_timeseries,
@@ -102,7 +106,7 @@ def test_load_traceroutes_jsonl(tmp_path):
     ]
     file = tmp_path / "traces.jsonl"
     file.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-    loaded = load_traceroutes(file, MAPPING)
+    loaded = table_rows(load_traceroutes(file, MAPPING))
     assert loaded[0].role is P1 and loaded[0].ases == (100,)
     assert loaded[1].role is P2 and loaded[1].gap
 
@@ -123,18 +127,18 @@ hop_texts = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(hop_texts, min_size=1, max_size=8), min_size=1, max_size=9),
-       st.sampled_from([1, 2, 4, 2048]))
-def test_loader_matches_per_hop_oracle(tmp_path_factory, hop_lists, block):
+       st.booleans())
+def test_loader_matches_per_hop_oracle(tmp_path_factory, hop_lists, sort_keys):
     """Timeouts, private, unmapped, repeated and nested-origin hops resolve
-    as the per-hop loop does, whichever records share a block."""
+    as the per-hop loop does, on the byte-column path (keys sorted) and
+    through json.loads."""
     file = tmp_path_factory.mktemp("traces") / "traces.jsonl"
     file.write_text("".join(
-        json.dumps({"probe": f"c{i}", "target": "g0", "role": "P1", "day": "d01", "hops": hops}) + "\n"
+        json.dumps({"probe": f"c{i}", "target": "g0", "role": "P1", "day": "d01", "hops": hops},
+                   sort_keys=sort_keys) + "\n"
         for i, hops in enumerate(hop_lists)
     ))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(paths_module, "_BLOCK_RECORDS", block)
-        loaded = load_traceroutes(file, NESTED)
+    loaded = table_rows(load_traceroutes(file, NESTED))
     assert [(p.ases, p.gap) for p in loaded] == [
         oracle_resolve_traceroute(hops, NESTED) for hops in hop_lists
     ]
@@ -143,8 +147,7 @@ def test_loader_matches_per_hop_oracle(tmp_path_factory, hop_lists, block):
     ]
 
 
-def test_loader_reports_a_bad_hop_before_a_later_bad_line(tmp_path, monkeypatch):
-    monkeypatch.setattr(paths_module, "_BLOCK_RECORDS", 4)
+def test_loader_reports_a_bad_hop_before_a_later_bad_line(tmp_path):
     good = {"probe": "c0", "target": "g0", "role": "P1", "day": "d01", "hops": ["203.0.0.1"]}
     lines = [json.dumps(good)] * 5 + [json.dumps({**good, "hops": ["203.0.0.1", "1.2.3"]}),
                                       "not json {"]
@@ -152,6 +155,126 @@ def test_loader_reports_a_bad_hop_before_a_later_bad_line(tmp_path, monkeypatch)
     file.write_text("\n".join(lines) + "\n")
     with pytest.raises(InputError, match=r"traces\.jsonl:6: .*not a dotted quad"):
         load_traceroutes(file, MAPPING)
+
+
+# strings json.dumps writes as themselves, thrice as likely as those it escapes or that are not ASCII
+names = st.sampled_from(["c0", "g1", "", "e-1", "d 0", "x'y"] * 3
+                        + ["é", "c\"0", "c\\0", "\u2028", "g1\t"])
+days = st.sampled_from(["d01", "d1", "2015-01-02"] * 3 + ["day é", "d\\1", "\ud800"])
+roles = st.sampled_from(["P1", "P2", "P3", "P4", "p1", "p2", "p3", "p4"])
+hop_lists = st.lists(hop_texts, min_size=1, max_size=6)
+# a record that some rule refuses: each one is reported at its line
+bad_records = st.one_of(
+    st.tuples(st.sampled_from(["probe", "target", "day"]), st.sampled_from([1, None, ["d"], 2.5])),
+    st.tuples(st.just("role"), st.sampled_from(["P5", "", 1, None])),
+    st.tuples(st.just("hops"), st.sampled_from([[], "*", ["203.0.0.1", 7], ["1.2.3"],
+                                                ["203.0.0.256"], [" 8.8.8.8 x"]])),
+    st.tuples(st.sampled_from(["probe", "hops", "role"]), st.just(KeyError)),
+)
+
+
+@st.composite
+def traceroute_lines(draw):
+    """One line of a traceroute file: a record in the fast shape or in
+    another spelling (key order, spacing, escapes, surrounding blanks), a
+    fast-shape line with one character replaced, a blank line, or rarely
+    a record that fails a rule or is not JSON."""
+    kind = draw(st.sampled_from(["fast"] * 10 + ["other"] * 6 + ["blank", "bad", "corrupt"] * 2))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t", "\x0c", "\u3000"]))
+    record = {"day": draw(days), "hops": draw(hop_lists), "probe": draw(names),
+              "role": draw(roles), "target": draw(names)}
+    if kind == "bad":
+        if draw(st.booleans()):
+            return draw(st.sampled_from(["not json {", "[1, 2]", '"text"', "{}", "[" * 3000]))
+        key, value = draw(bad_records)
+        if value is KeyError:
+            del record[key]
+        else:
+            record[key] = value
+    if kind == "fast":
+        return json.dumps(record, sort_keys=True)
+    if kind == "corrupt":
+        text = json.dumps(record, sort_keys=True)
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + draw(st.sampled_from(' ,:"[]{}\\x1.*p5')) + text[at + 1:]
+    items = draw(st.permutations(list(record.items())))
+    # a lone surrogate is UTF-8 text only as an escape
+    text = json.dumps(dict(items), ensure_ascii=draw(st.booleans()) or record["day"] == "\ud800",
+                      separators=draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,", " : ")])))
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " ", "\xa0"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(traceroute_lines(), max_size=12),
+       st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=12, max_size=12),
+       st.booleans(), st.sampled_from([1, 2, 5, 4096]))
+def test_loader_matches_line_oracle(tmp_path_factory, lines, breaks, last_break, block):
+    """Any mix of fast-shape and other lines, under any line breaks, loads
+    to the rows the per-line loader reads, or fails with its message,
+    whichever lines share a block; the dataset of the table equals the
+    dataset of those rows."""
+    text = "".join(line + end for line, end in zip(lines, breaks))
+    if lines and not last_break:
+        text = text[:-len(breaks[len(lines) - 1])]
+    file = tmp_path_factory.mktemp("traces") / "traces.jsonl"
+    file.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(paths_module, "_BLOCK_LINES", block)
+        assert_loads_as_oracle(file)
+
+
+def assert_loads_as_oracle(file):
+    try:
+        expected = oracle_load_traceroutes(file, NESTED)
+    except InputError as exc:
+        with pytest.raises(InputError) as raised:
+            load_traceroutes(file, NESTED)
+        assert str(raised.value) == str(exc)
+        return
+    table = load_traceroutes(file, NESTED)
+    assert table_rows(table) == expected
+    assert len(table) == len(expected)
+    by_table, by_rows = PathDataset(table), PathDataset(expected)
+    for name, value in vars(by_rows).items():
+        other = vars(by_table)[name]
+        if isinstance(value, dict):
+            assert value.keys() == other.keys()
+            assert all(np.array_equal(value[k], other[k]) for k in value), name
+        else:
+            assert np.array_equal(value, other) if isinstance(value, np.ndarray) else value == other, name
+
+
+def test_every_one_character_change_of_a_fast_line_reads_as_json_does(tmp_path):
+    """Each character of a fast-shape line, replaced by each of a few
+    others, reads to the per-line loader's rows or fails with its message:
+    the byte-column reader takes no line that json.loads would refuse."""
+    line = json.dumps({"day": "d01", "hops": ["203.0.0.1", "*", "192.168.1.1", "8.8.8.8"],
+                       "probe": "c0", "role": "P1", "target": "g0"}, sort_keys=True)
+    file = tmp_path / "traces.jsonl"
+    for at in range(len(line)):
+        for char in ' ,:"[]{}\\x1.*p5\t':
+            file.write_text(line[:at] + char + line[at + 1:] + "\n")
+            assert_loads_as_oracle(file)
+
+
+def test_names_and_days_sort_across_both_readers(tmp_path):
+    """A name or day read by json.loads sorts among those read by columns."""
+    fast = {"day": "d2", "hops": ["203.0.0.1"], "probe": "c0", "role": "P1", "target": "g0"}
+    slow = {**fast, "day": "d1\u00e9", "probe": "c\"0", "target": "a\\"}
+    file = tmp_path / "traces.jsonl"
+    file.write_text(json.dumps(fast, sort_keys=True) + "\n" + json.dumps(slow, sort_keys=True) + "\n")
+    table = load_traceroutes(file, NESTED)
+    assert table.names == ["a\\", "c\"0", "c0", "g0"] and table.days == ["d1\u00e9", "d2"]
+    assert_loads_as_oracle(file)
+
+
+def test_table_of_rows_round_trips():
+    rows = [path(P1, [5, 3], probe="c1", target="g0", day="d02", gap=True),
+            path(P2, [], probe="g0", target="c1"), path(P3, [7], probe="é", target="d", day="d01")]
+    table = PathTable.of(rows)
+    assert table.names == ["c1", "d", "g0", "é"] and table.days == ["d01", "d02"]
+    assert table_rows(table) == rows
 
 
 # --- vulnerable ---------------------------------------------------------------
