@@ -563,15 +563,6 @@ class RouteEntry:
     prefix: IpPrefix
     path: AsPath
 
-    def live_at(self, t: float) -> bool:
-        return self.t_start <= t and (self.t_end is None or t < self.t_end)
-
-    def clipped(self, t_lo: float, t_hi: float) -> tuple[float, float] | None:
-        """Intersection with [t_lo, t_hi), or None if empty."""
-        end = t_hi if self.t_end is None else min(self.t_end, t_hi)
-        start = max(self.t_start, t_lo)
-        return (start, end) if start < end else None
-
 
 class PrefixTable:
     """Longest-prefix-match table with opaque payloads.

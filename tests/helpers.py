@@ -13,13 +13,14 @@ import numpy as np
 from routelens.bgp import ParseIssue, SessionRib, UpdateIds, UpdateTable, ingest
 from routelens.churn import (
     CompromiseSummary,
+    Sightings,
     _intersection_length,
     circuit_axes,
     circuit_universe,
 )
 from routelens.core import (
-    AsPath, InputError, IpPrefix, RelayDescriptor, RelayIndex, RouteEntry, VantageSession,
-    ip_to_int, merge_intervals,
+    AsPath, InputError, IpPrefix, PrefixTable, RelayDescriptor, RelayIndex, RouteEntry,
+    VantageSession, ip_to_int, merge_intervals,
 )
 from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
 from routelens.detect import Heuristic, HijackAlert, _alert
@@ -306,6 +307,18 @@ def rib_index(rib) -> BucketTable:
     return BucketTable((prefix, prefix) for prefix in set(rib.history) | set(rib.live))
 
 
+def live_at(entry: RouteEntry, t: float) -> bool:
+    """Whether a RouteEntry forwards at t: t in [t_start, t_end)."""
+    return entry.t_start <= t and (entry.t_end is None or t < entry.t_end)
+
+
+def clipped(entry: RouteEntry, t_lo: float, t_hi: float):
+    """A RouteEntry's span intersected with [t_lo, t_hi), or None if empty."""
+    end = t_hi if entry.t_end is None else min(entry.t_end, t_hi)
+    start = max(entry.t_start, t_lo)
+    return (start, end) if start < end else None
+
+
 def route_for_relay(rib, relay, t, index=None):
     """Most-specific tracked entry of a SessionRib live at t whose prefix
     covers the relay; index is rib_index(rib), built here when not given."""
@@ -314,8 +327,99 @@ def route_for_relay(rib, relay, t, index=None):
         entry
         for prefix, _ in index.covering(relay.address)
         for entry in prefix_entries(rib, prefix)
-        if entry.live_at(t)
+        if live_at(entry, t)
     ), None)
+
+
+# --- churn sightings as dicts ----------------------------------------------------
+
+
+def oracle_segment_observations(ribs, relays, window):
+    """segment_observations in dict form, walked per (session, relay,
+    segment): per AS, in ascending order, its (guard side, exit side), each
+    mapping (session index, relay address) to that key's merged spans.
+
+    Each (session, relay) is cut at every clipped endpoint of the entries
+    covering the relay, and each segment is forwarded by the first entry,
+    longest prefix first, live at its start.
+    """
+    t_lo, t_hi = window
+    admitted = [r for r in relays if r.is_guard or r.is_exit]
+    sessions = tuple(sorted(ribs))
+    routed = PrefixTable()
+    for rib in ribs.values():
+        for prefix in list(rib.history) + list(rib.live):
+            routed.insert(prefix, None)
+    prefixes = routed.freeze().entries()
+    covers = [[] for _ in admitted]  # per relay, longest prefix first
+    at, found = routed.covering_many([relay.address for relay in admitted])
+    for a, entry in zip(at.tolist(), found.tolist()):
+        covers[a].append(prefixes[entry][0])
+    raw = {}
+    for s, sid in enumerate(sessions):
+        rib = ribs[sid]
+        for relay, covering in zip(admitted, covers):
+            entries = [
+                entry
+                for prefix in covering
+                for entry in rib.history.get(prefix, []) + [rib.live.get(prefix)]
+                if entry is not None and clipped(entry, t_lo, t_hi) is not None
+            ]
+            if not entries:
+                continue
+            cuts = {t_lo, t_hi}
+            for entry in entries:
+                cuts.update(clipped(entry, t_lo, t_hi))
+            edges = sorted(cuts)
+            key = (s, relay.address)
+            sides = [side for side, flag in enumerate((relay.is_guard, relay.is_exit)) if flag]
+            for seg_start, seg_end in zip(edges, edges[1:]):
+                forwarding = next((e for e in entries if live_at(e, seg_start)), None)
+                if forwarding is None:
+                    continue
+                for asn in forwarding.path:
+                    by_side = raw.setdefault(asn, ({}, {}))
+                    for side in sides:
+                        by_side[side].setdefault(key, []).append((seg_start, seg_end))
+    return {
+        asn: tuple(
+            {key: tuple(merge_intervals(spans)) for key, spans in side.items()} for side in raw[asn]
+        )
+        for asn in sorted(raw)
+    }
+
+
+def spans_of(sightings: Sightings) -> dict:
+    """The dict form of a Sightings: per AS, in ascending order, its (guard
+    side, exit side), each mapping (session index, relay address) to that
+    key's spans as a tuple of (start, end) in row order."""
+    spans = {}
+    columns = (
+        sightings.asn, sightings.side, sightings.session, sightings.relay, sightings.start,
+        sightings.end,
+    )
+    for asn, side, session, relay, start, end in zip(*(c.tolist() for c in columns)):
+        key_spans = spans.setdefault(asn, ({}, {}))[side]
+        key_spans[session, relay] = key_spans.get((session, relay), ()) + ((start, end),)
+    return spans
+
+
+def sightings_of(sessions, spans) -> Sightings:
+    """The Sightings of a dict form (as spans_of gives it), its rows sorted
+    by (asn, side, session, relay, start)."""
+    rows = sorted(
+        (asn, side, session, relay, start, end)
+        for asn, sides in spans.items()
+        for side, keys in enumerate(sides)
+        for (session, relay), key_spans in keys.items()
+        for start, end in key_spans
+    )
+    columns = list(zip(*rows)) if rows else [()] * 6
+    return Sightings(
+        tuple(sessions),
+        *(np.array(c, dtype=np.int64) for c in columns[:4]),
+        *(np.array(c, dtype=np.float64) for c in columns[4:]),
+    )
 
 
 def ccdf_value(points, x):
@@ -404,10 +508,11 @@ def oracle_records(sightings, min_overlap=30.0, local_as=None):
     five-way key, from a sweep over each pair of span lists."""
     local_as = local_as or {}
     records = []
-    for asn in sorted(sightings.spans):
+    by_as = spans_of(sightings)
+    for asn in sorted(by_as):
         guards, exits = (
             {(sightings.sessions[s], relay): spans for (s, relay), spans in side.items()}
-            for side in sightings.spans[asn]
+            for side in by_as[asn]
         )
         for (src, guard), g_spans in sorted(guards.items()):
             for (dst, exit_), e_spans in sorted(exits.items()):

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     announce,
     covers_any,
+    live_at,
     oracle_ingest,
     oracle_parse_updates,
     rib_entries,
@@ -252,7 +253,7 @@ def test_route_for_relay_agrees_with_entry_scan_oracle():
                 for t in range(0, int(horizon), 3):
                     best = None
                     for _, entry in entries:
-                        if entry.prefix.covers(relay.address) and entry.live_at(t):
+                        if entry.prefix.covers(relay.address) and live_at(entry, t):
                             if best is None or entry.prefix.length > best.prefix.length:
                                 best = entry
                     assert route_for_relay(rib, relay, t) == best

@@ -16,9 +16,12 @@ from helpers import (
     hit_records,
     oracle_ccdf,
     oracle_records,
+    oracle_segment_observations,
     oracle_summarize,
     random_churn_fixture,
     session_pairs,
+    sightings_of,
+    spans_of,
     summarize_records,
     withdraw,
 )
@@ -29,7 +32,6 @@ from routelens import churn
 from routelens.bgp import ingest
 from routelens.churn import (
     CompromiseSummary,
-    Sightings,
     as_circuit_coverage,
     ccdf,
     churn_ratio,
@@ -56,14 +58,14 @@ def test_single_entry_two_path_ases():
     ribs = build_ribs([announce(0, "s1", "10.0.0.0/16", [1, 2])], [guard], {"s1": 64500})
     obs = segment_observations(ribs, [guard], (0, 100))
     assert obs.sessions == ("s1",)
-    assert obs.spans == {asn: ({(0, guard.address): ((0.0, 100.0),)}, {}) for asn in (1, 2)}
+    assert spans_of(obs) == {asn: ({(0, guard.address): ((0.0, 100.0),)}, {}) for asn in (1, 2)}
     assert len(obs) == 2
 
 
 def test_dual_flag_relay_emits_both_roles():
     dual = relay("10.0.0.5", guard=True, exit_=True)
     ribs = build_ribs([announce(0, "s1", "10.0.0.0/16", [1])], [dual], {"s1": 64500})
-    guards, exits = segment_observations(ribs, [dual], (0, 50)).spans[1]
+    guards, exits = spans_of(segment_observations(ribs, [dual], (0, 50)))[1]
     assert guards == exits == {(0, dual.address): ((0.0, 50.0),)}
 
 
@@ -71,7 +73,7 @@ def test_empty_rib_no_observations():
     guard = relay("10.0.0.5", guard=True)
     ribs = build_ribs([], [guard], {})
     obs = segment_observations(ribs, [guard], (0, 100))
-    assert obs.spans == {} and len(obs) == 0
+    assert spans_of(obs) == {} and len(obs) == 0
 
 
 def test_most_specific_entry_carries_the_traffic():
@@ -83,8 +85,8 @@ def test_most_specific_entry_carries_the_traffic():
     ]
     ribs = build_ribs(updates, [guard], {"s1": 64500})
     obs = segment_observations(ribs, [guard], (0, 100))
-    assert all(not exits for _, exits in obs.spans.values())
-    spans = {asn: guards[(0, guard.address)] for asn, (guards, _) in obs.spans.items()}
+    assert all(not exits for _, exits in spans_of(obs).values())
+    spans = {asn: guards[(0, guard.address)] for asn, (guards, _) in spans_of(obs).items()}
     # AS 1 only while the /16 forwards: before and after the /24 interlude
     assert spans[1] == ((0.0, 20.0), (60.0, 100.0))
     assert spans[2] == ((20.0, 60.0),)
@@ -108,7 +110,7 @@ def sightings(*segs):
         side = spans.setdefault(asn, ({}, {}))[role == "exit"]
         key = (sessions.index(session), address)
         side[key] = side.get(key, ()) + ((start, end),)
-    return Sightings(sessions, dict(sorted(spans.items())))
+    return sightings_of(sessions, dict(sorted(spans.items())))
 
 
 def circuits(observations, **kwargs):
@@ -224,6 +226,24 @@ def test_static_baseline_full_when_one_transit_everywhere():
         assert baseline.fraction(pair) == 1.0
 
 
+def test_circuit_ids_are_int32_while_every_id_fits():
+    g1 = relay("10.0.0.5", guard=True)
+    e1 = relay("10.1.0.9", exit_=True)
+    updates = [
+        announce(0, sid, prefix, [9])
+        for sid in ("s1", "s2")
+        for prefix in ("10.0.0.0/16", "10.1.0.0/16")
+    ]
+    ribs = build_ribs(updates, [g1, e1], {"s1": 64500, "s2": 64501})
+    baseline = static_baseline(ribs, [g1, e1], t0=0.0)
+    summary = churn_summary(ribs, [g1, e1], (0.0, 100.0), baseline=baseline)
+    assert {pair: ids.tolist() for pair, ids in summary.pair_circuits.items()} == {
+        ("s1", "s2"): [0], ("s2", "s1"): [0]
+    }
+    ids = [*summary.pair_circuits.values(), *summary.per_as_circuits.values()]
+    assert {a.dtype for a in ids} == {np.dtype(np.int32)}
+
+
 def test_matches_brute_force_on_random_fixtures():
     rng = random.Random(2024)
     for _ in range(15):
@@ -247,8 +267,10 @@ def test_relabeling_ases_permutes_outputs():
     updates, relays, sessions, window = random_churn_fixture(rng)
     ribs = build_ribs(updates, relays, sessions)
     obs = segment_observations(ribs, relays, window)
-    relabel = {asn: asn + 1000 for asn in obs.spans}
-    relabeled = Sightings(obs.sessions, {relabel[asn]: sides for asn, sides in obs.spans.items()})
+    relabel = {asn: asn + 1000 for asn in spans_of(obs)}
+    relabeled = sightings_of(
+        obs.sessions, {relabel[asn]: sides for asn, sides in spans_of(obs).items()}
+    )
     base = circuits(obs, min_overlap=5)
     moved = circuits(relabeled, min_overlap=5)
     assert len(base) == len(moved)
@@ -267,28 +289,55 @@ TICK = st.integers(0, 30).map(lambda k: k / 10)
 @st.composite
 def rib_histories(draw):
     """Relays under nested /8, /16 and /24 prefixes, some both guard and
-    exit; two to four sessions over two local ASes; updates on a 0.1 s grid
-    in (0, 3), so spans have non-integer endpoints and often touch."""
+    exit, and up to two addresses listed again with other flags; two to
+    four sessions over two local ASes; updates on a 0.1 s grid in (0, 3),
+    so spans have non-integer endpoints and often touch. A path may repeat
+    an AS apart (1 2 1), and an update may come with the opposite one
+    (announce and withdraw) for its prefix at the same instant."""
     relays, prefixes = [], ["10.0.0.0/8"]
     for i in range(draw(st.integers(2, 6))):
         role, third = draw(st.sampled_from("geb")), draw(st.integers(0, 1))
         relays.append(relay(f"10.{i}.{third}.{i + 1}", guard=role in "gb", exit_=role in "eb"))
         prefixes += [f"10.{i}.0.0/16", f"10.{i}.{third}.0/24"]
+    for twin, role in draw(st.lists(st.tuples(st.sampled_from(relays), st.sampled_from("geb")),
+                                    max_size=2)):
+        relays.append(RelayDescriptor(twin.address, role in "gb", role in "eb", 1.0, "twin"))
     sessions = {f"s{k}": 64500 + draw(st.integers(0, 1)) for k in range(draw(st.integers(2, 4)))}
-    paths = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+    paths = st.lists(st.integers(1, 4), min_size=1, max_size=3) | st.just([1, 2, 1])
     updates = [
         announce(0.0, sid, prefix, draw(paths))
         for sid in sessions
         for prefix in draw(st.lists(st.sampled_from(prefixes), min_size=1, max_size=4, unique=True))
     ]
     changes = st.tuples(TICK, st.sampled_from(sorted(sessions)), st.sampled_from(prefixes),
-                        st.none() | paths)
-    for ts, sid, prefix, path in draw(st.lists(changes, max_size=25)):
+                        st.none() | paths, st.booleans())
+    for ts, sid, prefix, path, flap in draw(st.lists(changes, max_size=25)):
         updates.append(
             withdraw(ts, sid, prefix) if path is None else announce(ts, sid, prefix, path)
         )
+        if flap:
+            opposite = withdraw(ts, sid, prefix)
+            updates.append(opposite if path else announce(ts, sid, prefix, draw(paths)))
     updates.sort(key=lambda u: u.timestamp)
     return relays, sessions, updates
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    history=rib_histories(),
+    # often inside a route: starting after its announcement or ending before its withdrawal
+    window=st.tuples(TICK, st.integers(1, 40).map(lambda k: k / 10)).filter(lambda w: w[0] < w[1]),
+)
+def test_sightings_match_the_per_segment_oracle(history, window):
+    relays, sessions, updates = history
+    ribs = build_ribs(updates, relays, sessions)
+    seen = segment_observations(ribs, relays, window)
+    assert seen.sessions == tuple(sorted(ribs))
+    assert spans_of(seen) == oracle_segment_observations(ribs, relays, window)
+    # rows in (asn, side, session, relay, start) order, as sightings_of sorts them
+    rebuilt = sightings_of(seen.sessions, spans_of(seen))
+    for column in ("asn", "side", "session", "relay", "start", "end"):
+        assert getattr(seen, column).tolist() == getattr(rebuilt, column).tolist()
 
 
 def cut_history(cut):
@@ -338,12 +387,12 @@ def test_product_matches_record_oracle_on_random_histories(history, min_overlap)
     base_ribs = build_ribs([u for u in updates if u.timestamp == 0.0], relays, sessions)
     baseline = static_baseline(base_ribs, relays, t0=0.0)
     seen = segment_observations(base_ribs, relays, (0.0, 1.0))
-    snapshot = Sightings(seen.sessions, {
+    snapshot = sightings_of(seen.sessions, {
         asn: tuple(
             {key: tuple(s for s in spans if s[0] <= 0.0 < s[1]) for key, spans in side.items()}
             for side in sides
         )
-        for asn, sides in seen.spans.items()
+        for asn, sides in spans_of(seen).items()
     })
     expected_baseline = summarize_records(
         oracle_records(snapshot, 0.0, local), session_pairs(base_ribs), relays
