@@ -22,6 +22,7 @@ import numpy as np
 
 from .artifacts import replacing
 from .core import (
+    MAX_ASN,
     AsPath,
     IpPrefix,
     RelayDescriptor,
@@ -29,8 +30,10 @@ from .core import (
     RouteEntry,
     VantageSession,
     parse_path,
+    quads_at,
     reading,
 )
+from .textcols import _POW10, PAD, _digit_values, text_lines, windows
 
 
 @dataclass(frozen=True)
@@ -123,80 +126,462 @@ def prefix_key(prefix: IpPrefix) -> tuple[int, int]:
     return prefix.base, prefix.length
 
 
+# --- reading: the writer's line shape by columns, csv for any other line -------
+#
+# parse_updates decodes a line by columns when it has the fast shape, the
+# one write_updates writes:
+#
+#   TS,SESSION,KIND,PREFIX,PATH
+#
+# Every byte is printable ASCII but '"', so csv splits the line at its
+# four commas. TS is -?D+(.D+)? (D a digit) in at most 24 bytes with at
+# most 19 digits; SESSION is 1-64 bytes with no space at either end;
+# PREFIX is a canonical quad (core.quads_at), '/' and a length of one or
+# two digits at most 32; KIND is A with a PATH of single-space-separated
+# runs of 1-10 digits worth at most MAX_ASN, in at most 240 bytes, or W
+# with an empty PATH. The per-line grammar (_parse_row) reads every such
+# line to the same values. TS is its mantissa over 10**f, both exact as
+# doubles while the mantissa is below 2**53, so one correctly rounded
+# division gives float(TS); a longer mantissa goes through float().
+#
+# Sessions, prefixes and paths are decoded once per distinct field text:
+# a block's distinct fields come from a hash over their NUL-padded
+# windows (checked against the windows), and _Texts keeps each text's
+# code across blocks and files. Any other line (quotes, comments, a
+# header, spaces, an exponent, a wrong field count, ...) is read by
+# csv.reader and _parse_row at csv's row number, which is its line
+# number unless a quoted cell ran over several lines before it.
+
+_BLOCK_LINES = 1 << 12  # lines decoded at once; bounds the window matrices
+_TS_BYTES, _SESSION_BYTES, _PATH_BYTES = 24, 64, 240
+_PREFIX_BYTES = 18  # "255.255.255.255/32"
+_ASN_DIGITS = 10
+_EXACT = 2**53  # a mantissa below it is exact as a double
+# odd multipliers of the window words in a field's hash (a Weyl sequence)
+_MIX = np.arange(1, _PATH_BYTES // 8 + 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+_MIX |= np.uint64(1)
+_POW10_FLOAT = 10.0 ** np.arange(20)  # exact doubles
+# _TAIL[n, :width] keeps the first n bytes of a window
+_TAIL = np.tri(_PATH_BYTES + 2, _PATH_BYTES + 8, -1, dtype=np.uint8)
+
+
+def _field_windows(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The fields [starts, starts + lengths) of data as uint8 rows of the
+    fewest whole 8-byte words that leave a NUL after the longest field,
+    NUL after each field."""
+    width = (int(lengths.max(initial=0)) // 8 + 1) * 8
+    rows = windows(data, starts, width)  # a fancy-indexed copy
+    rows *= _TAIL[lengths, :width]
+    return rows
+
+
+def _rows_any(mask: np.ndarray) -> np.ndarray:
+    """Per row of a boolean array of whole 8-byte words, whether any is set."""
+    words = mask.view(np.uint64)
+    hit = words[:, 0] != 0
+    for column in range(1, words.shape[1]):
+        hit |= words[:, column] != 0
+    return hit
+
+
+class _Texts:
+    """The distinct texts of one field and their decoded values, by code.
+
+    Fast-shape texts are known by a 64-bit hash of their NUL-padded
+    window: keys is sorted, and for each key, info holds its code (-1 for
+    a text off the fast shape) and where its text starts in text_bytes
+    and its length. A window that shares its hash with another text is
+    given code -1, which sends its line to the per-line grammar; by_text
+    holds that grammar's texts. While injective, no two codes have one
+    value."""
+
+    def __init__(self, decode_rows) -> None:
+        # rows, lengths -> the rows that decode, their values in that
+        # order, and whether the texts of distinct values are distinct
+        self.decode_rows = decode_rows
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.info = np.empty((0, 3), dtype=np.int64)
+        self.text_bytes = np.empty(0, dtype=np.uint8)
+        self.by_text: dict[str, int] = {}
+        self.values: list = []
+        self.injective = True
+
+    def of_rows(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The code of each field, given as _field_windows rows."""
+        n, width = rows.shape
+        words = rows.view(np.uint64)
+        key = words[:, 0] * _MIX[0]  # one word: a bijection
+        for column in range(1, words.shape[1]):
+            key += words[:, column] * _MIX[column]
+        distinct, inverse = np.unique(key, return_inverse=True)
+        first = np.full(len(distinct), n)
+        np.minimum.at(first, inverse, np.arange(n))
+        codes = np.full(len(distinct), -1)
+        at = np.searchsorted(self.keys, distinct)
+        known = np.flatnonzero(at < len(self.keys))
+        known = known[self.keys[at[known]] == distinct[known]]
+        if len(known):
+            code, start, size = self.info[at[known]].T
+            stored = windows(np.append(self.text_bytes, np.zeros(width, np.uint8)), start, width)
+            stored *= _TAIL[np.minimum(size, width), :width]
+            same = ~_rows_any(stored != rows[first[known]])  # else: one hash, two texts
+            codes[known[same]] = code[same]
+        new = np.ones(len(distinct), dtype=bool)
+        new[known] = False
+        new = np.flatnonzero(new)
+        if len(new):
+            in_order = new[np.argsort(first[new])]
+            decoded, values, injective = self.decode_rows(
+                rows[first[in_order]], lengths[first[in_order]]
+            )
+            codes[in_order[decoded]] = np.arange(len(self.values), len(self.values) + len(values))
+            self.values += values
+            self.injective &= injective
+            size = lengths[first[new]]
+            at_byte = len(self.text_bytes) + np.cumsum(size) - size
+            info = np.column_stack([codes[new], at_byte, size])
+            self.keys = np.insert(self.keys, at[new], distinct[new])
+            self.info = np.insert(self.info, at[new], info, axis=0)
+            text = rows[first[new]][_TAIL[size, :width].view(bool)]
+            self.text_bytes = np.append(self.text_bytes, text)
+        codes = codes[inverse]
+        shared = words[first[inverse]]
+        for column in range(words.shape[1]):
+            codes[words[:, column] != shared[:, column]] = -1  # one hash, two texts
+        return codes
+
+    def of_text(self, text: str, decode) -> int:
+        """The code of a text, decode(text) the first time (which may raise)."""
+        code = self.by_text.get(text)
+        if code is None:
+            value = decode(text)
+            code = self.by_text[text] = len(self.values)
+            self.values.append(value)
+            self.injective = False
+        return code
+
+    def ids(self, codes: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Per code its value's id, and the distinct values in id order:
+        the order of each value's first appearance in codes, in which
+        code -1 stays -1."""
+        n = len(codes)
+        first = np.full(len(self.values) + 1, n)  # the last slot is code -1's
+        np.minimum.at(first, codes, np.arange(n))
+        first = first[:-1]
+        if self.injective and (first[1:] > first[:-1]).all() and (first[-1:] < n).all():
+            return codes, tuple(self.values)  # already numbered so
+        seen = np.flatnonzero(first < n)
+        seen = seen[np.argsort(first[seen])]
+        values = list(map(self.values.__getitem__, seen.tolist()))
+        distinct = dict.fromkeys(values)
+        ids = np.full(len(self.values) + 1, -1, dtype=np.int64)
+        if len(distinct) == len(values):
+            ids[seen] = np.arange(len(seen))
+        else:  # texts with one value, such as "100 100 200" and "100 200"
+            for i, value in enumerate(distinct):
+                distinct[value] = i
+            ids[seen] = list(map(distinct.__getitem__, values))
+        return ids[codes], tuple(distinct)
+
+
+def _session_rows(rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, list[str], bool]:
+    """Every SESSION field and its text, which no other field spells."""
+    texts = rows.view(f"S{rows.shape[1]}").ravel().tolist()
+    return np.arange(len(texts)), [text.decode() for text in texts], True
+
+
+def _packed_prefix(prefix: IpPrefix) -> int:
+    """An IpPrefix as one int, base and length: how the reader keeps prefixes."""
+    return prefix.base << 6 | prefix.length
+
+
+def _prefix_rows(rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, list[int], bool]:
+    """The canonical PREFIX fields, their _packed_prefix values, and whether
+    each is spelled as str(IpPrefix) spells it."""
+    n = np.arange(len(rows))
+    at = (rows == ord("/")).argmax(axis=1)
+    digits = lengths - at - 1
+    tens, ones = (
+        rows[n, np.minimum(at + k, rows.shape[1] - 1)].astype(np.int64) - ord("0") for k in (1, 2)
+    )
+    length = np.where(digits == 2, tens * 10 + ones, tens)
+    addresses, canonical = quads_at(rows.ravel(), n * rows.shape[1], n * rows.shape[1] + at)
+    ok = np.flatnonzero(
+        canonical & (digits >= 1) & (digits <= 2) & (tens >= 0) & (tens <= 9)
+        & ((digits == 1) | ((ones >= 0) & (ones <= 9))) & (length <= 32)
+    )
+    address, length = addresses[ok], length[ok]
+    base = address & (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF  # host bits zeroed
+    octets = base >> np.array([[24], [16], [8], [0]]) & 255
+    spelled = (octets >= 10).sum(axis=0) + (octets >= 100).sum(axis=0) + 9 + (length >= 10)
+    injective = bool((base == address).all() and (spelled == lengths[ok]).all())
+    return ok, (base << 6 | length).tolist(), injective
+
+
+def _path_rows(
+    rows: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, ...]], bool]:
+    """The PATH fields of the fast shape, their path_ases, and whether no
+    two of those fields spell one path (no prepends, no leading zeros)."""
+    n, width = rows.shape
+    digit = rows - np.uint8(ord("0"))
+    is_digit = digit < 10
+    space = rows == ord(" ")
+    ok = ~_rows_any(~(is_digit | space) & (rows != 0)) & is_digit[:, 0]
+    ok &= is_digit[np.arange(n), lengths - 1]
+    flat, space = is_digit.ravel(), space.ravel()  # a row ends in a NUL, so no run spans rows
+    ok[np.flatnonzero(space[1:] & space[:-1]) // width] = False
+    edges = np.diff(flat.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    begins = np.flatnonzero(edges == 1)  # digit runs
+    size = np.flatnonzero(edges == -1) - begins
+    row = begins // width
+    ok[row[size > _ASN_DIGITS]] = False
+    leading_zero = (digit.ravel()[begins] == 0) & (size > 1)
+    size = np.minimum(size, _ASN_DIGITS)
+    longest = int(size.max(initial=1))
+    digits = np.concatenate([(digit * is_digit).ravel(), np.zeros(longest, np.uint8)])
+    asn = _digit_values(windows(digits, begins, longest), 0, size)
+    ok[row[asn > MAX_ASN]] = False
+    kept = ok[row]
+    kept[1:] &= (row[1:] != row[:-1]) | (asn[1:] != asn[:-1])  # prepends collapsed
+    injective = not (ok[row] & (leading_zero | ~kept)).any()
+    row, asn = row[kept], asn[kept]
+    count = np.bincount(row, minlength=n)
+    offset = np.cumsum(count) - count
+    # the paths of each length at once, zipped from their AS columns
+    good = np.flatnonzero(ok)
+    index, values = [], []
+    for size in np.flatnonzero(np.bincount(count[good])).tolist():
+        paths = good[count[good] == size]
+        index.append(paths)
+        values += zip(*(asn[offset[paths] + k].tolist() for k in range(size)))
+    order = np.argsort(np.concatenate(index or [good]), kind="stable")
+    return good, list(map(values.__getitem__, order.tolist())), injective
+
+
+def _timestamps(rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float(TS) of each TS field of the fast shape, given as
+    _field_windows rows, and which fields have it."""
+    n = len(rows)
+    mantissa = np.zeros(n, dtype=np.uint64)
+    n_digits, fraction, points = (np.zeros(n, dtype=np.int64) for _ in range(3))
+    negative = rows[:, 0] == ord("-")
+    bad = np.zeros(n, dtype=bool)
+    for column in range(rows.shape[1]):
+        byte = rows[:, column]
+        digit = byte - np.uint8(ord("0"))
+        is_digit = digit < 10
+        point = byte == ord(".")
+        bad |= ~(is_digit | point | (byte == 0) | (negative if column == 0 else False))
+        mantissa = np.where(is_digit, mantissa * np.uint64(10) + digit, mantissa)
+        n_digits += is_digit
+        fraction += is_digit & (points > 0)
+        points += point
+    ok = (
+        ~bad & (n_digits <= 19) & (n_digits > fraction)
+        & ((points == 0) | ((points == 1) & (fraction >= 1)))
+    )
+    value = mantissa.astype(np.float64) / _POW10_FLOAT[np.minimum(fraction, 19)]
+    for row in np.flatnonzero(ok & (mantissa >= _EXACT)).tolist():
+        value[row] = abs(float(rows[row, :lengths[row]].tobytes()))  # the sign comes next
+    return np.where(negative, -value, value), ok
+
+
+def _fast_fields(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """The lines [starts, ends) of data whose bytes and field lengths fit
+    the fast shape (indices into starts), with the byte before each of
+    their five fields and their end (start - 1, four commas, end), and the
+    lengths of the fields."""
+    lo, hi = starts[0], ends[-1]
+    chunk = data[lo:hi]
+    commas = np.flatnonzero(chunk == ord(",")) + lo
+    # '"' and every byte but printable ASCII: no line of the shape holds one
+    odd = np.flatnonzero((chunk - np.uint8(0x20) > 0x7E - 0x20) | (chunk == ord('"'))) + lo
+    first = np.searchsorted(commas, starts)
+    line = np.flatnonzero(
+        (np.searchsorted(commas, ends) - first == 4)
+        & (np.searchsorted(odd, ends) == np.searchsorted(odd, starts))
+    )
+    bounds = np.empty((len(line), 6), dtype=np.int64)
+    bounds[:, 0] = starts[line] - 1
+    bounds[:, 1:5] = commas[first[line, None] + np.arange(4)]
+    bounds[:, 5] = ends[line]
+    lengths = np.diff(bounds, axis=1) - 1
+    ts_len, session_len, kind_len, prefix_len, path_len = lengths.T
+    kind = data[bounds[:, 2] + 1]
+    ok = np.flatnonzero(
+        (ts_len >= 1) & (ts_len <= _TS_BYTES)
+        & (session_len >= 1) & (session_len <= _SESSION_BYTES)
+        & (data[bounds[:, 1] + 1] != ord(" ")) & (data[bounds[:, 2] - 1] != ord(" "))
+        & (kind_len == 1) & (prefix_len <= _PREFIX_BYTES)
+        & np.where(kind == ord("A"), (path_len >= 1) & (path_len <= _PATH_BYTES),
+                   (kind == ord("W")) & (path_len == 0))
+    )
+    return line[ok], bounds[ok], lengths[ok]
+
+
+def _fast_lines(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, texts) -> tuple:
+    """The lines [starts, ends) of data in the fast shape (indices into
+    starts) and their columns: ts, and session, prefix and path codes
+    into texts (path -1 for a withdrawal)."""
+    sessions, prefixes, paths = texts
+    line, bounds, lengths = _fast_fields(data, starts, ends)
+    at = bounds[:, :5] + 1  # the first byte of each field
+    ts_len, session_len, _, prefix_len, path_len = lengths.T
+    ts, ok = _timestamps(_field_windows(data, at[:, 0], ts_len), ts_len)
+    session = sessions.of_rows(_field_windows(data, at[:, 1], session_len), session_len)
+    prefix = prefixes.of_rows(_field_windows(data, at[:, 3], prefix_len), prefix_len)
+    path = np.full(len(line), -1, dtype=np.int64)
+    announce = np.flatnonzero(data[at[:, 2]] == ord("A"))
+    path[announce] = paths.of_rows(
+        _field_windows(data, at[announce, 4], path_len[announce]), path_len[announce]
+    )
+    ok[announce[path[announce] < 0]] = False
+    ok &= (session >= 0) & (prefix >= 0)
+    return line[ok], ts[ok], session[ok], prefix[ok], path[ok]
+
+
+def _session(text: str) -> str:
+    if not text.strip():
+        raise ValueError("empty session id")
+    return text.strip()
+
+
+def _parse_row(row: list[str], texts) -> tuple[float, int, int, int]:
+    """ts and session, prefix and path codes of one csv row, by the
+    per-line grammar; ValueError names what is wrong."""
+    sessions, prefixes, paths = texts
+    if len(row) != 5:
+        raise ValueError(f"expected 5 fields, got {len(row)}")
+    stamp, session, kind, prefix, path = row
+    timestamp = float(stamp)
+    if not math.isfinite(timestamp):
+        raise ValueError(f"timestamp must be finite, not {stamp!r}")
+    if "_" in stamp or not stamp.isascii():
+        raise ValueError(f"timestamp must be an ASCII decimal, not {stamp!r}")
+    session = sessions.of_text(session, _session)
+    kind = kind.strip().upper()
+    if kind not in ("A", "W"):
+        raise ValueError(f"kind must be A or W, not {row[2]!r}")
+    prefix = prefixes.of_text(prefix, lambda text: _packed_prefix(IpPrefix.parse(text)))
+    path = path.strip()
+    if kind == "W":
+        if path:
+            raise ValueError("withdrawal carries a path")
+        return timestamp, session, prefix, -1
+    return timestamp, session, prefix, paths.of_text(path, parse_path)
+
+
+def _slow_rows(source: str, raw: bytes, starts: np.ndarray, size: int, is_fast: np.ndarray,
+               texts, issues: list[ParseIssue]) -> list[tuple]:
+    """(line, ts, session, prefix, path codes) of each good csv row that
+    starts on a line off the fast shape, by the per-line grammar; a bad
+    row is added to issues. is_fast has a slot past the last line; lines a
+    quoted cell runs over are cleared in it."""
+    bounds = np.append(starts[1:], size)  # each line with its end
+    rows = []
+    past = merged = 0  # the first line no row has read; lines read past a row's first
+    for at in np.flatnonzero(~is_fast[:-1]).tolist():
+        if at < past:
+            continue
+        reader = csv.reader(raw[starts[k]:bounds[k]].decode() for k in range(at, len(starts)))
+        while not is_fast[at + reader.line_num]:
+            begin = at + reader.line_num
+            row = next(reader, None)
+            if row is None:
+                break
+            past = at + reader.line_num
+            is_fast[begin + 1:past] = False
+            line_no = begin + 1 - merged  # csv's row number
+            merged += past - begin - 1
+            if not row or row[0].startswith("#"):
+                continue
+            try:
+                rows.append((begin, *_parse_row(row, texts)))
+            except ValueError as exc:
+                # a header line fails on its timestamp (or its field count) and is skipped
+                if [cell.strip().lower() for cell in row[:2]] != ["timestamp", "session"]:
+                    issues.append(ParseIssue(source, line_no, str(exc), ",".join(row)))
+    return rows
+
+
+def _read_updates(source: str, raw: bytes, texts, issues: list[ParseIssue]) -> list[np.ndarray]:
+    """ts and session, prefix and path codes of the rows of one update
+    file's bytes, followed by PAD zero bytes, in file order; each
+    malformed line is added to issues."""
+    size = len(raw) - PAD
+    data = np.frombuffer(raw, dtype=np.uint8)
+    if data.max() >= 0x80:
+        str(memoryview(raw)[:size], "utf-8")  # a file that is not UTF-8 fails as in text mode
+    starts, ends = text_lines(data, size)
+    blocks = [(np.empty(0, np.int64), np.empty(0), *(np.empty(0, np.int64),) * 3)]
+    for first in range(0, len(starts), _BLOCK_LINES):
+        block = slice(first, first + _BLOCK_LINES)
+        line, *columns = _fast_lines(data, starts[block], ends[block], texts)
+        blocks.append((line + first, *columns))
+    line, *columns = map(np.concatenate, zip(*blocks))
+    is_fast = np.zeros(len(starts) + 1, dtype=bool)
+    is_fast[line] = True
+    slow = _slow_rows(source, raw, starts, size, is_fast, texts, issues)
+    kept = is_fast[line]
+    if not slow and kept.all():
+        return columns
+    slow_line, *slow_columns = zip(*slow) if slow else ((),) * 5
+    order = np.argsort(np.concatenate([line[kept], slow_line]), kind="stable")
+    return [
+        np.concatenate([fast[kept], np.array(other, dtype=fast.dtype)])[order]
+        for fast, other in zip(columns, slow_columns)
+    ]
+
+
 def parse_updates(*sources) -> tuple[UpdateTable, list[ParseIssue]]:
     """Parse the update CSV files, schema timestamp,session,kind,prefix,path,
     into one table over one set of ids.
 
-    timestamp is finite and an ASCII decimal, every spelling f"{ts:g}"
-    writes (float() alone would also take "_" separators and non-ASCII
-    digits; text it rejects keeps its message); kind is A or W, and only A
-    carries a path, a space-separated AS list (quoted when written by
-    csv). Malformed lines become ParseIssue diagnostics instead of being
-    silently dropped. Each distinct prefix and path text is decoded once.
-    Rows are stably sorted by timestamp, so at equal timestamps an earlier
-    file's rows come first and each file keeps its line order.
+    timestamp is finite and an ASCII decimal (float() alone would also
+    take "_" separators and non-ASCII digits; text it rejects keeps its
+    message); kind is A or W, and only A carries a path, a
+    space-separated AS list (quoted when written by csv). Lines of the
+    writer's shape (above) are decoded by columns, any other line by
+    csv.reader and the per-line grammar; each malformed line becomes a
+    ParseIssue at csv's row number instead of being silently dropped.
+    Each distinct session, prefix and path text is decoded once, and ids
+    follow the first appearance of each value in the kept rows, file by
+    file. Rows are stably sorted by timestamp, so at equal timestamps an
+    earlier file's rows come first and each file keeps its line order.
     """
-    ids = UpdateIds()
-    # each text as written -> its id, so each distinct text is decoded once
-    session_ids: dict[str, int] = {}
-    prefix_ids: dict[str, int] = {}
-    path_ids: dict[str, int] = {}
-    kept: list[tuple[float, int, int, int]] = []
+    texts = (_Texts(_session_rows), _Texts(_prefix_rows), _Texts(_path_rows))
+    parts = [(np.empty(0), *(np.empty(0, np.int64),) * 3)]
     issues: list[ParseIssue] = []
     for source in sources:
-        with reading(source, "update file") as handle:
-            for line_no, row in enumerate(csv.reader(handle), start=1):
-                if not row or (row[0].startswith("#")):
-                    continue
-                try:
-                    if len(row) != 5:
-                        raise ValueError(f"expected 5 fields, got {len(row)}")
-                    stamp, session, kind, prefix, path = row
-                    timestamp = float(stamp)
-                    if not math.isfinite(timestamp):
-                        raise ValueError(f"timestamp must be finite, not {stamp!r}")
-                    if "_" in stamp or not stamp.isascii():
-                        raise ValueError(f"timestamp must be an ASCII decimal, not {stamp!r}")
-                    session_id = session_ids.get(session)
-                    if session_id is None:
-                        if not session.strip():
-                            raise ValueError("empty session id")
-                        session_id = session_ids[session] = ids.session_id(session.strip())
-                    kind = kind.strip().upper()
-                    if kind not in ("A", "W"):
-                        raise ValueError(f"kind must be A or W, not {row[2]!r}")
-                    prefix_id = prefix_ids.get(prefix)
-                    if prefix_id is None:
-                        prefix_id = prefix_ids[prefix] = ids.prefix_id(IpPrefix.parse(prefix))
-                    path = path.strip()
-                    if kind == "W":
-                        if path:
-                            raise ValueError("withdrawal carries a path")
-                        path_id = -1
-                    else:
-                        path_id = path_ids.get(path)
-                        if path_id is None:
-                            path_id = path_ids[path] = ids.path_id(parse_path(path))
-                except ValueError as exc:
-                    # a header line fails on its timestamp (or its field count) and is skipped
-                    if [cell.strip().lower() for cell in row[:2]] != ["timestamp", "session"]:
-                        issues.append(ParseIssue(str(source), line_no, str(exc), ",".join(row)))
-                    continue
-                kept.append((timestamp, session_id, prefix_id, path_id))
-    return ids.table(kept), issues
+        with reading(source, "update file", "rb") as handle:
+            parts.append(_read_updates(str(source), handle.read() + bytes(PAD), texts, issues))
+    ts, *codes = map(np.concatenate, zip(*parts))
+    (session, sessions), (prefix, prefixes), (path, paths) = map(_Texts.ids, texts, codes)
+    prefixes = [IpPrefix(key >> 6, key & 63) for key in prefixes]
+    return UpdateTable(ts, session, prefix, path, sessions, prefixes, paths), issues
+
+
+def _spelling(ts: float) -> str:
+    """f"{ts:g}" when float() reads it back exactly, else repr(ts)."""
+    text = f"{ts:g}"
+    return text if float(text) == ts or ts != ts else repr(ts)
 
 
 def write_updates(path, table: UpdateTable) -> None:
     prefixes = [str(prefix) for prefix in table.prefixes]
     # as str(AsPath) spells them; path id -1 reads ""
     paths = [" ".join(map(str, ases)) for ases in table.path_ases] + [""]
+    # each distinct bit pattern spelled once (-0.0 and 0.0 are spelled apart)
+    bits, inverse = np.unique(table.ts.view(np.int64), return_inverse=True)
+    spelled = [_spelling(ts) for ts in bits.view(np.float64).tolist()]
     with replacing(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["timestamp", "session", "kind", "prefix", "path"])
         writer.writerows(
-            [f"{ts:g}", table.sessions[s], "W" if a < 0 else "A", prefixes[p], paths[a]]
-            for ts, s, p, a in zip(
-                table.ts.tolist(), table.session.tolist(), table.prefix.tolist(),
+            [spelled[t], table.sessions[s], "W" if a < 0 else "A", prefixes[p], paths[a]]
+            for t, s, p, a in zip(
+                inverse.tolist(), table.session.tolist(), table.prefix.tolist(),
                 table.path.tolist(),
             )
         )

@@ -90,7 +90,16 @@ def _manifest_row(row: dict) -> tuple[Path, str, str]:
 def _load_manifest(manifest_path: str):
     clients, servers = [], []
     base = Path(manifest_path).parent
-    rows = csv_records(manifest_path, "manifest", ("file", "vantage_id", "role"), _manifest_row)
+    seen: set[str] = set()
+
+    def once(row: dict) -> tuple[Path, str, str]:
+        file_path, vantage_id, role = _manifest_row(row)
+        if vantage_id in seen:
+            raise ValueError(f"vantage_id {vantage_id!r} listed twice")
+        seen.add(vantage_id)
+        return file_path, vantage_id, role
+
+    rows = csv_records(manifest_path, "manifest", ("file", "vantage_id", "role"), once)
     for file_path, vantage_id, role in rows:
         trace = read_trace_jsonl(base / file_path, vantage_id)
         (clients if role == "client" else servers).append(trace)

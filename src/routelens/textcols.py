@@ -23,8 +23,9 @@ PAD = 256  # zero bytes after the file; the windows of a bad line stay inside
 
 
 def windows(data: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
-    """The width bytes of data from each position, one row each."""
-    return np.lib.stride_tricks.sliding_window_view(data, width)[pos]
+    """The width bytes of a contiguous uint8 array from each position, one
+    row each."""
+    return np.ndarray((len(data) - width + 1, width), np.uint8, data, strides=(1, 1))[pos]
 
 
 def starts_with(window: np.ndarray, text: bytes) -> np.ndarray:
@@ -59,7 +60,8 @@ def text_lines(data: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Start and end of each line of data[:size] as text mode splits it:
     "\\n", "\\r" and "\\r\\n" each end a line, which excludes them, and the
     last line may lack an end. data must run on past size (PAD)."""
-    breaks = np.flatnonzero((data[:size] == _LF) | (data[:size] == _CR))
+    breaks = np.flatnonzero(data[:size] <= max(_LF, _CR))  # one pass; then drop tabs and such
+    breaks = breaks[(data[breaks] == _LF) | (data[breaks] == _CR)]
     ends = breaks[~((data[breaks] == _LF) & (data[breaks - 1] == _CR))]  # CR LF ends one line
     starts = np.concatenate(([0], ends + 1 + ((data[ends] == _CR) & (data[ends + 1] == _LF))))
     ends = np.append(ends, size)

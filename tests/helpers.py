@@ -182,41 +182,49 @@ _DECIMAL = re.compile(
 )
 
 
-def oracle_parse_updates(source):
+def oracle_parse_updates(*sources):
     """parse_updates line by line: one BgpUpdate per good line, decoding
     every prefix and path anew, and one ParseIssue per bad line; the
-    timestamp grammar is a regular expression here."""
+    timestamp grammar is a regular expression here. Also the sessions,
+    prefixes and AS paths in order of first appearance in the good lines,
+    file by file, the order of the table's id tuples."""
     updates, issues = [], []
-    with open(source, newline="", encoding="utf-8") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or (row[0].startswith("#")):
-                continue
-            if [cell.strip().lower() for cell in row[:2]] == ["timestamp", "session"]:
-                continue  # header
-            try:
-                if len(row) != 5:
-                    raise ValueError(f"expected 5 fields, got {len(row)}")
-                timestamp = float(row[0])
-                if not math.isfinite(timestamp):
-                    raise ValueError(f"timestamp must be finite, not {row[0]!r}")
-                if not _DECIMAL.fullmatch(row[0]):
-                    raise ValueError(f"timestamp must be an ASCII decimal, not {row[0]!r}")
-                session = row[1].strip()
-                if not session:
-                    raise ValueError("empty session id")
-                kind = row[2].strip().upper()
-                if kind not in ("A", "W"):
-                    raise ValueError(f"kind must be A or W, not {row[2]!r}")
-                prefix = IpPrefix.parse(row[3])
-                path_text = row[4].strip()
-                if kind == "W" and path_text:
-                    raise ValueError("withdrawal carries a path")
-                path = AsPath.parse(path_text) if kind == "A" else None
-                updates.append(BgpUpdate(timestamp, session, prefix, path))
-            except ValueError as exc:
-                issues.append(ParseIssue(str(source), line_no, str(exc), ",".join(row)))
+    for source in sources:
+        with open(source, newline="", encoding="utf-8") as handle:
+            for line_no, row in enumerate(csv.reader(handle), start=1):
+                if not row or (row[0].startswith("#")):
+                    continue
+                if [cell.strip().lower() for cell in row[:2]] == ["timestamp", "session"]:
+                    continue  # header
+                try:
+                    if len(row) != 5:
+                        raise ValueError(f"expected 5 fields, got {len(row)}")
+                    timestamp = float(row[0])
+                    if not math.isfinite(timestamp):
+                        raise ValueError(f"timestamp must be finite, not {row[0]!r}")
+                    if not _DECIMAL.fullmatch(row[0]):
+                        raise ValueError(f"timestamp must be an ASCII decimal, not {row[0]!r}")
+                    session = row[1].strip()
+                    if not session:
+                        raise ValueError("empty session id")
+                    kind = row[2].strip().upper()
+                    if kind not in ("A", "W"):
+                        raise ValueError(f"kind must be A or W, not {row[2]!r}")
+                    prefix = IpPrefix.parse(row[3])
+                    path_text = row[4].strip()
+                    if kind == "W" and path_text:
+                        raise ValueError("withdrawal carries a path")
+                    path = AsPath.parse(path_text) if kind == "A" else None
+                    updates.append(BgpUpdate(timestamp, session, prefix, path))
+                except ValueError as exc:
+                    issues.append(ParseIssue(str(source), line_no, str(exc), ",".join(row)))
+    order = (
+        tuple(dict.fromkeys(u.session for u in updates)),
+        tuple(dict.fromkeys(u.prefix for u in updates)),
+        tuple(dict.fromkeys(u.path.ases for u in updates if u.path is not None)),
+    )
     updates.sort(key=lambda u: u.timestamp)
-    return updates, issues
+    return updates, issues, order
 
 
 class ReplayRib(SessionRib):

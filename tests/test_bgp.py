@@ -1,10 +1,13 @@
 """Tests for update parsing, session-reset filtering, and RIB replay."""
 
 import csv
+import io
 import random
 
+import numpy as np
 import pytest
 from helpers import (
+    BgpUpdate,
     announce,
     covers_any,
     live_at,
@@ -19,6 +22,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from routelens import bgp
 from routelens.bgp import (
     ParseIssue,
     UpdateTable,
@@ -479,7 +483,7 @@ def test_every_timestamp_the_writer_spells_reads_back(tmp_path):
     write_updates(path, table_of([withdraw(t, "s1", "10.1.0.0/16") for t in stamps]))
     updates, issues = parse_updates(path)
     assert not issues
-    assert [u.timestamp for u in updates_of(updates)] == sorted(float(f"{t:g}") for t in stamps)
+    assert [u.timestamp for u in updates_of(updates)] == sorted(stamps)
 
 
 # --- per-update oracles ------------------------------------------------------
@@ -511,9 +515,156 @@ def test_parse_updates_matches_the_per_line_oracle(tmp_path_factory, lines):
     with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerows(lines)
     table, issues = parse_updates(path)
-    expected_updates, expected_issues = oracle_parse_updates(path)
+    expected_updates, expected_issues, _ = oracle_parse_updates(path)
     assert updates_of(table) == expected_updates
     assert issues == expected_issues
+
+
+# a writer's table: stamps the writer spells plainly, by repr or with an
+# exponent, and sessions csv quotes or that are not ASCII
+_WRITTEN = st.lists(
+    st.builds(
+        BgpUpdate,
+        st.one_of(
+            st.integers(-10**6, 10**6).map(float),
+            st.sampled_from([0.0, -0.0, 0.5, 86400.0, 1400000123.0, 1400000123.25, 1e16, 1e-05,
+                             9007199254740993.0, 1.5e300, 123456789.125]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        st.sampled_from(["s1", "s2", "c10s2", "a b", "x,y", 'q"t', "é"]),
+        st.builds(IpPrefix, _ADDRESSES, st.integers(0, 32)),
+        st.one_of(
+            st.none(),
+            st.lists(st.sampled_from([0, 7, 100, 200, 64000, 4294967295]), min_size=1, max_size=6)
+            .map(AsPath),
+        ),
+    ),
+    max_size=12,
+)
+_EDIT_CHARACTERS = ' ,"\r\n\t#.-+_/0925eAWaxé٣\xa0'
+
+
+@st.composite
+def _edited(draw, lines):
+    """lines with a few of them, the header aside, edited by one character
+    or replaced by a line of _CELLS."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 3)) if len(lines) > 1 else 0):
+        k = draw(st.integers(1, len(lines) - 1))
+        if draw(st.booleans()):
+            text = io.StringIO(newline="")
+            csv.writer(text).writerow(draw(st.tuples(*map(st.sampled_from, _CELLS.values()))))
+            lines[k] = text.getvalue()
+            continue
+        at = draw(st.integers(0, len(lines[k]) - 1))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        character = "" if edit == "delete" else draw(st.sampled_from(_EDIT_CHARACTERS))
+        lines[k] = lines[k][:at] + character + lines[k][at + (edit != "insert"):]
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_WRITTEN, min_size=2, max_size=2), st.data())
+def test_parse_updates_matches_the_oracle_on_written_and_edited_files(
+    tmp_path_factory, tables, data
+):
+    root = tmp_path_factory.mktemp("written")
+    paths = [root / "first.csv", root / "second.csv"]
+    for path, updates in zip(paths, tables):
+        write_updates(path, table_of(updates))
+        lines = data.draw(_edited(path.read_bytes().decode().splitlines(keepends=True)))
+        path.write_bytes("".join(lines).encode())
+    table, issues = parse_updates(*paths)
+    expected_updates, expected_issues, order = oracle_parse_updates(*paths)
+    assert updates_of(table) == expected_updates
+    assert issues == expected_issues
+    assert (table.sessions, table.prefixes, table.path_ases) == order
+
+
+_NEAR_THE_FAST_SHAPE = [
+    "5,s1,A,10.1.0.0/16,100 200",
+    "-0,s1,W,10.1.0.0/16,",
+    "007.50,s1,W,10.1.0.0/16,",
+    "9007199254740993,s1,W,10.1.0.0/16,",
+    "-90071992547409.935,s1,W,10.1.0.0/16,",
+    "1234567890123456789,s1,W,10.1.0.0/16,",
+    "12345678901234567890,s1,W,10.1.0.0/16,",
+    "1e5,s1,W,10.1.0.0/16,",
+    "5.,s1,W,10.1.0.0/16,",
+    ".5,s1,W,10.1.0.0/16,",
+    "1.2.3,s1,W,10.1.0.0/16,",
+    "5,a b,A,10.1.0.0/16,100",
+    "5,s1 ,A,10.1.0.0/16,100",
+    "5, s1,A,10.1.0.0/16,100",
+    "5,s1,a,10.1.0.0/16,100",
+    "5,s1,AA,10.1.0.0/16,100",
+    "5,s1,W,10.1.0.0/16,100",
+    "5,s1,A,10.1.0.0/16,",
+    "5,s1,A,010.1.0.0/16,100",
+    "5,s1,A,10.1.9.9/16,100",
+    "5,s1,A,10.0.0.0/08,100",
+    "5,s1,A,10.0.0.0/8,100",
+    "5,s1,A,10.0.0.0/33,100",
+    "5,s1,A,10.0.0.0/,100",
+    "5,s1,A,255.255.255.25/,100",
+    "5,s1,A,10.0.0.0/8/,100",
+    "5,s1,A,10.0.0/8,100",
+    "5,s1,A,10.0.0.0.0/8,100",
+    "5,s1,A,10.0.0.256/8,100",
+    "5,s1,A,10.1.0.0/16,100  200",
+    "5,s1,A,10.1.0.0/16,100 200 ",
+    "5,s1,A,10.1.0.0/16, 100",
+    "5,s1,A,10.1.0.0/16,100\t200",
+    "5,s1,A,10.1.0.0/16,007 7 0",
+    "5,s1,A,10.1.0.0/16,4294967295 4294967296",
+    "5,s1,A,10.1.0.0/16,00000000001",
+    "5,s1,A,10.1.0.0/16,100 100 200 200",
+    "5,s1,A,10.1.0.0/16,100,200",
+    "5,s1,A,10.1.0.0/16",
+    "5,s1,A,10.1.0.0/16,\"100 200\"",
+    "5,s\u00e9,A,10.1.0.0/16,100",
+    "5,s1,A,10.1.0.0/16,1\u0661",
+]
+
+
+@pytest.mark.parametrize("block_lines", [1, 4096])
+def test_lines_next_to_the_fast_shape_read_as_the_oracle_reads_them(
+    tmp_path, monkeypatch, block_lines
+):
+    monkeypatch.setattr(bgp, "_BLOCK_LINES", block_lines)
+    path = tmp_path / "updates.csv"
+    path.write_bytes("\n".join(_NEAR_THE_FAST_SHAPE).encode() + b"\n")
+    table, issues = parse_updates(path)
+    expected_updates, expected_issues, order = oracle_parse_updates(path)
+    assert updates_of(table) == expected_updates
+    assert issues == expected_issues
+    assert (table.sessions, table.prefixes, table.path_ases) == order
+
+
+def test_fields_sharing_a_hash_are_read_by_the_per_line_grammar(tmp_path, monkeypatch):
+    # every window hashes to 0: in each block of two lines the second
+    # line's fields either repeat the first's or go to the per-line grammar
+    monkeypatch.setattr(bgp, "_MIX", np.zeros_like(bgp._MIX))
+    monkeypatch.setattr(bgp, "_BLOCK_LINES", 2)
+    path = tmp_path / "updates.csv"
+    write_updates(path, table_of([
+        announce(float(t), f"s{t % 3}", f"10.{t // 8 % 2}.0.0/16", [100, 200 + t // 12 % 2])
+        for t in range(40)
+    ]))
+    table, issues = parse_updates(path)
+    expected_updates, expected_issues, order = oracle_parse_updates(path)
+    assert not issues and not expected_issues
+    assert updates_of(table) == expected_updates
+    assert (table.sessions, table.prefixes, table.path_ases) == order
+
+
+def test_a_prepended_path_shares_the_id_of_its_collapsed_path(tmp_path):
+    path = tmp_path / "updates.csv"
+    path.write_text("1,s1,A,10.1.0.0/16,100 100 200\n2,s1,A,10.0.0.0/8,100 200\n")
+    table, issues = parse_updates(path)
+    assert not issues
+    assert table.path.tolist() == [0, 0]
+    assert table.path_ases == ((100, 200),)
 
 
 _INGEST_PREFIXES = ["10.1.0.0/16", "10.1.0.0/24", "10.0.0.0/8", "203.0.113.0/24"]

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -34,6 +35,7 @@ from routelens.simulate import (
     SessionSpec,
     TrafficScenario,
     gen_traceroute_paths,
+    injection_scenario,
 )
 from routelens.core import InputError, RelayDescriptor, ip_to_int
 from routelens.textcols import read_trace_jsonl
@@ -172,6 +174,50 @@ def test_false_positive_rate_counts_wrong_server_pairs():
 def test_correlate_missing_manifest_exits_2(tmp_path, capsys):
     assert run("--output-dir", tmp_path, "correlate", "--manifest", tmp_path / "nope.csv") == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_correlate_manifest_listing_a_vantage_twice_exits_2(traffic_dataset, tmp_path, capsys):
+    lines = (traffic_dataset / "manifest.csv").read_text().splitlines(keepends=True)
+    repeated = next(line for line in lines if line.split(",")[1:2] == ["client-00"])
+    manifest = traffic_dataset / "repeated.csv"
+    manifest.write_text("".join(lines) + repeated)
+    out = tmp_path / "corr"
+    code = run("--output-dir", out, "correlate", "--manifest", manifest,
+               "--truth", traffic_dataset / "truth.json", "--window", 40)
+    assert code == 2
+    err = capsys.readouterr().err
+    line = len(lines) + 1
+    assert f"{manifest}:{line}: bad manifest row: vantage_id 'client-00' listed twice" in err
+    assert not out.exists()
+
+
+def test_detect_alerts_alike_on_a_scenario_moved_into_unix_time(tmp_path):
+    # Unix-time stamps need ten significant digits, which f"{ts:g}" cuts to six
+    plain = injection_scenario(0, 3, 1)
+    shift = 1.4e9
+    moved = dataclasses.replace(
+        plain,
+        window=(plain.window[0] + shift, plain.window[1] + shift),
+        churn=tuple(dataclasses.replace(c, time=c.time + shift) for c in plain.churn),
+        events=tuple(dataclasses.replace(e, start=e.start + shift) for e in plain.events),
+    )
+    flagged = []
+    for name, scenario in (("plain", plain), ("moved", moved)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(scenario.to_dict()))
+        assert run("--output-dir", tmp_path / name, "simulate", "--scenario", path) == 0
+        start, end = scenario.window
+        assert run(
+            "--output-dir", tmp_path / f"{name}-detect",
+            "detect",
+            "--updates", tmp_path / name / "updates.csv",
+            "--relays", tmp_path / name / "relays.csv",
+            "--window-start", start, "--window-end", end,
+        ) == 0
+        alerts = read_jsonl_records(tmp_path / f"{name}-detect" / "alerts.jsonl")
+        flagged.append(sorted((a["prefix"], a["origin_as"]) for a in alerts))
+    assert len(flagged[0]) == 5
+    assert flagged[1] == flagged[0]
 
 
 def test_simulate_routing_and_detect(tmp_path):
