@@ -145,21 +145,18 @@ def prefix_key(prefix: IpPrefix) -> tuple[int, int]:
 # division gives float(TS); a longer mantissa goes through float().
 #
 # Sessions, prefixes and paths are decoded once per distinct field text:
-# a block's distinct fields come from a hash over their NUL-padded
-# windows (checked against the windows), and _Texts keeps each text's
-# code across blocks and files. Any other line (quotes, comments, a
-# header, spaces, an exponent, a wrong field count, ...) is read by
-# csv.reader and _parse_row at csv's row number, which is its line
-# number unless a quoted cell ran over several lines before it.
+# a block's distinct fields are the distinct bytes of their NUL-padded
+# windows, and _Texts keeps each text's code, by its bytes, across blocks
+# and files. Any other line (quotes, comments, a header, spaces, an
+# exponent, a wrong field count, ...) is read by csv.reader and _parse_row
+# at csv's row number, which is its line number unless a quoted cell ran
+# over several lines before it.
 
 _BLOCK_LINES = 1 << 12  # lines decoded at once; bounds the window matrices
 _TS_BYTES, _SESSION_BYTES, _PATH_BYTES = 24, 64, 240
 _PREFIX_BYTES = 18  # "255.255.255.255/32"
 _ASN_DIGITS = 10
 _EXACT = 2**53  # a mantissa below it is exact as a double
-# odd multipliers of the window words in a field's hash (a Weyl sequence)
-_MIX = np.arange(1, _PATH_BYTES // 8 + 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-_MIX |= np.uint64(1)
 _POW10_FLOAT = 10.0 ** np.arange(20)  # exact doubles
 # _TAIL[n, :width] keeps the first n bytes of a window
 _TAIL = np.tri(_PATH_BYTES + 2, _PATH_BYTES + 8, -1, dtype=np.uint8)
@@ -187,68 +184,39 @@ def _rows_any(mask: np.ndarray) -> np.ndarray:
 class _Texts:
     """The distinct texts of one field and their decoded values, by code.
 
-    Fast-shape texts are known by a 64-bit hash of their NUL-padded
-    window: keys is sorted, and for each key, info holds its code (-1 for
-    a text off the fast shape) and where its text starts in text_bytes
-    and its length. A window that shares its hash with another text is
-    given code -1, which sends its line to the per-line grammar; by_text
-    holds that grammar's texts. While injective, no two codes have one
-    value."""
+    by_window holds each fast-shape text met so far, as its exact bytes,
+    with its code (-1 for a text off the fast shape, whose lines go to
+    the per-line grammar); by_text holds that grammar's texts. While
+    injective, no two codes have one value."""
 
     def __init__(self, decode_rows) -> None:
         # rows, lengths -> the rows that decode, their values in that
         # order, and whether the texts of distinct values are distinct
         self.decode_rows = decode_rows
-        self.keys = np.empty(0, dtype=np.uint64)
-        self.info = np.empty((0, 3), dtype=np.int64)
-        self.text_bytes = np.empty(0, dtype=np.uint8)
+        self.by_window: dict[bytes, int] = {}
         self.by_text: dict[str, int] = {}
         self.values: list = []
         self.injective = True
 
     def of_rows(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """The code of each field, given as _field_windows rows."""
-        n, width = rows.shape
-        words = rows.view(np.uint64)
-        key = words[:, 0] * _MIX[0]  # one word: a bijection
-        for column in range(1, words.shape[1]):
-            key += words[:, column] * _MIX[column]
-        distinct, inverse = np.unique(key, return_inverse=True)
-        first = np.full(len(distinct), n)
-        np.minimum.at(first, inverse, np.arange(n))
-        codes = np.full(len(distinct), -1)
-        at = np.searchsorted(self.keys, distinct)
-        known = np.flatnonzero(at < len(self.keys))
-        known = known[self.keys[at[known]] == distinct[known]]
-        if len(known):
-            code, start, size = self.info[at[known]].T
-            stored = windows(np.append(self.text_bytes, np.zeros(width, np.uint8)), start, width)
-            stored *= _TAIL[np.minimum(size, width), :width]
-            same = ~_rows_any(stored != rows[first[known]])  # else: one hash, two texts
-            codes[known[same]] = code[same]
-        new = np.ones(len(distinct), dtype=bool)
-        new[known] = False
-        new = np.flatnonzero(new)
+        # a field is printable ASCII padded with NULs, which the S view
+        # strips: each key is the field's text whatever the block's width
+        keys, first, inverse = np.unique(
+            rows.view(f"S{rows.shape[1]}").ravel(), return_index=True, return_inverse=True
+        )
+        keys = keys.tolist()
+        codes = np.array([self.by_window.get(key, -2) for key in keys], dtype=np.int64)
+        new = np.flatnonzero(codes == -2)  # texts not met yet
         if len(new):
-            in_order = new[np.argsort(first[new])]
-            decoded, values, injective = self.decode_rows(
-                rows[first[in_order]], lengths[first[in_order]]
-            )
-            codes[in_order[decoded]] = np.arange(len(self.values), len(self.values) + len(values))
+            new = new[np.argsort(first[new])]
+            decoded, values, injective = self.decode_rows(rows[first[new]], lengths[first[new]])
+            codes[new] = -1
+            codes[new[decoded]] = np.arange(len(self.values), len(self.values) + len(values))
             self.values += values
             self.injective &= injective
-            size = lengths[first[new]]
-            at_byte = len(self.text_bytes) + np.cumsum(size) - size
-            info = np.column_stack([codes[new], at_byte, size])
-            self.keys = np.insert(self.keys, at[new], distinct[new])
-            self.info = np.insert(self.info, at[new], info, axis=0)
-            text = rows[first[new]][_TAIL[size, :width].view(bool)]
-            self.text_bytes = np.append(self.text_bytes, text)
-        codes = codes[inverse]
-        shared = words[first[inverse]]
-        for column in range(words.shape[1]):
-            codes[words[:, column] != shared[:, column]] = -1  # one hash, two texts
-        return codes
+            self.by_window.update(zip(map(keys.__getitem__, new.tolist()), codes[new].tolist()))
+        return codes[inverse]
 
     def of_text(self, text: str, decode) -> int:
         """The code of a text, decode(text) the first time (which may raise)."""

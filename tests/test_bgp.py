@@ -564,17 +564,21 @@ def _edited(draw, lines):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_WRITTEN, min_size=2, max_size=2), st.data())
+@given(st.lists(_WRITTEN, min_size=2, max_size=2), st.data(), st.sampled_from([1, 2, 5, 4096]))
 def test_parse_updates_matches_the_oracle_on_written_and_edited_files(
-    tmp_path_factory, tables, data
+    tmp_path_factory, tables, data, block
 ):
+    """Rows, issues and id order are the oracle's whichever lines share a
+    block, so a text met again in a later block or file is covered too."""
     root = tmp_path_factory.mktemp("written")
     paths = [root / "first.csv", root / "second.csv"]
     for path, updates in zip(paths, tables):
         write_updates(path, table_of(updates))
         lines = data.draw(_edited(path.read_bytes().decode().splitlines(keepends=True)))
         path.write_bytes("".join(lines).encode())
-    table, issues = parse_updates(*paths)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bgp, "_BLOCK_LINES", block)
+        table, issues = parse_updates(*paths)
     expected_updates, expected_issues, order = oracle_parse_updates(*paths)
     assert updates_of(table) == expected_updates
     assert issues == expected_issues
@@ -633,7 +637,8 @@ def test_lines_next_to_the_fast_shape_read_as_the_oracle_reads_them(
 ):
     monkeypatch.setattr(bgp, "_BLOCK_LINES", block_lines)
     path = tmp_path / "updates.csv"
-    path.write_bytes("\n".join(_NEAR_THE_FAST_SHAPE).encode() + b"\n")
+    # twice: in 1-line blocks every text, on the shape or not, is met again
+    path.write_bytes("\n".join(_NEAR_THE_FAST_SHAPE * 2).encode() + b"\n")
     table, issues = parse_updates(path)
     expected_updates, expected_issues, order = oracle_parse_updates(path)
     assert updates_of(table) == expected_updates
@@ -641,21 +646,22 @@ def test_lines_next_to_the_fast_shape_read_as_the_oracle_reads_them(
     assert (table.sessions, table.prefixes, table.path_ases) == order
 
 
-def test_fields_sharing_a_hash_are_read_by_the_per_line_grammar(tmp_path, monkeypatch):
-    # every window hashes to 0: in each block of two lines the second
-    # line's fields either repeat the first's or go to the per-line grammar
-    monkeypatch.setattr(bgp, "_MIX", np.zeros_like(bgp._MIX))
-    monkeypatch.setattr(bgp, "_BLOCK_LINES", 2)
-    path = tmp_path / "updates.csv"
-    write_updates(path, table_of([
-        announce(float(t), f"s{t % 3}", f"10.{t // 8 % 2}.0.0/16", [100, 200 + t // 12 % 2])
-        for t in range(40)
-    ]))
-    table, issues = parse_updates(path)
-    expected_updates, expected_issues, order = oracle_parse_updates(path)
-    assert not issues and not expected_issues
-    assert updates_of(table) == expected_updates
-    assert (table.sessions, table.prefixes, table.path_ases) == order
+def test_a_text_keeps_one_code_whatever_the_width_of_its_block():
+    # blocks of other widths pad a field with other counts of NULs; each
+    # key is the field's exact text, so "s1" is one text and "s10" another
+    texts = bgp._Texts(bgp._session_rows)
+
+    def codes(*fields):
+        data = np.frombuffer(" ".join(fields).encode() + bytes(64), np.uint8)
+        lengths = np.array([len(field) for field in fields])
+        starts = np.concatenate([[0], np.cumsum(lengths[:-1] + 1)])
+        return texts.of_rows(bgp._field_windows(data, starts, lengths), lengths).tolist()
+
+    assert codes("s1", "s10") == [0, 1]
+    assert codes("s10", "s1234567890", "s1") == [1, 2, 0]
+    assert codes("s1", "s1") == [0, 0]
+    assert texts.values == ["s1", "s10", "s1234567890"]
+    assert set(texts.by_window) == {b"s1", b"s10", b"s1234567890"}
 
 
 def test_a_prepended_path_shares_the_id_of_its_collapsed_path(tmp_path):
