@@ -16,14 +16,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .artifacts import replacing
 from .core import (
     MAX_ASN,
-    AsPath,
     IpPrefix,
     RelayDescriptor,
     RelayIndex,
@@ -31,9 +29,11 @@ from .core import (
     VantageSession,
     parse_path,
     quads_at,
-    reading,
 )
-from .textcols import _POW10, PAD, _digit_values, text_lines, windows
+from .textcols import (
+    _MAX_FIELD, _POW10, PAD, Texts, _digit_values, by_line, field_windows, fast_rows, read_lines,
+    text_rows, windows,
+)
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,8 @@ class UpdateTable:
     sessions, prefixes and path_ases tuples, where a path id of -1 marks a
     withdrawal; origin is the path's origin AS, -1 for a withdrawal. Each
     prefix and each path (its ASes, prepends collapsed) appears once in
-    its tuple; paths holds the same paths as AsPath values, built on first
-    use. Rows given out of time order are stably sorted by ts, so rows at
-    equal timestamps keep the order they were given in.
+    its tuple. Rows given out of time order are stably sorted by ts, so
+    rows at equal timestamps keep the order they were given in.
     """
 
     def __init__(self, ts, session, prefix, path, sessions, prefixes, path_ases) -> None:
@@ -71,10 +70,6 @@ class UpdateTable:
         self.path_ases: tuple[tuple[int, ...], ...] = tuple(path_ases)
         # the appended -1 is what path id -1 indexes
         self.origin = np.array([a[-1] for a in self.path_ases] + [-1], dtype=np.int64)[self.path]
-
-    @cached_property
-    def paths(self) -> tuple[AsPath, ...]:
-        return tuple(map(AsPath, self.path_ases))
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -144,32 +139,18 @@ def prefix_key(prefix: IpPrefix) -> tuple[int, int]:
 # doubles while the mantissa is below 2**53, so one correctly rounded
 # division gives float(TS); a longer mantissa goes through float().
 #
-# Sessions, prefixes and paths are decoded once per distinct field text:
-# a block's distinct fields are the distinct bytes of their NUL-padded
-# windows, and _Texts keeps each text's code, by its bytes, across blocks
-# and files. Any other line (quotes, comments, a header, spaces, an
-# exponent, a wrong field count, ...) is read by csv.reader and _parse_row
-# at csv's row number, which is its line number unless a quoted cell ran
-# over several lines before it.
+# The frame is textcols' (read_lines, fast_rows, by_line), and one Texts
+# per field decodes each distinct session, prefix and path text once,
+# across blocks and files. Any other line (quotes, comments, a header,
+# spaces, an exponent, a wrong field count, ...) is read by csv.reader and
+# _parse_row at csv's row number, which is its line number unless a
+# quoted cell ran over several lines before it.
 
-_BLOCK_LINES = 1 << 12  # lines decoded at once; bounds the window matrices
-_TS_BYTES, _SESSION_BYTES, _PATH_BYTES = 24, 64, 240
+_TS_BYTES, _SESSION_BYTES, _PATH_BYTES = 24, 64, _MAX_FIELD
 _PREFIX_BYTES = 18  # "255.255.255.255/32"
 _ASN_DIGITS = 10
 _EXACT = 2**53  # a mantissa below it is exact as a double
 _POW10_FLOAT = 10.0 ** np.arange(20)  # exact doubles
-# _TAIL[n, :width] keeps the first n bytes of a window
-_TAIL = np.tri(_PATH_BYTES + 2, _PATH_BYTES + 8, -1, dtype=np.uint8)
-
-
-def _field_windows(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The fields [starts, starts + lengths) of data as uint8 rows of the
-    fewest whole 8-byte words that leave a NUL after the longest field,
-    NUL after each field."""
-    width = (int(lengths.max(initial=0)) // 8 + 1) * 8
-    rows = windows(data, starts, width)  # a fancy-indexed copy
-    rows *= _TAIL[lengths, :width]
-    return rows
 
 
 def _rows_any(mask: np.ndarray) -> np.ndarray:
@@ -179,83 +160,6 @@ def _rows_any(mask: np.ndarray) -> np.ndarray:
     for column in range(1, words.shape[1]):
         hit |= words[:, column] != 0
     return hit
-
-
-class _Texts:
-    """The distinct texts of one field and their decoded values, by code.
-
-    by_window holds each fast-shape text met so far, as its exact bytes,
-    with its code (-1 for a text off the fast shape, whose lines go to
-    the per-line grammar); by_text holds that grammar's texts. While
-    injective, no two codes have one value."""
-
-    def __init__(self, decode_rows) -> None:
-        # rows, lengths -> the rows that decode, their values in that
-        # order, and whether the texts of distinct values are distinct
-        self.decode_rows = decode_rows
-        self.by_window: dict[bytes, int] = {}
-        self.by_text: dict[str, int] = {}
-        self.values: list = []
-        self.injective = True
-
-    def of_rows(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """The code of each field, given as _field_windows rows."""
-        # a field is printable ASCII padded with NULs, which the S view
-        # strips: each key is the field's text whatever the block's width
-        keys, first, inverse = np.unique(
-            rows.view(f"S{rows.shape[1]}").ravel(), return_index=True, return_inverse=True
-        )
-        keys = keys.tolist()
-        codes = np.array([self.by_window.get(key, -2) for key in keys], dtype=np.int64)
-        new = np.flatnonzero(codes == -2)  # texts not met yet
-        if len(new):
-            new = new[np.argsort(first[new])]
-            decoded, values, injective = self.decode_rows(rows[first[new]], lengths[first[new]])
-            codes[new] = -1
-            codes[new[decoded]] = np.arange(len(self.values), len(self.values) + len(values))
-            self.values += values
-            self.injective &= injective
-            self.by_window.update(zip(map(keys.__getitem__, new.tolist()), codes[new].tolist()))
-        return codes[inverse]
-
-    def of_text(self, text: str, decode) -> int:
-        """The code of a text, decode(text) the first time (which may raise)."""
-        code = self.by_text.get(text)
-        if code is None:
-            value = decode(text)
-            code = self.by_text[text] = len(self.values)
-            self.values.append(value)
-            self.injective = False
-        return code
-
-    def ids(self, codes: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Per code its value's id, and the distinct values in id order:
-        the order of each value's first appearance in codes, in which
-        code -1 stays -1."""
-        n = len(codes)
-        first = np.full(len(self.values) + 1, n)  # the last slot is code -1's
-        np.minimum.at(first, codes, np.arange(n))
-        first = first[:-1]
-        if self.injective and (first[1:] > first[:-1]).all() and (first[-1:] < n).all():
-            return codes, tuple(self.values)  # already numbered so
-        seen = np.flatnonzero(first < n)
-        seen = seen[np.argsort(first[seen])]
-        values = list(map(self.values.__getitem__, seen.tolist()))
-        distinct = dict.fromkeys(values)
-        ids = np.full(len(self.values) + 1, -1, dtype=np.int64)
-        if len(distinct) == len(values):
-            ids[seen] = np.arange(len(seen))
-        else:  # texts with one value, such as "100 100 200" and "100 200"
-            for i, value in enumerate(distinct):
-                distinct[value] = i
-            ids[seen] = list(map(distinct.__getitem__, values))
-        return ids[codes], tuple(distinct)
-
-
-def _session_rows(rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, list[str], bool]:
-    """Every SESSION field and its text, which no other field spells."""
-    texts = rows.view(f"S{rows.shape[1]}").ravel().tolist()
-    return np.arange(len(texts)), [text.decode() for text in texts], True
 
 
 def _packed_prefix(prefix: IpPrefix) -> int:
@@ -329,7 +233,7 @@ def _path_rows(
 
 def _timestamps(rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """float(TS) of each TS field of the fast shape, given as
-    _field_windows rows, and which fields have it."""
+    field_windows rows, and which fields have it."""
     n = len(rows)
     mantissa = np.zeros(n, dtype=np.uint64)
     n_digits, fraction, points = (np.zeros(n, dtype=np.int64) for _ in range(3))
@@ -396,13 +300,13 @@ def _fast_lines(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, texts) -
     line, bounds, lengths = _fast_fields(data, starts, ends)
     at = bounds[:, :5] + 1  # the first byte of each field
     ts_len, session_len, _, prefix_len, path_len = lengths.T
-    ts, ok = _timestamps(_field_windows(data, at[:, 0], ts_len), ts_len)
-    session = sessions.of_rows(_field_windows(data, at[:, 1], session_len), session_len)
-    prefix = prefixes.of_rows(_field_windows(data, at[:, 3], prefix_len), prefix_len)
+    ts, ok = _timestamps(field_windows(data, at[:, 0], ts_len), ts_len)
+    session = sessions.of_rows(field_windows(data, at[:, 1], session_len), session_len)
+    prefix = prefixes.of_rows(field_windows(data, at[:, 3], prefix_len), prefix_len)
     path = np.full(len(line), -1, dtype=np.int64)
     announce = np.flatnonzero(data[at[:, 2]] == ord("A"))
     path[announce] = paths.of_rows(
-        _field_windows(data, at[announce, 4], path_len[announce]), path_len[announce]
+        field_windows(data, at[announce, 4], path_len[announce]), path_len[announce]
     )
     ok[announce[path[announce] < 0]] = False
     ok &= (session >= 0) & (prefix >= 0)
@@ -473,35 +377,6 @@ def _slow_rows(source: str, raw: bytes, starts: np.ndarray, size: int, is_fast: 
     return rows
 
 
-def _read_updates(source: str, raw: bytes, texts, issues: list[ParseIssue]) -> list[np.ndarray]:
-    """ts and session, prefix and path codes of the rows of one update
-    file's bytes, followed by PAD zero bytes, in file order; each
-    malformed line is added to issues."""
-    size = len(raw) - PAD
-    data = np.frombuffer(raw, dtype=np.uint8)
-    if data.max() >= 0x80:
-        str(memoryview(raw)[:size], "utf-8")  # a file that is not UTF-8 fails as in text mode
-    starts, ends = text_lines(data, size)
-    blocks = [(np.empty(0, np.int64), np.empty(0), *(np.empty(0, np.int64),) * 3)]
-    for first in range(0, len(starts), _BLOCK_LINES):
-        block = slice(first, first + _BLOCK_LINES)
-        line, *columns = _fast_lines(data, starts[block], ends[block], texts)
-        blocks.append((line + first, *columns))
-    line, *columns = map(np.concatenate, zip(*blocks))
-    is_fast = np.zeros(len(starts) + 1, dtype=bool)
-    is_fast[line] = True
-    slow = _slow_rows(source, raw, starts, size, is_fast, texts, issues)
-    kept = is_fast[line]
-    if not slow and kept.all():
-        return columns
-    slow_line, *slow_columns = zip(*slow) if slow else ((),) * 5
-    order = np.argsort(np.concatenate([line[kept], slow_line]), kind="stable")
-    return [
-        np.concatenate([fast[kept], np.array(other, dtype=fast.dtype)])[order]
-        for fast, other in zip(columns, slow_columns)
-    ]
-
-
 def parse_updates(*sources) -> tuple[UpdateTable, list[ParseIssue]]:
     """Parse the update CSV files, schema timestamp,session,kind,prefix,path,
     into one table over one set of ids.
@@ -518,14 +393,21 @@ def parse_updates(*sources) -> tuple[UpdateTable, list[ParseIssue]]:
     file. Rows are stably sorted by timestamp, so at equal timestamps an
     earlier file's rows come first and each file keeps its line order.
     """
-    texts = (_Texts(_session_rows), _Texts(_prefix_rows), _Texts(_path_rows))
+    texts = (Texts(text_rows), Texts(_prefix_rows), Texts(_path_rows))
     parts = [(np.empty(0), *(np.empty(0, np.int64),) * 3)]
     issues: list[ParseIssue] = []
     for source in sources:
-        with reading(source, "update file", "rb") as handle:
-            parts.append(_read_updates(str(source), handle.read() + bytes(PAD), texts, issues))
+        with read_lines(source, "update file") as (raw, data, starts, ends):
+            is_fast, line, *columns = fast_rows(
+                lambda starts, ends: _fast_lines(data, starts, ends, texts), starts, ends,
+                (np.float64, np.int64, np.int64, np.int64),
+            )
+            slow = _slow_rows(str(source), raw, starts, len(raw) - PAD, is_fast, texts, issues)
+        kept = is_fast[line]  # a quoted cell of a slow line may run over fast lines
+        slow_line, *slow_columns = zip(*slow) if slow else ((),) * 5
+        parts.append(by_line(line[kept], [c[kept] for c in columns], slow_line, slow_columns))
     ts, *codes = map(np.concatenate, zip(*parts))
-    (session, sessions), (prefix, prefixes), (path, paths) = map(_Texts.ids, texts, codes)
+    (session, sessions), (prefix, prefixes), (path, paths) = map(Texts.ids, texts, codes)
     prefixes = [IpPrefix(key >> 6, key & 63) for key in prefixes]
     return UpdateTable(ts, session, prefix, path, sessions, prefixes, paths), issues
 
@@ -671,8 +553,9 @@ def ingest(
         table.path[rows].tolist(), ends.tolist(),
     ):
         rib, prefix = ribs[table.sessions[session]], table.prefixes[p]
-        if end == math.inf:
-            rib.live[prefix] = RouteEntry(ts, None, prefix, table.paths[path])
+        entry = RouteEntry(ts, None if end == math.inf else end, prefix, table.path_ases[path])
+        if entry.t_end is None:
+            rib.live[prefix] = entry
         else:
-            rib.history.setdefault(prefix, []).append(RouteEntry(ts, end, prefix, table.paths[path]))
+            rib.history.setdefault(prefix, []).append(entry)
     return ribs

@@ -185,7 +185,7 @@ def _rib_columns(ribs: dict[str, SessionRib], sessions: tuple[str, ...]):
     for i in first.tolist():
         routed.insert(rows[i][1], None)
     paths: dict[tuple[int, ...], int] = {}
-    path = np.fromiter((paths.setdefault(e.path.ases, len(paths)) for _, _, e in rows), np.int64, n)
+    path = np.fromiter((paths.setdefault(e.path, len(paths)) for _, _, e in rows), np.int64, n)
     offsets = np.concatenate(([0], np.cumsum([len(ases) for ases in paths], dtype=np.int64)))
     return (
         np.fromiter((s for s, _, _ in rows), np.int64, n),

@@ -17,7 +17,7 @@ import reprlib
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, lru_cache
-from typing import Any, Callable, ClassVar, Iterable, Iterator
+from typing import Any, Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -468,41 +468,6 @@ def parse_path(text: str) -> tuple[int, ...]:
     return path_ases(map(parse_asn, tokens))  # names the bad token, or the empty path
 
 
-@dataclass(frozen=True, init=False)
-class AsPath:
-    """Ordered AS-level path, origin last.
-
-    Consecutive repeats (prepend padding) are collapsed on construction:
-    membership over ASes is what the analyses consume, so padding carries
-    no information.
-    """
-
-    ases: tuple[int, ...]
-
-    def __init__(self, ases: Iterable[int]) -> None:
-        object.__setattr__(self, "ases", path_ases(ases))
-
-    @classmethod
-    def parse(cls, text: str) -> "AsPath":
-        return cls(parse_path(text))
-
-    @property
-    def origin(self) -> int:
-        return self.ases[-1]
-
-    def __contains__(self, asn: int) -> bool:
-        return asn in self.ases
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.ases)
-
-    def __len__(self) -> int:
-        return len(self.ases)
-
-    def __str__(self) -> str:
-        return " ".join(str(asn) for asn in self.ases)
-
-
 @dataclass(frozen=True)
 class VantageSession:
     """A BGP session acting as a stand-in for clients/destinations behind it."""
@@ -511,31 +476,19 @@ class VantageSession:
     local_as: int
 
 
-def merge_intervals(
-    spans: Iterable[tuple[float, float]], gap: float = 0.0
-) -> list[tuple[float, float]]:
-    """Sorted union of closed spans; spans at most gap apart fuse too."""
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted(spans):
-        if merged and start <= merged[-1][1] + gap:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
 def merge_intervals_grouped(
-    group: np.ndarray, start: np.ndarray, end: np.ndarray
+    group: np.ndarray, start: np.ndarray, end: np.ndarray, gap: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """merge_intervals (gap 0) of each group's spans at once: the (group,
-    start, end) columns of the merged spans, by group, then start.
+    """The sorted union of each group's closed spans, spans at most gap
+    apart fusing too: the (group, start, end) columns of the merged spans,
+    by group, then start.
 
     Spans sort by (group, start, end); a span opens a merged span unless
-    it starts at or before the running maximum of its group's earlier
-    ends. That maximum is kept as a rank into the sorted times (equal
-    times share the rank of the first), offset per group so that it never
-    carries over from an earlier group, so every comparison and every
-    merged end is exact.
+    start <= E + gap, E being the running maximum of its group's earlier
+    ends, in floating point as a span-by-span merge computes it. That
+    maximum is kept as a rank into the sorted times (equal times share the
+    rank of the first), offset per group so that it never carries over
+    from an earlier group, so every merged end is exact.
     """
     order = np.lexsort((end, start, group))
     group, start, end = group[order], start[order], end[order]
@@ -547,7 +500,7 @@ def merge_intervals_grouped(
     offset = (np.cumsum(first) - 1) * len(times)
     reach = np.maximum.accumulate(np.searchsorted(times, end) + offset) - offset
     opens = first.copy()
-    opens[1:] |= np.searchsorted(times, start[1:]) > reach[:-1]
+    opens[1:] |= start[1:] > times[reach[:-1]] + gap
     heads = np.flatnonzero(opens)
     tails = np.append(heads[1:], len(group)) - 1
     return group[heads], start[heads], times[reach[tails]]
@@ -561,7 +514,7 @@ class RouteEntry:
     t_start: float
     t_end: float | None
     prefix: IpPrefix
-    path: AsPath
+    path: tuple[int, ...]  # the path's ASes, prepends collapsed
 
 
 class PrefixTable:

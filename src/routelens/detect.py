@@ -23,7 +23,6 @@ from .core import (
     RelayIndex,
     csv_records,
     int_to_ip,
-    merge_intervals,
     merge_intervals_grouped,
 )
 
@@ -237,13 +236,17 @@ def frequency_heuristic(
         freqs = counts / np.bincount(table.prefix[rows], minlength=len(table.prefixes))[prefix_of]
     else:
         freqs = counts / len(rows)
-    stamps = table.ts[rows]
+    low = (freqs < threshold)[group_of]
+    stamps = table.ts[rows[low]]
+    group, start, end = merge_intervals_grouped(group_of[low], stamps, stamps, gap=3600.0)
+    windows = list(zip(start.tolist(), end.tolist()))
+    heads = np.searchsorted(group, np.arange(len(groups) + 1)).tolist()
     found = []  # (sort key, alert): by prefix, then origin
     for g in np.flatnonzero(freqs < threshold).tolist():
         prefix, origin = table.prefixes[prefix_of[g]], int(groups[g] % (MAX_ASN + 1))
-        windows = merge_intervals([(t, t) for t in stamps[group_of == g].tolist()], gap=3600.0)
         found.append(((prefix_key(prefix), origin), _alert(
-            index, Heuristic.FREQUENCY, prefix, origin, freqs[g].item(), windows
+            index, Heuristic.FREQUENCY, prefix, origin, freqs[g].item(),
+            windows[heads[g]:heads[g + 1]],
         )))
     return [alert for _, alert in sorted(found, key=lambda item: item[0])]
 
@@ -347,18 +350,20 @@ def more_specific_monitor(
     for (_, p), origins in open_hits.items():
         for origin, since in origins.items():
             spans.setdefault((p, origin), []).append((since, t_hi))
-    alerts = []
-    for (p, origin), raw in sorted(
-        spans.items(), key=lambda item: (prefix_key(prefixes[item[0][0]]), item[0][1])
-    ):
-        clipped = [(max(start, t_lo), min(end, t_hi)) for start, end in raw]
-        clipped = [(start, end) for start, end in clipped if start <= end]
-        if clipped:
-            alerts.append(_alert(
-                index, Heuristic.MORE_SPECIFIC, prefixes[p], origin,
-                float(len(clipped)), merge_intervals(clipped),
-            ))
-    return alerts
+    keys = sorted(spans, key=lambda key: (prefix_key(prefixes[key[0]]), key[1]))
+    key = np.repeat(np.arange(len(keys)), [len(spans[k]) for k in keys])
+    start, end = np.array([span for k in keys for span in spans[k]]).reshape(-1, 2).T
+    start, end = np.maximum(start, t_lo), np.minimum(end, t_hi)
+    kept = start <= end
+    n_spans = np.bincount(key[kept], minlength=len(keys)).tolist()  # the score
+    key, start, end = merge_intervals_grouped(key[kept], start[kept], end[kept])
+    windows = list(zip(start.tolist(), end.tolist()))
+    heads = np.searchsorted(key, np.arange(len(keys) + 1)).tolist()
+    return [
+        _alert(index, Heuristic.MORE_SPECIFIC, prefixes[p], origin, float(n_spans[k]),
+               windows[heads[k]:heads[k + 1]])
+        for k, (p, origin) in enumerate(keys) if n_spans[k]
+    ]
 
 
 def run_all_heuristics(

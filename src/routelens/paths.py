@@ -24,8 +24,10 @@ from operator import eq
 
 import numpy as np
 
-from .core import InputError, IpPrefix, PrefixTable, ip_to_int_many, quads_at, reading
-from .textcols import PAD, starts_with, text_lines, windows
+from .core import InputError, IpPrefix, PrefixTable, ip_to_int_many, quads_at
+from .textcols import (
+    Texts, by_line, fast_rows, field_windows, read_lines, starts_with, text_rows, windows,
+)
 
 
 class PathError(Exception):
@@ -105,36 +107,6 @@ class PathTable:
             days=days,
         )
 
-    @classmethod
-    def concat(cls, tables: list[PathTable]) -> PathTable:
-        """The rows of tables, one table after another."""
-        if not tables:
-            return cls.of([])
-        names = sorted(set().union(*(table.names for table in tables)))
-        days = sorted(set().union(*(table.days for table in tables)))
-
-        def ids(column: str, strings: str, merged: list[str]) -> np.ndarray:
-            index = {text: i for i, text in enumerate(merged)}
-            return np.concatenate([
-                np.array([index[text] for text in getattr(table, strings)], dtype=np.int64)[
-                    getattr(table, column)
-                ]
-                for table in tables
-            ])
-
-        lengths = np.concatenate([np.diff(table.offsets) for table in tables])
-        return cls(
-            role=np.concatenate([table.role for table in tables]),
-            probe=ids("probe", "names", names),
-            target=ids("target", "names", names),
-            day=ids("day", "days", days),
-            offsets=np.concatenate(([0], np.cumsum(lengths))),
-            ases=np.concatenate([table.ases for table in tables]),
-            gap=np.concatenate([table.gap for table in tables]),
-            names=names,
-            days=days,
-        )
-
 
 def _resolve(
     record: np.ndarray, timeout: np.ndarray, address: np.ndarray, n_records: int,
@@ -204,12 +176,15 @@ def resolve_traceroute(hops: list[str], mapping: PrefixTable) -> tuple[tuple[int
 #
 #   {"day": "D", "hops": ["H", "H", ...], "probe": "P", "role": "R", "target": "T"}
 #
-# With no quote inside a string, a line's quotes are its structure: a
-# line with n hops (n >= 1) holds 18 + 2n, and each literal below, matched
-# at the quote it starts with, pins every byte up to the quote opening the
-# next string. Each hop of such a line must be "*" or a quad that
-# quads_at reads, and R one of P1..P4 in either case. Every other line is
-# read by json.loads and checked by _record, which names the first fault.
+# so the whole line is printable ASCII without a backslash, and D, P and T
+# are at most _MAX_TEXT bytes. With no quote inside a string, a line's
+# quotes are its structure: a line with n hops (n >= 1) holds 18 + 2n,
+# and each literal below, matched at the quote it starts with, pins every
+# byte up to the quote opening the next string. Each hop of such a line
+# must be "*" or a quad that quads_at reads, and R one of P1..P4 in either
+# case. Every other line is read by json.loads and checked by _record,
+# which names the first fault. The frame is textcols': D, P and T of every
+# line get codes from one Texts, and hops are resolved a block at a time.
 
 _DAY_KEY = b'{"day": "'
 _HOPS_KEY = b'", "hops": ["'
@@ -219,29 +194,23 @@ _TARGET_KEY = b'", "target": "'
 _MAX_TEXT = 64  # bytes of the longest day, probe or target read by columns
 
 
-def _texts(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The spans [starts, ends) as one fixed-width bytes array, and which
-    spans are at most _MAX_TEXT bytes of what json.dumps writes as itself:
-    printable ASCII but a backslash (a quote ends the span)."""
-    lengths = ends - starts
-    width = int(min(lengths.max(initial=1), _MAX_TEXT))
-    chars = windows(data, starts, width)  # a copy
-    outside = np.arange(width) >= lengths[:, None]
-    escaped = ((chars - np.uint8(0x20)) > 0x7E - 0x20) | (chars == ord("\\"))
-    chars[outside] = 0
-    return chars.view(f"S{width}").ravel(), (lengths <= _MAX_TEXT) & ~(escaped & ~outside).any(axis=1)
-
-
-def _fast_lines(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple:
+def _fast_lines(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, texts: Texts,
+                mapping: PrefixTable) -> tuple:
     """The lines [starts, ends) of data in the fast shape (indices into
-    starts) and their columns: role codes; day, probe and target as
-    fixed-width bytes; and the line (an index into the lines returned),
-    timeout flag and address of every hop, in line order."""
+    starts) and their columns: role codes; day, probe and target codes
+    into texts; AS counts; the ASes of all of them, in line order; and
+    gap flags (_resolve)."""
     lo, hi = starts[0], ends[-1]
-    quotes = np.flatnonzero(data[lo:hi] == ord('"')) + lo
+    chunk = data[lo:hi]
+    quotes = np.flatnonzero(chunk == ord('"')) + lo
+    # a backslash and every byte but printable ASCII: no line of the shape holds one
+    odd = np.flatnonzero((chunk - np.uint8(0x20) > 0x7E - 0x20) | (chunk == ord("\\"))) + lo
     first = np.searchsorted(quotes, starts)
     n_quotes = np.searchsorted(quotes, ends) - first
-    line = np.flatnonzero((n_quotes >= 20) & (n_quotes % 2 == 0))
+    line = np.flatnonzero(
+        (n_quotes >= 20) & (n_quotes % 2 == 0)
+        & (np.searchsorted(odd, ends) == np.searchsorted(odd, starts))
+    )
     line = line[starts_with(windows(data, starts[line], len(_DAY_KEY)), _DAY_KEY)]
     q, n_hops = first[line], (n_quotes[line] - 18) // 2
     last = q + 5 + 2 * n_hops  # the quote closing the last hop
@@ -249,12 +218,11 @@ def _fast_lines(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple
     def literal(at, text):
         return starts_with(windows(data, quotes[at], len(text)), text)
 
-    (day, day_ok), (probe, probe_ok), (target, target_ok) = (
-        _texts(data, quotes[at] + 1, quotes[at + 1]) for at in (q + 2, last + 3, last + 11)
-    )
+    text_at = np.stack([q + 2, last + 3, last + 11])  # the quotes opening day, probe and target
+    text_start, text_len = quotes[text_at] + 1, quotes[text_at + 1] - quotes[text_at] - 1
     role_at, close = quotes[last + 7] + 1, quotes[last + 12]
     ok = (
-        day_ok & probe_ok & target_ok
+        (text_len <= _MAX_TEXT).all(axis=0)
         & literal(q + 3, _HOPS_KEY) & literal(last, _PROBE_KEY)
         & literal(last + 4, _ROLE_KEY) & literal(last + 8, _TARGET_KEY)
         & (data[close + 1] == ord("}")) & (close + 2 == ends[line])
@@ -275,15 +243,19 @@ def _fast_lines(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple
     bad = ~(timeout | canonical) | ((number < n_hops[hop_line] - 1) & ~separated)
     ok[hop_line[bad]] = False
     keep = ok[hop_line]
+    offsets, ases, gap = _resolve(
+        (np.cumsum(ok) - 1)[hop_line[keep]], timeout[keep], address[keep], int(ok.sum()), mapping
+    )
+    text_start, text_len = text_start[:, ok].ravel(), text_len[:, ok].ravel()
     return (
         line[ok], (data[role_at[ok] + 1] - np.uint8(ord("1"))).astype(np.int8),
-        day[ok], probe[ok], target[ok],
-        (np.cumsum(ok) - 1)[hop_line[keep]], timeout[keep], address[keep],
+        *np.split(texts.of_rows(field_windows(data, text_start, text_len), text_len), 3),
+        np.diff(offsets), ases, gap,
     )
 
 
 def _record(text: str) -> tuple:
-    """(probe, target, role code, day, hops) of one line's JSON record; the
+    """(role code, day, probe, target, hops) of one line's JSON record; the
     first fault but a bad address raises."""
     record = json.loads(text)
     role = _ROLE_CODES.get(record["role"].upper())
@@ -294,44 +266,19 @@ def _record(text: str) -> tuple:
         if type(value) is not str:
             raise TypeError(f"{key} must be a string, not {type(value).__name__}")
     day.encode()  # the series writes the day: a lone surrogate ("\ud800") raises here
-    return probe, target, role, day, _check_hops(record["hops"])
+    return role, day, probe, target, _check_hops(record["hops"])
 
 
-def _intern(fast: list[np.ndarray], other: list[list[str]]) -> tuple[list[str], list[np.ndarray]]:
-    """The sorted distinct strings of the columns fast[i] (ASCII bytes) and
-    other[i], and the index of each string of column i among them, those
-    of fast[i] first."""
-    distinct, inverse = np.unique(np.concatenate(fast), return_inverse=True)
-    names = [text.decode() for text in distinct.tolist()]
-    merged = sorted(set(names).union(*other))
-    index = {name: i for i, name in enumerate(merged)}
-    ids = np.array([index[name] for name in names], dtype=np.int64)[inverse]
-    ids = np.split(ids, np.cumsum([len(column) for column in fast])[:-1])
-    return merged, [
-        np.concatenate([fast_ids, np.array([index[name] for name in strings], dtype=np.int64)])
-        for fast_ids, strings in zip(ids, other)
-    ]
-
-
-# lines read at once: enough that numpy's per-call cost vanishes, few enough
-# that a block's position and hop arrays stay near a MiB
-_BLOCK_LINES = 4096
-
-
-def _read_block(
-    path, raw: bytes, data: np.ndarray, starts: np.ndarray, ends: np.ndarray, first: int,
-    mapping: PrefixTable,
-) -> PathTable:
-    """The records of the lines [starts, ends) of raw, the first of them
-    line first + 1 of path."""
-    raw[starts[0]:ends[-1]].decode()  # a block that is not UTF-8 fails as text mode fails
-    line, role, day, probe, target, hop_line, timeout, address = _fast_lines(data, starts, ends)
-    is_fast = np.zeros(len(starts), dtype=bool)
-    is_fast[line] = True
-    slow = []  # (line, probe, target, role code, day, hops) of the other records
+def _slow_records(path, raw: bytes, starts: np.ndarray, ends: np.ndarray, is_fast: np.ndarray,
+                  texts: Texts) -> tuple:
+    """The line, role code, and day, probe and target codes into texts of
+    the record on each non-blank line off the fast shape, and the record,
+    timeout flag and address of each of their hops; the first bad line
+    raises InputError."""
+    slow = []  # (line, role code, day code, probe code, target code, hops)
 
     def bad(at, exc):
-        return InputError(f"{path}:{first + at + 1}: bad traceroute record: {exc!r}")
+        return InputError(f"{path}:{at + 1}: bad traceroute record: {exc!r}")
 
     def slow_hops():
         try:
@@ -344,43 +291,30 @@ def _read_block(
                     raise bad(at, exc) from None
             raise
 
-    slow_at = np.flatnonzero(~is_fast)
+    slow_at = np.flatnonzero(~is_fast[:-1])
     for at, start, end in zip(slow_at.tolist(), starts[slow_at].tolist(), ends[slow_at].tolist()):
         text = raw[start:end].decode().strip()
         if not text:
             continue
         try:
-            slow.append((at, *_record(text)))
+            role, day, probe, target, hops = _record(text)
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError, PathError) as exc:
             slow_hops()  # a bad hop on an earlier line is reported first
             raise bad(at, exc) from None
-    slow_record, slow_timeout, slow_address = slow_hops()
+        codes = [texts.of_text(field, str) for field in (day, probe, target)]
+        slow.append((at, role, *codes, hops))
+    columns = list(zip(*slow)) if slow else [()] * 6
+    return (*columns[:5], slow_hops())
 
-    # entries: the fast lines, then the others; rows: the entries in line order
-    lines, s_probe, s_target, s_role, s_day, _ = zip(*slow) if slow else ((),) * 6
-    names, (probe, target) = _intern([probe, target], [list(s_probe), list(s_target)])
-    days, (day,) = _intern([day], [list(s_day)])
-    order = np.argsort(np.concatenate([line, np.array(lines, dtype=np.int64)]), kind="stable")
-    row = np.empty_like(order)
-    row[order] = np.arange(len(order))
-    hop_row = row[np.concatenate([hop_line, len(line) + slow_record])]
-    timeout = np.concatenate([timeout, slow_timeout])
-    address = np.concatenate([address, slow_address])
-    if slow:
-        by_row = np.argsort(hop_row, kind="stable")
-        hop_row, timeout, address = hop_row[by_row], timeout[by_row], address[by_row]
-    offsets, ases, gap = _resolve(hop_row, timeout, address, len(order), mapping)
-    return PathTable(
-        role=np.concatenate([role, np.array(s_role, dtype=np.int8)])[order],
-        probe=probe[order],
-        target=target[order],
-        day=day[order],
-        offsets=offsets,
-        ases=ases,
-        gap=gap,
-        names=names,
-        days=days,
-    )
+
+def _sorted_ids(texts: Texts, *columns: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted distinct texts of the codes in columns, and per column the
+    index of each code's text among them."""
+    ids, values = texts.ids(np.concatenate(columns))
+    order = sorted(range(len(values)), key=values.__getitem__)
+    rank = np.argsort(np.array(order, dtype=np.int64))  # each value's place in sorted order
+    split = np.cumsum([len(column) for column in columns])[:-1]
+    return [values[i] for i in order], np.split(rank[ids], split)
 
 
 def load_traceroutes(path, mapping: PrefixTable) -> PathTable:
@@ -389,19 +323,29 @@ def load_traceroutes(path, mapping: PrefixTable) -> PathTable:
     probe, target and day are JSON strings, role one of P1..P4 in either
     case, and hops a non-empty list of addresses and "*" timeouts. Lines
     of the fast shape (above) are decoded from the file's bytes by
-    columns, _BLOCK_LINES lines at a time, any other line by json.loads;
+    columns, a block of lines at a time, any other line by json.loads;
     blank lines are skipped. An unusable record raises InputError naming
     the file and the first bad line, counted as text mode counts lines.
     """
-    with reading(path, "traceroute file", "rb") as handle:
-        raw = handle.read() + bytes(PAD)
-        data = np.frombuffer(raw, dtype=np.uint8)
-        starts, ends = text_lines(data, len(raw) - PAD)
-        return PathTable.concat([
-            _read_block(path, raw, data, starts[first:first + _BLOCK_LINES],
-                        ends[first:first + _BLOCK_LINES], first, mapping)
-            for first in range(0, len(starts), _BLOCK_LINES)
-        ])
+    texts = Texts(text_rows)
+    with read_lines(path, "traceroute file") as (raw, data, starts, ends):
+        is_fast, line, *fast, ases, gap = fast_rows(
+            lambda starts, ends: _fast_lines(data, starts, ends, texts, mapping), starts, ends,
+            (np.int8, np.int64, np.int64, np.int64, np.int64, np.int64, bool),
+        )
+        slow_line, *slow, hops = _slow_records(path, raw, starts, ends, is_fast, texts)
+    slow_offsets, slow_ases, slow_gap = _resolve(*hops, len(slow_line), mapping)
+    # rows in line order, and where each row's ASes start in ases
+    role, day, probe, target, n_ases, at, gap = by_line(
+        line, [*fast, np.cumsum(fast[-1]) - fast[-1], gap],
+        slow_line, [*slow, np.diff(slow_offsets), len(ases) + slow_offsets[:-1], slow_gap],
+    )
+    offsets = np.concatenate(([0], np.cumsum(n_ases)))
+    ases = np.concatenate([ases, slow_ases])[np.repeat(at - offsets[:-1], n_ases)
+                                             + np.arange(offsets[-1])]
+    names, (probe, target) = _sorted_ids(texts, probe, target)
+    days, (day,) = _sorted_ids(texts, day)
+    return PathTable(role, probe, target, day, offsets, ases, gap, names, days)
 
 
 @dataclass

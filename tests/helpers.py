@@ -19,8 +19,8 @@ from routelens.churn import (
     circuit_universe,
 )
 from routelens.core import (
-    AsPath, InputError, IpPrefix, PrefixTable, RelayDescriptor, RelayIndex, RouteEntry,
-    VantageSession, ip_to_int, merge_intervals,
+    InputError, IpPrefix, PrefixTable, RelayDescriptor, RelayIndex, RouteEntry, VantageSession,
+    ip_to_int, parse_path, path_ases,
 )
 from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
 from routelens.detect import Heuristic, HijackAlert, _alert
@@ -81,6 +81,53 @@ def rib_entries(rib):
     ]
 
 
+# --- AS paths and interval sets, one value at a time --------------------------------
+
+
+@dataclass(frozen=True, init=False)
+class AsPath:
+    """Ordered AS-level path, origin last: the per-update value the oracles
+    read. Consecutive repeats (prepend padding) are collapsed on
+    construction, as core.path_ases collapses them."""
+
+    ases: tuple
+
+    def __init__(self, ases) -> None:
+        object.__setattr__(self, "ases", path_ases(ases))
+
+    @classmethod
+    def parse(cls, text: str) -> "AsPath":
+        return cls(parse_path(text))
+
+    @property
+    def origin(self) -> int:
+        return self.ases[-1]
+
+    def __contains__(self, asn: int) -> bool:
+        return asn in self.ases
+
+    def __iter__(self):
+        return iter(self.ases)
+
+    def __len__(self) -> int:
+        return len(self.ases)
+
+    def __str__(self) -> str:
+        return " ".join(str(asn) for asn in self.ases)
+
+
+def merge_intervals(spans, gap=0.0):
+    """Sorted union of closed spans, spans at most gap apart fusing too, one
+    span at a time: the oracle of core.merge_intervals_grouped."""
+    merged = []
+    for start, end in sorted(spans):
+        if merged and start <= merged[-1][1] + gap:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
+
+
 # --- updates as rows ---------------------------------------------------------------
 
 
@@ -107,7 +154,8 @@ def table_of(updates) -> UpdateTable:
 def updates_of(table: UpdateTable) -> list[BgpUpdate]:
     """Each row of a table as a BgpUpdate, in row order."""
     return [
-        BgpUpdate(ts, table.sessions[s], table.prefixes[p], None if a < 0 else table.paths[a])
+        BgpUpdate(ts, table.sessions[s], table.prefixes[p],
+                  None if a < 0 else AsPath(table.path_ases[a]))
         for ts, s, p, a in zip(
             table.ts.tolist(), table.session.tolist(), table.prefix.tolist(), table.path.tolist()
         )
@@ -247,7 +295,7 @@ class ReplayRib(SessionRib):
                 del self.live[update.prefix]
             return
         if current is not None:
-            if current.path == update.path:
+            if current.path == update.path.ases:
                 return  # duplicate announcement: no information
             current.t_end = update.timestamp
             self.history.setdefault(update.prefix, []).append(current)
@@ -255,7 +303,7 @@ class ReplayRib(SessionRib):
             t_start=update.timestamp,
             t_end=None,
             prefix=update.prefix,
-            path=update.path,
+            path=update.path.ases,
         )
 
 

@@ -3,10 +3,12 @@
 import csv
 import io
 import random
+import re
 
 import numpy as np
 import pytest
 from helpers import (
+    AsPath,
     BgpUpdate,
     announce,
     covers_any,
@@ -22,17 +24,20 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routelens import bgp
+from routelens import textcols
 from routelens.bgp import (
     ParseIssue,
     UpdateTable,
+    _path_rows,
     filter_session_resets,
     ingest,
     parse_updates,
     route_spans,
     write_updates,
 )
-from routelens.core import AsPath, IpPrefix, RelayDescriptor, RelayIndex, ip_to_int
+from routelens.core import (
+    MAX_ASN, IpPrefix, RelayDescriptor, RelayIndex, ip_to_int, parse_path, path_ases,
+)
 
 
 RELAYS = [
@@ -175,7 +180,7 @@ def test_path_change_closes_and_reopens():
     )
     prefix = IpPrefix.parse("10.1.0.0/16")
     assert rib.history[prefix][0].t_end == 40.0
-    assert rib.history[prefix][0].path.ases == (100, 200)
+    assert rib.history[prefix][0].path == (100, 200)
     assert rib.live[prefix].t_start == 40.0 and rib.live[prefix].t_end is None
 
 
@@ -206,7 +211,7 @@ def test_rows_given_out_of_time_order_come_out_stably_sorted():
     )) == expected
     assert table.origin.tolist() == [-1, 200, 300, 300, 200]
     # a stream out of order on one session replays in time order
-    assert [(e.t_start, e.t_end, e.path.ases) for _, e in rib_entries(rib_of(
+    assert [(e.t_start, e.t_end, e.path) for _, e in rib_entries(rib_of(
         announce(10.0, "s1", "10.1.0.0/16", [100, 200]),
         announce(5.0, "s1", "10.1.0.0/16", [100, 300]),
     ))] == [(5.0, 10.0, (100, 300)), (10.0, None, (100, 200))]
@@ -343,7 +348,7 @@ def test_ingest_infers_local_as_and_accepts_override():
     assert ribs["s3"].session.local_as == 174
     assert ribs["s4"].session.local_as == 0
     prefix = IpPrefix.parse("10.1.0.0/16")
-    assert [(p, e.t_start, e.t_end, e.path.ases) for p, e in rib_entries(ribs["s3"])] == [
+    assert [(p, e.t_start, e.t_end, e.path) for p, e in rib_entries(ribs["s3"])] == [
         (prefix, 2.0, 4.0, (174, 3356))
     ]
     assert rib_entries(ribs["s4"]) == []
@@ -370,7 +375,7 @@ def test_table_interns_equal_prefixes_and_collapsed_paths(tmp_path):
     table, issues = parse_updates(path)
     assert not issues
     assert table.prefixes == (IpPrefix.parse("10.1.0.0/16"),)
-    assert table.paths == (AsPath((100, 200)),)
+    assert table.path_ases == ((100, 200),)
     assert table.sessions == ("s2", "s1")
     assert table.ts.tolist() == [1.0, 2.0, 3.0, 4.0]  # stably sorted by time
     assert table.session.tolist() == [1, 1, 0, 1]
@@ -577,7 +582,7 @@ def test_parse_updates_matches_the_oracle_on_written_and_edited_files(
         lines = data.draw(_edited(path.read_bytes().decode().splitlines(keepends=True)))
         path.write_bytes("".join(lines).encode())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bgp, "_BLOCK_LINES", block)
+        patch.setattr(textcols, "_BLOCK_LINES", block)
         table, issues = parse_updates(*paths)
     expected_updates, expected_issues, order = oracle_parse_updates(*paths)
     assert updates_of(table) == expected_updates
@@ -635,7 +640,7 @@ _NEAR_THE_FAST_SHAPE = [
 def test_lines_next_to_the_fast_shape_read_as_the_oracle_reads_them(
     tmp_path, monkeypatch, block_lines
 ):
-    monkeypatch.setattr(bgp, "_BLOCK_LINES", block_lines)
+    monkeypatch.setattr(textcols, "_BLOCK_LINES", block_lines)
     path = tmp_path / "updates.csv"
     # twice: in 1-line blocks every text, on the shape or not, is met again
     path.write_bytes("\n".join(_NEAR_THE_FAST_SHAPE * 2).encode() + b"\n")
@@ -649,19 +654,69 @@ def test_lines_next_to_the_fast_shape_read_as_the_oracle_reads_them(
 def test_a_text_keeps_one_code_whatever_the_width_of_its_block():
     # blocks of other widths pad a field with other counts of NULs; each
     # key is the field's exact text, so "s1" is one text and "s10" another
-    texts = bgp._Texts(bgp._session_rows)
+    texts = textcols.Texts(textcols.text_rows)
 
     def codes(*fields):
         data = np.frombuffer(" ".join(fields).encode() + bytes(64), np.uint8)
         lengths = np.array([len(field) for field in fields])
         starts = np.concatenate([[0], np.cumsum(lengths[:-1] + 1)])
-        return texts.of_rows(bgp._field_windows(data, starts, lengths), lengths).tolist()
+        return texts.of_rows(textcols.field_windows(data, starts, lengths), lengths).tolist()
 
     assert codes("s1", "s10") == [0, 1]
     assert codes("s10", "s1234567890", "s1") == [1, 2, 0]
     assert codes("s1", "s1") == [0, 0]
     assert texts.values == ["s1", "s10", "s1234567890"]
     assert set(texts.by_window) == {b"s1", b"s10", b"s1234567890"}
+
+
+_PATH_TEXTS = st.one_of(
+    st.lists(st.sampled_from([0, 7, 100, 200, 4294967295]), min_size=1, max_size=4)
+    .map(lambda ases: " ".join(map(str, ases))),
+    st.sampled_from(["100 200", "100 100 200", "100 200 200", "007", "7", "100  200",
+                     " 100", "100\t200", "4294967296", "00000000001", "1a", "-5"]),
+)
+
+
+def _fast_path(text):
+    """The path_ases of a PATH text of the fast shape, else None."""
+    if not re.fullmatch(r"[0-9]{1,10}( [0-9]{1,10})*", text):
+        return None
+    ases = [int(token) for token in text.split()]
+    return path_ases(ases) if max(ases) <= MAX_ASN else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.lists(_PATH_TEXTS, min_size=1, max_size=8)),
+                max_size=6))
+def test_interner_codes_match_a_dict_of_values(calls):
+    """Codes from of_rows blocks and of_text calls, numbered by ids, are
+    the first appearance of each value in a dict: texts of one value share
+    an id whichever call met them, and a text off the fast shape keeps -1."""
+    texts = textcols.Texts(_path_rows)
+    codes, values = [], []
+    for by_rows, fields in calls:
+        if by_rows:
+            data = np.frombuffer(",".join(fields).encode() + bytes(textcols.PAD), np.uint8)
+            lengths = np.array([len(field) for field in fields])
+            starts = np.concatenate([[0], np.cumsum(lengths[:-1] + 1)])
+            rows = textcols.field_windows(data, starts, lengths)
+            codes += texts.of_rows(rows, lengths).tolist()
+            values += map(_fast_path, fields)
+        else:
+            for field in fields:
+                try:
+                    value = parse_path(field)
+                except ValueError:
+                    continue
+                codes.append(texts.of_text(field, parse_path))
+                values.append(value)
+    ids, distinct = texts.ids(np.array(codes, dtype=np.int64))
+    first_seen = {}
+    for value in values:
+        if value is not None:
+            first_seen.setdefault(value, len(first_seen))
+    assert ids.tolist() == [-1 if value is None else first_seen[value] for value in values]
+    assert distinct == tuple(first_seen)
 
 
 def test_a_prepended_path_shares_the_id_of_its_collapsed_path(tmp_path):

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import BucketTable, covers_any, is_more_specific_of
+from helpers import AsPath, BucketTable, covers_any, is_more_specific_of, merge_intervals
 from routelens.core import (
-    AsPath,
     InputError,
     IpPrefix,
     PrefixTable,
@@ -21,7 +20,6 @@ from routelens.core import (
     ip_to_int_many,
     load_prefix_origins,
     load_relays,
-    merge_intervals,
     merge_intervals_grouped,
     read_json,
     reading,
@@ -366,18 +364,21 @@ def test_merge_intervals_against_component_oracle(raw, gap):
     st.lists(
         st.tuples(st.integers(0, 3), st.integers(-5, 60), st.sampled_from([0, 0.5, 1, 7.25])),
         max_size=30,
-    )
+    ),
+    st.sampled_from([0.0, 0.5, 1.0, 3.5, 3600.0]),
 )
-def test_grouped_merge_is_merge_intervals_per_group(raw):
+def test_grouped_merge_is_merge_intervals_per_group(raw, gap):
     group = np.array([g for g, _, _ in raw], dtype=np.int64)
     start = np.array([float(s) for _, s, _ in raw])
     end = start + np.array([float(w) for _, _, w in raw])
     expected = [
         (g, s, e)
         for g in sorted(set(group.tolist()))
-        for s, e in merge_intervals(zip(start[group == g].tolist(), end[group == g].tolist()))
+        for s, e in merge_intervals(
+            zip(start[group == g].tolist(), end[group == g].tolist()), gap=gap
+        )
     ]
-    merged = merge_intervals_grouped(group, start, end)
+    merged = merge_intervals_grouped(group, start, end, gap=gap)
     assert list(zip(*(column.tolist() for column in merged))) == expected
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from helpers import (
+    AsPath,
     NoAdmissibleGuardError,
     alert_from_record,
     announce,
@@ -17,7 +18,7 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from routelens.core import AsPath, IpPrefix, PrefixTable, RelayDescriptor, ip_to_int
+from routelens.core import IpPrefix, PrefixTable, RelayDescriptor, ip_to_int
 from routelens.detect import (
     Heuristic,
     HijackAlert,

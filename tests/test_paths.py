@@ -18,7 +18,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routelens import paths as paths_module
+from routelens import textcols
 from routelens.core import InputError, IpPrefix, PrefixTable, int_to_ip
 from routelens.paths import (
     AsLevelPath,
@@ -220,7 +220,7 @@ def test_loader_matches_line_oracle(tmp_path_factory, lines, breaks, last_break,
     file = tmp_path_factory.mktemp("traces") / "traces.jsonl"
     file.write_bytes(text.encode())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(paths_module, "_BLOCK_LINES", block)
+        patch.setattr(textcols, "_BLOCK_LINES", block)
         assert_loads_as_oracle(file)
 
 
@@ -256,6 +256,16 @@ def test_every_one_character_change_of_a_fast_line_reads_as_json_does(tmp_path):
         for char in ' ,:"[]{}\\x1.*p5\t':
             file.write_text(line[:at] + char + line[at + 1:] + "\n")
             assert_loads_as_oracle(file)
+
+
+def test_a_file_that_is_not_utf8_fails_before_any_record(tmp_path, monkeypatch):
+    """The whole file is checked first, as the update reader checks it: a
+    bad record in an early block does not hide a bad byte in a later one."""
+    monkeypatch.setattr(textcols, "_BLOCK_LINES", 1)
+    file = tmp_path / "traces.jsonl"
+    file.write_bytes(b"not json {\n" + b'{"day": "d\xff"}\n')
+    with pytest.raises(InputError, match="traceroute file is not UTF-8 text"):
+        load_traceroutes(file, NESTED)
 
 
 def test_names_and_days_sort_across_both_readers(tmp_path):

@@ -18,7 +18,7 @@ from routelens.correlation import (
     extract_progress,
     spearman,
 )
-from routelens.core import AsPath, IpPrefix, RelayDescriptor, ip_to_int
+from routelens.core import IpPrefix, RelayDescriptor, ip_to_int
 from routelens.detect import HijackEvent, cross_reference, time_heuristic
 from routelens.simulate import (
     _byte_allocation,
@@ -39,7 +39,7 @@ from routelens.simulate import (
 )
 
 from helpers import (
-    hit_records, oracle_trace_text, planted_compromised, random_routing_scenario, updates_of,
+    AsPath, hit_records, oracle_trace_text, planted_compromised, random_routing_scenario, updates_of,
 )
 
 DAY = 86400.0
