@@ -212,7 +212,7 @@ def _path_rows(
     size = np.minimum(size, _ASN_DIGITS)
     longest = int(size.max(initial=1))
     digits = np.concatenate([(digit * is_digit).ravel(), np.zeros(longest, np.uint8)])
-    asn = _digit_values(windows(digits, begins, longest), 0, size)
+    asn = _digit_values(windows(digits, begins, longest), size)
     ok[row[asn > MAX_ASN]] = False
     kept = ok[row]
     kept[1:] &= (row[1:] != row[:-1]) | (asn[1:] != asn[:-1])  # prepends collapsed

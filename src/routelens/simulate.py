@@ -25,7 +25,7 @@ from .core import (
 from .correlation import DIRECTIONS, WRAP, Direction, EndpointTrace, PacketTable
 
 TICK = 0.01  # packet emission granularity; analyses bin at >= 1 s
-MAX_TICKS = 10**8  # n_pairs x duration / TICK: cells of the per-tick byte matrix of one run
+MAX_TICKS = 10**8  # n_pairs x duration / TICK: ticks one run renders across its flows
 MAX_PACKETS = 10**7  # the most data packets a run's rates can send: rows of its packet tables
 
 
@@ -102,11 +102,12 @@ class GroundTruth:
 
 
 def _waterfill(desired: np.ndarray, capacity_per_tick: float) -> np.ndarray:
-    """Max-min fair allocation per tick: columns of desired share the
-    capacity, each flow getting min(desired, level) with the level chosen
-    to exhaust the capacity whenever demand exceeds it. This is what a
-    shared relay bottleneck does to competing TCP flows: it equalizes
-    them, destroying the rate diversity the matcher feeds on."""
+    """Max-min fair allocation per tick: each column of desired, the
+    per-tick demand of one second, shares the capacity, each flow getting
+    min(desired, level) with the level chosen to exhaust the capacity
+    whenever demand exceeds it. This is what a shared relay bottleneck
+    does to competing TCP flows: it equalizes them, destroying the rate
+    diversity the matcher feeds on."""
     m, _ = desired.shape
     ordered = np.sort(desired, axis=0)
     served = np.vstack([np.zeros(desired.shape[1]), np.cumsum(ordered, axis=0)])
@@ -127,10 +128,10 @@ def _waterfill(desired: np.ndarray, capacity_per_tick: float) -> np.ndarray:
 
 
 def _byte_allocation(scenario: TrafficScenario, rng: np.random.Generator) -> np.ndarray:
-    """Realized bytes per flow per tick after jitter and bottlenecks."""
+    """Realized bytes per flow per tick after jitter and bottlenecks, one
+    column per second: every tick of a second carries that column's value."""
     n = scenario.n_pairs
     n_secs = math.ceil(scenario.duration)
-    n_ticks = int(round(scenario.duration / TICK))
     spread = math.log(scenario.rate_spread)
     flow_rate = scenario.base_rate * np.exp(rng.uniform(-spread, spread, size=n))
     jitter = np.exp(
@@ -140,8 +141,7 @@ def _byte_allocation(scenario: TrafficScenario, rng: np.random.Generator) -> np.
             size=(n, n_secs),
         )
     )
-    per_tick = np.repeat(flow_rate[:, None] * jitter, int(round(1 / TICK)), axis=1)
-    per_tick = per_tick[:, :n_ticks] * TICK
+    per_tick = flow_rate[:, None] * jitter * TICK
     for group in scenario.guard_groups + scenario.exit_groups:
         members = list(group.flows)
         per_tick[members] = _waterfill(per_tick[members], group.capacity * TICK)
@@ -186,9 +186,11 @@ def _vantage_table(
 def _render_flow(
     allocation: np.ndarray, scenario: TrafficScenario, rng: np.random.Generator
 ) -> tuple[PacketTable, PacketTable]:
-    """One pair's upload as seen at the client and at the server vantage."""
+    """One pair's upload, from its bytes per tick by second, as seen at the
+    client and at the server vantage."""
     mss = scenario.mss
-    cum = np.cumsum(allocation)
+    n_ticks = int(round(scenario.duration / TICK))
+    cum = np.cumsum(np.repeat(allocation, int(round(1 / TICK)))[:n_ticks])
     total = int(cum[-1])
     n_chunks = total // mss
     remainder = total - n_chunks * mss

@@ -43,14 +43,14 @@ def starts_with(window: np.ndarray, text: bytes) -> np.ndarray:
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 
 
-def _digit_values(digits: np.ndarray, offset: int, n: np.ndarray) -> np.ndarray:
-    """uint64 values of the runs of n[i] (1..19) digits from column offset,
-    in a window of byte values minus ord("0") with non-digits zeroed. The
+def _digit_values(digits: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """uint64 values of the runs of n[i] (1..19) digits that start the rows
+    of a window of byte values minus ord("0") with non-digits zeroed. The
     bytes past a run are at most 9 each, so they add less than one unit of
     its last digit and floor division drops them."""
     width = int(n.max(initial=1))
-    value = digits[:, offset].astype(np.uint64)
-    for column in range(offset + 1, offset + width):
+    value = digits[:, 0].astype(np.uint64)
+    for column in range(1, width):
         value *= np.uint64(10)
         value += digits[:, column]
     return value // _POW10[width - n]
@@ -226,11 +226,12 @@ def _first_decrease(ts: np.ndarray) -> int | None:
 # list of _FLAG_NAMES. Both directions work on whole columns.
 #
 # The writer is a column kernel. It renders up to _BLOCK_ROWS rows at a
-# time as a character matrix, one row per record, and writes the non-NUL
-# bytes chars[chars != 0]. Each key's field is a (rows, n) array of uint32
-# words of four NUL-padded characters: a literal is one constant row, the
-# "dir"/"flags" middle a row of a 64-entry table indexed by
-# direction * 16 + flags, and an integer a sign word (in blocks with a
+# time as a character matrix, one row per record, in one buffer per file,
+# and writes the non-NUL bytes chars[chars != 0]. Each key's field is a
+# (rows, n) array of uint32 words of four NUL-padded characters: a
+# literal is one constant row, the "dir"/"flags" middle a row of a
+# 64-entry table indexed by direction * 16 + flags, cut to the widest
+# middle in the block, and an integer a sign word (in blocks with a
 # negative value) and its base-10**4 digits looked up in a word table,
 # leading zeros as NUL.
 #
@@ -246,6 +247,7 @@ def _first_decrease(ts: np.ndarray) -> int | None:
 # -0.0, NaN, infinite) takes json.dumps of round(t, 6) instead.
 
 _BLOCK_ROWS = 1 << 13  # rows rendered or lines decoded at once; bounds the matrix memory
+_ROW_WORDS = 51  # the widest record: keys 8 words, three int64 6 each, middle 19, ts 6
 _N_FLAG_SETS = 1 << len(_FLAG_NAMES)
 
 
@@ -292,6 +294,7 @@ _MIDDLE = _words([
     for d in DIRECTIONS
     for bits in range(_N_FLAG_SETS)
 ])
+_MIDDLE_WORDS = (_MIDDLE != 0).sum(axis=1)  # words of each middle before its NUL padding
 _ACK_KEY, _SEQ_KEY, _TS_KEY, _END = (
     _words([text]) for text in ('{"ack": ', ', "seq": ', ', "ts": ', "}\n")
 )
@@ -339,15 +342,18 @@ def _timestamp(ts: np.ndarray) -> np.ndarray:
     return words
 
 
-def _render_rows(rows: PacketTable) -> np.ndarray:
-    """The JSONL text of a block of rows, as a uint8 array."""
+def _render_rows(rows: PacketTable, matrix: np.ndarray) -> np.ndarray:
+    """The JSONL text of a block of rows, as a uint8 array. Its character
+    matrix is laid out at the start of matrix, a uint32 array of at least
+    len(rows) * _ROW_WORDS words."""
     if ((rows.direction < 0) | (rows.direction >= len(DIRECTIONS))
             | (rows.flags >= _N_FLAG_SETS)).any():
         raise ValueError("direction or flag code out of range")
+    code = rows.direction.astype(np.intp) * _N_FLAG_SETS + rows.flags
     fields = [
         _ACK_KEY,
         _integer(rows.ack),
-        _MIDDLE[rows.direction.astype(np.intp) * _N_FLAG_SETS + rows.flags],
+        _MIDDLE[code, :_MIDDLE_WORDS[code].max()],
         _integer(rows.payload_len),
         _SEQ_KEY,
         _integer(rows.seq),
@@ -355,8 +361,11 @@ def _render_rows(rows: PacketTable) -> np.ndarray:
         _timestamp(rows.ts),
         _END,
     ]
-    words = np.concatenate(
-        [np.broadcast_to(field, (len(rows), field.shape[1])) for field in fields], axis=1
+    width = sum(field.shape[1] for field in fields)
+    words = matrix[:len(rows) * width].reshape(len(rows), width)
+    np.concatenate(
+        [np.broadcast_to(field, (len(rows), field.shape[1])) for field in fields],
+        axis=1, out=words,
     )
     chars = words.view(np.uint8)
     return chars[chars != 0]
@@ -364,9 +373,11 @@ def _render_rows(rows: PacketTable) -> np.ndarray:
 
 def write_trace_jsonl(path, trace: EndpointTrace) -> None:
     obs = trace.observations
+    # one matrix for all blocks: a fresh one per block maps and faults in new pages each time
+    matrix = np.empty(min(len(obs), _BLOCK_ROWS) * _ROW_WORDS, dtype=np.uint32)
     with replacing(path) as handle:
         for start in range(0, len(obs), _BLOCK_ROWS):
-            handle.buffer.write(_render_rows(obs[start:start + _BLOCK_ROWS]))
+            handle.buffer.write(_render_rows(obs[start:start + _BLOCK_ROWS], matrix))
 
 
 # --- reading: the writer's grammar, decoded by columns ----------------------
@@ -410,20 +421,20 @@ _MIDDLE_BOUNDS = np.array(
 )
 
 
-def _read_int(window: np.ndarray, offset: int):
-    """The INT at column offset of each row of a uint8 window with
-    _INT_WINDOW + 1 columns from there on: int64 values, token lengths,
-    and the rows where no canonical int64 starts. The digits of negative
-    rows are shifted onto the sign in place."""
-    negative = window[:, offset] == ord("-")
+def _read_int(window: np.ndarray):
+    """The INT at the start of each row of a uint8 window _INT_WINDOW + 1
+    bytes wide: int64 values, token lengths, and the rows where no
+    canonical int64 starts. The digits of negative rows are shifted onto
+    the sign in place."""
+    negative = window[:, 0] == ord("-")
     if negative.any():
-        window[negative, offset:-1] = window[negative, offset + 1:]
-    digits = window - np.uint8(ord("0"))
+        window[negative, :-1] = window[negative, 1:]
+    digits = window - np.uint8(ord("0"))  # contiguous: argmin reads its rows in place
     is_digit = digits < 10
-    n = np.argmin(is_digit[:, offset:offset + _INT_WINDOW], axis=1)  # 20 digits read as 0
-    bad = (n == 0) | ((digits[:, offset] == 0) & (n > 1))
-    n = np.maximum(n, 1)
-    magnitude = _digit_values(digits * is_digit, offset, n)
+    n = np.argmin(is_digit, axis=1)  # 20 digits read as 20, more as 0
+    bad = (n == 0) | (n == _INT_WINDOW) | ((digits[:, 0] == 0) & (n > 1))
+    n = np.clip(n, 1, _INT_WINDOW - 1)
+    magnitude = _digit_values(digits * is_digit, n)
     bad |= magnitude - negative > np.uint64(2**63 - 1)  # -0 wraps above it too
     values = magnitude.view(np.int64)
     if negative.any():
@@ -431,26 +442,26 @@ def _read_int(window: np.ndarray, offset: int):
     return values, n + negative, bad
 
 
-def _plain_timestamps(window: np.ndarray, offset: int, length: np.ndarray):
-    """k / 1e6 for the rows of a uint8 window with a plain W.F timestamp of
-    the given length at column offset, and those rows."""
-    digits = window - np.uint8(ord("0"))
+def _plain_timestamps(window: np.ndarray, length: np.ndarray):
+    """k / 1e6 for the rows of a uint8 window _TS_WINDOW bytes wide with a
+    plain W.F timestamp of the given length at its start, and those rows."""
+    digits = window - np.uint8(ord("0"))  # contiguous: argmin reads its rows in place
     is_digit = digits < 10
     values = digits * is_digit  # the point reads as a 0 digit
-    whole = np.argmin(is_digit[:, offset:], axis=1)
+    whole = np.argmin(is_digit, axis=1)
     fraction = length - whole - 1
-    point = np.arange(offset, digits.size, digits.shape[1]) + whole  # flat index
+    point = np.arange(0, digits.size, digits.shape[1]) + whole  # flat index
     plain = (
         (digits.ravel()[point] == (ord(".") - ord("0")) % 256)
         & (whole >= 1) & (whole <= 9) & (fraction >= 1) & (fraction <= 6)
-        & ((digits[:, offset] != 0) | (whole == 1))
+        & ((digits[:, 0] != 0) | (whole == 1))
     )
     is_digit.ravel()[point] = True
-    plain &= np.argmin(is_digit[:, offset:], axis=1) == length  # digits to the end
+    plain &= np.argmin(is_digit, axis=1) == length  # digits to the end
     fraction = np.where(plain, fraction, 1)
     last = np.where(plain, point + fraction, point)
     plain &= (digits.ravel()[last] != 0) | (fraction == 1)
-    scaled = _digit_values(values, offset, np.where(plain, length, 3))
+    scaled = _digit_values(values, np.where(plain, length, 3))
     upper, lower = np.divmod(scaled, _POW10[fraction + 1])
     k = upper * np.uint64(10**6) + lower * _POW10[6 - fraction]
     plain &= (k == 0) | (k >= 100)
@@ -476,7 +487,7 @@ def _decode_lines(raw: bytes, data: np.ndarray, starts: np.ndarray, ends: np.nda
 
     head = windows(data, starts, len(_ACK_TEXT) + _INT_WINDOW + 1)
     checks = [(~starts_with(head, _ACK_TEXT), "expected '{\"ack\": '")]
-    ack, n, bad = _read_int(head, len(_ACK_TEXT))
+    ack, n, bad = _read_int(head[:, len(_ACK_TEXT):])
     checks.append((bad, '"ack" is not a canonical int64'))
     pos = starts + len(_ACK_TEXT) + n
     middle = windows(data, pos, _MIDDLE_WINDOW).view(f"S{_MIDDLE_WINDOW}").ravel()
@@ -484,12 +495,12 @@ def _decode_lines(raw: bytes, data: np.ndarray, starts: np.ndarray, ends: np.nda
     checks.append((bound % 2 == 0, '"dir", "flags" and "len" not as the writer spells them'))
     code = _MIDDLE_ORDER[np.minimum(bound // 2, len(_MIDDLE_ORDER) - 1)]
     pos = pos + _MIDDLE_LEN[code]
-    payload_len, n, bad = _read_int(windows(data, pos, _INT_WINDOW + 1), 0)
+    payload_len, n, bad = _read_int(windows(data, pos, _INT_WINDOW + 1))
     checks.append((bad, '"len" is not a canonical int64'))
     pos = pos + n
     sequence = windows(data, pos, len(_SEQ_TEXT) + _INT_WINDOW + 1)
     checks.append((~starts_with(sequence, _SEQ_TEXT), "expected ', \"seq\": '"))
-    seq, n, bad = _read_int(sequence, len(_SEQ_TEXT))
+    seq, n, bad = _read_int(sequence[:, len(_SEQ_TEXT):])
     checks.append((bad, '"seq" is not a canonical int64'))
     pos = pos + len(_SEQ_TEXT) + n
     tail = windows(data, pos, len(_TS_TEXT) + _TS_WINDOW)
@@ -499,7 +510,7 @@ def _decode_lines(raw: bytes, data: np.ndarray, starts: np.ndarray, ends: np.nda
         (~starts_with(tail, _TS_TEXT), "expected ', \"ts\": '"),
         ((data[close] != _CLOSE) | (close <= pos), "expected a timestamp and '}' to end the line"),
     ]
-    ts, plain = _plain_timestamps(tail, len(_TS_TEXT), close - pos)
+    ts, plain = _plain_timestamps(tail[:, len(_TS_TEXT):], close - pos)
     spelled = np.ones(len(ts), dtype=bool)
     for row in np.flatnonzero(~plain & ~np.logical_or.reduce([fail for fail, _ in checks])):
         value = _spelled_timestamp(raw[pos[row]:close[row]])

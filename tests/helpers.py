@@ -28,7 +28,8 @@ from routelens.paths import (
     _PRIVATE_BLOCKS, ROLES, AsLevelPath, DayVulnerability, EmptyPathError, PathError, PathRole,
 )
 from routelens.simulate import (
-    ChurnEvent, RouteSpec, RoutingScenario, SessionSpec, _legit_path_at, _legit_timeline,
+    TICK, ChurnEvent, RouteSpec, RoutingScenario, SessionSpec, TrafficScenario, _legit_path_at,
+    _legit_timeline, _waterfill,
 )
 
 
@@ -1136,6 +1137,33 @@ def as_aware_select(guard_paths, exit_paths, current_path=None):
         raise NoAdmissibleGuardError("every candidate shares an AS with the exit side")
     admissible.sort()
     return [guard for _, guard in admissible]
+
+
+# --- per-tick traffic allocation oracle --------------------------------------------
+
+
+def oracle_tick_allocation(scenario: TrafficScenario, rng: np.random.Generator) -> np.ndarray:
+    """Realized bytes per flow per tick as an n_pairs x ticks matrix, each
+    bottleneck group water-filled tick by tick: the oracle of the simulator's
+    one column per second."""
+    n = scenario.n_pairs
+    n_secs = math.ceil(scenario.duration)
+    n_ticks = int(round(scenario.duration / TICK))
+    spread = math.log(scenario.rate_spread)
+    flow_rate = scenario.base_rate * np.exp(rng.uniform(-spread, spread, size=n))
+    jitter = np.exp(
+        rng.uniform(
+            math.log(scenario.jitter_low),
+            math.log(scenario.jitter_high),
+            size=(n, n_secs),
+        )
+    )
+    per_tick = np.repeat(flow_rate[:, None] * jitter, int(round(1 / TICK)), axis=1)
+    per_tick = per_tick[:, :n_ticks] * TICK
+    for group in scenario.guard_groups + scenario.exit_groups:
+        members = list(group.flows)
+        per_tick[members] = _waterfill(per_tick[members], group.capacity * TICK)
+    return per_tick
 
 
 # --- routing scenarios: a fixture and a by-construction oracle ---------------------

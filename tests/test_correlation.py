@@ -556,6 +556,13 @@ def test_writer_spells_every_direction_and_flag_set(tmp_path):
     assert _written(tmp_path, table) == oracle_trace_text(table).encode()
 
 
+def test_writer_spells_its_widest_record(tmp_path):
+    # every field at its widest: int64 min, the longest middle, a 24-character float
+    low = -(2**63)
+    table = _table([-sys.float_info.max], low, low, low, direction=3, flags=15)
+    assert _written(tmp_path, table) == oracle_trace_text(table).encode()
+
+
 def test_writer_rejects_unknown_direction_and_flag_codes(tmp_path):
     for direction, flags in ((len(Direction), 0), (-1, 0), (0, 16)):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from routelens.correlation import (
 )
 from routelens.core import IpPrefix, RelayDescriptor, ip_to_int
 from routelens.detect import HijackEvent, cross_reference, time_heuristic
+from routelens.evaluation import shared_scenario
 from routelens.simulate import (
     _byte_allocation,
     Bottleneck,
@@ -39,7 +42,8 @@ from routelens.simulate import (
 )
 
 from helpers import (
-    AsPath, hit_records, oracle_trace_text, planted_compromised, random_routing_scenario, updates_of,
+    AsPath, hit_records, oracle_tick_allocation, oracle_trace_text, planted_compromised,
+    random_routing_scenario, updates_of,
 )
 
 DAY = 86400.0
@@ -141,7 +145,7 @@ def test_bottleneck_feasibility():
         exit_groups=(Bottleneck((2, 3, 4), 30_000.0),),
     )
     rng = np.random.default_rng(scenario.seed)
-    allocation = _byte_allocation(scenario, rng)
+    allocation = np.repeat(_byte_allocation(scenario, rng), 100, axis=1)
     per_second = allocation.reshape(scenario.n_pairs, 30, 100).sum(axis=2)
     for group in scenario.guard_groups + scenario.exit_groups:
         # the rate process itself respects the capacity exactly
@@ -156,6 +160,57 @@ def test_bottleneck_feasibility():
     for group in scenario.guard_groups + scenario.exit_groups:
         emitted = sum(series[i].deltas for i in group.flows)
         assert np.all(emitted <= group.capacity + 2 * scenario.mss * len(group.flows))
+
+
+@st.composite
+def bottlenecked_scenarios(draw):
+    """Scenarios with non-integer durations and guard and exit groups that
+    overlap each other, at capacities tight and loose against the demand."""
+    n_pairs = draw(st.integers(1, 7))
+    capacity = st.one_of(st.floats(500.0, 60_000.0), st.just(1e9))
+
+    def groups():
+        label = draw(st.lists(st.integers(-1, 2), min_size=n_pairs, max_size=n_pairs))
+        members = [tuple(i for i, g in enumerate(label) if g == k) for k in range(3)]
+        return tuple(Bottleneck(flows, draw(capacity)) for flows in members if flows)
+
+    return TrafficScenario(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_pairs=n_pairs,
+        duration=draw(st.floats(0.5, 40.0)),
+        jitter_low=draw(st.floats(0.1, 1.0)),
+        guard_groups=groups(),
+        exit_groups=groups(),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(bottlenecked_scenarios())
+def test_byte_allocation_expands_to_the_per_tick_oracle(scenario):
+    # every tick of a second carries the second's value, water-filled or not
+    n_ticks = int(round(scenario.duration / 0.01))
+    seconds = _byte_allocation(scenario, np.random.default_rng(scenario.seed))
+    assert seconds.shape == (scenario.n_pairs, math.ceil(scenario.duration))
+    ticks = np.repeat(seconds, 100, axis=1)[:, :n_ticks]
+    expected = oracle_tick_allocation(scenario, np.random.default_rng(scenario.seed))
+    assert ticks.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [TrafficScenario(seed=0, n_pairs=20, duration=300.0), shared_scenario(0, 20)],
+    ids=["free", "shared"],
+)
+def test_gen_traffic_holds_little_beyond_its_traces(scenario):
+    # the packet tables it returns are what it must hold; its scratch is small
+    tracemalloc.start()
+    try:
+        traces = gen_traffic(scenario)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traces[0]) == 20
+    assert peak - retained < 2 * 2**20
 
 
 def test_shared_bottleneck_couples_flows():
