@@ -3,6 +3,8 @@
 Submodules:
     core         shared IPv4/AS domain types and longest-prefix matching
     correlation  TCP byte-progress extraction and rank-correlation matching
+    textcols     line-oriented text as numpy columns, the readers' frame
+    tracefile    the packet-trace JSONL codec
     bgp          update tables, route spans and per-session routing state
     churn        simultaneous-observation compromise metric over time
     paths        traceroute-derived forward/reverse path vulnerability

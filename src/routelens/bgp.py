@@ -91,31 +91,6 @@ class UpdateTable:
         return past > first
 
 
-class UpdateIds:
-    """The id tuples of an UpdateTable being built: each new session,
-    prefix and path (its ASes, prepends collapsed) gets the next id."""
-
-    def __init__(self) -> None:
-        self.sessions: dict[str, int] = {}
-        self.prefixes: dict[IpPrefix, int] = {}
-        self.paths: dict[tuple[int, ...], int] = {}
-
-    def session_id(self, session: str) -> int:
-        return self.sessions.setdefault(session, len(self.sessions))
-
-    def prefix_id(self, prefix: IpPrefix) -> int:
-        return self.prefixes.setdefault(prefix, len(self.prefixes))
-
-    def path_id(self, ases: tuple[int, ...] | None) -> int:
-        """The id of a path_ases tuple, or -1 for None, a withdrawal."""
-        return -1 if ases is None else self.paths.setdefault(ases, len(self.paths))
-
-    def table(self, rows: list[tuple[float, int, int, int]]) -> UpdateTable:
-        """The table of (ts, session id, prefix id, path id) rows."""
-        columns = zip(*rows) if rows else ((),) * 4
-        return UpdateTable(*columns, self.sessions, self.prefixes, self.paths)
-
-
 def prefix_key(prefix: IpPrefix) -> tuple[int, int]:
     """IpPrefix order as a plain tuple, which sorts without dataclass comparisons."""
     return prefix.base, prefix.length

@@ -20,7 +20,7 @@ from .bgp import UpdateTable, filter_session_resets, ingest, parse_updates, writ
 from .core import INTEGER, NUMBER, FieldError, InputError, bound, cast, csv_records, int_to_ip
 from .core import load_prefix_origins, load_relays, parse_asn, read_json, write_relays
 from .correlation import CorrelationError, SignalKind, clopper_pearson
-from .textcols import read_trace_jsonl, write_trace_jsonl
+from .tracefile import read_trace_jsonl, write_trace_jsonl
 
 # default, type and range of each setting a --config file or a flag may give
 SETTINGS = {

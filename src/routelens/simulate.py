@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bgp import UpdateIds, UpdateTable, prefix_key
+from .bgp import UpdateTable, prefix_key
 from .core import (
     INTEGER, MAX_ASN, NUMBER, PREFIX, STRING, Document, FieldError, InputError, IpPrefix,
     OrNull, RelayDescriptor, bound, ip_to_int, path_ases, read_json, rule,
@@ -378,44 +378,6 @@ class RoutingGroundTruth:
         }
 
 
-def _legit_timeline(
-    scenario: RoutingScenario,
-) -> dict[tuple[str, str], list[tuple[float, tuple[int, ...] | None]]]:
-    """Per (session, prefix): time-ordered (since, path) changes, events
-    excluded. A None path means withdrawn from that time on."""
-    timeline: dict[tuple[str, str], list[tuple[float, tuple[int, ...] | None]]] = {}
-    t0 = scenario.window[0]
-    for route in scenario.base_routes:
-        timeline.setdefault((route.session, route.prefix), []).append((t0, route.path))
-    for change in scenario.churn:
-        timeline.setdefault((change.session, change.prefix), []).append(
-            (change.time, change.path)
-        )
-    for changes in timeline.values():
-        changes.sort(key=lambda item: item[0])
-    return timeline
-
-
-def _legit_path_at(
-    timeline, session: str, prefix: str, t: float
-) -> tuple[int, ...] | None:
-    current = None
-    for since, path in timeline.get((session, prefix), ()):
-        if since <= t:
-            current = path
-        else:
-            break
-    return current
-
-
-def _ranks(values, key) -> np.ndarray:
-    """Each value's position in sorted(values, key=key)."""
-    order = sorted(range(len(values)), key=lambda i: key(values[i]))
-    positions = np.empty(len(values), dtype=np.int64)
-    positions[order] = np.arange(len(values))
-    return positions
-
-
 def gen_updates(scenario: RoutingScenario) -> tuple[UpdateTable, RoutingGroundTruth]:
     """Render the scenario as a per-session update stream, sorted by
     (timestamp, session, prefix) with emission order kept on ties.
@@ -425,41 +387,48 @@ def gen_updates(scenario: RoutingScenario) -> tuple[UpdateTable, RoutingGroundTr
     interceptions announce a more-specific prefix and withdraw it. The
     declared schedule is the ground truth, so detector recall can be
     scored exactly. The scenario must pass validate(), as load_scenario's do.
+
+    Rows are built as columns in emission order, with ids the ranks of the
+    sorted distinct sessions, prefixes and paths (prepends collapsed).
     """
-    timeline = _legit_timeline(scenario)
-    t0, _ = scenario.window
-    ids = UpdateIds()
-    prefix_ids: dict[str, int] = {}  # each prefix text is parsed once
-    path_ids: dict[tuple[int, ...] | None, int] = {None: -1}
-    rows: list[tuple[float, int, int, int]] = []
-
-    def emit(ts, session, prefix, path):
-        if prefix not in prefix_ids:
-            prefix_ids[prefix] = ids.prefix_id(IpPrefix.parse(prefix))
-        if path not in path_ids:
-            path_ids[path] = ids.path_id(path_ases(path))
-        rows.append((ts, ids.session_id(session), prefix_ids[prefix], path_ids[path]))
-
-    for route in sorted(scenario.base_routes, key=lambda r: (r.session, r.prefix)):
-        emit(t0, route.session, route.prefix, route.path)
-    for change in scenario.churn:
-        emit(change.time, change.session, change.prefix, change.path)
-    session_ids = sorted(s.session_id for s in scenario.sessions)
-    for event in scenario.events:
-        end = event.start + event.duration
-        for session in session_ids:
-            emit(event.start, session, event.prefix, event.attacker_path)
-            if event.kind == "hijack":
-                emit(end, session, event.prefix, _legit_path_at(timeline, session, event.prefix, end))
-            else:
-                emit(end, session, event.prefix, None)
-    table = ids.table(rows)
-    order = np.lexsort((
-        _ranks(table.prefixes, prefix_key)[table.prefix],
-        _ranks(table.sessions, str)[table.session],
-        table.ts,
-    ))
-    return table.take(order), RoutingGroundTruth(list(scenario.events))
+    sessions = sorted(s.session_id for s in scenario.sessions)
+    base = sorted(scenario.base_routes, key=lambda r: (r.session, r.prefix))
+    rows = [(scenario.window[0], r.session, r.prefix, r.path) for r in base]
+    rows += [(c.time, c.session, c.prefix, c.path) for c in scenario.churn]
+    n = len(rows)  # the legitimate rows; then each event's start and end on each session
+    rows += [
+        (t, session, event.prefix, path)
+        for event in scenario.events
+        for session in sessions
+        for t, path in ((event.start, event.attacker_path), (event.start + event.duration, None))
+    ]
+    ts, names, texts, paths = zip(*rows) if rows else ((),) * 4
+    session_id = {s: i for i, s in enumerate(sorted(set(names)))}
+    text_id = {t: i for i, t in enumerate(dict.fromkeys(texts))}
+    parsed = [IpPrefix.parse(text) for text in text_id]  # each prefix text is parsed once
+    prefixes = sorted(set(parsed), key=prefix_key)
+    prefix_id = {p: i for i, p in enumerate(prefixes)}
+    collapsed = {p: path_ases(p) for p in dict.fromkeys(paths) if p is not None}
+    ases = sorted(set(collapsed.values()))
+    rank = {a: i for i, a in enumerate(ases)}
+    path_id = {None: -1} | {p: rank[a] for p, a in collapsed.items()}
+    ts = np.array(ts, np.float64)
+    session = np.fromiter(map(session_id.__getitem__, names), np.int64, len(names))
+    text = np.fromiter(map(text_id.__getitem__, texts), np.int64, len(texts))
+    path = np.fromiter(map(path_id.__getitem__, paths), np.int64, len(paths))
+    # a hijack's end restores the last legitimate row of its (session, prefix text) at
+    # or before then: a key of that pair and the time's rank, stably sorted (ties in order)
+    group = session * len(text_id) + text
+    key = group * (n + 1) + np.searchsorted(np.sort(ts[:n]), ts, "right")
+    order = np.argsort(key[:n], kind="stable")
+    hijack = [event.kind == "hijack" for event in scenario.events for _ in sessions]
+    ends = n + 1 + 2 * np.flatnonzero(hijack)
+    row = np.append(order, -1)[np.searchsorted(key[order], key[ends], "right") - 1]  # -1: none
+    path[ends] = np.where((row >= 0) & (group[row] == group[ends]), path[row], -1)
+    prefix = np.array([prefix_id[p] for p in parsed], np.int64)[text]
+    order = np.lexsort((prefix, session, ts))
+    table = UpdateTable(*(c[order] for c in (ts, session, prefix, path)), session_id, prefixes, ases)
+    return table, RoutingGroundTruth(list(scenario.events))
 
 
 def injection_scenario(

@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from routelens.bgp import ParseIssue, SessionRib, UpdateIds, UpdateTable, ingest
+from routelens.bgp import ParseIssue, SessionRib, UpdateTable, ingest, prefix_key
 from routelens.churn import (
     CompromiseSummary,
     Sightings,
@@ -28,8 +28,8 @@ from routelens.paths import (
     _PRIVATE_BLOCKS, ROLES, AsLevelPath, DayVulnerability, EmptyPathError, PathError, PathRole,
 )
 from routelens.simulate import (
-    TICK, ChurnEvent, RouteSpec, RoutingScenario, SessionSpec, TrafficScenario, _legit_path_at,
-    _legit_timeline, _waterfill,
+    TICK, ChurnEvent, InjectedEvent, RouteSpec, RoutingGroundTruth, RoutingScenario, SessionSpec,
+    TrafficScenario, _waterfill,
 )
 
 
@@ -140,6 +140,31 @@ class BgpUpdate:
     session: str
     prefix: IpPrefix
     path: AsPath | None  # None for withdrawals
+
+
+class UpdateIds:
+    """The id tuples of an UpdateTable being built: each new session,
+    prefix and path (its ASes, prepends collapsed) gets the next id."""
+
+    def __init__(self) -> None:
+        self.sessions: dict[str, int] = {}
+        self.prefixes: dict[IpPrefix, int] = {}
+        self.paths: dict[tuple[int, ...], int] = {}
+
+    def session_id(self, session: str) -> int:
+        return self.sessions.setdefault(session, len(self.sessions))
+
+    def prefix_id(self, prefix: IpPrefix) -> int:
+        return self.prefixes.setdefault(prefix, len(self.prefixes))
+
+    def path_id(self, ases: tuple[int, ...] | None) -> int:
+        """The id of a path_ases tuple, or -1 for None, a withdrawal."""
+        return -1 if ases is None else self.paths.setdefault(ases, len(self.paths))
+
+    def table(self, rows: list[tuple[float, int, int, int]]) -> UpdateTable:
+        """The table of (ts, session id, prefix id, path id) rows."""
+        columns = zip(*rows) if rows else ((),) * 4
+        return UpdateTable(*columns, self.sessions, self.prefixes, self.paths)
 
 
 def table_of(updates) -> UpdateTable:
@@ -1169,6 +1194,85 @@ def oracle_tick_allocation(scenario: TrafficScenario, rng: np.random.Generator) 
 # --- routing scenarios: a fixture and a by-construction oracle ---------------------
 
 
+def _legit_timeline(
+    scenario: RoutingScenario,
+) -> dict[tuple[str, str], list[tuple[float, tuple[int, ...] | None]]]:
+    """Per (session, prefix): time-ordered (since, path) changes, events
+    excluded. A None path means withdrawn from that time on."""
+    timeline: dict[tuple[str, str], list[tuple[float, tuple[int, ...] | None]]] = {}
+    t0 = scenario.window[0]
+    for route in scenario.base_routes:
+        timeline.setdefault((route.session, route.prefix), []).append((t0, route.path))
+    for change in scenario.churn:
+        timeline.setdefault((change.session, change.prefix), []).append(
+            (change.time, change.path)
+        )
+    for changes in timeline.values():
+        changes.sort(key=lambda item: item[0])
+    return timeline
+
+
+def _legit_path_at(
+    timeline, session: str, prefix: str, t: float
+) -> tuple[int, ...] | None:
+    current = None
+    for since, path in timeline.get((session, prefix), ()):
+        if since <= t:
+            current = path
+        else:
+            break
+    return current
+
+
+def _ranks(values, key) -> np.ndarray:
+    """Each value's position in sorted(values, key=key)."""
+    order = sorted(range(len(values)), key=lambda i: key(values[i]))
+    positions = np.empty(len(values), dtype=np.int64)
+    positions[order] = np.arange(len(values))
+    return positions
+
+
+def oracle_gen_updates(scenario: RoutingScenario) -> tuple[UpdateTable, RoutingGroundTruth]:
+    """simulate.gen_updates row by row: each update emitted through one
+    interner in emission order, then sorted by (timestamp, session rank,
+    prefix rank), ties in emission order; a hijack's restore path is read
+    off the per-(session, prefix text) timeline."""
+    timeline = _legit_timeline(scenario)
+    t0, _ = scenario.window
+    ids = UpdateIds()
+    prefix_ids: dict[str, int] = {}  # each prefix text is parsed once
+    path_ids: dict[tuple[int, ...] | None, int] = {None: -1}
+    rows: list[tuple[float, int, int, int]] = []
+
+    def emit(ts, session, prefix, path):
+        if prefix not in prefix_ids:
+            prefix_ids[prefix] = ids.prefix_id(IpPrefix.parse(prefix))
+        if path not in path_ids:
+            path_ids[path] = ids.path_id(path_ases(path))
+        rows.append((ts, ids.session_id(session), prefix_ids[prefix], path_ids[path]))
+
+    for route in sorted(scenario.base_routes, key=lambda r: (r.session, r.prefix)):
+        emit(t0, route.session, route.prefix, route.path)
+    for change in scenario.churn:
+        emit(change.time, change.session, change.prefix, change.path)
+    session_ids = sorted(s.session_id for s in scenario.sessions)
+    for event in scenario.events:
+        end = event.start + event.duration
+        for session in session_ids:
+            emit(event.start, session, event.prefix, event.attacker_path)
+            if event.kind == "hijack":
+                emit(end, session, event.prefix, _legit_path_at(timeline, session, event.prefix, end))
+            else:
+                emit(end, session, event.prefix, None)
+    table = ids.table(rows)
+    order = np.lexsort((
+        _ranks(table.prefixes, prefix_key)[table.prefix],
+        _ranks(table.sessions, str)[table.session],
+        table.ts,
+    ))
+    return table.take(order), RoutingGroundTruth(list(scenario.events))
+
+
 def _effective_paths_at(
     scenario: RoutingScenario, timeline, session: str, t: float
 ) -> dict[str, tuple[int, ...]]:
@@ -1242,8 +1346,13 @@ def random_routing_scenario(
     n_ases: int = 5,
     n_churn: int = 10,
     window: tuple[float, float] = (0.0, 60.0),
+    n_events: int = 0,
 ) -> RoutingScenario:
-    """Small random scenario for property suites; integer change times."""
+    """Small random scenario for property suites; integer change times.
+
+    Up to n_events hijacks and interceptions are drawn after everything
+    else, so a seed gives the same routes and churn whatever n_events; a
+    drawn event that validate() would reject is dropped."""
     rng = np.random.default_rng(seed)
     relays = []
     for i in range(n_relays):
@@ -1280,6 +1389,21 @@ def random_routing_scenario(
             churn.append(ChurnEvent(float(t), spec.session_id, prefix, None))
         else:
             churn.append(ChurnEvent(float(t), spec.session_id, prefix, random_path()))
+    events: list[InjectedEvent] = []
+    for _ in range(n_events):
+        victim = IpPrefix.parse(str(rng.choice(prefixes)))
+        if rng.random() < 0.5:
+            kind, prefix = "hijack", str(victim)
+        else:
+            kind, prefix = "interception", str(IpPrefix(victim.base, victim.length + 1))
+        attacker = random_path()
+        start = float(rng.integers(int(window[0]), int(window[1]) - 1))
+        end = min(start + float(rng.integers(1, 10)), window[1])
+        if any(start <= c.time <= end for c in churn if c.prefix == prefix) or any(
+            e.prefix == prefix and start < e.window[1] and e.start < end for e in events
+        ):
+            continue
+        events.append(InjectedEvent(kind, prefix, attacker, start, end - start))
     return RoutingScenario(
         seed=seed,
         window=window,
@@ -1287,4 +1411,5 @@ def random_routing_scenario(
         relays=tuple(relays),
         base_routes=tuple(base),
         churn=tuple(churn),
+        events=tuple(events),
     )

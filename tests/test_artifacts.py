@@ -3,11 +3,11 @@
 import pytest
 from helpers import announce, table_of
 
-from routelens import artifacts, textcols
+from routelens import artifacts, tracefile
 from routelens.bgp import write_updates
 from routelens.core import RelayDescriptor, write_relays
 from routelens.correlation import DIRECTIONS, EndpointTrace, PacketTable
-from routelens.textcols import write_trace_jsonl
+from routelens.tracefile import write_trace_jsonl
 
 
 def rows_failing_midway():
@@ -48,7 +48,7 @@ WRITERS = {
 
 @pytest.mark.parametrize("kind", sorted(WRITERS))
 def test_failed_write_leaves_no_partial_and_no_temp_file(tmp_path, monkeypatch, kind):
-    monkeypatch.setattr(textcols, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(tracefile, "_BLOCK_ROWS", 1)
     fresh = tmp_path / "new" / f"artifact.{kind}"
     with pytest.raises((RuntimeError, TypeError, ValueError)):
         WRITERS[kind](fresh)

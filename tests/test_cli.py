@@ -38,7 +38,7 @@ from routelens.simulate import (
     injection_scenario,
 )
 from routelens.core import InputError, RelayDescriptor, ip_to_int
-from routelens.textcols import read_trace_jsonl
+from routelens.tracefile import read_trace_jsonl
 
 
 def run(*argv):
@@ -1514,16 +1514,24 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _PATHS_FLAGS = {"--traceroutes": "traceroutes", "--mapping": "mapping"}
 
 
+def _workloads():
+    """The benchmark's perfbench/workloads.py, loaded once."""
+    if "perfbench_workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", PERFBENCH / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # dataclasses look their module up here
+        spec.loader.exec_module(workloads)
+    return sys.modules["perfbench_workloads"]
+
+
 @pytest.fixture(scope="module")
 def paths_inputs(tmp_path_factory):
     """The benchmark's tiny traceroute and prefix-map inputs at seed 0:
     private first hops, timeouts and several hops per AS."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look their module up here
-    spec.loader.exec_module(workloads)
     root = tmp_path_factory.mktemp("paths-inputs")
-    workloads.make_inputs("paths", 0, root, "tiny")
+    _workloads().make_inputs("paths", 0, root, "tiny")
     return {"traceroutes": (root / "traceroutes.jsonl").read_text(),
             "mapping": (root / "prefix2as.csv").read_text()}
 
@@ -1716,35 +1724,58 @@ def test_simulate_mutated_scenario_keeps_the_cli_contract(simulate_inputs, mutat
 # --- imports a run pays for ------------------------------------------------------------
 
 
-def test_churn_and_correlate_do_not_import_numpy_ma(tmp_path, churn_inputs, correlate_inputs):
+def _run_fresh(code, *args):
+    """stdout of python -c code args in a fresh process that imports this routelens."""
+    env = {**os.environ, "PYTHONPATH": str(Path(routelens.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_no_subcommand_imports_numpy_ma(tmp_path, churn_inputs):
     """numpy.ma costs 20-35 ms to import in a fresh process, and numpy 2
     imports it on the first plain np.unique, np.intersect1d or np.union1d;
-    neither analysis needs it."""
-    env = {**os.environ, "PYTHONPATH": str(Path(routelens.__file__).parents[1])}
-
-    def loads_numpy_ma(code):
-        code += "\nimport sys; print('numpy.ma' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        return done.stdout.splitlines()[-1] == "True"
-
-    if loads_numpy_ma("import numpy"):
+    no subcommand needs it. Every benchmark step runs at its tiny size in
+    one process, then an interception simulate and a churn run that reads
+    an initial state file before its updates."""
+    if "True" in _run_fresh("import sys, numpy; print('numpy.ma' in sys.modules)"):
         pytest.skip("import numpy alone loads numpy.ma")
+    workloads = _workloads()
+    runs = []
+    for name, workload in workloads.WORKLOADS.items():
+        workloads.make_inputs(name, 0, tmp_path / name, "tiny")
+        runs += [workload.argv(step, tmp_path / name, tmp_path / name) for step in workload.steps]
+    interception = tmp_path / "interception.json"
+    interception.write_text(json.dumps({"kind": "interception", "n_pairs": 2, "duration": 60.0}))
+    runs.append(["--output-dir", str(tmp_path / "interception"), "simulate",
+                 "--scenario", str(interception)])
     for name in ("initial", "updates", "relays"):
         (tmp_path / f"{name}.csv").write_text(churn_inputs[name])
-    churn_argv = [
-        "--output-dir", tmp_path / "churn", "churn", "--updates", tmp_path / "updates.csv",
-        "--relays", tmp_path / "relays.csv", "--initial", tmp_path / "initial.csv",
-    ]
-    correlate_argv = [
-        "--output-dir", tmp_path / "correlate", "correlate",
-        "--manifest", correlate_inputs / "manifest.csv",
-        "--truth", correlate_inputs / "truth.json", "--window", 30,
-    ]
-    assert not loads_numpy_ma(
+    runs.append(["--output-dir", str(tmp_path / "initial"), "churn"] + [
+        str(arg) for name in ("initial", "updates", "relays")
+        for arg in (f"--{name}", tmp_path / f"{name}.csv")
+    ])
+    # per run: its subcommand, its exit code and whether numpy.ma is loaded after it
+    stdout = _run_fresh(
+        "import json, sys\n"
         "from routelens.cli import main\n"
-        f"assert main({[str(a) for a in churn_argv]!r}) == 0\n"
-        f"assert main({[str(a) for a in correlate_argv]!r}) == 0"
+        "print(json.dumps([(argv[2], main(argv), 'numpy.ma' in sys.modules)"
+        " for argv in json.loads(sys.argv[1])]))",
+        json.dumps(runs),
     )
-    assert (tmp_path / "churn" / "churn_pairs.csv").exists()
-    assert (tmp_path / "correlate" / "accuracy_report.json").exists()
+    assert json.loads(stdout.splitlines()[-1]) == [[argv[2], 0, False] for argv in runs]
+    assert {argv[2] for argv in runs} == {
+        "simulate", "correlate", "churn", "paths", "detect", "concentrate", "prefixlen"
+    }
+
+
+def test_bgp_and_paths_do_not_import_the_trace_codec():
+    """The update and traceroute readers share textcols with the trace
+    codec, and load neither it nor the correlation analysis."""
+    stdout = _run_fresh(
+        "import sys, routelens.bgp, routelens.paths\n"
+        "print(sorted(m for m in ('routelens.correlation', 'routelens.tracefile') if m in sys.modules))"
+    )
+    assert stdout.splitlines()[-1] == "[]"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routelens import textcols
+from routelens import tracefile
 from routelens.core import InputError
 from routelens.correlation import (
     AccuracyReport,
@@ -31,7 +31,7 @@ from routelens.correlation import (
     spearman,
     unwrap_cumulative,
 )
-from routelens.textcols import read_trace_jsonl, write_trace_jsonl
+from routelens.tracefile import read_trace_jsonl, write_trace_jsonl
 from helpers import (
     brute_pick_direction,
     brute_progress_deltas,
@@ -584,10 +584,10 @@ def _mixed_rows(n, seed):
 
 
 def test_writer_blocks_join_seamlessly(tmp_path, monkeypatch):
-    table = _mixed_rows(textcols._BLOCK_ROWS + 5, seed=5)
+    table = _mixed_rows(tracefile._BLOCK_ROWS + 5, seed=5)
     expected = oracle_trace_text(table).encode()
     assert _written(tmp_path, table) == expected
-    monkeypatch.setattr(textcols, "_BLOCK_ROWS", 7)  # blocks of differing field widths
+    monkeypatch.setattr(tracefile, "_BLOCK_ROWS", 7)  # blocks of differing field widths
     assert _written(tmp_path, table) == expected
 
 
@@ -675,7 +675,7 @@ def test_reader_accepts_only_what_the_writer_writes(tmp_path_factory, table, edi
 def test_reader_decodes_plain_timestamps_like_float(tmp_path, monkeypatch, scale):
     # k / 1e6 for k below 1e15: every plain spelling the writer produces,
     # with whole parts up to nine digits; blocks of 1000 lines
-    monkeypatch.setattr(textcols, "_BLOCK_ROWS", 1000)
+    monkeypatch.setattr(tracefile, "_BLOCK_ROWS", 1000)
     rng = np.random.default_rng(scale)
     k = np.sort(rng.integers(0, scale, 4000, endpoint=True))
     k = np.unique(np.concatenate([k, k[k < 10**15 - 1] + 1, [0, 100, 101, 10**6]]))
@@ -754,7 +754,7 @@ def test_reader_rejects_what_the_writer_cannot_write(tmp_path, bad):
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 8192])
 def test_reader_skips_blank_and_metadata_lines_across_blocks(tmp_path, monkeypatch, block_rows):
-    monkeypatch.setattr(textcols, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(tracefile, "_BLOCK_ROWS", block_rows)
     spellings = ["2.0", "1000000000.25", "1e+16", "Infinity"]
     good = [_line(ts, seq=str(i)) for i, ts in enumerate(spellings)]
     path = tmp_path / "t.jsonl"

@@ -4,13 +4,14 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from routelens.bgp import ingest
+from routelens.bgp import ingest, prefix_key, write_updates
 from routelens.churn import compromised_circuits, segment_observations
 from routelens.correlation import (
     DIRECTIONS,
@@ -42,8 +43,8 @@ from routelens.simulate import (
 )
 
 from helpers import (
-    AsPath, hit_records, oracle_tick_allocation, oracle_trace_text, planted_compromised,
-    random_routing_scenario, updates_of,
+    AsPath, hit_records, oracle_gen_updates, oracle_tick_allocation, oracle_trace_text,
+    planted_compromised, random_routing_scenario, updates_of,
 )
 
 DAY = 86400.0
@@ -359,6 +360,99 @@ def test_a_document_prefix_is_read_in_its_canonical_spelling():
     assert [u.path for u in updates_of(updates) if u.timestamp == 150.0 and u.session == "s1"] == [
         AsPath((101, 102))
     ]
+
+
+# one /16 in two spellings, a /8 over it, a /17 inside it and a /16 no route names
+_PREFIX_TEXTS = ("10.0.0.0/16", "10.0.0.7/16", "10.0.0.0/8", "10.0.128.0/17", "10.5.0.0/16")
+_PATHS = ((1, 2), (1, 1, 2), (2, 1), (3,), (4, 4))  # (1, 1, 2) and (4, 4) are prepended
+
+
+@st.composite
+def routing_schedules(draw):
+    """Small valid scenarios on one 20 s window whose values collide: base
+    routes and churn at t0, prefix spellings and prepends of one value,
+    withdrawals by sessions that announce nothing, and events on keys with
+    and without a live legitimate route."""
+    names = draw(st.lists(st.sampled_from(["s0", "s1", "s10", "s2"]), max_size=3, unique=True))
+    paths, texts = st.sampled_from(_PATHS), st.sampled_from(_PREFIX_TEXTS)
+    base = [
+        RouteSpec(draw(st.sampled_from(names)), draw(texts), draw(paths))
+        for _ in range(draw(st.integers(0, 6) if names else st.just(0)))
+    ]
+    churn = []
+    for t in sorted(draw(st.lists(st.integers(0, 19), max_size=6))):
+        session = draw(st.sampled_from(names + ["s9"]))  # s9 is no session: it only withdraws
+        path = draw(st.none() | paths) if session in names else None
+        churn.append(ChurnEvent(float(t), session, draw(texts), path))
+    scenario = RoutingScenario(
+        seed=0, window=(0.0, 20.0), sessions=tuple(SessionSpec(n, 64500) for n in names),
+        relays=(), base_routes=tuple(base), churn=tuple(churn),
+    )
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, 19))
+        event = InjectedEvent(
+            draw(st.sampled_from(["hijack", "interception"])), draw(texts), draw(paths),
+            float(start), float(draw(st.integers(1, 20 - start))),
+        )
+        candidate = replace(scenario, events=scenario.events + (event,))
+        try:
+            candidate.validate()
+        except InvalidScenarioError:
+            continue
+        scenario = candidate
+    return scenario
+
+
+_COLLISIONS = RoutingScenario(
+    seed=0, window=(0.0, 20.0), sessions=(SessionSpec("s0", 64500), SessionSpec("s1", 64501)),
+    relays=(),
+    base_routes=(
+        RouteSpec("s0", "10.0.0.7/16", (1, 1, 2)),
+        RouteSpec("s0", "10.0.0.0/16", (1, 2)),
+        RouteSpec("s1", "10.0.0.0/8", (3,)),
+    ),
+    churn=(ChurnEvent(0.0, "s1", "10.0.0.0/16", (2, 1)), ChurnEvent(5.0, "s1", "10.0.0.0/8", None)),
+    events=(
+        InjectedEvent("hijack", "10.0.0.7/16", (4, 4), 8.0, 4.0),  # s1 names it otherwise
+        InjectedEvent("hijack", "10.0.0.0/8", (4,), 10.0, 5.0),  # withdrawn on s1, none on s0
+        InjectedEvent("hijack", "10.5.0.0/16", (4,), 1.0, 2.0),  # no legitimate route
+        InjectedEvent("interception", "10.0.128.0/17", (4, 1), 2.0, 4.0),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    routing_schedules()
+    | st.builds(random_routing_scenario, st.integers(0, 2**32 - 1), n_events=st.integers(0, 6))
+)
+@example(_COLLISIONS)
+@example(replace(_COLLISIONS, sessions=(), base_routes=(), churn=_COLLISIONS.churn[1:]))
+def test_gen_updates_matches_the_row_by_row_oracle(tmp_path_factory, scenario):
+    scenario.validate()
+    table, truth = gen_updates(scenario)
+    expected, expected_truth = oracle_gen_updates(scenario)
+    assert updates_of(table) == updates_of(expected)
+    assert truth == expected_truth
+    # ids are ranks of the values the rows name
+    assert list(table.sessions) == sorted(expected.sessions)
+    assert list(table.prefixes) == sorted(expected.prefixes, key=prefix_key)
+    assert list(table.path_ases) == sorted(expected.path_ases)
+    root = tmp_path_factory.mktemp("rendered")
+    write_updates(root / "columns.csv", table)
+    write_updates(root / "rows.csv", expected)
+    assert (root / "columns.csv").read_bytes() == (root / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args, rows, digest", [
+    ((0,), 350, "fb70ad6c6f96722df820d800555fe590b44f928e820a905a89c26d91001ff86a"),
+    ((7, 10, 10), 320, "0016f688fbad6a8d65e2286e5d9cff1e16aedad5d17d60c5e42dad01ec67faae"),
+])
+def test_injection_scenario_update_bytes_pinned(tmp_path, args, rows, digest):
+    table, _ = gen_updates(injection_scenario(*args))
+    assert len(table) == rows
+    write_updates(tmp_path / "updates.csv", table)
+    assert hashlib.sha256((tmp_path / "updates.csv").read_bytes()).hexdigest() == digest
 
 
 def _assert_round_trip(scenario):
