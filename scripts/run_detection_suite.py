@@ -9,6 +9,7 @@ scores recall against the planted ground truth.
 
 import argparse
 
+from routelens.core import RelayIndex
 from routelens.detect import Heuristic, run_all_heuristics
 from routelens.evaluation import detector_recall
 from routelens.simulate import gen_updates, injection_scenario
@@ -31,7 +32,7 @@ def main() -> None:
     )
     alerts = run_all_heuristics(
         updates,
-        list(scenario.relays),
+        RelayIndex(scenario.relays),
         frequency_threshold=args.frequency_threshold,
         time_threshold=args.time_threshold,
         window=scenario.window,

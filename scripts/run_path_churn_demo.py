@@ -10,7 +10,7 @@ cumulative ever-vulnerable rate.
 import argparse
 from pathlib import Path
 
-from routelens.paths import PathDataset, vulnerability_timeseries
+from routelens.paths import PathDataset, PathTable, vulnerability_timeseries
 from routelens.simulate import PathScenario, gen_traceroute_paths
 
 
@@ -23,7 +23,7 @@ def main() -> None:
     args = parser.parse_args()
 
     scenario = PathScenario(seed=args.seed, days=args.days, churn_rate=args.churn_rate)
-    rows = vulnerability_timeseries(PathDataset(gen_traceroute_paths(scenario)))
+    rows = vulnerability_timeseries(PathDataset(PathTable.of(gen_traceroute_paths(scenario))))
     with open(args.csv_out, "w") as handle:
         handle.write("day,pct_symmetric_day1,pct_asymmetric,pct_asymmetric_cumulative\n")
         for row in rows:

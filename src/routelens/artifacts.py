@@ -4,8 +4,7 @@ Every file a subcommand writes starts with a metadata header carrying the
 tool version, a hash of the effective configuration, the seed, and the
 parameters that shaped the run. Re-running with the same configuration
 reproduces every artifact byte for byte once the written_at stamp is
-normalized away, and the comparator here is what the determinism tests
-use.
+normalized away (normalized_bytes).
 """
 
 from __future__ import annotations
@@ -104,6 +103,3 @@ def normalized_bytes(path) -> bytes:
     data = Path(path).read_bytes()
     return _WRITTEN_AT.sub(b"", data)
 
-
-def artifacts_equal(a, b) -> bool:
-    return normalized_bytes(a) == normalized_bytes(b)

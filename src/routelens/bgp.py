@@ -23,7 +23,6 @@ from .artifacts import replacing
 from .core import (
     MAX_ASN,
     IpPrefix,
-    RelayDescriptor,
     RelayIndex,
     RouteEntry,
     VantageSession,
@@ -498,7 +497,7 @@ class SessionRib:
 
 def ingest(
     table: UpdateTable,
-    relays: list[RelayDescriptor] | RelayIndex,
+    index: RelayIndex,
     local_as: dict[str, int] | None = None,
 ) -> dict[str, SessionRib]:
     """Per-session RIBs of the routes in table (route_spans), one per
@@ -508,7 +507,7 @@ def ingest(
     is inferred as the first AS of the first path announced on the session
     (the BGP neighbor), falling back to 0 for sessions that only withdraw.
     """
-    rows, ends = route_spans(table, RelayIndex.of(relays))
+    rows, ends = route_spans(table, index)
     announced = np.flatnonzero(table.path >= 0)
     codes, first = np.unique(table.session[announced], return_index=True)
     inferred = {

@@ -28,7 +28,7 @@ from itertools import chain, groupby
 import numpy as np
 
 from .bgp import SessionRib
-from .core import PrefixTable, RelayDescriptor, merge_intervals_grouped
+from .core import PrefixTable, RelayIndex, merge_intervals_grouped
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def _rib_columns(ribs: dict[str, SessionRib], sessions: tuple[str, ...]):
 
 def segment_observations(
     ribs: dict[str, SessionRib],
-    relays: list[RelayDescriptor],
+    relays: RelayIndex,
     window: tuple[float, float],
 ) -> Sightings:
     """Which AS saw traffic toward which relay, on which session, and when.
@@ -225,14 +225,12 @@ def segment_observations(
     start, end = np.maximum(start, t_lo), np.minimum(end, t_hi)
     live = start < end
     session, prefix, start, end, path = (c[live] for c in (session, prefix, start, end, path))
-    # each listed address once, on every side some listing of it takes
-    admitted = [r for r in relays if r.is_guard or r.is_exit]
-    address, listing = np.unique(
-        np.array([r.address for r in admitted], dtype=np.int64), return_inverse=True
-    )
+    # each admitted address once, on every side some listing of it takes
+    address = relays.addresses[relays.is_guard | relays.is_exit]
+    address = address[_runs(address)[0]]
     on_side = np.zeros((2, len(address)), dtype=bool)
-    for side, flag in enumerate(("is_guard", "is_exit")):
-        on_side[side, listing[[getattr(r, flag) for r in admitted]]] = True
+    for side, axis in enumerate((relays.guards, relays.exits)):
+        on_side[side, np.searchsorted(address, axis)] = True
     # one candidate per (entry, relay it covers): join on the prefix id
     at, found = routed.covering_many(address)
     by_prefix = np.argsort(found, kind="stable")
@@ -393,22 +391,15 @@ def compromised_circuits(
     return CircuitHits(sightings.sessions, admitted, ases, tuple(overlaps))
 
 
-def circuit_axes(relays: list[RelayDescriptor]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted guard and exit addresses: the axes circuit ids index."""
-    guards = sorted({r.address for r in relays if r.is_guard})
-    exits = sorted({r.address for r in relays if r.is_exit})
-    return np.array(guards, dtype=np.int64), np.array(exits, dtype=np.int64)
-
-
-def circuit_universe(relays: list[RelayDescriptor]) -> int:
+def circuit_universe(relays: RelayIndex) -> int:
     """Number of valid (guard, exit) combinations, distinct relays only."""
-    guards, exits = circuit_axes(relays)
+    guards, exits = relays.guards, relays.exits
     return len(guards) * len(exits) - len(np.intersect1d(guards, exits, assume_unique=True))
 
 
 def summarize(
     hits: CircuitHits,
-    relays: list[RelayDescriptor],
+    relays: RelayIndex,
     baseline: CompromiseSummary | None = None,
 ) -> CompromiseSummary:
     """Each admitted pair's and each AS's circuit ids, ORed from every AS's
@@ -422,7 +413,7 @@ def summarize(
     admission and folded into one. Cells of pairs not admitted are never
     read, and circuits whose guard is its exit are cleared at the end.
     """
-    guards, exits = circuit_axes(relays)
+    guards, exits = relays.guards, relays.exits
     if baseline is not None and not (
         np.array_equal(baseline.guards, guards) and np.array_equal(baseline.exits, exits)
     ):
@@ -486,7 +477,7 @@ def summarize(
 
 def static_baseline(
     ribs: dict[str, SessionRib],
-    relays: list[RelayDescriptor],
+    relays: RelayIndex,
     t0: float,
 ) -> CompromiseSummary:
     """Compromise summary from the routing state at t0, ignoring churn.
@@ -508,7 +499,7 @@ def static_baseline(
 
 def churn_summary(
     ribs: dict[str, SessionRib],
-    relays: list[RelayDescriptor],
+    relays: RelayIndex,
     window: tuple[float, float],
     min_overlap: float = 30.0,
     baseline: CompromiseSummary | None = None,

@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import __version__, artifacts, churn, detect, evaluation, paths, simulate
 from .bgp import UpdateTable, filter_session_resets, ingest, parse_updates, write_updates
-from .core import INTEGER, NUMBER, FieldError, InputError, bound, cast, csv_records, int_to_ip
-from .core import load_prefix_origins, load_relays, parse_asn, read_json, write_relays
+from .core import INTEGER, NUMBER, FieldError, InputError, RelayIndex, bound, cast, csv_records
+from .core import int_to_ip, load_prefix_origins, load_relays, parse_asn, read_json, write_relays
 from .correlation import CorrelationError, SignalKind, clopper_pearson
 from .tracefile import read_trace_jsonl, write_trace_jsonl
 
@@ -195,12 +195,12 @@ def cmd_correlate(args) -> int:
 # --- churn ---------------------------------------------------------------------
 
 
-def _ingest_updates(args, config) -> tuple[list, UpdateTable, tuple[float, float]]:
-    """Relays, time-sorted updates and the analysis window, recorded in
-    config. This is the one place the window's default is decided: the
-    first update to one second past the last, each end overridden by its
-    flag. An empty or non-finite window raises InputError."""
-    relays = load_relays(args.relays)
+def _ingest_updates(args, config) -> tuple[RelayIndex, UpdateTable, tuple[float, float]]:
+    """The run's one relay index, time-sorted updates and the analysis
+    window, recorded in config. This is the one place the window's default
+    is decided: the first update to one second past the last, each end
+    overridden by its flag. An empty or non-finite window raises InputError."""
+    relays = RelayIndex(load_relays(args.relays))
     # the initial state goes first, so it precedes updates at equal timestamps
     sources = [args.initial] if getattr(args, "initial", None) else []
     updates, issues = parse_updates(*sources, args.updates)

@@ -617,17 +617,28 @@ def load_prefix_origins(path) -> PrefixTable:
 
 
 class RelayIndex:
-    """Relays sorted by address, and their addresses as one sorted int64
-    array for prefix-coverage queries."""
+    """A run's relay set: the relays sorted by address (a stable sort),
+    their addresses as one sorted int64 array for prefix-coverage queries
+    and their flags as the boolean columns is_guard and is_exit. guards and
+    exits are the sorted distinct addresses some listing flags that way,
+    the axes circuit ids index."""
 
     def __init__(self, relays: Iterable[RelayDescriptor]) -> None:
         self.relays = sorted(relays, key=lambda r: r.address)
-        self.addresses = np.array([relay.address for relay in self.relays], dtype=np.int64)
+        n = len(self.relays)
+        self.addresses = np.fromiter((r.address for r in self.relays), np.int64, n)
+        self.is_guard = np.fromiter((r.is_guard for r in self.relays), bool, n)
+        self.is_exit = np.fromiter((r.is_exit for r in self.relays), bool, n)
+        # addresses are sorted and >= 0, so a distinct one differs from its predecessor
+        self.guards, self.exits = (
+            a[np.diff(a, prepend=-1) != 0]
+            for a in (self.addresses[self.is_guard], self.addresses[self.is_exit])
+        )
 
-    @classmethod
-    def of(cls, relays: "Iterable[RelayDescriptor] | RelayIndex") -> "RelayIndex":
-        """The index itself, or a new index over a relay list."""
-        return relays if isinstance(relays, RelayIndex) else cls(relays)
+    def admitted(self) -> "RelayIndex":
+        """The relays with a guard or an exit flag, the ones circuits use."""
+        keep = (self.is_guard | self.is_exit).tolist()
+        return RelayIndex(relay for relay, kept in zip(self.relays, keep) if kept)
 
     def __len__(self) -> int:
         return len(self.relays)

@@ -266,24 +266,6 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(x, y) -> float:
-    """Spearman's rank coefficient: Pearson correlation of average ranks."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise LengthMismatchError(f"lengths differ: {x.shape} vs {y.shape}")
-    if x.size < 3:
-        raise LengthMismatchError("need at least 3 samples")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = math.sqrt(float(rx @ rx) * float(ry @ ry))
-    if denom == 0.0:
-        raise ConstantInputError("constant input vector")
-    return float(rx @ ry) / denom
-
-
 def _rank_zscores(series_list: list[ByteProgressSeries]) -> np.ndarray:
     """Stack rank-transformed, zero-mean, unit-norm rows; constant rows NaN."""
     n = len(series_list[0].deltas)

@@ -175,15 +175,12 @@ class EventImpact:
     exits: int
 
 
-def cross_reference(
-    events: list[HijackEvent], relays: list[RelayDescriptor]
-) -> list[EventImpact]:
+def cross_reference(events: list[HijackEvent], index: RelayIndex) -> list[EventImpact]:
     """Per event label: how many relays/guards/exits its prefixes cover.
 
     Counts deduplicate relays per event; dual-flagged relays count in both
     the guard and exit columns, so guards + exits >= relays.
     """
-    index = RelayIndex(relays)
     by_label: dict[str, dict] = {}
     for event in events:
         group = by_label.setdefault(event.label, {"prefixes": 0, "relays": set()})
@@ -209,7 +206,7 @@ def cross_reference(
 
 def frequency_heuristic(
     table: UpdateTable,
-    relays: list[RelayDescriptor] | RelayIndex,
+    index: RelayIndex,
     window: tuple[float, float],
     threshold: float = 0.00001,
     per_prefix_denominator: bool = True,
@@ -224,7 +221,6 @@ def frequency_heuristic(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    index = RelayIndex.of(relays)
     rows = np.flatnonzero(
         (table.path >= 0) & (window[0] <= table.ts) & (table.ts < window[1])
         & table.tracked(index)[table.prefix]
@@ -253,7 +249,7 @@ def frequency_heuristic(
 
 def time_heuristic(
     table: UpdateTable,
-    relays: list[RelayDescriptor] | RelayIndex,
+    index: RelayIndex,
     window: tuple[float, float],
     threshold: float = 0.01,
 ) -> list[HijackAlert]:
@@ -267,7 +263,6 @@ def time_heuristic(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    index = RelayIndex.of(relays)
     t_lo, t_hi = window
     length = t_hi - t_lo
     if length <= 0:
@@ -299,7 +294,7 @@ def time_heuristic(
 
 def more_specific_monitor(
     table: UpdateTable,
-    relays: list[RelayDescriptor] | RelayIndex,
+    index: RelayIndex,
     window: tuple[float, float],
 ) -> list[HijackAlert]:
     """Flag foreign-origin announcements nested inside a live relay prefix.
@@ -315,7 +310,6 @@ def more_specific_monitor(
     so rows at equal timestamps count in table order; the strictly shorter
     covers of each prefix id come from one PrefixTable query up front.
     """
-    index = RelayIndex.of(relays)
     prefixes = table.prefixes
     ids = PrefixTable()
     for p, prefix in enumerate(prefixes):
@@ -368,7 +362,7 @@ def more_specific_monitor(
 
 def run_all_heuristics(
     table: UpdateTable,
-    relays: list[RelayDescriptor],
+    relays: RelayIndex,
     window: tuple[float, float],
     frequency_threshold: float = 0.00001,
     time_threshold: float = 0.01,
@@ -376,7 +370,7 @@ def run_all_heuristics(
 ) -> list[HijackAlert]:
     """Union of the three detectors over guard/exit-relevant prefixes, all
     over the one given window."""
-    index = RelayIndex([r for r in relays if r.is_guard or r.is_exit])
+    index = relays.admitted()
     alerts = frequency_heuristic(
         table, index, window, frequency_threshold, per_prefix_denominator
     )

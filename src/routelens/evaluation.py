@@ -137,27 +137,18 @@ class RecallReport:
     missed: list[tuple[str, float, float]]
 
 
-def _event_key(event) -> tuple[IpPrefix, float, float]:
-    if isinstance(event, InjectedEvent):
-        return IpPrefix.parse(event.prefix), event.start, event.start + event.duration
-    prefix, t_start, t_end = event
-    if not isinstance(prefix, IpPrefix):
-        prefix = IpPrefix.parse(prefix)
-    return prefix, float(t_start), float(t_end)
-
-
-def detector_recall(alerts: list[HijackAlert], events: list) -> RecallReport:
+def detector_recall(alerts: list[HijackAlert], events: list[InjectedEvent]) -> RecallReport:
     """Fraction of planted events some alert covers.
 
     An event is detected when an alert for the same prefix has a window
     overlapping the event's; alerts matching no event count as false
     alerts (tolerated by design, but reported).
     """
-    keys = [_event_key(e) for e in events]
     detected = []
     missed = []
     used_alerts: set[int] = set()
-    for prefix, t_start, t_end in keys:
+    for event in events:
+        prefix, (t_start, t_end) = IpPrefix.parse(event.prefix), event.window
         hit = False
         for idx, alert in enumerate(alerts):
             if alert.prefix == prefix and alert.overlaps(t_start, t_end):
@@ -166,7 +157,7 @@ def detector_recall(alerts: list[HijackAlert], events: list) -> RecallReport:
         entry = (str(prefix), t_start, t_end)
         (detected if hit else missed).append(entry)
     false_alerts = len(alerts) - len(used_alerts)
-    recall = len(detected) / len(keys) if keys else 1.0
+    recall = len(detected) / len(events) if events else 1.0
     return RecallReport(recall, false_alerts, detected, missed)
 
 

@@ -8,10 +8,10 @@ is what routing asymmetry buys the adversary.
 
 Both tests factor over the quad's (client, guard) and (exit, dest)
 units: the four pairings share an AS iff (P1 ∪ P2) ∩ (P3 ∪ P4) ≠ ∅, and
-exclusions split per side, (A ∩ B) ∖ (X ∪ E_cg ∪ E_ed) =
-(A ∖ X ∖ E_cg) ∩ (B ∖ X ∖ E_ed), with X the global exclusion set and
-E_cg, E_ed each side's endpoint ASes. So one day of all quads is one
-boolean matrix product of unit rows over an AS column index.
+excluded endpoints split per side, (A ∩ B) ∖ (E_cg ∪ E_ed) =
+(A ∖ E_cg) ∩ (B ∖ E_ed), with E_cg, E_ed each side's endpoint ASes. So
+one day of all quads is one boolean matrix product of unit rows over an
+AS column index.
 """
 
 from __future__ import annotations
@@ -380,8 +380,7 @@ class PathDataset:
     with P3 and P4; an id of n_keys means no such key.
     """
 
-    def __init__(self, paths: PathTable | list[AsLevelPath]) -> None:
-        table = PathTable.of(paths) if isinstance(paths, list) else paths
+    def __init__(self, table: PathTable) -> None:
         self.names, self.days, self.day_rank = table.names, table.days, table.day
         n_names = len(table.names)
         _, key_row, self.key = np.unique(
@@ -426,7 +425,6 @@ class PathDataset:
 
 def vulnerability_timeseries(
     dataset: PathDataset,
-    exclusions: frozenset[int] = frozenset(),
     exclude_endpoint_ases: bool = False,
 ) -> list[DayVulnerability]:
     """Per-day percentages of vulnerable quads.
@@ -448,8 +446,8 @@ def vulnerability_timeseries(
     Persistence: a (role, probe, target) missing on a day inherits its
     most recent earlier measurement, kept as a key -> table row array
     that each day's rows overwrite. Each day, with A the (client, guard)
-    rows of P1 ∪ P2 ∖ X ∖ E_cg and B the (exit, dest) rows of
-    P3 ∪ P4 ∖ X ∖ E_ed, quad (cg, ed) is asymmetric-vulnerable iff
+    rows of P1 ∪ P2 ∖ E_cg and B the (exit, dest) rows of
+    P3 ∪ P4 ∖ E_ed, quad (cg, ed) is asymmetric-vulnerable iff
     (A @ B.T)[cg, ed] > 0 and both units have both paths; the day-1
     symmetric count is the same product over P1 and P3 rows, and the
     cumulative series ORs the daily verdicts. A quad's inherited paths
@@ -458,7 +456,6 @@ def vulnerability_timeseries(
     n_total = len(dataset.forward["cg"]) * len(dataset.forward["ed"])
     if not n_total:
         return []
-    kept_column = np.array([asn not in exclusions for asn in dataset.ases.tolist()], dtype=bool)
     latest = np.full(dataset.n_keys + 1, -1, dtype=np.int64)  # the last slot: no such key
 
     def unit_rows(side, day_index):
@@ -480,11 +477,11 @@ def vulnerability_timeseries(
             columns = dataset.columns[
                 np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
             ]
-            keep = kept_column[columns]
             if exclude_endpoint_ases:
-                keep &= (columns != ends[0][owner]) & (columns != ends[1][owner])
+                keep = (columns != ends[0][owner]) & (columns != ends[1][owner])
+                owner, columns = owner[keep], columns[keep]
             for matrix in out:
-                matrix[units[owner[keep]], columns[keep]] = 1.0
+                matrix[units[owner], columns] = 1.0
         return forward_rows, union_rows, complete, inherited
 
     ever_vulnerable = np.zeros((len(dataset.forward["cg"]), len(dataset.forward["ed"])), dtype=bool)

@@ -340,23 +340,22 @@ class RoutingScenario(Document):
         times = [c.time for c in self.churn]
         if times != sorted(times):
             raise InvalidScenarioError("churn schedule must be time-ordered")
-        churn_times: dict[str, list[float]] = {}
+        # routes are keyed by prefix, however its text spells it; each text is parsed once
+        parsed = {t: IpPrefix.parse(t) for t in {r.prefix for r in self.churn + self.events}}
+        churn_times: dict[IpPrefix, list[float]] = {}
         for change in self.churn:
-            churn_times.setdefault(change.prefix, []).append(change.time)
-        for event in self.events:
-            if not (t0 <= event.start and event.start + event.duration <= t1):
+            churn_times.setdefault(parsed[change.prefix], []).append(change.time)
+        events = [(parsed[event.prefix], *event.window) for event in self.events]
+        for prefix, start, end in events:
+            if not (t0 <= start and end <= t1):
                 raise InvalidScenarioError("event outside the window")
-            if any(
-                event.start <= t <= event.start + event.duration
-                for t in churn_times.get(event.prefix, ())
-            ):
+            if any(start <= t <= end for t in churn_times.get(prefix, ())):
                 raise InvalidScenarioError("churn on an attacked prefix during its event window")
-        spans: dict[str, list[tuple[float, float]]] = {}
-        for event in self.events:
-            for other in spans.get(event.prefix, ()):
-                if event.start < other[1] and other[0] < event.start + event.duration:
-                    raise InvalidScenarioError("overlapping events on one prefix")
-            spans.setdefault(event.prefix, []).append(event.window)
+        spans: dict[IpPrefix, list[tuple[float, float]]] = {}
+        for prefix, start, end in events:
+            if any(start < other[1] and other[0] < end for other in spans.get(prefix, ())):
+                raise InvalidScenarioError("overlapping events on one prefix")
+            spans.setdefault(prefix, []).append((start, end))
 
 
 @dataclass
@@ -416,16 +415,16 @@ def gen_updates(scenario: RoutingScenario) -> tuple[UpdateTable, RoutingGroundTr
     session = np.fromiter(map(session_id.__getitem__, names), np.int64, len(names))
     text = np.fromiter(map(text_id.__getitem__, texts), np.int64, len(texts))
     path = np.fromiter(map(path_id.__getitem__, paths), np.int64, len(paths))
-    # a hijack's end restores the last legitimate row of its (session, prefix text) at
-    # or before then: a key of that pair and the time's rank, stably sorted (ties in order)
-    group = session * len(text_id) + text
+    prefix = np.array([prefix_id[p] for p in parsed], np.int64)[text]
+    # a hijack's end restores the last legitimate row of its (session, prefix) at or
+    # before then: a key of that pair and the time's rank, stably sorted (ties in order)
+    group = session * len(prefixes) + prefix
     key = group * (n + 1) + np.searchsorted(np.sort(ts[:n]), ts, "right")
     order = np.argsort(key[:n], kind="stable")
     hijack = [event.kind == "hijack" for event in scenario.events for _ in sessions]
     ends = n + 1 + 2 * np.flatnonzero(hijack)
     row = np.append(order, -1)[np.searchsorted(key[order], key[ends], "right") - 1]  # -1: none
     path[ends] = np.where((row >= 0) & (group[row] == group[ends]), path[row], -1)
-    prefix = np.array([prefix_id[p] for p in parsed], np.int64)[text]
     order = np.lexsort((prefix, session, ts))
     table = UpdateTable(*(c[order] for c in (ts, session, prefix, path)), session_id, prefixes, ases)
     return table, RoutingGroundTruth(list(scenario.events))
@@ -528,7 +527,7 @@ class PathScenario:
 
 
 def gen_traceroute_paths(scenario: PathScenario) -> list:
-    """AS-level paths per (role, endpoints, day), ready for PathDataset."""
+    """AS-level paths per (role, endpoints, day), ready for PathTable.of."""
     from .paths import AsLevelPath, PathRole
 
     rng = np.random.default_rng(scenario.seed)

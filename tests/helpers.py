@@ -10,19 +10,17 @@ from enum import Enum
 
 import numpy as np
 
+from routelens.artifacts import normalized_bytes
 from routelens.bgp import ParseIssue, SessionRib, UpdateTable, ingest, prefix_key
-from routelens.churn import (
-    CompromiseSummary,
-    Sightings,
-    _intersection_length,
-    circuit_axes,
-    circuit_universe,
-)
+from routelens.churn import CompromiseSummary, Sightings, _intersection_length, circuit_universe
 from routelens.core import (
     InputError, IpPrefix, PrefixTable, RelayDescriptor, RelayIndex, RouteEntry, VantageSession,
     ip_to_int, parse_path, path_ases,
 )
-from routelens.correlation import _FLAG_NAMES, DIRECTIONS, Direction, PacketTable
+from routelens.correlation import (
+    _FLAG_NAMES, DIRECTIONS, ConstantInputError, Direction, LengthMismatchError, PacketTable,
+    _average_ranks,
+)
 from routelens.detect import Heuristic, HijackAlert, _alert
 from routelens.paths import (
     _PRIVATE_BLOCKS, ROLES, AsLevelPath, DayVulnerability, EmptyPathError, PathError, PathRole,
@@ -337,7 +335,7 @@ def oracle_ingest(updates, relays, local_as=None):
     """ingest by replaying each update, in stable time order, into its
     session's ReplayRib."""
     updates = sorted(updates, key=lambda u: u.timestamp)
-    index = RelayIndex.of(relays)
+    index = RelayIndex(relays)
     inferred = {}
     for update in updates:
         if update.path is not None and update.session not in inferred:
@@ -356,7 +354,7 @@ def oracle_frequency_heuristic(
     updates, relays, window, threshold=0.00001, per_prefix_denominator=True
 ):
     """The frequency heuristic counted in dicts, announcement by announcement."""
-    index = RelayIndex.of(relays)
+    index = RelayIndex(relays)
     totals = {}
     per_origin = {}
     n_announcements = 0
@@ -526,7 +524,7 @@ def alert_from_record(record: dict) -> HijackAlert:
 
 
 def build_ribs(updates, relays, sessions):
-    return ingest(table_of(updates), relays, local_as=sessions)
+    return ingest(table_of(updates), RelayIndex(relays), local_as=sessions)
 
 
 def brute_force_records(ribs, relays, window, min_overlap):
@@ -645,6 +643,14 @@ def _or_rows(owner, circuit, n_owners, n_circuits):
     return [np.flatnonzero(row) for row in bits]
 
 
+def circuit_axes(relays) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct guard and exit addresses of a relay list, descriptor
+    by descriptor: the oracle of RelayIndex.guards and exits."""
+    guards = sorted({r.address for r in relays if r.is_guard})
+    exits = sorted({r.address for r in relays if r.is_exit})
+    return np.array(guards, dtype=np.int64), np.array(exits, dtype=np.int64)
+
+
 def oracle_summarize(hits, relays) -> CompromiseSummary:
     """summarize by rows: every AS's hits concatenated into columns, then
     ORed per admitted pair and per AS."""
@@ -662,7 +668,7 @@ def oracle_summarize(hits, relays) -> CompromiseSummary:
     by_as = _or_rows(as_index, circuit, len(hits.ases), n_circuits)
     return CompromiseSummary(
         pair_circuits=dict(zip(pairs, by_pair)),
-        total_circuits=circuit_universe(relays),
+        total_circuits=circuit_universe(RelayIndex(relays)),
         per_as_circuits={asn: ids for asn, ids in zip(hits.ases.tolist(), by_as) if len(ids)},
         guards=guards,
         exits=exits,
@@ -695,7 +701,7 @@ def summarize_records(records, pairs, relays) -> CompromiseSummary:
         per_as.setdefault(record.as_number, set()).add(circuit)
     return CompromiseSummary(
         pair_circuits={p: np.array(sorted(s), dtype=np.int64) for p, s in pair_sets.items()},
-        total_circuits=circuit_universe(relays),
+        total_circuits=circuit_universe(RelayIndex(relays)),
         per_as_circuits={a: np.array(sorted(s), dtype=np.int64) for a, s in per_as.items()},
         guards=guards,
         exits=exits,
@@ -721,6 +727,33 @@ def oracle_ccdf(summary):
         at_least = sum(1 for f in fractions if f >= value)
         points.append((value, 100.0 * at_least / len(fractions)))
     return points
+
+
+# --- reference statistics and artifact comparison ---------------------------------
+
+
+def spearman(x, y) -> float:
+    """Spearman's rank coefficient: Pearson correlation of average ranks,
+    one pair of series at a time (correlate_all's reference)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise LengthMismatchError(f"lengths differ: {x.shape} vs {y.shape}")
+    if x.size < 3:
+        raise LengthMismatchError("need at least 3 samples")
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    denom = math.sqrt(float(rx @ rx) * float(ry @ ry))
+    if denom == 0.0:
+        raise ConstantInputError("constant input vector")
+    return float(rx @ ry) / denom
+
+
+def artifacts_equal(a, b) -> bool:
+    """Whether two artifact files hold the same bytes apart from written_at."""
+    return normalized_bytes(a) == normalized_bytes(b)
 
 
 # --- per-record trace format oracle ----------------------------------------------
@@ -1040,7 +1073,7 @@ def oracle_more_specific_monitor(updates, relays, window):
     with every live (session, prefix) route, and every withdrawal scans
     every open hit. Spans are clipped to the window; a span left empty is
     dropped."""
-    index = RelayIndex.of(relays)
+    index = RelayIndex(relays)
     live = {}
     hits = {}
     open_hits = {}
@@ -1086,7 +1119,7 @@ def oracle_time_heuristic(updates, relays, window, threshold):
     """Replay loop for the lifetime heuristic: one open route per (session,
     prefix), closed by a withdrawal or a path change, clipped to the window
     and unioned per (prefix, path). Updates must be sorted by timestamp."""
-    index = RelayIndex.of(relays)
+    index = RelayIndex(relays)
     t_lo, t_hi = window
     open_routes = {}
     spans = {}
@@ -1196,15 +1229,19 @@ def oracle_tick_allocation(scenario: TrafficScenario, rng: np.random.Generator) 
 
 def _legit_timeline(
     scenario: RoutingScenario,
-) -> dict[tuple[str, str], list[tuple[float, tuple[int, ...] | None]]]:
-    """Per (session, prefix): time-ordered (since, path) changes, events
-    excluded. A None path means withdrawn from that time on."""
-    timeline: dict[tuple[str, str], list[tuple[float, tuple[int, ...] | None]]] = {}
+) -> dict[tuple[str, IpPrefix], list[tuple[float, tuple[int, ...] | None]]]:
+    """Per (session, parsed prefix): time-ordered (since, path) changes,
+    events excluded, ties in emission order (the base routes sorted by
+    session and prefix text, then the churn). A None path means withdrawn
+    from that time on."""
+    timeline: dict[tuple[str, IpPrefix], list[tuple[float, tuple[int, ...] | None]]] = {}
     t0 = scenario.window[0]
-    for route in scenario.base_routes:
-        timeline.setdefault((route.session, route.prefix), []).append((t0, route.path))
+    for route in sorted(scenario.base_routes, key=lambda r: (r.session, r.prefix)):
+        timeline.setdefault((route.session, IpPrefix.parse(route.prefix)), []).append(
+            (t0, route.path)
+        )
     for change in scenario.churn:
-        timeline.setdefault((change.session, change.prefix), []).append(
+        timeline.setdefault((change.session, IpPrefix.parse(change.prefix)), []).append(
             (change.time, change.path)
         )
     for changes in timeline.values():
@@ -1213,7 +1250,7 @@ def _legit_timeline(
 
 
 def _legit_path_at(
-    timeline, session: str, prefix: str, t: float
+    timeline, session: str, prefix: IpPrefix, t: float
 ) -> tuple[int, ...] | None:
     current = None
     for since, path in timeline.get((session, prefix), ()):
@@ -1236,7 +1273,7 @@ def oracle_gen_updates(scenario: RoutingScenario) -> tuple[UpdateTable, RoutingG
     """simulate.gen_updates row by row: each update emitted through one
     interner in emission order, then sorted by (timestamp, session rank,
     prefix rank), ties in emission order; a hijack's restore path is read
-    off the per-(session, prefix text) timeline."""
+    off the per-(session, prefix) timeline."""
     timeline = _legit_timeline(scenario)
     t0, _ = scenario.window
     ids = UpdateIds()
@@ -1261,7 +1298,8 @@ def oracle_gen_updates(scenario: RoutingScenario) -> tuple[UpdateTable, RoutingG
         for session in session_ids:
             emit(event.start, session, event.prefix, event.attacker_path)
             if event.kind == "hijack":
-                emit(end, session, event.prefix, _legit_path_at(timeline, session, event.prefix, end))
+                legit = _legit_path_at(timeline, session, IpPrefix.parse(event.prefix), end)
+                emit(end, session, event.prefix, legit)
             else:
                 emit(end, session, event.prefix, None)
     table = ids.table(rows)
@@ -1275,9 +1313,9 @@ def oracle_gen_updates(scenario: RoutingScenario) -> tuple[UpdateTable, RoutingG
 
 def _effective_paths_at(
     scenario: RoutingScenario, timeline, session: str, t: float
-) -> dict[str, tuple[int, ...]]:
+) -> dict[IpPrefix, tuple[int, ...]]:
     """Live (prefix -> path) on a session at time t, events included."""
-    live: dict[str, tuple[int, ...]] = {}
+    live: dict[IpPrefix, tuple[int, ...]] = {}
     prefixes = {prefix for (sid, prefix) in timeline if sid == session}
     for prefix in prefixes:
         path = _legit_path_at(timeline, session, prefix, t)
@@ -1286,7 +1324,7 @@ def _effective_paths_at(
     for event in scenario.events:
         start, end = event.window
         if start <= t < end:
-            live[event.prefix] = event.attacker_path
+            live[IpPrefix.parse(event.prefix)] = event.attacker_path
     return live
 
 
@@ -1310,10 +1348,9 @@ def planted_compromised(
         on_path: dict[tuple[str, int], set[int]] = {}
         for session in sessions:
             live = _effective_paths_at(scenario, timeline, session, float(t))
-            parsed = [(IpPrefix.parse(p), path) for p, path in live.items()]
             for relay in admitted:
                 covering = [
-                    (prefix, path) for prefix, path in parsed if prefix.covers(relay.address)
+                    (prefix, path) for prefix, path in live.items() if prefix.covers(relay.address)
                 ]
                 if covering:
                     best = max(covering, key=lambda item: item[0].length)

@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 from helpers import (
     VulnerabilityMode,
+    artifacts_equal,
     brute_force_records,
     build_ribs,
     hit_records,
     random_churn_fixture,
+    spearman,
     vulnerable,
 )
 from test_correlation import beta_quantile_oracle, brute_spearman
 
-from routelens.artifacts import artifacts_equal
 from routelens.churn import (
     churn_ratio,
     churn_summary,
@@ -29,8 +30,8 @@ from routelens.churn import (
     static_baseline,
 )
 from routelens.cli import main as cli_main
-from routelens.core import IpPrefix, PrefixTable, RelayDescriptor, ip_to_int
-from routelens.correlation import clopper_pearson, spearman
+from routelens.core import IpPrefix, PrefixTable, RelayDescriptor, RelayIndex, ip_to_int
+from routelens.correlation import clopper_pearson
 from routelens.detect import (
     HijackEvent,
     cross_reference,
@@ -45,7 +46,7 @@ from routelens.evaluation import (
     shared_scenario,
     standard_scenario,
 )
-from routelens.paths import AsLevelPath, PathDataset, PathRole, vulnerability_timeseries
+from routelens.paths import AsLevelPath, PathDataset, PathRole, PathTable, vulnerability_timeseries
 from routelens.simulate import gen_interception_timeline, gen_traffic, injection_scenario
 from test_detect import indosat_2011_fixture
 
@@ -150,7 +151,7 @@ def test_criterion_05_compromise_metric_equals_brute_force():
         updates, relays, sessions, window = random_churn_fixture(rng)
         ribs = build_ribs(updates, relays, sessions)
         min_overlap = rng.choice([0, 1, 5, 10, 30])
-        observations = segment_observations(ribs, relays, window)
+        observations = segment_observations(ribs, RelayIndex(relays), window)
         got = hit_records(
             compromised_circuits(
                 observations,
@@ -169,13 +170,14 @@ def test_criterion_06_churn_monotonicity_and_ratio_semantics():
     rng = random.Random(6060)
     for _ in range(100):
         updates, relays, sessions, window = random_churn_fixture(rng)
+        index = RelayIndex(relays)
         baseline_updates = [u for u in updates if u.timestamp == 0]
         base_ribs = build_ribs(baseline_updates, relays, sessions)
-        baseline = static_baseline(base_ribs, relays, t0=0.0)
+        baseline = static_baseline(base_ribs, index, t0=0.0)
 
         # no update stream: every defined ratio is exactly 1.0
         unchanged = churn_summary(
-            base_ribs, relays, (0.0, float(window[1])), min_overlap=5.0, baseline=baseline
+            base_ribs, index, (0.0, float(window[1])), min_overlap=5.0, baseline=baseline
         )
         ratios, _ = churn_ratio(baseline, unchanged)
         assert all(r.ratio == 1.0 for r in ratios)
@@ -183,7 +185,7 @@ def test_criterion_06_churn_monotonicity_and_ratio_semantics():
         # adding the update stream never shrinks a per-pair count
         full_ribs = build_ribs(updates, relays, sessions)
         updated = churn_summary(
-            full_ribs, relays, (0.0, float(window[1])), min_overlap=5.0, baseline=baseline
+            full_ribs, index, (0.0, float(window[1])), min_overlap=5.0, baseline=baseline
         )
         for pair in baseline.pairs:
             assert updated.compromised(pair) >= baseline.compromised(pair)
@@ -226,7 +228,7 @@ def test_criterion_07_path_analysis_properties_and_reference_case():
                                                    (frng.randint(1, 6), frng.randint(1, 6)), False))
                         records.append(AsLevelPath(d, e, roles[3], f"d{day}",
                                                    (frng.randint(1, 6),), False))
-        rows = vulnerability_timeseries(PathDataset(records))
+        rows = vulnerability_timeseries(PathDataset(PathTable.of(records)))
         cumulative = [r.pct_asymmetric_cumulative for r in rows]
         assert cumulative == sorted(cumulative)
         for row in rows:
@@ -254,7 +256,7 @@ def test_criterion_08_detection_recall_and_indosat_counts():
     updates, truth = gen_updates(scenario)
     alerts = run_all_heuristics(
         updates,
-        list(scenario.relays),
+        RelayIndex(scenario.relays),
         frequency_threshold=0.00001,
         time_threshold=0.01,
         window=scenario.window,
@@ -264,7 +266,7 @@ def test_criterion_08_detection_recall_and_indosat_counts():
     assert recall.false_alert_count == 0
 
     events, relays = indosat_2011_fixture()
-    (impact,) = cross_reference(events, relays)
+    (impact,) = cross_reference(events, RelayIndex(relays))
     assert (impact.relays, impact.guards, impact.exits) == (5, 1, 4)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0

@@ -45,11 +45,12 @@ RELAYS = [
     RelayDescriptor(ip_to_int("10.1.0.5"), False, True, 5.0, "e1"),
     RelayDescriptor(ip_to_int("10.1.1.7"), True, True, 7.0, "b1"),
 ]
+INDEX = RelayIndex(RELAYS)
 
 
 def rib_of(*updates):
     """Session s1's RIB after the updates."""
-    return ingest(table_of(updates), RELAYS)["s1"]
+    return ingest(table_of(updates), INDEX)["s1"]
 
 
 # --- parsing -----------------------------------------------------------------
@@ -144,8 +145,8 @@ def test_reset_reannouncements_dropped_changes_kept():
 def test_reset_filter_preserves_final_state():
     stream = table_of(_reset_stream())
     filtered = filter_session_resets(stream)
-    full = ingest(stream, RELAYS)["s1"]
-    trimmed = ingest(filtered, RELAYS)["s1"]
+    full = ingest(stream, INDEX)["s1"]
+    trimmed = ingest(filtered, INDEX)["s1"]
     assert {p: e.path for p, e in full.live.items()} == {
         p: e.path for p, e in trimmed.live.items()
     }
@@ -254,7 +255,7 @@ def test_route_for_relay_agrees_with_entry_scan_oracle():
     rng = random.Random(42)
     for trial in range(20):
         stream = _random_stream(rng)
-        ribs = ingest(table_of(stream), RELAYS)
+        ribs = ingest(table_of(stream), INDEX)
         horizon = max(u.timestamp for u in stream) + 5
         for rib in ribs.values():
             entries = rib_entries(rib)
@@ -271,8 +272,8 @@ def test_route_for_relay_agrees_with_entry_scan_oracle():
 def test_replay_determinism():
     rng = random.Random(1)
     stream = _random_stream(rng)
-    first = ingest(table_of(stream), RELAYS)
-    second = ingest(table_of(stream), RELAYS)
+    first = ingest(table_of(stream), INDEX)
+    second = ingest(table_of(stream), INDEX)
     for sid in first:
         assert rib_entries(first[sid]) == rib_entries(second[sid])
 
@@ -280,7 +281,7 @@ def test_replay_determinism():
 def test_interval_soundness():
     rng = random.Random(7)
     stream = _random_stream(rng, n_updates=80)
-    ribs = ingest(table_of(stream), RELAYS)
+    ribs = ingest(table_of(stream), INDEX)
     horizon = max(u.timestamp for u in stream) + 10
     for sid, rib in ribs.items():
         # reconstruct announced-time sets directly from the update stream
@@ -329,10 +330,10 @@ def test_ingest_infers_local_as_and_accepts_override():
         announce(1.0, "s1", "10.1.0.0/16", [7018, 3356]),
         announce(2.0, "s2", "10.1.0.0/16", [1299, 3356]),
     ]
-    ribs = ingest(table_of(stream), RELAYS)
+    ribs = ingest(table_of(stream), INDEX)
     assert ribs["s1"].session.local_as == 7018
     assert ribs["s2"].session.local_as == 1299
-    ribs = ingest(table_of(stream), RELAYS, local_as={"s1": 65001})
+    ribs = ingest(table_of(stream), INDEX, local_as={"s1": 65001})
     assert ribs["s1"].session.local_as == 65001
 
     # s3 withdraws before it announces; s4 only withdraws
@@ -343,7 +344,7 @@ def test_ingest_infers_local_as_and_accepts_override():
         withdraw(3.0, "s4", "10.1.0.0/16"),
         withdraw(4.0, "s3", "10.1.0.0/16"),
     ]
-    ribs = ingest(table_of(stream), RELAYS)
+    ribs = ingest(table_of(stream), INDEX)
     assert set(ribs) == {"s3", "s4"}
     assert ribs["s3"].session.local_as == 174
     assert ribs["s4"].session.local_as == 0
@@ -353,7 +354,7 @@ def test_ingest_infers_local_as_and_accepts_override():
     ]
     assert rib_entries(ribs["s4"]) == []
     # the entries do not depend on whether the local AS was inferred or given
-    given = ingest(table_of(stream), RELAYS, local_as={"s3": 65003, "s4": 65004})
+    given = ingest(table_of(stream), INDEX, local_as={"s3": 65003, "s4": 65004})
     assert given["s3"].session.local_as == 65003
     assert given["s4"].session.local_as == 65004
     for sid in ribs:
@@ -421,7 +422,7 @@ def test_route_spans_open_at_a_new_path_and_close_at_the_next_change():
         withdraw(6.0, "s1", "10.1.0.0/16"),
         withdraw(7.0, "s1", "10.1.0.0/16"),  # nothing live: no-op
     ])
-    rows, ends = route_spans(table, RelayIndex(RELAYS))
+    rows, ends = route_spans(table, INDEX)
     # by session id (s1 first), then prefix id, then start
     assert rows.tolist() == [0, 4, 1]
     assert ends.tolist() == [4.0, 6.0, float("inf")]
@@ -752,7 +753,7 @@ def test_ingest_matches_the_per_update_replay(steps, local_as):
             withdraw(t, session, prefix) if path is None else announce(t, session, prefix, path)
         )
     expected = oracle_ingest(stream, RELAYS, local_as)
-    ribs = ingest(table_of(stream), RELAYS, local_as)
+    ribs = ingest(table_of(stream), INDEX, local_as)
     assert list(ribs) == list(expected)
     for sid, rib in ribs.items():
         assert rib.session == expected[sid].session

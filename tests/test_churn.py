@@ -42,7 +42,7 @@ from routelens.churn import (
     static_baseline,
     summarize,
 )
-from routelens.core import RelayDescriptor, ip_to_int
+from routelens.core import RelayDescriptor, RelayIndex, ip_to_int
 from routelens.simulate import ChurnEvent, RouteSpec, RoutingScenario, SessionSpec, gen_updates
 
 
@@ -56,7 +56,7 @@ def relay(addr, guard=False, exit_=False, bw=1.0, name=""):
 def test_single_entry_two_path_ases():
     guard = relay("10.0.0.5", guard=True)
     ribs = build_ribs([announce(0, "s1", "10.0.0.0/16", [1, 2])], [guard], {"s1": 64500})
-    obs = segment_observations(ribs, [guard], (0, 100))
+    obs = segment_observations(ribs, RelayIndex([guard]), (0, 100))
     assert obs.sessions == ("s1",)
     assert spans_of(obs) == {asn: ({(0, guard.address): ((0.0, 100.0),)}, {}) for asn in (1, 2)}
     assert len(obs) == 2
@@ -65,14 +65,14 @@ def test_single_entry_two_path_ases():
 def test_dual_flag_relay_emits_both_roles():
     dual = relay("10.0.0.5", guard=True, exit_=True)
     ribs = build_ribs([announce(0, "s1", "10.0.0.0/16", [1])], [dual], {"s1": 64500})
-    guards, exits = spans_of(segment_observations(ribs, [dual], (0, 50)))[1]
+    guards, exits = spans_of(segment_observations(ribs, RelayIndex([dual]), (0, 50)))[1]
     assert guards == exits == {(0, dual.address): ((0.0, 50.0),)}
 
 
 def test_empty_rib_no_observations():
     guard = relay("10.0.0.5", guard=True)
     ribs = build_ribs([], [guard], {})
-    obs = segment_observations(ribs, [guard], (0, 100))
+    obs = segment_observations(ribs, RelayIndex([guard]), (0, 100))
     assert spans_of(obs) == {} and len(obs) == 0
 
 
@@ -84,7 +84,7 @@ def test_most_specific_entry_carries_the_traffic():
         withdraw(60, "s1", "10.0.1.0/24"),
     ]
     ribs = build_ribs(updates, [guard], {"s1": 64500})
-    obs = segment_observations(ribs, [guard], (0, 100))
+    obs = segment_observations(ribs, RelayIndex([guard]), (0, 100))
     assert all(not exits for _, exits in spans_of(obs).values())
     spans = {asn: guards[(0, guard.address)] for asn, (guards, _) in spans_of(obs).items()}
     # AS 1 only while the /16 forwards: before and after the /24 interlude
@@ -184,7 +184,7 @@ def test_compromising_as_for_the_expected_pair_only():
         announce(0, "s2", "10.1.0.0/16", [104, 7, 105]),
     ]
     ribs = build_ribs(updates, [g1, e2], {"s1": 64500, "s2": 64501})
-    obs = segment_observations(ribs, [g1, e2], (0, 120))
+    obs = segment_observations(ribs, RelayIndex([g1, e2]), (0, 120))
     records = [r for r in circuits(obs, min_overlap=30) if r.as_number == 7]
     assert [(r.src_session, r.guard, r.dst_session, r.exit) for r in records] == [
         ("s1", g1.address, "s2", e2.address)
@@ -208,7 +208,7 @@ def _disjoint_fixture():
 
 def test_static_baseline_zero_when_paths_disjoint():
     ribs, relays = _disjoint_fixture()
-    baseline = static_baseline(ribs, relays, t0=0.0)
+    baseline = static_baseline(ribs, RelayIndex(relays), t0=0.0)
     assert all(baseline.compromised(p) == 0 for p in baseline.pairs)
 
 
@@ -221,7 +221,7 @@ def test_static_baseline_full_when_one_transit_everywhere():
         for prefix in ("10.0.0.0/16", "10.1.0.0/16")
     ]
     ribs = build_ribs(updates, [g1, e1], {"s1": 64500, "s2": 64501})
-    baseline = static_baseline(ribs, [g1, e1], t0=0.0)
+    baseline = static_baseline(ribs, RelayIndex([g1, e1]), t0=0.0)
     for pair in baseline.pairs:
         assert baseline.fraction(pair) == 1.0
 
@@ -235,8 +235,9 @@ def test_circuit_ids_are_int32_while_every_id_fits():
         for prefix in ("10.0.0.0/16", "10.1.0.0/16")
     ]
     ribs = build_ribs(updates, [g1, e1], {"s1": 64500, "s2": 64501})
-    baseline = static_baseline(ribs, [g1, e1], t0=0.0)
-    summary = churn_summary(ribs, [g1, e1], (0.0, 100.0), baseline=baseline)
+    index = RelayIndex([g1, e1])
+    baseline = static_baseline(ribs, index, t0=0.0)
+    summary = churn_summary(ribs, index, (0.0, 100.0), baseline=baseline)
     assert {pair: ids.tolist() for pair, ids in summary.pair_circuits.items()} == {
         ("s1", "s2"): [0], ("s2", "s1"): [0]
     }
@@ -250,7 +251,7 @@ def test_matches_brute_force_on_random_fixtures():
         updates, relays, sessions, window = random_churn_fixture(rng)
         ribs = build_ribs(updates, relays, sessions)
         min_overlap = rng.choice([0, 1, 5, 10, 30])
-        obs = segment_observations(ribs, relays, window)
+        obs = segment_observations(ribs, RelayIndex(relays), window)
         got = set(
             circuits(
                 obs,
@@ -266,7 +267,7 @@ def test_relabeling_ases_permutes_outputs():
     rng = random.Random(5)
     updates, relays, sessions, window = random_churn_fixture(rng)
     ribs = build_ribs(updates, relays, sessions)
-    obs = segment_observations(ribs, relays, window)
+    obs = segment_observations(ribs, RelayIndex(relays), window)
     relabel = {asn: asn + 1000 for asn in spans_of(obs)}
     relabeled = sightings_of(
         obs.sessions, {relabel[asn]: sides for asn, sides in spans_of(obs).items()}
@@ -331,7 +332,7 @@ def rib_histories(draw):
 def test_sightings_match_the_per_segment_oracle(history, window):
     relays, sessions, updates = history
     ribs = build_ribs(updates, relays, sessions)
-    seen = segment_observations(ribs, relays, window)
+    seen = segment_observations(ribs, RelayIndex(relays), window)
     assert seen.sessions == tuple(sorted(ribs))
     assert spans_of(seen) == oracle_segment_observations(ribs, relays, window)
     # rows in (asn, side, session, relay, start) order, as sightings_of sorts them
@@ -368,10 +369,11 @@ def cut_history(cut):
 )
 def test_product_matches_record_oracle_on_random_histories(history, min_overlap):
     relays, sessions, updates = history
+    index = RelayIndex(relays)
     window = (0.0, 3.0)
     ribs = build_ribs(updates, relays, sessions)
     local = {sid: rib.session.local_as for sid, rib in ribs.items()}
-    observations = segment_observations(ribs, relays, window)
+    observations = segment_observations(ribs, index, window)
     hits = compromised_circuits(observations, min_overlap, local)
     records = oracle_records(observations, min_overlap, local)
 
@@ -385,8 +387,8 @@ def test_product_matches_record_oracle_on_random_histories(history, min_overlap)
     assert all(math.isclose(got[key(r)], r.overlap_seconds, rel_tol=1e-12) for r in records)
 
     base_ribs = build_ribs([u for u in updates if u.timestamp == 0.0], relays, sessions)
-    baseline = static_baseline(base_ribs, relays, t0=0.0)
-    seen = segment_observations(base_ribs, relays, (0.0, 1.0))
+    baseline = static_baseline(base_ribs, index, t0=0.0)
+    seen = segment_observations(base_ribs, index, (0.0, 1.0))
     snapshot = sightings_of(seen.sessions, {
         asn: tuple(
             {key: tuple(s for s in spans if s[0] <= 0.0 < s[1]) for key, spans in side.items()}
@@ -397,7 +399,7 @@ def test_product_matches_record_oracle_on_random_histories(history, min_overlap)
     expected_baseline = summarize_records(
         oracle_records(snapshot, 0.0, local), session_pairs(base_ribs), relays
     )
-    summary = churn_summary(ribs, relays, window, min_overlap, baseline=baseline)
+    summary = churn_summary(ribs, index, window, min_overlap, baseline=baseline)
     expected = summarize_records(records, session_pairs(ribs), relays)
 
     def as_lists(circuits):
@@ -424,10 +426,11 @@ def test_static_baseline_reads_the_full_rib_at_t0(history, t0):
     # the churn subcommand ingests the updates once: the baseline reads the
     # RIB of the whole stream at t0, over the sessions heard by then
     relays, sessions, updates = history
+    index = RelayIndex(relays)
     base_ribs = build_ribs([u for u in updates if u.timestamp <= t0], relays, sessions)
     full_ribs = build_ribs(updates, relays, sessions)
-    replayed = static_baseline(base_ribs, relays, t0)
-    read = static_baseline({sid: full_ribs[sid] for sid in base_ribs}, relays, t0)
+    replayed = static_baseline(base_ribs, index, t0)
+    read = static_baseline({sid: full_ribs[sid] for sid in base_ribs}, index, t0)
     assert read.total_circuits == replayed.total_circuits
     assert read.guards.tolist() == replayed.guards.tolist()
     assert read.exits.tolist() == replayed.exits.tolist()
@@ -454,11 +457,12 @@ def assert_same_summary(got, want):
 )
 def test_summary_of_masks_matches_row_oracle(history, min_overlap, local, t0):
     relays, sessions, updates = history
+    index = RelayIndex(relays)
     ribs = build_ribs(updates, relays, sessions)
     local_as = {sid: asn for sid, asn in zip(sorted(sessions), local) if asn is not None}
-    observations = segment_observations(ribs, relays, (0.0, 3.0))
+    observations = segment_observations(ribs, index, (0.0, 3.0))
     hits = compromised_circuits(observations, min_overlap, local_as)
-    assert_same_summary(summarize(hits, relays), oracle_summarize(hits, relays))
+    assert_same_summary(summarize(hits, index), oracle_summarize(hits, relays))
     # the snapshot path, through the hits static_baseline itself builds
     made = []
 
@@ -467,7 +471,7 @@ def test_summary_of_masks_matches_row_oracle(history, min_overlap, local, t0):
         return made[-1]
 
     with patch.object(churn, "compromised_circuits", keep_hits):
-        baseline = static_baseline(ribs, relays, t0)
+        baseline = static_baseline(ribs, index, t0)
     assert_same_summary(baseline, oracle_summarize(made[0], relays))
 
 
@@ -500,15 +504,16 @@ def test_churn_summary_memory_stays_below_one_row_per_hit():
     scenario = dense_scenario()
     updates, _ = gen_updates(scenario)
     relays = list(scenario.relays)
+    index = RelayIndex(relays)
     local = {s.session_id: s.local_as for s in scenario.sessions}
-    ribs = ingest(updates, relays, local_as=local)
-    observations = segment_observations(ribs, relays, scenario.window)
+    ribs = ingest(updates, index, local_as=local)
+    observations = segment_observations(ribs, index, scenario.window)
     hits = compromised_circuits(observations, 30.0, local)
     # one kept cell per record of the pairwise sweep: no hit is dropped
     assert len(hits) == len(oracle_records(observations, 30.0, local)) >= 100_000
     tracemalloc.start()
     try:
-        churn_summary(ribs, relays, scenario.window, min_overlap=30.0)
+        churn_summary(ribs, index, scenario.window, min_overlap=30.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -526,7 +531,7 @@ def test_circuit_universe_excludes_self_pairs():
         relay("10.0.0.3", guard=True, exit_=True),
     ]
     # guards {1,3} x exits {2,3} minus the (3,3) self pair
-    assert circuit_universe(relays) == 3
+    assert circuit_universe(RelayIndex(relays)) == 3
 
 
 def test_ccdf_step_function():
@@ -559,7 +564,7 @@ def test_ccdf_median_point():
     relays = [relay(f"10.0.0.{i}", guard=True) for i in range(1, 21)] + [
         relay(f"10.0.1.{i}", exit_=True) for i in range(1, 21)
     ]
-    assert circuit_universe(relays) == 400
+    assert circuit_universe(RelayIndex(relays)) == 400
     pairs = [(f"s{i}", f"s{j}") for i in range(3) for j in range(3) if i != j]  # 6 pairs
     records = []
     # half the pairs see 3 circuits (0.75%), half see none
@@ -587,7 +592,7 @@ def test_ccdf_monotone_and_bounded_on_random_summaries():
         ribs = build_ribs(updates, relays, sessions)
         if not ribs:
             continue
-        summary = static_baseline(ribs, relays, t0=0.0)
+        summary = static_baseline(ribs, RelayIndex(relays), t0=0.0)
         if not summary.pair_circuits:
             continue
         points = ccdf(summary)
@@ -633,8 +638,9 @@ def test_churn_ratio_arithmetic_and_newly():
 
 def test_churn_ratio_identity_without_updates():
     ribs, relays = _disjoint_fixture()
-    baseline = static_baseline(ribs, relays, t0=0.0)
-    updated = churn_summary(ribs, relays, (0.0, 100.0), baseline=baseline)
+    index = RelayIndex(relays)
+    baseline = static_baseline(ribs, index, t0=0.0)
+    updated = churn_summary(ribs, index, (0.0, 100.0), baseline=baseline)
     ratios, newly = churn_ratio(baseline, updated)
     assert newly == [] or all(n[2] == 0 for n in newly)
     assert all(r.ratio == 1.0 for r in ratios)
@@ -644,11 +650,14 @@ def test_churn_summary_monotone_over_baseline():
     rng = random.Random(77)
     for _ in range(10):
         updates, relays, sessions, window = random_churn_fixture(rng)
+        index = RelayIndex(relays)
         baseline_updates = [u for u in updates if u.timestamp == 0]
         base_ribs = build_ribs(baseline_updates, relays, sessions)
-        baseline = static_baseline(base_ribs, relays, t0=0.0)
+        baseline = static_baseline(base_ribs, index, t0=0.0)
         full_ribs = build_ribs(updates, relays, sessions)
-        updated = churn_summary(full_ribs, relays, (0.0, float(window[1])), min_overlap=5, baseline=baseline)
+        updated = churn_summary(
+            full_ribs, index, (0.0, float(window[1])), min_overlap=5, baseline=baseline
+        )
         for pair in baseline.pairs:
             assert updated.compromised(pair) >= baseline.compromised(pair)
 
@@ -659,12 +668,13 @@ def test_churn_summary_per_as_circuits_match_brute_force_window_records():
     rng = random.Random(78)
     for _ in range(10):
         updates, relays, sessions, window = random_churn_fixture(rng)
+        index = RelayIndex(relays)
         baseline = static_baseline(
-            build_ribs([u for u in updates if u.timestamp == 0], relays, sessions), relays, t0=0.0
+            build_ribs([u for u in updates if u.timestamp == 0], relays, sessions), index, t0=0.0
         )
         ribs = build_ribs(updates, relays, sessions)
         span = (0.0, float(window[1]))
-        summary = churn_summary(ribs, relays, span, min_overlap=5, baseline=baseline)
+        summary = churn_summary(ribs, index, span, min_overlap=5, baseline=baseline)
         expected: dict[int, set[tuple[int, int]]] = {}
         for record in brute_force_records(ribs, relays, span, min_overlap=5):
             expected.setdefault(record.as_number, set()).add((record.guard, record.exit))

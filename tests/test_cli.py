@@ -17,12 +17,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from helpers import random_routing_scenario
+from helpers import artifacts_equal, random_routing_scenario
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import routelens
-from routelens.artifacts import artifacts_equal, read_jsonl_records
+from routelens.artifacts import read_jsonl_records
 from routelens.cli import accuracy_payload, main
 from routelens.correlation import AccuracyReport
 from routelens.simulate import (
@@ -268,11 +268,11 @@ def test_churn_end_to_end_and_empty_updates(tmp_path):
     # the per-pair counts must equal an independent second-by-second sweep
     from helpers import brute_force_records
     from routelens.bgp import ingest, parse_updates
-    from routelens.core import load_relays
+    from routelens.core import RelayIndex, load_relays
 
     updates, _ = parse_updates(sim_out / "updates.csv")
     relays = load_relays(sim_out / "relays.csv")
-    ribs = ingest(updates, relays)
+    ribs = ingest(updates, RelayIndex(relays))
     baseline_keys = brute_force_records(ribs, relays, (0, 1), min_overlap=0)
     window_keys = brute_force_records(ribs, relays, (0, 86400), min_overlap=30)
     expected = {}

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import AsPath, BucketTable, covers_any, is_more_specific_of, merge_intervals
+from helpers import (
+    AsPath, BucketTable, circuit_axes, covers_any, is_more_specific_of, merge_intervals,
+)
 from routelens.core import (
     InputError,
     IpPrefix,
@@ -382,11 +384,27 @@ def test_grouped_merge_is_merge_intervals_per_group(raw, gap):
     assert list(zip(*(column.tolist() for column in merged))) == expected
 
 
-def test_relay_index_of_reuses_an_index():
-    relays = [RelayDescriptor(ip_to_int("10.0.1.5"), True, False, 1.0, "g")]
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.builds(
+        RelayDescriptor, st.integers(0, 7) | addresses, st.booleans(), st.booleans(),
+        st.just(1.0), st.sampled_from("abc"),
+    ),
+    max_size=12,
+))
+def test_relay_index_columns_match_the_per_descriptor_axes(relays):
+    """Duplicate addresses (the small ones), dual-flagged and unflagged relays."""
     index = RelayIndex(relays)
-    assert RelayIndex.of(index) is index
-    assert RelayIndex.of(relays).relays == index.relays
+    guards, exits = circuit_axes(relays)
+    assert np.array_equal(index.guards, guards) and np.array_equal(index.exits, exits)
+    assert index.guards.dtype == index.exits.dtype == np.int64
+    assert index.relays == sorted(relays, key=lambda r: r.address)
+    assert index.addresses.tolist() == [r.address for r in index.relays]
+    assert index.is_guard.tolist() == [r.is_guard for r in index.relays]
+    assert index.is_exit.tolist() == [r.is_exit for r in index.relays]
+    admitted = index.admitted()
+    assert admitted.relays == [r for r in index.relays if r.is_guard or r.is_exit]
+    assert np.array_equal(admitted.guards, guards) and np.array_equal(admitted.exits, exits)
 
 
 @pytest.mark.parametrize(

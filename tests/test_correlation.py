@@ -28,7 +28,6 @@ from routelens.correlation import (
     evaluate,
     extract_progress,
     match,
-    spearman,
     unwrap_cumulative,
 )
 from routelens.tracefile import read_trace_jsonl, write_trace_jsonl
@@ -38,6 +37,7 @@ from helpers import (
     oracle_read_columns,
     oracle_trace_text,
     packet_table,
+    spearman,
 )
 
 WRAP = 2**32

@@ -18,7 +18,7 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from routelens.core import IpPrefix, PrefixTable, RelayDescriptor, ip_to_int
+from routelens.core import IpPrefix, PrefixTable, RelayDescriptor, RelayIndex, ip_to_int
 from routelens.detect import (
     Heuristic,
     HijackAlert,
@@ -135,13 +135,13 @@ def test_top_heavy_concentration_matches_reference_totals():
 def test_cross_reference_single_guard_hit():
     events = [HijackEvent(IpPrefix.parse("198.245.63.0/24"), 0.0, 3600.0, "btc")]
     relays = [relay("198.245.63.228", guard=True, name="montreal")]
-    (impact,) = cross_reference(events, relays)
+    (impact,) = cross_reference(events, RelayIndex(relays))
     assert (impact.relays, impact.guards, impact.exits) == (1, 1, 0)
 
 
 def test_cross_reference_empty_event():
     events = [HijackEvent(IpPrefix.parse("203.0.113.0/24"), 0.0, 10.0, "nothing")]
-    (impact,) = cross_reference(events, [relay("198.245.63.228", guard=True)])
+    (impact,) = cross_reference(events, RelayIndex([relay("198.245.63.228", guard=True)]))
     assert (impact.relays, impact.guards, impact.exits) == (0, 0, 0)
 
 
@@ -164,7 +164,7 @@ def indosat_2011_fixture():
 
 def test_cross_reference_indosat_2011_counts():
     events, relays = indosat_2011_fixture()
-    (impact,) = cross_reference(events, relays)
+    (impact,) = cross_reference(events, RelayIndex(relays))
     assert (impact.relays, impact.guards, impact.exits) == (5, 1, 4)
     assert impact.prefixes == 7
 
@@ -186,7 +186,7 @@ def test_load_hijack_events_csv(tmp_path):
 def test_cross_reference_dual_flag_double_counts():
     events = [HijackEvent(IpPrefix.parse("20.0.0.0/24"), 0.0, 10.0, "x")]
     relays = [relay("20.0.0.1", guard=True, exit_=True), relay("20.0.0.2", exit_=True)]
-    (impact,) = cross_reference(events, relays)
+    (impact,) = cross_reference(events, RelayIndex(relays))
     assert impact.guards + impact.exits >= impact.relays
     assert (impact.relays, impact.guards, impact.exits) == (2, 1, 2)
 
@@ -200,28 +200,28 @@ _FREQUENCY_PREFIXES = ["20.1.0.0/24", "20.0.0.0/16", "20.0.0.0/24", "192.0.2.0/2
 
 def test_frequency_flags_rare_origin_at_reference_threshold():
     victim = "20.0.0.0/24"
-    relays = [relay("20.0.0.5", guard=True)]
+    index = RelayIndex([relay("20.0.0.5", guard=True)])
     updates = [announce(float(i), "s1", victim, [100, 200]) for i in range(199_999)]
     updates.append(announce(199_999.0, "s1", victim, [300, 666]))
-    alerts = frequency_heuristic(table_of(updates), relays, (0.0, 200_000.0), threshold=0.00001)
+    alerts = frequency_heuristic(table_of(updates), index, (0.0, 200_000.0), threshold=0.00001)
     assert [(a.origin_as, a.heuristic) for a in alerts] == [(666, Heuristic.FREQUENCY)]
     assert alerts[0].score == pytest.approx(1 / 200_000)
-    assert alerts[0].guards == (relays[0].address,)
+    assert alerts[0].guards == (index.relays[0].address,)
 
 
 def test_frequency_sole_origin_never_flagged():
-    relays = [relay("20.0.0.5", guard=True)]
+    index = RelayIndex([relay("20.0.0.5", guard=True)])
     updates = [announce(float(i), "s1", "20.0.0.0/24", [100, 200]) for i in range(50)]
-    assert frequency_heuristic(table_of(updates), relays, (0.0, 50.0), threshold=0.5) == []
+    assert frequency_heuristic(table_of(updates), index, (0.0, 50.0), threshold=0.5) == []
 
 
 def test_frequency_boundary_is_strict():
-    relays = [relay("20.0.0.5", guard=True)]
+    index = RelayIndex([relay("20.0.0.5", guard=True)])
     updates = [announce(float(i), "s1", "20.0.0.0/24", [100, 200]) for i in range(99)]
     updates.append(announce(99.0, "s1", "20.0.0.0/24", [300, 666]))
     # origin 666 frequency is exactly 0.01
-    assert frequency_heuristic(table_of(updates), relays, (0.0, 100.0), threshold=0.01) == []
-    assert len(frequency_heuristic(table_of(updates), relays, (0.0, 100.0), threshold=0.0101)) == 1
+    assert frequency_heuristic(table_of(updates), index, (0.0, 100.0), threshold=0.01) == []
+    assert len(frequency_heuristic(table_of(updates), index, (0.0, 100.0), threshold=0.0101)) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,40 +252,41 @@ def test_frequency_heuristic_matches_dict_oracle(stream, window, threshold, per_
     window = (window[0], window[0] + window[1])
     relays = [relay("20.0.0.5", guard=True), relay("20.1.0.9", exit_=True)]
     expected = oracle_frequency_heuristic(updates, relays, window, threshold, per_prefix)
-    assert frequency_heuristic(table_of(updates), relays, window, threshold, per_prefix) == expected
+    index = RelayIndex(relays)
+    assert frequency_heuristic(table_of(updates), index, window, threshold, per_prefix) == expected
 
 
 # --- time heuristic --------------------------------------------------------------
 
 
 def test_time_flags_short_lived_route():
-    relays = [relay("20.0.0.5", guard=True)]
+    index = RelayIndex([relay("20.0.0.5", guard=True)])
     updates = [
         announce(0.0, "s1", "20.0.0.0/24", [100, 200]),
         announce(40_000.0, "s1", "20.0.0.0/24", [300, 666]),
         announce(40_060.0, "s1", "20.0.0.0/24", [100, 200]),
     ]
-    alerts = time_heuristic(table_of(updates), relays, threshold=0.01, window=(0.0, DAY))
+    alerts = time_heuristic(table_of(updates), index, threshold=0.01, window=(0.0, DAY))
     assert [(a.origin_as, a.heuristic) for a in alerts] == [(666, Heuristic.TIME)]
     assert alerts[0].score == pytest.approx(60.0 / DAY)
     assert alerts[0].windows == ((40_000.0, 40_060.0),)
 
 
 def test_time_ignores_window_long_route():
-    relays = [relay("20.0.0.5", guard=True)]
+    index = RelayIndex([relay("20.0.0.5", guard=True)])
     updates = [announce(0.0, "s1", "20.0.0.0/24", [100, 200])]
-    assert time_heuristic(table_of(updates), relays, threshold=0.01, window=(0.0, DAY)) == []
+    assert time_heuristic(table_of(updates), index, threshold=0.01, window=(0.0, DAY)) == []
 
 
 def test_time_unions_lifetime_across_sessions():
-    relays = [relay("20.0.0.5", guard=True)]
+    index = RelayIndex([relay("20.0.0.5", guard=True)])
     updates = [
         announce(0.0, "s1", "20.0.0.0/24", [300, 666]),
         announce(100.0, "s2", "20.0.0.0/24", [300, 666]),
         withdraw(500.0, "s1", "20.0.0.0/24"),
         withdraw(700.0, "s2", "20.0.0.0/24"),
     ]
-    alerts = time_heuristic(table_of(updates), relays, threshold=0.5, window=(0.0, DAY))
+    alerts = time_heuristic(table_of(updates), index, threshold=0.5, window=(0.0, DAY))
     assert alerts[0].windows == ((0.0, 700.0),)
     assert alerts[0].score == pytest.approx(700.0 / DAY)
 
@@ -312,16 +313,17 @@ def test_heuristics_deterministic_and_threshold_monotone():
     rng = random.Random(99)
     for _ in range(10):
         updates, relays = _random_update_stream(rng)
+        index = RelayIndex(relays)
         window = (0.0, 6000.0)
-        first = time_heuristic(table_of(updates), relays, window, 0.05)
-        again = time_heuristic(table_of(updates), relays, window, 0.05)
+        first = time_heuristic(table_of(updates), index, window, 0.05)
+        again = time_heuristic(table_of(updates), index, window, 0.05)
         assert first == again
-        wider = time_heuristic(table_of(updates), relays, window, 0.2)
+        wider = time_heuristic(table_of(updates), index, window, 0.2)
         assert {(a.prefix, a.origin_as) for a in first} <= {
             (a.prefix, a.origin_as) for a in wider
         }
-        freq_narrow = frequency_heuristic(table_of(updates), relays, window, 0.01)
-        freq_wide = frequency_heuristic(table_of(updates), relays, window, 0.2)
+        freq_narrow = frequency_heuristic(table_of(updates), index, window, 0.01)
+        freq_wide = frequency_heuristic(table_of(updates), index, window, 0.2)
         assert {(a.prefix, a.origin_as) for a in freq_narrow} <= {
             (a.prefix, a.origin_as) for a in freq_wide
         }
@@ -331,49 +333,49 @@ def test_heuristics_deterministic_and_threshold_monotone():
 
 
 def test_more_specific_foreign_origin_alerts():
-    relays = [relay("184.164.0.17", guard=True)]
+    index = RelayIndex([relay("184.164.0.17", guard=True)])
     updates = [
         announce(0.0, "s1", "184.164.0.0/23", [100, 2637]),
         announce(20.0, "s1", "184.164.0.0/24", [100, 226]),
         withdraw(320.0, "s1", "184.164.0.0/24"),
     ]
-    alerts = more_specific_monitor(table_of(updates), relays, (0.0, 320.0))
+    alerts = more_specific_monitor(table_of(updates), index, (0.0, 320.0))
     assert len(alerts) == 1
     alert = alerts[0]
     assert alert.heuristic is Heuristic.MORE_SPECIFIC
     assert str(alert.prefix) == "184.164.0.0/24"
     assert alert.origin_as == 226
     assert alert.windows == ((20.0, 320.0),)
-    assert alert.guards == (relays[0].address,)
+    assert alert.guards == (index.relays[0].address,)
 
 
 def test_more_specific_same_origin_is_traffic_engineering():
-    relays = [relay("184.164.0.17", guard=True)]
+    index = RelayIndex([relay("184.164.0.17", guard=True)])
     updates = [
         announce(0.0, "s1", "184.164.0.0/23", [100, 2637]),
         announce(20.0, "s1", "184.164.0.0/24", [100, 2637]),
     ]
-    assert more_specific_monitor(table_of(updates), relays, (0.0, 20.0)) == []
+    assert more_specific_monitor(table_of(updates), index, (0.0, 20.0)) == []
 
 
 def test_more_specific_outside_relay_space_ignored():
-    relays = [relay("184.164.0.17", guard=True)]
+    index = RelayIndex([relay("184.164.0.17", guard=True)])
     updates = [
         announce(0.0, "s1", "203.0.112.0/23", [100, 111]),
         announce(20.0, "s1", "203.0.112.0/24", [100, 222]),
     ]
-    assert more_specific_monitor(table_of(updates), relays, (0.0, 20.0)) == []
+    assert more_specific_monitor(table_of(updates), index, (0.0, 20.0)) == []
 
 
 def test_more_specific_any_covering_route_counts():
     # the /24's most specific cover (/20) has its own origin, the /16 does not
-    relays = [relay("184.164.0.17", guard=True)]
+    index = RelayIndex([relay("184.164.0.17", guard=True)])
     updates = [
         announce(0.0, "s1", "184.164.0.0/16", [100, 2637]),
         announce(10.0, "s1", "184.164.0.0/20", [100, 226]),
         announce(20.0, "s1", "184.164.0.0/24", [100, 226]),
     ]
-    alerts = more_specific_monitor(table_of(updates), relays, (0.0, 20.0))
+    alerts = more_specific_monitor(table_of(updates), index, (0.0, 20.0))
     assert [(str(a.prefix), a.origin_as, a.windows) for a in alerts] == [
         ("184.164.0.0/20", 226, ((10.0, 20.0),)),
         ("184.164.0.0/24", 226, ((20.0, 20.0),)),
@@ -389,23 +391,23 @@ def _interception(t_announce, t_withdraw):
 
 
 def test_more_specific_hit_before_window_has_no_alert():
-    relays = [relay("184.164.0.17", guard=True)]
+    index = RelayIndex([relay("184.164.0.17", guard=True)])
     updates = _interception(20.0, 320.0)
-    assert more_specific_monitor(table_of(updates), relays, window=(1000.0, 2000.0)) == []
+    assert more_specific_monitor(table_of(updates), index, window=(1000.0, 2000.0)) == []
 
 
 def test_more_specific_hit_straddling_window_start_is_clipped():
-    relays = [relay("184.164.0.17", guard=True)]
+    index = RelayIndex([relay("184.164.0.17", guard=True)])
     updates = _interception(20.0, 320.0)
-    (alert,) = more_specific_monitor(table_of(updates), relays, window=(100.0, 2000.0))
+    (alert,) = more_specific_monitor(table_of(updates), index, window=(100.0, 2000.0))
     assert alert.windows == ((100.0, 320.0),)
     assert alert.score == 1.0
 
 
 def test_more_specific_open_hit_closes_at_window_end():
-    relays = [relay("184.164.0.17", guard=True)]
+    index = RelayIndex([relay("184.164.0.17", guard=True)])
     updates = _interception(20.0, 900.0)
-    (alert,) = more_specific_monitor(table_of(updates), relays, window=(0.0, 500.0))
+    (alert,) = more_specific_monitor(table_of(updates), index, window=(0.0, 500.0))
     assert alert.windows == ((20.0, 500.0),)
 
 
@@ -416,6 +418,7 @@ _MONITOR_RELAYS = [
     relay("10.1.200.5", exit_=True),
     relay("10.3.0.9", guard=True, exit_=True),
 ]
+_MONITOR_INDEX = RelayIndex(_MONITOR_RELAYS)
 _MONITOR_PREFIXES = sorted(
     {
         str(IpPrefix(ip_to_int(address), length))
@@ -468,7 +471,7 @@ def test_more_specific_monitor_matches_linear_scan_oracle(stream, n_sessions, wi
     else:
         window = (min(window), max(window))
     expected = oracle_more_specific_monitor(updates, _MONITOR_RELAYS, window)
-    assert more_specific_monitor(table_of(updates), _MONITOR_RELAYS, window) == expected
+    assert more_specific_monitor(table_of(updates), _MONITOR_INDEX, window) == expected
 
 
 # few enough prefixes that sessions and re-announcements meet on one route
@@ -526,7 +529,7 @@ def test_time_heuristic_matches_replay_oracle(stream, n_sessions, window, thresh
     else:
         window = (window[0], window[0] + window[1])  # before, across or after the updates
     expected = oracle_time_heuristic(updates, _MONITOR_RELAYS, window, threshold)
-    assert time_heuristic(table_of(updates), _MONITOR_RELAYS, window, threshold) == expected
+    assert time_heuristic(table_of(updates), _MONITOR_INDEX, window, threshold) == expected
 
 
 def test_time_heuristic_orders_alerts_by_prefix_then_path():
@@ -539,7 +542,7 @@ def test_time_heuristic_orders_alerts_by_prefix_then_path():
         withdraw(10.0, "s1", "10.1.2.0/24"),
         withdraw(10.0, "s2", "10.1.2.0/24"),
     ]
-    alerts = time_heuristic(table_of(updates), _MONITOR_RELAYS, threshold=0.5, window=(0.0, 1000.0))
+    alerts = time_heuristic(table_of(updates), _MONITOR_INDEX, threshold=0.5, window=(0.0, 1000.0))
     assert [(str(a.prefix), a.origin_as) for a in alerts] == [
         ("10.1.2.0/24", 1), ("10.1.2.0/24", 3), ("10.3.0.0/16", 2),
     ]
@@ -622,13 +625,13 @@ def test_select_history_counts_not_just_current():
 
 
 def test_run_all_heuristics_unions_alert_kinds():
-    relays = [relay("184.164.0.17", guard=True)]
+    index = RelayIndex([relay("184.164.0.17", guard=True)])
     updates = [
         announce(0.0, "s1", "184.164.0.0/23", [100, 2637]),
         announce(20.0, "s1", "184.164.0.0/24", [100, 226]),
         withdraw(320.0, "s1", "184.164.0.0/24"),
     ]
-    alerts = run_all_heuristics(table_of(updates), relays, window=(0.0, DAY))
+    alerts = run_all_heuristics(table_of(updates), index, window=(0.0, DAY))
     kinds = {a.heuristic for a in alerts}
     assert Heuristic.MORE_SPECIFIC in kinds
     assert Heuristic.TIME in kinds  # the /24 lived 300 s out of a day
@@ -636,13 +639,13 @@ def test_run_all_heuristics_unions_alert_kinds():
 
 def test_run_all_heuristics_is_one_window_for_all_three():
     # the foreign-origin /17 is still live at the last update
-    relays = [relay("184.164.0.17", guard=True)]
+    index = RelayIndex([relay("184.164.0.17", guard=True)])
     updates = [
         announce(0.0, "s1", "184.164.0.0/16", [100, 2637]),
         announce(50.0, "s1", "184.164.0.0/17", [100, 226]),
         announce(100.0, "s2", "184.164.0.0/16", [200, 2637]),
     ]
-    alerts = run_all_heuristics(table_of(updates), relays, time_threshold=0.9, window=(0.0, 101.0))
+    alerts = run_all_heuristics(table_of(updates), index, time_threshold=0.9, window=(0.0, 101.0))
     windows = {(a.heuristic, str(a.prefix)): a.windows for a in alerts}
     assert windows[Heuristic.TIME, "184.164.0.0/17"] == ((50.0, 101.0),)
     assert windows[Heuristic.MORE_SPECIFIC, "184.164.0.0/17"] == ((50.0, 101.0),)

